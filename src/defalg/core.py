@@ -130,6 +130,72 @@ class Element:
 ZERO = Element()
 
 # ---------------------------------------------------------------------------
+# Basis-pair tables: a checker compiles each bilinear operation once into
+# rows[i][j] / cols[j][i] and each linear map into images[i] (terms dicts,
+# nonzero entries only, never mutated), runs its identity loops as sparse-dict
+# arithmetic on them, and builds an Element only to show a residual.
+# ---------------------------------------------------------------------------
+
+
+def basis_rows(entry, n):
+    """(rows, cols) of a bilinear operation; entry(i, j) is the terms dict
+    of its value on (e_i, e_j)."""
+    rows = [{} for _ in range(n)]
+    cols = [{} for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            terms = entry(i, j)
+            if terms:
+                rows[i][j] = cols[j][i] = terms
+    return rows, cols
+
+
+def add_into(out: dict, terms: dict, c=1) -> dict:
+    """out += c * terms on sparse terms dicts, in place, dropping zeros."""
+    if c != 1:
+        terms = {k: c * v for k, v in terms.items()}
+    for k, v in terms.items():
+        val = out.get(k, 0) + v
+        if val:
+            out[k] = val
+        else:
+            out.pop(k, None)
+    return out
+
+
+def lin_into(out: dict, images, x: dict, c=1) -> dict:
+    """out += c * sum_t x[t] * images[t], in place; `images` maps an index
+    to a terms dict (missing means zero)."""
+    for t, a in x.items():
+        img = images.get(t)
+        if img:
+            add_into(out, img, a if c == 1 else c * a)
+    return out
+
+
+def admitted(n, arity, weights=None, cap=0):
+    """Index tuples of length `arity` >= 1 over range(n) in lexicographic order,
+    restricted with `weights` (one nonnegative int per index) to those whose
+    weights sum to at most `cap`.  The ascending indices within each
+    remaining budget are listed once, so only admitted tuples are visited."""
+    if weights is None:
+        return itertools.product(range(n), repeat=arity)
+    if len(weights) != n or cap < 0 or min(weights, default=0) < 0:
+        raise InputError("weights need one nonnegative int per index and cap >= 0")
+    fit = [[i for i, w in enumerate(weights) if w <= r] for r in range(cap + 1)]
+
+    def extend(prefix, budget, left):
+        if left == 1:
+            for i in fit[budget]:
+                yield prefix + (i,)
+            return
+        for i in fit[budget]:
+            yield from extend(prefix + (i,), budget - weights[i], left - 1)
+
+    return extend((), cap, arity)
+
+
+# ---------------------------------------------------------------------------
 # Permutations and Koszul signs
 # ---------------------------------------------------------------------------
 #

@@ -15,7 +15,16 @@ import itertools
 from fractions import Fraction
 
 from .coalg import all_words, canonical_word
-from .core import Element, GradedBasis, koszul_sign, unshuffles
+from .core import (
+    Element,
+    GradedBasis,
+    add_into,
+    admitted,
+    basis_rows,
+    koszul_sign,
+    lin_into,
+    unshuffles,
+)
 from .dgla import DGLA, check_dgla
 from .errors import DomainError, InputError
 from .linfty import LInftyMorphism, LInftyStructure, morphism_check
@@ -65,58 +74,65 @@ class GradedCommAlgebra:
             return "0"
         return " + ".join(f"{c}*{self.basis.names[i]}" for i, c in el)
 
-    def algebra_report(self, triple_filter=None) -> CheckReport:
+    def algebra_report(self, weights=None, cap=0) -> CheckReport:
+        """Degree-additivity of the table, graded commutativity on every
+        basis pair and associativity on the basis triples admitted by
+        `weights` and `cap` (all of them without weights)."""
+        rows = basis_rows(lambda i, j: self._op_basis(i, j).terms, len(self.basis))
+        return self._report(*rows, weights, cap)
+
+    def _report(self, P, Pc, weights, cap) -> CheckReport:
         rep = CheckReport("graded-algebra")
-        n = len(self.basis)
+        names = self.basis.names
         deg = self.basis.degree
+        n = len(names)
         for (i, j), el in self.table.items():
             degs = {deg(k) for k in el.terms}
             if degs and degs != {deg(i) + deg(j)}:
                 rep.add(
-                    f"{self.basis.names[i]}*{self.basis.names[j]}",
+                    f"{names[i]}*{names[j]}",
                     self.show(el),
                     "product is not degree-additive",
                 )
-        for i in range(n):
-            for j in range(n):
-                a, b = Element.basis_vector(i), Element.basis_vector(j)
-                comm = self.product(a, b) - self.product(b, a).scale(
-                    self._sign_swap(i, j)
+        for i, j in admitted(n, 2):
+            swap = self._sign_swap(i, j)
+            comm = add_into(dict(P[i].get(j, {})), P[j].get(i, {}), -swap)
+            if comm:
+                rep.add(
+                    f"comm({names[i]},{names[j]})",
+                    self.show(Element(comm)),
+                    "graded commutativity fails",
                 )
-                if not comm.is_zero():
-                    rep.add(
-                        f"comm({self.basis.names[i]},{self.basis.names[j]})",
-                        self.show(comm),
-                        "graded commutativity fails",
-                    )
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if triple_filter and not triple_filter(i, j, k):
-                        continue
-                    a, b, c = (Element.basis_vector(t) for t in (i, j, k))
-                    ass = self.product(self.product(a, b), c) - self.product(
-                        a, self.product(b, c)
-                    )
-                    if not ass.is_zero():
-                        rep.add(
-                            f"assoc({self.basis.names[i]},{self.basis.names[j]},"
-                            f"{self.basis.names[k]})",
-                            self.show(ass),
-                            "associativity fails",
-                        )
+        for i, j, k in admitted(n, 3, weights, cap):
+            ass = lin_into({}, Pc[k], P[i].get(j, {}))
+            lin_into(ass, P[i], P[j].get(k, {}), -1)
+            if ass:
+                rep.add(
+                    f"assoc({names[i]},{names[j]},{names[k]})",
+                    self.show(Element(ass)),
+                    "associativity fails",
+                )
         return rep
 
 
 class GBVStructure:
     """Algebra plus degree +1 operator delta; the derived symmetric product
     q(a,b) = delta(ab) - delta(a) b - (-1)^deg(a) a delta(b) must make every
-    q(a,-) a derivation (odd Poisson)."""
+    q(a,-) a derivation (odd Poisson).
 
-    def __init__(self, algebra: GradedCommAlgebra, delta, triple_filter=None):
+    `weights` and `cap` mark a truncated structure: an identity instance is
+    checked only when its arguments' weights sum to at most `cap`."""
+
+    def __init__(self, algebra: GradedCommAlgebra, delta, weights=None, cap=0):
         self.algebra = algebra
         self.delta_table = {i: v.copy() for i, v in delta.items() if not v.is_zero()}
-        self.triple_filter = triple_filter
+        self.cap = cap
+        if weights is None:
+            self.weights = self.triple_filter = None
+        else:
+            w = self.weights = tuple(weights)
+            # the basis triples the checks cover
+            self.triple_filter = lambda i, j, k: w[i] + w[j] + w[k] <= cap
 
     def delta(self, x: Element) -> Element:
         out = Element()
@@ -151,12 +167,31 @@ class GBVStructure:
             self.delta(mul(a, b)) - mul(self.delta(a), b)
         ).scale(sign)
 
+    def _tables(self):
+        """Basis-pair tables for one check: product rows and columns P, Pc,
+        delta images D, and derived-product rows and columns Q, Qc with
+        Q[i][j] = q(e_i, e_j)."""
+        alg = self.algebra
+        n = len(alg.basis)
+        deg = alg.basis.degree
+        P, Pc = basis_rows(lambda i, j: alg._op_basis(i, j).terms, n)
+        D = {i: v.terms for i, v in self.delta_table.items()}
+
+        def q(i, j):
+            out = lin_into({}, D, P[i].get(j, {}))
+            lin_into(out, Pc[j], D.get(i, {}), -1)
+            return lin_into(out, P[i], D.get(j, {}), 1 if deg(i) % 2 else -1)
+
+        return (P, Pc, D) + basis_rows(q, n)
+
     def gbv_check(self) -> CheckReport:
         """delta degree +1, delta^2 = 0, delta(1) = 0 when unital, and the
         odd Poisson identity for the derived product on basis triples."""
-        rep = self.algebra.algebra_report(self.triple_filter)
+        P, Pc, D, Q, _ = self._tables()
+        alg = self.algebra
+        rep = alg._report(P, Pc, self.weights, self.cap)
         rep.command = "gbv-check"
-        basis = self.algebra.basis
+        basis = alg.basis
         deg = basis.degree
         n = len(basis)
         for i, el in self.delta_table.items():
@@ -164,142 +199,69 @@ class GBVStructure:
             if degs and degs != {deg(i) + 1}:
                 rep.add(
                     f"delta({basis.names[i]})",
-                    self.algebra.show(el),
+                    alg.show(el),
                     "delta is not degree +1",
                 )
         for i in range(n):
-            dd = self.delta(self.delta(Element.basis_vector(i)))
-            if not dd.is_zero():
+            dd = lin_into({}, D, D.get(i, {}))
+            if dd:
                 rep.add(
                     f"delta^2({basis.names[i]})",
-                    self.algebra.show(dd),
+                    alg.show(Element(dd)),
                     "delta^2 != 0",
                 )
-        if self.algebra.unit is not None:
-            du = self.delta(Element.basis_vector(self.algebra.unit))
-            if not du.is_zero():
-                rep.add("delta(1)", self.algebra.show(du), "delta(1) != 0")
-        mul = self.algebra.product
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if self.triple_filter and not self.triple_filter(i, j, k):
-                        continue
-                    a, b, c = (Element.basis_vector(t) for t in (i, j, k))
-                    lhs = self.derived_q(a, mul(b, c))
-                    rhs = mul(self.derived_q(a, b), c) + mul(
-                        b, self.derived_q(a, c)
-                    ).scale((-1) ** (((deg(i) + 1) * deg(j)) % 2))
-                    if not (lhs - rhs).is_zero():
-                        rep.add(
-                            f"oddpoisson({basis.names[i]},{basis.names[j]},"
-                            f"{basis.names[k]})",
-                            self.algebra.show(lhs - rhs),
-                            "odd Poisson identity fails",
-                        )
+        if alg.unit in D:
+            rep.add("delta(1)", alg.show(Element(D[alg.unit])), "delta(1) != 0")
+        for i, j, k in admitted(n, 3, self.weights, self.cap):
+            # q(a, bc) - q(a,b) c - (-1)^{(a+1) b} b q(a,c)
+            sign = 1 if (deg(i) + 1) * deg(j) % 2 else -1
+            res = lin_into({}, Q[i], P[j].get(k, {}))
+            lin_into(res, Pc[k], Q[i].get(j, {}), -1)
+            lin_into(res, P[j], Q[i].get(k, {}), sign)
+            if res:
+                rep.add(
+                    f"oddpoisson({basis.names[i]},{basis.names[j]},"
+                    f"{basis.names[k]})",
+                    alg.show(Element(res)),
+                    "odd Poisson identity fails",
+                )
         return rep
 
     def to_dgla(self) -> DGLA:
         """The shifted bracket structure as an explicit DGLA (degrees +1)."""
+        return self._shifted(self._tables()[3])
+
+    def _shifted(self, Q) -> DGLA:
+        # [e_i, e_j] = (-1)^{deg i + 1} q(e_i, e_j) (sign ledger G2)
         basis = self.algebra.basis
         shifted = GradedBasis(basis.names, tuple(d + 1 for d in basis.degrees))
         table = {}
-        for i in range(len(basis)):
-            for j in range(len(basis)):
-                val = self.bracket(Element.basis_vector(i), Element.basis_vector(j))
-                if not val.is_zero():
-                    table[(i, j)] = val
+        for i, row in enumerate(Q):
+            sign = 1 if basis.degree(i) % 2 else -1
+            for j, q in row.items():
+                table[(i, j)] = Element(q).scale(sign)
         return DGLA(shifted, table, dict(self.delta_table))
 
     def dgla_verify(self) -> CheckReport:
         """Instance verification that the shifted bracket with delta is a
         DGLA, plus the derived-product compatibility
-        delta q(a,b) + q(delta a, b) + (-1)^{deg a} q(a, delta b) = 0."""
-        L = self.to_dgla()
-        if self.triple_filter is None:
-            rep = check_dgla(L)
-        else:
-            rep = _check_dgla_filtered(L, self.triple_filter)
+        delta q(a,b) + q(delta a, b) + (-1)^{deg a} q(a, delta b) = 0,
+        with q applied bilinearly."""
+        _, _, D, Q, Qc = self._tables()
+        rep = check_dgla(self._shifted(Q), self.weights, self.cap)
         rep.command = "gbv-dgla"
         basis = self.algebra.basis
-        for i in range(len(basis)):
-            for j in range(len(basis)):
-                if self.triple_filter and not self.triple_filter(i, j, j):
-                    continue
-                a, b = Element.basis_vector(i), Element.basis_vector(j)
-                res = (
-                    self.delta(self.derived_q(a, b))
-                    + self.derived_q(self.delta(a), b)
-                    + self.derived_q(a, self.delta(b)).scale(
-                        (-1) ** (basis.degree(i) % 2)
-                    )
+        for i, j in admitted(len(basis), 2, self.weights, self.cap):
+            res = lin_into({}, D, Q[i].get(j, {}))
+            lin_into(res, Qc[j], D.get(i, {}))
+            lin_into(res, Q[i], D.get(j, {}), -1 if basis.degree(i) % 2 else 1)
+            if res:
+                rep.add(
+                    f"delta-q({basis.names[i]},{basis.names[j]})",
+                    self.algebra.show(Element(res)),
+                    "delta is not a derivation of the derived product",
                 )
-                if not res.is_zero():
-                    rep.add(
-                        f"delta-q({basis.names[i]},{basis.names[j]})",
-                        self.algebra.show(res),
-                        "delta is not a derivation of the derived product",
-                    )
         return rep
-
-
-def _check_dgla_filtered(L: DGLA, triple_filter) -> CheckReport:
-    """check_dgla restricted to pairs/triples allowed by the filter (used by
-    truncated polyvector structures where only in-cap identities are exact).
-    """
-    rep = CheckReport("check-dgla")
-    basis = L.basis
-    n = len(basis)
-    deg = basis.degree
-    for i in range(n):
-        if not triple_filter(i, i, i):
-            continue
-        res = L.d(L.d(Element.basis_vector(i)))
-        if not res.is_zero():
-            rep.add(f"d^2({basis.names[i]})", L.show(res), "d^2 != 0")
-    for i in range(n):
-        for j in range(n):
-            if not triple_filter(i, j, j):
-                continue
-            a, b = Element.basis_vector(i), Element.basis_vector(j)
-            anti = L.bracket(a, b) + L.bracket(b, a).scale(L._sign_swap(i, j))
-            if not anti.is_zero():
-                rep.add(
-                    f"antisym({basis.names[i]},{basis.names[j]})",
-                    L.show(anti),
-                    "graded antisymmetry fails",
-                )
-            leib = (
-                L.d(L.bracket(a, b))
-                - L.bracket(L.d(a), b)
-                - L.bracket(a, L.d(b)).scale((-1) ** (deg(i) % 2))
-            )
-            if not leib.is_zero():
-                rep.add(
-                    f"leibnitz({basis.names[i]},{basis.names[j]})",
-                    L.show(leib),
-                    "graded Leibnitz fails",
-                )
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if not triple_filter(i, j, k):
-                    continue
-                a, b, c = (Element.basis_vector(t) for t in (i, j, k))
-                jac = (
-                    L.bracket(a, L.bracket(b, c))
-                    - L.bracket(L.bracket(a, b), c)
-                    - L.bracket(b, L.bracket(a, c)).scale(
-                        (-1) ** ((deg(i) * deg(j)) % 2)
-                    )
-                )
-                if not jac.is_zero():
-                    rep.add(
-                        f"jacobi({basis.names[i]},{basis.names[j]},{basis.names[k]})",
-                        L.show(jac),
-                        "graded Jacobi fails",
-                    )
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -357,13 +319,7 @@ class Polyvector:
         )
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            val = out.get(k, 0) + v
-            if val:
-                out[k] = val
-            else:
-                out.pop(k, None)
+        out = add_into(dict(self.terms), other.terms)
         return Polyvector(self.nvars, max(self.cap, other.cap), out)
 
     def __sub__(self, other):
@@ -381,9 +337,6 @@ class Polyvector:
         if len(degs) > 1:
             raise DomainError("inhomogeneous polyvector")
         return degs.pop() if degs else None
-
-    def poly_degree(self):
-        return max((sum(m) for (m, _) in self.terms), default=0)
 
     def wedge(self, other) -> "Polyvector":
         out = {}
@@ -534,14 +487,7 @@ class PolyForm:
         return isinstance(other, PolyForm) and self.terms == other.terms
 
     def __sub__(self, other):
-        out = PolyForm(self.nvars, dict(self.terms))
-        for k, v in other.terms.items():
-            val = out.terms.get(k, 0) - v
-            if val:
-                out.terms[k] = val
-            else:
-                out.terms.pop(k, None)
-        return out
+        return PolyForm(self.nvars, add_into(dict(self.terms), other.terms, -1))
 
     def wedge(self, other) -> "PolyForm":
         out = PolyForm(self.nvars)
@@ -732,9 +678,12 @@ def polyvector_gbv(nvars, cap) -> GBVStructure:
                 out.add_term(index[(m, f)], c)
         return out
 
+    polydeg = [sum(m) for m, _ in keys]
     table = {}
     for i, (m1, f1) in enumerate(keys):
         for j, (m2, f2) in enumerate(keys):
+            if polydeg[i] + polydeg[j] > cap:
+                continue  # truncated to zero
             prod = Polyvector(nvars, None, {(m1, f1): Fraction(1)}).wedge(
                 Polyvector(nvars, None, {(m2, f2): Fraction(1)})
             )
@@ -750,12 +699,7 @@ def polyvector_gbv(nvars, cap) -> GBVStructure:
         if not val.is_zero():
             delta_table[i] = val
 
-    polydeg = [sum(m) for m, _ in keys]
-
-    def triple_filter(i, j, k):
-        return polydeg[i] + polydeg[j] + polydeg[k] <= cap
-
-    S = GBVStructure(algebra, delta_table, triple_filter)
+    S = GBVStructure(algebra, delta_table, polydeg, cap)
     S.keys = keys
     S.to_element = to_element
     return S

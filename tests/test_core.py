@@ -11,6 +11,7 @@ from defalg import core
 from defalg.core import (
     Element,
     GradedBasis,
+    admitted,
     block_split_sign,
     ext_canonical,
     exterior_sign,
@@ -280,3 +281,21 @@ def test_block_split_signs():
     assert subset_split_sign(degrees, [1]) == -1  # move v2 past odd v1
     assert subset_split_sign(degrees, [2]) == 1  # even moves freely
     assert block_split_sign(degrees, [(1,), (0, 2)]) == -1
+
+
+def test_admitted_tuples_are_the_filtered_product_in_order():
+    rng = random.Random(3)
+    for _ in range(20):
+        n = rng.randint(0, 6)
+        weights = [rng.randint(0, 3) for _ in range(n)]
+        cap = rng.randint(0, 4)
+        for arity in (1, 2, 3):
+            expected = [
+                t
+                for t in itertools.product(range(n), repeat=arity)
+                if sum(weights[i] for i in t) <= cap
+            ]
+            assert list(admitted(n, arity, weights, cap)) == expected
+        assert list(admitted(n, 2)) == list(itertools.product(range(n), repeat=2))
+    with pytest.raises(InputError):
+        admitted(2, 2, [0, -1], 1)

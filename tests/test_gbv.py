@@ -1,12 +1,15 @@
 """GBV algebras, polyvector fields, Schouten bracket, volume delta,
 Tian-Todorov, and the product morphism onto the abelian structure."""
 
+import itertools
 import random
 from fractions import Fraction
 
-from defalg.core import Element
+from defalg.core import Element, GradedBasis
+from defalg.dgla import DGLA, check_dgla
 from defalg.gbv import (
     GBVStructure,
+    GradedCommAlgebra,
     PolyForm,
     Polyvector,
     contract,
@@ -35,7 +38,12 @@ def pv(nvars, mono, frame, c=1):
 # -- exterior-algebra GBV example ------------------------------------------------
 
 
-from defalg.models import abelian_exterior_gbv as abelian_gbv, exterior_gbv
+from defalg.models import (
+    abelian_exterior_gbv as abelian_gbv,
+    exterior_gbv,
+    scaled_exterior_gbv,
+)
+from defalg.report import CheckReport
 
 
 def test_abelian_gbv_has_zero_q():
@@ -73,6 +81,249 @@ def test_delta_squared_violation_detected():
     rep = bad.dgla_verify()
     assert not rep.ok()
     assert any("d^2" in v.location for v in rep.violations)
+
+
+def test_inhomogeneous_delta_image_is_reported_not_raised():
+    # delta(th12) = 2 th2 + one mixes degrees 1 and 0; q is bilinear on
+    # basis pairs, so the checker reports instead of raising DomainError
+    bad = GBVStructure(exterior_gbv().algebra, {3: e(2, 2) + e(0)})
+    rep = bad.dgla_verify()
+    assert not rep.ok()
+    assert any(v.location.startswith("delta-q(") for v in rep.violations)
+    assert rep.to_dict() == oracle_dgla_verify(bad).to_dict()
+
+
+def test_bracket_is_signed_derived_product_on_basis_pairs():
+    # [a,b] = (-1)^{deg a + 1} q(a,b) (sign ledger G2); to_dgla relies on it
+    models = (exterior_gbv(), abelian_gbv(), scaled_exterior_gbv())
+    for S in (polyvector_gbv(2, 2),) + models:
+        basis = S.algebra.basis
+        for i in range(len(basis)):
+            sign = (-1) ** ((basis.degree(i) + 1) % 2)
+            for j in range(len(basis)):
+                assert S.bracket(e(i), e(j)) == S.derived_q(e(i), e(j)).scale(sign)
+
+
+# -- the Element-based checking loops, kept as the oracle of the tabled ones -----
+
+
+def _admit(S):
+    """An instance is checked when its arguments' weights fit the cap."""
+    if S.weights is None:
+        return lambda *idx: True
+    return lambda *idx: sum(S.weights[t] for t in idx) <= S.cap
+
+
+def oracle_gbv_check(S):
+    alg = S.algebra
+    basis = alg.basis
+    names, deg, n = basis.names, basis.degree, len(basis)
+    admit = _admit(S)
+    mul = alg.product
+    rep = CheckReport("gbv-check")
+    for (i, j), el in alg.table.items():
+        degs = {deg(k) for k in el.terms}
+        if degs and degs != {deg(i) + deg(j)}:
+            msg = "product is not degree-additive"
+            rep.add(f"{names[i]}*{names[j]}", alg.show(el), msg)
+    for i in range(n):
+        for j in range(n):
+            comm = mul(e(i), e(j)) - mul(e(j), e(i)).scale(alg._sign_swap(i, j))
+            if not comm.is_zero():
+                msg = "graded commutativity fails"
+                rep.add(f"comm({names[i]},{names[j]})", alg.show(comm), msg)
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if admit(i, j, k):
+            ass = mul(mul(e(i), e(j)), e(k)) - mul(e(i), mul(e(j), e(k)))
+            if not ass.is_zero():
+                rep.add(
+                    f"assoc({names[i]},{names[j]},{names[k]})",
+                    alg.show(ass),
+                    "associativity fails",
+                )
+    for i, el in S.delta_table.items():
+        degs = {deg(k) for k in el.terms}
+        if degs and degs != {deg(i) + 1}:
+            rep.add(f"delta({names[i]})", alg.show(el), "delta is not degree +1")
+    for i in range(n):
+        dd = S.delta(S.delta(e(i)))
+        if not dd.is_zero():
+            rep.add(f"delta^2({names[i]})", alg.show(dd), "delta^2 != 0")
+    if alg.unit is not None:
+        du = S.delta(e(alg.unit))
+        if not du.is_zero():
+            rep.add("delta(1)", alg.show(du), "delta(1) != 0")
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if admit(i, j, k):
+            a, b, c = e(i), e(j), e(k)
+            lhs = S.derived_q(a, mul(b, c))
+            rhs = mul(S.derived_q(a, b), c) + mul(b, S.derived_q(a, c)).scale(
+                (-1) ** (((deg(i) + 1) * deg(j)) % 2)
+            )
+            if not (lhs - rhs).is_zero():
+                rep.add(
+                    f"oddpoisson({names[i]},{names[j]},{names[k]})",
+                    alg.show(lhs - rhs),
+                    "odd Poisson identity fails",
+                )
+    return rep
+
+
+def oracle_check_dgla(L, admit=lambda *idx: True):
+    rep = CheckReport("check-dgla")
+    basis = L.basis
+    names, deg, n = basis.names, basis.degree, len(basis)
+    br = L.bracket
+    for i, el in L.diff.items():
+        degs = {deg(k) for k in el.terms}
+        if degs and degs != {deg(i) + 1}:
+            rep.add(f"d({names[i]})", L.show(el), "differential is not degree +1")
+    for (i, j), el in L.table.items():
+        degs = {deg(k) for k in el.terms}
+        if degs and degs != {deg(i) + deg(j)}:
+            msg = "bracket is not degree-additive"
+            rep.add(f"[{names[i]},{names[j]}]", L.show(el), msg)
+    for i in range(n):
+        res = L.d(L.d(e(i)))
+        if admit(i) and not res.is_zero():
+            rep.add(f"d^2({names[i]})", L.show(res), "d^2 != 0")
+    for i, j in itertools.product(range(n), repeat=2):
+        if not admit(i, j):
+            continue
+        a, b = e(i), e(j)
+        anti = br(a, b) + br(b, a).scale(L._sign_swap(i, j))
+        if not anti.is_zero():
+            msg = "graded antisymmetry fails"
+            rep.add(f"antisym({names[i]},{names[j]})", L.show(anti), msg)
+        leib = L.d(br(a, b)) - br(L.d(a), b) - br(a, L.d(b)).scale((-1) ** (deg(i) % 2))
+        if not leib.is_zero():
+            msg = "graded Leibnitz fails"
+            rep.add(f"leibnitz({names[i]},{names[j]})", L.show(leib), msg)
+    for i in range(n):
+        if admit(i, i) and deg(i) % 2 == 0:
+            sq = br(e(i), e(i))
+            if not sq.is_zero():
+                msg = "even element with nonzero self-bracket"
+                rep.add(f"[{names[i]},{names[i]}]", L.show(sq), msg)
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if not admit(i, j, k):
+            continue
+        a, b, c = e(i), e(j), e(k)
+        jac = (
+            br(a, br(b, c))
+            - br(br(a, b), c)
+            - br(b, br(a, c)).scale((-1) ** ((deg(i) * deg(j)) % 2))
+        )
+        if not jac.is_zero():
+            rep.add(
+                f"jacobi({names[i]},{names[j]},{names[k]})",
+                L.show(jac),
+                "graded Jacobi fails",
+            )
+    return rep
+
+
+def oracle_to_dgla(S):
+    basis = S.algebra.basis
+    n = len(basis)
+    table = {}
+    for i, j in itertools.product(range(n), repeat=2):
+        val = S.bracket(e(i), e(j))
+        if not val.is_zero():
+            table[(i, j)] = val
+    shifted = GradedBasis(basis.names, tuple(d + 1 for d in basis.degrees))
+    return DGLA(shifted, table, dict(S.delta_table))
+
+
+def oracle_dgla_verify(S):
+    """check_dgla on the n^2 bracket() table plus the delta-q loop, with q
+    taken bilinearly in its first argument (delta(a) may be inhomogeneous)."""
+    basis = S.algebra.basis
+    admit = _admit(S)
+    rep = oracle_check_dgla(oracle_to_dgla(S), admit)
+    rep.command = "gbv-dgla"
+
+    def q(x, b):
+        out = Element()
+        for t, c in x.terms.items():
+            out = out + S.derived_q(e(t), b).scale(c)
+        return out
+
+    for i, j in itertools.product(range(len(basis)), repeat=2):
+        if not admit(i, j):
+            continue
+        a, b = e(i), e(j)
+        res = (
+            S.delta(S.derived_q(a, b))
+            + q(S.delta(a), b)
+            + S.derived_q(a, S.delta(b)).scale((-1) ** (basis.degree(i) % 2))
+        )
+        if not res.is_zero():
+            rep.add(
+                f"delta-q({basis.names[i]},{basis.names[j]})",
+                S.algebra.show(res),
+                "delta is not a derivation of the derived product",
+            )
+    return rep
+
+
+def _perturbed(S, rng):
+    """S with one to three random edits of its product and delta tables."""
+    n = len(S.algebra.basis)
+    table = {k: v.copy() for k, v in S.algebra.table.items()}
+    delta = {k: v.copy() for k, v in S.delta_table.items()}
+    for _ in range(rng.randint(1, 3)):
+        c = F(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2)))
+        if rng.random() < 0.5:
+            key = (rng.randrange(n), rng.randrange(n))
+            if rng.random() < 0.5:
+                key = rng.choice(sorted(table))
+            table[key] = table.get(key, Element()) + e(rng.randrange(n), c)
+        else:
+            i = rng.randrange(n)
+            delta[i] = delta.get(i, Element()) + e(rng.randrange(n), c)
+    unit = None if S.algebra.unit is None else S.algebra.basis.names[S.algebra.unit]
+    algebra = GradedCommAlgebra(S.algebra.basis, table, unit)
+    return GBVStructure(algebra, delta, S.weights, S.cap)
+
+
+def test_tabled_checks_match_element_oracle_on_perturbations():
+    rng = random.Random(41)
+    failing = 0
+    for S, count in (
+        (polyvector_gbv(2, 2), 3),
+        (polyvector_gbv(1, 4), 8),
+        (exterior_gbv(), 10),
+        (abelian_gbv(), 10),
+        (scaled_exterior_gbv(), 10),
+    ):
+        for T in [S] + [_perturbed(S, rng) for _ in range(count)]:
+            gbv = T.gbv_check()
+            assert gbv.to_dict() == oracle_gbv_check(T).to_dict()
+            assert T.to_dgla().table == oracle_to_dgla(T).table
+            assert T.dgla_verify().to_dict() == oracle_dgla_verify(T).to_dict()
+            failing += not gbv.ok()
+    assert failing >= 10  # the perturbations do break identities
+
+
+def test_check_dgla_matches_element_oracle_on_random_dglas():
+    from defalg.generators import random_dgla
+
+    rng = random.Random(43)
+    failing = 0
+    for t in range(60):
+        L = random_dgla(rng)
+        if t % 2:
+            n = len(L.basis)
+            table = dict(L.table)
+            key = (rng.randrange(n), rng.randrange(n))
+            edit = e(rng.randrange(n), rng.choice((-1, 2)))
+            table[key] = table.get(key, Element()) + edit
+            L = DGLA(L.basis, table, L.diff)
+        rep = check_dgla(L)
+        assert rep.to_dict() == oracle_check_dgla(L).to_dict()
+        failing += not rep.ok()
+    assert failing >= 5
 
 
 # -- contraction ------------------------------------------------------------------
