@@ -86,14 +86,12 @@ class Element:
 
     def __add__(self, other):
         out = self.copy()
-        for k, v in other.terms.items():
-            out.add_term(k, v)
+        add_into(out.terms, other.terms)
         return out
 
     def __sub__(self, other):
         out = self.copy()
-        for k, v in other.terms.items():
-            out.add_term(k, -v)
+        add_into(out.terms, other.terms, -1)
         return out
 
     def __neg__(self):

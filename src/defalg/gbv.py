@@ -74,14 +74,11 @@ class GradedCommAlgebra:
             return "0"
         return " + ".join(f"{c}*{self.basis.names[i]}" for i, c in el)
 
-    def algebra_report(self, weights=None, cap=0) -> CheckReport:
+    def algebra_report(self, P, Pc, weights=None, cap=0) -> CheckReport:
         """Degree-additivity of the table, graded commutativity on every
         basis pair and associativity on the basis triples admitted by
-        `weights` and `cap` (all of them without weights)."""
-        rows = basis_rows(lambda i, j: self._op_basis(i, j).terms, len(self.basis))
-        return self._report(*rows, weights, cap)
-
-    def _report(self, P, Pc, weights, cap) -> CheckReport:
+        `weights` and `cap` (all of them without weights); P and Pc are
+        the product rows and columns from `basis_rows`."""
         rep = CheckReport("graded-algebra")
         names = self.basis.names
         deg = self.basis.degree
@@ -126,13 +123,9 @@ class GBVStructure:
     def __init__(self, algebra: GradedCommAlgebra, delta, weights=None, cap=0):
         self.algebra = algebra
         self.delta_table = {i: v.copy() for i, v in delta.items() if not v.is_zero()}
+        self.weights = None if weights is None else tuple(weights)
         self.cap = cap
-        if weights is None:
-            self.weights = self.triple_filter = None
-        else:
-            w = self.weights = tuple(weights)
-            # the basis triples the checks cover
-            self.triple_filter = lambda i, j, k: w[i] + w[j] + w[k] <= cap
+        self.triple_filter = None
 
     def delta(self, x: Element) -> Element:
         out = Element()
@@ -189,7 +182,7 @@ class GBVStructure:
         odd Poisson identity for the derived product on basis triples."""
         P, Pc, D, Q, _ = self._tables()
         alg = self.algebra
-        rep = alg._report(P, Pc, self.weights, self.cap)
+        rep = alg.algebra_report(P, Pc, self.weights, self.cap)
         rep.command = "gbv-check"
         basis = alg.basis
         deg = basis.degree

@@ -423,10 +423,6 @@ def test_schouten_matches_commutator_on_vector_fields():
         # oracle: commutator a(b(f)) - b(a(f)) acting on the coordinates
         for target in range(n):
             probe = tuple(1 if i == target else 0 for i in range(n))
-            lhs = {}
-            for key, c in apply_to_poly(b, probe).items():
-                for k2, c2 in apply_to_poly(a, key).items():
-                    lhs[k2] = lhs.get(k2, 0) + 0  # placeholder, see below
             # direct second-order expansion is messy; instead apply both
             # sides to the coordinate functions: [a,b](z_t) = a(b(z_t)) - b(a(z_t))
             first = apply_to_poly(b, probe)
