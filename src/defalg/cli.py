@@ -453,6 +453,8 @@ def cmd_gbv_to_abelian(args) -> CheckReport:
 
 
 def cmd_lefschetz(args) -> CheckReport:
+    if args.dim < 0:
+        raise InputError("--dim must be a nonnegative integer")
     if args.action == "identities":
         return identities_report(args.dim)
     if args.action == "decompose":

@@ -375,17 +375,6 @@ def coder_lift(basis, degree, tables) -> Coderivation:
     return Coderivation(ComponentMap(basis, degree, tables))
 
 
-def coder_square_corestriction(Q: Coderivation, word) -> Element:
-    """(Q o Q)^1 on a word; zero for all words iff Q is a codifferential."""
-    out = Element()
-    inner = Q.apply_word(word)
-    for w, c in inner.words.items():
-        part = Q.corestriction(w)
-        for k, v in part.terms.items():
-            out.add_term(k, v * c)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Coalgebra morphisms
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import DomainError, InputError
+from .linalg import rref
 from .scalars import Q1
 
 # ---------------------------------------------------------------------------
@@ -169,6 +170,77 @@ def lin_into(out: dict, images, x: dict, c=1) -> dict:
         if img:
             add_into(out, img, a if c == 1 else c * a)
     return out
+
+
+class BilinearTable:
+    """A bilinear operation on a graded basis given by structure constants.
+
+    `table[(i, j)]` is the Element e_i * e_j; a missing (j, i) follows from a
+    stored (i, j) by e_j * e_i = sign (-1)^{deg i deg j} e_i * e_j, with
+    `sign` +1 for graded-commutative and -1 for graded-antisymmetric
+    operations; missing both means zero.  `unit` optionally names a
+    degree-0 two-sided identity, which overrides its table row and column.
+    Entries are resolved once, here; the Elements returned by `_op_basis`
+    are shared and must not be mutated."""
+
+    def __init__(self, basis: GradedBasis, table, sign, unit=None):
+        n = len(basis)
+        self.basis = basis
+        self.table = {k: v.copy() for k, v in table.items() if not v.is_zero()}
+        for (i, j) in self.table:
+            if not (0 <= i < n and 0 <= j < n):
+                raise InputError("table entry outside basis")
+        self.unit = basis.index(unit) if unit is not None else None
+        if self.unit is not None and basis.degree(self.unit) != 0:
+            raise InputError("unit must have degree 0")
+        self._entries = entries = dict(self.table)
+        for (i, j), v in self.table.items():
+            if (j, i) not in self.table:
+                entries[(j, i)] = v.scale(sign * self._sign_swap(i, j))
+        if self.unit is not None:
+            for i in range(n):
+                entries[(self.unit, i)] = entries[(i, self.unit)] = Element({i: Q1})
+
+    def _sign_swap(self, i, j):
+        return -1 if (self.basis.degree(i) * self.basis.degree(j)) % 2 else 1
+
+    def _op_basis(self, i, j) -> Element:
+        return self._entries.get((i, j), ZERO)
+
+    def apply(self, x: Element, y: Element) -> Element:
+        out = {}
+        entry = self._entries.get
+        for i, ci in x.terms.items():
+            for j, cj in y.terms.items():
+                v = entry((i, j))
+                if v is not None:
+                    add_into(out, v.terms, ci * cj)
+        return Element(out)
+
+    def rows(self):
+        """(rows, cols) of the operation from `basis_rows`."""
+        return basis_rows(lambda i, j: self._op_basis(i, j).terms, len(self.basis))
+
+    def _nilpotency_index(self):
+        """Smallest s with A^s = 0 for the series A^1 = A,
+        A^{s+1} = A * A^s; None when the series does not reach 0."""
+        n = len(self.basis)
+        B, _ = self.rows()
+        span = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+        s = 1
+        while span:
+            if s > n + 1:
+                return None
+            nxt = []
+            for i in range(n):
+                for vec in span:
+                    prod = lin_into({}, B[i], {k: c for k, c in enumerate(vec) if c})
+                    if prod:
+                        nxt.append([prod.get(k, Fraction(0)) for k in range(n)])
+            reduced, pivots = rref(nxt) if nxt else ([], [])
+            span = reduced[: len(pivots)]
+            s += 1
+        return s
 
 
 def admitted(n, arity, weights=None, cap=0):

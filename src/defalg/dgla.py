@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import linalg
-from .core import Element, GradedBasis, add_into, admitted, basis_rows, lin_into
+from .core import BilinearTable, Element, GradedBasis, add_into, admitted, lin_into
 from .errors import DomainError, InputError, InternalError, StructureError
 from .freelie import bch_term_sum
 from .report import CheckReport
@@ -32,17 +32,14 @@ def _format_element(basis, el: Element) -> str:
     return " + ".join(parts)
 
 
-class _Tabled:
+class _Tabled(BilinearTable):
     """Shared plumbing for structures given by a basis, a differential table
-    and a binary-operation table (bracket or product)."""
+    and a binary-operation table (bracket or product) whose missing (i, j)
+    entries follow from (j, i) by the class's `SIGN` rule."""
 
     def __init__(self, basis: GradedBasis, table, diff):
-        self.basis = basis
-        self.table = {k: v.copy() for k, v in table.items() if not v.is_zero()}
+        super().__init__(basis, table, self.SIGN)
         self.diff = {k: v.copy() for k, v in diff.items() if not v.is_zero()}
-        for (i, j) in self.table:
-            if not (0 <= i < len(basis) and 0 <= j < len(basis)):
-                raise InputError("table entry outside basis")
         for i in self.diff:
             if not 0 <= i < len(basis):
                 raise InputError("differential entry outside basis")
@@ -52,17 +49,6 @@ class _Tabled:
         for i, c in x.terms.items():
             for k, v in self.diff.get(i, Element()).terms.items():
                 out.add_term(k, c * v)
-        return out
-
-    def _sign_swap(self, i, j):
-        return -1 if (self.basis.degree(i) * self.basis.degree(j)) % 2 else 1
-
-    def op2(self, x: Element, y: Element) -> Element:
-        out = Element()
-        for i, ci in x.terms.items():
-            for j, cj in y.terms.items():
-                for k, v in self._op_basis(i, j).terms.items():
-                    out.add_term(k, ci * cj * v)
         return out
 
     def element(self, pairs) -> Element:
@@ -79,57 +65,24 @@ class _Tabled:
 class DGLA(_Tabled):
     """Finite-dimensional DGLA: differential table d(e_i) and bracket table
     [e_i, e_j].  Missing (i, j) entries derive from (j, i) by graded
-    antisymmetry; missing both means zero."""
+    antisymmetry, [a,b] = -(-1)^{deg a deg b} [b,a]; missing both means zero."""
 
-    def _op_basis(self, i, j) -> Element:
-        if (i, j) in self.table:
-            return self.table[(i, j)]
-        if (j, i) in self.table:
-            # [a,b] = -(-1)^{deg a deg b} [b,a]
-            return self.table[(j, i)].scale(-self._sign_swap(i, j))
-        return Element()
-
-    def bracket(self, x, y):
-        return self.op2(x, y)
+    SIGN = -1
+    bracket = BilinearTable.apply
 
 
 class ArtinDg(_Tabled):
     """Object of the category of nilpotent finite-dimensional graded-
     commutative dg-algebras: multiplication table, differential, and the
-    computed nilpotency index (smallest s with A^s = 0)."""
+    computed nilpotency index (smallest s with A^s = 0; None, reported by
+    check_na, when the algebra is not nilpotent)."""
+
+    SIGN = 1
+    product = BilinearTable.apply
 
     def __init__(self, basis, table, diff):
         super().__init__(basis, table, diff)
         self.nilpotency_index = self._nilpotency_index()
-
-    def _op_basis(self, i, j) -> Element:
-        if (i, j) in self.table:
-            return self.table[(i, j)]
-        if (j, i) in self.table:
-            return self.table[(j, i)].scale(self._sign_swap(i, j))
-        return Element()
-
-    def product(self, x, y):
-        return self.op2(x, y)
-
-    def _nilpotency_index(self):
-        n = len(self.basis)
-        span = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        s = 1
-        while span:
-            if s > n + 1:
-                return None  # not nilpotent; reported by check_na
-            nxt = []
-            for i in range(n):
-                for vec in span:
-                    x = Element({k: c for k, c in enumerate(vec) if c})
-                    prod = self.product(Element.basis_vector(i), x)
-                    if not prod.is_zero():
-                        nxt.append([prod.terms.get(k, Fraction(0)) for k in range(n)])
-            rows, pivots = linalg.rref(nxt) if nxt else ([], [])
-            span = [rows[r] for r in range(len(pivots))]
-            s += 1
-        return s
 
     def is_classical(self) -> bool:
         return all(d == 0 for d in self.basis.degrees) and not self.diff
@@ -153,7 +106,7 @@ def check_dgla(L: DGLA, weights=None, cap=0) -> CheckReport:
     n = len(basis)
     deg = basis.degree
     names = basis.names
-    B, Bc = basis_rows(lambda i, j: L._op_basis(i, j).terms, n)
+    B, Bc = L.rows()
     D = {i: v.terms for i, v in L.diff.items()}
 
     def report(location, terms, message):
@@ -211,68 +164,53 @@ def check_na(A: ArtinDg) -> CheckReport:
     basis = A.basis
     n = len(basis)
     deg = basis.degree
+    names = basis.names
+    P, Pc = A.rows()
+    D = {i: v.terms for i, v in A.diff.items()}
+
+    def report(location, terms, message):
+        rep.add(location, A.show(Element(terms)), message)
 
     for i, el in A.diff.items():
         degs = {deg(k) for k in el.terms}
         if degs and degs != {deg(i) + 1}:
-            rep.add(f"d({basis.names[i]})", A.show(el), "differential is not degree +1")
+            rep.add(f"d({names[i]})", A.show(el), "differential is not degree +1")
     for (i, j), el in A.table.items():
         degs = {deg(k) for k in el.terms}
         if degs and degs != {deg(i) + deg(j)}:
             rep.add(
-                f"{basis.names[i]}*{basis.names[j]}",
+                f"{names[i]}*{names[j]}",
                 A.show(el),
                 "product is not degree-additive",
             )
 
     for i in range(n):
-        res = A.d(A.d(Element.basis_vector(i)))
-        if not res.is_zero():
-            rep.add(f"d^2({basis.names[i]})", A.show(res), "d^2 != 0")
+        res = lin_into({}, D, D.get(i, {}))
+        if res:
+            report(f"d^2({names[i]})", res, "d^2 != 0")
+
+    for i, j in admitted(n, 2):
+        comm = add_into(dict(P[i].get(j, {})), P[j].get(i, {}), -A._sign_swap(i, j))
+        if comm:
+            report(f"comm({names[i]},{names[j]})", comm, "graded commutativity fails")
+        # d(ab) - (da)b - (-1)^a a(db)
+        leib = lin_into({}, D, P[i].get(j, {}))
+        lin_into(leib, Pc[j], D.get(i, {}), -1)
+        lin_into(leib, P[i], D.get(j, {}), 1 if deg(i) % 2 else -1)
+        if leib:
+            report(f"leibnitz({names[i]},{names[j]})", leib, "Leibnitz fails")
 
     for i in range(n):
-        for j in range(n):
-            a, b = Element.basis_vector(i), Element.basis_vector(j)
-            comm = A.product(a, b) - A.product(b, a).scale(A._sign_swap(i, j))
-            if not comm.is_zero():
-                rep.add(
-                    f"comm({basis.names[i]},{basis.names[j]})",
-                    A.show(comm),
-                    "graded commutativity fails",
-                )
-            leib = (
-                A.d(A.product(a, b))
-                - A.product(A.d(a), b)
-                - A.product(a, A.d(b)).scale((-1) ** (deg(i) % 2))
-            )
-            if not leib.is_zero():
-                rep.add(
-                    f"leibnitz({basis.names[i]},{basis.names[j]})",
-                    A.show(leib),
-                    "Leibnitz fails",
-                )
+        if deg(i) % 2 and i in P[i]:
+            report(f"{names[i]}^2", P[i][i], "odd element with nonzero square")
 
-    for i in range(n):
-        if deg(i) % 2:
-            sq = A.product(Element.basis_vector(i), Element.basis_vector(i))
-            if not sq.is_zero():
-                rep.add(
-                    f"{basis.names[i]}^2",
-                    A.show(sq),
-                    "odd element with nonzero square",
-                )
-
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                a, b, c = (Element.basis_vector(t) for t in (i, j, k))
-                ass = A.product(A.product(a, b), c) - A.product(a, A.product(b, c))
-                if not ass.is_zero():
-                    rep.add(
-                        f"assoc({basis.names[i]},{basis.names[j]},{basis.names[k]})",
-                        A.show(ass),
-                        "associativity fails",
-                    )
+    for i, j, k in admitted(n, 3):
+        # (ab)c - a(bc)
+        ass = lin_into({}, Pc[k], P[i].get(j, {}))
+        lin_into(ass, P[i], P[j].get(k, {}), -1)
+        if ass:
+            loc = f"assoc({names[i]},{names[j]},{names[k]})"
+            report(loc, ass, "associativity fails")
 
     if A.nilpotency_index is None:
         rep.add("nilpotency", "", "algebra is not nilpotent")
@@ -356,11 +294,6 @@ class TensorDgla:
                 if not br.is_zero():
                     table[(p, q)] = br
         return DGLA(self.basis, table, diff)
-
-    def degree_part(self, x: Element, d: int) -> Element:
-        return Element(
-            {p: c for p, c in x.terms.items() if self.basis.degree(p) == d}
-        )
 
     def show(self, el: Element) -> str:
         return _format_element(self.basis, el)
@@ -736,40 +669,6 @@ def _subcomplex_acyclic(structure, indices) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class UnitalGradedAlgebra:
-    """Finite unital graded-commutative algebra (coefficient algebra R for
-    derivation exponentials).  `unit` names the basis element acting as 1."""
-
-    def __init__(self, basis: GradedBasis, table, unit: str):
-        self.basis = basis
-        self.unit = basis.index(unit)
-        if basis.degree(self.unit) != 0:
-            raise InputError("unit must have degree 0")
-        self.table = {k: v.copy() for k, v in table.items() if not v.is_zero()}
-
-    def _sign_swap(self, i, j):
-        return -1 if (self.basis.degree(i) * self.basis.degree(j)) % 2 else 1
-
-    def _op_basis(self, i, j) -> Element:
-        if i == self.unit:
-            return Element.basis_vector(j)
-        if j == self.unit:
-            return Element.basis_vector(i)
-        if (i, j) in self.table:
-            return self.table[(i, j)]
-        if (j, i) in self.table:
-            return self.table[(j, i)].scale(self._sign_swap(i, j))
-        return Element()
-
-    def product(self, x: Element, y: Element) -> Element:
-        out = Element()
-        for i, ci in x.terms.items():
-            for j, cj in y.terms.items():
-                for k, v in self._op_basis(i, j).terms.items():
-                    out.add_term(k, ci * cj * v)
-        return out
-
-
 class ExpDerivation:
     """e^d for a degree-0 derivation d of R valued in R (x) m_A, acting as an
     automorphism of R (x) (K + m_A).
@@ -780,7 +679,7 @@ class ExpDerivation:
 
     UNIT = -1
 
-    def __init__(self, R: UnitalGradedAlgebra, A: ArtinDg, values):
+    def __init__(self, R: GradedCommAlgebra, A: ArtinDg, values):
         if not A.is_classical():
             raise InputError("derivation exponentials need a degree-0 base")
         self.R = R
@@ -799,7 +698,7 @@ class ExpDerivation:
         out = {}
         for (r1, a1), c1 in x.items():
             for (r2, a2), c2 in y.items():
-                rr = self.R.product(Element.basis_vector(r1), Element.basis_vector(r2))
+                rr = self.R._op_basis(r1, r2).terms
                 if a1 == self.UNIT and a2 == self.UNIT:
                     aa = {self.UNIT: Fraction(1)}
                 elif a1 == self.UNIT:
@@ -807,18 +706,11 @@ class ExpDerivation:
                 elif a2 == self.UNIT:
                     aa = {a1: Fraction(1)}
                 else:
-                    prod = self.A.product(
-                        Element.basis_vector(a1), Element.basis_vector(a2)
-                    )
-                    aa = prod.terms
-                for rk, rv in rr.terms.items():
-                    for ak, av in aa.items():
-                        key = (rk, ak)
-                        val = out.get(key, 0) + c1 * c2 * rv * av
-                        if val:
-                            out[key] = val
-                        else:
-                            out.pop(key, None)
+                    aa = self.A._op_basis(a1, a2).terms
+                prod = {
+                    (rk, ak): rv * av for rk, rv in rr.items() for ak, av in aa.items()
+                }
+                add_into(out, prod, c1 * c2)
         return out
 
     def _apply_d(self, x):
@@ -830,16 +722,8 @@ class ExpDerivation:
                 if a == self.UNIT:
                     keys = {ak: Fraction(1)}
                 else:
-                    keys = self.A.product(
-                        Element.basis_vector(ak), Element.basis_vector(a)
-                    ).terms
-                for am, cm in keys.items():
-                    key = (rk, am)
-                    val = out.get(key, 0) + c * v * cm
-                    if val:
-                        out[key] = val
-                    else:
-                        out.pop(key, None)
+                    keys = self.A._op_basis(ak, a).terms
+                add_into(out, {(rk, am): cm for am, cm in keys.items()}, c * v)
         return out
 
     def leibnitz_report(self) -> CheckReport:
@@ -847,29 +731,10 @@ class ExpDerivation:
         nR = len(self.R.basis)
         for i in range(nR):
             for j in range(nR):
-                lhs = {}
-                prod = self.R.product(Element.basis_vector(i), Element.basis_vector(j))
-                for rk, rv in prod.terms.items():
-                    for key, c in self.values.get(rk, {}).items():
-                        val = lhs.get(key, 0) + rv * c
-                        if val:
-                            lhs[key] = val
-                        else:
-                            lhs.pop(key, None)
+                lhs = lin_into({}, self.values, self.R._op_basis(i, j).terms)
                 rhs = self._mul(self.values.get(i, {}), self.embed(j))
-                for key, c in self._mul(self.embed(i), self.values.get(j, {})).items():
-                    val = rhs.get(key, 0) + c
-                    if val:
-                        rhs[key] = val
-                    else:
-                        rhs.pop(key, None)
-                diff = dict(lhs)
-                for key, c in rhs.items():
-                    val = diff.get(key, 0) - c
-                    if val:
-                        diff[key] = val
-                    else:
-                        diff.pop(key, None)
+                add_into(rhs, self._mul(self.embed(i), self.values.get(j, {})))
+                diff = add_into(dict(lhs), rhs, -1)
                 if diff:
                     rep.add(
                         f"leibnitz({self.R.basis.names[i]},{self.R.basis.names[j]})",
@@ -890,13 +755,7 @@ class ExpDerivation:
                 break
             if n > bound:
                 raise InternalError("derivation exponential failed to terminate")
-            f = Fraction(1, factorial(n))
-            for key, c in term.items():
-                val = out.get(key, 0) + c * f
-                if val:
-                    out[key] = val
-                else:
-                    out.pop(key, None)
+            add_into(out, term, Fraction(1, factorial(n)))
             n += 1
         return out
 
@@ -911,13 +770,7 @@ class ExpDerivation:
                     self._mul(self.embed(i), self.embed(j))
                 )
                 rhs = self._mul(self.apply(self.embed(i)), self.apply(self.embed(j)))
-                diff = dict(lhs)
-                for key, c in rhs.items():
-                    val = diff.get(key, 0) - c
-                    if val:
-                        diff[key] = val
-                    else:
-                        diff.pop(key, None)
+                diff = add_into(dict(lhs), rhs, -1)
                 if diff:
                     rep.add(
                         f"mult({self.R.basis.names[i]},{self.R.basis.names[j]})",
@@ -967,23 +820,13 @@ class DtPolynomial:
                     self.terms[k] = v
 
     def add_term(self, key, coeff):
-        val = self.terms.get(key, 0) + coeff
-        if val:
-            self.terms[key] = val
-        else:
-            self.terms.pop(key, None)
+        add_into(self.terms, {key: coeff})
 
     def __add__(self, other):
-        out = DtPolynomial(self.B, dict(self.terms))
-        for k, v in other.terms.items():
-            out.add_term(k, v)
-        return out
+        return DtPolynomial(self.B, add_into(dict(self.terms), other.terms))
 
     def __sub__(self, other):
-        out = DtPolynomial(self.B, dict(self.terms))
-        for k, v in other.terms.items():
-            out.add_term(k, -v)
-        return out
+        return DtPolynomial(self.B, add_into(dict(self.terms), other.terms, -1))
 
     def scale(self, c):
         return DtPolynomial(self.B, {k: v * c for k, v in self.terms.items()})

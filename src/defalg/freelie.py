@@ -11,8 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from . import linalg
-from .core import Element, GradedBasis
+from .core import BilinearTable, Element, GradedBasis, add_into, admitted, lin_into
 from .errors import DomainError, InputError, InternalError, StructureError
 
 # ---------------------------------------------------------------------------
@@ -117,9 +116,6 @@ class TensorSeries:
 
     def component(self, length):
         return {w: c for w, c in self.words.items() if len(w) == length}
-
-    def max_length(self):
-        return max((len(w) for w in self.words), default=0)
 
     def __repr__(self):
         names = lambda w: "*".join(self.gens[i] for i in w) or "1"
@@ -292,81 +288,43 @@ def bch_explicit(a: TensorSeries, b: TensorSeries, order=None) -> TensorSeries:
 # ---------------------------------------------------------------------------
 
 
-class NilpotentLie:
+class NilpotentLie(BilinearTable):
     """Finite-dimensional nilpotent Lie algebra given by structure constants.
 
-    `table[(i, j)]` is the Element [e_i, e_j]; missing pairs mean zero.
+    `table[(i, j)]` is the Element [e_i, e_j]; a missing pair is the negative
+    of its swap, or zero.  The basis is ungraded (all degrees 0).
     Antisymmetry, Jacobi, and nilpotency are verified at construction.
     """
 
+    bracket = BilinearTable.apply
+
     def __init__(self, basis: GradedBasis, table):
-        self.basis = basis
-        self.table = {}
+        if any(d != 0 for d in basis.degrees):
+            raise InputError("nilpotent_lie basis degrees must all be 0")
+        super().__init__(basis, table, -1)
         n = len(basis)
-        for (i, j), val in table.items():
-            if not val.is_zero():
-                self.table[(i, j)] = val
+        names = basis.names
+        B, Bc = self.rows()
         for i in range(n):
             for j in range(n):
-                if (i, j) in self.table and (j, i) in self.table:
-                    lhs = self.table[(i, j)]
-                    rhs = self.table[(j, i)]
-                    if not (lhs + rhs).is_zero():
-                        raise StructureError(
-                            f"antisymmetry fails on ({basis.names[i]}, {basis.names[j]})"
-                        )
-            if not self.bracket_basis(i, i).is_zero():
-                raise StructureError(f"[{basis.names[i]}, {basis.names[i]}] != 0")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    jac = (
-                        self.bracket(self.bracket_basis(i, j), Element.basis_vector(k))
-                        + self.bracket(self.bracket_basis(j, k), Element.basis_vector(i))
-                        + self.bracket(self.bracket_basis(k, i), Element.basis_vector(j))
+                if add_into(dict(B[i].get(j, {})), B[j].get(i, {})):
+                    raise StructureError(
+                        f"antisymmetry fails on ({names[i]}, {names[j]})"
                     )
-                    if not jac.is_zero():
-                        raise StructureError(
-                            "Jacobi fails on "
-                            f"({basis.names[i]}, {basis.names[j]}, {basis.names[k]})"
-                        )
-        self.nilpotency_index = self._compute_nilpotency()
-
-    def bracket_basis(self, i, j) -> Element:
-        if (i, j) in self.table:
-            return self.table[(i, j)].copy()
-        if (j, i) in self.table:
-            return self.table[(j, i)].scale(Fraction(-1))
-        return Element()
-
-    def bracket(self, x: Element, y: Element) -> Element:
-        out = Element()
-        for i, ci in x.terms.items():
-            for j, cj in y.terms.items():
-                for k, ck in self.bracket_basis(i, j).terms.items():
-                    out.add_term(k, ci * cj * ck)
-        return out
-
-    def _compute_nilpotency(self):
-        """Smallest s with L^s = 0 for the lower central series; error if the
-        algebra is not nilpotent."""
-        n = len(self.basis)
-        span = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        s = 1
-        while span:
-            if s > n + 1:
-                raise StructureError("algebra is not nilpotent")
-            nxt = []
-            for i in range(n):
-                for vec in span:
-                    x = Element({k: c for k, c in enumerate(vec) if c})
-                    br = self.bracket(Element.basis_vector(i), x)
-                    if not br.is_zero():
-                        nxt.append([br.terms.get(k, Fraction(0)) for k in range(n)])
-            rows, pivots = linalg.rref(nxt) if nxt else ([], [])
-            span = [rows[r] for r in range(len(pivots))]
-            s += 1
-        return s
+            if i in B[i]:
+                raise StructureError(f"[{names[i]}, {names[i]}] != 0")
+        for i, j, k in admitted(n, 3):
+            # [[a,b],c] + [[b,c],a] + [[c,a],b]
+            jac = lin_into({}, Bc[k], B[i].get(j, {}))
+            lin_into(jac, Bc[i], B[j].get(k, {}))
+            lin_into(jac, Bc[j], B[k].get(i, {}))
+            if jac:
+                raise StructureError(
+                    f"Jacobi fails on ({names[i]}, {names[j]}, {names[k]})"
+                )
+        self.nilpotency_index = self._nilpotency_index()
+        if self.nilpotency_index is None:
+            raise StructureError("algebra is not nilpotent")
 
     def bch(self, x: Element, y: Element) -> Element:
         """The group law x * y; terminates because bracket words of length

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .coalg import all_words, canonical_word
 from .core import (
+    BilinearTable,
     Element,
     GradedBasis,
     add_into,
@@ -35,39 +36,14 @@ from .report import CheckReport
 # ---------------------------------------------------------------------------
 
 
-class GradedCommAlgebra:
+class GradedCommAlgebra(BilinearTable):
     """Finite-dimensional graded-commutative algebra from a multiplication
     table; `unit` optionally names a two-sided identity."""
 
     def __init__(self, basis: GradedBasis, table, unit=None):
-        self.basis = basis
-        self.table = {k: v.copy() for k, v in table.items() if not v.is_zero()}
-        self.unit = basis.index(unit) if unit is not None else None
-        if self.unit is not None and basis.degree(self.unit) != 0:
-            raise InputError("unit must have degree 0")
+        super().__init__(basis, table, 1, unit)
 
-    def _sign_swap(self, i, j):
-        return -1 if (self.basis.degree(i) * self.basis.degree(j)) % 2 else 1
-
-    def _op_basis(self, i, j) -> Element:
-        if self.unit is not None:
-            if i == self.unit:
-                return Element.basis_vector(j)
-            if j == self.unit:
-                return Element.basis_vector(i)
-        if (i, j) in self.table:
-            return self.table[(i, j)]
-        if (j, i) in self.table:
-            return self.table[(j, i)].scale(self._sign_swap(i, j))
-        return Element()
-
-    def product(self, x: Element, y: Element) -> Element:
-        out = Element()
-        for i, ci in x.terms.items():
-            for j, cj in y.terms.items():
-                for k, v in self._op_basis(i, j).terms.items():
-                    out.add_term(k, ci * cj * v)
-        return out
+    product = BilinearTable.apply
 
     def show(self, el: Element) -> str:
         if el.is_zero():
@@ -167,7 +143,7 @@ class GBVStructure:
         alg = self.algebra
         n = len(alg.basis)
         deg = alg.basis.degree
-        P, Pc = basis_rows(lambda i, j: alg._op_basis(i, j).terms, n)
+        P, Pc = alg.rows()
         D = {i: v.terms for i, v in self.delta_table.items()}
 
         def q(i, j):

@@ -97,12 +97,6 @@ class LInftyStructure:
     def coderivation(self) -> Coderivation:
         return Coderivation(self.components)
 
-    def q1_differential(self):
-        """The arity-1 component as a complex differential on the shifted
-        space (a table {index: Element})."""
-        table = self.components.tables.get(1, {})
-        return {w[0]: v for w, v in table.items()}
-
     def is_minimal(self) -> bool:
         return 1 not in self.components.tables
 
@@ -639,9 +633,6 @@ class HodgeModel:
         self.hat = hat
 
     # -- building blocks ----------------------------------------------------
-
-    def include(self, x: Element) -> Element:
-        return op_apply(self.inclusion, x)
 
     def project(self, x: Element) -> Element:
         return op_apply(self.projection, x)

@@ -9,7 +9,7 @@ import json
 import os
 
 from .core import Element, GradedBasis
-from .dgla import ArtinDg, DGLA, Homotopy, DtPolynomial, SmallExtension, UnitalGradedAlgebra
+from .dgla import ArtinDg, DGLA, Homotopy, DtPolynomial, SmallExtension
 from .errors import InputError
 from .freelie import NilpotentLie, TensorSeries
 from .gbv import GBVStructure, GradedCommAlgebra, Polyvector
@@ -42,6 +42,9 @@ def load_json(path):
 
 
 def expect_kind(data, kind):
+    if not isinstance(data, dict):
+        found = type(data).__name__
+        raise InputError(f"expected a JSON object of kind {kind!r}, found {found}")
     found = data.get("kind")
     if found is not None and found != kind:
         raise InputError(f"kind: expected {kind!r}, found {found!r}")
@@ -130,8 +133,6 @@ def parse_artin(data, path="") -> ArtinDg:
 def parse_nilpotent_lie(data) -> NilpotentLie:
     expect_kind(data, "nilpotent_lie")
     basis = parse_basis(_field(data, "basis", "nilpotent_lie"))
-    if any(d != 0 for d in basis.degrees):
-        raise InputError("nilpotent_lie basis degrees must all be 0")
     table = _parse_pair_table(data.get("bracket"), basis, "bracket")
     return NilpotentLie(basis, table)
 
@@ -279,11 +280,13 @@ def parse_small_extension(data) -> SmallExtension:
     return SmallExtension(total, kernel)
 
 
-def parse_unital_algebra(data, path="algebra") -> UnitalGradedAlgebra:
+def parse_unital_algebra(data, path="algebra") -> GradedCommAlgebra:
     basis = parse_basis(_field(data, "basis", path), f"{path}.basis")
     table = _parse_pair_table(data.get("product"), basis, f"{path}.product")
     unit = _field(data, "unit", path)
-    return UnitalGradedAlgebra(basis, table, unit)
+    if unit is None:
+        raise InputError(f"{path}.unit: must name a basis element")
+    return GradedCommAlgebra(basis, table, unit)
 
 
 def parse_homotopy(data) -> tuple:

@@ -96,6 +96,32 @@ def test_unknown_subcommand_exits_two():
     assert proc.returncode == 2
 
 
+def run_cli_input_error(*argv):
+    """Run the CLI on an input it must refuse: exit 2, no traceback."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "defalg.cli", *argv],
+        capture_output=True,
+        text=True,
+        cwd=REPO,
+    )
+    assert proc.returncode == 2, (proc.stdout, proc.stderr)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    return proc.stdout
+
+
+def test_top_level_json_array_exits_two(tmp_path):
+    arr = tmp_path / "array.json"
+    arr.write_text("[1, 2]")
+    for sub in ("check-dgla", "check-na"):
+        out = run_cli_input_error(sub, "--input", str(arr))
+        assert "expected a JSON object" in out
+
+
+def test_negative_lefschetz_dim_exits_two():
+    out = run_cli_input_error("lefschetz", "identities", "--dim", "-3")
+    assert "--dim" in out
+
+
 def test_json_report_round_trips():
     out = run_cli(
         "bch",

@@ -1,6 +1,7 @@
 """DGLA/Artinian machinery: checkers, tensor, MC, gauge, cohomology,
 obstructions, cones, derivation exponentials, homotopies."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,7 +16,6 @@ from defalg.dgla import (
     Homotopy,
     SmallExtension,
     TensorDgla,
-    UnitalGradedAlgebra,
     check_dgla,
     check_na,
     cohomology,
@@ -24,6 +24,8 @@ from defalg.dgla import (
     tensor_dgla,
 )
 from defalg.errors import DomainError, StructureError
+from defalg.gbv import GradedCommAlgebra
+from defalg.report import CheckReport
 
 F = Fraction
 
@@ -102,14 +104,151 @@ def test_check_na_counterexample_algebra():
     assert dims1[2] == 2 and dims2[2] == 0
 
 
-def test_check_na_associativity_violation():
+def assoc_violation_algebra():
     basis = GradedBasis.of(("a", 0), ("b", 0), ("c", 0))
     # a*a = b, a*b = c, b*a = c is consistent, but a*c = 0 vs (a*a)*a chain:
     # force (a*b)*a != a*(b*a) by making c*a nonzero asymmetric
-    A = ArtinDg(basis, {(0, 0): e(1), (0, 1): e(2), (1, 1): e(2)}, {})
-    rep = check_na(A)
+    return ArtinDg(basis, {(0, 0): e(1), (0, 1): e(2), (1, 1): e(2)}, {})
+
+
+def test_check_na_associativity_violation():
+    rep = check_na(assoc_violation_algebra())
     assert not rep.ok()
     assert any("assoc" in v.location for v in rep.violations)
+
+
+# -- Element-loop oracle for check_na --------------------------------------------
+
+
+def oracle_product(A):
+    """Element product read straight from the stored table: a stored (i, j),
+    else the graded-commutative image of a stored (j, i), else zero."""
+    deg = A.basis.degree
+
+    def basis_product(i, j):
+        if (i, j) in A.table:
+            return A.table[(i, j)]
+        if (j, i) in A.table:
+            return A.table[(j, i)].scale(-1 if deg(i) * deg(j) % 2 else 1)
+        return Element()
+
+    def product(x, y):
+        out = Element()
+        for i, ci in x.terms.items():
+            for j, cj in y.terms.items():
+                for k, v in basis_product(i, j).terms.items():
+                    out.add_term(k, ci * cj * v)
+        return out
+
+    return product
+
+
+def oracle_nilpotency_index(A):
+    """Lower central series on Element products; None if not nilpotent."""
+    from defalg import linalg
+
+    mul = oracle_product(A)
+    n = len(A.basis)
+    span = [[F(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    s = 1
+    while span:
+        if s > n + 1:
+            return None
+        nxt = []
+        for i in range(n):
+            for vec in span:
+                prod = mul(e(i), Element({k: c for k, c in enumerate(vec) if c}))
+                if not prod.is_zero():
+                    nxt.append([prod.terms.get(k, F(0)) for k in range(n)])
+        rows, pivots = linalg.rref(nxt) if nxt else ([], [])
+        span = [rows[r] for r in range(len(pivots))]
+        s += 1
+    return s
+
+
+def oracle_check_na(A):
+    rep = CheckReport("check-na")
+    names, deg, n = A.basis.names, A.basis.degree, len(A.basis)
+    mul = oracle_product(A)
+    for i, el in A.diff.items():
+        degs = {deg(k) for k in el.terms}
+        if degs and degs != {deg(i) + 1}:
+            rep.add(f"d({names[i]})", A.show(el), "differential is not degree +1")
+    for (i, j), el in A.table.items():
+        degs = {deg(k) for k in el.terms}
+        if degs and degs != {deg(i) + deg(j)}:
+            msg = "product is not degree-additive"
+            rep.add(f"{names[i]}*{names[j]}", A.show(el), msg)
+    for i in range(n):
+        res = A.d(A.d(e(i)))
+        if not res.is_zero():
+            rep.add(f"d^2({names[i]})", A.show(res), "d^2 != 0")
+    for i, j in itertools.product(range(n), repeat=2):
+        a, b = e(i), e(j)
+        comm = mul(a, b) - mul(b, a).scale(-1 if deg(i) * deg(j) % 2 else 1)
+        if not comm.is_zero():
+            msg = "graded commutativity fails"
+            rep.add(f"comm({names[i]},{names[j]})", A.show(comm), msg)
+        sign = (-1) ** (deg(i) % 2)
+        leib = A.d(mul(a, b)) - mul(A.d(a), b) - mul(a, A.d(b)).scale(sign)
+        if not leib.is_zero():
+            rep.add(f"leibnitz({names[i]},{names[j]})", A.show(leib), "Leibnitz fails")
+    for i in range(n):
+        sq = mul(e(i), e(i))
+        if deg(i) % 2 and not sq.is_zero():
+            rep.add(f"{names[i]}^2", A.show(sq), "odd element with nonzero square")
+    for i, j, k in itertools.product(range(n), repeat=3):
+        a, b, c = e(i), e(j), e(k)
+        ass = mul(mul(a, b), c) - mul(a, mul(b, c))
+        if not ass.is_zero():
+            loc = f"assoc({names[i]},{names[j]},{names[k]})"
+            rep.add(loc, A.show(ass), "associativity fails")
+    index = oracle_nilpotency_index(A)
+    if index is None:
+        rep.add("nilpotency", "", "algebra is not nilpotent")
+    else:
+        rep.info = {"nilpotency_index": index}
+    return rep
+
+
+def _perturbed_artin(A, rng):
+    """A copy of A with one table entry edited, and sometimes a differential
+    entry or graded degrees added."""
+    n = len(A.basis)
+    table = dict(A.table)
+    key = (rng.randrange(n), rng.randrange(n))
+    table[key] = table.get(key, Element()) + e(rng.randrange(n), rng.choice((-1, 1, 2)))
+    diff = dict(A.diff)
+    if rng.random() < 0.3:
+        diff[rng.randrange(n)] = e(rng.randrange(n))
+    degrees = A.basis.degrees
+    if rng.random() < 0.3:
+        degrees = tuple(rng.choice((0, 0, 1, 2)) for _ in range(n))
+    return ArtinDg(GradedBasis(A.basis.names, degrees), table, diff)
+
+
+def test_check_na_matches_element_oracle():
+    from defalg.generators import random_classical_artin
+
+    rng = random.Random(71)
+    # a odd with a*d(b) != 0: Leibnitz fails on (a, b) with residual a*c = p
+    odd = GradedBasis.of(("a", 1), ("b", 0), ("c", 1), ("p", 2))
+    odd_leibnitz = ArtinDg(odd, {(0, 2): e(3)}, {1: e(2)})
+    algebras = [tmax3(), quasi_iso_counterexample(), assoc_violation_algebra()]
+    algebras.append(odd_leibnitz)
+    for A in (tmax3(), contractible_two_term()):
+        C, D, _ = cones(SmallExtension(A, [A.basis.names[-1]]))
+        algebras += [C, D]
+    for _ in range(40):
+        A = random_classical_artin(rng)
+        algebras += [A, _perturbed_artin(A, rng)]
+    failing = 0
+    for A in algebras:
+        rep, expected = check_na(A), oracle_check_na(A)
+        assert rep.to_json() == expected.to_json()
+        assert rep.text() == expected.text()
+        failing += not rep.ok()
+    assert failing >= 10  # the perturbations do break identities
 
 
 # -- tensor DGLA --------------------------------------------------------------
@@ -415,7 +554,7 @@ def test_small_extension_validation():
 
 def dual_numbers_R():
     basis = GradedBasis.of(("one", 0), ("u", 0))
-    return UnitalGradedAlgebra(basis, {(1, 1): Element()}, "one")
+    return GradedCommAlgebra(basis, {(1, 1): Element()}, "one")
 
 
 def test_exp_derivation_worked_example():
@@ -441,7 +580,7 @@ def test_exp_derivation_random_inverse():
     rng = random.Random(13)
     basis = GradedBasis.of(("one", 0), ("u", 0), ("v", 0))
     # u^2 = v^2 = uv = 0 keeps Leibnitz easy to satisfy
-    R = UnitalGradedAlgebra(basis, {}, "one")
+    R = GradedCommAlgebra(basis, {}, "one")
     A = tmax3()
     for _ in range(10):
         values = {}
@@ -461,7 +600,7 @@ def test_exp_derivation_random_inverse():
 def test_exp_derivation_rejects_non_derivation():
     basis = GradedBasis.of(("one", 0), ("u", 0))
     table = {(1, 1): Element.basis_vector(1)}  # u^2 = u: not nilpotent-friendly
-    R = UnitalGradedAlgebra(basis, table, "one")
+    R = GradedCommAlgebra(basis, table, "one")
     A = ArtinDg(GradedBasis.of(("t", 0),), {(0, 0): Element()}, {})
     with pytest.raises(DomainError):
         # d(u) = one (x) t violates Leibnitz on (u, u): d(u^2)=d(u)=1t

@@ -1,12 +1,13 @@
 """Free Lie algebra: exp/log, DSW projection, Friedrichs, BCH in all modes."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from defalg.core import Element, GradedBasis
-from defalg.errors import DomainError, StructureError
+from defalg.errors import DomainError, InputError, StructureError
 from defalg.freelie import (
     LieWord,
     NilpotentLie,
@@ -230,3 +231,92 @@ def test_nilpotent_matches_free_truncation():
     z = heis.bch(a, b)
     manual = a + b + heis.bracket(a, b).scale(Fraction(1, 2))
     assert z == manual
+
+
+# -- Element-loop oracle for the NilpotentLie constructor --------------------------
+
+
+def oracle_nilpotent_lie(basis, table):
+    """(first StructureError message or None, nilpotency index) of the
+    constructor's checks, run as Element loops on the stored table."""
+    from defalg import linalg
+
+    table = {k: v for k, v in table.items() if not v.is_zero()}
+    names, n = basis.names, len(basis)
+
+    def basis_bracket(i, j):
+        if (i, j) in table:
+            return table[(i, j)]
+        if (j, i) in table:
+            return table[(j, i)].scale(Fraction(-1))
+        return Element()
+
+    def bracket(x, y):
+        out = Element()
+        for i, ci in x.terms.items():
+            for j, cj in y.terms.items():
+                for k, ck in basis_bracket(i, j).terms.items():
+                    out.add_term(k, ci * cj * ck)
+        return out
+
+    for i in range(n):
+        for j in range(n):
+            if (i, j) in table and (j, i) in table:
+                if not (table[(i, j)] + table[(j, i)]).is_zero():
+                    return f"antisymmetry fails on ({names[i]}, {names[j]})", None
+        if not basis_bracket(i, i).is_zero():
+            return f"[{names[i]}, {names[i]}] != 0", None
+    e = Element.basis_vector
+    for i, j, k in itertools.product(range(n), repeat=3):
+        jac = (
+            bracket(basis_bracket(i, j), e(k))
+            + bracket(basis_bracket(j, k), e(i))
+            + bracket(basis_bracket(k, i), e(j))
+        )
+        if not jac.is_zero():
+            return f"Jacobi fails on ({names[i]}, {names[j]}, {names[k]})", None
+    span = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    s = 1
+    while span:
+        if s > n + 1:
+            return "algebra is not nilpotent", None
+        nxt = []
+        for i in range(n):
+            for vec in span:
+                br = bracket(e(i), Element({k: c for k, c in enumerate(vec) if c}))
+                if not br.is_zero():
+                    nxt.append([br.terms.get(k, Fraction(0)) for k in range(n)])
+        rows, pivots = linalg.rref(nxt) if nxt else ([], [])
+        span = [rows[r] for r in range(len(pivots))]
+        s += 1
+    return None, s
+
+
+def test_nilpotent_constructor_matches_element_oracle():
+    rng = random.Random(37)
+    seen = set()
+    for t in range(120):
+        lie = heisenberg() if t % 2 else strictly_upper_3()
+        n = len(lie.basis)
+        table = dict(lie.table)
+        for _ in range(rng.randint(1, 2)):
+            key = (rng.randrange(n), rng.randrange(n))
+            c = Fraction(rng.choice((-1, 1, 2)))
+            edit = Element.basis_vector(rng.randrange(n), c)
+            table[key] = table.get(key, Element()) + edit
+            if rng.random() < 0.5:  # keep the pair antisymmetric
+                table[key[::-1]] = -table[key]
+        message, index = oracle_nilpotent_lie(lie.basis, table)
+        if message is None:
+            assert NilpotentLie(lie.basis, table).nilpotency_index == index
+        else:
+            with pytest.raises(StructureError) as exc:
+                NilpotentLie(lie.basis, table)
+            assert str(exc.value) == message
+        seen.add(message.split(" ")[0] if message else None)
+    assert seen == {None, "antisymmetry", "Jacobi", "algebra"}
+
+
+def test_nilpotent_lie_rejects_graded_basis():
+    with pytest.raises(InputError):
+        NilpotentLie(GradedBasis.of(("a", 0), ("b", 1)), {})
