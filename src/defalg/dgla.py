@@ -51,13 +51,6 @@ class _Tabled(BilinearTable):
                 out.add_term(k, c * v)
         return out
 
-    def element(self, pairs) -> Element:
-        """Element from (name, coeff) pairs."""
-        out = Element()
-        for name, coeff in pairs:
-            out.add_term(self.basis.index(name), coeff)
-        return out
-
     def show(self, el: Element) -> str:
         return _format_element(self.basis, el)
 
