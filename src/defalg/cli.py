@@ -212,6 +212,8 @@ def cmd_bch(args) -> CheckReport:
     data = _load(args)
     rep = CheckReport("bch")
     order = args.truncate
+    if order < 0:
+        raise InputError("--truncate must be a nonnegative integer")
     if args.mode in ("free", "explicit"):
         schemas.expect_kind(data, "free_bch")
         gens = tuple(schemas._field(data, "generators", "free_bch"))

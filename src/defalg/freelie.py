@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from .core import BilinearTable, Element, GradedBasis, add_into, admitted, lin_into
@@ -248,14 +249,50 @@ def _bch_term_compositions(max_len):
             yield Fraction((-1) ** (n - 1), denom), ops, last
 
 
-def bch_term_sum(a, b, bracket, max_len, add, zero):
-    """Generic explicit BCH driver over any bracket (sign ledger F2)."""
-    total = zero
+@lru_cache(maxsize=None)
+def _bch_word_trie(max_len):
+    """The terms of `_bch_term_compositions(max_len)` as a trie of bracket
+    words read innermost letter first.  A node is (coeff, ((letter, child),
+    ...)): the first letter of a path is `last`, each later one applies
+    ad(letter), and coeff is the summed coefficient of the word ending at
+    the node.  Subtrees whose coefficients all sum to zero are dropped.
+    Returns the roots, ((last, node), ...)."""
+    root = [Fraction(0), {}]
     for coeff, ops, last in _bch_term_compositions(max_len):
-        value = a if last == "a" else b
-        for op in reversed(ops):
-            value = bracket(a if op == "a" else b, value)
-        total = add(total, value, coeff)
+        node = root
+        for letter in (last, *reversed(ops)):
+            node = node[1].setdefault(letter, [Fraction(0), {}])
+        node[0] += coeff
+
+    def freeze(node):
+        coeff, children = node
+        kept = []
+        for letter, child in children.items():
+            child = freeze(child)
+            if child != (0, ()):
+                kept.append((letter, child))
+        return coeff, tuple(kept)
+
+    return freeze(root)[1]
+
+
+def bch_term_sum(a, b, bracket, max_len, add, zero):
+    """Generic explicit BCH driver over any bracket (sign ledger F2).  Each
+    distinct bracket word is evaluated once, by a depth-first walk of the
+    word trie that keeps only the current innermost-first chain of values."""
+    letters = {"a": a, "b": b}
+    total = zero
+
+    def walk(value, node):
+        nonlocal total
+        coeff, children = node
+        if coeff:
+            total = add(total, value, coeff)
+        for letter, child in children:
+            walk(bracket(letters[letter], value), child)
+
+    for last, node in _bch_word_trie(max_len):
+        walk(letters[last], node)
     return total
 
 

@@ -26,7 +26,7 @@ from .core import (
     lin_into,
     unshuffles,
 )
-from .dgla import DGLA, check_dgla
+from .dgla import DGLA, _format_element, check_dgla
 from .errors import DomainError, InputError
 from .linfty import LInftyMorphism, LInftyStructure, morphism_check
 from .report import CheckReport
@@ -46,9 +46,7 @@ class GradedCommAlgebra(BilinearTable):
     product = BilinearTable.apply
 
     def show(self, el: Element) -> str:
-        if el.is_zero():
-            return "0"
-        return " + ".join(f"{c}*{self.basis.names[i]}" for i, c in el)
+        return _format_element(self.basis, el)
 
     def algebra_report(self, P, Pc, weights=None, cap=0) -> CheckReport:
         """Degree-additivity of the table, graded commutativity on every

@@ -51,6 +51,8 @@ def expect_kind(data, kind):
 
 
 def _field(data, name, path):
+    if not isinstance(data, dict):
+        raise InputError(f"{path}: must be an object")
     if name not in data:
         raise InputError(f"{path}.{name}: missing field")
     return data[name]
@@ -234,6 +236,8 @@ def parse_gbv(data) -> GBVStructure:
 def parse_polyvector(data, path="") -> Polyvector:
     expect_kind(data, "polyvector")
     nvars = _field(data, "vars", f"{path}polyvector")
+    if not isinstance(nvars, int) or isinstance(nvars, bool) or nvars < 0:
+        raise InputError(f"{path}polyvector.vars: must be a nonnegative integer")
     cap = data.get("cap")
     terms = {}
     for i, entry in enumerate(data.get("terms", [])):

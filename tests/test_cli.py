@@ -122,6 +122,38 @@ def test_negative_lefschetz_dim_exits_two():
     assert "--dim" in out
 
 
+def test_non_object_list_entries_exit_two(tmp_path):
+    basis = [{"name": "x", "degree": 0}]
+    cases = {
+        "basis": ({"kind": "dgla", "basis": [1]}, "basis[0]: must be an object"),
+        "bracket": (
+            {"kind": "dgla", "basis": basis, "bracket": [5]},
+            "bracket[0]: must be an object",
+        ),
+    }
+    for name, (payload, message) in cases.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(payload))
+        out = run_cli_input_error("check-dgla", "--input", str(path))
+        assert message in out
+
+
+def test_negative_bch_truncate_exits_two():
+    free_bch = os.path.join(INPUTS, "free_bch.json")
+    out = run_cli_input_error("bch", "--input", free_bch, "--truncate", "-5")
+    assert "--truncate" in out
+    out = run_cli("bch", "--input", free_bch, "--truncate", "0", "--format", "json")
+    payload = json.loads(out)
+    assert payload["status"] == "pass" and payload["witness"]["terms"] == []
+
+
+def test_negative_polyvector_vars_exits_two(tmp_path):
+    path = tmp_path / "pv.json"
+    path.write_text(json.dumps({"kind": "polyvector", "vars": -1, "cap": 3, "terms": []}))
+    out = run_cli_input_error("delta", "--input", str(path))
+    assert "vars" in out
+
+
 def test_json_report_round_trips():
     out = run_cli(
         "bch",

@@ -12,14 +12,17 @@ from defalg.freelie import (
     LieWord,
     NilpotentLie,
     TensorSeries,
+    _bch_term_compositions,
     bch_explicit,
     bch_free,
+    bch_term_sum,
     dsw_project,
     is_lie,
     right_nested_bracket,
     tensor_exp,
     tensor_log,
 )
+from defalg.generators import random_classical_artin, random_dgla, random_mc_pair
 
 GENS2 = ("x", "y")
 GENS3 = ("x", "y", "z")
@@ -161,6 +164,92 @@ def test_bch_associativity_order4():
     left = bch_free(bch_free(x, y), z)
     right = bch_free(x, bch_free(y, z))
     assert left == right
+
+
+# -- explicit BCH against the per-term loop ----------------------------------
+
+
+def oracle_bch_term_sum(a, b, bracket, max_len, add, zero):
+    """The explicit BCH sum evaluated term by term: every composition
+    rebuilds its nested bracket from the innermost letter out."""
+    total = zero
+    for coeff, ops, last in _bch_term_compositions(max_len):
+        value = a if last == "a" else b
+        for op in reversed(ops):
+            value = bracket(a if op == "a" else b, value)
+        total = add(total, value, coeff)
+    return total
+
+
+def add_scaled(acc, v, c):
+    return acc + v.scale(c)
+
+
+def random_series(rng, order):
+    """A seeded two-word TensorSeries on GENS2: a letter plus a word of
+    length max(2, order - 2), or plus the other letter at order 1.  Long
+    words keep the per-term loop at order 7 under about two seconds."""
+    letter = rng.randrange(2)
+    if order == 1:
+        second = (1 - letter,)
+    else:
+        second = tuple(rng.randrange(2) for _ in range(max(2, order - 2)))
+    coeff = lambda: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+    return TensorSeries(GENS2, order, {(letter,): coeff(), second: coeff()})
+
+
+def test_bch_explicit_matches_per_term_oracle():
+    rng = random.Random(53)
+    for order in range(1, 8):
+        for _ in range(3 if order < 6 else 1):
+            a, b = random_series(rng, order), random_series(rng, order)
+            assert len(a.words) == len(b.words) == 2
+            expected = oracle_bch_term_sum(
+                a, b, TensorSeries.bracket, order, add_scaled,
+                TensorSeries.zero(GENS2, order),
+            )
+            assert bch_explicit(a, b) == expected
+
+
+def test_nilpotent_bch_matches_per_term_oracle():
+    rng = random.Random(59)
+    for lie in (heisenberg(), strictly_upper_3()):
+        max_len = lie.nilpotency_index - 1
+        for _ in range(20):
+            x, y = (
+                Element({i: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for i in range(3)})
+                for _ in range(2)
+            )
+            expected = oracle_bch_term_sum(x, y, lie.bracket, max_len, add_scaled, Element())
+            assert lie.bch(x, y) == expected
+
+
+def test_bch_degree0_matches_per_term_oracle():
+    rng = random.Random(61)
+    nontrivial = 0
+    for _ in range(15):
+        M, a, b, _w = random_mc_pair(rng, random_dgla(rng), random_classical_artin(rng))
+        max_len = max((M.A.nilpotency_index or 2) - 1, 1)
+        expected = oracle_bch_term_sum(a, b, M.bracket, max_len, add_scaled, Element())
+        assert M.bch_degree0(a, b) == expected
+        nontrivial += expected != a + b
+    assert nontrivial
+
+
+def test_bch_term_sum_evaluates_each_word_once():
+    # one bracket per edge of the word trie: at most 2^(n+1) - 4 calls,
+    # where the per-term loop makes 18,233 at n = 7
+    for order in range(1, 8):
+        x, y = gen("x", order=order), gen("y", order=order)
+        calls = []
+
+        def bracket(u, v):
+            calls.append(None)
+            return u.bracket(v)
+
+        total = bch_term_sum(x, y, bracket, order, add_scaled, TensorSeries.zero(GENS2, order))
+        assert total == bch_free(x, y)
+        assert len(calls) <= 2 ** (order + 1) - 4
 
 
 # -- nilpotent mode ---------------------------------------------------------
