@@ -216,7 +216,7 @@ def cmd_bch(args) -> CheckReport:
         raise InputError("--truncate must be a nonnegative integer")
     if args.mode in ("free", "explicit"):
         schemas.expect_kind(data, "free_bch")
-        gens = tuple(schemas._field(data, "generators", "free_bch"))
+        gens = tuple(schemas._list_field(data, "generators", "free_bch"))
         if len(gens) != 2:
             raise InputError("free_bch needs exactly two generators")
         from .freelie import TensorSeries

@@ -129,10 +129,13 @@ class Element:
 ZERO = Element()
 
 # ---------------------------------------------------------------------------
-# Basis-pair tables: a checker compiles each bilinear operation once into
-# rows[i][j] / cols[j][i] and each linear map into images[i] (terms dicts,
-# nonzero entries only, never mutated), runs its identity loops as sparse-dict
-# arithmetic on them, and builds an Element only to show a residual.
+# Basis-pair tables and the identity engine: a checker compiles each bilinear
+# operation once into rows[i][j] / cols[j][i] and each linear map into
+# images[i] (terms dicts, nonzero entries only, never mutated), declares its
+# axioms as steps for `violations` (families of index tuples, usually from
+# `admitted`, each with its identities: location template, message and a
+# residual from the builders below), and builds an Element only to show a
+# nonzero residual.
 # ---------------------------------------------------------------------------
 
 
@@ -263,6 +266,76 @@ def admitted(n, arity, weights=None, cap=0):
             yield from extend(prefix + (i,), budget - weights[i], left - 1)
 
     return extend((), cap, arity)
+
+
+def violations(names, steps):
+    """Yield (location, message, residual) lazily for each nonzero residual:
+    `steps` is a list of (family of index tuples, identities), each tuple
+    runs through its identities (template, message, residual) in order, and
+    the location is the template formatted with the tuple's basis names."""
+    for family, identities in steps:
+        for idx in family:
+            for template, message, residual in identities:
+                res = residual(*idx)
+                if res:
+                    yield template.format(*[names[i] for i in idx]), message, res
+
+
+def swap_residual(rows, degree, sign):
+    """res(i, j) = e_i e_j - sign (-1)^{deg i deg j} e_j e_i: graded
+    antisymmetry for sign -1, graded commutativity for sign +1."""
+
+    def res(i, j):
+        s = sign if degree(i) * degree(j) % 2 else -sign
+        return add_into(dict(rows[i].get(j, {})), rows[j].get(i, {}), s)
+
+    return res
+
+
+def derivation_residual(rows, cols, degree, pdeg=0):
+    """res(X, xdeg, a, b) = X(e_a e_b) - (-1)^{xdeg pdeg} (X(e_a) e_b
+    + (-1)^{xdeg deg a} e_a X(e_b)) for the degree-`pdeg` product with these
+    rows and columns and the degree-`xdeg` map with images X."""
+    flip = -1 if pdeg % 2 else 1
+
+    def res(X, xdeg, a, b):
+        out = {}
+        if b in rows[a]:
+            lin_into(out, X, rows[a][b])
+        if a in X:
+            lin_into(out, cols[b], X[a], -flip)
+        if b in X:
+            lin_into(out, rows[a], X[b], flip if xdeg * degree(a) % 2 else -flip)
+        return out
+
+    return res
+
+
+def assoc_residual(rows, cols):
+    """res(i, j, k) = (e_i e_j) e_k - e_i (e_j e_k)."""
+
+    def res(i, j, k):
+        out = lin_into({}, cols[k], rows[i][j]) if j in rows[i] else {}
+        return lin_into(out, rows[i], rows[j][k], -1) if k in rows[j] else out
+
+    return res
+
+
+def square_residual(images):
+    """res(i) = X(X(e_i)) for the linear map X with these images."""
+    return lambda i: lin_into({}, images, images.get(i, {}))
+
+
+def off_degree(entry, degree, shift=0):
+    """res(*idx) = the terms dict entry(*idx) when a term of it is not in
+    degree shift + the sum of the degrees of idx, else {}."""
+
+    def res(*idx):
+        want = sum(map(degree, idx)) + shift
+        terms = entry(*idx)
+        return terms if any(degree(k) != want for k in terms) else {}
+
+    return res
 
 
 # ---------------------------------------------------------------------------

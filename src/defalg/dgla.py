@@ -10,10 +10,24 @@ by its maximal ideal (nilpotency is structural, not an extra hypothesis).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import factorial
 
 from . import linalg
-from .core import BilinearTable, Element, GradedBasis, add_into, admitted, lin_into
+from .core import (
+    BilinearTable,
+    Element,
+    GradedBasis,
+    add_into,
+    admitted,
+    assoc_residual,
+    derivation_residual,
+    lin_into,
+    off_degree,
+    square_residual,
+    swap_residual,
+    violations,
+)
 from .errors import DomainError, InputError, InternalError, StructureError
 from .freelie import bch_term_sum
 from .report import CheckReport
@@ -43,13 +57,10 @@ class _Tabled(BilinearTable):
         for i in self.diff:
             if not 0 <= i < len(basis):
                 raise InputError("differential entry outside basis")
+        self.d_images = {i: v.terms for i, v in self.diff.items()}
 
     def d(self, x: Element) -> Element:
-        out = Element()
-        for i, c in x.terms.items():
-            for k, v in self.diff.get(i, Element()).terms.items():
-                out.add_term(k, c * v)
-        return out
+        return Element(lin_into({}, self.d_images, x.terms))
 
     def show(self, el: Element) -> str:
         return _format_element(self.basis, el)
@@ -86,6 +97,36 @@ class ArtinDg(_Tabled):
 # ---------------------------------------------------------------------------
 
 
+def report_violations(rep: CheckReport, T, steps) -> CheckReport:
+    """Add to `rep` every violation `core.violations` yields for `steps`,
+    named and shown in the basis of T."""
+    for location, message, res in violations(T.basis.names, steps):
+        rep.add(location, T.show(Element(res)), message)
+    return rep
+
+
+def product_identities(A: BilinearTable, rows, cols):
+    """Degree-additivity of the stored table, graded commutativity and
+    associativity of a graded-commutative product with these rows and
+    columns, for check_na and gbv_check."""
+    deg = A.basis.degree
+    entry = lambda i, j: A.table[i, j].terms
+    return (
+        ("{}*{}", "product is not degree-additive", off_degree(entry, deg)),
+        ("comm({},{})", "graded commutativity fails", swap_residual(rows, deg, 1)),
+        ("assoc({},{},{})", "associativity fails", assoc_residual(rows, cols)),
+    )
+
+
+def differential_identities(images, degree, symbol, noun):
+    """Degree +1 of the images of a differential and its square zero."""
+    degree_one = off_degree(images.get, degree, 1)
+    return (
+        (symbol + "({})", noun + " is not degree +1", degree_one),
+        (symbol + "^2({})", symbol + "^2 != 0", square_residual(images)),
+    )
+
+
 def check_dgla(L: DGLA, weights=None, cap=0) -> CheckReport:
     """Verify every DGLA axiom instance on basis tuples; violations are
     report content, never exceptions.
@@ -94,117 +135,52 @@ def check_dgla(L: DGLA, weights=None, cap=0) -> CheckReport:
     instance is checked only when its arguments' weights sum to at most
     `cap`, as a truncated structure is exact there; the degree checks on
     table entries always run."""
-    rep = CheckReport("check-dgla")
-    basis = L.basis
-    n = len(basis)
-    deg = basis.degree
-    names = basis.names
+    n = len(L.basis)
+    deg = L.basis.degree
     B, Bc = L.rows()
-    D = {i: v.terms for i, v in L.diff.items()}
-
-    def report(location, terms, message):
-        rep.add(location, L.show(Element(terms)), message)
-
-    for i, el in L.diff.items():
-        degs = {deg(k) for k in el.terms}
-        if degs and degs != {deg(i) + 1}:
-            rep.add(f"d({names[i]})", L.show(el), "differential is not degree +1")
-    for (i, j), el in L.table.items():
-        degs = {deg(k) for k in el.terms}
-        if degs and degs != {deg(i) + deg(j)}:
-            rep.add(
-                f"[{names[i]},{names[j]}]",
-                L.show(el),
-                "bracket is not degree-additive",
-            )
-
-    for (i,) in admitted(n, 1, weights, cap):
-        res = lin_into({}, D, D.get(i, {}))
-        if res:
-            report(f"d^2({names[i]})", res, "d^2 != 0")
-
-    for i, j in admitted(n, 2, weights, cap):
-        anti = add_into(dict(B[i].get(j, {})), B[j].get(i, {}), L._sign_swap(i, j))
-        if anti:
-            report(f"antisym({names[i]},{names[j]})", anti, "graded antisymmetry fails")
-        # d[a,b] - [da,b] - (-1)^a [a,db]
-        leib = lin_into({}, D, B[i].get(j, {}))
-        lin_into(leib, Bc[j], D.get(i, {}), -1)
-        lin_into(leib, B[i], D.get(j, {}), 1 if deg(i) % 2 else -1)
-        if leib:
-            report(f"leibnitz({names[i]},{names[j]})", leib, "graded Leibnitz fails")
-
-    for (i,) in admitted(n, 1, weights, cap // 2):  # the pairs (i, i)
-        if deg(i) % 2 == 0 and i in B[i]:
-            loc = f"[{names[i]},{names[i]}]"
-            report(loc, B[i][i], "even element with nonzero self-bracket")
-
-    for i, j, k in admitted(n, 3, weights, cap):
-        # [a,[b,c]] - [[a,b],c] - (-1)^{ab} [b,[a,c]]
-        jac = lin_into({}, B[i], B[j].get(k, {}))
-        lin_into(jac, Bc[k], B[i].get(j, {}), -1)
-        lin_into(jac, B[j], B[i].get(k, {}), 1 if deg(i) * deg(j) % 2 else -1)
-        if jac:
-            loc = f"jacobi({names[i]},{names[j]},{names[k]})"
-            report(loc, jac, "graded Jacobi fails")
-    return rep
+    d_degree, d_square = differential_identities(L.d_images, deg, "d", "differential")
+    entry = lambda i, j: L.table[i, j].terms
+    additive = ("[{},{}]", "bracket is not degree-additive", off_degree(entry, deg))
+    antisym = ("antisym({},{})", "graded antisymmetry fails", swap_residual(B, deg, -1))
+    # d[a,b] - [da,b] - (-1)^a [a,db]; [a,[b,c]] - [[a,b],c] - (-1)^{ab} [b,[a,c]]
+    ad = derivation_residual(B, Bc, deg)
+    leibnitz = ("leibnitz({},{})", "graded Leibnitz fails", partial(ad, L.d_images, 1))
+    jac = lambda i, j, k: ad(B[i], deg(i), j, k)
+    even_square = lambda i: {} if deg(i) % 2 else B[i].get(i, {})
+    steps = [
+        ([(i,) for i in L.diff], [d_degree]),
+        (L.table, [additive]),
+        (admitted(n, 1, weights, cap), [d_square]),
+        (admitted(n, 2, weights, cap), [antisym, leibnitz]),
+        (  # the pairs (i, i)
+            admitted(n, 1, weights, cap // 2),
+            [("[{0},{0}]", "even element with nonzero self-bracket", even_square)],
+        ),
+        (admitted(n, 3, weights, cap), [("jacobi({},{},{})", "graded Jacobi fails", jac)]),
+    ]
+    return report_violations(CheckReport("check-dgla"), L, steps)
 
 
 def check_na(A: ArtinDg) -> CheckReport:
     """Verify associativity, graded commutativity, Leibnitz, d^2 = 0 and
     nilpotency; the report carries the computed nilpotency index."""
-    rep = CheckReport("check-na")
-    basis = A.basis
-    n = len(basis)
-    deg = basis.degree
-    names = basis.names
+    n = len(A.basis)
+    deg = A.basis.degree
     P, Pc = A.rows()
-    D = {i: v.terms for i, v in A.diff.items()}
-
-    def report(location, terms, message):
-        rep.add(location, A.show(Element(terms)), message)
-
-    for i, el in A.diff.items():
-        degs = {deg(k) for k in el.terms}
-        if degs and degs != {deg(i) + 1}:
-            rep.add(f"d({names[i]})", A.show(el), "differential is not degree +1")
-    for (i, j), el in A.table.items():
-        degs = {deg(k) for k in el.terms}
-        if degs and degs != {deg(i) + deg(j)}:
-            rep.add(
-                f"{names[i]}*{names[j]}",
-                A.show(el),
-                "product is not degree-additive",
-            )
-
-    for i in range(n):
-        res = lin_into({}, D, D.get(i, {}))
-        if res:
-            report(f"d^2({names[i]})", res, "d^2 != 0")
-
-    for i, j in admitted(n, 2):
-        comm = add_into(dict(P[i].get(j, {})), P[j].get(i, {}), -A._sign_swap(i, j))
-        if comm:
-            report(f"comm({names[i]},{names[j]})", comm, "graded commutativity fails")
-        # d(ab) - (da)b - (-1)^a a(db)
-        leib = lin_into({}, D, P[i].get(j, {}))
-        lin_into(leib, Pc[j], D.get(i, {}), -1)
-        lin_into(leib, P[i], D.get(j, {}), 1 if deg(i) % 2 else -1)
-        if leib:
-            report(f"leibnitz({names[i]},{names[j]})", leib, "Leibnitz fails")
-
-    for i in range(n):
-        if deg(i) % 2 and i in P[i]:
-            report(f"{names[i]}^2", P[i][i], "odd element with nonzero square")
-
-    for i, j, k in admitted(n, 3):
-        # (ab)c - a(bc)
-        ass = lin_into({}, Pc[k], P[i].get(j, {}))
-        lin_into(ass, P[i], P[j].get(k, {}), -1)
-        if ass:
-            loc = f"assoc({names[i]},{names[j]},{names[k]})"
-            report(loc, ass, "associativity fails")
-
+    degree, comm, assoc = product_identities(A, P, Pc)
+    d_degree, d_square = differential_identities(A.d_images, deg, "d", "differential")
+    # d(ab) - (da)b - (-1)^a a(db)
+    leibnitz = partial(derivation_residual(P, Pc, deg), A.d_images, 1)
+    odd_square = lambda i: P[i].get(i, {}) if deg(i) % 2 else {}
+    steps = [
+        ([(i,) for i in A.diff], [d_degree]),
+        (A.table, [degree]),
+        (admitted(n, 1), [d_square]),
+        (admitted(n, 2), [comm, ("leibnitz({},{})", "Leibnitz fails", leibnitz)]),
+        (admitted(n, 1), [("{}^2", "odd element with nonzero square", odd_square)]),
+        (admitted(n, 3), [assoc]),
+    ]
+    rep = report_violations(CheckReport("check-na"), A, steps)
     if A.nilpotency_index is None:
         rep.add("nilpotency", "", "algebra is not nilpotent")
     else:

@@ -12,7 +12,15 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .core import BilinearTable, Element, GradedBasis, add_into, admitted, lin_into
+from .core import (
+    BilinearTable,
+    Element,
+    GradedBasis,
+    admitted,
+    derivation_residual,
+    swap_residual,
+    violations,
+)
 from .errors import DomainError, InputError, InternalError, StructureError
 
 # ---------------------------------------------------------------------------
@@ -187,7 +195,8 @@ def dsw_project(x: TensorSeries) -> TensorSeries:
 
 
 def is_lie(x: TensorSeries) -> bool:
-    """Friedrichs' criterion: x is a Lie element iff the DSW map fixes it."""
+    """Friedrichs' criterion: x is a Lie element iff the DSW map fixes it
+    (sign ledger F4)."""
     return dsw_project(x) == x
 
 
@@ -340,25 +349,19 @@ class NilpotentLie(BilinearTable):
             raise InputError("nilpotent_lie basis degrees must all be 0")
         super().__init__(basis, table, -1)
         n = len(basis)
-        names = basis.names
+        deg = basis.degree
         B, Bc = self.rows()
-        for i in range(n):
-            for j in range(n):
-                if add_into(dict(B[i].get(j, {})), B[j].get(i, {})):
-                    raise StructureError(
-                        f"antisymmetry fails on ({names[i]}, {names[j]})"
-                    )
-            if i in B[i]:
-                raise StructureError(f"[{names[i]}, {names[i]}] != 0")
-        for i, j, k in admitted(n, 3):
-            # [[a,b],c] + [[b,c],a] + [[c,a],b]
-            jac = lin_into({}, Bc[k], B[i].get(j, {}))
-            lin_into(jac, Bc[i], B[j].get(k, {}))
-            lin_into(jac, Bc[j], B[k].get(i, {}))
-            if jac:
-                raise StructureError(
-                    f"Jacobi fails on ({names[i]}, {names[j]}, {names[k]})"
-                )
+        # [a,[b,c]] - [[a,b],c] - [b,[a,c]]; once antisymmetry holds this is
+        # minus the cyclic sum [[a,b],c] + [[b,c],a] + [[c,a],b]
+        ad = derivation_residual(B, Bc, deg)
+        antisym = swap_residual(B, deg, -1)
+        jacobi = lambda i, j, k: ad(B[i], 0, j, k)
+        steps = [
+            (admitted(n, 2), [("({}, {})", "antisymmetry fails", antisym)]),
+            (admitted(n, 3), [("({}, {}, {})", "Jacobi fails", jacobi)]),
+        ]
+        for location, message, _ in violations(basis.names, steps):
+            raise StructureError(f"{message} on {location}")
         self.nilpotency_index = self._nilpotency_index()
         if self.nilpotency_index is None:
             raise StructureError("algebra is not nilpotent")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import partial
 
 from .coalg import all_words, canonical_word
 from .core import (
@@ -22,11 +23,19 @@ from .core import (
     add_into,
     admitted,
     basis_rows,
+    derivation_residual,
     koszul_sign,
     lin_into,
     unshuffles,
 )
-from .dgla import DGLA, _format_element, check_dgla
+from .dgla import (
+    DGLA,
+    _format_element,
+    check_dgla,
+    differential_identities,
+    product_identities,
+    report_violations,
+)
 from .errors import DomainError, InputError
 from .linfty import LInftyMorphism, LInftyStructure, morphism_check
 from .report import CheckReport
@@ -48,43 +57,6 @@ class GradedCommAlgebra(BilinearTable):
     def show(self, el: Element) -> str:
         return _format_element(self.basis, el)
 
-    def algebra_report(self, P, Pc, weights=None, cap=0) -> CheckReport:
-        """Degree-additivity of the table, graded commutativity on every
-        basis pair and associativity on the basis triples admitted by
-        `weights` and `cap` (all of them without weights); P and Pc are
-        the product rows and columns from `basis_rows`."""
-        rep = CheckReport("graded-algebra")
-        names = self.basis.names
-        deg = self.basis.degree
-        n = len(names)
-        for (i, j), el in self.table.items():
-            degs = {deg(k) for k in el.terms}
-            if degs and degs != {deg(i) + deg(j)}:
-                rep.add(
-                    f"{names[i]}*{names[j]}",
-                    self.show(el),
-                    "product is not degree-additive",
-                )
-        for i, j in admitted(n, 2):
-            swap = self._sign_swap(i, j)
-            comm = add_into(dict(P[i].get(j, {})), P[j].get(i, {}), -swap)
-            if comm:
-                rep.add(
-                    f"comm({names[i]},{names[j]})",
-                    self.show(Element(comm)),
-                    "graded commutativity fails",
-                )
-        for i, j, k in admitted(n, 3, weights, cap):
-            ass = lin_into({}, Pc[k], P[i].get(j, {}))
-            lin_into(ass, P[i], P[j].get(k, {}), -1)
-            if ass:
-                rep.add(
-                    f"assoc({names[i]},{names[j]},{names[k]})",
-                    self.show(Element(ass)),
-                    "associativity fails",
-                )
-        return rep
-
 
 class GBVStructure:
     """Algebra plus degree +1 operator delta; the derived symmetric product
@@ -97,16 +69,13 @@ class GBVStructure:
     def __init__(self, algebra: GradedCommAlgebra, delta, weights=None, cap=0):
         self.algebra = algebra
         self.delta_table = {i: v.copy() for i, v in delta.items() if not v.is_zero()}
+        self.delta_images = {i: v.terms for i, v in self.delta_table.items()}
         self.weights = None if weights is None else tuple(weights)
         self.cap = cap
         self.triple_filter = None
 
     def delta(self, x: Element) -> Element:
-        out = Element()
-        for i, c in x.terms.items():
-            for k, v in self.delta_table.get(i, Element()).terms.items():
-                out.add_term(k, c * v)
-        return out
+        return Element(lin_into({}, self.delta_images, x.terms))
 
     def _degree(self, x: Element):
         return x.degree(self.algebra.basis)
@@ -124,75 +93,49 @@ class GBVStructure:
 
     def bracket(self, a: Element, b: Element) -> Element:
         """[a,b] = a delta(b) + (-1)^{deg(a)+1} (delta(ab) - delta(a) b)
-        on the shifted grading (sign ledger G2)."""
+        = (-1)^{deg(a)+1} q(a,b) on the shifted grading (sign ledger G2)."""
         da = self._degree(a)
         if da is None:
             return Element()
-        sign = (-1) ** ((da + 1) % 2)
-        mul = self.algebra.product
-        return mul(a, self.delta(b)) + (
-            self.delta(mul(a, b)) - mul(self.delta(a), b)
-        ).scale(sign)
+        return self.derived_q(a, b).scale(1 if da % 2 else -1)
 
     def _tables(self):
         """Basis-pair tables for one check: product rows and columns P, Pc,
         delta images D, and derived-product rows and columns Q, Qc with
         Q[i][j] = q(e_i, e_j)."""
         alg = self.algebra
-        n = len(alg.basis)
-        deg = alg.basis.degree
         P, Pc = alg.rows()
-        D = {i: v.terms for i, v in self.delta_table.items()}
-
-        def q(i, j):
-            out = lin_into({}, D, P[i].get(j, {}))
-            lin_into(out, Pc[j], D.get(i, {}), -1)
-            return lin_into(out, P[i], D.get(j, {}), 1 if deg(i) % 2 else -1)
-
-        return (P, Pc, D) + basis_rows(q, n)
+        D = self.delta_images
+        q = partial(derivation_residual(P, Pc, alg.basis.degree), D, 1)
+        return (P, Pc, D) + basis_rows(q, len(alg.basis))
 
     def gbv_check(self) -> CheckReport:
-        """delta degree +1, delta^2 = 0, delta(1) = 0 when unital, and the
-        odd Poisson identity for the derived product on basis triples."""
+        """Degree-additivity, graded commutativity and associativity of the
+        product, delta degree +1, delta^2 = 0, delta(1) = 0 when unital, and
+        the odd Poisson identity for the derived product on basis triples."""
         P, Pc, D, Q, _ = self._tables()
         alg = self.algebra
-        rep = alg.algebra_report(P, Pc, self.weights, self.cap)
-        rep.command = "gbv-check"
-        basis = alg.basis
-        deg = basis.degree
-        n = len(basis)
-        for i, el in self.delta_table.items():
-            degs = {deg(k) for k in el.terms}
-            if degs and degs != {deg(i) + 1}:
-                rep.add(
-                    f"delta({basis.names[i]})",
-                    alg.show(el),
-                    "delta is not degree +1",
-                )
-        for i in range(n):
-            dd = lin_into({}, D, D.get(i, {}))
-            if dd:
-                rep.add(
-                    f"delta^2({basis.names[i]})",
-                    alg.show(Element(dd)),
-                    "delta^2 != 0",
-                )
-        if alg.unit in D:
-            rep.add("delta(1)", alg.show(Element(D[alg.unit])), "delta(1) != 0")
-        for i, j, k in admitted(n, 3, self.weights, self.cap):
-            # q(a, bc) - q(a,b) c - (-1)^{(a+1) b} b q(a,c)
-            sign = 1 if (deg(i) + 1) * deg(j) % 2 else -1
-            res = lin_into({}, Q[i], P[j].get(k, {}))
-            lin_into(res, Pc[k], Q[i].get(j, {}), -1)
-            lin_into(res, P[j], Q[i].get(k, {}), sign)
-            if res:
-                rep.add(
-                    f"oddpoisson({basis.names[i]},{basis.names[j]},"
-                    f"{basis.names[k]})",
-                    alg.show(Element(res)),
-                    "odd Poisson identity fails",
-                )
-        return rep
+        n = len(alg.basis)
+        deg = alg.basis.degree
+        degree, comm, assoc = product_identities(alg, P, Pc)
+        delta_degree, delta_square = differential_identities(D, deg, "delta", "delta")
+        # q(a, bc) - q(a,b) c - (-1)^{(a+1) b} b q(a,c): q(a,-) is a derivation
+        ad = derivation_residual(P, Pc, deg)
+        poisson = lambda i, j, k: ad(Q[i], deg(i) + 1, j, k)
+        units = [] if alg.unit is None else [(alg.unit,)]
+        steps = [
+            (alg.table, [degree]),
+            (admitted(n, 2), [comm]),
+            (admitted(n, 3, self.weights, self.cap), [assoc]),
+            ([(i,) for i in D], [delta_degree]),
+            (admitted(n, 1), [delta_square]),
+            (units, [("delta(1)", "delta(1) != 0", D.get)]),
+            (
+                admitted(n, 3, self.weights, self.cap),
+                [("oddpoisson({},{},{})", "odd Poisson identity fails", poisson)],
+            ),
+        ]
+        return report_violations(CheckReport("gbv-check"), alg, steps)
 
     def to_dgla(self) -> DGLA:
         """The shifted bracket structure as an explicit DGLA (degrees +1)."""
@@ -218,17 +161,12 @@ class GBVStructure:
         rep = check_dgla(self._shifted(Q), self.weights, self.cap)
         rep.command = "gbv-dgla"
         basis = self.algebra.basis
-        for i, j in admitted(len(basis), 2, self.weights, self.cap):
-            res = lin_into({}, D, Q[i].get(j, {}))
-            lin_into(res, Qc[j], D.get(i, {}))
-            lin_into(res, Q[i], D.get(j, {}), -1 if basis.degree(i) % 2 else 1)
-            if res:
-                rep.add(
-                    f"delta-q({basis.names[i]},{basis.names[j]})",
-                    self.algebra.show(Element(res)),
-                    "delta is not a derivation of the derived product",
-                )
-        return rep
+        # q has degree +1: delta q(a,b) = -q(delta a, b) - (-1)^a q(a, delta b)
+        delta_q = partial(derivation_residual(Q, Qc, basis.degree, 1), D, 1)
+        message = "delta is not a derivation of the derived product"
+        pairs = admitted(len(basis), 2, self.weights, self.cap)
+        steps = [(pairs, [("delta-q({},{})", message, delta_q)])]
+        return report_violations(rep, self.algebra, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -686,15 +624,13 @@ def gbv_linfty_structures(S: GBVStructure):
     shifted = basis  # suspension of `space` has the original degrees
     t1 = {(i,): v.copy() for i, v in S.delta_table.items()}
     t2 = {}
+    Q = S._tables()[3]
     n = len(basis)
     for i in range(n):
         for j in range(i, n):
             canon = canonical_word(shifted, (i, j))
-            if canon is None:
-                continue
-            val = S.derived_q(Element.basis_vector(i), Element.basis_vector(j))
-            if not val.is_zero():
-                t2[canon[0]] = val
+            if canon is not None and j in Q[i]:
+                t2[canon[0]] = Element(Q[i][j])
     full_tables = {}
     if t1:
         full_tables[1] = {k: v.copy() for k, v in t1.items()}

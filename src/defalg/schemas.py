@@ -58,6 +58,14 @@ def _field(data, name, path):
     return data[name]
 
 
+def _list_field(data, name, path, default=None):
+    """data[name], which must be a list; required unless `default` is given."""
+    value = _field(data, name, path) if default is None else data.get(name, default)
+    if not isinstance(value, list):
+        raise InputError(f"{path}.{name}: must be a list")
+    return value
+
+
 def parse_basis(data, path="basis") -> GradedBasis:
     if not isinstance(data, list) or not data:
         raise InputError(f"{path}: must be a nonempty list")
@@ -141,10 +149,10 @@ def parse_nilpotent_lie(data) -> NilpotentLie:
 
 def parse_tensor_poly(data) -> TensorSeries:
     expect_kind(data, "tensor_poly")
-    gens = _field(data, "generators", "tensor_poly")
+    gens = _list_field(data, "generators", "tensor_poly")
     order = data.get("truncation", 4)
     out = TensorSeries.zero(tuple(gens), order)
-    for i, entry in enumerate(data.get("terms", [])):
+    for i, entry in enumerate(_list_field(data, "terms", "tensor_poly", [])):
         word = _field(entry, "word", f"terms[{i}]")
         idx = []
         for w in word:
@@ -176,7 +184,7 @@ def parse_components(data, basis, target_basis, path="components"):
     for i, comp in enumerate(data or []):
         arity = _field(comp, "arity", f"{path}[{i}]")
         table = {}
-        for j, entry in enumerate(comp.get("entries", [])):
+        for j, entry in enumerate(_list_field(comp, "entries", f"{path}[{i}]", [])):
             word = tuple(
                 basis.index(w) for w in _field(entry, "word", f"{path}[{i}][{j}]")
             )
@@ -198,13 +206,13 @@ def parse_linfty(data, path="") -> LInftyStructure:
     convention = data.get("convention", "unsuspended")
     brackets = data.get("brackets", {})
     tables = {}
-    for arity_str, entries in brackets.items():
+    for arity_str in brackets:
         try:
             arity = int(arity_str)
         except ValueError:
             raise InputError(f"brackets.{arity_str}: arity must be an integer")
         table = {}
-        for j, entry in enumerate(entries):
+        for j, entry in enumerate(_list_field(brackets, arity_str, "brackets")):
             word = tuple(
                 basis.index(w)
                 for w in _field(entry, "word", f"brackets.{arity_str}[{j}]")
@@ -240,9 +248,9 @@ def parse_polyvector(data, path="") -> Polyvector:
         raise InputError(f"{path}polyvector.vars: must be a nonnegative integer")
     cap = data.get("cap")
     terms = {}
-    for i, entry in enumerate(data.get("terms", [])):
+    for i, entry in enumerate(_list_field(data, "terms", f"{path}polyvector", [])):
         coeff = parse_rational(_field(entry, "coeff", f"{path}terms[{i}]"))
-        mono = tuple(_field(entry, "monomial", f"{path}terms[{i}]"))
+        mono = tuple(_list_field(entry, "monomial", f"{path}terms[{i}]"))
         frame_raw = _field(entry, "frame", f"{path}terms[{i}]")
         if any(not isinstance(z, int) or not 1 <= z <= nvars for z in frame_raw):
             raise InputError(f"{path}terms[{i}].frame: entries must lie in 1..vars")
@@ -259,7 +267,7 @@ def parse_covector(data) -> CovectorElement:
     expect_kind(data, "covector")
     n = _field(data, "dim", "covector")
     out = CovectorElement(n)
-    for i, entry in enumerate(data.get("terms", [])):
+    for i, entry in enumerate(_list_field(data, "terms", "covector", [])):
         coeff_raw = _field(entry, "coeff", f"terms[{i}]")
         re = parse_rational(_field(coeff_raw, "re", f"terms[{i}].coeff"))
         im = parse_rational(coeff_raw.get("im", "0"))
@@ -298,10 +306,10 @@ def parse_homotopy(data) -> tuple:
     source = parse_artin(_field(data, "source", "homotopy"), "source.")
     target = parse_artin(_field(data, "target", "homotopy"), "target.")
     entries = {}
-    for i, entry in enumerate(data.get("entries", [])):
+    for i, entry in enumerate(_list_field(data, "entries", "homotopy", [])):
         src = source.basis.index(_field(entry, "from", f"entries[{i}]"))
         poly = DtPolynomial(target)
-        for j, term in enumerate(entry.get("value", [])):
+        for j, term in enumerate(_list_field(entry, "value", f"entries[{i}]", [])):
             b = target.basis.index(_field(term, "basis", f"entries[{i}].value[{j}]"))
             k = term.get("t_power", 0)
             dt = bool(term.get("dt", False))

@@ -138,6 +138,77 @@ def test_non_object_list_entries_exit_two(tmp_path):
         assert message in out
 
 
+def test_non_list_fields_exit_two(tmp_path):
+    artin = {"basis": [{"name": "t", "degree": 0}]}
+    cases = [
+        (
+            ["delta"],
+            {"kind": "polyvector", "vars": 2, "cap": 3, "terms": 5},
+            "polyvector.terms: must be a list",
+        ),
+        (
+            ["bch"],
+            {"kind": "free_bch", "generators": 5},
+            "free_bch.generators: must be a list",
+        ),
+        (
+            ["dsw"],
+            {"kind": "tensor_poly", "generators": ["a"], "terms": 5},
+            "tensor_poly.terms: must be a list",
+        ),
+        (
+            ["friedrichs"],
+            {"kind": "tensor_poly", "generators": 5},
+            "tensor_poly.generators: must be a list",
+        ),
+        (
+            ["lefschetz", "decompose"],
+            {"kind": "covector", "dim": 2, "terms": 5},
+            "covector.terms: must be a list",
+        ),
+        (
+            ["homotopy-eval"],
+            {"kind": "homotopy", "source": artin, "target": artin, "entries": 5},
+            "homotopy.entries: must be a list",
+        ),
+        (
+            ["homotopy-eval"],
+            {
+                "kind": "homotopy",
+                "source": artin,
+                "target": artin,
+                "entries": [{"from": "t", "value": 5}],
+            },
+            "entries[0].value: must be a list",
+        ),
+        (
+            ["delta"],
+            {"kind": "polyvector", "vars": 1, "terms": [{"coeff": "1", "monomial": 5}]},
+            "terms[0].monomial: must be a list",
+        ),
+        (
+            ["check-linfty"],
+            {"kind": "linfty", "basis": artin["basis"], "brackets": {"2": 5}},
+            "brackets.2: must be a list",
+        ),
+        (
+            ["coder"],
+            {
+                "kind": "coderivation",
+                "basis": [{"name": "x", "degree": 0}],
+                "degree": 1,
+                "components": [{"arity": 1, "entries": 5}],
+            },
+            "components[0].entries: must be a list",
+        ),
+    ]
+    for k, (argv, payload, message) in enumerate(cases):
+        path = tmp_path / f"case{k}.json"
+        path.write_text(json.dumps(payload))
+        out = run_cli_input_error(*argv, "--input", str(path))
+        assert message in out
+
+
 def test_negative_bch_truncate_exits_two():
     free_bch = os.path.join(INPUTS, "free_bch.json")
     out = run_cli_input_error("bch", "--input", free_bch, "--truncate", "-5")

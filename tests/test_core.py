@@ -299,3 +299,43 @@ def test_admitted_tuples_are_the_filtered_product_in_order():
         assert list(admitted(n, 2)) == list(itertools.product(range(n), repeat=2))
     with pytest.raises(InputError):
         admitted(2, 2, [0, -1], 1)
+
+
+def test_violations_run_steps_in_order_and_lazily():
+    visited = []
+
+    def family(tuples):
+        for t in tuples:
+            visited.append(t)
+            yield t
+
+    def odd_sum(*idx):
+        return {0: Fraction(1)} if sum(idx) % 2 else {}
+
+    steps = [
+        (family([(0,), (1,), (2,)]), [("one({})", "a", odd_sum), ("also({})", "b", odd_sum)]),
+        (family([(0, 1), (1, 1)]), [("two({},{})", "c", odd_sum)]),
+    ]
+    found = core.violations(("x", "y", "z"), steps)
+    assert next(found) == ("one(y)", "a", {0: 1})
+    assert visited == [(0,), (1,)]  # nothing past the first violation yet
+    assert [loc for loc, _, _ in found] == ["also(y)", "two(x,y)"]
+    assert visited == [(0,), (1,), (2,), (0, 1), (1, 1)]
+
+
+def test_residual_builders_on_a_small_table():
+    # e_0 e_1 = e_2 with e_1 e_0 stored as -e_2 (degrees 0, 1, 1)
+    deg = (0, 1, 1).__getitem__
+    rows, cols = core.basis_rows(
+        lambda i, j: {(0, 1): {2: 1}, (1, 0): {2: -1}}.get((i, j), {}), 3
+    )
+    assert core.swap_residual(rows, deg, 1)(0, 1) == {2: 2}  # not commutative
+    assert core.swap_residual(rows, deg, -1)(0, 1) == {}  # antisymmetric
+    assert core.assoc_residual(rows, cols)(0, 0, 1) == {}
+    X = {0: {1: 1}}  # degree +1 map e_0 -> e_1
+    derivation = core.derivation_residual(rows, cols, deg)
+    # X(e_0 e_0) - X(e_0) e_0 - e_0 X(e_0) = 0 - (-e_2) - e_2
+    assert derivation(X, 1, 0, 0) == {}
+    assert core.square_residual({0: {1: 1}, 1: {2: 1}})(0) == {2: 1}
+    off = core.off_degree({0: {1: 1}, 1: {0: 1}}.get, deg, 1)
+    assert off(0) == {} and off(1) == {0: 1}

@@ -227,7 +227,9 @@ def _perturbed_artin(A, rng):
     return ArtinDg(GradedBasis(A.basis.names, degrees), table, diff)
 
 
-def test_check_na_matches_element_oracle():
+def _check_na_corpus():
+    """Hand-made algebras, cone outputs and 40 seeded
+    `random_classical_artin` algebras, each followed by a perturbed twin."""
     from defalg.generators import random_classical_artin
 
     rng = random.Random(71)
@@ -242,13 +244,35 @@ def test_check_na_matches_element_oracle():
     for _ in range(40):
         A = random_classical_artin(rng)
         algebras += [A, _perturbed_artin(A, rng)]
+    return algebras
+
+
+def test_check_na_matches_element_oracle():
     failing = 0
-    for A in algebras:
+    for A in _check_na_corpus():
         rep, expected = check_na(A), oracle_check_na(A)
         assert rep.to_json() == expected.to_json()
         assert rep.text() == expected.text()
         failing += not rep.ok()
     assert failing >= 10  # the perturbations do break identities
+
+
+def test_every_check_na_identity_fires_on_the_oracle_corpus():
+    """Each message check_na can emit occurs on the oracle test's corpus,
+    so no single identity is compared only on passing instances."""
+    fired = set()
+    for A in _check_na_corpus():
+        fired |= {v.message for v in check_na(A).violations}
+    assert fired == {
+        "differential is not degree +1",
+        "product is not degree-additive",
+        "d^2 != 0",
+        "graded commutativity fails",
+        "Leibnitz fails",
+        "odd element with nonzero square",
+        "associativity fails",
+        "algebra is not nilpotent",
+    }
 
 
 # -- tensor DGLA --------------------------------------------------------------

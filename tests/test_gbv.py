@@ -287,9 +287,9 @@ def _perturbed(S, rng):
     return GBVStructure(algebra, delta, S.weights, S.cap)
 
 
-def test_tabled_checks_match_element_oracle_on_perturbations():
+def _gbv_corpus():
+    """Seeded GBV models, each followed by its perturbed twins."""
     rng = random.Random(41)
-    failing = 0
     for S, count in (
         (polyvector_gbv(2, 2), 3),
         (polyvector_gbv(1, 4), 8),
@@ -297,20 +297,15 @@ def test_tabled_checks_match_element_oracle_on_perturbations():
         (abelian_gbv(), 10),
         (scaled_exterior_gbv(), 10),
     ):
-        for T in [S] + [_perturbed(S, rng) for _ in range(count)]:
-            gbv = T.gbv_check()
-            assert gbv.to_dict() == oracle_gbv_check(T).to_dict()
-            assert T.to_dgla().table == oracle_to_dgla(T).table
-            assert T.dgla_verify().to_dict() == oracle_dgla_verify(T).to_dict()
-            failing += not gbv.ok()
-    assert failing >= 10  # the perturbations do break identities
+        yield from [S] + [_perturbed(S, rng) for _ in range(count)]
 
 
-def test_check_dgla_matches_element_oracle_on_random_dglas():
+def _random_dgla_corpus():
+    """60 seeded `random_dgla` structures, every second one with an edited
+    bracket entry."""
     from defalg.generators import random_dgla
 
     rng = random.Random(43)
-    failing = 0
     for t in range(60):
         L = random_dgla(rng)
         if t % 2:
@@ -320,10 +315,87 @@ def test_check_dgla_matches_element_oracle_on_random_dglas():
             edit = e(rng.randrange(n), rng.choice((-1, 2)))
             table[key] = table.get(key, Element()) + edit
             L = DGLA(L.basis, table, L.diff)
+        yield L
+
+
+def test_tabled_checks_match_element_oracle_on_perturbations():
+    failing = 0
+    for T in _gbv_corpus():
+        gbv = T.gbv_check()
+        assert gbv.to_dict() == oracle_gbv_check(T).to_dict()
+        assert T.to_dgla().table == oracle_to_dgla(T).table
+        assert T.dgla_verify().to_dict() == oracle_dgla_verify(T).to_dict()
+        failing += not gbv.ok()
+    assert failing >= 10  # the perturbations do break identities
+
+
+def test_check_dgla_matches_element_oracle_on_random_dglas():
+    failing = 0
+    for L in _random_dgla_corpus():
         rep = check_dgla(L)
         assert rep.to_dict() == oracle_check_dgla(L).to_dict()
         failing += not rep.ok()
     assert failing >= 5
+
+
+def test_truncated_checks_keep_their_instance_families():
+    # graded commutativity runs on every pair, even past the cap
+    basis = GradedBasis.of(("a", 0), ("b", 0))
+    algebra = GradedCommAlgebra(basis, {(0, 1): e(0), (1, 0): e(1)})
+    rep = GBVStructure(algebra, {}, (1, 1), 1).gbv_check()
+    assert [v.location for v in rep.violations] == ["comm(a,b)", "comm(b,a)"]
+    # the self-bracket of x is the pair (x, x): checked once 2 w_x <= cap
+    L = DGLA(GradedBasis.of(("x", 0)), {(0, 0): e(0)}, {})
+    assert check_dgla(L, [1], 1).ok()
+    assert [v.message for v in check_dgla(L, [1], 2).violations] == [
+        "graded antisymmetry fails",
+        "even element with nonzero self-bracket",
+    ]
+
+
+CHECK_DGLA_MESSAGES = {
+    "differential is not degree +1",
+    "bracket is not degree-additive",
+    "d^2 != 0",
+    "graded antisymmetry fails",
+    "graded Leibnitz fails",
+    "even element with nonzero self-bracket",
+    "graded Jacobi fails",
+}
+
+
+def test_every_identity_fires_on_the_oracle_corpora():
+    """Each message gbv_check, dgla_verify and check_dgla can emit occurs on
+    the corpora of the oracle tests above, so no single identity is compared
+    only on passing instances.  The random DGLAs perturb brackets only, so
+    a hand-made differential (d z = x has degree -2, d^2 x = z) adds the
+    two differential identities to check_dgla's corpus."""
+
+    def messages(rep):
+        return {v.message for v in rep.violations}
+
+    gbv, verify, dgla = set(), set(), set()
+    for T in _gbv_corpus():
+        gbv |= messages(T.gbv_check())
+        verify |= messages(T.dgla_verify())
+    basis = GradedBasis.of(("x", 0), ("y", 1), ("z", 2))
+    bad_d = DGLA(basis, {}, {0: e(1), 1: e(2), 2: e(0)})
+    for L in list(_random_dgla_corpus()) + [bad_d]:
+        dgla |= messages(check_dgla(L))
+    assert gbv == {
+        "product is not degree-additive",
+        "graded commutativity fails",
+        "associativity fails",
+        "delta is not degree +1",
+        "delta^2 != 0",
+        "delta(1) != 0",
+        "odd Poisson identity fails",
+    }
+    assert verify == CHECK_DGLA_MESSAGES | {
+        "delta is not a derivation of the derived product"
+    }
+    assert dgla == CHECK_DGLA_MESSAGES
+    assert messages(check_dgla(bad_d)) == {"differential is not degree +1", "d^2 != 0"}
 
 
 # -- contraction ------------------------------------------------------------------
