@@ -557,6 +557,8 @@ def main(argv=None) -> int:
     handler = SUBCOMMANDS[args.subcommand]
     started = time.monotonic()
     try:
+        if args.max_arity is not None and args.max_arity < 1:
+            raise InputError("--max-arity must be a positive integer")
         report = handler(args)
     except InputError as exc:
         report = CheckReport(args.subcommand)

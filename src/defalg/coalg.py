@@ -17,9 +17,9 @@ from .core import (
     GradedBasis,
     koszul_sign,
     signed_permutations,
+    split_plan,
     subset_split_sign,
     sym_canonical,
-    unshuffles,
 )
 from .errors import DomainError, InputError
 from .report import CheckReport
@@ -250,6 +250,14 @@ def tensor_coproduct_reduced(tensor: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _check_arity(k, word):
+    """A table keyed by arity k >= 1 holds words of length k only."""
+    if len(word) != k or k < 1:
+        raise InputError(
+            f"component word {tuple(word)} has length {len(word)}, not its arity {k}"
+        )
+
+
 class ComponentMap:
     """Corestriction components q_k: k-th symmetric power -> V, all of one
     degree; the table maps canonical words of length k to Elements of V."""
@@ -261,6 +269,7 @@ class ComponentMap:
         for k, table in tables.items():
             clean = {}
             for word, value in table.items():
+                _check_arity(k, word)
                 canon = canonical_word(basis, word)
                 if canon is None:
                     raise InputError(f"component on a zero word {word}")
@@ -319,18 +328,16 @@ class Coderivation:
 
     def apply_word(self, word) -> SymElement:
         n = len(word)
-        degrees = [self.basis.degree(i) for i in word]
+        parities = tuple(self.basis.degree(i) % 2 for i in word)
         out = SymElement(self.basis)
         for k in self.components.arities():
             if k > n:
                 continue
-            for u in unshuffles(k, n - k):
-                sign = koszul_sign(degrees, u)
-                front = tuple(word[i] for i in u[:k])
-                rest = tuple(word[i] for i in u[k:])
-                value = self.components.apply_word(front)
+            for front, rest, sign in split_plan(n, k, parities):
+                value = self.components.apply_word(tuple(word[i] for i in front))
+                tail = tuple(word[i] for i in rest)
                 for idx, c in value.terms.items():
-                    out.add_word((idx,) + rest, c * sign)
+                    out.add_word((idx,) + tail, c * sign)
         return out
 
     def apply(self, el: SymElement) -> SymElement:
@@ -392,6 +399,7 @@ class CoalgMorphism:
         for k, table in tables.items():
             clean = {}
             for word, value in table.items():
+                _check_arity(k, word)
                 canon = canonical_word(source, word)
                 if canon is None:
                     raise InputError(f"morphism component on a zero word {word}")

@@ -7,6 +7,7 @@ module routes its signs through the functions here (ledger entries K1-K4).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -410,6 +411,17 @@ def unshuffles(p: int, q: int):
         out.append(head + tail)
     assert len(out) == comb(n, p)
     return out
+
+
+@functools.lru_cache(maxsize=4096)
+def split_plan(n: int, k: int, parities: tuple):
+    """The (k, n-k)-unshuffles of a word whose letters have the given degree
+    parities, in `unshuffles` order, as (front positions, rest positions,
+    int K1 sign) triples (sign ledger C2).  Plans are immutable and cached:
+    4096 keys hold every key of words up to length 8."""
+    return tuple(
+        (u[:k], u[k:], int(koszul_sign(parities, u))) for u in unshuffles(k, n - k)
+    )
 
 
 def subset_split_sign(degrees, subset) -> Fraction:

@@ -24,9 +24,8 @@ from .core import (
     admitted,
     basis_rows,
     derivation_residual,
-    koszul_sign,
     lin_into,
-    unshuffles,
+    split_plan,
 )
 from .dgla import (
     DGLA,
@@ -761,26 +760,23 @@ def gbv_to_abelian(S: GBVStructure, m_max=4, compose_max=3):
     # expansion identity: delta(a_1...a_m) equals the two unshuffle sums
     for m in (2, 3):
         for word in all_words(basis, m, min_len=m):
-            degrees = [basis.degree(i) for i in word]
+            parities = tuple(basis.degree(i) % 2 for i in word)
             prod = Element.basis_vector(word[0])
             for idx in word[1:]:
                 prod = S.algebra.product(prod, Element.basis_vector(idx))
             lhs = S.delta(prod)
             rhs = Element()
-            for sigma in unshuffles(1, m - 1):
-                sign = koszul_sign(degrees, sigma)
-                acc = S.delta(Element.basis_vector(word[sigma[0]]))
-                for t in sigma[1:]:
+            for front, rest, sign in split_plan(m, 1, parities):
+                acc = S.delta(Element.basis_vector(word[front[0]]))
+                for t in rest:
                     acc = S.algebra.product(acc, Element.basis_vector(word[t]))
                 rhs = rhs + acc.scale(sign)
-            for sigma in unshuffles(2, m - 2):
-                sign = koszul_sign(degrees, sigma)
-                head = S.derived_q(
-                    Element.basis_vector(word[sigma[0]]),
-                    Element.basis_vector(word[sigma[1]]),
+            for front, rest, sign in split_plan(m, 2, parities):
+                acc = S.derived_q(
+                    Element.basis_vector(word[front[0]]),
+                    Element.basis_vector(word[front[1]]),
                 )
-                acc = head
-                for t in sigma[2:]:
+                for t in rest:
                     acc = S.algebra.product(acc, Element.basis_vector(word[t]))
                 rhs = rhs + acc.scale(sign)
             if not (lhs - rhs).is_zero():

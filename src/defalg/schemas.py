@@ -151,6 +151,8 @@ def parse_tensor_poly(data) -> TensorSeries:
     expect_kind(data, "tensor_poly")
     gens = _list_field(data, "generators", "tensor_poly")
     order = data.get("truncation", 4)
+    if isinstance(order, bool) or not isinstance(order, int) or order < 0:
+        raise InputError("tensor_poly.truncation: must be a nonnegative integer")
     out = TensorSeries.zero(tuple(gens), order)
     for i, entry in enumerate(_list_field(data, "terms", "tensor_poly", [])):
         word = _field(entry, "word", f"terms[{i}]")
@@ -205,12 +207,16 @@ def parse_linfty(data, path="") -> LInftyStructure:
     basis = parse_basis(_field(data, "basis", "linfty"), f"{path}basis")
     convention = data.get("convention", "unsuspended")
     brackets = data.get("brackets", {})
+    if not isinstance(brackets, dict):
+        raise InputError(f"{path}brackets: must be an object keyed by arity")
     tables = {}
     for arity_str in brackets:
         try:
             arity = int(arity_str)
         except ValueError:
-            raise InputError(f"brackets.{arity_str}: arity must be an integer")
+            arity = 0
+        if arity < 1:
+            raise InputError(f"brackets.{arity_str}: arity must be an integer >= 1")
         table = {}
         for j, entry in enumerate(_list_field(brackets, arity_str, "brackets")):
             word = tuple(

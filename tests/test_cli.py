@@ -218,6 +218,68 @@ def test_negative_bch_truncate_exits_two():
     assert payload["status"] == "pass" and payload["witness"]["terms"] == []
 
 
+def test_linfty_tensor_poly_and_max_arity_inputs_exit_two(tmp_path, capsys):
+    x = [{"name": "x", "degree": 1}]
+    value = [{"basis": "x", "coeff": "1"}]
+    cases = [
+        (
+            ["check-linfty"],
+            {"kind": "linfty", "basis": x, "brackets": [{"a": 1}]},
+            "brackets: must be an object",
+        ),
+        (
+            ["check-linfty"],
+            {"kind": "linfty", "basis": x, "brackets": {"0": []}},
+            "brackets.0: arity must be an integer >= 1",
+        ),
+        (
+            ["check-linfty"],
+            {"kind": "linfty", "basis": x, "brackets": {"two": []}},
+            "brackets.two: arity must be an integer >= 1",
+        ),
+        (
+            ["check-linfty"],
+            {
+                "kind": "linfty",
+                "convention": "suspended",
+                "basis": x,
+                "brackets": {"3": [{"word": ["x"], "value": value}]},
+            },
+            "has length 1, not its arity 3",
+        ),
+        (
+            ["dsw"],
+            {"kind": "tensor_poly", "generators": ["a"], "truncation": "x"},
+            "tensor_poly.truncation: must be a nonnegative integer",
+        ),
+        (
+            ["friedrichs"],
+            {"kind": "tensor_poly", "generators": ["a"], "truncation": -1},
+            "tensor_poly.truncation: must be a nonnegative integer",
+        ),
+        (
+            ["check-linfty", "--max-arity", "-3"],
+            {"kind": "linfty", "basis": x, "brackets": {}},
+            "--max-arity must be a positive integer",
+        ),
+        (
+            ["coder", "--max-arity", "0"],
+            {"kind": "coderivation", "basis": x, "degree": 1, "components": []},
+            "--max-arity must be a positive integer",
+        ),
+    ]
+    for k, (argv, payload, message) in enumerate(cases):
+        path = tmp_path / f"case{k}.json"
+        path.write_text(json.dumps(payload))
+        assert main([*argv, "--input", str(path)]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith(f"[INPUT-ERROR] {argv[0]}: ")
+        assert len(out.splitlines()) == 1 and message in out
+    # end to end: the list-valued brackets printed a traceback and exited 1
+    out = run_cli_input_error("check-linfty", "--input", str(tmp_path / "case0.json"))
+    assert "brackets: must be an object" in out
+
+
 def test_negative_polyvector_vars_exits_two(tmp_path):
     path = tmp_path / "pv.json"
     path.write_text(json.dumps({"kind": "polyvector", "vars": -1, "cap": 3, "terms": []}))

@@ -19,8 +19,8 @@ from defalg.coalg import (
     tensor_coproduct_reduced,
     word_degree,
 )
-from defalg.core import Element, GradedBasis
-from defalg.errors import DomainError
+from defalg.core import Element, GradedBasis, sym_canonical
+from defalg.errors import DomainError, InputError
 from defalg import linalg
 
 F = Fraction
@@ -272,3 +272,19 @@ def test_morphism_composition_identity():
     for word in all_words(MIXED, 2):
         expect = Fm.component_word(word)
         assert comps[tuple(word)] == expect
+
+
+def test_subwords_of_canonical_words_are_canonical():
+    # the fronts the generalized-Jacobi sum reads by direct lookup
+    for word in all_words(MIXED, 5):
+        for mask in range(1, 1 << len(word)):
+            sub = tuple(w for p, w in enumerate(word) if mask >> p & 1)
+            assert sym_canonical(sub, MIXED.degree) == (sub, 1)
+
+
+def test_component_tables_refuse_words_of_another_length():
+    for tables in ({3: {(3,): e(3)}}, {1: {(3, 3): e(3)}}, {0: {(): e(3)}}):
+        with pytest.raises(InputError, match="not its arity"):
+            coder_lift(MIXED, 0, tables)
+        with pytest.raises(InputError, match="not its arity"):
+            morphism_lift(MIXED, MIXED, tables)

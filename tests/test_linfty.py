@@ -1,12 +1,19 @@
 """Homotopy Lie structures: decalage, generalized Jacobi, the DGLA functor,
 morphisms, homotopy Maurer-Cartan, cohomology bracket, Hodge models."""
 
+import itertools
 import random
 from fractions import Fraction
 
-from defalg.coalg import all_words
-from defalg.core import Element, GradedBasis
+from defalg.coalg import SymElement, all_words
+from defalg.core import Element, GradedBasis, koszul_sign, split_plan, unshuffles
 from defalg.dgla import DGLA, ArtinDg, check_dgla, tensor_dgla
+from defalg.generators import (
+    inject_dgla_violation,
+    inject_linfty_violation,
+    random_dgla,
+    random_linfty,
+)
 from defalg.linfty import (
     HodgeModel,
     LInftyMorphism,
@@ -24,6 +31,7 @@ from defalg.linfty import (
     op_is_zero,
     suspend_basis,
 )
+from defalg.report import CheckReport
 
 F = Fraction
 
@@ -131,6 +139,151 @@ def test_checker_equivalence_with_coderivation_square():
                 break
         assert square_zero == expect
         assert check_linfty(S, 4).ok() == expect
+
+
+# -- the generalized-Jacobi sum against its term-by-term oracle ------------------
+
+
+def oracle_check_linfty(S, n_max=None):
+    """The generalized-Jacobi loop before live arities and split plans:
+    every k in 1..n, every unshuffle through the validating koszul_sign,
+    every front re-canonicalized."""
+    rep = CheckReport("check-linfty")
+    n_max = n_max or S.max_arity + 2
+    comp = S.components
+    basis = S.shifted
+    for word in all_words(basis, n_max):
+        n = len(word)
+        degrees = [basis.degree(i) for i in word]
+        total = Element()
+        for k in range(1, n + 1):
+            for sigma in unshuffles(k, n - k):
+                sign = koszul_sign(degrees, sigma)
+                front = tuple(word[i] for i in sigma[:k])
+                rest = tuple(word[i] for i in sigma[k:])
+                inner = comp.apply_word(front)
+                for idx, c in inner.terms.items():
+                    outer = comp.apply_word((idx,) + rest)
+                    for j, v in outer.terms.items():
+                        total.add_term(j, c * v * sign)
+        if not total.is_zero():
+            names = tuple(basis.names[i] for i in word)
+            rep.add(
+                f"word {names}",
+                " + ".join(f"{c}*{basis.names[i]}" for i, c in total),
+                f"generalized Jacobi fails at arity {n}",
+            )
+    return rep
+
+
+def oracle_coder_apply_word(Q, word):
+    """Coderivation.apply_word before split plans."""
+    n = len(word)
+    degrees = [Q.basis.degree(i) for i in word]
+    out = SymElement(Q.basis)
+    for k in Q.components.arities():
+        if k > n:
+            continue
+        for u in unshuffles(k, n - k):
+            sign = koszul_sign(degrees, u)
+            front = tuple(word[i] for i in u[:k])
+            rest = tuple(word[i] for i in u[k:])
+            value = Q.components.apply_word(front)
+            for idx, c in value.terms.items():
+                out.add_word((idx,) + rest, c * sign)
+    return out
+
+
+def oracle_corpus():
+    """Seeded random_linfty structures and their injected twins, from_dgla
+    of random DGLAs and of their perturbed twins, and the hand-made
+    structures of this file."""
+    out = []
+    for seed in range(16):
+        rng = random.Random(seed)
+        S = random_linfty(rng)
+        out += [S, inject_linfty_violation(rng, S)]
+    for seed in range(8):
+        rng = random.Random(100 + seed)
+        L = random_dgla(rng)
+        bad = inject_dgla_violation(rng, L)
+        out.append(from_dgla(L))
+        if bad is not None:
+            out.append(from_dgla(bad, checked=False))
+    basis = GradedBasis.of(("a", 0), ("b", 0), ("c", 0))
+    out += [
+        abelian_l(),
+        from_dgla(odd_square_dgla()),
+        from_dgla(DGLA(basis, {(0, 1): e(2)}, {})),
+        from_dgla(DGLA(basis, {(0, 1): e(2), (0, 2): e(0)}, {}), checked=False),
+        LInftyStructure(
+            GradedBasis.of(("p", 1), ("q", 2), ("z", 0)), {3: {(0, 0, 2): e(0)}}
+        ),
+    ]
+    return [S for S in out if S is not None]
+
+
+def test_check_linfty_matches_oracle_byte_for_byte():
+    failing = 0
+    for S in oracle_corpus():
+        for n_max in (3, 4, 5):
+            got, want = check_linfty(S, n_max), oracle_check_linfty(S, n_max)
+            assert got.to_json() == want.to_json()
+            assert got.text() == want.text()
+            failing += not got.ok()
+    assert failing >= 20  # the twins make the comparison see residuals
+
+
+def test_coderivation_apply_word_matches_oracle():
+    for S in oracle_corpus():
+        Q = S.coderivation()
+        for word in all_words(S.shifted, 5):
+            got, want = Q.apply_word(word), oracle_coder_apply_word(Q, word)
+            assert list(got.words.items()) == list(want.words.items())
+
+
+def test_split_plan_signs_are_koszul_signs():
+    for n in range(1, 7):
+        for parities in itertools.product((0, 1), repeat=n):
+            # K1 reads parities only: any degrees with these parities agree
+            degrees = tuple(p - 2 * (i % 3) for i, p in enumerate(parities))
+            for k in range(0, n + 1):
+                plan = split_plan(n, k, parities)
+                assert [front + rest for front, rest, _ in plan] == unshuffles(
+                    k, n - k
+                )
+                for front, rest, sign in plan:
+                    assert type(sign) is int
+                    assert sign == koszul_sign(degrees, front + rest)
+
+
+def pinned_twin(seed):
+    """The entries inject_linfty_violation changed, by arity and word names."""
+    rng = random.Random(seed)
+    S = random_linfty(rng)
+    bad = inject_linfty_violation(rng, S)
+    if bad is None:
+        return None
+    names = S.shifted.names
+    diff = {}
+    for k in set(S.components.tables) | set(bad.components.tables):
+        old, new = S.components.tables.get(k, {}), bad.components.tables.get(k, {})
+        for w in set(old) | set(new):
+            d = new.get(w, Element()) - old.get(w, Element())
+            if not d.is_zero():
+                diff[(k, tuple(names[i] for i in w))] = {
+                    names[i]: str(c) for i, c in d
+                }
+    return diff
+
+
+def test_inject_linfty_violation_twins_are_pinned():
+    assert pinned_twin(0) == {(2, ("u1", "z")): {"s": "1"}}
+    assert pinned_twin(1) is None
+    assert pinned_twin(3) == {(2, ("x", "b")): {"y": "1"}}
+    assert pinned_twin(4) == {(2, ("v1", "v3")): {"v4": "1"}}
+    assert pinned_twin(7) == {(2, ("E00", "E10")): {"E00": "1"}}
+    assert pinned_twin(11) == {(1, ("b",)): {"y": "1"}}
 
 
 # -- morphisms -------------------------------------------------------------------
