@@ -142,7 +142,7 @@ def cmd_cohomology(args) -> CheckReport:
         if kind == "dgla"
         else schemas.parse_artin(inner, "structure.")
     )
-    degree = schemas._field(data, "degree", "problem")
+    degree = schemas._int_field(data, "degree", "problem")
     reps, project, dims = cohomology(structure, degree)
     rep = CheckReport("cohomology")
     rep.witness = {
@@ -280,7 +280,7 @@ def cmd_coder(args) -> CheckReport:
     data = _load(args)
     schemas.expect_kind(data, "coderivation")
     basis = schemas.parse_basis(schemas._field(data, "basis", "coderivation"))
-    degree = schemas._field(data, "degree", "coderivation")
+    degree = schemas._int_field(data, "degree", "coderivation")
     tables = schemas.parse_components(data.get("components"), basis, basis)
     Q = coder_lift(basis, degree, tables)
     return Q.coleibnitz_report(all_words(basis, args.max_arity or 4))
@@ -458,6 +458,14 @@ def cmd_lefschetz(args) -> CheckReport:
     if args.dim < 0:
         raise InputError("--dim must be a nonnegative integer")
     if args.action == "identities":
+        # the sweep visits all 4^dim keys; compare 2*dim with log2(cap) so a
+        # huge --dim never builds 4^dim
+        cap = schemas.max_basis()
+        if cap < 1 or 2 * args.dim > cap.bit_length() - 1:
+            raise InputError(
+                f"--dim {args.dim}: the 4^{args.dim} basis keys exceed the "
+                f"{schemas.MAX_BASIS_ENV} cap of {cap}"
+            )
         return identities_report(args.dim)
     if args.action == "decompose":
         v = schemas.parse_covector(_load(args))

@@ -12,6 +12,7 @@ definition.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect
 from fractions import Fraction
 from math import factorial
 
@@ -56,6 +57,31 @@ def weight(key):
     return len(N) - len(M)
 
 
+def _turn(c, t):
+    """c * i^t for t in 0..3: a quarter turn swaps re and im and negates one."""
+    if t == 0:
+        return c
+    if t == 1:
+        return GaussianScalar(-c.im, c.re)
+    if t == 2:
+        return GaussianScalar(-c.re, -c.im)
+    return GaussianScalar(c.im, -c.re)
+
+
+def _accumulate(terms, key, c):
+    """terms[key] += c, dropping the key when the sum is zero."""
+    old = terms.get(key)
+    if old is None:
+        if c:
+            terms[key] = c
+        return
+    total = GaussianScalar(old.re + c.re, old.im + c.im)
+    if total:
+        terms[key] = total
+    else:
+        del terms[key]
+
+
 class CovectorElement:
     """Sparse exact combination of standard basis symbols over Q(i)."""
 
@@ -70,27 +96,33 @@ class CovectorElement:
                     self.terms[k] = v
 
     @staticmethod
+    def _of(n, terms):
+        """Wrap a dict that already holds no zero coefficient."""
+        out = CovectorElement.__new__(CovectorElement)
+        out.n = n
+        out.terms = terms
+        return out
+
+    @staticmethod
     def basis(n, key, coeff=GAUSS_ONE):
         return CovectorElement(n, {key: coeff})
 
     def add_term(self, key, coeff):
-        val = self.terms.get(key, GaussianScalar.of(0)) + coeff
-        if val:
-            self.terms[key] = val
-        else:
-            self.terms.pop(key, None)
+        if not isinstance(coeff, GaussianScalar):
+            coeff = GaussianScalar.of(coeff)
+        _accumulate(self.terms, key, coeff)
 
     def __add__(self, other):
-        out = CovectorElement(self.n, dict(self.terms))
+        terms = dict(self.terms)
         for k, v in other.terms.items():
-            out.add_term(k, v)
-        return out
+            _accumulate(terms, k, v)
+        return CovectorElement._of(self.n, terms)
 
     def __sub__(self, other):
-        out = CovectorElement(self.n, dict(self.terms))
+        terms = dict(self.terms)
         for k, v in other.terms.items():
-            out.add_term(k, -v)
-        return out
+            _accumulate(terms, k, -v)
+        return CovectorElement._of(self.n, terms)
 
     def scale(self, c):
         if isinstance(c, (int, Fraction)):
@@ -116,11 +148,13 @@ class CovectorElement:
         return degs.pop() if degs else None
 
     def conjugate(self) -> "CovectorElement":
-        out = CovectorElement(self.n)
-        for (A, B, M, N), v in self.terms.items():
-            sign = (-1) ** ((len(A) * len(B)) % 2)
-            out.add_term((B, A, M, N), v.conjugate() * sign)
-        return out
+        return CovectorElement._of(
+            self.n,
+            {
+                (B, A, M, N): _turn(v.conjugate(), 2 * (len(A) * len(B) % 2))
+                for (A, B, M, N), v in self.terms.items()
+            },
+        )
 
     def __repr__(self):
         def show(key):
@@ -136,56 +170,100 @@ class CovectorElement:
 # ---------------------------------------------------------------------------
 # Operators
 # ---------------------------------------------------------------------------
+#
+# Every operator sends one basis key to at most n keys, each with a
+# coefficient i^t (sign ledger X1).  So an operator is a row function
+# key -> ((key', t), ...), and `_apply` sums the image of a covector into one
+# dict, turning each coefficient by t quarter turns instead of multiplying.
+
+
+def _apply(row, v: CovectorElement) -> CovectorElement:
+    out = {}
+    for key, c in v.terms.items():
+        for k2, t in row(key):
+            c2 = _turn(c, t)
+            if k2 in out:
+                _accumulate(out, k2, c2)
+            else:
+                out[k2] = c2  # nonzero, as c is
+    return CovectorElement._of(v.n, out)
+
+
+def _insert(s, i):
+    j = bisect(s, i)
+    return s[:j] + (i,) + s[j:]
+
+
+def _raise(key, i):
+    """L_i on a key whose N holds i: move i from N to M."""
+    A, B, M, N = key
+    return (A, B, _insert(M, i), tuple(x for x in N if x != i))
+
+
+def _lower(key, i):
+    """Lambda_i on a key whose M holds i: move i from M to N."""
+    A, B, M, N = key
+    return (A, B, tuple(x for x in M if x != i), _insert(N, i))
+
+
+def _row_L(key):
+    return [(_raise(key, i), 0) for i in key[3]]
+
+
+def _row_Lambda(key):
+    return [(_lower(key, i), 0) for i in key[2]]
+
+
+def _row_C(key):
+    # bidegree (a, b) has a - b = |A| - |B|
+    return ((key, (len(key[0]) - len(key[1])) % 4),)
+
+
+def _row_C_inv(key):
+    return ((key, (len(key[1]) - len(key[0])) % 4),)
+
+
+def _row_c_inv_star(key):
+    """(-1)^{(p+q)(p+q+1)/2 + |M|} z_{A,B,N,M}, the sign as 0 or 2 turns."""
+    A, B, M, N = key
+    pq = len(A) + len(B) + 2 * len(M)
+    return (((A, B, N, M), 2 * ((pq * (pq + 1) // 2 + len(M)) % 2)),)
+
+
+def _row_star(key):
+    """C composed with the swap row: the image (A, B, N, M) has
+    a - b = |A| - |B|, so * adds that many quarter turns."""
+    ((k2, t),) = _row_c_inv_star(key)
+    return ((k2, (t + len(key[0]) - len(key[1])) % 4),)
+
+
+def _row_parity(key):
+    """(-1)^{p+q} on a basis symbol of total degree p + q."""
+    return ((key, 2 * ((len(key[0]) + len(key[1])) % 2)),)
 
 
 def op_L_i(i, v: CovectorElement) -> CovectorElement:
-    out = CovectorElement(v.n)
-    for (A, B, M, N), c in v.terms.items():
-        if i in N:
-            out.add_term(
-                (A, B, tuple(sorted(M + (i,))), tuple(x for x in N if x != i)), c
-            )
-    return out
+    return _apply(lambda key: [(_raise(key, i), 0)] if i in key[3] else (), v)
 
 
 def op_Lambda_i(i, v: CovectorElement) -> CovectorElement:
-    out = CovectorElement(v.n)
-    for (A, B, M, N), c in v.terms.items():
-        if i in M:
-            out.add_term(
-                (A, B, tuple(x for x in M if x != i), tuple(sorted(N + (i,)))), c
-            )
-    return out
+    return _apply(lambda key: [(_lower(key, i), 0)] if i in key[2] else (), v)
 
 
 def op_L(v: CovectorElement) -> CovectorElement:
-    out = CovectorElement(v.n)
-    for i in range(1, v.n + 1):
-        out = out + op_L_i(i, v)
-    return out
+    return _apply(_row_L, v)
 
 
 def op_Lambda(v: CovectorElement) -> CovectorElement:
-    out = CovectorElement(v.n)
-    for i in range(1, v.n + 1):
-        out = out + op_Lambda_i(i, v)
-    return out
+    return _apply(_row_Lambda, v)
 
 
 def op_C(v: CovectorElement) -> CovectorElement:
-    out = CovectorElement(v.n)
-    for key, c in v.terms.items():
-        a, b = bidegree(key)
-        out.add_term(key, c * GaussianScalar.i_power(a - b))
-    return out
+    return _apply(_row_C, v)
 
 
 def op_C_inv(v: CovectorElement) -> CovectorElement:
-    out = CovectorElement(v.n)
-    for key, c in v.terms.items():
-        a, b = bidegree(key)
-        out.add_term(key, c * GaussianScalar.i_power(b - a))
-    return out
+    return _apply(_row_C_inv, v)
 
 
 def op_P_bidegree(a, b, v: CovectorElement) -> CovectorElement:
@@ -203,18 +281,12 @@ def op_P_total(p, v: CovectorElement) -> CovectorElement:
 def op_c_inv_star(v: CovectorElement) -> CovectorElement:
     """C^{-1}*: the fully explicit swap form
     (-1)^{(p+q)(p+q+1)/2 + |M|} z_{A,B,N,M}."""
-    out = CovectorElement(v.n)
-    for (A, B, M, N), c in v.terms.items():
-        pq = total_degree((A, B, M, N))
-        exp = (pq * (pq + 1)) // 2 + len(M)
-        sign = (-1) ** (exp % 2)
-        out.add_term((A, B, N, M), c * sign)
-    return out
+    return _apply(_row_c_inv_star, v)
 
 
 def op_star(v: CovectorElement) -> CovectorElement:
-    """* = C applied to the explicit swap image."""
-    return op_C(op_c_inv_star(v))
+    """* = C applied to the explicit swap image, as one composed row."""
+    return _apply(_row_star, v)
 
 
 OPERATORS = {
@@ -328,12 +400,12 @@ def wedge_identity_report(n, star_fn=None) -> CheckReport:
         z = CovectorElement.basis(n, key)
         s = len(key[0]) + len(key[1])
         norm = GaussianScalar.of(Fraction(1, 2 ** s))
+        raw_z = raw_expand(n, key)
         for tag, other in (
             ("z ^ *(conj z)", star(z.conjugate())),
             ("z ^ conj(*z)", star(z).conjugate()),
         ):
             total = {}
-            raw_z = raw_expand(n, key)
             for okey, ocoeff in other.terms.items():
                 part = raw_wedge(raw_z, raw_expand(n, okey))
                 for w, c in part.items():
@@ -362,9 +434,9 @@ def identities_report(n, include_wedge=True) -> CheckReport:
     def check(name, lhs_fn, rhs_fn):
         for key in keys:
             v = CovectorElement.basis(n, key)
-            diff = lhs_fn(v) - rhs_fn(v)
-            if not diff.is_zero():
-                rep.add(f"{name} at {key}", repr(diff), f"{name} fails")
+            lhs, rhs = lhs_fn(v), rhs_fn(v)
+            if lhs != rhs:
+                rep.add(f"{name} at {key}", repr(lhs - rhs), f"{name} fails")
                 return
 
     check("[L,C]", lambda v: op_L(op_C(v)), lambda v: op_C(op_L(v)))
@@ -374,13 +446,17 @@ def identities_report(n, include_wedge=True) -> CheckReport:
     def lambda_l_comm(v):
         return op_Lambda(op_L(v)) - op_L(op_Lambda(v))
 
-    def weight_scale(v):
-        out = CovectorElement(n)
+    def weighted(v, factor):
+        """sum of factor(key) * c * key over the terms of v."""
+        terms = {}
         for key, c in v.terms.items():
-            w = n - total_degree(key)
-            if w:
-                out.add_term(key, c * GaussianScalar.of(w))
-        return out
+            f = factor(key)
+            if f:
+                terms[key] = GaussianScalar(c.re * f, c.im * f)
+        return CovectorElement._of(n, terms)
+
+    def weight_scale(v):
+        return weighted(v, lambda key: n - total_degree(key))
 
     check("[Lambda,L]", lambda_l_comm, weight_scale)
 
@@ -391,16 +467,9 @@ def identities_report(n, include_wedge=True) -> CheckReport:
             )
 
         def rhs_r(v, r=r):
-            out = CovectorElement(n)
-            for key, c in v.terms.items():
-                alpha = weight(key)
-                factor = r * (alpha - r + 1)
-                if factor:
-                    part = op_power(
-                        op_L, r - 1, CovectorElement.basis(n, key, c)
-                    ).scale(Fraction(factor))
-                    out = out + part
-            return out
+            return op_power(
+                op_L, r - 1, weighted(v, lambda key: r * (weight(key) - r + 1))
+            )
 
         check(f"[Lambda,L^{r}]", comm_r, rhs_r)
 
@@ -411,10 +480,7 @@ def identities_report(n, include_wedge=True) -> CheckReport:
     )
 
     def signed_projection(v):
-        out = CovectorElement(n)
-        for key, c in v.terms.items():
-            out.add_term(key, c * GaussianScalar.of((-1) ** (total_degree(key) % 2)))
-        return out
+        return _apply(_row_parity, v)
 
     check("*^2", lambda v: op_star(op_star(v)), signed_projection)
     check("C^2", lambda v: op_C(op_C(v)), signed_projection)

@@ -66,6 +66,17 @@ def _list_field(data, name, path, default=None):
     return value
 
 
+def _int_field(data, name, path, nonnegative=False):
+    """data[name], which must be an integer (a bool is not one)."""
+    value = _field(data, name, path)
+    if isinstance(value, bool) or not isinstance(value, int) or (
+        nonnegative and value < 0
+    ):
+        kind = "a nonnegative integer" if nonnegative else "an integer"
+        raise InputError(f"{path}.{name}: must be {kind}")
+    return value
+
+
 def parse_basis(data, path="basis") -> GradedBasis:
     if not isinstance(data, list) or not data:
         raise InputError(f"{path}: must be a nonempty list")
@@ -249,9 +260,7 @@ def parse_gbv(data) -> GBVStructure:
 
 def parse_polyvector(data, path="") -> Polyvector:
     expect_kind(data, "polyvector")
-    nvars = _field(data, "vars", f"{path}polyvector")
-    if not isinstance(nvars, int) or isinstance(nvars, bool) or nvars < 0:
-        raise InputError(f"{path}polyvector.vars: must be a nonnegative integer")
+    nvars = _int_field(data, "vars", f"{path}polyvector", nonnegative=True)
     cap = data.get("cap")
     terms = {}
     for i, entry in enumerate(_list_field(data, "terms", f"{path}polyvector", [])):
@@ -271,20 +280,20 @@ def parse_polyvector(data, path="") -> Polyvector:
 
 def parse_covector(data) -> CovectorElement:
     expect_kind(data, "covector")
-    n = _field(data, "dim", "covector")
+    n = _int_field(data, "dim", "covector", nonnegative=True)
     out = CovectorElement(n)
     for i, entry in enumerate(_list_field(data, "terms", "covector", [])):
         coeff_raw = _field(entry, "coeff", f"terms[{i}]")
         re = parse_rational(_field(coeff_raw, "re", f"terms[{i}].coeff"))
         im = parse_rational(coeff_raw.get("im", "0"))
+        slots = []
+        for name in "ABMN":
+            slot = _list_field(entry, name, f"terms[{i}]")
+            if any(isinstance(x, bool) or not isinstance(x, int) for x in slot):
+                raise InputError(f"terms[{i}].{name}: must be a list of integers")
+            slots.append(slot)
         try:
-            key = make_key(
-                n,
-                _field(entry, "A", f"terms[{i}]"),
-                _field(entry, "B", f"terms[{i}]"),
-                _field(entry, "M", f"terms[{i}]"),
-                _field(entry, "N", f"terms[{i}]"),
-            )
+            key = make_key(n, *slots)
         except InputError as exc:
             raise InputError(f"terms[{i}]: {exc}")
         out.add_term(key, GaussianScalar(re, im))

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 from defalg.cli import SUBCOMMANDS, build_parser, main
 from defalg.report import CheckReport
@@ -278,6 +279,62 @@ def test_linfty_tensor_poly_and_max_arity_inputs_exit_two(tmp_path, capsys):
     # end to end: the list-valued brackets printed a traceback and exited 1
     out = run_cli_input_error("check-linfty", "--input", str(tmp_path / "case0.json"))
     assert "brackets: must be an object" in out
+
+
+def test_lefschetz_dim_cap_and_covector_inputs_exit_two(tmp_path, capsys, monkeypatch):
+    # --dim is refused from 4^dim against the basis cap before any key exists
+    started = time.monotonic()
+    assert main(["lefschetz", "identities", "--dim", "40"]) == 2
+    assert time.monotonic() - started < 1.0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 1
+    assert "--dim 40: the 4^40 basis keys exceed the DEFALG_MAX_BASIS cap" in out
+    monkeypatch.setenv("DEFALG_MAX_BASIS", "16")
+    assert main(["lefschetz", "identities", "--dim", "2"]) == 0
+    assert main(["lefschetz", "identities", "--dim", "3"]) == 2
+    assert "cap of 16" in capsys.readouterr().out
+    monkeypatch.setenv("DEFALG_MAX_BASIS", "15")
+    assert main(["lefschetz", "identities", "--dim", "2"]) == 2
+    assert main(["lefschetz", "identities", "--dim", "1"]) == 0
+    capsys.readouterr()
+    monkeypatch.delenv("DEFALG_MAX_BASIS")
+
+    def covector(**term):
+        base = {"A": [1], "B": [], "M": [], "N": [2], "coeff": {"re": "1"}}
+        return {"kind": "covector", "dim": 2, "terms": [{**base, **term}]}
+
+    lefschetz = ["lefschetz", "decompose", "--dim", "2"]
+    cases = [
+        (lefschetz, covector(N="2"), "terms[0].N: must be a list"),
+        (lefschetz, covector(A=["1"]), "terms[0].A: must be a list of integers"),
+        (lefschetz, covector(M=[True]), "terms[0].M: must be a list of integers"),
+        (lefschetz, covector(coeff="1"), "terms[0].coeff: must be an object"),
+        (lefschetz, {**covector(), "dim": "2"}, "covector.dim: must be a nonnegative integer"),
+        (lefschetz, {**covector(), "dim": -1}, "covector.dim: must be a nonnegative integer"),
+        (lefschetz, {"kind": "covector", "dim": 2, "terms": [3]}, "terms[0]: must be an object"),
+        (
+            ["coder"],
+            {"kind": "coderivation", "basis": [{"name": "x", "degree": 0}], "degree": "x",
+             "components": []},
+            "coderivation.degree: must be an integer",
+        ),
+        (
+            ["cohomology"],
+            {"kind": "cohomology_problem", "degree": "x",
+             "structure": {"kind": "dgla", "basis": [{"name": "x", "degree": 0}]}},
+            "problem.degree: must be an integer",
+        ),
+    ]
+    for k, (argv, payload, message) in enumerate(cases):
+        path = tmp_path / f"case{k}.json"
+        path.write_text(json.dumps(payload))
+        assert main([*argv, "--input", str(path)]) == 2, message
+        out = capsys.readouterr().out
+        assert out.startswith(f"[INPUT-ERROR] {argv[0]}: ")
+        assert len(out.splitlines()) == 1 and message in out
+    # end to end: a string N printed a TypeError traceback from make_key
+    out = run_cli_input_error(*lefschetz, "--input", str(tmp_path / "case0.json"))
+    assert "terms[0].N: must be a list" in out
 
 
 def test_negative_polyvector_vars_exits_two(tmp_path):

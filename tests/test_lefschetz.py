@@ -10,14 +10,18 @@ from defalg import linalg
 from defalg.lefschetz import (
     CovectorElement,
     all_keys,
+    bidegree,
     identities_report,
     is_primitive,
     lefschetz_decompose,
     make_key,
     op_C,
+    op_C_inv,
     op_c_inv_star,
     op_L,
+    op_L_i,
     op_Lambda,
+    op_Lambda_i,
     op_power,
     op_star,
     primitive_coefficient_report,
@@ -76,20 +80,19 @@ def test_identities_sweep(n):
     assert rep.ok(), rep.text()
 
 
+def corrupt_star(v):
+    out = op_star(v)
+    flipped = CovectorElement(v.n)
+    for key, c in out.terms.items():
+        if key[2]:  # flip the sign whenever M is nonempty
+            flipped.add_term(key, -c)
+        else:
+            flipped.add_term(key, c)
+    return flipped
+
+
 def test_corrupted_star_caught_by_wedge_identity():
-    n = 2
-
-    def corrupt_star(v):
-        out = op_star(v)
-        flipped = CovectorElement(n)
-        for key, c in out.terms.items():
-            if key[2]:  # flip the sign whenever M is nonempty
-                flipped.add_term(key, -c)
-            else:
-                flipped.add_term(key, c)
-        return flipped
-
-    rep = wedge_identity_report(n, star_fn=corrupt_star)
+    rep = wedge_identity_report(2, star_fn=corrupt_star)
     assert not rep.ok()
 
 
@@ -323,3 +326,232 @@ def test_apply_op_dispatcher():
     assert apply_op("P_total", v, p=1).is_zero()
     with _pytest.raises(InputError):
         apply_op("nope", v)
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the per-operator loops that the row engine replaced, on plain
+# dicts with their own "add, or pop on zero" step, so that they share no
+# arithmetic with CovectorElement or the rows.
+# ---------------------------------------------------------------------------
+
+
+def oracle_add(terms, key, coeff):
+    val = terms.get(key, GaussianScalar.of(0)) + coeff
+    if val:
+        terms[key] = val
+    else:
+        terms.pop(key, None)
+
+
+def oracle_plus(x, y):
+    terms = dict(x.terms)
+    for k, c in y.terms.items():
+        oracle_add(terms, k, c)
+    return CovectorElement(x.n, terms)
+
+
+def oracle_L_i(i, v):
+    out = {}
+    for (A, B, M, N), c in v.terms.items():
+        if i in N:
+            oracle_add(
+                out, (A, B, tuple(sorted(M + (i,))), tuple(x for x in N if x != i)), c
+            )
+    return CovectorElement(v.n, out)
+
+
+def oracle_Lambda_i(i, v):
+    out = {}
+    for (A, B, M, N), c in v.terms.items():
+        if i in M:
+            oracle_add(
+                out, (A, B, tuple(x for x in M if x != i), tuple(sorted(N + (i,)))), c
+            )
+    return CovectorElement(v.n, out)
+
+
+def oracle_L(v):
+    out = CovectorElement(v.n)
+    for i in range(1, v.n + 1):
+        out = oracle_plus(out, oracle_L_i(i, v))
+    return out
+
+
+def oracle_Lambda(v):
+    out = CovectorElement(v.n)
+    for i in range(1, v.n + 1):
+        out = oracle_plus(out, oracle_Lambda_i(i, v))
+    return out
+
+
+def oracle_C(v):
+    out = {}
+    for key, c in v.terms.items():
+        a, b = bidegree(key)
+        oracle_add(out, key, c * GaussianScalar.i_power(a - b))
+    return CovectorElement(v.n, out)
+
+
+def oracle_C_inv(v):
+    out = {}
+    for key, c in v.terms.items():
+        a, b = bidegree(key)
+        oracle_add(out, key, c * GaussianScalar.i_power(b - a))
+    return CovectorElement(v.n, out)
+
+
+def oracle_c_inv_star(v):
+    out = {}
+    for (A, B, M, N), c in v.terms.items():
+        pq = total_degree((A, B, M, N))
+        exp = (pq * (pq + 1)) // 2 + len(M)
+        sign = (-1) ** (exp % 2)
+        oracle_add(out, (A, B, N, M), c * sign)
+    return CovectorElement(v.n, out)
+
+
+def oracle_star(v):
+    return oracle_C(oracle_c_inv_star(v))
+
+
+def operator_pairs(n):
+    pairs = [
+        ("L", op_L, oracle_L),
+        ("Lambda", op_Lambda, oracle_Lambda),
+        ("C", op_C, oracle_C),
+        ("C_inv", op_C_inv, oracle_C_inv),
+        ("c_inv_star", op_c_inv_star, oracle_c_inv_star),
+        ("star", op_star, oracle_star),
+    ]
+    for i in range(1, n + 1):
+        pairs.append((f"L_{i}", lambda v, i=i: op_L_i(i, v), lambda v, i=i: oracle_L_i(i, v)))
+        pairs.append(
+            (f"Lambda_{i}", lambda v, i=i: op_Lambda_i(i, v), lambda v, i=i: oracle_Lambda_i(i, v))
+        )
+    return pairs
+
+
+def assert_no_zero_terms(v):
+    assert all(c for c in v.terms.values()), v.terms
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_operators_match_oracles_on_every_basis_key(n):
+    # a coefficient with unequal nonzero parts shows every quarter turn
+    coeff = GaussianScalar.of(F(2, 3), -5)
+    for key in all_keys(n):
+        v = CovectorElement.basis(n, key, coeff)
+        for name, op, oracle in operator_pairs(n):
+            got = op(v)
+            assert got == oracle(v), (name, key)
+            assert_no_zero_terms(got)
+
+
+def random_covector(rng, n, keys, size):
+    coeffs = (
+        GaussianScalar.of(1),
+        GaussianScalar.of(-1),
+        GaussianScalar.of(0, 1),
+        GaussianScalar.of(0, -1),
+        GaussianScalar.of(F(1, 2), F(-3, 4)),
+        GaussianScalar.of(F(-5, 7), 2),
+    )
+    v = CovectorElement(n)
+    for k in rng.sample(keys, min(len(keys), size)):
+        v.add_term(k, rng.choice(coeffs))
+    return v
+
+
+def test_operators_match_oracles_on_sparse_covectors():
+    rng = random.Random(8)
+    cancelled = 0
+    for n in (1, 2, 3, 4):
+        keys = all_keys(n)
+        for _ in range(60):
+            p = rng.randint(0, 2 * n)
+            pool = [k for k in keys if total_degree(k) == p]
+            v = random_covector(rng, n, pool, rng.randint(1, 6))
+            for name, op, oracle in operator_pairs(n):
+                want = oracle(v)
+                got = op(v)
+                assert got == want, (name, v)
+                assert_no_zero_terms(got)
+                rows = sum(len(oracle(CovectorElement.basis(n, k)).terms) for k in v.terms)
+                cancelled += len(want.terms) < rows
+    # worked cancellations: Lambda kills the primitive u_1 - u_2, and L maps
+    # z[M=(1,),N=(2,)] and z[M=(2,),N=(1,)] to the same u_12
+    prim = u_element(2, (1,)) - u_element(2, (2,))
+    assert op_Lambda(prim).is_zero() and oracle_Lambda(prim).is_zero()
+    assert op_L(prim).is_zero() and oracle_L(prim).is_zero()
+    assert cancelled >= 20
+
+
+def test_covector_arithmetic_matches_oracle_add():
+    rng = random.Random(9)
+    for n in (2, 3):
+        keys = all_keys(n)
+        for _ in range(50):
+            x = random_covector(rng, n, keys, rng.randint(0, 8))
+            y = random_covector(rng, n, keys, rng.randint(0, 8))
+            neg_y = CovectorElement(n, {k: -c for k, c in y.terms.items()})
+            assert x + y == oracle_plus(x, y)
+            assert x - y == oracle_plus(x, neg_y)
+            for got in (x + y, x - y):
+                assert_no_zero_terms(got)
+            assert (x - x).is_zero() and (x + neg_y + y) == x
+            z = CovectorElement(n, dict(x.terms))
+            terms = dict(x.terms)
+            for k, c in y.terms.items():
+                z.add_term(k, c)
+                oracle_add(terms, k, c)
+            assert z.terms == terms
+    # add_term coerces plain rationals and never stores a zero
+    v = CovectorElement(1)
+    key = ((), (), (), (1,))
+    v.add_term(key, 0)
+    assert v.is_zero()
+    v.add_term(key, F(1, 2))
+    v.add_term(key, GaussianScalar.of(F(-1, 2)))
+    assert v.is_zero()
+
+
+# Outputs pinned byte for byte from the per-operator loops.
+IDENTITIES_JSON = """{
+  "command": "lefschetz-identities",
+  "info": {
+    "basis_size": %d,
+    "dimension": %d
+  },
+  "status": "pass",
+  "violations": []
+}"""
+IDENTITIES_TEXT = "[PASS] lefschetz-identities\n  basis_size: %d\n  dimension: %d"
+CORRUPT_STAR_KEYS = (
+    ((1,), (), (), (2,)),
+    ((), (1,), (), (2,)),
+    ((), (), (1,), (2,)),
+    ((2,), (), (), (1,)),
+    ((), (2,), (), (1,)),
+    ((), (), (2,), (1,)),
+    ((), (), (), (1, 2)),
+)
+CORRUPT_STAR_RESIDUAL = (
+    "{(0, 1, 2, 3): GaussianScalar(re=Fraction(-1, 4), im=Fraction(0, 1))}"
+)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_identities_report_bytes_pinned(n):
+    rep = identities_report(n)
+    assert rep.to_json() == IDENTITIES_JSON % (4**n, n)
+    assert rep.text() == IDENTITIES_TEXT % (4**n, n)
+
+
+def test_corrupted_star_report_bytes_pinned():
+    lines = ["[FAIL] wedge-oracle"]
+    for key in CORRUPT_STAR_KEYS:
+        for tag in ("z ^ *(conj z)", "z ^ conj(*z)"):
+            lines.append(f"  at {tag} at {key}: wedge identity fails")
+            lines.append(f"    residual: {CORRUPT_STAR_RESIDUAL}")
+    rep = wedge_identity_report(2, star_fn=corrupt_star)
+    assert rep.text() == "\n".join(lines)
