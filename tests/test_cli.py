@@ -304,24 +304,27 @@ def test_lefschetz_dim_cap_and_covector_inputs_exit_two(tmp_path, capsys, monkey
         return {"kind": "covector", "dim": 2, "terms": [{**base, **term}]}
 
     lefschetz = ["lefschetz", "decompose", "--dim", "2"]
+    x = [{"name": "x", "degree": 0}]
     cases = [
         (lefschetz, covector(N="2"), "terms[0].N: must be a list"),
         (lefschetz, covector(A=["1"]), "terms[0].A: must be a list of integers"),
         (lefschetz, covector(M=[True]), "terms[0].M: must be a list of integers"),
         (lefschetz, covector(coeff="1"), "terms[0].coeff: must be an object"),
-        (lefschetz, {**covector(), "dim": "2"}, "covector.dim: must be a nonnegative integer"),
-        (lefschetz, {**covector(), "dim": -1}, "covector.dim: must be a nonnegative integer"),
-        (lefschetz, {"kind": "covector", "dim": 2, "terms": [3]}, "terms[0]: must be an object"),
+        (lefschetz, {**covector(), "dim": "2"}, "covector.dim: must be a nonnegative"),
+        (lefschetz, {**covector(), "dim": -1}, "covector.dim: must be a nonnegative"),
+        (lefschetz, {**covector(), "terms": [3]}, "terms[0]: must be an object"),
         (
             ["coder"],
-            {"kind": "coderivation", "basis": [{"name": "x", "degree": 0}], "degree": "x",
-             "components": []},
+            {"kind": "coderivation", "basis": x, "degree": "x", "components": []},
             "coderivation.degree: must be an integer",
         ),
         (
             ["cohomology"],
-            {"kind": "cohomology_problem", "degree": "x",
-             "structure": {"kind": "dgla", "basis": [{"name": "x", "degree": 0}]}},
+            {
+                "kind": "cohomology_problem",
+                "degree": "x",
+                "structure": {"kind": "dgla", "basis": x},
+            },
             "problem.degree: must be an integer",
         ),
     ]

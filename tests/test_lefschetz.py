@@ -3,6 +3,7 @@ the wedge characterization of *, primitivity and the Lefschetz decomposition."""
 
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -424,10 +425,10 @@ def operator_pairs(n):
         ("star", op_star, oracle_star),
     ]
     for i in range(1, n + 1):
-        pairs.append((f"L_{i}", lambda v, i=i: op_L_i(i, v), lambda v, i=i: oracle_L_i(i, v)))
-        pairs.append(
-            (f"Lambda_{i}", lambda v, i=i: op_Lambda_i(i, v), lambda v, i=i: oracle_Lambda_i(i, v))
-        )
+        pairs += [
+            (f"L_{i}", partial(op_L_i, i), partial(oracle_L_i, i)),
+            (f"Lambda_{i}", partial(op_Lambda_i, i), partial(oracle_Lambda_i, i)),
+        ]
     return pairs
 
 
@@ -476,7 +477,9 @@ def test_operators_match_oracles_on_sparse_covectors():
                 got = op(v)
                 assert got == want, (name, v)
                 assert_no_zero_terms(got)
-                rows = sum(len(oracle(CovectorElement.basis(n, k)).terms) for k in v.terms)
+                rows = sum(
+                    len(oracle(CovectorElement.basis(n, k)).terms) for k in v.terms
+                )
                 cancelled += len(want.terms) < rows
     # worked cancellations: Lambda kills the primitive u_1 - u_2, and L maps
     # z[M=(1,),N=(2,)] and z[M=(2,),N=(1,)] to the same u_12
