@@ -471,6 +471,15 @@ def cmd_lefschetz(args) -> CheckReport:
         v = schemas.parse_covector(_load(args))
         if v.n != args.dim:
             raise InputError("covector dimension differs from --dim")
+        # L^k of one term has up to C(dim, k) terms, 2^dim over all k: refuse
+        # when terms * 2^dim exceeds the cap, comparing dim with the bit
+        # length of cap // terms so a huge --dim never builds 2^dim
+        cap = schemas.max_basis()
+        if v.terms and args.dim >= (max(cap, 0) // len(v.terms)).bit_length():
+            raise InputError(
+                f"--dim {args.dim}: {len(v.terms)} term(s) times 2^{args.dim} "
+                f"exceed the {schemas.MAX_BASIS_ENV} cap of {cap}"
+            )
         parts = lefschetz_decompose(v)
         rep = CheckReport("lefschetz-decompose")
         rep.witness = {

@@ -15,6 +15,9 @@ from math import factorial
 from .core import (
     Element,
     GradedBasis,
+    add_into,
+    add_term,
+    check_weights,
     koszul_sign,
     signed_permutations,
     split_plan,
@@ -59,27 +62,14 @@ class SymElement:
 
     def add_word(self, word, coeff):
         canon = canonical_word(self.basis, word)
-        if canon is None or not coeff:
-            return
-        w, sign = canon
-        val = self.words.get(w, 0) + coeff * sign
-        if val:
-            self.words[w] = val
-        else:
-            self.words.pop(w, None)
+        if canon is not None:
+            add_term(self.words, canon[0], coeff * canon[1])
 
     def __add__(self, other):
-        out = SymElement(self.basis, dict(self.words))
-        for w, c in other.words.items():
-            val = out.words.get(w, 0) + c
-            if val:
-                out.words[w] = val
-            else:
-                out.words.pop(w, None)
-        return out
+        return SymElement(self.basis, add_into(dict(self.words), other.words))
 
     def __sub__(self, other):
-        return self + other.scale(Fraction(-1))
+        return SymElement(self.basis, add_into(dict(self.words), other.words, -1))
 
     def scale(self, c):
         if not c:
@@ -118,13 +108,7 @@ class TensorProductElement:
                     self.terms[k] = v
 
     def add(self, key, coeff):
-        if not coeff:
-            return
-        val = self.terms.get(key, 0) + coeff
-        if val:
-            self.terms[key] = val
-        else:
-            self.terms.pop(key, None)
+        add_term(self.terms, key, coeff)
 
     def is_zero(self):
         return not self.terms
@@ -137,10 +121,8 @@ class TensorProductElement:
         )
 
     def __sub__(self, other):
-        out = TensorProductElement(self.basis, self.slots, dict(self.terms))
-        for k, v in other.terms.items():
-            out.add(k, -v)
-        return out
+        terms = add_into(dict(self.terms), other.terms, -1)
+        return TensorProductElement(self.basis, self.slots, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +203,7 @@ def n_map(basis: GradedBasis, word) -> dict:
     degrees = [basis.degree(i) for i in word]
     out = {}
     for sign, images in signed_permutations(degrees):
-        key = tuple(word[i] for i in images)
-        val = out.get(key, 0) + sign
-        if val:
-            out[key] = val
-        else:
-            out.pop(key, None)
+        add_term(out, tuple(word[i] for i in images), sign)
     return out
 
 
@@ -236,12 +213,7 @@ def tensor_coproduct_reduced(tensor: dict) -> dict:
     out = {}
     for word, c in tensor.items():
         for cut in range(1, len(word)):
-            key = (word[:cut], word[cut:])
-            val = out.get(key, 0) + c
-            if val:
-                out[key] = val
-            else:
-                out.pop(key, None)
+            add_term(out, (word[:cut], word[cut:]), c)
     return out
 
 
@@ -307,9 +279,7 @@ class ComponentMap:
     def apply(self, el: SymElement) -> Element:
         out = Element()
         for w, c in el.words.items():
-            part = self.apply_word(w)
-            for k, v in part.terms.items():
-                out.add_term(k, v * c)
+            add_into(out.terms, self.apply_word(w).terms, c)
         return out
 
 
@@ -343,7 +313,7 @@ class Coderivation:
     def apply(self, el: SymElement) -> SymElement:
         out = SymElement(self.basis)
         for w, c in el.words.items():
-            out = out + self.apply_word(w).scale(c)
+            add_into(out.words, self.apply_word(w).words, c)
         return out
 
     def corestriction(self, word) -> Element:
@@ -430,8 +400,7 @@ class CoalgMorphism:
     def component(self, el: SymElement) -> Element:
         out = Element()
         for w, c in el.words.items():
-            for k, v in self.component_word(w).terms.items():
-                out.add_term(k, v * c)
+            add_into(out.terms, self.component_word(w).terms, c)
         return out
 
     def apply_word(self, word) -> SymElement:
@@ -463,7 +432,7 @@ class CoalgMorphism:
     def apply(self, el: SymElement) -> SymElement:
         out = SymElement(self.target)
         for w, c in el.words.items():
-            out = out + self.apply_word(w).scale(c)
+            add_into(out.words, self.apply_word(w).words, c)
         return out
 
     def comorphism_report(self, words) -> CheckReport:
@@ -496,13 +465,18 @@ def compose_morphisms(G: CoalgMorphism, F: CoalgMorphism, words) -> dict:
     return out
 
 
-def all_words(basis: GradedBasis, max_len: int, min_len: int = 1):
+def all_words(basis: GradedBasis, max_len: int, min_len: int = 1, weights=None, cap=0):
     """All canonical words of length min_len..max_len (odd symbols without
-    repetition), in deterministic order."""
+    repetition), in deterministic order; with `weights` (one nonnegative int
+    per basis index) only those whose weights sum to at most `cap`, as in
+    `core.admitted`."""
     idx = list(range(len(basis)))
+    if weights is None:
+        weights, cap = (0,) * len(idx), 0
+    check_weights(len(idx), weights, cap)
     out = []
 
-    def rec(start, word, length):
+    def rec(start, word, length, budget):
         if length == 0:
             out.append(tuple(word))
             return
@@ -511,8 +485,9 @@ def all_words(basis: GradedBasis, max_len: int, min_len: int = 1):
                 continue
             if basis.degree(i) % 2 and i in word:
                 continue
-            rec(i, word + [i], length - 1)
+            if weights[i] <= budget:
+                rec(i, word + [i], length - 1, budget - weights[i])
 
     for n in range(min_len, max_len + 1):
-        rec(0, [], n)
+        rec(0, [], n, cap)
     return out

@@ -18,6 +18,61 @@ from .linalg import rref
 from .scalars import Q1
 
 # ---------------------------------------------------------------------------
+# The sparse accumulate kernel: every sparse value in the package (Element,
+# symmetric words, tensor series, polyvectors, forms, covectors over Q(i),
+# (wedge V) (x) A tensors) is a dict from hashable keys to nonzero
+# coefficients (Fraction, int or GaussianScalar).  `add_term` and `add_into`
+# are the only code that adds into such a dict.  Their contract: no stored
+# zeros (a key whose sum is zero is deleted), and no zero scalar built (a
+# missing key stores the added coefficient object itself, never 0 + c), so a
+# new key is appended and a present key keeps its place in insertion order.
+# ---------------------------------------------------------------------------
+
+
+def add_term(out: dict, key, c) -> None:
+    """out[key] += c in place, deleting the key when the sum is zero."""
+    old = out.get(key)
+    if old is None:
+        if c:
+            out[key] = c
+    else:
+        c = old + c
+        if c:
+            out[key] = c
+        else:
+            del out[key]
+
+
+def add_into(out: dict, terms: dict, c=1) -> dict:
+    """out += c * terms in place, by the `add_term` step (inlined)."""
+    if c != 1:
+        terms = {k: c * v for k, v in terms.items()}
+    get = out.get
+    for k, v in terms.items():
+        old = get(k)
+        if old is None:
+            if v:
+                out[k] = v
+        else:
+            v = old + v
+            if v:
+                out[k] = v
+            else:
+                del out[k]
+    return out
+
+
+def lin_into(out: dict, images, x: dict, c=1) -> dict:
+    """out += c * sum_t x[t] * images[t], in place; `images` maps an index
+    to a terms dict (missing means zero)."""
+    for t, a in x.items():
+        img = images.get(t)
+        if img:
+            add_into(out, img, a if c == 1 else c * a)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Graded bases and sparse elements
 # ---------------------------------------------------------------------------
 
@@ -80,11 +135,7 @@ class Element:
         return Element(dict(self.terms))
 
     def add_term(self, key, coeff):
-        new = self.terms.get(key, 0) + coeff
-        if new:
-            self.terms[key] = new
-        else:
-            self.terms.pop(key, None)
+        add_term(self.terms, key, coeff)
 
     def __add__(self, other):
         out = self.copy()
@@ -151,29 +202,6 @@ def basis_rows(entry, n):
             if terms:
                 rows[i][j] = cols[j][i] = terms
     return rows, cols
-
-
-def add_into(out: dict, terms: dict, c=1) -> dict:
-    """out += c * terms on sparse terms dicts, in place, dropping zeros."""
-    if c != 1:
-        terms = {k: c * v for k, v in terms.items()}
-    for k, v in terms.items():
-        val = out.get(k, 0) + v
-        if val:
-            out[k] = val
-        else:
-            out.pop(k, None)
-    return out
-
-
-def lin_into(out: dict, images, x: dict, c=1) -> dict:
-    """out += c * sum_t x[t] * images[t], in place; `images` maps an index
-    to a terms dict (missing means zero)."""
-    for t, a in x.items():
-        img = images.get(t)
-        if img:
-            add_into(out, img, a if c == 1 else c * a)
-    return out
 
 
 class BilinearTable:
@@ -247,6 +275,13 @@ class BilinearTable:
         return s
 
 
+def check_weights(n, weights, cap):
+    """InputError unless `weights` holds one nonnegative int per index of
+    range(n) and `cap` >= 0."""
+    if len(weights) != n or cap < 0 or min(weights, default=0) < 0:
+        raise InputError("weights need one nonnegative int per index and cap >= 0")
+
+
 def admitted(n, arity, weights=None, cap=0):
     """Index tuples of length `arity` >= 1 over range(n) in lexicographic order,
     restricted with `weights` (one nonnegative int per index) to those whose
@@ -254,8 +289,7 @@ def admitted(n, arity, weights=None, cap=0):
     remaining budget are listed once, so only admitted tuples are visited."""
     if weights is None:
         return itertools.product(range(n), repeat=arity)
-    if len(weights) != n or cap < 0 or min(weights, default=0) < 0:
-        raise InputError("weights need one nonnegative int per index and cap >= 0")
+    check_weights(n, weights, cap)
     fit = [[i for i, w in enumerate(weights) if w <= r] for r in range(cap + 1)]
 
     def extend(prefix, budget, left):
@@ -509,9 +543,7 @@ def symmetrize(f, args, degrees) -> Element:
         raise InputError("symmetrize: args/degrees arity mismatch")
     out = Element()
     for sign, images in signed_permutations(degrees):
-        part = f(tuple(args[i] for i in images))
-        for k, v in part.terms.items():
-            out.add_term(k, v * sign)
+        add_into(out.terms, f(tuple(args[i] for i in images)).terms, sign)
     return out
 
 
@@ -532,6 +564,5 @@ def gerstenhaber_bullet(f, m, g, l, g_degree, args, degrees) -> Element:
             sign = -1
         inner = g(tuple(args[i : i + l]))
         part = f(tuple(args[:i]) + (inner,) + tuple(args[i + l :]))
-        for k, v in part.terms.items():
-            out.add_term(k, v * sign)
+        add_into(out.terms, part.terms, sign)
     return out

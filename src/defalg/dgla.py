@@ -19,6 +19,7 @@ from .core import (
     Element,
     GradedBasis,
     add_into,
+    add_term,
     admitted,
     assoc_residual,
     derivation_residual,
@@ -293,7 +294,7 @@ class TensorDgla:
         while not term.is_zero():
             if n > bound:
                 raise InternalError("gauge series failed to terminate")
-            out = out + term.scale(Fraction(1, factorial(n + 1)))
+            add_into(out.terms, term.terms, Fraction(1, factorial(n + 1)))
             term = self.bracket(a, term)
             n += 1
         return out
@@ -789,7 +790,7 @@ class DtPolynomial:
                     self.terms[k] = v
 
     def add_term(self, key, coeff):
-        add_into(self.terms, {key: coeff})
+        add_term(self.terms, key, coeff)
 
     def __add__(self, other):
         return DtPolynomial(self.B, add_into(dict(self.terms), other.terms))
@@ -861,7 +862,7 @@ class Homotopy:
         out = DtPolynomial(self.B)
         for i, c in x.terms.items():
             if i in self.entries:
-                out = out + self.entries[i].scale(c)
+                add_into(out.terms, self.entries[i].terms, c)
         return out
 
     def verify(self) -> CheckReport:

@@ -16,6 +16,8 @@ from .core import (
     BilinearTable,
     Element,
     GradedBasis,
+    add_into,
+    add_term,
     admitted,
     derivation_residual,
     swap_residual,
@@ -67,27 +69,18 @@ class TensorSeries:
         return TensorSeries(self.gens, self.order, dict(self.words))
 
     def add_term(self, word, coeff):
-        if len(word) > self.order:
-            return
-        new = self.words.get(word, 0) + coeff
-        if new:
-            self.words[word] = new
-        else:
-            self.words.pop(word, None)
+        if len(word) <= self.order:
+            add_term(self.words, word, coeff)
 
     def __add__(self, other):
         self._check_compat(other)
-        out = self.copy()
-        for w, c in other.words.items():
-            out.add_term(w, c)
-        return out
+        words = add_into(dict(self.words), other.words)
+        return TensorSeries(self.gens, self.order, words)
 
     def __sub__(self, other):
         self._check_compat(other)
-        out = self.copy()
-        for w, c in other.words.items():
-            out.add_term(w, -c)
-        return out
+        words = add_into(dict(self.words), other.words, -1)
+        return TensorSeries(self.gens, self.order, words)
 
     def __neg__(self):
         return TensorSeries(self.gens, self.order, {w: -c for w, c in self.words.items()})
@@ -103,7 +96,7 @@ class TensorSeries:
         for w1, c1 in self.words.items():
             for w2, c2 in other.words.items():
                 if len(w1) + len(w2) <= self.order:
-                    out.add_term(w1 + w2, c1 * c2)
+                    add_term(out.words, w1 + w2, c1 * c2)
         return out
 
     def bracket(self, other):
@@ -149,7 +142,7 @@ def tensor_exp(x: TensorSeries, order=None) -> TensorSeries:
         power = power * xo
         if power.is_zero():
             break
-        out = out + power.scale(Fraction(1, factorial(n)))
+        add_into(out.words, power.words, Fraction(1, factorial(n)))
     return out
 
 
@@ -166,7 +159,7 @@ def tensor_log(y: TensorSeries, order=None) -> TensorSeries:
         power = power * x
         if power.is_zero():
             break
-        out = out + power.scale(Fraction((-1) ** (n - 1), n))
+        add_into(out.words, power.words, Fraction((-1) ** (n - 1), n))
     return out
 
 
@@ -190,7 +183,7 @@ def dsw_project(x: TensorSeries) -> TensorSeries:
     out = TensorSeries.zero(x.gens, x.order)
     for w, c in x.words.items():
         nested = right_nested_bracket(x.gens, x.order, w)
-        out = out + nested.scale(c * Fraction(1, len(w)))
+        add_into(out.words, nested.words, c * Fraction(1, len(w)))
     return out
 
 

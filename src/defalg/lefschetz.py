@@ -16,6 +16,7 @@ from bisect import bisect
 from fractions import Fraction
 from math import factorial
 
+from .core import add_into, add_term
 from .errors import DomainError, InputError
 from .report import CheckReport
 from .scalars import GAUSS_ONE, GaussianScalar
@@ -68,20 +69,6 @@ def _turn(c, t):
     return GaussianScalar(c.im, -c.re)
 
 
-def _accumulate(terms, key, c):
-    """terms[key] += c, dropping the key when the sum is zero."""
-    old = terms.get(key)
-    if old is None:
-        if c:
-            terms[key] = c
-        return
-    total = GaussianScalar(old.re + c.re, old.im + c.im)
-    if total:
-        terms[key] = total
-    else:
-        del terms[key]
-
-
 class CovectorElement:
     """Sparse exact combination of standard basis symbols over Q(i)."""
 
@@ -110,18 +97,13 @@ class CovectorElement:
     def add_term(self, key, coeff):
         if not isinstance(coeff, GaussianScalar):
             coeff = GaussianScalar.of(coeff)
-        _accumulate(self.terms, key, coeff)
+        add_term(self.terms, key, coeff)
 
     def __add__(self, other):
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            _accumulate(terms, k, v)
-        return CovectorElement._of(self.n, terms)
+        return CovectorElement._of(self.n, add_into(dict(self.terms), other.terms))
 
     def __sub__(self, other):
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            _accumulate(terms, k, -v)
+        terms = add_into(dict(self.terms), other.terms, -1)
         return CovectorElement._of(self.n, terms)
 
     def scale(self, c):
@@ -181,11 +163,7 @@ def _apply(row, v: CovectorElement) -> CovectorElement:
     out = {}
     for key, c in v.terms.items():
         for k2, t in row(key):
-            c2 = _turn(c, t)
-            if k2 in out:
-                _accumulate(out, k2, c2)
-            else:
-                out[k2] = c2  # nonzero, as c is
+            add_term(out, k2, _turn(c, t))
     return CovectorElement._of(v.n, out)
 
 

@@ -26,6 +26,8 @@ from .coalg import (
 from .core import (
     Element,
     GradedBasis,
+    add_into,
+    add_term,
     ext_canonical,
     signed_permutations,
     split_plan,
@@ -196,14 +198,16 @@ class LInftyMorphism:
         return out
 
 
-def morphism_check(F: LInftyMorphism, n_max=None) -> CheckReport:
+def morphism_check(F: LInftyMorphism, n_max=None, weights=None, cap=0) -> CheckReport:
     """F is a homotopy morphism iff (corestriction of target codifferential)
-    o F = F^1 o (source codifferential) on all words."""
+    o F = F^1 o (source codifferential) on all words; with `weights` only on
+    the words of a truncated structure whose weights sum to at most `cap`
+    (see `coalg.all_words`), where it is exact."""
     rep = CheckReport("linfty-morphism")
     n_max = n_max or max(F.source.max_arity, F.target.max_arity) + 2
     Q = F.source.coderivation()
     r_comp = F.target.components
-    for word in all_words(F.source.shifted, n_max):
+    for word in all_words(F.source.shifted, n_max, 1, weights, cap):
         lhs = F.coalg.component(Q.apply_word(word))  # F^1 (Q w)
         rhs = r_comp.apply(F.coalg.apply_word(word))  # R^1 (F w)
         diff = lhs - rhs
@@ -241,14 +245,8 @@ class _ExtTensor:
 
     def add(self, word, a_idx, coeff):
         canon = ext_canonical(word, self.basis.degree)
-        if canon is None or not coeff:
-            return
-        key = (canon[0], a_idx)
-        val = self.terms.get(key, 0) + coeff * canon[1]
-        if val:
-            self.terms[key] = val
-        else:
-            self.terms.pop(key, None)
+        if canon is not None:
+            add_term(self.terms, (canon[0], a_idx), coeff * canon[1])
 
     def wedge(self, other) -> "_ExtTensor":
         out = _ExtTensor(self.basis, self.A)
@@ -341,18 +339,10 @@ def mc_suspended_residual(S: LInftyStructure, A: ArtinDg, m_terms) -> Element:
     }
 
     residual_susp = {}
-
-    def addterm(key, c):
-        val = residual_susp.get(key, 0) + c
-        if val:
-            residual_susp[key] = val
-        else:
-            residual_susp.pop(key, None)
-
     for (i, j), c in twisted.items():
         sign = -1 if shifted.degree(i) % 2 else 1
         for k, v in A.diff.get(j, Element()).terms.items():
-            addterm((i, k), c * v * sign)
+            add_term(residual_susp, (i, k), c * v * sign)
 
     # symmetric powers in S(V[1]) (x) A
     power = {((i,), j): c for (i, j), c in twisted.items()}
@@ -375,12 +365,8 @@ def mc_suspended_residual(S: LInftyStructure, A: ArtinDg, m_terms) -> Element:
                     if canon is None:
                         continue
                     for ak, av in prod.terms.items():
-                        key = (canon[0], ak)
-                        val = nxt.get(key, 0) + c1 * c2 * av * sign * canon[1]
-                        if val:
-                            nxt[key] = val
-                        else:
-                            nxt.pop(key, None)
+                        coeff = c1 * c2 * av * sign * canon[1]
+                        add_term(nxt, (canon[0], ak), coeff)
             power = nxt
             if not power:
                 break
@@ -392,7 +378,7 @@ def mc_suspended_residual(S: LInftyStructure, A: ArtinDg, m_terms) -> Element:
                 if value is None:
                     continue
                 for k, v in value.terms.items():
-                    addterm((k, a_idx), -c * v * scale)
+                    add_term(residual_susp, (k, a_idx), -c * v * scale)
         n += 1
 
     # carry back: x[1] (x) a -> (-1)^{deg a} x (x) a
@@ -417,8 +403,7 @@ class _Complex:
     def d(self, x: Element) -> Element:
         out = Element()
         for i, c in x.terms.items():
-            for k, v in self.diff.get(i, Element()).terms.items():
-                out.add_term(k, c * v)
+            add_into(out.terms, self.diff.get(i, Element()).terms, c)
         return out
 
 
@@ -536,10 +521,8 @@ def op_apply(op, x: Element) -> Element:
     out = Element()
     for i, c in x.terms.items():
         img = op.get(i)
-        if img is None:
-            continue
-        for k, v in img.terms.items():
-            out.add_term(k, c * v)
+        if img is not None:
+            add_into(out.terms, img.terms, c)
     return out
 
 
@@ -556,11 +539,10 @@ def op_compose(p, q):
 def op_add(p, q, scale=Fraction(1)):
     out = {i: img.copy() for i, img in p.items()}
     for i, img in q.items():
-        acc = out.get(i, Element()) + img.scale(scale)
-        if acc.is_zero():
-            out.pop(i, None)
-        else:
-            out[i] = acc
+        col = out.setdefault(i, Element())
+        add_into(col.terms, img.terms, scale)
+        if col.is_zero():
+            del out[i]
     return out
 
 

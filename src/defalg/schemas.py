@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 import os
 
-from .core import Element, GradedBasis
+from .core import Element, GradedBasis, add_term
 from .dgla import ArtinDg, DGLA, Homotopy, DtPolynomial, SmallExtension
 from .errors import InputError
 from .freelie import NilpotentLie, TensorSeries
@@ -270,8 +270,7 @@ def parse_polyvector(data, path="") -> Polyvector:
         if any(not isinstance(z, int) or not 1 <= z <= nvars for z in frame_raw):
             raise InputError(f"{path}terms[{i}].frame: entries must lie in 1..vars")
         frame = tuple(z - 1 for z in frame_raw)
-        key = (mono, frame)
-        terms[key] = terms.get(key, 0) + coeff
+        add_term(terms, (mono, frame), coeff)
     try:
         return Polyvector(nvars, cap, terms)
     except InputError as exc:

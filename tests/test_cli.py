@@ -340,6 +340,44 @@ def test_lefschetz_dim_cap_and_covector_inputs_exit_two(tmp_path, capsys, monkey
     assert "terms[0].N: must be a list" in out
 
 
+def test_lefschetz_decompose_work_bound(tmp_path, capsys, monkeypatch):
+    # L^k of one term has up to C(dim, k) terms: terms * 2^dim is checked
+    # against the basis cap before decomposing
+    def covector(dim, Ms=((),)):
+        """One term per M, each with N = the rest of 1..dim."""
+        terms = [
+            {"A": [], "B": [], "M": list(M), "coeff": {"re": "1"},
+             "N": [i for i in range(1, dim + 1) if i not in M]}
+            for M in Ms
+        ]
+        path = tmp_path / f"cov{dim}_{len(terms)}.json"
+        path.write_text(json.dumps({"kind": "covector", "dim": dim, "terms": terms}))
+        return ["lefschetz", "decompose", "--dim", str(dim), "--input", str(path)]
+
+    started = time.monotonic()
+    assert main(covector(16)) == 2
+    assert time.monotonic() - started < 1.0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 1
+    assert "--dim 16: 1 term(s) times 2^16 exceed the DEFALG_MAX_BASIS cap" in out
+    assert main(covector(13)) == 2
+    assert main(covector(12)) == 0  # 2^12 = 4096 is within the cap
+    assert main(["lefschetz", "decompose", "--dim", "2", "--input",
+                 os.path.join(INPUTS, "covector.json")]) == 0
+    capsys.readouterr()
+    # the boundary at a small cap, with two terms: 2 * 2^3 = 16
+    monkeypatch.setenv("DEFALG_MAX_BASIS", "16")
+    two = ((1,), (2,))
+    assert main(covector(3, two)) == 0
+    assert main(covector(4, two)) == 2
+    assert "2 term(s) times 2^4 exceed" in capsys.readouterr().out.splitlines()[-1]
+    monkeypatch.setenv("DEFALG_MAX_BASIS", "15")
+    assert main(covector(3, two)) == 2
+    assert main(covector(2, two)) == 0
+    monkeypatch.setenv("DEFALG_MAX_BASIS", "0")
+    assert main(covector(0)) == 2
+
+
 def test_negative_polyvector_vars_exits_two(tmp_path):
     path = tmp_path / "pv.json"
     path.write_text(json.dumps({"kind": "polyvector", "vars": -1, "cap": 3, "terms": []}))

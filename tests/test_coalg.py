@@ -288,3 +288,56 @@ def test_component_tables_refuse_words_of_another_length():
             coder_lift(MIXED, 0, tables)
         with pytest.raises(InputError, match="not its arity"):
             morphism_lift(MIXED, MIXED, tables)
+
+
+def test_all_words_within_a_weight_cap():
+    weights = (0, 1, 2, 1)
+    full = all_words(MIXED, 4)
+    for cap in range(7):
+        want = [w for w in full if sum(weights[i] for i in w) <= cap]
+        assert all_words(MIXED, 4, 1, weights, cap) == want
+    assert all_words(MIXED, 4, 2, None, 5) == all_words(MIXED, 4, 2)
+    for weights, cap in (((0, 1, 2), 3), ((0, 1, 2, -1), 3), ((0, 1, 2, 1), -1)):
+        with pytest.raises(InputError, match="weights"):
+            all_words(MIXED, 3, 1, weights, cap)
+
+
+# -- SymElement against the "add, or pop on zero" loops it had -------------------
+
+
+def oracle_add(words, key, c):
+    val = words.get(key, 0) + c
+    if val:
+        words[key] = val
+    else:
+        words.pop(key, None)
+
+
+def oracle_add_word(basis, words, word, coeff):
+    canon = sym_canonical(word, basis.degree)
+    if canon is None or not coeff:
+        return
+    oracle_add(words, canon[0], coeff * canon[1])
+
+
+def test_sym_element_matches_add_or_pop_oracle():
+    rng = random.Random(12)
+    cancelled = 0
+    for _ in range(150):
+        x, y, xw, yw = SymElement(MIXED), SymElement(MIXED), {}, {}
+        for el, words in ((x, xw), (y, yw)) * 6:
+            word = tuple(rng.randrange(4) for _ in range(rng.randint(1, 3)))
+            c = F(rng.choice((-2, -1, 0, 1, 2)), rng.choice((1, 2)))
+            before = len(words)
+            el.add_word(word, c)
+            oracle_add_word(MIXED, words, word, c)
+            cancelled += len(words) < before
+            assert list(el.words.items()) == list(words.items())
+        plus, minus = dict(xw), dict(xw)
+        for w, c in yw.items():
+            oracle_add(plus, w, c)
+            oracle_add(minus, w, c * F(-1))
+        assert list((x + y).words.items()) == list(plus.items())
+        assert list((x - y).words.items()) == list(minus.items())
+        assert (x - x).is_zero() and (x + y - y).words == xw
+    assert cancelled >= 10

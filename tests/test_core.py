@@ -1,6 +1,9 @@
 """Sign calculus: Koszul signs, unshuffles, canonical words, symmetrization."""
 
+import ast
+import inspect
 import itertools
+import pathlib
 import random
 from fractions import Fraction
 from math import comb
@@ -25,6 +28,7 @@ from defalg.core import (
     unshuffles,
 )
 from defalg.errors import InputError
+from defalg.scalars import GaussianScalar
 
 
 def oracle_koszul(degrees, images):
@@ -339,3 +343,174 @@ def test_residual_builders_on_a_small_table():
     assert core.square_residual({0: {1: 1}, 1: {2: 1}})(0) == {2: 1}
     off = core.off_degree({0: {1: 1}, 1: {0: 1}}.get, deg, 1)
     assert off(0) == {} and off(1) == {0: 1}
+
+
+# -- the sparse accumulate kernel ------------------------------------------------
+
+
+def reference_add(d, key, c):
+    """The hand-written "add, or pop on zero" step the kernel replaced."""
+    val = d.get(key, 0) + c
+    if val:
+        d[key] = val
+    else:
+        d.pop(key, None)
+
+
+SCALARS = {
+    "Fraction": lambda rng: Fraction(rng.randint(-2, 2), rng.randint(1, 2)),
+    "int": lambda rng: rng.randint(-2, 2),
+    "GaussianScalar": lambda rng: GaussianScalar.of(
+        rng.randint(-1, 1), rng.randint(-1, 1)
+    ),
+}
+ZEROS = {"Fraction": Fraction(0), "int": 0, "GaussianScalar": GaussianScalar.of(0)}
+
+
+def nonzero(draw, rng):
+    while True:
+        c = draw(rng)
+        if c:
+            return c
+
+
+def test_kernel_drops_cancelled_keys_and_ignores_zero():
+    rng = random.Random(3)
+    for kind, draw in SCALARS.items():
+        c, other = nonzero(draw, rng), nonzero(draw, rng)
+        d = {(0, 1): c, (1,): other}
+        core.add_term(d, (0, 1), -c)
+        assert d == {(1,): other}
+        core.add_into(d, {(1,): other, (2, 2): c}, -1)
+        assert d == {(2, 2): -c}
+        core.add_into(d, {(2, 2): c})
+        assert d == {}
+        # adding zero, at a present or a missing key, changes nothing
+        d = {(0,): c, (1,): other}
+        before = list(d.items())
+        for key in ((0,), (5,)):
+            core.add_term(d, key, ZEROS[kind])
+        core.add_into(d, {(1,): c, (6,): other}, 0)
+        core.add_into(d, {(1,): ZEROS[kind], (7,): ZEROS[kind]})
+        assert list(d.items()) == before, kind
+
+
+def test_kernel_stores_the_callers_object_at_a_new_key():
+    rng = random.Random(4)
+    for draw in SCALARS.values():
+        c, other = nonzero(draw, rng), nonzero(draw, rng)
+        d = {(0,): other}
+        core.add_term(d, (9, 9), c)
+        core.add_into(d, {(8, 8): other})
+        assert d[(9, 9)] is c and d[(8, 8)] is other
+        assert list(d) == [(0,), (9, 9), (8, 8)]
+
+
+def test_kernel_matches_reference_step_in_value_and_order():
+    for kind, draw in SCALARS.items():
+        for seed in range(3):
+            rng = random.Random(seed)
+            keys = [(i, j) for i in range(3) for j in range(2)]
+            got, want, cancelled = {}, {}, 0
+            for _ in range(300):
+                key = rng.choice(keys)
+                # a quarter of the steps cancel a present key exactly
+                c = -want[key] if key in want and rng.random() < 0.25 else draw(rng)
+                cancelled += key in want and not want[key] + c
+                core.add_term(got, key, c)
+                reference_add(want, key, c)
+                assert list(got.items()) == list(want.items())
+            for _ in range(60):
+                terms = {rng.choice(keys): draw(rng) for _ in range(rng.randint(0, 4))}
+                scale = rng.choice((1, -1, 2)) if kind == "int" else rng.choice(
+                    (1, -1, Fraction(1, 2))
+                )
+                core.add_into(got, terms, scale)
+                for k, v in terms.items():
+                    cancelled += k in want and not want[k] + scale * v
+                    reference_add(want, k, scale * v)
+                assert list(got.items()) == list(want.items())
+            assert cancelled >= 10, (kind, seed)
+            assert all(got.values())
+
+
+# -- tooling guard: one accumulate kernel ------------------------------------------
+
+# The wedge oracle checks `*` with its own loop, independent of the kernel.
+ACCUMULATE_ALLOWED = {"lefschetz.raw_wedge", "lefschetz.wedge_identity_report"}
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _functions(tree, prefix):
+    """(qualified name, node) of every function in the tree, nested ones too."""
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, FUNCTIONS + (ast.ClassDef,)):
+            name = f"{prefix}.{child.name}"
+            if isinstance(child, FUNCTIONS):
+                yield name, child
+            yield from _functions(child, name)
+        else:
+            yield from _functions(child, prefix)
+
+
+def _own_nodes(func):
+    """The nodes of a function body, not descending into nested functions."""
+    stack = list(func.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, FUNCTIONS + (ast.Lambda,)):
+                stack.append(child)
+
+
+def _accumulates(func):
+    """Whether the function reads d.get(k, ...), stores d[k] and removes d[k]
+    (d.pop(k, ...) or del d[k]) for one dict expression d and key k."""
+    nodes = list(_own_nodes(func))
+    text = ast.unparse
+    # `get = d.get` makes get(k) a read of d[k]
+    getters = {
+        n.targets[0].id: text(n.value.value)
+        for n in nodes
+        if isinstance(n, ast.Assign)
+        and isinstance(n.targets[0], ast.Name)
+        and isinstance(n.value, ast.Attribute)
+        and n.value.attr == "get"
+    }
+    reads, stores, drops = set(), set(), set()
+    for n in nodes:
+        f = getattr(n, "func", None)
+        if isinstance(f, ast.Attribute) and f.attr in ("get", "pop") and n.args:
+            (reads if f.attr == "get" else drops).add((text(f.value), text(n.args[0])))
+        elif isinstance(f, ast.Name) and f.id in getters and n.args:
+            reads.add((getters[f.id], text(n.args[0])))
+        elif isinstance(n, (ast.Assign, ast.Delete)):
+            kept = stores if isinstance(n, ast.Assign) else drops
+            for t in n.targets:
+                if isinstance(t, ast.Subscript):
+                    kept.add((text(t.value), text(t.slice)))
+    return bool(reads & stores & drops)
+
+
+def accumulate_steps(source, module):
+    """Functions (module.qualname) that write the accumulate step by hand."""
+    tree = ast.parse(source)
+    return {name for name, func in _functions(tree, module) if _accumulates(func)}
+
+
+def test_only_core_writes_the_accumulate_step():
+    src = pathlib.Path(core.__file__).parent
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        if path.name != "core.py":
+            found |= accumulate_steps(path.read_text(encoding="utf-8"), path.stem)
+    assert found == ACCUMULATE_ALLOWED, sorted(found - ACCUMULATE_ALLOWED)
+    # the guard sees the kernel itself and the shape of the loops it replaced
+    assert accumulate_steps(pathlib.Path(core.__file__).read_text(), "core") == {
+        "core.add_term",
+        "core.add_into",
+    }
+    assert accumulate_steps(inspect.getsource(reference_add), "test") == {
+        "test.reference_add"
+    }

@@ -409,3 +409,52 @@ def test_nilpotent_constructor_matches_element_oracle():
 def test_nilpotent_lie_rejects_graded_basis():
     with pytest.raises(InputError):
         NilpotentLie(GradedBasis.of(("a", 0), ("b", 1)), {})
+
+
+# -- TensorSeries against the "add, or pop on zero" loops it had -----------------
+
+
+def oracle_add_term(words, order, word, coeff):
+    if len(word) > order:
+        return
+    new = words.get(word, 0) + coeff
+    if new:
+        words[word] = new
+    else:
+        words.pop(word, None)
+
+
+def oracle_series_ops(x, y):
+    """(x + y, x - y, x * y) as words dicts, by the loops TensorSeries had."""
+    plus, minus, times = dict(x.words), dict(x.words), {}
+    for w, c in y.words.items():
+        oracle_add_term(plus, x.order, w, c)
+        oracle_add_term(minus, x.order, w, -c)
+    for w1, c1 in x.words.items():
+        for w2, c2 in y.words.items():
+            if len(w1) + len(w2) <= x.order:
+                oracle_add_term(times, x.order, w1 + w2, c1 * c2)
+    return plus, minus, times
+
+
+def test_tensor_series_arithmetic_matches_add_or_pop_oracle():
+    rng = random.Random(23)
+    words = [w for n in range(4) for w in itertools.product(range(2), repeat=n)]
+    cancelled = 0
+    for _ in range(200):
+        order = rng.randint(1, 4)
+        x, y = TensorSeries.zero(GENS2, order), TensorSeries.zero(GENS2, order)
+        want = {}
+        for _ in range(rng.randint(0, 8)):
+            w = rng.choice(words)
+            c = Fraction(rng.choice((-2, -1, 1, 2)), rng.choice((1, 2)))
+            x.add_term(w, c)
+            oracle_add_term(want, order, w, c)
+            assert list(x.words.items()) == list(want.items())
+            y.add_term(rng.choice(words), -c)  # cancels a matching word of x
+        plus, minus, times = oracle_series_ops(x, y)
+        assert list((x + y).words.items()) == list(plus.items())
+        assert list((x - y).words.items()) == list(minus.items())
+        assert list((x * y).words.items()) == list(times.items())
+        cancelled += len(plus) < len(set(x.words) | set(y.words))
+    assert cancelled >= 10

@@ -1,6 +1,7 @@
 """GBV algebras, polyvector fields, Schouten bracket, volume delta,
 Tian-Todorov, and the product morphism onto the abelian structure."""
 
+import ast
 import itertools
 import random
 from fractions import Fraction
@@ -13,11 +14,14 @@ from defalg.gbv import (
     GradedCommAlgebra,
     PolyForm,
     Polyvector,
+    _merge_frames,
+    _partial,
     contract,
     delta_direct,
     delta_volume,
     form_del,
     gbv_to_abelian,
+    one_form_contract,
     polyvector_gbv,
     schouten,
     tian_todorov_check,
@@ -678,13 +682,47 @@ def test_gbv_to_abelian_abelian_case():
     assert rep.ok(), rep.text()
 
 
+def _within_cap(S, word):
+    return S.weights is None or sum(S.weights[i] for i in word) <= S.cap
+
+
+def _delta_twin(S, src, dst):
+    """S with delta(src) += dst (basis names): a perturbed GBV model."""
+    names = S.algebra.basis.names
+    delta = {k: v.copy() for k, v in S.delta_table.items()}
+    delta.setdefault(names.index(src), Element()).add_term(names.index(dst), F(1))
+    return GBVStructure(S.algebra, delta, S.weights, S.cap)
+
+
+def test_gbv_to_abelian_checks_truncated_models_within_the_cap():
+    # words whose polynomial weights pass the cap are truncated to zero on
+    # one side only: they used to fail these models, which pass gbv_check
+    for nvars, cap in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2)):
+        S = polyvector_gbv(nvars, cap)
+        assert S.gbv_check().ok()
+        _, _, rep = gbv_to_abelian(S, m_max=3)
+        assert rep.ok(), ((nvars, cap), rep.text())
+    # a perturbed delta still fails, at words within the cap
+    T = _delta_twin(polyvector_gbv(1, 2), "m1f1", "m1f")
+    _, _, rep = gbv_to_abelian(T, m_max=3)
+    names = T.algebra.basis.names
+    morphism = [v for v in rep.violations if v.location.startswith("morphism: word")]
+    assert len(morphism) == 2 and len(rep.violations) == 4
+    for v in morphism:
+        word = [names.index(x) for x in ast.literal_eval(v.location.split("word ")[1])]
+        assert _within_cap(T, word), v.location
+
+
 def oracle_expansion_violations(S):
     """The coproduct-expansion loop of gbv_to_abelian before split plans:
-    every unshuffle through the validating koszul_sign."""
+    every unshuffle through the validating koszul_sign, on the words within
+    a truncated model's cap."""
     basis = S.algebra.basis
     out = []
     for m in (2, 3):
         for word in all_words(basis, m, min_len=m):
+            if not _within_cap(S, word):
+                continue
             degrees = [basis.degree(i) for i in word]
             prod = Element.basis_vector(word[0])
             for idx in word[1:]:
@@ -710,10 +748,15 @@ def oracle_expansion_violations(S):
 
 
 def test_coproduct_expansion_matches_oracle():
-    # the truncated polyvector models leave expansion residuals at words the
-    # cap makes inexact; they exercise the odd-letter signs of the sum
+    # the perturbed-delta twins leave expansion residuals at words within
+    # the cap; they exercise the odd-letter signs of the sum
     seen = 0
-    for S in (exterior_gbv(), polyvector_gbv(1, 1), polyvector_gbv(1, 2)):
+    models = (exterior_gbv(), polyvector_gbv(1, 1), polyvector_gbv(1, 2))
+    twins = (
+        _delta_twin(polyvector_gbv(1, 2), "m1f1", "m1f"),
+        _delta_twin(polyvector_gbv(2, 1), "m00f12", "m00f1"),
+    )
+    for S in models + twins:
         _, _, rep = gbv_to_abelian(S, m_max=3, compose_max=3)
         got = [
             (v.location, v.residual)
@@ -723,3 +766,132 @@ def test_coproduct_expansion_matches_oracle():
         assert got == oracle_expansion_violations(S)
         seen += len(got)
     assert seen >= 6
+
+
+# -- polyvector and form operations against the "add, or pop on zero" loops -----
+# they had (the sign helpers are shared; the accumulation is not)
+
+
+def oracle_add(terms, key, c, cancelled):
+    val = terms.get(key, 0) + c
+    if val:
+        terms[key] = val
+    else:
+        cancelled[0] += key in terms
+        terms.pop(key, None)
+
+
+def oracle_wedge(x, y, cancelled):
+    out = {}
+    for (m1, f1), c1 in x.terms.items():
+        for (m2, f2), c2 in y.terms.items():
+            if set(f1) & set(f2):
+                continue
+            merged, sign = _merge_frames(f1, f2)
+            mono = tuple(a + b for a, b in zip(m1, m2))
+            oracle_add(out, (mono, merged), c1 * c2 * sign, cancelled)
+    return out
+
+
+def oracle_schouten(a, b, cancelled):
+    out = {}
+    for (m1, f1), c1 in a.terms.items():
+        for (m2, f2), c2 in b.terms.items():
+            lead_sign = (-1) ** ((len(f1) - 1) % 2)
+            for j in range(a.nvars):
+                dg, hit = _partial(m2, j), one_form_contract(j, f1)
+                if dg is None or hit is None or set(hit[1]) & set(f2):
+                    continue
+                merged, msign = _merge_frames(hit[1], f2)
+                mono = tuple(x + y for x, y in zip(m1, dg[1]))
+                coeff = c1 * c2 * dg[0] * hit[0] * msign * lead_sign
+                if coeff:
+                    oracle_add(out, (mono, merged), coeff, cancelled)
+            for j in range(a.nvars):
+                df, hit = _partial(m1, j), one_form_contract(j, f2)
+                if df is None or hit is None or set(f1) & set(hit[1]):
+                    continue
+                merged, msign = _merge_frames(f1, hit[1])
+                mono = tuple(x + y for x, y in zip(df[1], m2))
+                coeff = -c1 * c2 * df[0] * hit[0] * msign
+                if coeff:
+                    oracle_add(out, (mono, merged), coeff, cancelled)
+    return out
+
+
+def oracle_vector_contract_form(j, form, cancelled):
+    out = {}
+    for (mono, K), c in form.terms.items():
+        hit = one_form_contract(j, K)
+        if hit is not None:
+            oracle_add(out, (mono, hit[1]), c * hit[0], cancelled)
+    return out
+
+
+def oracle_contract(v, w, cancelled):
+    out = {}
+    for (mono_v, frame), cv in v.terms.items():
+        for (mono_w, K), cw in w.terms.items():
+            if len(frame) > len(K):
+                continue
+            acc = {K: F(1)}
+            for j in reversed(frame):
+                nxt = {}
+                for kk, s in acc.items():
+                    hit = one_form_contract(j, kk)
+                    if hit is None:
+                        continue
+                    val = nxt.get(hit[1], 0) + s * hit[0]
+                    if val:
+                        nxt[hit[1]] = val
+                acc = nxt
+                if not acc:
+                    break
+            mono = tuple(a + b for a, b in zip(mono_v, mono_w))
+            for kk, s in acc.items():
+                oracle_add(out, (mono, kk), cv * cw * s, cancelled)
+    return out
+
+
+def oracle_form_del(form, cancelled):
+    out = {}
+    for (mono, K), c in form.terms.items():
+        for j in range(form.nvars):
+            d = _partial(mono, j)
+            if d is None or j in K:
+                continue
+            sign = (-1) ** (sum(1 for k in K if k < j) % 2)
+            merged = tuple(sorted(K + (j,)))
+            oracle_add(out, (d[1], merged), c * d[0] * sign, cancelled)
+    return out
+
+
+def _random_terms(rng, nvars, size):
+    monos = [m for m in itertools.product(range(3), repeat=nvars) if sum(m) <= 2]
+    frames = [
+        f for r in range(nvars + 1) for f in itertools.combinations(range(nvars), r)
+    ]
+    coeff = lambda: F(rng.choice((-2, -1, 1, 2)), rng.choice((1, 2)))
+    return {(rng.choice(monos), rng.choice(frames)): coeff() for _ in range(size)}
+
+
+def test_polyvector_operations_match_add_or_pop_oracle():
+    rng = random.Random(31)
+    cancelled = [0]
+    for _ in range(120):
+        nvars = rng.choice((2, 3))
+        a = Polyvector(nvars, None, _random_terms(rng, nvars, rng.randint(1, 5)))
+        b = Polyvector(nvars, None, _random_terms(rng, nvars, rng.randint(1, 5)))
+        w = PolyForm(nvars, _random_terms(rng, nvars, rng.randint(1, 5)))
+        u = PolyForm(nvars, _random_terms(rng, nvars, rng.randint(1, 3)))
+        j = rng.randrange(nvars)
+        for got, want in (
+            (a.wedge(b), oracle_wedge(a, b, cancelled)),
+            (w.wedge(u), oracle_wedge(w, u, cancelled)),
+            (schouten(a, b), oracle_schouten(a, b, cancelled)),
+            (contract(a, w), oracle_contract(a, w, cancelled)),
+            (form_del(w), oracle_form_del(w, cancelled)),
+            (vector_contract_form(j, w), oracle_vector_contract_form(j, w, cancelled)),
+        ):
+            assert list(got.terms.items()) == list(want.items())
+    assert cancelled[0] >= 20

@@ -4,9 +4,17 @@ morphisms, homotopy Maurer-Cartan, cohomology bracket, Hodge models."""
 import itertools
 import random
 from fractions import Fraction
+from math import factorial
 
-from defalg.coalg import SymElement, all_words
-from defalg.core import Element, GradedBasis, koszul_sign, split_plan, unshuffles
+from defalg.coalg import SymElement, all_words, word_degree
+from defalg.core import (
+    Element,
+    GradedBasis,
+    ext_canonical,
+    koszul_sign,
+    split_plan,
+    unshuffles,
+)
 from defalg.dgla import DGLA, ArtinDg, check_dgla, tensor_dgla
 from defalg.generators import (
     inject_dgla_violation,
@@ -545,3 +553,92 @@ def test_broken_q_hat_detected_at_arity_two():
     comps, frep = hodge_F(M, 2, check_model=False)
     assert not frep.ok()
     assert any("('a', 'b')" in v.location for v in frep.violations)
+
+
+# -- mc_linfty against the (wedge V) (x) A "add, or pop on zero" loops it had ---
+
+
+def oracle_mc_linfty(S, A, m_terms, cancelled):
+    """mc_linfty with its terms dicts accumulated by the old step."""
+    basis = S.space
+    nA = len(A.basis)
+
+    def add(terms, key, c):
+        val = terms.get(key, 0) + c
+        if val:
+            terms[key] = val
+        else:
+            cancelled[0] += key in terms
+            terms.pop(key, None)
+
+    def ext_add(terms, word, a_idx, coeff):
+        canon = ext_canonical(word, basis.degree)
+        if canon is None or not coeff:
+            return
+        add(terms, (canon[0], a_idx), coeff * canon[1])
+
+    def wedge(x, y):
+        out = {}
+        for (w1, a1), c1 in x.items():
+            for (w2, a2), c2 in y.items():
+                prod = A._op_basis(a1, a2)
+                sign = -1 if (A.basis.degree(a1) * word_degree(basis, w2)) % 2 else 1
+                for ak, av in prod.terms.items():
+                    ext_add(out, w1 + w2, ak, c1 * c2 * av * sign)
+        return out
+
+    l_tables = S.unsuspended_tables()
+    residual = {}
+    for (i, j), c in m_terms.items():
+        sign = -1 if basis.degree(i) % 2 else 1
+        for k, v in A.diff.get(j, Element()).terms.items():
+            add(residual, i * nA + k, c * v * sign)
+    m_ext = {}
+    for (i, j), c in m_terms.items():
+        ext_add(m_ext, (i,), j, c)
+    power, n = m_ext, 1
+    while n <= max(l_tables, default=0):
+        if n > 1:
+            power = wedge(power, m_ext)
+            if not power:
+                break
+        table = l_tables.get(n)
+        if table:
+            scale = Fraction(-1 if (n * (n + 1) // 2) % 2 else 1, factorial(n))
+            for (word, a_idx), c in power.items():
+                value = table.get(word) if len(word) == n else None
+                for k, v in (value.terms.items() if value is not None else ()):
+                    add(residual, k * nA + a_idx, -c * v * scale)
+        n += 1
+    return residual
+
+
+def test_mc_linfty_matches_add_or_pop_oracle():
+    bases = [
+        tmax3(),
+        ArtinDg(
+            GradedBasis.of(("t", 0), ("t2", 0), ("s", 1), ("st", 1), ("t2s", 1)),
+            {(0, 0): e(1), (0, 2): e(3), (0, 3): e(4), (1, 2): e(4)},
+            {},
+        ),
+    ]
+    higher = LInftyStructure(
+        GradedBasis.of(("p", 1), ("q", 2), ("z", 0)), {3: {(0, 0, 2): e(0)}}
+    )
+    rng = random.Random(5)
+    cancelled, nonzero = [0], 0
+    for S in oracle_corpus()[:24] + [higher]:
+        for A in bases:
+            slots = [
+                (i, j)
+                for i in range(len(S.space))
+                for j in range(len(A.basis))
+                if S.space.degree(i) + A.basis.degree(j) == 1
+            ]
+            for _ in range(6):
+                m = {key: F(c) for key in slots if (c := rng.randint(-2, 2))}
+                got = mc_linfty(S, A, m)
+                want = oracle_mc_linfty(S, A, m, cancelled)
+                assert list(got.terms.items()) == list(want.items())
+                nonzero += not got.is_zero()
+    assert nonzero >= 20 and cancelled[0] >= 5
