@@ -10,7 +10,6 @@ at an explicit word length; conclusions about words of length <= N are exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 
 from .core import (
     Element,
@@ -18,14 +17,13 @@ from .core import (
     add_into,
     add_term,
     check_weights,
-    koszul_sign,
     signed_permutations,
     split_plan,
-    subset_split_sign,
     sym_canonical,
 )
 from .errors import DomainError, InputError
 from .report import CheckReport
+from .scalars import Q1
 
 # ---------------------------------------------------------------------------
 # Words and sparse coalgebra elements
@@ -131,20 +129,19 @@ class TensorProductElement:
 
 
 def coproduct(basis: GradedBasis, word) -> TensorProductElement:
-    """Reduced coproduct: sum over nonempty proper position subsets I with
-    the Koszul sign eps(I, I^c) of w_I (x) w_{I^c} (sign ledger C1)."""
-    n = len(word)
-    degrees = [basis.degree(i) for i in word]
+    """Reduced coproduct: sum over nonempty proper position subsets I of
+    eps(I, I^c) w_I (x) w_{I^c}, the splits of the canonical word read from
+    `split_plan` (sign ledger C1)."""
     out = TensorProductElement(basis, 2)
-    for mask in range(1, (1 << n) - 1):
-        left = tuple(i for i in range(n) if mask >> i & 1)
-        right = tuple(i for i in range(n) if not mask >> i & 1)
-        sign = subset_split_sign(degrees, left)
-        lw = canonical_word(basis, tuple(word[i] for i in left))
-        rw = canonical_word(basis, tuple(word[i] for i in right))
-        if lw is None or rw is None:
-            continue
-        out.add((lw[0], rw[0]), sign * lw[1] * rw[1])
+    canon = canonical_word(basis, word)
+    if canon is None:
+        return out
+    cw, sign = canon
+    n = len(cw)
+    parities = tuple(basis.degree(i) % 2 for i in cw)
+    for k in range(1, n):
+        for front, rest, s in split_plan(n, k, parities):
+            out.add((tuple(cw[i] for i in front), tuple(cw[i] for i in rest)), sign * s)
     return out
 
 
@@ -158,42 +155,18 @@ def coproduct_element(el: SymElement) -> TensorProductElement:
 
 
 def iterated_coproduct(basis: GradedBasis, word, slots: int) -> TensorProductElement:
-    """l^{(slots-1)}: S(V) -> S(V)^{(x) slots}, by ordered set partitions of
-    the word positions into `slots` nonempty blocks with Koszul signs.
-    Coassociativity makes any composition order agree with this formula."""
-    n = len(word)
-    degrees = [basis.degree(i) for i in word]
+    """l^{(slots-1)} = (Id (x) l^{(slots-2)}) l: S(V) -> S(V)^{(x) slots},
+    with l^{(0)} the canonical word itself.  Coassociativity makes any
+    composition order agree with this one."""
     out = TensorProductElement(basis, slots)
-
-    def partitions(rest, k):
-        if k == 1:
-            yield (tuple(rest),)
-            return
-        rest = tuple(rest)
-        for mask in range(1, 1 << len(rest)):
-            block = tuple(rest[i] for i in range(len(rest)) if mask >> i & 1)
-            remaining = tuple(rest[i] for i in range(len(rest)) if not mask >> i & 1)
-            if not remaining and k > 1:
-                continue
-            for tail in partitions(remaining, k - 1):
-                yield (block,) + tail
-
-    for blocks in partitions(range(n), slots):
-        if any(not b for b in blocks):
-            continue
-        sign = koszul_sign(degrees, tuple(i for b in blocks for i in b))
-        words = []
-        total_sign = sign
-        ok = True
-        for b in blocks:
-            cw = canonical_word(basis, tuple(word[i] for i in b))
-            if cw is None:
-                ok = False
-                break
-            words.append(cw[0])
-            total_sign *= cw[1]
-        if ok:
-            out.add(tuple(words), total_sign)
+    if slots == 1:
+        canon = canonical_word(basis, word)
+        if word and canon is not None:
+            out.add((canon[0],), canon[1])
+        return out
+    for (lw, rw), c in coproduct(basis, word).terms.items():
+        for tail, c2 in iterated_coproduct(basis, rw, slots - 1).terms.items():
+            out.add((lw,) + tail, c * c2)
     return out
 
 
@@ -360,7 +333,7 @@ def coder_lift(basis, degree, tables) -> Coderivation:
 class CoalgMorphism:
     """Morphism S(V) -> S(W) presented by degree-0 components f_k: k-th
     symmetric power of V -> W; the lift is F = sum_s ((.)^s f)/s! of the
-    iterated coproduct (sign ledger C3)."""
+    iterated coproduct, summed as a first-block recursion (sign ledger C3)."""
 
     def __init__(self, source: GradedBasis, target: GradedBasis, tables):
         self.source = source
@@ -404,30 +377,40 @@ class CoalgMorphism:
         return out
 
     def apply_word(self, word) -> SymElement:
-        """F(w) = sum over ordered partitions into s blocks, divided by s!."""
-        n = len(word)
-        out = SymElement(self.target)
-        for s in range(1, n + 1):
-            parts = iterated_coproduct(self.source, word, s)
-            scale = Fraction(1, factorial(s))
-            for block_words, sign in parts.terms.items():
-                # apply f to every slot (components have degree 0: no signs),
-                # then multiply the resulting target vectors symmetrically
-                factors = [self.component_word(bw) for bw in block_words]
-                if any(f.is_zero() for f in factors):
+        """F(w) = sum over blocks B holding the first letter of
+        eps(B, B^c) f(w_B) (.) F(w_{B^c}), with F(()) = 1 (sign ledger C3);
+        each subword's lift is computed once per call."""
+        canon = canonical_word(self.source, word)
+        if not word or canon is None:
+            return SymElement(self.target)
+        degree = self.source.degree
+        memo = {(): {(): Q1}}
+
+        def lift(sub):
+            got = memo.get(sub)
+            if got is not None:
+                return got
+            n = len(sub)
+            parities = tuple(degree(i) % 2 for i in sub)
+            out = SymElement(self.target)
+            for k, table in self.tables.items():
+                if k > n:
                     continue
-                self._accumulate_products(out, factors, sign * scale)
-        return out
+                for front, rest, sign in split_plan(n, k, parities):
+                    if front[0]:
+                        break
+                    value = table.get(tuple(sub[i] for i in front))
+                    if value is None:
+                        continue
+                    tail = lift(tuple(sub[i] for i in rest))
+                    for idx, c in value.terms.items():
+                        for w, c2 in tail.items():
+                            out.add_word((idx,) + w, c * c2 * sign)
+            memo[sub] = out.words
+            return out.words
 
-    def _accumulate_products(self, out, factors, coeff):
-        def rec(i, word_acc, c_acc):
-            if i == len(factors):
-                out.add_word(tuple(word_acc), c_acc)
-                return
-            for idx, c in factors[i].terms.items():
-                rec(i + 1, word_acc + [idx], c_acc * c)
-
-        rec(0, [], coeff)
+        cw, sign = canon
+        return SymElement(self.target, {w: c * sign for w, c in lift(cw).items()})
 
     def apply(self, el: SymElement) -> SymElement:
         out = SymElement(self.target)

@@ -105,7 +105,7 @@ class GradedBasis:
     def index(self, name: str) -> int:
         try:
             return self._index[name]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable name
             raise InputError(f"unknown basis symbol {name!r}") from None
 
     def degree(self, i: int) -> int:
@@ -456,21 +456,6 @@ def split_plan(n: int, k: int, parities: tuple):
     return tuple(
         (u[:k], u[k:], int(koszul_sign(parities, u))) for u in unshuffles(k, n - k)
     )
-
-
-def subset_split_sign(degrees, subset) -> Fraction:
-    """Koszul sign eps(I, I^c) for pulling the positions in `subset`
-    (0-based, will be sorted) to the front, complement order preserved."""
-    ordered = tuple(sorted(subset))
-    rest = tuple(i for i in range(len(degrees)) if i not in set(ordered))
-    return koszul_sign(degrees, ordered + rest)
-
-
-def block_split_sign(degrees, blocks) -> Fraction:
-    """Koszul sign for rearranging positions 0..n-1 into the given disjoint
-    blocks (each block kept in its listed order)."""
-    images = tuple(itertools.chain.from_iterable(blocks))
-    return koszul_sign(degrees, images)
 
 
 # ---------------------------------------------------------------------------

@@ -195,11 +195,15 @@ def parse_components(data, basis, target_basis, path="components"):
     -> {arity: {word tuple: Element}}."""
     tables = {}
     for i, comp in enumerate(data or []):
-        arity = _field(comp, "arity", f"{path}[{i}]")
-        table = {}
+        arity = _int_field(comp, "arity", f"{path}[{i}]")
+        if arity < 1:
+            raise InputError(f"{path}[{i}].arity: must be an integer >= 1")
+        if arity in tables:
+            raise InputError(f"{path}[{i}].arity: arity {arity} is given twice")
+        table = tables[arity] = {}
         for j, entry in enumerate(_list_field(comp, "entries", f"{path}[{i}]", [])):
             word = tuple(
-                basis.index(w) for w in _field(entry, "word", f"{path}[{i}][{j}]")
+                basis.index(w) for w in _list_field(entry, "word", f"{path}[{i}][{j}]")
             )
             if len(word) != arity:
                 raise InputError(f"{path}[{i}][{j}].word: length != arity")
@@ -208,9 +212,7 @@ def parse_components(data, basis, target_basis, path="components"):
                 target_basis,
                 f"{path}[{i}][{j}].value",
             )
-        if table:
-            tables[arity] = table
-    return tables
+    return {k: table for k, table in tables.items() if table}
 
 
 def parse_linfty(data, path="") -> LInftyStructure:
@@ -232,7 +234,7 @@ def parse_linfty(data, path="") -> LInftyStructure:
         for j, entry in enumerate(_list_field(brackets, arity_str, "brackets")):
             word = tuple(
                 basis.index(w)
-                for w in _field(entry, "word", f"brackets.{arity_str}[{j}]")
+                for w in _list_field(entry, "word", f"brackets.{arity_str}[{j}]")
             )
             table[word] = parse_value(
                 _field(entry, "value", f"brackets.{arity_str}[{j}]"),

@@ -281,6 +281,96 @@ def test_linfty_tensor_poly_and_max_arity_inputs_exit_two(tmp_path, capsys):
     assert "brackets: must be an object" in out
 
 
+def test_unhashable_symbols_and_component_fields_exit_two(tmp_path, capsys):
+    xy = [{"name": "x", "degree": 1}, {"name": "y", "degree": 2}]
+    y = [{"basis": "y", "coeff": "1"}]
+    listed = [{"basis": ["x"], "coeff": "1"}]
+    x = [{"name": "x", "degree": 0}]
+    value = [{"basis": "x", "coeff": "1"}]
+    entry = {"word": ["x"], "value": value}
+
+    def dgla(**fields):
+        return {"kind": "dgla", "basis": xy, **fields}
+
+    def comorph(*components):
+        return {
+            "kind": "comorphism",
+            "source_basis": x,
+            "target_basis": x,
+            "components": list(components),
+        }
+
+    def coder(*components):
+        return {"kind": "coderivation", "basis": x, "degree": 0, "components": list(components)}
+
+    cases = [
+        # an unhashable basis name reached GradedBasis.index's dict lookup
+        (
+            ["check-dgla"],
+            dgla(bracket=[{"left": ["x"], "right": "x", "value": y}]),
+            "unknown basis symbol ['x']",
+        ),
+        (
+            ["check-dgla"],
+            dgla(differential=[{"from": "x", "value": listed}]),
+            "unknown basis symbol ['x']",
+        ),
+        (
+            ["check-dgla"],
+            dgla(differential=[{"from": {"a": 1}, "value": y}]),
+            "unknown basis symbol {'a': 1}",
+        ),
+        (
+            ["comorph"],
+            comorph({"arity": 1, "entries": [{"word": ["x"], "value": listed}]}),
+            "unknown basis symbol ['x']",
+        ),
+        # component arities and words were read unchecked
+        (
+            ["coder"],
+            coder({"arity": 1.0, "entries": [entry]}),
+            "components[0].arity: must be an integer",
+        ),
+        (
+            ["coder"],
+            coder({"arity": 1, "entries": [{"word": 5, "value": value}]}),
+            "components[0][0].word: must be a list",
+        ),
+        (
+            ["check-linfty"],
+            {"kind": "linfty", "basis": x, "brackets": {"1": [{"word": 7, "value": value}]}},
+            "brackets.1[0].word: must be a list",
+        ),
+        (
+            ["comorph"],
+            comorph({"arity": True, "entries": [entry]}),
+            "components[0].arity: must be an integer",
+        ),
+        (
+            ["coder"],
+            coder({"arity": 1, "entries": [entry]}, {"arity": 1, "entries": []}),
+            "components[1].arity: arity 1 is given twice",
+        ),
+        (
+            ["coder"],
+            coder({"arity": 0, "entries": []}),
+            "components[0].arity: must be an integer >= 1",
+        ),
+    ]
+    for k, (argv, payload, message) in enumerate(cases):
+        path = tmp_path / f"case{k}.json"
+        path.write_text(json.dumps(payload))
+        assert main([*argv, "--input", str(path)]) == 2, message
+        out = capsys.readouterr().out
+        assert out.startswith(f"[INPUT-ERROR] {argv[0]}: ")
+        assert len(out.splitlines()) == 1 and message in out, out
+    # end to end: both printed a TypeError traceback and exited 1
+    out = run_cli_input_error("check-dgla", "--input", str(tmp_path / "case0.json"))
+    assert "unknown basis symbol ['x']" in out
+    out = run_cli_input_error("coder", "--input", str(tmp_path / "case4.json"))
+    assert "components[0].arity: must be an integer" in out
+
+
 def test_lefschetz_dim_cap_and_covector_inputs_exit_two(tmp_path, capsys, monkeypatch):
     # --dim is refused from 4^dim against the basis cap before any key exists
     started = time.monotonic()

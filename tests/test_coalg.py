@@ -1,11 +1,14 @@
 """Reduced symmetric coalgebra: coproduct laws, the symmetric-tensor
 embedding, coderivation and morphism lifting."""
 
+import itertools
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
+from defalg import coalg
 from defalg.coalg import (
     SymElement,
     TensorProductElement,
@@ -19,8 +22,10 @@ from defalg.coalg import (
     tensor_coproduct_reduced,
     word_degree,
 )
-from defalg.core import Element, GradedBasis, sym_canonical
+from defalg.core import Element, GradedBasis, koszul_sign, split_plan, sym_canonical
 from defalg.errors import DomainError, InputError
+from defalg.gbv import gbv_linfty_structures, polyvector_gbv, product_components
+from defalg.models import exterior_gbv
 from defalg import linalg
 
 F = Fraction
@@ -341,3 +346,183 @@ def test_sym_element_matches_add_or_pop_oracle():
         assert list((x - y).words.items()) == list(minus.items())
         assert (x - x).is_zero() and (x + y - y).words == xw
     assert cancelled >= 10
+
+
+# -- The coproducts and the morphism lift against the loops they had --------
+#
+# The oracles sum over subset masks and ordered set partitions of the word's
+# positions, with the K1 sign of the concatenated blocks from the validating
+# `koszul_sign`, and the morphism lift divides by s!.  The code under test
+# reads `split_plan` on the canonical word and lifts by the first block.
+
+# two odd letters, one even and one negative (odd) letter
+NEGATIVE = GradedBasis.of(("u", 1), ("v", 3), ("w", 2), ("z", -1))
+
+
+def oracle_coproduct(basis, word):
+    n = len(word)
+    degrees = [basis.degree(i) for i in word]
+    out = {}
+    for mask in range(1, (1 << n) - 1):
+        left = tuple(i for i in range(n) if mask >> i & 1)
+        right = tuple(i for i in range(n) if not mask >> i & 1)
+        lw = sym_canonical(tuple(word[i] for i in left), basis.degree)
+        rw = sym_canonical(tuple(word[i] for i in right), basis.degree)
+        if lw is None or rw is None:
+            continue
+        sign = koszul_sign(degrees, left + right) * lw[1] * rw[1]
+        oracle_add(out, (lw[0], rw[0]), sign)
+    return out
+
+
+def ordered_partitions(positions, slots):
+    if slots == 1:
+        if positions:
+            yield (positions,)
+        return
+    for mask in range(1, (1 << len(positions)) - 1):
+        block = tuple(p for b, p in enumerate(positions) if mask >> b & 1)
+        rest = tuple(p for b, p in enumerate(positions) if not mask >> b & 1)
+        for tail in ordered_partitions(rest, slots - 1):
+            yield (block,) + tail
+
+
+def oracle_iterated_coproduct(basis, word, slots):
+    degrees = [basis.degree(i) for i in word]
+    out = {}
+    for blocks in ordered_partitions(tuple(range(len(word))), slots):
+        sign = koszul_sign(degrees, tuple(itertools.chain.from_iterable(blocks)))
+        words = []
+        for b in blocks:
+            canon = sym_canonical(tuple(word[i] for i in b), basis.degree)
+            if canon is None:
+                break
+            words.append(canon[0])
+            sign *= canon[1]
+        else:
+            oracle_add(out, tuple(words), sign)
+    return out
+
+
+def oracle_morphism_apply_word(Fm, word, parts=None):
+    """F(w) = sum_s (1/s!) sum over ordered partitions into s blocks of the
+    product of f on the blocks; `parts[s]` may hold the s-slot coproduct."""
+    out = {}
+    for s in range(1, len(word) + 1):
+        blocks = parts[s] if parts else oracle_iterated_coproduct(Fm.source, word, s)
+        for block_words, sign in blocks.items():
+            factors = [Fm.component_word(bw).terms for bw in block_words]
+            for letters in itertools.product(*factors):
+                c = sign * Fraction(1, factorial(s))
+                for f, idx in zip(factors, letters):
+                    c *= f[idx]
+                oracle_add_word(Fm.target, out, letters, c)
+    return out
+
+
+def corpus_words(basis, max_len):
+    """Every canonical word up to max_len and its reversed twin."""
+    for word in all_words(basis, max_len):
+        yield word
+        if word[::-1] != word:
+            yield word[::-1]
+
+
+def random_morphism(rng, source, target):
+    tables = {}
+    for k in rng.sample((1, 2, 3), rng.randint(1, 3)):
+        table = {}
+        for word in all_words(source, k, k):
+            terms = {
+                i: Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2)))
+                for i in range(len(target))
+                if target.degree(i) == word_degree(source, word) and rng.random() < 0.6
+            }
+            if terms:
+                table[word] = Element(terms)
+        tables[k] = table
+    return morphism_lift(source, target, tables)
+
+
+def test_coproducts_match_oracles():
+    for basis in (MIXED, NEGATIVE):
+        for word in corpus_words(basis, 5):
+            assert coproduct(basis, word).terms == oracle_coproduct(basis, word)
+            for slots in range(1, len(word) + 2):
+                got = iterated_coproduct(basis, word, slots).terms
+                assert got == oracle_iterated_coproduct(basis, word, slots)
+    # a non-canonical odd pair, and zero words with a repeated odd letter
+    assert coproduct(ODD, (1, 0)).terms == {((0,), (1,)): -1, ((1,), (0,)): 1}
+    for word in ((0, 1, 0), (0, 2, 0, 2)):
+        assert oracle_coproduct(MIXED, word) == {}
+        assert coproduct(MIXED, word).is_zero()
+        assert oracle_iterated_coproduct(MIXED, word, 3) == {}
+        assert iterated_coproduct(MIXED, word, 3).is_zero()
+
+
+def test_morphism_lift_matches_ordered_partition_oracle():
+    rng = random.Random(23)
+    targets = {
+        MIXED: GradedBasis.of(("p", 1), ("q", 2), ("r", 3), ("s", 0), ("t", 1), ("y", 4)),
+        NEGATIVE: GradedBasis.of(("p", -1), ("q", 0), ("r", 1), ("s", 2), ("t", 3), ("y", 4)),
+    }
+    compared = 0
+    for basis, target in targets.items():
+        morphisms = [random_morphism(rng, basis, target) for _ in range(3)]
+        for word in corpus_words(basis, 5):
+            parts = {
+                s: oracle_iterated_coproduct(basis, word, s)
+                for s in range(1, len(word) + 1)
+            }
+            for Fm in morphisms:
+                want = oracle_morphism_apply_word(Fm, word, parts)
+                assert Fm.apply_word(word).words == want, (word, Fm.tables)
+                compared += bool(want)
+    assert compared >= 200
+
+
+def test_gbv_product_morphisms_match_ordered_partition_oracle():
+    for S in (exterior_gbv(), polyvector_gbv(1, 2)):
+        full, abelian = gbv_linfty_structures(S)
+        Fm = morphism_lift(full.shifted, abelian.shifted, product_components(S, 4))
+        for word in corpus_words(full.shifted, 4):
+            assert Fm.apply_word(word).words == oracle_morphism_apply_word(Fm, word)
+
+
+def test_morphism_lift_evaluates_each_subword_once(monkeypatch):
+    """With f_1 tabled, every evaluation of a subword of length n asks for
+    its (1, n-1) plan once, so per (length, parities) key the count of those
+    requests is at most the number of distinct subwords with that key."""
+    calls = {}
+
+    def counting_plan(n, k, parities):
+        if k == 1:
+            calls[n, parities] = calls.get((n, parities), 0) + 1
+        return split_plan(n, k, parities)
+
+    monkeypatch.setattr(coalg, "split_plan", counting_plan)
+    rng = random.Random(5)
+    for basis, target in ((MIXED, MIXED), (EVEN, EVEN)):
+        tables = random_morphism(rng, basis, target).tables
+        tables[1] = {(i,): e(i) for i in range(len(basis))}
+        Fm = morphism_lift(basis, target, tables)
+        for word in all_words(basis, 5):
+            calls.clear()
+            assert Fm.apply_word(word).words == oracle_morphism_apply_word(Fm, word)
+            subwords = {
+                sub
+                for r in range(1, len(word) + 1)
+                for sub in itertools.combinations(word, r)
+            }
+            for (n, parities), count in calls.items():
+                same_key = [
+                    sub
+                    for sub in subwords
+                    if len(sub) == n and tuple(basis.degree(i) % 2 for i in sub) == parities
+                ]
+                assert count <= len(same_key), (word, n, parities, count)
+    # five copies of one even letter: one evaluation per length
+    calls.clear()
+    Fm = morphism_lift(EVEN, EVEN, {1: {(0,): e(0)}, 2: {(0, 0): e(0)}})
+    Fm.apply_word((0,) * 5)
+    assert calls == {(n, (0,) * n): 1 for n in range(1, 6)}

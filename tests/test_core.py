@@ -11,18 +11,18 @@ from math import comb
 import pytest
 
 from defalg import core
+from defalg.coalg import iterated_coproduct
 from defalg.core import (
     Element,
     GradedBasis,
     admitted,
-    block_split_sign,
     ext_canonical,
     exterior_sign,
     gerstenhaber_bullet,
     is_unshuffle,
     koszul_sign,
     parity,
-    subset_split_sign,
+    split_plan,
     sym_canonical,
     symmetrize,
     unshuffles,
@@ -281,10 +281,14 @@ def test_symmetrization_lemma_instance():
 
 def test_block_split_signs():
     degrees = [1, 1, 2]
-    assert subset_split_sign(degrees, [0]) == 1
-    assert subset_split_sign(degrees, [1]) == -1  # move v2 past odd v1
-    assert subset_split_sign(degrees, [2]) == 1  # even moves freely
-    assert block_split_sign(degrees, [(1,), (0, 2)]) == -1
+    signs = {front: sign for front, _, sign in split_plan(3, 1, (1, 1, 0))}
+    assert signs[(0,)] == 1
+    assert signs[(1,)] == -1  # move v2 past odd v1
+    assert signs[(2,)] == 1  # even moves freely
+    # the block arrangement [(1,), (0, 2)] is a term of the 2-slot coproduct
+    basis = GradedBasis.of(("v1", 1), ("v2", 1), ("v3", 2))
+    pair = iterated_coproduct(basis, (0, 1, 2), 2).terms
+    assert pair[((1,), (0, 2))] == koszul_sign(degrees, (1, 0, 2)) == -1
 
 
 def test_admitted_tuples_are_the_filtered_product_in_order():
@@ -513,4 +517,39 @@ def test_only_core_writes_the_accumulate_step():
     }
     assert accumulate_steps(inspect.getsource(reference_add), "test") == {
         "test.reference_add"
+    }
+
+
+SIGN_PRIMITIVES = {"koszul_sign", "unshuffles"}
+
+
+def sign_primitive_uses(source):
+    """The names in SIGN_PRIMITIVES that the source imports, calls or reads;
+    names only, so a docstring that says "unshuffles" is not a use."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found |= {a.name.rpartition(".")[2] for a in node.names}
+        elif isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return found & SIGN_PRIMITIVES
+
+
+def test_only_core_computes_koszul_signs_and_unshuffles():
+    """Every other module reads its splits and signs from `split_plan` or
+    the canonical-word functions."""
+    src = pathlib.Path(core.__file__).parent
+    found = {}
+    for path in sorted(src.glob("*.py")):
+        uses = sign_primitive_uses(path.read_text(encoding="utf-8"))
+        if uses and path.name != "core.py":
+            found[path.stem] = sorted(uses)
+    assert found == {}
+    assert sign_primitive_uses(pathlib.Path(core.__file__).read_text()) == SIGN_PRIMITIVES
+    assert sign_primitive_uses('"""sums over unshuffles"""\n') == set()
+    assert sign_primitive_uses("from .core import koszul_sign as k\n") == {"koszul_sign"}
+    assert sign_primitive_uses("from . import core\ncore.unshuffles(1, 2)\n") == {
+        "unshuffles"
     }
