@@ -11,7 +11,7 @@ import argparse
 import sys
 import time
 from . import models, schemas
-from .coalg import all_words, coder_lift
+from .coalg import all_words, coder_lift, split_count
 from .core import Element
 from .dgla import (
     TensorDgla,
@@ -77,7 +77,7 @@ def cmd_mc(args) -> CheckReport:
     data = _load(args)
     schemas.expect_kind(data, "mc_problem")
     M = _tensor_problem(data)
-    x = schemas.parse_pair_element(data.get("element"), M, "element")
+    x = schemas.parse_pair_element(data, "element", M)
     residual = M.mc_residual(x)
     rep = CheckReport("mc")
     if not residual.is_zero():
@@ -90,8 +90,8 @@ def cmd_gauge(args) -> CheckReport:
     data = _load(args)
     schemas.expect_kind(data, "gauge_problem")
     M = _tensor_problem(data)
-    a = schemas.parse_pair_element(data.get("gauge_by"), M, "gauge_by")
-    w = schemas.parse_pair_element(data.get("element"), M, "element")
+    a = schemas.parse_pair_element(data, "gauge_by", M)
+    w = schemas.parse_pair_element(data, "element", M)
     out = M.gauge_apply(a, w)
     rep = CheckReport("gauge")
     rep.witness = {"result": element_json(lambda i: M.basis.names[i], out)}
@@ -112,7 +112,7 @@ def cmd_obstruction(args) -> CheckReport:
         }
     )
     MB = TensorDgla(L, ext.quotient)
-    x = schemas.parse_pair_element(data.get("element"), MB, "element")
+    x = schemas.parse_pair_element(data, "element", MB)
     result = obstruction_class(L, ext, x)
     rep = CheckReport("obstruction")
     rep.witness = {
@@ -233,7 +233,7 @@ def cmd_bch(args) -> CheckReport:
                     "word": [gens[i] for i in w],
                     "coeff": format_rational(c),
                 }
-                for w, c in sorted(result.words.items(), key=lambda kv: (len(kv[0]), kv[0]))
+                for w, c in sorted(result.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
             ]
         }
         return rep
@@ -257,7 +257,7 @@ def cmd_dsw(args) -> CheckReport:
     rep.witness = {
         "projection": [
             {"word": [series.gens[i] for i in w], "coeff": format_rational(c)}
-            for w, c in sorted(out.words.items(), key=lambda kv: (len(kv[0]), kv[0]))
+            for w, c in sorted(out.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
         ]
     }
     return rep
@@ -270,7 +270,7 @@ def cmd_friedrichs(args) -> CheckReport:
         diff = dsw_project(series) - series
         rep.add(
             "membership",
-            str(sorted(diff.words.items())),
+            str(sorted(diff.terms.items())),
             "element is not fixed by the projection",
         )
     return rep
@@ -281,9 +281,9 @@ def cmd_coder(args) -> CheckReport:
     schemas.expect_kind(data, "coderivation")
     basis = schemas.parse_basis(schemas._field(data, "basis", "coderivation"))
     degree = schemas._int_field(data, "degree", "coderivation")
-    tables = schemas.parse_components(data.get("components"), basis, basis)
+    tables = schemas.parse_components(data, basis, basis)
     Q = coder_lift(basis, degree, tables)
-    return Q.coleibnitz_report(all_words(basis, args.max_arity or 4))
+    return Q.coleibnitz_report(_checked_words(basis, args.max_arity or 4))
 
 
 def cmd_comorph(args) -> CheckReport:
@@ -291,11 +291,23 @@ def cmd_comorph(args) -> CheckReport:
     schemas.expect_kind(data, "comorphism")
     source = schemas.parse_basis(schemas._field(data, "source_basis", "comorphism"))
     target = schemas.parse_basis(schemas._field(data, "target_basis", "comorphism"))
-    tables = schemas.parse_components(data.get("components"), source, target)
+    tables = schemas.parse_components(data, source, target)
     from .coalg import morphism_lift
 
     F = morphism_lift(source, target, tables)
-    return F.comorphism_report(all_words(source, args.max_arity or 4))
+    return F.comorphism_report(_checked_words(source, args.max_arity or 4))
+
+
+def _checked_words(basis, max_arity):
+    """`all_words(basis, max_arity)`, refused before any word is built when
+    their splits (2^length per word) exceed the cap."""
+    cap = schemas.max_basis()
+    if split_count(basis, max_arity, cap) > cap:
+        raise InputError(
+            f"--max-arity {max_arity}: the splits of the words up to length "
+            f"{max_arity} exceed the {schemas.MAX_BASIS_ENV} cap of {cap}"
+        )
+    return all_words(basis, max_arity)
 
 
 def cmd_check_linfty(args) -> CheckReport:
@@ -328,9 +340,7 @@ def cmd_linfty_morphism(args) -> CheckReport:
     schemas.expect_kind(data, "linfty_morphism")
     source = schemas.parse_linfty(schemas._field(data, "source", "morphism"))
     target = schemas.parse_linfty(schemas._field(data, "target", "morphism"))
-    tables = schemas.parse_components(
-        data.get("components"), source.shifted, target.shifted
-    )
+    tables = schemas.parse_components(data, source.shifted, target.shifted)
     F = LInftyMorphism(source, target, tables)
     return morphism_check(F, args.max_arity)
 

@@ -10,6 +10,7 @@ at an explicit word length; conclusions about words of length <= N are exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .core import (
     Element,
@@ -39,18 +40,15 @@ def canonical_word(basis: GradedBasis, word):
     return sym_canonical(word, basis.degree)
 
 
-class SymElement:
-    """Sparse element of the reduced symmetric algebra on a graded basis."""
+class SymElement(Element):
+    """Sparse element of the reduced symmetric algebra on a graded basis:
+    canonical words to coefficients."""
 
-    __slots__ = ("basis", "words")
+    __slots__ = ("basis",)
 
-    def __init__(self, basis: GradedBasis, words=None):
+    def __init__(self, basis: GradedBasis, terms=None):
         self.basis = basis
-        self.words = {}
-        if words:
-            for w, c in words.items():
-                if c:
-                    self.words[w] = c
+        Element.__init__(self, terms)
 
     @staticmethod
     def of_word(basis, word, coeff=Fraction(1)):
@@ -61,66 +59,29 @@ class SymElement:
     def add_word(self, word, coeff):
         canon = canonical_word(self.basis, word)
         if canon is not None:
-            add_term(self.words, canon[0], coeff * canon[1])
-
-    def __add__(self, other):
-        return SymElement(self.basis, add_into(dict(self.words), other.words))
-
-    def __sub__(self, other):
-        return SymElement(self.basis, add_into(dict(self.words), other.words, -1))
-
-    def scale(self, c):
-        if not c:
-            return SymElement(self.basis)
-        return SymElement(self.basis, {w: v * c for w, v in self.words.items()})
-
-    def is_zero(self):
-        return not self.words
-
-    def __eq__(self, other):
-        return isinstance(other, SymElement) and self.words == other.words
+            add_term(self.terms, canon[0], coeff * canon[1])
 
     def component(self, length):
-        return {w: c for w, c in self.words.items() if len(w) == length}
+        return {w: c for w, c in self.terms.items() if len(w) == length}
 
     def __repr__(self):
         def show(w):
             return "(.)".join(self.basis.names[i] for i in w)
 
-        return " + ".join(f"{c}*{show(w)}" for w, c in sorted(self.words.items())) or "0"
+        return " + ".join(f"{c}*{show(w)}" for w, c in sorted(self.terms.items())) or "0"
 
 
-class TensorProductElement:
+class TensorProductElement(Element):
     """Sparse element of S(V)^{(x) k}: maps k-tuples of canonical words to
     coefficients.  Used for iterated coproducts."""
 
-    __slots__ = ("basis", "slots", "terms")
+    __slots__ = ("basis", "slots")
+    _compared = ("slots",)
 
     def __init__(self, basis, slots, terms=None):
         self.basis = basis
         self.slots = slots
-        self.terms = {}
-        if terms:
-            for k, v in terms.items():
-                if v:
-                    self.terms[k] = v
-
-    def add(self, key, coeff):
-        add_term(self.terms, key, coeff)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorProductElement)
-            and self.slots == other.slots
-            and self.terms == other.terms
-        )
-
-    def __sub__(self, other):
-        terms = add_into(dict(self.terms), other.terms, -1)
-        return TensorProductElement(self.basis, self.slots, terms)
+        Element.__init__(self, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -141,16 +102,17 @@ def coproduct(basis: GradedBasis, word) -> TensorProductElement:
     parities = tuple(basis.degree(i) % 2 for i in cw)
     for k in range(1, n):
         for front, rest, s in split_plan(n, k, parities):
-            out.add((tuple(cw[i] for i in front), tuple(cw[i] for i in rest)), sign * s)
+            key = (tuple(cw[i] for i in front), tuple(cw[i] for i in rest))
+            out.add_term(key, sign * s)
     return out
 
 
 def coproduct_element(el: SymElement) -> TensorProductElement:
     out = TensorProductElement(el.basis, 2)
-    for w, c in el.words.items():
+    for w, c in el.terms.items():
         part = coproduct(el.basis, w)
         for k, v in part.terms.items():
-            out.add(k, v * c)
+            out.add_term(k, v * c)
     return out
 
 
@@ -162,11 +124,11 @@ def iterated_coproduct(basis: GradedBasis, word, slots: int) -> TensorProductEle
     if slots == 1:
         canon = canonical_word(basis, word)
         if word and canon is not None:
-            out.add((canon[0],), canon[1])
+            out.add_term((canon[0],), canon[1])
         return out
     for (lw, rw), c in coproduct(basis, word).terms.items():
         for tail, c2 in iterated_coproduct(basis, rw, slots - 1).terms.items():
-            out.add((lw,) + tail, c * c2)
+            out.add_term((lw,) + tail, c * c2)
     return out
 
 
@@ -251,7 +213,7 @@ class ComponentMap:
 
     def apply(self, el: SymElement) -> Element:
         out = Element()
-        for w, c in el.words.items():
+        for w, c in el.terms.items():
             add_into(out.terms, self.apply_word(w).terms, c)
         return out
 
@@ -285,15 +247,15 @@ class Coderivation:
 
     def apply(self, el: SymElement) -> SymElement:
         out = SymElement(self.basis)
-        for w, c in el.words.items():
-            add_into(out.words, self.apply_word(w).words, c)
+        for w, c in el.terms.items():
+            add_into(out.terms, self.apply_word(w).terms, c)
         return out
 
     def corestriction(self, word) -> Element:
         """(Q w)^1: the V-component of the lift."""
         full = self.apply_word(word)
         out = Element()
-        for w, c in full.words.items():
+        for w, c in full.terms.items():
             if len(w) == 1:
                 out.add_term(w[0], c)
         return out
@@ -305,11 +267,11 @@ class Coderivation:
             lhs = coproduct_element(self.apply_word(word))
             rhs = TensorProductElement(self.basis, 2)
             for (lw, rw), c in coproduct(self.basis, word).terms.items():
-                for w2, c2 in self.apply_word(lw).words.items():
-                    rhs.add((w2, rw), c * c2)
+                for w2, c2 in self.apply_word(lw).terms.items():
+                    rhs.add_term((w2, rw), c * c2)
                 sign = -1 if (self.degree * word_degree(self.basis, lw)) % 2 else 1
-                for w2, c2 in self.apply_word(rw).words.items():
-                    rhs.add((lw, w2), c * c2 * sign)
+                for w2, c2 in self.apply_word(rw).terms.items():
+                    rhs.add_term((lw, w2), c * c2 * sign)
             if not (lhs - rhs).is_zero():
                 rep.add(
                     f"word {word}",
@@ -372,7 +334,7 @@ class CoalgMorphism:
 
     def component(self, el: SymElement) -> Element:
         out = Element()
-        for w, c in el.words.items():
+        for w, c in el.terms.items():
             add_into(out.terms, self.component_word(w).terms, c)
         return out
 
@@ -406,16 +368,16 @@ class CoalgMorphism:
                     for idx, c in value.terms.items():
                         for w, c2 in tail.items():
                             out.add_word((idx,) + w, c * c2 * sign)
-            memo[sub] = out.words
-            return out.words
+            memo[sub] = out.terms
+            return out.terms
 
         cw, sign = canon
         return SymElement(self.target, {w: c * sign for w, c in lift(cw).items()})
 
     def apply(self, el: SymElement) -> SymElement:
         out = SymElement(self.target)
-        for w, c in el.words.items():
-            add_into(out.words, self.apply_word(w).words, c)
+        for w, c in el.terms.items():
+            add_into(out.terms, self.apply_word(w).terms, c)
         return out
 
     def comorphism_report(self, words) -> CheckReport:
@@ -425,9 +387,9 @@ class CoalgMorphism:
             lhs = coproduct_element(self.apply_word(word))
             rhs = TensorProductElement(self.target, 2)
             for (lw, rw), c in coproduct(self.source, word).terms.items():
-                for w1, c1 in self.apply_word(lw).words.items():
-                    for w2, c2 in self.apply_word(rw).words.items():
-                        rhs.add((w1, w2), c * c1 * c2)
+                for w1, c1 in self.apply_word(lw).terms.items():
+                    for w2, c2 in self.apply_word(rw).terms.items():
+                        rhs.add_term((w1, w2), c * c1 * c2)
             if not (lhs - rhs).is_zero():
                 rep.add(f"word {word}", str((lhs - rhs).terms), "l F != (F x F) l")
         return rep
@@ -446,6 +408,26 @@ def compose_morphisms(G: CoalgMorphism, F: CoalgMorphism, words) -> dict:
         val = G.component(img)
         out[tuple(word)] = val
     return out
+
+
+def split_count(basis: GradedBasis, max_len: int, limit: int) -> int:
+    """sum 2^len(w) over the words `all_words(basis, max_len)` lists, found
+    without listing them (even letters repeat, odd letters appear at most
+    once); the count stops at the first length where it exceeds `limit`."""
+    odd = sum(d % 2 for d in basis.degrees)
+    even = len(basis) - odd
+    total = 0
+    for k in range(1, max_len + 1):
+        if not even and k > odd:
+            break
+        # j distinct odd letters and a multiset of k - j even letters
+        total += 2**k * sum(
+            comb(odd, j) * (comb(even + k - j - 1, k - j) if even else int(j == k))
+            for j in range(min(k, odd) + 1)
+        )
+        if total > limit:
+            break
+    return total
 
 
 def all_words(basis: GradedBasis, max_len: int, min_len: int = 1, weights=None, cap=0):

@@ -12,20 +12,23 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import attrgetter
 
 from .errors import DomainError, InputError
 from .linalg import rref
 from .scalars import Q1
 
 # ---------------------------------------------------------------------------
-# The sparse accumulate kernel: every sparse value in the package (Element,
+# The sparse accumulate kernel: every sparse value in the package is an
+# instance of the one sparse vector class `Element` below (or of a subclass:
 # symmetric words, tensor series, polyvectors, forms, covectors over Q(i),
-# (wedge V) (x) A tensors) is a dict from hashable keys to nonzero
-# coefficients (Fraction, int or GaussianScalar).  `add_term` and `add_into`
-# are the only code that adds into such a dict.  Their contract: no stored
-# zeros (a key whose sum is zero is deleted), and no zero scalar built (a
-# missing key stores the added coefficient object itself, never 0 + c), so a
-# new key is appended and a present key keeps its place in insertion order.
+# B[t,dt] homotopies, (wedge V) (x) A tensors), whose `terms` is a dict from
+# hashable keys to nonzero coefficients (Fraction, int or GaussianScalar).
+# `add_term` and `add_into` are the only code that adds into such a dict.
+# Their contract: no stored zeros (a key whose sum is zero is deleted), and
+# no zero scalar built (a missing key stores the added coefficient object
+# itself, never 0 + c), so a new key is appended and a present key keeps its
+# place in insertion order.
 # ---------------------------------------------------------------------------
 
 
@@ -115,51 +118,90 @@ class GradedBasis:
         return [i for i, deg in enumerate(self.degrees) if deg == d]
 
 
+_new = object.__new__
+
+
 class Element:
-    """Sparse exact linear combination of basis symbols (no stored zeros)."""
+    """The one sparse vector class: an exact linear combination stored in
+    `terms`, a dict from hashable keys to nonzero coefficients.
+
+    Every sparse value of the package is an Element or a subclass of it.  A
+    subclass adds its context (a basis, generators and truncation order, a
+    variable count, ...) as `__slots__` and lists in `_compared` the fields
+    that `==` compares besides the exact class and the terms; the others are
+    carried, not compared.  `+`, `-`, unary `-`, `scale` and `copy` build
+    their result with `_like`, in the left operand's context, and `+` / `-`
+    raise InputError when a compared field differs.  Results are not
+    filtered for zeros again: `add_into` stores none and a nonzero scalar
+    makes none."""
 
     __slots__ = ("terms",)
+    _context = ()  # the slot names subclasses add, set by __init_subclass__
+    _compared = ()  # the context fields == and +/- compare
+    _key = None  # attrgetter of _compared, None when it is empty
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._context = cls._context + tuple(cls.__dict__.get("__slots__", ()))
+        cls._key = attrgetter(*cls._compared) if cls._compared else None
 
     def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for k, v in terms.items():
-                if v:
-                    self.terms[k] = v
+        self.terms = {k: v for k, v in terms.items() if v} if terms else {}
+
+    def _like(self, terms) -> "Element":
+        """A value of this class and context holding `terms` (no zeros)."""
+        out = _new(type(self))
+        out.terms = terms
+        for name in self._context:
+            setattr(out, name, getattr(self, name))
+        return out
+
+    def _check(self, other):
+        """InputError unless `other` agrees with self on the compared fields."""
+        key = self._key
+        if key is not None and key(self) != key(other):
+            fields = "/".join(self._compared)
+            raise InputError(f"{type(self).__name__} operands differ in {fields}")
+
+    def _sum(self, other, terms) -> "Element":
+        """self +/- other, whose terms are `terms`."""
+        self._check(other)
+        return self._like(terms)
 
     @staticmethod
     def basis_vector(i: int, coeff=Q1) -> "Element":
         return Element({i: coeff})
 
     def copy(self) -> "Element":
-        return Element(dict(self.terms))
+        return self._like(dict(self.terms))
 
     def add_term(self, key, coeff):
         add_term(self.terms, key, coeff)
 
     def __add__(self, other):
-        out = self.copy()
-        add_into(out.terms, other.terms)
-        return out
+        return self._sum(other, add_into(dict(self.terms), other.terms))
 
     def __sub__(self, other):
-        out = self.copy()
-        add_into(out.terms, other.terms, -1)
-        return out
+        return self._sum(other, add_into(dict(self.terms), other.terms, -1))
 
     def __neg__(self):
-        return Element({k: -v for k, v in self.terms.items()})
+        return self._like({k: -v for k, v in self.terms.items()})
 
     def scale(self, c) -> "Element":
         if not c:
-            return Element()
-        return Element({k: v * c for k, v in self.terms.items()})
+            return self._like({})
+        return self._like({k: v * c for k, v in self.terms.items()})
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def __eq__(self, other):
-        return isinstance(other, Element) and self.terms == other.terms
+        key = self._key
+        return (
+            type(other) is type(self)
+            and self.terms == other.terms
+            and (key is None or key(self) == key(other))
+        )
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -175,7 +217,7 @@ class Element:
         return degs.pop() if degs else None
 
     def __repr__(self):
-        return f"Element({self.terms!r})"
+        return f"{type(self).__name__}({self.terms!r})"
 
 
 ZERO = Element()

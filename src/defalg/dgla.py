@@ -19,7 +19,6 @@ from .core import (
     Element,
     GradedBasis,
     add_into,
-    add_term,
     admitted,
     assoc_residual,
     derivation_residual,
@@ -776,36 +775,14 @@ class ExpDerivation:
 # ---------------------------------------------------------------------------
 
 
-class DtPolynomial:
+class DtPolynomial(Element):
     """Element of B[t,dt]: sparse map {(b_index, t_power, has_dt): coeff}."""
 
-    __slots__ = ("B", "terms")
+    __slots__ = ("B",)
 
     def __init__(self, B: ArtinDg, terms=None):
         self.B = B
-        self.terms = {}
-        if terms:
-            for k, v in terms.items():
-                if v:
-                    self.terms[k] = v
-
-    def add_term(self, key, coeff):
-        add_term(self.terms, key, coeff)
-
-    def __add__(self, other):
-        return DtPolynomial(self.B, add_into(dict(self.terms), other.terms))
-
-    def __sub__(self, other):
-        return DtPolynomial(self.B, add_into(dict(self.terms), other.terms, -1))
-
-    def scale(self, c):
-        return DtPolynomial(self.B, {k: v * c for k, v in self.terms.items()})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, DtPolynomial) and self.terms == other.terms
+        Element.__init__(self, terms)
 
     def mul(self, other) -> "DtPolynomial":
         out = DtPolynomial(self.B)

@@ -30,21 +30,20 @@ from .errors import DomainError, InputError, InternalError, StructureError
 # ---------------------------------------------------------------------------
 
 
-class TensorSeries:
+class TensorSeries(Element):
     """Element of the tensor algebra on named degree-0 generators, truncated
     at word length `order`.  Words are tuples of generator indices; the empty
     word is the constant term."""
 
-    __slots__ = ("gens", "order", "words")
+    __slots__ = ("gens", "order")
+    _compared = ("gens", "order")
 
-    def __init__(self, gens, order, words=None):
+    def __init__(self, gens, order, terms=None):
         self.gens = tuple(gens)
         self.order = order
-        self.words = {}
-        if words:
-            for w, c in words.items():
-                if c and len(w) <= order:
-                    self.words[w] = c
+        self.terms = (
+            {w: c for w, c in terms.items() if c and len(w) <= order} if terms else {}
+        )
 
     @staticmethod
     def zero(gens, order):
@@ -61,67 +60,31 @@ class TensorSeries:
             raise InputError(f"unknown generator {name!r}")
         return TensorSeries(gens, order, {(gens.index(name),): Fraction(1)})
 
-    def _check_compat(self, other):
-        if self.gens != other.gens or self.order != other.order:
-            raise InputError("tensor series on different generators/truncations")
-
-    def copy(self):
-        return TensorSeries(self.gens, self.order, dict(self.words))
-
     def add_term(self, word, coeff):
         if len(word) <= self.order:
-            add_term(self.words, word, coeff)
-
-    def __add__(self, other):
-        self._check_compat(other)
-        words = add_into(dict(self.words), other.words)
-        return TensorSeries(self.gens, self.order, words)
-
-    def __sub__(self, other):
-        self._check_compat(other)
-        words = add_into(dict(self.words), other.words, -1)
-        return TensorSeries(self.gens, self.order, words)
-
-    def __neg__(self):
-        return TensorSeries(self.gens, self.order, {w: -c for w, c in self.words.items()})
-
-    def scale(self, c):
-        if not c:
-            return TensorSeries.zero(self.gens, self.order)
-        return TensorSeries(self.gens, self.order, {w: v * c for w, v in self.words.items()})
+            add_term(self.terms, word, coeff)
 
     def __mul__(self, other):
-        self._check_compat(other)
+        self._check(other)
         out = TensorSeries.zero(self.gens, self.order)
-        for w1, c1 in self.words.items():
-            for w2, c2 in other.words.items():
+        for w1, c1 in self.terms.items():
+            for w2, c2 in other.terms.items():
                 if len(w1) + len(w2) <= self.order:
-                    add_term(out.words, w1 + w2, c1 * c2)
+                    add_term(out.terms, w1 + w2, c1 * c2)
         return out
 
     def bracket(self, other):
         return self * other - other * self
 
     def constant_term(self):
-        return self.words.get((), Fraction(0))
-
-    def is_zero(self):
-        return not self.words
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorSeries)
-            and self.gens == other.gens
-            and self.order == other.order
-            and self.words == other.words
-        )
+        return self.terms.get((), Fraction(0))
 
     def component(self, length):
-        return {w: c for w, c in self.words.items() if len(w) == length}
+        return {w: c for w, c in self.terms.items() if len(w) == length}
 
     def __repr__(self):
         names = lambda w: "*".join(self.gens[i] for i in w) or "1"
-        parts = [f"{c}·{names(w)}" for w, c in sorted(self.words.items())]
+        parts = [f"{c}·{names(w)}" for w, c in sorted(self.terms.items())]
         return " + ".join(parts) if parts else "0"
 
 
@@ -137,12 +100,12 @@ def tensor_exp(x: TensorSeries, order=None) -> TensorSeries:
     order = x.order if order is None else order
     out = TensorSeries.one(x.gens, order)
     power = TensorSeries.one(x.gens, order)
-    xo = TensorSeries(x.gens, order, x.words)
+    xo = TensorSeries(x.gens, order, x.terms)
     for n in range(1, order + 1):
         power = power * xo
         if power.is_zero():
             break
-        add_into(out.words, power.words, Fraction(1, factorial(n)))
+        add_into(out.terms, power.terms, Fraction(1, factorial(n)))
     return out
 
 
@@ -151,7 +114,7 @@ def tensor_log(y: TensorSeries, order=None) -> TensorSeries:
     if y.constant_term() != 1:
         raise DomainError("tensor_log needs constant term 1")
     order = y.order if order is None else order
-    x = TensorSeries(y.gens, order, y.words)
+    x = TensorSeries(y.gens, order, y.terms)
     x.add_term((), Fraction(-1))
     out = TensorSeries.zero(y.gens, order)
     power = TensorSeries.one(y.gens, order)
@@ -159,7 +122,7 @@ def tensor_log(y: TensorSeries, order=None) -> TensorSeries:
         power = power * x
         if power.is_zero():
             break
-        add_into(out.words, power.words, Fraction((-1) ** (n - 1), n))
+        add_into(out.terms, power.terms, Fraction((-1) ** (n - 1), n))
     return out
 
 
@@ -181,9 +144,9 @@ def dsw_project(x: TensorSeries) -> TensorSeries:
     if x.constant_term() != 0:
         raise DomainError("dsw_project needs a zero constant term")
     out = TensorSeries.zero(x.gens, x.order)
-    for w, c in x.words.items():
+    for w, c in x.terms.items():
         nested = right_nested_bracket(x.gens, x.order, w)
-        add_into(out.words, nested.words, c * Fraction(1, len(w)))
+        add_into(out.terms, nested.terms, c * Fraction(1, len(w)))
     return out
 
 
@@ -300,7 +263,7 @@ def bch_term_sum(a, b, bracket, max_len, add, zero):
 
 def bch_free(a: TensorSeries, b: TensorSeries, order=None) -> TensorSeries:
     """Series oracle: sigma(log(e^a e^b)) inside the truncated tensor algebra."""
-    a._check_compat(b)
+    a._check(b)
     order = a.order if order is None else order
     product = tensor_exp(a, order) * tensor_exp(b, order)
     return dsw_project(tensor_log(product, order))
@@ -308,10 +271,10 @@ def bch_free(a: TensorSeries, b: TensorSeries, order=None) -> TensorSeries:
 
 def bch_explicit(a: TensorSeries, b: TensorSeries, order=None) -> TensorSeries:
     """Explicit termwise BCH sum, expanded in the tensor algebra."""
-    a._check_compat(b)
+    a._check(b)
     order = a.order if order is None else order
-    ao = TensorSeries(a.gens, order, a.words)
-    bo = TensorSeries(b.gens, order, b.words)
+    ao = TensorSeries(a.gens, order, a.terms)
+    bo = TensorSeries(b.gens, order, b.terms)
     return bch_term_sum(
         ao,
         bo,

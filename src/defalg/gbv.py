@@ -174,12 +174,14 @@ class GBVStructure:
 # ---------------------------------------------------------------------------
 
 
-class Polyvector:
+class Polyvector(Element):
     """Sum of terms f(z) d/dz_I: keys are (monomial exponent tuple, strictly
     increasing frame tuple), values exact rationals.  Degree of a term is
-    -len(frame); `cap` is a bound every monomial satisfies."""
+    -len(frame); `cap` is a bound every monomial satisfies, carried but not
+    compared; a sum or difference takes the larger cap."""
 
-    __slots__ = ("nvars", "cap", "terms")
+    __slots__ = ("nvars", "cap")
+    _compared = ("nvars",)
 
     def __init__(self, nvars, cap=None, terms=None):
         self.nvars = nvars
@@ -208,29 +210,10 @@ class Polyvector:
         mono = tuple(mono) if mono is not None else (0,) * nvars
         return Polyvector(nvars, None, {(mono, tuple(frame)): coeff})
 
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Polyvector)
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other):
-        out = add_into(dict(self.terms), other.terms)
-        return Polyvector(self.nvars, max(self.cap, other.cap), out)
-
-    def __sub__(self, other):
-        return self + other.scale(Fraction(-1))
-
-    def scale(self, c):
-        if not c:
-            return Polyvector(self.nvars, self.cap)
-        return Polyvector(
-            self.nvars, self.cap, {k: v * c for k, v in self.terms.items()}
-        )
+    def _sum(self, other, terms):
+        out = Element._sum(self, other, terms)
+        out.cap = max(self.cap, other.cap)
+        return out
 
     def degree(self):
         degs = {-len(frame) for (_, frame) in self.terms}
@@ -239,15 +222,7 @@ class Polyvector:
         return degs.pop() if degs else None
 
     def wedge(self, other) -> "Polyvector":
-        out = {}
-        for (m1, f1), c1 in self.terms.items():
-            for (m2, f2), c2 in other.terms.items():
-                if set(f1) & set(f2):
-                    continue
-                merged, sign = _merge_frames(f1, f2)
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                add_term(out, (mono, merged), c1 * c2 * sign)
-        return Polyvector(self.nvars, self.cap + other.cap, out)
+        return Polyvector(self.nvars, self.cap + other.cap, _wedge_terms(self, other))
 
     def __repr__(self):
         def showterm(mono, frame, c):
@@ -263,6 +238,20 @@ class Polyvector:
             " + ".join(showterm(m, f, c) for (m, f), c in sorted(self.terms.items()))
             or "0"
         )
+
+
+def _wedge_terms(a, b):
+    """The terms of a ^ b for polyvectors or forms: monomials multiply and
+    frames merge with the sign of their sorting (frames are odd)."""
+    out = {}
+    for (m1, f1), c1 in a.terms.items():
+        for (m2, f2), c2 in b.terms.items():
+            if set(f1) & set(f2):
+                continue
+            merged, sign = _merge_frames(f1, f2)
+            mono = tuple(x + y for x, y in zip(m1, m2))
+            add_term(out, (mono, merged), c1 * c2 * sign)
+    return out
 
 
 def _merge_frames(f1, f2):
@@ -344,10 +333,11 @@ def schouten(a: Polyvector, b: Polyvector) -> Polyvector:
 # ---------------------------------------------------------------------------
 
 
-class PolyForm:
-    """Sum of f(z) dz_K with strictly increasing K (polynomial coefficients)."""
+class PolyForm(Element):
+    """Sum of f(z) dz_K with strictly increasing K (polynomial coefficients);
+    `nvars` is carried but not compared."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars",)
 
     def __init__(self, nvars, terms=None):
         self.nvars = nvars
@@ -361,25 +351,8 @@ class PolyForm:
                     raise InputError(f"bad form frame {K}")
                 add_term(self.terms, (tuple(mono), K), c)
 
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, PolyForm) and self.terms == other.terms
-
-    def __sub__(self, other):
-        return PolyForm(self.nvars, add_into(dict(self.terms), other.terms, -1))
-
     def wedge(self, other) -> "PolyForm":
-        out = PolyForm(self.nvars)
-        for (m1, k1), c1 in self.terms.items():
-            for (m2, k2), c2 in other.terms.items():
-                if set(k1) & set(k2):
-                    continue
-                merged, sign = _merge_frames(k1, k2)
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                add_term(out.terms, (mono, merged), c1 * c2 * sign)
-        return out
+        return self._like(_wedge_terms(self, other))
 
 
 def vector_contract_form(j, form: PolyForm) -> PolyForm:

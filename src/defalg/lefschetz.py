@@ -16,7 +16,7 @@ from bisect import bisect
 from fractions import Fraction
 from math import factorial
 
-from .core import add_into, add_term
+from .core import Element, add_term
 from .errors import DomainError, InputError
 from .report import CheckReport
 from .scalars import GAUSS_ONE, GaussianScalar
@@ -69,26 +69,15 @@ def _turn(c, t):
     return GaussianScalar(c.im, -c.re)
 
 
-class CovectorElement:
+class CovectorElement(Element):
     """Sparse exact combination of standard basis symbols over Q(i)."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n",)
+    _compared = ("n",)
 
     def __init__(self, n, terms=None):
         self.n = n
-        self.terms = {}
-        if terms:
-            for k, v in terms.items():
-                if v:
-                    self.terms[k] = v
-
-    @staticmethod
-    def _of(n, terms):
-        """Wrap a dict that already holds no zero coefficient."""
-        out = CovectorElement.__new__(CovectorElement)
-        out.n = n
-        out.terms = terms
-        return out
+        Element.__init__(self, terms)
 
     @staticmethod
     def basis(n, key, coeff=GAUSS_ONE):
@@ -99,29 +88,10 @@ class CovectorElement:
             coeff = GaussianScalar.of(coeff)
         add_term(self.terms, key, coeff)
 
-    def __add__(self, other):
-        return CovectorElement._of(self.n, add_into(dict(self.terms), other.terms))
-
-    def __sub__(self, other):
-        terms = add_into(dict(self.terms), other.terms, -1)
-        return CovectorElement._of(self.n, terms)
-
     def scale(self, c):
-        if isinstance(c, (int, Fraction)):
+        if not isinstance(c, GaussianScalar):
             c = GaussianScalar.of(c)
-        if not c:
-            return CovectorElement(self.n)
-        return CovectorElement(self.n, {k: v * c for k, v in self.terms.items()})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CovectorElement)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
+        return Element.scale(self, c)
 
     def homogeneous_degree(self):
         degs = {total_degree(k) for k in self.terms}
@@ -130,12 +100,11 @@ class CovectorElement:
         return degs.pop() if degs else None
 
     def conjugate(self) -> "CovectorElement":
-        return CovectorElement._of(
-            self.n,
+        return self._like(
             {
                 (B, A, M, N): _turn(v.conjugate(), 2 * (len(A) * len(B) % 2))
                 for (A, B, M, N), v in self.terms.items()
-            },
+            }
         )
 
     def __repr__(self):
@@ -164,7 +133,7 @@ def _apply(row, v: CovectorElement) -> CovectorElement:
     for key, c in v.terms.items():
         for k2, t in row(key):
             add_term(out, k2, _turn(c, t))
-    return CovectorElement._of(v.n, out)
+    return v._like(out)
 
 
 def _insert(s, i):
@@ -431,7 +400,7 @@ def identities_report(n, include_wedge=True) -> CheckReport:
             f = factor(key)
             if f:
                 terms[key] = GaussianScalar(c.re * f, c.im * f)
-        return CovectorElement._of(n, terms)
+        return v._like(terms)
 
     def weight_scale(v):
         return weighted(v, lambda key: n - total_degree(key))

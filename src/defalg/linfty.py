@@ -193,7 +193,7 @@ class LInftyMorphism:
         {i: {target word of length i: coeff}}."""
         img = self.coalg.apply_word(word)
         out = {}
-        for w, c in img.words.items():
+        for w, c in img.terms.items():
             out.setdefault(len(w), {})[w] = c
         return out
 
@@ -231,17 +231,15 @@ def identity_morphism(S: LInftyStructure) -> LInftyMorphism:
 # ---------------------------------------------------------------------------
 
 
-class _ExtTensor:
+class _ExtTensor(Element):
     """Sparse elements of (wedge V) (x) A: {(wedge word, a_index): coeff}."""
+
+    __slots__ = ("basis", "A")
 
     def __init__(self, basis_v: GradedBasis, A: ArtinDg, terms=None):
         self.basis = basis_v
         self.A = A
-        self.terms = {}
-        if terms:
-            for k, v in terms.items():
-                if v:
-                    self.terms[k] = v
+        Element.__init__(self, terms)
 
     def add(self, word, a_idx, coeff):
         canon = ext_canonical(word, self.basis.degree)
@@ -263,9 +261,6 @@ class _ExtTensor:
                 for ak, av in prod.terms.items():
                     out.add(w1 + w2, ak, c1 * c2 * av * sign)
         return out
-
-    def is_zero(self):
-        return not self.terms
 
 
 def mc_linfty(S: LInftyStructure, A: ArtinDg, m_terms) -> Element:
@@ -811,7 +806,7 @@ def hodge_F(M: HodgeModel, m_max: int, check_model=True):
     for word in all_words(basis, m_max):
         image = delta.apply_word(word)
         acc = {}
-        for w, c in image.words.items():
+        for w, c in image.terms.items():
             acc = op_add(acc, F_value(w), c)
         if not op_is_zero(acc):
             names = tuple(basis.names[i] for i in word)

@@ -59,10 +59,12 @@ def _field(data, name, path):
 
 
 def _list_field(data, name, path, default=None):
-    """data[name], which must be a list; required unless `default` is given."""
+    """data[name], which must be a list; required unless `default` is given.
+    An empty `path` names the field alone."""
     value = _field(data, name, path) if default is None else data.get(name, default)
     if not isinstance(value, list):
-        raise InputError(f"{path}.{name}: must be a list")
+        where = f"{path}.{name}" if path else name
+        raise InputError(f"{where}: must be a list")
     return value
 
 
@@ -113,9 +115,12 @@ def parse_value(data, basis: GradedBasis, path) -> Element:
     return out
 
 
-def _parse_pair_table(data, basis, path):
+def _parse_pair_table(data, name, basis, prefix=""):
+    """The optional list data[name] of {left, right, value} entries, named
+    `{prefix}{name}` in messages."""
+    path = f"{prefix}{name}"
     table = {}
-    for i, entry in enumerate(data or []):
+    for i, entry in enumerate(_list_field(data, name, prefix.rstrip("."), [])):
         left = basis.index(_field(entry, "left", f"{path}[{i}]"))
         right = basis.index(_field(entry, "right", f"{path}[{i}]"))
         value = parse_value(
@@ -125,9 +130,12 @@ def _parse_pair_table(data, basis, path):
     return table
 
 
-def _parse_diff_table(data, basis, path):
+def _parse_diff_table(data, name, basis, prefix=""):
+    """The optional list data[name] of {from, value} entries, named
+    `{prefix}{name}` in messages."""
+    path = f"{prefix}{name}"
     diff = {}
-    for i, entry in enumerate(data or []):
+    for i, entry in enumerate(_list_field(data, name, prefix.rstrip("."), [])):
         src = basis.index(_field(entry, "from", f"{path}[{i}]"))
         diff[src] = parse_value(
             _field(entry, "value", f"{path}[{i}]"), basis, f"{path}[{i}].value"
@@ -138,23 +146,23 @@ def _parse_diff_table(data, basis, path):
 def parse_dgla(data, path="") -> DGLA:
     expect_kind(data, "dgla")
     basis = parse_basis(_field(data, "basis", path or "dgla"), f"{path}basis")
-    bracket = _parse_pair_table(data.get("bracket"), basis, f"{path}bracket")
-    diff = _parse_diff_table(data.get("differential"), basis, f"{path}differential")
+    bracket = _parse_pair_table(data, "bracket", basis, path)
+    diff = _parse_diff_table(data, "differential", basis, path)
     return DGLA(basis, bracket, diff)
 
 
 def parse_artin(data, path="") -> ArtinDg:
     expect_kind(data, "artin_dg")
     basis = parse_basis(_field(data, "basis", path or "artin_dg"), f"{path}basis")
-    table = _parse_pair_table(data.get("product"), basis, f"{path}product")
-    diff = _parse_diff_table(data.get("differential"), basis, f"{path}differential")
+    table = _parse_pair_table(data, "product", basis, path)
+    diff = _parse_diff_table(data, "differential", basis, path)
     return ArtinDg(basis, table, diff)
 
 
 def parse_nilpotent_lie(data) -> NilpotentLie:
     expect_kind(data, "nilpotent_lie")
     basis = parse_basis(_field(data, "basis", "nilpotent_lie"))
-    table = _parse_pair_table(data.get("bracket"), basis, "bracket")
+    table = _parse_pair_table(data, "bracket", basis)
     return NilpotentLie(basis, table)
 
 
@@ -166,7 +174,7 @@ def parse_tensor_poly(data) -> TensorSeries:
         raise InputError("tensor_poly.truncation: must be a nonnegative integer")
     out = TensorSeries.zero(tuple(gens), order)
     for i, entry in enumerate(_list_field(data, "terms", "tensor_poly", [])):
-        word = _field(entry, "word", f"terms[{i}]")
+        word = _list_field(entry, "word", f"terms[{i}]")
         idx = []
         for w in word:
             if w not in gens:
@@ -177,24 +185,26 @@ def parse_tensor_poly(data) -> TensorSeries:
     return out
 
 
-def parse_pair_element(data, M, path):
-    """Element of a tensor DGLA given as [{"l": name, "a": name, "coeff"}]."""
+def parse_pair_element(data, name, M):
+    """Element of a tensor DGLA given in the optional list data[name] as
+    [{"l": L basis name, "a": A basis name, "coeff"}]."""
     out = Element()
-    for i, entry in enumerate(data or []):
-        l_name = _field(entry, "l", f"{path}[{i}]")
-        a_name = _field(entry, "a", f"{path}[{i}]")
-        coeff = parse_rational(_field(entry, "coeff", f"{path}[{i}]"))
+    for i, entry in enumerate(_list_field(data, name, "", [])):
+        l_name = _field(entry, "l", f"{name}[{i}]")
+        a_name = _field(entry, "a", f"{name}[{i}]")
+        coeff = parse_rational(_field(entry, "coeff", f"{name}[{i}]"))
         li = M.L.basis.index(l_name)
         ai = M.A.basis.index(a_name)
         out.add_term(M.pair_index[(li, ai)], coeff)
     return out
 
 
-def parse_components(data, basis, target_basis, path="components"):
-    """{"components":[{"arity": k, "entries":[{"word": [...], "value": [...]}]}]}
-    -> {arity: {word tuple: Element}}."""
+def parse_components(data, basis, target_basis):
+    """The optional list data["components"] of {"arity": k, "entries":
+    [{"word": [...], "value": [...]}]} -> {arity: {word tuple: Element}}."""
+    path = "components"
     tables = {}
-    for i, comp in enumerate(data or []):
+    for i, comp in enumerate(_list_field(data, path, "", [])):
         arity = _int_field(comp, "arity", f"{path}[{i}]")
         if arity < 1:
             raise InputError(f"{path}[{i}].arity: must be an integer >= 1")
@@ -254,22 +264,31 @@ def parse_gbv(data) -> GBVStructure:
     expect_kind(data, "gbv")
     alg = _field(data, "algebra", "gbv")
     basis = parse_basis(_field(alg, "basis", "gbv.algebra"), "gbv.algebra.basis")
-    table = _parse_pair_table(alg.get("product"), basis, "gbv.algebra.product")
+    table = _parse_pair_table(alg, "product", basis, "gbv.algebra.")
     algebra = GradedCommAlgebra(basis, table, alg.get("unit"))
-    delta = _parse_diff_table(data.get("delta"), basis, "gbv.delta")
+    delta = _parse_diff_table(data, "delta", basis, "gbv.")
     return GBVStructure(algebra, delta)
 
 
 def parse_polyvector(data, path="") -> Polyvector:
     expect_kind(data, "polyvector")
     nvars = _int_field(data, "vars", f"{path}polyvector", nonnegative=True)
-    cap = data.get("cap")
+    cap = None
+    if data.get("cap") is not None:
+        cap = _int_field(data, "cap", f"{path}polyvector", nonnegative=True)
     terms = {}
     for i, entry in enumerate(_list_field(data, "terms", f"{path}polyvector", [])):
         coeff = parse_rational(_field(entry, "coeff", f"{path}terms[{i}]"))
         mono = tuple(_list_field(entry, "monomial", f"{path}terms[{i}]"))
-        frame_raw = _field(entry, "frame", f"{path}terms[{i}]")
-        if any(not isinstance(z, int) or not 1 <= z <= nvars for z in frame_raw):
+        if any(isinstance(e, bool) or not isinstance(e, int) or e < 0 for e in mono):
+            raise InputError(
+                f"{path}terms[{i}].monomial: entries must be nonnegative integers"
+            )
+        frame_raw = _list_field(entry, "frame", f"{path}terms[{i}]")
+        if any(
+            isinstance(z, bool) or not isinstance(z, int) or not 1 <= z <= nvars
+            for z in frame_raw
+        ):
             raise InputError(f"{path}terms[{i}].frame: entries must lie in 1..vars")
         frame = tuple(z - 1 for z in frame_raw)
         add_term(terms, (mono, frame), coeff)
@@ -310,7 +329,7 @@ def parse_small_extension(data) -> SmallExtension:
 
 def parse_unital_algebra(data, path="algebra") -> GradedCommAlgebra:
     basis = parse_basis(_field(data, "basis", path), f"{path}.basis")
-    table = _parse_pair_table(data.get("product"), basis, f"{path}.product")
+    table = _parse_pair_table(data, "product", basis, f"{path}.")
     unit = _field(data, "unit", path)
     if unit is None:
         raise InputError(f"{path}.unit: must name a basis element")
@@ -326,12 +345,15 @@ def parse_homotopy(data) -> tuple:
         src = source.basis.index(_field(entry, "from", f"entries[{i}]"))
         poly = DtPolynomial(target)
         for j, term in enumerate(_list_field(entry, "value", f"entries[{i}]", [])):
-            b = target.basis.index(_field(term, "basis", f"entries[{i}].value[{j}]"))
-            k = term.get("t_power", 0)
-            dt = bool(term.get("dt", False))
-            coeff = parse_rational(
-                _field(term, "coeff", f"entries[{i}].value[{j}]")
-            )
+            path = f"entries[{i}].value[{j}]"
+            b = target.basis.index(_field(term, "basis", path))
+            k = 0
+            if "t_power" in term:
+                k = _int_field(term, "t_power", path, nonnegative=True)
+            dt = term.get("dt", False)
+            if not isinstance(dt, bool):
+                raise InputError(f"{path}.dt: must be true or false")
+            coeff = parse_rational(_field(term, "coeff", path))
             poly.add_term((b, k, dt), coeff)
         entries[src] = poly
     eval_at = parse_rational(data.get("eval_at", "1"))

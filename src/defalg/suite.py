@@ -107,7 +107,7 @@ def run_suite(seed: int) -> CheckReport:
         left = TensorProductElement(mixed, 3)
         for (lw, rw), c in base.terms.items():
             for (p, q), c2 in coproduct(mixed, lw).terms.items():
-                left.add((p, q, rw), c * c2)
+                left.add_term((p, q, rw), c * c2)
         ok = ok and left == iterated_coproduct(mixed, word, 3)
     _step(results, "coalgebra-coassociativity", ok)
 

@@ -293,16 +293,16 @@ def test_criterion_06_coalgebra_laws():
             right = TensorProductElement(basis, 3)
             for (lw, rw), c in base.terms.items():
                 for (p, q), c2 in coproduct(basis, lw).terms.items():
-                    left.add((p, q, rw), c * c2)
+                    left.add_term((p, q, rw), c * c2)
                 for (p, q), c2 in coproduct(basis, rw).terms.items():
-                    right.add((lw, p, q), c * c2)
+                    right.add_term((lw, p, q), c * c2)
             assert left == right == iterated_coproduct(basis, word, 3)
             twisted = TensorProductElement(basis, 2)
             for (lw, rw), c in base.terms.items():
                 sign = (
                     -1 if (word_degree(basis, lw) * word_degree(basis, rw)) % 2 else 1
                 )
-                twisted.add((rw, lw), c * sign)
+                twisted.add_term((rw, lw), c * sign)
             assert twisted == base
         # ker coproduct = V
         long_words = [w for w in words if len(w) >= 2]
@@ -375,7 +375,7 @@ def test_criterion_07_linfty_equivalence():
                 for word in all_words(S.shifted, 5):
                     inner = Q.apply_word(word)
                     acc = None
-                    for w, c in inner.words.items():
+                    for w, c in inner.terms.items():
                         part = Q.apply_word(w).scale(c)
                         acc = part if acc is None else acc + part
                     if acc is not None and not acc.is_zero():

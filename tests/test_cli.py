@@ -468,6 +468,122 @@ def test_lefschetz_decompose_work_bound(tmp_path, capsys, monkeypatch):
     assert main(covector(0)) == 2
 
 
+def test_typed_reader_gaps_exit_two(tmp_path, capsys):
+    xy = [{"name": "x", "degree": 1}, {"name": "y", "degree": 2}]
+    term = {"coeff": "1", "monomial": [1, 0], "frame": [1]}
+
+    def polyvector(cap=3, **fields):
+        terms = [{**term, **fields}]
+        return {"kind": "polyvector", "vars": 2, "cap": cap, "terms": terms}
+
+    def pair(cap=3, **fields):
+        return {
+            "kind": "polyvector_pair",
+            "vars": 2,
+            "cap": cap,
+            "left": [{**term, **fields}],
+            "right": [term],
+        }
+
+    cases = []
+    for bad in (-1, 1.5, True, None):
+        for field in ("differential", "bracket"):
+            dgla = {"kind": "dgla", "basis": xy, field: bad}
+            cases.append((["check-dgla"], dgla, f"{field}: must be a list"))
+    for cap in ("x", [1], 1.5, True, -1):
+        message = "polyvector.cap: must be a nonnegative integer"
+        cases.append((["delta"], polyvector(cap), message))
+        for cmd in ("schouten", "tian-todorov"):
+            cases.append(([cmd], pair(cap), f"left.{message}"))
+    monomial = "monomial: entries must be nonnegative integers"
+    for entry in ("a", None, [1], {}, 1.5, -1, True):
+        mono = [entry, 0]
+        cases.append((["delta"], polyvector(monomial=mono), f"terms[0].{monomial}"))
+        for cmd in ("schouten", "tian-todorov"):
+            cases.append(([cmd], pair(monomial=mono), f"left.terms[0].{monomial}"))
+    for frame in (1, None):
+        cases.append((["delta"], polyvector(frame=frame), "frame: must be a list"))
+    cases.append((["delta"], polyvector(frame=[True]), "frame: entries must lie in 1..vars"))
+    # the other optional lists read through the same check
+    gbv = {"kind": "gbv", "algebra": {"basis": xy, "product": 1}}
+    cases.append((["gbv-check"], gbv, "gbv.algebra.product: must be a list"))
+    t = [{"name": "t", "degree": 0}]
+    mc = {"kind": "mc_problem", "dgla": {"basis": xy}, "base": {"basis": t}, "element": 5}
+    cases.append((["mc"], mc, "element: must be a list"))
+    coder = {"kind": "coderivation", "basis": xy, "degree": 1, "components": 5}
+    cases.append((["coder"], coder, "components: must be a list"))
+    # a tensor_poly word was iterated unchecked (a string ran per character)
+    for word in (5, None, "x"):
+        series = {"kind": "tensor_poly", "generators": ["x"], "terms": [{"word": word}]}
+        cases.append((["dsw"], series, "terms[0].word: must be a list"))
+    # a homotopy's t power and dt flag were read unchecked
+    for field, bad in (("t_power", "x"), ("t_power", -1), ("t_power", 1.5), ("dt", 1)):
+        value = [{"basis": "t", "coeff": "1", field: bad}]
+        homotopy = {"kind": "homotopy", "source": {"basis": t}, "target": {"basis": t},
+                    "entries": [{"from": "t", "value": value}]}
+        cases.append((["homotopy-eval"], homotopy, f"entries[0].value[0].{field}: must be"))
+    for k, (argv, payload, message) in enumerate(cases):
+        path = tmp_path / f"case{k}.json"
+        path.write_text(json.dumps(payload))
+        assert main([*argv, "--input", str(path)]) == 2, (argv, payload)
+        out = capsys.readouterr().out
+        assert out.startswith(f"[INPUT-ERROR] {argv[0]}: ")
+        assert len(out.splitlines()) == 1 and message in out, (out, message)
+    # end to end: the first printed a TypeError traceback and exited 1; a
+    # negative exponent exited 0
+    out = run_cli_input_error("check-dgla", "--input", str(tmp_path / "case0.json"))
+    assert "differential: must be a list" in out
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(polyvector(monomial=[-1, 0])))
+    out = run_cli_input_error("delta", "--input", str(path))
+    assert f"terms[0].{monomial}" in out
+    # an absent or null cap is still allowed
+    for cap in (None, 3):
+        path.write_text(json.dumps(polyvector(cap)))
+        assert main(["delta", "--input", str(path)]) == 0
+        path.write_text(json.dumps(pair(cap)))
+        assert main(["schouten", "--input", str(path)]) == 0
+    capsys.readouterr()
+
+
+def test_max_arity_refused_before_any_word(tmp_path, capsys, monkeypatch):
+    x = [{"name": "x", "degree": 0}]
+    one = [{"word": ["x"], "value": [{"basis": "x", "coeff": "1"}]}]
+    path = tmp_path / "coder.json"
+    path.write_text(json.dumps({"kind": "coderivation", "basis": x, "degree": 0,
+                                "components": [{"arity": 1, "entries": one}]}))
+    comorph = tmp_path / "comorph.json"
+    comorph.write_text(json.dumps({"kind": "comorphism", "source_basis": x,
+                                   "target_basis": x,
+                                   "components": [{"arity": 1, "entries": one}]}))
+
+    def no_words(*args, **kwargs):
+        raise AssertionError("a word list was built")
+
+    monkeypatch.setattr("defalg.cli.all_words", no_words)
+    started = time.monotonic()
+    for cmd, inp in (("coder", path), ("comorph", comorph)):
+        assert main([cmd, "--max-arity", str(10**9), "--input", str(inp)]) == 2
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 1
+        assert f"--max-arity {10**9}: the splits of the words" in out
+        assert "exceed the DEFALG_MAX_BASIS cap of 4096" in out
+        # one even letter: sum 2^k for k <= 12 is 8190 > 4096
+        assert main([cmd, "--max-arity", "12", "--input", str(inp)]) == 2
+        assert "--max-arity 12" in capsys.readouterr().out
+    assert time.monotonic() - started < 1.0
+    monkeypatch.undo()
+    # the boundary: sum 2^k for k <= 11 is 4094 <= 4096
+    assert main(["coder", "--max-arity", "11", "--input", str(path)]) == 0
+    monkeypatch.setenv("DEFALG_MAX_BASIS", "6")
+    assert main(["comorph", "--max-arity", "2", "--input", str(comorph)]) == 0
+    assert main(["comorph", "--max-arity", "3", "--input", str(comorph)]) == 2
+    assert "cap of 6" in capsys.readouterr().out.splitlines()[-1]
+    # end to end: --max-arity 18 took 21.8 s before the bound
+    out = run_cli_input_error("coder", "--max-arity", "18", "--input", str(path))
+    assert "--max-arity 18" in out
+
+
 def test_negative_polyvector_vars_exits_two(tmp_path):
     path = tmp_path / "pv.json"
     path.write_text(json.dumps({"kind": "polyvector", "vars": -1, "cap": 3, "terms": []}))

@@ -19,6 +19,7 @@ from defalg.coalg import (
     iterated_coproduct,
     morphism_lift,
     n_map,
+    split_count,
     tensor_coproduct_reduced,
     word_degree,
 )
@@ -62,9 +63,9 @@ def test_coassociativity_and_cocommutativity():
         right = TensorProductElement(MIXED, 3)
         for (lw, rw), c in base.terms.items():
             for (a, b), c2 in coproduct(MIXED, lw).terms.items():
-                left.add((a, b, rw), c * c2)
+                left.add_term((a, b, rw), c * c2)
             for (a, b), c2 in coproduct(MIXED, rw).terms.items():
-                right.add((lw, a, b), c * c2)
+                right.add_term((lw, a, b), c * c2)
         assert left == right
         triple = iterated_coproduct(MIXED, word, 3)
         assert left == triple
@@ -76,7 +77,7 @@ def test_coassociativity_and_cocommutativity():
                 if (word_degree(MIXED, lw) * word_degree(MIXED, rw)) % 2
                 else 1
             )
-            twisted.add((rw, lw), c * sign)
+            twisted.add_term((rw, lw), c * sign)
         assert twisted == base
 
 
@@ -194,10 +195,10 @@ def test_coderivation_bracket_is_coderivation():
 
     def bracket_action(word):
         first = SymElement(MIXED)
-        for w, c in r.apply_word(word).words.items():
+        for w, c in r.apply_word(word).terms.items():
             first = first + q.apply_word(w).scale(c)
         second = SymElement(MIXED)
-        for w, c in q.apply_word(word).words.items():
+        for w, c in q.apply_word(word).terms.items():
             second = second + r.apply_word(w).scale(c)
         return second.scale(F(1)) - first.scale(F(sign)) if False else (
             _compose_qr(q, r, word) - _compose_qr(r, q, word).scale(F(sign))
@@ -205,7 +206,7 @@ def test_coderivation_bracket_is_coderivation():
 
     def _compose_qr(outer, inner, word):
         acc = SymElement(MIXED)
-        for w, c in inner.apply_word(word).words.items():
+        for w, c in inner.apply_word(word).terms.items():
             acc = acc + outer.apply_word(w).scale(c)
         return acc
 
@@ -216,7 +217,7 @@ def test_coderivation_bracket_is_coderivation():
         for word in all_words(MIXED, k, min_len=k):
             val = Element()
             img = bracket_action(word)
-            for w, c in img.words.items():
+            for w, c in img.terms.items():
                 if len(w) == 1:
                     val.add_term(w[0], c)
             if not val.is_zero():
@@ -307,6 +308,23 @@ def test_all_words_within_a_weight_cap():
             all_words(MIXED, 3, 1, weights, cap)
 
 
+def test_split_count_matches_the_listed_words():
+    rng = random.Random(21)
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        degrees = tuple(rng.randint(-2, 3) for _ in range(n))
+        basis = GradedBasis(tuple(f"v{i}" for i in range(n)), degrees)
+        m = rng.randint(1, 6)
+        want = sum(2 ** len(w) for w in all_words(basis, m))
+        assert split_count(basis, m, want) == want
+        # past the limit the count stops at the first length over it
+        limit = rng.randint(0, want)
+        assert (split_count(basis, m, limit) > limit) == (want > limit)
+    # one even letter: 2 + 4 + ... + 2^m; odd letters only run out
+    assert split_count(GradedBasis.of(("x", 0)), 11, 10**6) == 2**12 - 2
+    assert split_count(GradedBasis.of(("e", 1), ("f", 1)), 10**9, 10) == 4 + 4
+
+
 # -- SymElement against the "add, or pop on zero" loops it had -------------------
 
 
@@ -337,14 +355,14 @@ def test_sym_element_matches_add_or_pop_oracle():
             el.add_word(word, c)
             oracle_add_word(MIXED, words, word, c)
             cancelled += len(words) < before
-            assert list(el.words.items()) == list(words.items())
+            assert list(el.terms.items()) == list(words.items())
         plus, minus = dict(xw), dict(xw)
         for w, c in yw.items():
             oracle_add(plus, w, c)
             oracle_add(minus, w, c * F(-1))
-        assert list((x + y).words.items()) == list(plus.items())
-        assert list((x - y).words.items()) == list(minus.items())
-        assert (x - x).is_zero() and (x + y - y).words == xw
+        assert list((x + y).terms.items()) == list(plus.items())
+        assert list((x - y).terms.items()) == list(minus.items())
+        assert (x - x).is_zero() and (x + y - y).terms == xw
     assert cancelled >= 10
 
 
@@ -476,7 +494,7 @@ def test_morphism_lift_matches_ordered_partition_oracle():
             }
             for Fm in morphisms:
                 want = oracle_morphism_apply_word(Fm, word, parts)
-                assert Fm.apply_word(word).words == want, (word, Fm.tables)
+                assert Fm.apply_word(word).terms == want, (word, Fm.tables)
                 compared += bool(want)
     assert compared >= 200
 
@@ -486,7 +504,7 @@ def test_gbv_product_morphisms_match_ordered_partition_oracle():
         full, abelian = gbv_linfty_structures(S)
         Fm = morphism_lift(full.shifted, abelian.shifted, product_components(S, 4))
         for word in corpus_words(full.shifted, 4):
-            assert Fm.apply_word(word).words == oracle_morphism_apply_word(Fm, word)
+            assert Fm.apply_word(word).terms == oracle_morphism_apply_word(Fm, word)
 
 
 def test_morphism_lift_evaluates_each_subword_once(monkeypatch):
@@ -508,7 +526,7 @@ def test_morphism_lift_evaluates_each_subword_once(monkeypatch):
         Fm = morphism_lift(basis, target, tables)
         for word in all_words(basis, 5):
             calls.clear()
-            assert Fm.apply_word(word).words == oracle_morphism_apply_word(Fm, word)
+            assert Fm.apply_word(word).terms == oracle_morphism_apply_word(Fm, word)
             subwords = {
                 sub
                 for r in range(1, len(word) + 1)

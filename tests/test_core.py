@@ -11,7 +11,7 @@ from math import comb
 import pytest
 
 from defalg import core
-from defalg.coalg import iterated_coproduct
+from defalg.coalg import SymElement, TensorProductElement, iterated_coproduct
 from defalg.core import (
     Element,
     GradedBasis,
@@ -27,7 +27,12 @@ from defalg.core import (
     symmetrize,
     unshuffles,
 )
+from defalg.dgla import ArtinDg, DtPolynomial
 from defalg.errors import InputError
+from defalg.freelie import TensorSeries
+from defalg.gbv import PolyForm, Polyvector
+from defalg.lefschetz import CovectorElement, all_keys
+from defalg.linfty import _ExtTensor
 from defalg.scalars import GaussianScalar
 
 
@@ -553,3 +558,217 @@ def test_only_core_computes_koszul_signs_and_unshuffles():
     assert sign_primitive_uses("from . import core\ncore.unshuffles(1, 2)\n") == {
         "unshuffles"
     }
+
+
+# -- the one sparse vector class -------------------------------------------------
+
+B2 = GradedBasis.of(("a", 0), ("b", 1))
+B3 = GradedBasis.of(("a", 0), ("b", 1), ("c", 2))
+T2 = GradedBasis.of(("t", 0), ("t2", 0))
+ART = ArtinDg(T2, {(0, 0): Element.basis_vector(1)}, {})
+ART1 = ArtinDg(GradedBasis.of(("s", 0),), {}, {})
+FRAMES = [(), (0,), (1,), (0, 1)]
+
+
+def _word(rng, longest):
+    return tuple(rng.randint(0, 1) for _ in range(rng.randint(0, longest)))
+
+
+def _poly_key(rng):
+    mono = (rng.randint(0, 1), rng.randint(0, 2))
+    return mono, rng.choice(FRAMES)
+
+
+# class: (build(terms) in the base context, draw a key, draw a coefficient,
+# another value for each context field, the fields == compares)
+SPARSE = {
+    Element: (Element, lambda rng: rng.randint(0, 5), None, {}, ()),
+    SymElement: (
+        lambda t: SymElement(B2, t),
+        lambda rng: tuple(sorted(_word(rng, 3))),
+        None,
+        {"basis": B3},
+        (),
+    ),
+    TensorProductElement: (
+        lambda t: TensorProductElement(B2, 2, t),
+        lambda rng: (_word(rng, 1), _word(rng, 2)),
+        None,
+        {"basis": B3, "slots": 3},
+        ("slots",),
+    ),
+    TensorSeries: (
+        lambda t: TensorSeries(("x", "y"), 4, t),
+        lambda rng: _word(rng, 4),
+        None,
+        {"gens": ("x", "z"), "order": 5},
+        ("gens", "order"),
+    ),
+    Polyvector: (lambda t: Polyvector(2, 3, t), _poly_key, None, {"nvars": 3, "cap": 7},
+                 ("nvars",)),
+    PolyForm: (lambda t: PolyForm(2, t), _poly_key, None, {"nvars": 3}, ()),
+    CovectorElement: (
+        lambda t: CovectorElement(2, t),
+        lambda rng: rng.choice(all_keys(2)[:6]),
+        lambda rng: GaussianScalar.of(rng.randint(-1, 1), rng.randint(-1, 1)),
+        {"n": 3},
+        ("n",),
+    ),
+    DtPolynomial: (
+        lambda t: DtPolynomial(ART, t),
+        lambda rng: (rng.randint(0, 1), rng.randint(0, 2), rng.random() < 0.5),
+        None,
+        {"B": ART1},
+        (),
+    ),
+    _ExtTensor: (
+        lambda t: _ExtTensor(B2, ART, t),
+        lambda rng: (_word(rng, 2), rng.randint(0, 1)),
+        None,
+        {"basis": B3, "A": ART1},
+        (),
+    ),
+}
+
+
+def sparse_values(cls, rng, count):
+    """`count` seeded values of the class in its base context; every other
+    one repeats a term of the one before, so that differences cancel."""
+    build, key, coeff, _, _ = SPARSE[cls]
+    coeff = coeff or (lambda rng: Fraction(rng.randint(-2, 2), rng.randint(1, 2)))
+    out = []
+    for i in range(count):
+        terms = {key(rng): coeff(rng) for _ in range(rng.randint(0, 6))}
+        if i % 2 and out and out[-1].terms:
+            k = rng.choice(list(out[-1].terms))
+            terms[k] = out[-1].terms[k]
+        out.append(build(terms))
+    return out
+
+
+def with_field(x, field, value):
+    y = x.copy()
+    setattr(y, field, value)
+    return y
+
+
+def old_sum(x, y, c):
+    """x + c y, for c = 1 or -1, as every class computed it before `Element`
+    held the arithmetic: copy the left terms, add the right ones by the
+    reference step and keep the left context; Polyvector took the larger
+    cap, and the old `Polyvector.__sub__` added `other.scale(-1)`."""
+    cls = type(x)
+    terms = dict(x.terms)
+    for k, v in y.terms.items():
+        reference_add(terms, k, v * c if cls is Polyvector else c * v)
+    if cls is Polyvector:
+        return terms, {"nvars": x.nvars, "cap": max(x.cap, y.cap)}
+    return terms, {f: getattr(x, f) for f in SPARSE[cls][3]}
+
+
+def old_scale(x, c):
+    """x.scale(c) as every class computed it: `CovectorElement` coerced an
+    int or Fraction to GaussianScalar first."""
+    if type(x) is CovectorElement and isinstance(c, (int, Fraction)):
+        c = GaussianScalar.of(c)
+    return {k: v * c for k, v in x.terms.items() if v * c}
+
+
+def test_sparse_classes_compare_exactly_their_fields():
+    rng = random.Random(11)
+    for cls, (_, _, _, others, compared) in SPARSE.items():
+        x = sparse_values(cls, rng, 1)[0]
+        assert x == x.copy() and type(x.copy()) is cls
+        for field, value in others.items():
+            y = with_field(x, field, value)
+            assert (x == y) is (field not in compared), (cls, field)
+            for op in (lambda a, b: a + b, lambda a, b: a - b):
+                if field in compared:
+                    with pytest.raises(InputError):
+                        op(x, y)
+                    continue
+                z = op(x, y)
+                # the left operand's context, except the larger Polyvector cap
+                want = max(x.cap, y.cap) if field == "cap" else getattr(x, field)
+                assert type(z) is cls and getattr(z, field) == want, (cls, field)
+                assert getattr(op(y, x), field) == getattr(y, field) or field == "cap"
+    # examples: forms on other variable counts and polyvectors under other
+    # caps are equal; an Element is not a SymElement with the same terms
+    zx = {((1, 0), (0,)): 1}
+    assert PolyForm(2, zx) == PolyForm(3, zx)
+    assert Polyvector(2, 3, zx) == Polyvector(2, 5, zx)
+    assert Polyvector(2) != Polyvector(3)
+    assert (Polyvector(2, 1) + Polyvector(2, 4)).cap == 4
+    assert (Polyvector(2, 4) - Polyvector(2, 1)).cap == 4
+    t = {(0,): Fraction(1)}
+    assert Element(t) != SymElement(B2, t) and SymElement(B2, t) != Element(t)
+    assert SymElement(B2, t) == SymElement(B3, t)
+    assert TensorSeries(("x",), 2, t) != TensorSeries(("x",), 3, t)
+
+
+def test_sparse_arithmetic_matches_the_old_per_class_code():
+    for cls in SPARSE:
+        rng = random.Random(f"sparse:{cls.__name__}")
+        values = sparse_values(cls, rng, 40)
+        cancelled = 0
+        for x, y in zip(values, values[1:]):
+            for got, c in ((x + y, 1), (x - y, -1)):
+                terms, context = old_sum(x, y, c)
+                assert type(got) is cls
+                assert list(got.terms.items()) == list(terms.items()), cls
+                assert {f: getattr(got, f) for f in context} == context
+                cancelled += len(terms) < len(set(x.terms) | set(y.terms))
+            for c in (2, Fraction(-1, 3), -1):
+                got = x.scale(c)
+                assert type(got) is cls
+                assert list(got.terms.items()) == list(old_scale(x, c).items())
+            zero = x.scale(0)
+            assert type(zero) is cls and zero.terms == {} and zero.is_zero()
+            assert list((-x).terms.items()) == [(k, -v) for k, v in x.terms.items()]
+            copied = x.copy()
+            assert copied == x and copied.terms is not x.terms
+            for field in SPARSE[cls][3]:
+                for z in (zero, -x, copied):
+                    assert getattr(z, field) is getattr(x, field)
+        assert cancelled >= 10, cls
+
+
+# -- tooling guard: one sparse vector class ------------------------------------------
+
+SHARED_ARITHMETIC = {
+    "__add__", "__sub__", "__neg__", "__eq__", "__hash__", "is_zero", "copy"
+}
+
+
+def shared_arithmetic(source, module):
+    """module.Class.name of each method in SHARED_ARITHMETIC a class of the
+    source defines or assigns in its body."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, FUNCTIONS):
+                    names = {item.name}
+                elif isinstance(item, ast.Assign):
+                    names = {t.id for t in item.targets if isinstance(t, ast.Name)}
+                else:
+                    continue
+                for name in names & SHARED_ARITHMETIC:
+                    found.add(f"{module}.{node.name}.{name}")
+    return found
+
+
+def test_only_element_defines_the_shared_arithmetic():
+    src = pathlib.Path(core.__file__).parent
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        if path.name not in ("core.py", "scalars.py"):
+            found |= shared_arithmetic(path.read_text(encoding="utf-8"), path.stem)
+    assert found == set(), sorted(found)
+    # the guard sees Element's methods and a copied method or alias
+    assert shared_arithmetic(pathlib.Path(core.__file__).read_text(), "core") == {
+        f"core.Element.{name}" for name in SHARED_ARITHMETIC
+    }
+    copied = "class V:\n    def is_zero(self):\n        return not self.terms\n"
+    assert shared_arithmetic(copied, "m") == {"m.V.is_zero"}
+    assert shared_arithmetic("class V:\n    __hash__ = None\n", "m") == {"m.V.__hash__"}

@@ -39,7 +39,7 @@ def test_exp_of_zero_is_one():
 def test_exp_truncation_at_two():
     x = gen("x", order=2)
     e = tensor_exp(x)
-    assert e.words == {(): 1, (0,): 1, (0, 0): Fraction(1, 2)}
+    assert e.terms == {(): 1, (0,): 1, (0, 0): Fraction(1, 2)}
 
 
 def test_exp_times_exp_of_minus_is_one():
@@ -203,7 +203,7 @@ def test_bch_explicit_matches_per_term_oracle():
     for order in range(1, 8):
         for _ in range(3 if order < 6 else 1):
             a, b = random_series(rng, order), random_series(rng, order)
-            assert len(a.words) == len(b.words) == 2
+            assert len(a.terms) == len(b.terms) == 2
             expected = oracle_bch_term_sum(
                 a, b, TensorSeries.bracket, order, add_scaled,
                 TensorSeries.zero(GENS2, order),
@@ -426,12 +426,12 @@ def oracle_add_term(words, order, word, coeff):
 
 def oracle_series_ops(x, y):
     """(x + y, x - y, x * y) as words dicts, by the loops TensorSeries had."""
-    plus, minus, times = dict(x.words), dict(x.words), {}
-    for w, c in y.words.items():
+    plus, minus, times = dict(x.terms), dict(x.terms), {}
+    for w, c in y.terms.items():
         oracle_add_term(plus, x.order, w, c)
         oracle_add_term(minus, x.order, w, -c)
-    for w1, c1 in x.words.items():
-        for w2, c2 in y.words.items():
+    for w1, c1 in x.terms.items():
+        for w2, c2 in y.terms.items():
             if len(w1) + len(w2) <= x.order:
                 oracle_add_term(times, x.order, w1 + w2, c1 * c2)
     return plus, minus, times
@@ -450,11 +450,11 @@ def test_tensor_series_arithmetic_matches_add_or_pop_oracle():
             c = Fraction(rng.choice((-2, -1, 1, 2)), rng.choice((1, 2)))
             x.add_term(w, c)
             oracle_add_term(want, order, w, c)
-            assert list(x.words.items()) == list(want.items())
+            assert list(x.terms.items()) == list(want.items())
             y.add_term(rng.choice(words), -c)  # cancels a matching word of x
         plus, minus, times = oracle_series_ops(x, y)
-        assert list((x + y).words.items()) == list(plus.items())
-        assert list((x - y).words.items()) == list(minus.items())
-        assert list((x * y).words.items()) == list(times.items())
-        cancelled += len(plus) < len(set(x.words) | set(y.words))
+        assert list((x + y).terms.items()) == list(plus.items())
+        assert list((x - y).terms.items()) == list(minus.items())
+        assert list((x * y).terms.items()) == list(times.items())
+        cancelled += len(plus) < len(set(x.terms) | set(y.terms))
     assert cancelled >= 10

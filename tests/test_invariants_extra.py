@@ -96,7 +96,7 @@ def test_coderivation_bracket_operator_dgla_axioms():
 
     def compose(P, Q, word):
         acc = SymElement(basis)
-        for w, c in Q.apply_word(word).words.items():
+        for w, c in Q.apply_word(word).terms.items():
             acc = acc + P.apply_word(w).scale(c)
         return acc
 
@@ -124,10 +124,10 @@ def test_coderivation_bracket_operator_dgla_axioms():
 
                 def out(word):
                     acc = SymElement(basis)
-                    for w, c in Yf(word).words.items():
+                    for w, c in Yf(word).terms.items():
                         acc = acc + Xf(w).scale(c)
                     swap = SymElement(basis)
-                    for w, c in Xf(word).words.items():
+                    for w, c in Xf(word).terms.items():
                         swap = swap + Yf(w).scale(c)
                     return acc - swap.scale(sign)
 

@@ -139,7 +139,7 @@ def test_checker_equivalence_with_coderivation_square():
         for word in all_words(S.shifted, 4):
             inner = Q.apply_word(word)
             acc = None
-            for w, c in inner.words.items():
+            for w, c in inner.terms.items():
                 part = Q.apply_word(w).scale(c)
                 acc = part if acc is None else acc + part
             if acc is not None and not acc.is_zero():
@@ -247,7 +247,7 @@ def test_coderivation_apply_word_matches_oracle():
         Q = S.coderivation()
         for word in all_words(S.shifted, 5):
             got, want = Q.apply_word(word), oracle_coder_apply_word(Q, word)
-            assert list(got.words.items()) == list(want.words.items())
+            assert list(got.terms.items()) == list(want.terms.items())
 
 
 def test_split_plan_signs_are_koszul_signs():
