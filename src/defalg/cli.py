@@ -11,23 +11,13 @@ import argparse
 import sys
 import time
 from . import models, schemas
-from .coalg import all_words, coder_lift, split_count
-from .core import Element
-from .dgla import (
-    TensorDgla,
-    check_dgla,
-    check_na,
-    cohomology,
-    cones,
-    obstruction_class,
-    ExpDerivation,
-)
+from .coalg import all_words, split_count
+from .dgla import TensorDgla, check_dgla, check_na, cohomology, cones, obstruction_class
 from .errors import DefalgError, InputError
 from .freelie import bch_explicit, bch_free, dsw_project, is_lie
 from .gbv import delta_volume, gbv_to_abelian, schouten, tian_todorov_check
 from .lefschetz import identities_report, lefschetz_decompose, is_primitive
 from .linfty import (
-    LInftyMorphism,
     check_linfty,
     from_dgla,
     hodge_F,
@@ -36,19 +26,27 @@ from .linfty import (
     morphism_check,
 )
 from .report import CheckReport
-from .scalars import format_rational, parse_rational
+from .scalars import format_rational
 from .suite import run_suite
 
 
-def element_json(show_fn, el) -> list:
-    """Serialize an Element deterministically through a naming function."""
+def element_json(names, el) -> list:
+    """Serialize an Element deterministically, naming index i by names[i]."""
     return [
-        {"basis": show_fn(i), "coeff": format_rational(c)} for i, c in sorted(el.terms.items())
+        {"basis": names[i], "coeff": format_rational(c)} for i, c in sorted(el.terms.items())
+    ]
+
+
+def word_terms_json(series) -> list:
+    """Serialize a TensorSeries by words of its generator names, shortest first."""
+    return [
+        {"word": [series.gens[i] for i in w], "coeff": format_rational(c)}
+        for w, c in sorted(series.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
     ]
 
 
 # ---------------------------------------------------------------------------
-# Handlers: each returns a CheckReport
+# Handlers: each parses its input, computes and returns a CheckReport
 # ---------------------------------------------------------------------------
 
 
@@ -66,132 +64,68 @@ def cmd_check_na(args) -> CheckReport:
     return check_na(schemas.parse_artin(_load(args)))
 
 
-def _tensor_problem(data):
-    L = schemas.parse_dgla(schemas._field(data, "dgla", "problem"), "dgla.")
-    A = schemas.parse_artin(schemas._field(data, "base", "problem"), "base.")
-    M = TensorDgla(L, A)
-    return M
-
-
 def cmd_mc(args) -> CheckReport:
-    data = _load(args)
-    schemas.expect_kind(data, "mc_problem")
-    M = _tensor_problem(data)
-    x = schemas.parse_pair_element(data, "element", M)
+    M, x = schemas.parse_mc_problem(_load(args))
     residual = M.mc_residual(x)
-    rep = CheckReport("mc")
+    rep = CheckReport("mc", witness={"residual": element_json(M.basis.names, residual)})
     if not residual.is_zero():
         rep.add("residual", M.show(residual), "Maurer-Cartan equation fails")
-    rep.witness = {"residual": element_json(lambda i: M.basis.names[i], residual)}
     return rep
 
 
 def cmd_gauge(args) -> CheckReport:
-    data = _load(args)
-    schemas.expect_kind(data, "gauge_problem")
-    M = _tensor_problem(data)
-    a = schemas.parse_pair_element(data, "gauge_by", M)
-    w = schemas.parse_pair_element(data, "element", M)
+    M, a, w = schemas.parse_gauge_problem(_load(args))
     out = M.gauge_apply(a, w)
-    rep = CheckReport("gauge")
-    rep.witness = {"result": element_json(lambda i: M.basis.names[i], out)}
+    rep = CheckReport("gauge", witness={"result": element_json(M.basis.names, out)})
     if M.is_mc(w) and not M.is_mc(out):
         rep.add("gauge", M.show(M.mc_residual(out)), "gauge left the MC set")
     return rep
 
 
 def cmd_obstruction(args) -> CheckReport:
-    data = _load(args)
-    schemas.expect_kind(data, "obstruction_problem")
-    L = schemas.parse_dgla(schemas._field(data, "dgla", "problem"), "dgla.")
-    ext = schemas.parse_small_extension(
-        {
-            "kind": "small_extension",
-            "total": schemas._field(data, "total", "problem"),
-            "kernel": schemas._field(data, "kernel", "problem"),
-        }
-    )
-    MB = TensorDgla(L, ext.quotient)
-    x = schemas.parse_pair_element(data, "element", MB)
+    L, ext, x = schemas.parse_obstruction_problem(_load(args))
     result = obstruction_class(L, ext, x)
-    rep = CheckReport("obstruction")
-    rep.witness = {
-        "classes": {
-            k: [format_rational(c) for c in v] for k, v in result["classes"].items()
-        },
+    classes = {k: [format_rational(c) for c in v] for k, v in result["classes"].items()}
+    witness = {
+        "classes": classes,
         "h2_dim": result["h2_dim"],
         "vanishes": result["vanishes"],
     }
     if result["lift"] is not None:
-        MA = TensorDgla(L, ext.total)
-        rep.witness["lift"] = element_json(
-            lambda i: MA.basis.names[i], result["lift"]
-        )
+        names = TensorDgla(L, ext.total).basis.names
+        witness["lift"] = element_json(names, result["lift"])
+    rep = CheckReport("obstruction", witness=witness)
     if not result["vanishes"]:
-        rep.add("class", str(rep.witness["classes"]), "obstruction class is nonzero")
+        rep.add("class", str(classes), "obstruction class is nonzero")
     return rep
 
 
 def cmd_cohomology(args) -> CheckReport:
-    data = _load(args)
-    schemas.expect_kind(data, "cohomology_problem")
-    inner = schemas._field(data, "structure", "problem")
-    kind = inner.get("kind", "dgla")
-    structure = (
-        schemas.parse_dgla(inner, "structure.")
-        if kind == "dgla"
-        else schemas.parse_artin(inner, "structure.")
-    )
-    degree = schemas._int_field(data, "degree", "problem")
+    structure, degree = schemas.parse_cohomology_problem(_load(args))
     reps, project, dims = cohomology(structure, degree)
-    rep = CheckReport("cohomology")
-    rep.witness = {
+    return CheckReport("cohomology", witness={
         "dims": {"cycles": dims[0], "boundaries": dims[1], "h": dims[2]},
-        "representatives": [
-            element_json(lambda i: structure.basis.names[i], r) for r in reps
-        ],
-    }
-    return rep
+        "representatives": [element_json(structure.basis.names, r) for r in reps],
+    })
+
+
+def _basis_json(basis) -> list:
+    return [{"name": n, "degree": d} for n, d in zip(basis.names, basis.degrees)]
 
 
 def cmd_cones(args) -> CheckReport:
     ext = schemas.parse_small_extension(_load(args))
     C, D, rep = cones(ext)
     rep.witness = {
-        "cone_basis": [
-            {"name": C.basis.names[i], "degree": C.basis.degrees[i]}
-            for i in range(len(C.basis))
-        ],
-        "inverse_cone_basis": None
-        if D is None
-        else [
-            {"name": D.basis.names[i], "degree": D.basis.degrees[i]}
-            for i in range(len(D.basis))
-        ],
+        "cone_basis": _basis_json(C.basis),
+        "inverse_cone_basis": None if D is None else _basis_json(D.basis),
         "kernel_acyclic": ext.kernel_complex_acyclic(),
     }
     return rep
 
 
 def cmd_exp_der(args) -> CheckReport:
-    data = _load(args)
-    schemas.expect_kind(data, "exp_derivation")
-    R = schemas.parse_unital_algebra(schemas._field(data, "algebra", "exp_derivation"))
-    A = schemas.parse_artin(schemas._field(data, "base", "exp_derivation"), "base.")
-    values = {}
-    for i, entry in enumerate(data.get("derivation", [])):
-        src = R.basis.index(schemas._field(entry, "from", f"derivation[{i}]"))
-        table = {}
-        for j, term in enumerate(entry.get("value", [])):
-            r_i = R.basis.index(schemas._field(term, "r", f"derivation[{i}][{j}]"))
-            a_i = A.basis.index(schemas._field(term, "a", f"derivation[{i}][{j}]"))
-            coeff = parse_rational(
-                schemas._field(term, "coeff", f"derivation[{i}][{j}]")
-            )
-            table[(r_i, a_i)] = coeff
-        values[src] = table
-    ed = ExpDerivation(R, A, values)
-    return ed.verify()
+    return schemas.parse_exp_derivation(_load(args)).verify()
 
 
 def cmd_homotopy_eval(args) -> CheckReport:
@@ -201,7 +135,7 @@ def cmd_homotopy_eval(args) -> CheckReport:
     rep.witness = {
         "evaluated_at": format_rational(eval_at),
         "map": {
-            H.A.basis.names[i]: element_json(lambda t: H.B.basis.names[t], v)
+            H.A.basis.names[i]: element_json(H.B.basis.names, v)
             for i, v in sorted(table.items())
         },
     }
@@ -210,57 +144,25 @@ def cmd_homotopy_eval(args) -> CheckReport:
 
 def cmd_bch(args) -> CheckReport:
     data = _load(args)
-    rep = CheckReport("bch")
-    order = args.truncate
-    if order < 0:
+    if args.truncate < 0:
         raise InputError("--truncate must be a nonnegative integer")
-    if args.mode in ("free", "explicit"):
-        schemas.expect_kind(data, "free_bch")
-        gens = tuple(schemas._list_field(data, "generators", "free_bch"))
-        if len(gens) != 2:
-            raise InputError("free_bch needs exactly two generators")
-        from .freelie import TensorSeries
-
-        a = TensorSeries.generator(gens, order, gens[0])
-        b = TensorSeries.generator(gens, order, gens[1])
-        result = bch_free(a, b) if args.mode == "free" else bch_explicit(a, b)
-        check = bch_explicit(a, b) if args.mode == "free" else bch_free(a, b)
-        if result != check:
-            rep.add("bch", "", "free and explicit modes disagree")
-        rep.witness = {
-            "terms": [
-                {
-                    "word": [gens[i] for i in w],
-                    "coeff": format_rational(c),
-                }
-                for w, c in sorted(result.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-            ]
-        }
-        return rep
     if args.mode == "nilpotent":
-        lie = schemas.parse_nilpotent_lie(data)
-        left = schemas.parse_value(data.get("left"), lie.basis, "left")
-        right = schemas.parse_value(data.get("right"), lie.basis, "right")
-        result = lie.bch(left, right)
-        rep.witness = {
-            "result": element_json(lambda i: lie.basis.names[i], result),
-            "nilpotency_index": lie.nilpotency_index,
-        }
-        return rep
-    raise InputError(f"unknown bch mode {args.mode!r}")
+        lie, left, right = schemas.parse_nilpotent_bch(data)
+        result = element_json(lie.basis.names, lie.bch(left, right))
+        witness = {"result": result, "nilpotency_index": lie.nilpotency_index}
+        return CheckReport("bch", witness=witness)
+    a, b = schemas.parse_free_bch(data, args.truncate)
+    result = bch_free(a, b) if args.mode == "free" else bch_explicit(a, b)
+    check = bch_explicit(a, b) if args.mode == "free" else bch_free(a, b)
+    rep = CheckReport("bch", witness={"terms": word_terms_json(result)})
+    if result != check:
+        rep.add("bch", "", "free and explicit modes disagree")
+    return rep
 
 
 def cmd_dsw(args) -> CheckReport:
-    series = schemas.parse_tensor_poly(_load(args))
-    out = dsw_project(series)
-    rep = CheckReport("dsw")
-    rep.witness = {
-        "projection": [
-            {"word": [series.gens[i] for i in w], "coeff": format_rational(c)}
-            for w, c in sorted(out.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-        ]
-    }
-    return rep
+    out = dsw_project(schemas.parse_tensor_poly(_load(args)))
+    return CheckReport("dsw", witness={"projection": word_terms_json(out)})
 
 
 def cmd_friedrichs(args) -> CheckReport:
@@ -277,25 +179,13 @@ def cmd_friedrichs(args) -> CheckReport:
 
 
 def cmd_coder(args) -> CheckReport:
-    data = _load(args)
-    schemas.expect_kind(data, "coderivation")
-    basis = schemas.parse_basis(schemas._field(data, "basis", "coderivation"))
-    degree = schemas._int_field(data, "degree", "coderivation")
-    tables = schemas.parse_components(data, basis, basis)
-    Q = coder_lift(basis, degree, tables)
-    return Q.coleibnitz_report(_checked_words(basis, args.max_arity or 4))
+    Q = schemas.parse_coderivation(_load(args))
+    return Q.coleibnitz_report(_checked_words(Q.basis, args.max_arity or 4))
 
 
 def cmd_comorph(args) -> CheckReport:
-    data = _load(args)
-    schemas.expect_kind(data, "comorphism")
-    source = schemas.parse_basis(schemas._field(data, "source_basis", "comorphism"))
-    target = schemas.parse_basis(schemas._field(data, "target_basis", "comorphism"))
-    tables = schemas.parse_components(data, source, target)
-    from .coalg import morphism_lift
-
-    F = morphism_lift(source, target, tables)
-    return F.comorphism_report(_checked_words(source, args.max_arity or 4))
+    F = schemas.parse_comorphism(_load(args))
+    return F.comorphism_report(_checked_words(F.source, args.max_arity or 4))
 
 
 def _checked_words(basis, max_arity):
@@ -311,8 +201,7 @@ def _checked_words(basis, max_arity):
 
 
 def cmd_check_linfty(args) -> CheckReport:
-    S = schemas.parse_linfty(_load(args))
-    return check_linfty(S, args.max_arity)
+    return check_linfty(schemas.parse_linfty(_load(args)), args.max_arity)
 
 
 def cmd_from_dgla(args) -> CheckReport:
@@ -325,7 +214,7 @@ def cmd_from_dgla(args) -> CheckReport:
             str(k): [
                 {
                     "word": [S.shifted.names[i] for i in w],
-                    "value": element_json(lambda i: S.shifted.names[i], v),
+                    "value": element_json(S.shifted.names, v),
                 }
                 for w, v in sorted(t.items())
             ]
@@ -336,53 +225,33 @@ def cmd_from_dgla(args) -> CheckReport:
 
 
 def cmd_linfty_morphism(args) -> CheckReport:
-    data = _load(args)
-    schemas.expect_kind(data, "linfty_morphism")
-    source = schemas.parse_linfty(schemas._field(data, "source", "morphism"))
-    target = schemas.parse_linfty(schemas._field(data, "target", "morphism"))
-    tables = schemas.parse_components(data, source.shifted, target.shifted)
-    F = LInftyMorphism(source, target, tables)
-    return morphism_check(F, args.max_arity)
+    return morphism_check(schemas.parse_linfty_morphism(_load(args)), args.max_arity)
 
 
 def cmd_mc_linfty(args) -> CheckReport:
-    data = _load(args)
-    schemas.expect_kind(data, "mc_linfty_problem")
-    S = schemas.parse_linfty(schemas._field(data, "structure", "problem"))
-    A = schemas.parse_artin(schemas._field(data, "base", "problem"), "base.")
-    m = {}
-    for i, entry in enumerate(data.get("element", [])):
-        li = S.space.index(schemas._field(entry, "l", f"element[{i}]"))
-        ai = A.basis.index(schemas._field(entry, "a", f"element[{i}]"))
-        m[(li, ai)] = parse_rational(schemas._field(entry, "coeff", f"element[{i}]"))
+    S, A, m = schemas.parse_mc_linfty_problem(_load(args))
     residual = mc_linfty(S, A, m)
-    rep = CheckReport("mc-linfty")
     nA = len(A.basis)
+    terms = [
+        {"l": S.space.names[p // nA], "a": A.basis.names[p % nA],
+         "coeff": format_rational(c)}
+        for p, c in sorted(residual.terms.items())
+    ]
+    rep = CheckReport("mc-linfty", witness={"residual": terms})
     if not residual.is_zero():
         rep.add("residual", str(sorted(residual.terms.items())), "homotopy MC fails")
-    rep.witness = {
-        "residual": [
-            {
-                "l": S.space.names[p // nA],
-                "a": A.basis.names[p % nA],
-                "coeff": format_rational(c),
-            }
-            for p, c in sorted(residual.terms.items())
-        ]
-    }
     return rep
 
 
 def cmd_hodge_f(args) -> CheckReport:
-    if args.builtin:
-        if args.builtin not in models.HODGE_BUILTINS:
-            raise InputError(
-                f"unknown builtin model {args.builtin!r}: "
-                f"choose from {sorted(models.HODGE_BUILTINS)}"
-            )
-        M = models.HODGE_BUILTINS[args.builtin]()
-    else:
+    if not args.builtin:
         raise InputError("hodge-f requires --builtin {trivial,rank-one,derived}")
+    if args.builtin not in models.HODGE_BUILTINS:
+        raise InputError(
+            f"unknown builtin model {args.builtin!r}: "
+            f"choose from {sorted(models.HODGE_BUILTINS)}"
+        )
+    M = models.HODGE_BUILTINS[args.builtin]()
     rep = hodge_model_check(M)
     if not rep.ok():
         rep.command = "hodge-f"
@@ -401,22 +270,8 @@ def cmd_gbv_check(args) -> CheckReport:
 
 
 def cmd_schouten(args) -> CheckReport:
-    data = _load(args)
-    schemas.expect_kind(data, "polyvector_pair")
-    nvars = schemas._field(data, "vars", "polyvector_pair")
-    cap = data.get("cap")
-    left = schemas.parse_polyvector(
-        {"vars": nvars, "cap": cap, "terms": schemas._field(data, "left", "pair")},
-        "left.",
-    )
-    right = schemas.parse_polyvector(
-        {"vars": nvars, "cap": cap, "terms": schemas._field(data, "right", "pair")},
-        "right.",
-    )
-    out = schouten(left, right)
-    rep = CheckReport("schouten")
-    rep.witness = {"bracket": _polyvector_json(out)}
-    return rep
+    out = schouten(*schemas.parse_polyvector_pair(_load(args)))
+    return CheckReport("schouten", witness={"bracket": _polyvector_json(out)})
 
 
 def _polyvector_json(pv):
@@ -431,27 +286,12 @@ def _polyvector_json(pv):
 
 
 def cmd_delta(args) -> CheckReport:
-    pv = schemas.parse_polyvector(_load(args))
-    out = delta_volume(pv)
-    rep = CheckReport("delta")
-    rep.witness = {"delta": _polyvector_json(out)}
-    return rep
+    out = delta_volume(schemas.parse_polyvector(_load(args)))
+    return CheckReport("delta", witness={"delta": _polyvector_json(out)})
 
 
 def cmd_tian_todorov(args) -> CheckReport:
-    data = _load(args)
-    schemas.expect_kind(data, "polyvector_pair")
-    nvars = schemas._field(data, "vars", "polyvector_pair")
-    cap = data.get("cap")
-    left = schemas.parse_polyvector(
-        {"vars": nvars, "cap": cap, "terms": schemas._field(data, "left", "pair")},
-        "left.",
-    )
-    right = schemas.parse_polyvector(
-        {"vars": nvars, "cap": cap, "terms": schemas._field(data, "right", "pair")},
-        "right.",
-    )
-    return tian_todorov_check(left, right)
+    return tian_todorov_check(*schemas.parse_polyvector_pair(_load(args)))
 
 
 def cmd_gbv_to_abelian(args) -> CheckReport:
@@ -477,75 +317,83 @@ def cmd_lefschetz(args) -> CheckReport:
                 f"{schemas.MAX_BASIS_ENV} cap of {cap}"
             )
         return identities_report(args.dim)
-    if args.action == "decompose":
-        v = schemas.parse_covector(_load(args))
-        if v.n != args.dim:
-            raise InputError("covector dimension differs from --dim")
-        # L^k of one term has up to C(dim, k) terms, 2^dim over all k: refuse
-        # when terms * 2^dim exceeds the cap, comparing dim with the bit
-        # length of cap // terms so a huge --dim never builds 2^dim
-        cap = schemas.max_basis()
-        if v.terms and args.dim >= (max(cap, 0) // len(v.terms)).bit_length():
-            raise InputError(
-                f"--dim {args.dim}: {len(v.terms)} term(s) times 2^{args.dim} "
-                f"exceed the {schemas.MAX_BASIS_ENV} cap of {cap}"
-            )
-        parts = lefschetz_decompose(v)
-        rep = CheckReport("lefschetz-decompose")
-        rep.witness = {
-            "components": [
-                {
-                    "power": r,
-                    "primitive": is_primitive(vr),
-                    "terms": [
-                        {
-                            "A": list(k[0]),
-                            "B": list(k[1]),
-                            "M": list(k[2]),
-                            "N": list(k[3]),
-                            "coeff": {"re": format_rational(c.re), "im": format_rational(c.im)},
-                        }
-                        for k, c in sorted(vr.terms.items())
-                    ],
-                }
-                for r, vr in parts
-            ]
-        }
-        return rep
-    raise InputError(f"unknown lefschetz action {args.action!r}")
+    v = schemas.parse_covector(_load(args))
+    if v.n != args.dim:
+        raise InputError("covector dimension differs from --dim")
+    # L^k of one term has up to C(dim, k) terms, 2^dim over all k: refuse
+    # when terms * 2^dim exceeds the cap, comparing dim with the bit
+    # length of cap // terms so a huge --dim never builds 2^dim
+    cap = schemas.max_basis()
+    if v.terms and args.dim >= (max(cap, 0) // len(v.terms)).bit_length():
+        raise InputError(
+            f"--dim {args.dim}: {len(v.terms)} term(s) times 2^{args.dim} "
+            f"exceed the {schemas.MAX_BASIS_ENV} cap of {cap}"
+        )
+    return CheckReport("lefschetz-decompose", witness={
+        "components": [
+            {
+                "power": r,
+                "primitive": is_primitive(vr),
+                "terms": [
+                    {
+                        **dict(zip("ABMN", map(list, k))),
+                        "coeff": {"re": format_rational(c.re), "im": format_rational(c.im)},
+                    }
+                    for k, c in sorted(vr.terms.items())
+                ],
+            }
+            for r, vr in lefschetz_decompose(v)
+        ]
+    })
 
 
 def cmd_suite(args) -> CheckReport:
     return run_suite(args.seed)
 
 
+# The options a subcommand may take, by their argparse dest.  Every
+# subcommand takes --format, which main reads.
+FLAGS = {
+    "input": ("--input", {"help": "JSON input file"}),
+    "truncate": ("--truncate", {"type": int, "default": 4}),
+    # None lets structure checkers default to (largest arity) + 2
+    "max_arity": ("--max-arity", {"type": int, "default": None}),
+    "seed": ("--seed", {"type": int, "default": 7}),
+    "mode": ("--mode", {"choices": ("free", "explicit", "nilpotent"),
+                        "default": "explicit"}),
+    "builtin": ("--builtin", {"default": None}),
+    "action": ("action", {"choices": ("identities", "decompose")}),
+    "dim": ("--dim", {"type": int, "default": 2}),
+}
+
+# name: (handler, the FLAGS it reads)
 SUBCOMMANDS = {
-    "check-dgla": cmd_check_dgla,
-    "check-na": cmd_check_na,
-    "mc": cmd_mc,
-    "gauge": cmd_gauge,
-    "obstruction": cmd_obstruction,
-    "cohomology": cmd_cohomology,
-    "cones": cmd_cones,
-    "exp-der": cmd_exp_der,
-    "homotopy-eval": cmd_homotopy_eval,
-    "bch": cmd_bch,
-    "dsw": cmd_dsw,
-    "friedrichs": cmd_friedrichs,
-    "coder": cmd_coder,
-    "comorph": cmd_comorph,
-    "check-linfty": cmd_check_linfty,
-    "from-dgla": cmd_from_dgla,
-    "linfty-morphism": cmd_linfty_morphism,
-    "mc-linfty": cmd_mc_linfty,
-    "hodge-f": cmd_hodge_f,
-    "gbv-check": cmd_gbv_check,
-    "schouten": cmd_schouten,
-    "delta": cmd_delta,
-    "tian-todorov": cmd_tian_todorov,
-    "gbv-to-abelian": cmd_gbv_to_abelian,
-    "lefschetz": cmd_lefschetz,
-    "suite": cmd_suite,
+    "check-dgla": (cmd_check_dgla, ("input",)),
+    "check-na": (cmd_check_na, ("input",)),
+    "mc": (cmd_mc, ("input",)),
+    "gauge": (cmd_gauge, ("input",)),
+    "obstruction": (cmd_obstruction, ("input",)),
+    "cohomology": (cmd_cohomology, ("input",)),
+    "cones": (cmd_cones, ("input",)),
+    "exp-der": (cmd_exp_der, ("input",)),
+    "homotopy-eval": (cmd_homotopy_eval, ("input",)),
+    "bch": (cmd_bch, ("input", "mode", "truncate")),
+    "dsw": (cmd_dsw, ("input",)),
+    "friedrichs": (cmd_friedrichs, ("input",)),
+    "coder": (cmd_coder, ("input", "max_arity")),
+    "comorph": (cmd_comorph, ("input", "max_arity")),
+    "check-linfty": (cmd_check_linfty, ("input", "max_arity")),
+    "from-dgla": (cmd_from_dgla, ("input", "max_arity")),
+    "linfty-morphism": (cmd_linfty_morphism, ("input", "max_arity")),
+    "mc-linfty": (cmd_mc_linfty, ("input",)),
+    "hodge-f": (cmd_hodge_f, ("builtin", "max_arity")),
+    "gbv-check": (cmd_gbv_check, ("input",)),
+    "schouten": (cmd_schouten, ("input",)),
+    "delta": (cmd_delta, ("input",)),
+    "tian-todorov": (cmd_tian_todorov, ("input",)),
+    "gbv-to-abelian": (cmd_gbv_to_abelian, ("input", "max_arity")),
+    "lefschetz": (cmd_lefschetz, ("action", "input", "dim")),
+    "suite": (cmd_suite, ("seed",)),
 }
 
 
@@ -555,23 +403,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact-arithmetic workbench for the algebra of deformation theory",
     )
     sub = parser.add_subparsers(dest="subcommand")
-    for name in SUBCOMMANDS:
+    for name, (_, flags) in SUBCOMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--input", help="JSON input file")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--truncate", type=int, default=4)
-        # None lets structure checkers default to (largest arity) + 2
-        p.add_argument("--max-arity", dest="max_arity", type=int, default=None)
-        p.add_argument("--seed", type=int, default=7)
-        if name == "bch":
-            p.add_argument(
-                "--mode", choices=("free", "explicit", "nilpotent"), default="explicit"
-            )
-        if name == "hodge-f":
-            p.add_argument("--builtin", default=None)
-        if name == "lefschetz":
-            p.add_argument("action", choices=("identities", "decompose"))
-            p.add_argument("--dim", type=int, default=2)
+        for flag in flags:
+            option, kwargs = FLAGS[flag]
+            p.add_argument(option, **kwargs)
     return parser
 
 
@@ -581,10 +418,11 @@ def main(argv=None) -> int:
     if not args.subcommand:
         parser.print_help()
         return 2
-    handler = SUBCOMMANDS[args.subcommand]
+    handler = SUBCOMMANDS[args.subcommand][0]
     started = time.monotonic()
     try:
-        if args.max_arity is not None and args.max_arity < 1:
+        max_arity = getattr(args, "max_arity", None)
+        if max_arity is not None and max_arity < 1:
             raise InputError("--max-arity must be a positive integer")
         report = handler(args)
     except InputError as exc:

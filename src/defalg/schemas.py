@@ -8,13 +8,22 @@ from __future__ import annotations
 import json
 import os
 
+from .coalg import CoalgMorphism, Coderivation, coder_lift, morphism_lift
 from .core import Element, GradedBasis, add_term
-from .dgla import ArtinDg, DGLA, Homotopy, DtPolynomial, SmallExtension
+from .dgla import (
+    ArtinDg,
+    DGLA,
+    DtPolynomial,
+    ExpDerivation,
+    Homotopy,
+    SmallExtension,
+    TensorDgla,
+)
 from .errors import InputError
 from .freelie import NilpotentLie, TensorSeries
 from .gbv import GBVStructure, GradedCommAlgebra, Polyvector
 from .lefschetz import CovectorElement, make_key
-from .linfty import LInftyStructure
+from .linfty import LInftyMorphism, LInftyStructure
 from .scalars import GaussianScalar, parse_rational
 
 MAX_BASIS_ENV = "DEFALG_MAX_BASIS"
@@ -88,10 +97,7 @@ def parse_basis(data, path="basis") -> GradedBasis:
     degrees = []
     for i, entry in enumerate(data):
         names.append(str(_field(entry, "name", f"{path}[{i}]")))
-        deg = _field(entry, "degree", f"{path}[{i}]")
-        if not isinstance(deg, int):
-            raise InputError(f"{path}[{i}].degree: must be an integer")
-        degrees.append(deg)
+        degrees.append(_int_field(entry, "degree", f"{path}[{i}]"))
     try:
         return GradedBasis(tuple(names), tuple(degrees))
     except InputError as exc:
@@ -166,13 +172,42 @@ def parse_nilpotent_lie(data) -> NilpotentLie:
     return NilpotentLie(basis, table)
 
 
+def parse_nilpotent_bch(data) -> tuple:
+    """(lie, left, right): the two elements of the nilpotent Lie algebra
+    whose BCH product is asked for."""
+    lie = parse_nilpotent_lie(data)
+    left = parse_value(data.get("left"), lie.basis, "left")
+    return lie, left, parse_value(data.get("right"), lie.basis, "right")
+
+
+def _generators(data, path) -> tuple:
+    """data["generators"], a list of distinct strings."""
+    gens = _list_field(data, "generators", path)
+    for i, name in enumerate(gens):
+        if not isinstance(name, str):
+            raise InputError(f"{path}.generators[{i}]: must be a string")
+        if name in gens[:i]:
+            raise InputError(f"{path}.generators[{i}]: {name!r} is repeated")
+    return tuple(gens)
+
+
+def parse_free_bch(data, order) -> tuple:
+    """The two generators of a free_bch document as series truncated at
+    `order`."""
+    expect_kind(data, "free_bch")
+    gens = _generators(data, "free_bch")
+    if len(gens) != 2:
+        raise InputError("free_bch needs exactly two generators")
+    return tuple(TensorSeries.generator(gens, order, name) for name in gens)
+
+
 def parse_tensor_poly(data) -> TensorSeries:
     expect_kind(data, "tensor_poly")
-    gens = _list_field(data, "generators", "tensor_poly")
+    gens = _generators(data, "tensor_poly")
     order = data.get("truncation", 4)
     if isinstance(order, bool) or not isinstance(order, int) or order < 0:
         raise InputError("tensor_poly.truncation: must be a nonnegative integer")
-    out = TensorSeries.zero(tuple(gens), order)
+    out = TensorSeries.zero(gens, order)
     for i, entry in enumerate(_list_field(data, "terms", "tensor_poly", [])):
         word = _list_field(entry, "word", f"terms[{i}]")
         idx = []
@@ -185,18 +220,66 @@ def parse_tensor_poly(data) -> TensorSeries:
     return out
 
 
+def _pair_terms(data, name, left, right, left_key="l", prefix=""):
+    """{(left index, right index): coeff} from the optional list data[name]
+    of {left_key: left basis name, "a": right basis name, "coeff"} entries,
+    named `{prefix}{name}` in messages."""
+    path = f"{prefix}{name}"
+    terms = {}
+    for i, entry in enumerate(_list_field(data, name, prefix.rstrip("."), [])):
+        where = f"{path}[{i}]"
+        key = (
+            left.index(_field(entry, left_key, where)),
+            right.index(_field(entry, "a", where)),
+        )
+        terms[key] = parse_rational(_field(entry, "coeff", where))
+    return terms
+
+
 def parse_pair_element(data, name, M):
     """Element of a tensor DGLA given in the optional list data[name] as
     [{"l": L basis name, "a": A basis name, "coeff"}]."""
     out = Element()
-    for i, entry in enumerate(_list_field(data, name, "", [])):
-        l_name = _field(entry, "l", f"{name}[{i}]")
-        a_name = _field(entry, "a", f"{name}[{i}]")
-        coeff = parse_rational(_field(entry, "coeff", f"{name}[{i}]"))
-        li = M.L.basis.index(l_name)
-        ai = M.A.basis.index(a_name)
-        out.add_term(M.pair_index[(li, ai)], coeff)
+    for pair, coeff in _pair_terms(data, name, M.L.basis, M.A.basis).items():
+        out.add_term(M.pair_index[pair], coeff)
     return out
+
+
+def _tensor_dgla(data, kind) -> TensorDgla:
+    """L (x) m_A from the "dgla" and "base" fields of a `kind` document."""
+    expect_kind(data, kind)
+    L = parse_dgla(_field(data, "dgla", "problem"), "dgla.")
+    return TensorDgla(L, parse_artin(_field(data, "base", "problem"), "base."))
+
+
+def parse_mc_problem(data) -> tuple:
+    """(M, x): the element x of M = L (x) m_A to test."""
+    M = _tensor_dgla(data, "mc_problem")
+    return M, parse_pair_element(data, "element", M)
+
+
+def parse_gauge_problem(data) -> tuple:
+    """(M, a, w): the gauge a acting on the element w of M = L (x) m_A."""
+    M = _tensor_dgla(data, "gauge_problem")
+    a = parse_pair_element(data, "gauge_by", M)
+    return M, a, parse_pair_element(data, "element", M)
+
+
+def parse_obstruction_problem(data) -> tuple:
+    """(L, ext, x): x in L (x) m_B lifts along the small extension ext of B."""
+    expect_kind(data, "obstruction_problem")
+    L = parse_dgla(_field(data, "dgla", "problem"), "dgla.")
+    ext = _small_extension(data, "problem")
+    return L, ext, parse_pair_element(data, "element", TensorDgla(L, ext.quotient))
+
+
+def parse_cohomology_problem(data) -> tuple:
+    """(structure, degree): a DGLA or (with kind "artin_dg") a base algebra."""
+    expect_kind(data, "cohomology_problem")
+    inner = _field(data, "structure", "problem")
+    artin = isinstance(inner, dict) and inner.get("kind", "dgla") != "dgla"
+    structure = (parse_artin if artin else parse_dgla)(inner, "structure.")
+    return structure, _int_field(data, "degree", "problem")
 
 
 def parse_components(data, basis, target_basis):
@@ -210,19 +293,37 @@ def parse_components(data, basis, target_basis):
             raise InputError(f"{path}[{i}].arity: must be an integer >= 1")
         if arity in tables:
             raise InputError(f"{path}[{i}].arity: arity {arity} is given twice")
-        table = tables[arity] = {}
-        for j, entry in enumerate(_list_field(comp, "entries", f"{path}[{i}]", [])):
-            word = tuple(
-                basis.index(w) for w in _list_field(entry, "word", f"{path}[{i}][{j}]")
-            )
-            if len(word) != arity:
-                raise InputError(f"{path}[{i}][{j}].word: length != arity")
-            table[word] = parse_value(
-                _field(entry, "value", f"{path}[{i}][{j}]"),
-                target_basis,
-                f"{path}[{i}][{j}].value",
-            )
+        entries = _list_field(comp, "entries", f"{path}[{i}]", [])
+        tables[arity] = _word_table(entries, f"{path}[{i}]", basis, target_basis, arity)
     return {k: table for k, table in tables.items() if table}
+
+
+def _word_table(entries, path, basis, target_basis, arity=None) -> dict:
+    """{word tuple: Element} from [{"word": [...], "value": [...]}] entries,
+    named `{path}[j]` in messages; every word has `arity` letters if given."""
+    table = {}
+    for j, entry in enumerate(entries):
+        where = f"{path}[{j}]"
+        word = tuple(basis.index(w) for w in _list_field(entry, "word", where))
+        if arity is not None and len(word) != arity:
+            raise InputError(f"{where}.word: length != arity")
+        value = _field(entry, "value", where)
+        table[word] = parse_value(value, target_basis, f"{where}.value")
+    return table
+
+
+def parse_coderivation(data) -> Coderivation:
+    expect_kind(data, "coderivation")
+    basis = parse_basis(_field(data, "basis", "coderivation"))
+    degree = _int_field(data, "degree", "coderivation")
+    return coder_lift(basis, degree, parse_components(data, basis, basis))
+
+
+def parse_comorphism(data) -> CoalgMorphism:
+    expect_kind(data, "comorphism")
+    source = parse_basis(_field(data, "source_basis", "comorphism"))
+    target = parse_basis(_field(data, "target_basis", "comorphism"))
+    return morphism_lift(source, target, parse_components(data, source, target))
 
 
 def parse_linfty(data, path="") -> LInftyStructure:
@@ -240,17 +341,8 @@ def parse_linfty(data, path="") -> LInftyStructure:
             arity = 0
         if arity < 1:
             raise InputError(f"brackets.{arity_str}: arity must be an integer >= 1")
-        table = {}
-        for j, entry in enumerate(_list_field(brackets, arity_str, "brackets")):
-            word = tuple(
-                basis.index(w)
-                for w in _list_field(entry, "word", f"brackets.{arity_str}[{j}]")
-            )
-            table[word] = parse_value(
-                _field(entry, "value", f"brackets.{arity_str}[{j}]"),
-                basis,
-                f"brackets.{arity_str}[{j}].value",
-            )
+        entries = _list_field(brackets, arity_str, "brackets")
+        table = _word_table(entries, f"brackets.{arity_str}", basis, basis)
         if table:
             tables[arity] = table
     if convention == "suspended":
@@ -258,6 +350,22 @@ def parse_linfty(data, path="") -> LInftyStructure:
     if convention == "unsuspended":
         return LInftyStructure.from_unsuspended(basis, tables)
     raise InputError(f"convention: unknown value {convention!r}")
+
+
+def parse_linfty_morphism(data) -> LInftyMorphism:
+    expect_kind(data, "linfty_morphism")
+    source = parse_linfty(_field(data, "source", "morphism"))
+    target = parse_linfty(_field(data, "target", "morphism"))
+    tables = parse_components(data, source.shifted, target.shifted)
+    return LInftyMorphism(source, target, tables)
+
+
+def parse_mc_linfty_problem(data) -> tuple:
+    """(S, A, m): m = {(S index, A index): coeff} in S (x) m_A."""
+    expect_kind(data, "mc_linfty_problem")
+    S = parse_linfty(_field(data, "structure", "problem"))
+    A = parse_artin(_field(data, "base", "problem"), "base.")
+    return S, A, _pair_terms(data, "element", S.space, A.basis)
 
 
 def parse_gbv(data) -> GBVStructure:
@@ -270,14 +378,28 @@ def parse_gbv(data) -> GBVStructure:
     return GBVStructure(algebra, delta)
 
 
-def parse_polyvector(data, path="") -> Polyvector:
+def parse_polyvector(data) -> Polyvector:
     expect_kind(data, "polyvector")
+    return _polyvector(data, _list_field(data, "terms", "polyvector", []))
+
+
+def parse_polyvector_pair(data) -> tuple:
+    """(left, right): two polyvectors on the document's vars and cap."""
+    expect_kind(data, "polyvector_pair")
+    return tuple(
+        _polyvector(data, _list_field(data, side, "polyvector_pair"), f"{side}.")
+        for side in ("left", "right")
+    )
+
+
+def _polyvector(data, entries, path="") -> Polyvector:
+    """The polyvector with the given term entries on data's vars and cap."""
     nvars = _int_field(data, "vars", f"{path}polyvector", nonnegative=True)
     cap = None
     if data.get("cap") is not None:
         cap = _int_field(data, "cap", f"{path}polyvector", nonnegative=True)
     terms = {}
-    for i, entry in enumerate(_list_field(data, "terms", f"{path}polyvector", [])):
+    for i, entry in enumerate(entries):
         coeff = parse_rational(_field(entry, "coeff", f"{path}terms[{i}]"))
         mono = tuple(_list_field(entry, "monomial", f"{path}terms[{i}]"))
         if any(isinstance(e, bool) or not isinstance(e, int) or e < 0 for e in mono):
@@ -322,9 +444,13 @@ def parse_covector(data) -> CovectorElement:
 
 def parse_small_extension(data) -> SmallExtension:
     expect_kind(data, "small_extension")
-    total = parse_artin(_field(data, "total", "small_extension"), "total.")
-    kernel = _field(data, "kernel", "small_extension")
-    return SmallExtension(total, kernel)
+    return _small_extension(data, "small_extension")
+
+
+def _small_extension(data, path) -> SmallExtension:
+    """The extension of data["total"] by the basis names in data["kernel"]."""
+    total = parse_artin(_field(data, "total", path), "total.")
+    return SmallExtension(total, _list_field(data, "kernel", path))
 
 
 def parse_unital_algebra(data, path="algebra") -> GradedCommAlgebra:
@@ -334,6 +460,20 @@ def parse_unital_algebra(data, path="algebra") -> GradedCommAlgebra:
     if unit is None:
         raise InputError(f"{path}.unit: must name a basis element")
     return GradedCommAlgebra(basis, table, unit)
+
+
+def parse_exp_derivation(data) -> ExpDerivation:
+    """e^d for the derivation d given as [{"from": r, "value": [{"r", "a",
+    "coeff"}]}] from the algebra to itself (x) m_A of the base."""
+    expect_kind(data, "exp_derivation")
+    R = parse_unital_algebra(_field(data, "algebra", "exp_derivation"))
+    A = parse_artin(_field(data, "base", "exp_derivation"), "base.")
+    values = {}
+    for i, entry in enumerate(_list_field(data, "derivation", "", [])):
+        src = R.basis.index(_field(entry, "from", f"derivation[{i}]"))
+        prefix = f"derivation[{i}]."
+        values[src] = _pair_terms(entry, "value", R.basis, A.basis, "r", prefix)
+    return ExpDerivation(R, A, values)
 
 
 def parse_homotopy(data) -> tuple:

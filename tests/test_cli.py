@@ -1,16 +1,28 @@
 """CLI: dispatch coverage, exit codes, schemas, JSON reports, determinism."""
 
+import ast
+import inspect
 import json
 import os
+import random
 import subprocess
 import sys
 import time
 
-from defalg.cli import SUBCOMMANDS, build_parser, main
+import pytest
+from golden_corpus import cases as golden_cases
+
+from defalg import cli, schemas
+from defalg.cli import FLAGS, SUBCOMMANDS, build_parser, main
 from defalg.report import CheckReport
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 INPUTS = os.path.join(REPO, "inputs")
+
+
+def sample(name):
+    with open(os.path.join(INPUTS, f"{name}.json"), encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def run_cli(*argv, expect=0):
@@ -522,6 +534,33 @@ def test_typed_reader_gaps_exit_two(tmp_path, capsys):
         homotopy = {"kind": "homotopy", "source": {"basis": t}, "target": {"basis": t},
                     "entries": [{"from": "t", "value": value}]}
         cases.append((["homotopy-eval"], homotopy, f"entries[0].value[0].{field}: must be"))
+    # the problem documents the handlers used to read by hand
+    expder = sample("exp_derivation")
+    cases.append((["exp-der"], {**expder, "derivation": 5}, "derivation: must be a list"))
+    entry = {**expder["derivation"][0], "value": 5}
+    cases.append(
+        (["exp-der"], {**expder, "derivation": [entry]}, "derivation[0].value: must be a list")
+    )
+    mcl = {**sample("mc_linfty_problem"), "element": 5}
+    cases.append((["mc-linfty"], mcl, "element: must be a list"))
+    for bad, found in ((5, "int"), ([], "list")):
+        coh = {**sample("cohomology_problem"), "structure": bad}
+        cases.append((["cohomology"], coh, f"of kind 'dgla', found {found}"))
+    obs = {**sample("obstruction_problem"), "kernel": 5}
+    cases.append((["obstruction"], obs, "problem.kernel: must be a list"))
+    ext = {**sample("small_extension"), "kernel": 5}
+    cases.append((["cones"], ext, "small_extension.kernel: must be a list"))
+    # a bool degree was read as 0 or 1; repeated or non-string generator
+    # names were accepted
+    dgla = {"kind": "dgla", "basis": [{"name": "x", "degree": True}]}
+    cases.append((["check-dgla"], dgla, "basis[0].degree: must be an integer"))
+    for cmd, kind in (("bch", "free_bch"), ("dsw", "tensor_poly")):
+        for gens, message in (
+            (["x", "x"], f"{kind}.generators[1]: 'x' is repeated"),
+            ([["x"], "y"], f"{kind}.generators[0]: must be a string"),
+            (["x", 1], f"{kind}.generators[1]: must be a string"),
+        ):
+            cases.append(([cmd], {"kind": kind, "generators": gens}, message))
     for k, (argv, payload, message) in enumerate(cases):
         path = tmp_path / f"case{k}.json"
         path.write_text(json.dumps(payload))
@@ -1090,3 +1129,119 @@ def test_remaining_subcommands_end_to_end(tmp_path):
             },
         ),
     )
+
+
+# a value each flag accepts
+FLAG_VALUES = {
+    "input": ("--input", "x.json"),
+    "truncate": ("--truncate", "3"),
+    "max_arity": ("--max-arity", "3"),
+    "seed": ("--seed", "3"),
+    "mode": ("--mode", "free"),
+    "builtin": ("--builtin", "trivial"),
+    "action": ("identities",),
+    "dim": ("--dim", "3"),
+}
+
+
+def test_each_subcommand_takes_exactly_the_flags_it_reads(capsys):
+    assert set(FLAG_VALUES) == set(FLAGS)
+    parser = build_parser()
+    settable = 0
+    for name, (_, flags) in SUBCOMMANDS.items():
+        base = [name, "--format", "json", *(["identities"] if "action" in flags else [])]
+        for flag, value in FLAG_VALUES.items():
+            argv = base + list(value) if flag != "action" else [name, "identities"]
+            if flag in flags:
+                parser.parse_args(argv)
+            else:
+                with pytest.raises(SystemExit) as exc:
+                    parser.parse_args(argv)
+                assert exc.value.code == 2, (name, flag)
+        settable += 1 + len(flags)  # --format and the listed flags
+    assert settable == 63
+    capsys.readouterr()
+    # end to end: a flag the subcommand does not read is refused
+    with pytest.raises(SystemExit) as exc:
+        main(["check-dgla", "--seed", "3", "--input", "inputs/abelian_dgla.json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
+def _handler_reads(handler):
+    """The `args.<flag>` names a handler reads, `_load(args)` reading input."""
+    reads = set()
+    for node in ast.walk(ast.parse(inspect.getsource(handler))):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "args":
+            reads.add(node.attr)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_load":
+            reads.add("input")
+    return reads
+
+
+def test_each_subcommand_row_lists_the_flags_its_handler_reads():
+    for name, (handler, flags) in SUBCOMMANDS.items():
+        assert _handler_reads(handler) == set(flags), name
+
+
+FUZZ_VALUES = (None, [], {}, "x", 1.5, -1, True)
+DEEPER_DRAWS = 40  # per sample
+
+
+def _entry_fields(doc, path=()):
+    """The path of each field of the document and, recursively, of each field
+    of the first entry of each list in it."""
+    for key, value in doc.items():
+        yield (*path, key)
+        if isinstance(value, list) and value and isinstance(value[0], dict):
+            yield from _entry_fields(value[0], (*path, key, 0))
+
+
+def _nested_fields(doc, path=()):
+    """The path of every field, list entry and nested object in the document."""
+    entries = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in entries:
+        yield (*path, key)
+        if isinstance(value, (dict, list)):
+            yield from _nested_fields(value, (*path, key))
+
+
+def _set(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def test_mutated_samples_exit_zero_one_or_two(monkeypatch, capsys):
+    """Each sample in inputs/ with one field set to a value of another type:
+    every field of the document and of each list's first entry, plus a
+    seeded draw of deeper fields.  Every run exits 0, 1 or 2 and none
+    raises."""
+    samples = {}
+    for argv in golden_cases().values():
+        if "--input" in argv:
+            samples.setdefault(argv[argv.index("--input") + 1], argv)
+    assert len(samples) == len(os.listdir(INPUTS))
+    parser = build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    rng = random.Random(12)
+    runs = failures = 0
+    for path, argv in sorted(samples.items()):
+        doc = sample(os.path.basename(path)[: -len(".json")])
+        fields = list(_entry_fields(doc))
+        deeper = [p for p in _nested_fields(doc) if p not in fields]
+        mutations = [(p, v) for p in fields for v in FUZZ_VALUES]
+        for field in rng.sample(deeper, min(DEEPER_DRAWS, len(deeper))):
+            mutations.append((field, rng.choice(FUZZ_VALUES)))
+        for field, value in mutations:
+            mutated = _set(doc, field, value)
+            monkeypatch.setattr(schemas, "load_json", lambda _, doc=mutated: doc)
+            code = main(list(argv))
+            capsys.readouterr()
+            runs += 1
+            failures += code not in (0, 1, 2)
+    assert failures == 0
+    assert runs > 2000

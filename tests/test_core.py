@@ -772,3 +772,37 @@ def test_only_element_defines_the_shared_arithmetic():
     copied = "class V:\n    def is_zero(self):\n        return not self.terms\n"
     assert shared_arithmetic(copied, "m") == {"m.V.is_zero"}
     assert shared_arithmetic("class V:\n    __hash__ = None\n", "m") == {"m.V.__hash__"}
+
+
+# -- tooling guard: the CLI reads no input document itself -------------------
+
+
+def input_reads(source):
+    """The private `schemas` names the source uses and the `.get(` calls it
+    makes: the marks of a handler that reads an input document by hand."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "schemas":
+            found |= {f"schemas.{a.name}" for a in node.names if a.name.startswith("_")}
+        elif isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            if isinstance(node.value, ast.Name) and node.value.id == "schemas":
+                found.add(f"schemas.{node.attr}")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr == "get":
+                found.add(f"{ast.unparse(node.func.value)}.get")
+    return found
+
+
+def test_cli_reads_every_input_document_through_schemas():
+    from defalg import cli
+
+    assert input_reads(pathlib.Path(cli.__file__).read_text(encoding="utf-8")) == set()
+    # the guard sees the shapes of the reads that moved into schemas
+    old = (
+        "from .schemas import _field\n"
+        "def cmd(args, data):\n"
+        "    degree = schemas._int_field(data, 'degree', 'problem')\n"
+        "    for entry in data.get('element', []):\n"
+        "        pass\n"
+    )
+    assert input_reads(old) == {"schemas._field", "schemas._int_field", "data.get"}

@@ -6,6 +6,8 @@ import os
 
 from golden_corpus import FORMATS, GOLDEN, cases, run
 
+from defalg.cli import SUBCOMMANDS
+
 
 def test_golden_corpus_is_reproduced_byte_for_byte():
     with open(os.path.join(GOLDEN, "exits.json"), encoding="utf-8") as fh:
@@ -25,8 +27,6 @@ def test_golden_corpus_is_reproduced_byte_for_byte():
 
 
 def test_corpus_runs_every_subcommand_and_every_outcome():
-    from defalg.cli import SUBCOMMANDS
-
     with open(os.path.join(GOLDEN, "exits.json"), encoding="utf-8") as fh:
         exits = json.load(fh)
     assert {argv[0] for argv in cases().values()} == set(SUBCOMMANDS)
