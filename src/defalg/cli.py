@@ -246,11 +246,6 @@ def cmd_mc_linfty(args) -> CheckReport:
 def cmd_hodge_f(args) -> CheckReport:
     if not args.builtin:
         raise InputError("hodge-f requires --builtin {trivial,rank-one,derived}")
-    if args.builtin not in models.HODGE_BUILTINS:
-        raise InputError(
-            f"unknown builtin model {args.builtin!r}: "
-            f"choose from {sorted(models.HODGE_BUILTINS)}"
-        )
     M = models.HODGE_BUILTINS[args.builtin]()
     rep = hodge_model_check(M)
     if not rep.ok():
@@ -361,7 +356,7 @@ FLAGS = {
     "seed": ("--seed", {"type": int, "default": 7}),
     "mode": ("--mode", {"choices": ("free", "explicit", "nilpotent"),
                         "default": "explicit"}),
-    "builtin": ("--builtin", {"default": None}),
+    "builtin": ("--builtin", {"choices": tuple(sorted(models.HODGE_BUILTINS))}),
     "action": ("action", {"choices": ("identities", "decompose")}),
     "dim": ("--dim", {"type": int, "default": 2}),
 }

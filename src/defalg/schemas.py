@@ -223,7 +223,8 @@ def parse_tensor_poly(data) -> TensorSeries:
 def _pair_terms(data, name, left, right, left_key="l", prefix=""):
     """{(left index, right index): coeff} from the optional list data[name]
     of {left_key: left basis name, "a": right basis name, "coeff"} entries,
-    named `{prefix}{name}` in messages."""
+    named `{prefix}{name}` in messages.  A repeated pair adds its
+    coefficients, as every other term list does."""
     path = f"{prefix}{name}"
     terms = {}
     for i, entry in enumerate(_list_field(data, name, prefix.rstrip("."), [])):
@@ -232,7 +233,7 @@ def _pair_terms(data, name, left, right, left_key="l", prefix=""):
             left.index(_field(entry, left_key, where)),
             right.index(_field(entry, "a", where)),
         )
-        terms[key] = parse_rational(_field(entry, "coeff", where))
+        add_term(terms, key, parse_rational(_field(entry, "coeff", where)))
     return terms
 
 

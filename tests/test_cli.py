@@ -585,6 +585,41 @@ def test_typed_reader_gaps_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_repeated_pair_entries_add(tmp_path, capsys):
+    """An (l, a) pair given twice in an element list adds its coefficients,
+    as every other term list does: twice 1 is 2, and 1 then -1 is zero."""
+
+    def twice(entries, second="1"):
+        return [*entries, {**entries[0], "coeff": second}]
+
+    mc, gauge, obs = (sample(k) for k in ("mc_problem", "gauge_problem", "obstruction_problem"))
+    mcl, expder = sample("failing_mc_linfty_problem"), sample("exp_derivation")
+    readers = (
+        (mc, "element", lambda d: schemas.parse_mc_problem(d)[1].terms),
+        (gauge, "element", lambda d: schemas.parse_gauge_problem(d)[2].terms),
+        (gauge, "gauge_by", lambda d: schemas.parse_gauge_problem(d)[1].terms),
+        (obs, "element", lambda d: schemas.parse_obstruction_problem(d)[2].terms),
+        (mcl, "element", lambda d: schemas.parse_mc_linfty_problem(d)[2]),
+    )
+    for doc, field, read in readers:
+        assert [*read(doc).values()] == [1], (doc["kind"], field)
+        assert [*read({**doc, field: twice(doc[field])}).values()] == [2]
+        assert read({**doc, field: twice(doc[field], "-1")}) == {}
+    entry = expder["derivation"][0]
+    for second, want in (("1", [2]), ("-1", [])):
+        value = twice(entry["value"], second)
+        ed = schemas.parse_exp_derivation({**expder, "derivation": [{**entry, "value": value}]})
+        assert [c for v in ed.values.values() for c in v.values()] == want
+    # end to end: x (x) t and -x (x) t cancel, so mc on the failing sample
+    # passes as on an empty element
+    bad = sample("failing_mc_problem")
+    for k, field in enumerate((twice(bad["element"], "-1"), [])):
+        path = tmp_path / f"mc{k}.json"
+        path.write_text(json.dumps({**bad, "element": field}))
+        assert main(["mc", "--input", str(path)]) == 0
+    capsys.readouterr()
+
+
 def test_max_arity_refused_before_any_word(tmp_path, capsys, monkeypatch):
     x = [{"name": "x", "degree": 0}]
     one = [{"word": ["x"], "value": [{"basis": "x", "coeff": "1"}]}]
