@@ -1,13 +1,16 @@
 """Uniform command-line entry point.
 
-Exit codes: 0 pass, 1 check failed, 2 input error.  `--format json` emits
-the CheckReport schema; reports are byte-identical across runs for fixed
-inputs and seeds (timing is text-only).
+Exit codes: 0 pass, 1 check failed, 2 input error (status "input-error")
+or a refused computation (status "error").  `--format json` emits the
+CheckReport schema in every case; reports are byte-identical across runs
+for fixed inputs and seeds (timing is text-only).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import json
 import sys
 import time
 from . import models, schemas
@@ -392,7 +395,9 @@ SUBCOMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="defalg",
         description="exact-arithmetic workbench for the algebra of deformation theory",
@@ -420,20 +425,15 @@ def main(argv=None) -> int:
         if max_arity is not None and max_arity < 1:
             raise InputError("--max-arity must be a positive integer")
         report = handler(args)
-    except InputError as exc:
-        report = CheckReport(args.subcommand)
-        report.add("input", "", str(exc))
+    except DefalgError as exc:
+        status = "input-error" if isinstance(exc, InputError) else "error"
         if args.format == "json":
-            out = report.to_dict()
-            out["status"] = "input-error"
-            import json
-
+            report = CheckReport(args.subcommand)
+            report.add("input", "", str(exc))
+            out = {**report.to_dict(), "status": status}
             print(json.dumps(out, sort_keys=True, indent=2))
         else:
-            print(f"[INPUT-ERROR] {args.subcommand}: {exc}")
-        return 2
-    except DefalgError as exc:
-        print(f"[ERROR] {args.subcommand}: {exc}")
+            print(f"[{status.upper()}] {args.subcommand}: {exc}")
         return 2
     report.timing_ms = (time.monotonic() - started) * 1000.0
     if args.format == "json":

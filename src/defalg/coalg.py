@@ -166,12 +166,15 @@ def _check_arity(k, word):
 
 
 class ComponentMap:
-    """Corestriction components q_k: k-th symmetric power -> V, all of one
-    degree; the table maps canonical words of length k to Elements of V."""
+    """Corestriction components: the k-th symmetric power of `basis` ->
+    the span of `target` (by default `basis` itself), all of one degree;
+    the table maps canonical words of length k to Elements of the target.
+    Coderivations hold the q_k, coalgebra morphisms the degree-0 f_k."""
 
-    def __init__(self, basis: GradedBasis, degree: int, tables):
+    def __init__(self, basis: GradedBasis, degree: int, tables, target=None):
         self.basis = basis
         self.degree = degree
+        self.target = basis if target is None else target
         self.tables = {}
         for k, table in tables.items():
             clean = {}
@@ -185,7 +188,7 @@ class ComponentMap:
                     raise InputError(f"component word {word} is not canonical")
                 if not value.is_zero():
                     clean[cw] = value.copy()
-                    got = value.degree(basis)
+                    got = value.degree(self.target)
                     want = word_degree(basis, cw) + degree
                     if got is not None and got != want:
                         raise DomainError(
@@ -300,43 +303,7 @@ class CoalgMorphism:
     def __init__(self, source: GradedBasis, target: GradedBasis, tables):
         self.source = source
         self.target = target
-        self.tables = {}
-        for k, table in tables.items():
-            clean = {}
-            for word, value in table.items():
-                _check_arity(k, word)
-                canon = canonical_word(source, word)
-                if canon is None:
-                    raise InputError(f"morphism component on a zero word {word}")
-                if canon[0] != tuple(word):
-                    raise InputError(f"component word {word} is not canonical")
-                if not value.is_zero():
-                    got = value.degree(target)
-                    want = word_degree(source, word)
-                    if got is not None and got != want:
-                        raise DomainError(
-                            f"morphism component f_{k}{word} is not degree 0"
-                        )
-                    clean[tuple(word)] = value.copy()
-            if clean:
-                self.tables[k] = clean
-
-    def component_word(self, word) -> Element:
-        table = self.tables.get(len(word))
-        if not table:
-            return Element()
-        canon = canonical_word(self.source, word)
-        if canon is None:
-            return Element()
-        cw, sign = canon
-        base = table.get(cw)
-        return base.scale(sign) if base is not None else Element()
-
-    def component(self, el: SymElement) -> Element:
-        out = Element()
-        for w, c in el.terms.items():
-            add_into(out.terms, self.component_word(w).terms, c)
-        return out
+        self.components = ComponentMap(source, 0, tables, target)
 
     def apply_word(self, word) -> SymElement:
         """F(w) = sum over blocks B holding the first letter of
@@ -355,7 +322,7 @@ class CoalgMorphism:
             n = len(sub)
             parities = tuple(degree(i) % 2 for i in sub)
             out = SymElement(self.target)
-            for k, table in self.tables.items():
+            for k, table in self.components.tables.items():
                 if k > n:
                     continue
                 for front, rest, sign in split_plan(n, k, parities):
@@ -395,17 +362,13 @@ class CoalgMorphism:
         return rep
 
 
-def morphism_lift(source, target, tables) -> CoalgMorphism:
-    return CoalgMorphism(source, target, tables)
-
-
 def compose_morphisms(G: CoalgMorphism, F: CoalgMorphism, words) -> dict:
     """Components of G o F on the given canonical source words:
     {word: Element} with (G o F)^1 = G^1 o F."""
     out = {}
     for word in words:
         img = F.apply_word(word)
-        val = G.component(img)
+        val = G.components.apply(img)
         out[tuple(word)] = val
     return out
 

@@ -328,6 +328,13 @@ def tensor_dgla(L: DGLA, A: ArtinDg) -> TensorDgla:
 # ---------------------------------------------------------------------------
 
 
+def d_matrix(structure, src, dst):
+    """The matrix of d from the span of the basis indices `src` to that of
+    `dst`: row r, column k holds the dst[r] coordinate of d(e_{src[k]})."""
+    images = [structure.d(Element.basis_vector(s)).terms for s in src]
+    return [[img.get(t, Fraction(0)) for img in images] for t in dst]
+
+
 def cohomology(structure, i: int):
     """Exact H^i of a _Tabled structure (DGLA or ArtinDg) or TensorDgla.
 
@@ -341,16 +348,8 @@ def cohomology(structure, i: int):
     idx_prev = basis.indices_of_degree(i - 1)
     idx_next = basis.indices_of_degree(i + 1)
 
-    def d_matrix(src, dst):
-        # column k = d(e_{src[k]}) in coordinates dst
-        cols = []
-        for s in src:
-            img = structure.d(Element.basis_vector(s))
-            cols.append([img.terms.get(t, Fraction(0)) for t in dst])
-        return [[cols[k][r] for k in range(len(src))] for r in range(len(dst))]
-
-    m_out = d_matrix(idx_i, idx_next)  # d: degree i -> i+1
-    m_in = d_matrix(idx_prev, idx_i)  # d: degree i-1 -> i
+    m_out = d_matrix(structure, idx_i, idx_next)  # d: degree i -> i+1
+    m_in = d_matrix(structure, idx_prev, idx_i)  # d: degree i-1 -> i
 
     if idx_i:
         z_vectors = (
@@ -514,13 +513,7 @@ def obstruction_class(L: DGLA, ext: SmallExtension, x_over_b: Element):
         correction = Element()
         idx1 = L.basis.indices_of_degree(1)
         idx2 = L.basis.indices_of_degree(2)
-        matrix = [
-            [
-                L.d(Element.basis_vector(s)).terms.get(t, Fraction(0))
-                for s in idx1
-            ]
-            for t in idx2
-        ]
+        matrix = d_matrix(L, idx1, idx2)
         for j, comp in by_kernel.items():
             rhs = [comp.terms.get(t, Fraction(0)) for t in idx2]
             sol = linalg.solve(matrix, rhs)
@@ -602,33 +595,20 @@ def cones(ext: SmallExtension):
 
 
 def _subcomplex_acyclic(structure, indices) -> bool:
+    """Whether d maps the span of `indices` into itself and that
+    subcomplex has zero cohomology in every degree."""
     idx_set = set(indices)
-    degs = sorted({structure.basis.degree(i) for i in indices})
-    for dgr in degs:
-        here = [i for i in indices if structure.basis.degree(i) == dgr]
-        above = [i for i in indices if structure.basis.degree(i) == dgr + 1]
-        below = [i for i in indices if structure.basis.degree(i) == dgr - 1]
-        m_out = [
-            [
-                structure.d(Element.basis_vector(s)).terms.get(t, Fraction(0))
-                for s in here
-            ]
-            for t in above
-        ]
-        m_in = [
-            [
-                structure.d(Element.basis_vector(s)).terms.get(t, Fraction(0))
-                for s in below
-            ]
-            for t in here
-        ]
-        for s in here:
-            img = structure.d(Element.basis_vector(s))
-            if any(t not in idx_set for t in img.terms):
-                return False
-        z_dim = len(here) - (linalg.rank(m_out) if above else 0)
-        b_dim = linalg.rank(m_in) if below else 0
-        if z_dim != b_dim:
+    by_degree = {}
+    for s in indices:
+        if not idx_set.issuperset(structure.d(Element.basis_vector(s)).terms):
+            return False
+        by_degree.setdefault(structure.basis.degree(s), []).append(s)
+    for dgr, here in by_degree.items():
+        above = by_degree.get(dgr + 1)
+        below = by_degree.get(dgr - 1)
+        out_rank = linalg.rank(d_matrix(structure, here, above)) if above else 0
+        b_dim = linalg.rank(d_matrix(structure, below, here)) if below else 0
+        if len(here) - out_rank != b_dim:
             return False
     return True
 

@@ -548,7 +548,7 @@ def gbv_linfty_structures(S: GBVStructure):
     basis = S.algebra.basis
     space = GradedBasis(basis.names, tuple(d + 1 for d in basis.degrees))
     shifted = basis  # suspension of `space` has the original degrees
-    t1 = {(i,): v.copy() for i, v in S.delta_table.items()}
+    t1 = {(i,): v for i, v in S.delta_table.items()}
     t2 = {}
     Q = S._tables()[3]
     n = len(basis)
@@ -557,16 +557,7 @@ def gbv_linfty_structures(S: GBVStructure):
             canon = canonical_word(shifted, (i, j))
             if canon is not None and j in Q[i]:
                 t2[canon[0]] = Element(Q[i][j])
-    full_tables = {}
-    if t1:
-        full_tables[1] = {k: v.copy() for k, v in t1.items()}
-    if t2:
-        full_tables[2] = t2
-    abelian_tables = {1: {k: v.copy() for k, v in t1.items()}} if t1 else {}
-    return (
-        LInftyStructure(space, full_tables),
-        LInftyStructure(space, abelian_tables),
-    )
+    return LInftyStructure(space, {1: t1, 2: t2}), LInftyStructure(space, {1: t1})
 
 
 def product_components(S: GBVStructure, m_max, coefficient=None):
@@ -578,16 +569,12 @@ def product_components(S: GBVStructure, m_max, coefficient=None):
         c = coefficient(m) if coefficient else Fraction(1)
         if not c:
             continue
-        table = {}
+        table = tables[m] = {}
         for word in all_words(basis, m, min_len=m):
             acc = Element.basis_vector(word[0])
             for idx in word[1:]:
                 acc = S.algebra.product(acc, Element.basis_vector(idx))
-            acc = acc.scale(c)
-            if not acc.is_zero():
-                table[word] = acc
-        if table:
-            tables[m] = table
+            table[word] = acc.scale(c)
     return tables
 
 

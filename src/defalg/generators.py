@@ -7,7 +7,6 @@ checkers (draw-and-reject at the family level).
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 from .core import Element, GradedBasis
@@ -218,12 +217,7 @@ def random_linfty(rng) -> LInftyStructure:
             c = _coeff(rng)
             if c:
                 table2[word] = Element.basis_vector(k, c)
-    tables = {}
-    if table2:
-        tables[2] = table2
-    if table3:
-        tables[3] = table3
-    return LInftyStructure(space, tables)
+    return LInftyStructure(space, {2: table2, 3: table3})
 
 
 def inject_linfty_violation(rng, S: LInftyStructure) -> LInftyStructure:
@@ -233,12 +227,6 @@ def inject_linfty_violation(rng, S: LInftyStructure) -> LInftyStructure:
     from .linfty import check_linfty
 
     shifted = S.shifted
-
-    def fresh_tables():
-        return {
-            k: {w: v.copy() for w, v in t.items()}
-            for k, t in S.components.tables.items()
-        }
 
     attempts = []
     for arity in (2, 1):
@@ -251,7 +239,7 @@ def inject_linfty_violation(rng, S: LInftyStructure) -> LInftyStructure:
         if not targets:
             continue
         tgt = rng.choice(targets)
-        tables = fresh_tables()
+        tables = {k: dict(t) for k, t in S.components.tables.items()}
         table = tables.setdefault(arity, {})
         table[word] = table.get(word, Element()) + Element.basis_vector(tgt)
         if table[word].is_zero():

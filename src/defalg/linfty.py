@@ -149,9 +149,7 @@ def from_dgla(L: DGLA, checked=True) -> LInftyStructure:
         if not rep.ok():
             raise StructureError("from_dgla needs a valid DGLA:\n" + rep.text())
     shifted = suspend_basis(L.basis)
-    t1 = {}
-    for i, img in L.diff.items():
-        t1[(i,)] = img.scale(Fraction(-1))
+    t1 = {(i,): img.scale(Fraction(-1)) for i, img in L.diff.items()}
     t2 = {}
     n = len(L.basis)
     for i in range(n):
@@ -159,15 +157,9 @@ def from_dgla(L: DGLA, checked=True) -> LInftyStructure:
             canon = canonical_word(shifted, (i, j))
             if canon is None:
                 continue
-            val = L._op_basis(i, j).scale(Fraction((-1) ** (L.basis.degree(i) % 2)))
-            if not val.is_zero():
-                t2[canon[0]] = val
-    tables = {}
-    if t1:
-        tables[1] = t1
-    if t2:
-        tables[2] = t2
-    return LInftyStructure(L.basis, tables)
+            sign = Fraction((-1) ** (L.basis.degree(i) % 2))
+            t2[canon[0]] = L._op_basis(i, j).scale(sign)
+    return LInftyStructure(L.basis, {1: t1, 2: t2})
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +200,7 @@ def morphism_check(F: LInftyMorphism, n_max=None, weights=None, cap=0) -> CheckR
     Q = F.source.coderivation()
     r_comp = F.target.components
     for word in all_words(F.source.shifted, n_max, 1, weights, cap):
-        lhs = F.coalg.component(Q.apply_word(word))  # F^1 (Q w)
+        lhs = F.coalg.components.apply(Q.apply_word(word))  # F^1 (Q w)
         rhs = r_comp.apply(F.coalg.apply_word(word))  # R^1 (F w)
         diff = lhs - rhs
         if not diff.is_zero():
@@ -388,20 +380,6 @@ def mc_suspended_residual(S: LInftyStructure, A: ArtinDg, m_terms) -> Element:
 # ---------------------------------------------------------------------------
 
 
-class _Complex:
-    """Adapter giving a (basis, d) pair the interface dgla.cohomology needs."""
-
-    def __init__(self, basis, diff):
-        self.basis = basis
-        self.diff = diff
-
-    def d(self, x: Element) -> Element:
-        out = Element()
-        for i, c in x.terms.items():
-            add_into(out.terms, self.diff.get(i, Element()).terms, c)
-        return out
-
-
 def h_bracket_check(S: LInftyStructure) -> CheckReport:
     """Compute H(V, l_1), push l_2 to it, and verify it is a graded Lie
     bracket there (well-defined, antisymmetric, Jacobi)."""
@@ -411,7 +389,7 @@ def h_bracket_check(S: LInftyStructure) -> CheckReport:
     l_tables = S.unsuspended_tables()
     l1 = {w[0]: v for w, v in l_tables.get(1, {}).items()}
     l2 = l_tables.get(2, {})
-    cx = _Complex(S.space, l1)
+    cx = DGLA(S.space, {}, l1)  # the complex (V, l_1)
     basis = S.space
 
     def bracket(x: Element, y: Element) -> Element:
@@ -604,15 +582,7 @@ class HodgeModel:
         self.tau_op = tau_op
         self.source = source
         self.d_table = {i: v.copy() for i, v in d_table.items() if not v.is_zero()}
-        self.q_table = {}
-        for word, v in q_table.items():
-            canon = canonical_word(source, word)
-            if canon is None:
-                raise InputError(f"q on a zero word {word}")
-            if canon[0] != tuple(word):
-                raise InputError(f"q word {word} is not canonical")
-            if not v.is_zero():
-                self.q_table[tuple(word)] = v.copy()
+        self.q_table = ComponentMap(source, 1, {2: q_table}).tables.get(2, {})
         self.hat = hat
 
     # -- building blocks ----------------------------------------------------
@@ -756,13 +726,8 @@ def hodge_model_check(M: HodgeModel) -> CheckReport:
 def hodge_codifferential(M: HodgeModel) -> Coderivation:
     """The degree +1 coderivation on the symmetric coalgebra of the source
     assembled from d and q."""
-    tables = {}
     t1 = {(i,): v for i, v in M.d_table.items()}
-    if t1:
-        tables[1] = t1
-    if M.q_table:
-        tables[2] = M.q_table
-    return coder_lift(M.source, 1, tables)
+    return coder_lift(M.source, 1, {1: t1, 2: M.q_table})
 
 
 def hodge_F(M: HodgeModel, m_max: int, check_model=True):

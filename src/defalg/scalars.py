@@ -17,7 +17,9 @@ Q1 = Fraction(1)
 
 
 def parse_rational(text) -> Fraction:
-    """Parse a rational literal: "p/q" or "p" (also accepts ints)."""
+    """Parse a rational literal: "p/q" or "p" (also accepts ints, not bools)."""
+    if isinstance(text, bool):
+        raise InputError(f"rational literal must be a string or int, got {text!r}")
     if isinstance(text, int):
         return Fraction(text)
     if isinstance(text, Fraction):

@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 import os
 
-from .coalg import CoalgMorphism, Coderivation, coder_lift, morphism_lift
+from .coalg import CoalgMorphism, Coderivation, coder_lift
 from .core import Element, GradedBasis, add_term
 from .dgla import (
     ArtinDg,
@@ -296,7 +296,7 @@ def parse_components(data, basis, target_basis):
             raise InputError(f"{path}[{i}].arity: arity {arity} is given twice")
         entries = _list_field(comp, "entries", f"{path}[{i}]", [])
         tables[arity] = _word_table(entries, f"{path}[{i}]", basis, target_basis, arity)
-    return {k: table for k, table in tables.items() if table}
+    return tables
 
 
 def _word_table(entries, path, basis, target_basis, arity=None) -> dict:
@@ -324,7 +324,7 @@ def parse_comorphism(data) -> CoalgMorphism:
     expect_kind(data, "comorphism")
     source = parse_basis(_field(data, "source_basis", "comorphism"))
     target = parse_basis(_field(data, "target_basis", "comorphism"))
-    return morphism_lift(source, target, parse_components(data, source, target))
+    return CoalgMorphism(source, target, parse_components(data, source, target))
 
 
 def parse_linfty(data, path="") -> LInftyStructure:
@@ -343,9 +343,9 @@ def parse_linfty(data, path="") -> LInftyStructure:
         if arity < 1:
             raise InputError(f"brackets.{arity_str}: arity must be an integer >= 1")
         entries = _list_field(brackets, arity_str, "brackets")
-        table = _word_table(entries, f"brackets.{arity_str}", basis, basis)
-        if table:
-            tables[arity] = table
+        if arity in tables:
+            raise InputError(f"brackets.{arity_str}: arity {arity} is given twice")
+        tables[arity] = _word_table(entries, f"brackets.{arity_str}", basis, basis)
     if convention == "suspended":
         return LInftyStructure(basis, tables)
     if convention == "unsuspended":

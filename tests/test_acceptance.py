@@ -14,12 +14,12 @@ from fractions import Fraction
 
 from defalg import models
 from defalg.coalg import (
+    CoalgMorphism,
     TensorProductElement,
     all_words,
     coder_lift,
     coproduct,
     iterated_coproduct,
-    morphism_lift,
     n_map,
     tensor_coproduct_reduced,
     word_degree,
@@ -357,7 +357,7 @@ def test_criterion_06_coalgebra_laws():
         target = GradedBasis.of(("p", 1), ("q", 2), ("r", 3), ("s", 2))
         f1 = {(0,): Element.basis_vector(0), (1,): Element.basis_vector(1, F(2))}
         f2 = {(0, 1): Element.basis_vector(2), (0, 2): Element.basis_vector(3)}
-        Fm = morphism_lift(basis, target, {1: f1, 2: f2})
+        Fm = CoalgMorphism(basis, target, {1: f1, 2: f2})
         assert Fm.comorphism_report(words).ok()
     report_pass("6 (coalgebra laws)")
 

@@ -12,7 +12,7 @@ import time
 import pytest
 from golden_corpus import cases as golden_cases
 
-from defalg import cli, schemas
+from defalg import schemas
 from defalg.cli import FLAGS, SUBCOMMANDS, build_parser, main
 from defalg.report import CheckReport
 
@@ -561,6 +561,13 @@ def test_typed_reader_gaps_exit_two(tmp_path, capsys):
             (["x", 1], f"{kind}.generators[1]: must be a string"),
         ):
             cases.append(([cmd], {"kind": kind, "generators": gens}, message))
+    # a bool coefficient was read as 1
+    mc = {"kind": "mc_problem", "dgla": {"basis": [{"name": "x", "degree": 1}]},
+          "base": {"basis": t}, "element": [{"l": "x", "a": "t", "coeff": True}]}
+    cases.append((["mc"], mc, "rational literal must be a string or int, got True"))
+    # two spellings of one bracket arity
+    linfty = {"kind": "linfty", "basis": xy, "brackets": {"2": [], "02": []}}
+    cases.append((["check-linfty"], linfty, "brackets.02: arity 2 is given twice"))
     for k, (argv, payload, message) in enumerate(cases):
         path = tmp_path / f"case{k}.json"
         path.write_text(json.dumps(payload))
@@ -1260,8 +1267,6 @@ def test_mutated_samples_exit_zero_one_or_two(monkeypatch, capsys):
         if "--input" in argv:
             samples.setdefault(argv[argv.index("--input") + 1], argv)
     assert len(samples) == len(os.listdir(INPUTS))
-    parser = build_parser()
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
     rng = random.Random(12)
     runs = failures = 0
     for path, argv in sorted(samples.items()):

@@ -10,6 +10,7 @@ import pytest
 
 from defalg import coalg
 from defalg.coalg import (
+    CoalgMorphism,
     SymElement,
     TensorProductElement,
     all_words,
@@ -17,7 +18,6 @@ from defalg.coalg import (
     compose_morphisms,
     coproduct,
     iterated_coproduct,
-    morphism_lift,
     n_map,
     split_count,
     tensor_coproduct_reduced,
@@ -233,7 +233,7 @@ def test_coderivation_bracket_is_coderivation():
 def test_morphism_lift_single_component_is_functorial():
     target = GradedBasis.of(("p", 1), ("q", 2), ("r", 1), ("s", 0))
     f1 = {(0,): Element.basis_vector(0), (1,): Element.basis_vector(1)}
-    Fm = morphism_lift(MIXED, target, {1: f1})
+    Fm = CoalgMorphism(MIXED, target, {1: f1})
     out = Fm.apply_word((0, 1))
     manual = SymElement(target)
     manual.add_word((0, 1), F(1))
@@ -246,7 +246,7 @@ def test_morphism_lift_two_components():
     target = GradedBasis.of(("p", 1), ("q", 2), ("r", 3))
     f1 = {(0,): Element.basis_vector(0), (1,): Element.basis_vector(1)}
     f2 = {(0, 1): Element.basis_vector(2)}
-    Fm = morphism_lift(MIXED, target, {1: f1, 2: f2})
+    Fm = CoalgMorphism(MIXED, target, {1: f1, 2: f2})
     out = Fm.apply_word((0, 1))
     assert out.component(1) == {(2,): 1}
     assert out.component(2) == {(0, 1): 1}
@@ -256,14 +256,14 @@ def test_morphism_comorphism_law():
     target = GradedBasis.of(("p", 1), ("q", 2), ("r", 3), ("s", 2))
     f1 = {(0,): Element.basis_vector(0), (1,): Element.basis_vector(1, F(2))}
     f2 = {(0, 1): Element.basis_vector(2), (0, 2): Element.basis_vector(3)}
-    Fm = morphism_lift(MIXED, target, {1: f1, 2: f2})
+    Fm = CoalgMorphism(MIXED, target, {1: f1, 2: f2})
     assert Fm.comorphism_report(all_words(MIXED, 4)).ok()
 
 
 def test_morphism_rejects_wrong_degree_component():
     target = GradedBasis.of(("p", 1), ("q", 2))
     with pytest.raises(DomainError):
-        morphism_lift(MIXED, target, {2: {(0, 1): Element.basis_vector(0)}})
+        CoalgMorphism(MIXED, target, {2: {(0, 1): Element.basis_vector(0)}})
 
 
 def test_morphism_composition_identity():
@@ -272,11 +272,11 @@ def test_morphism_composition_identity():
     target = MIXED
     f1 = {(i,): Element.basis_vector(i) for i in range(len(MIXED))}
     f2 = {(0, 2): Element.basis_vector(1)}  # (a (.) c) -> b, degree 0
-    Fm = morphism_lift(MIXED, target, {1: f1, 2: f2})
-    idm = morphism_lift(MIXED, target, {1: f1})
+    Fm = CoalgMorphism(MIXED, target, {1: f1, 2: f2})
+    idm = CoalgMorphism(MIXED, target, {1: f1})
     comps = compose_morphisms(idm, Fm, all_words(MIXED, 2))
     for word in all_words(MIXED, 2):
-        expect = Fm.component_word(word)
+        expect = Fm.components.apply_word(word)
         assert comps[tuple(word)] == expect
 
 
@@ -293,7 +293,26 @@ def test_component_tables_refuse_words_of_another_length():
         with pytest.raises(InputError, match="not its arity"):
             coder_lift(MIXED, 0, tables)
         with pytest.raises(InputError, match="not its arity"):
-            morphism_lift(MIXED, MIXED, tables)
+            CoalgMorphism(MIXED, MIXED, tables)
+
+
+@pytest.mark.parametrize(
+    "tables, error, message",
+    [
+        ({2: {(0, 0): e(3)}}, InputError, "zero word"),
+        ({2: {(2, 0): e(1)}}, InputError, "not canonical"),
+        ({2: {(3,): e(3)}}, InputError, "not its arity"),
+        ({1: {(0,): e(1)}}, DomainError, r"q_1\(0,\) has degree 2, expected 1"),
+    ],
+    ids=("zero-word", "not-canonical", "wrong-arity", "wrong-degree"),
+)
+def test_coderivations_and_morphisms_refuse_malformed_tables(tables, error, message):
+    """One validation for both: a degree-0 coderivation of MIXED and a
+    morphism MIXED -> MIXED refuse the same tables the same way."""
+    with pytest.raises(error, match=message):
+        coder_lift(MIXED, 0, tables)
+    with pytest.raises(error, match=message):
+        CoalgMorphism(MIXED, MIXED, tables)
 
 
 def test_all_words_within_a_weight_cap():
@@ -429,7 +448,7 @@ def oracle_morphism_apply_word(Fm, word, parts=None):
     for s in range(1, len(word) + 1):
         blocks = parts[s] if parts else oracle_iterated_coproduct(Fm.source, word, s)
         for block_words, sign in blocks.items():
-            factors = [Fm.component_word(bw).terms for bw in block_words]
+            factors = [Fm.components.apply_word(bw).terms for bw in block_words]
             for letters in itertools.product(*factors):
                 c = sign * Fraction(1, factorial(s))
                 for f, idx in zip(factors, letters):
@@ -459,7 +478,7 @@ def random_morphism(rng, source, target):
             if terms:
                 table[word] = Element(terms)
         tables[k] = table
-    return morphism_lift(source, target, tables)
+    return CoalgMorphism(source, target, tables)
 
 
 def test_coproducts_match_oracles():
@@ -494,7 +513,7 @@ def test_morphism_lift_matches_ordered_partition_oracle():
             }
             for Fm in morphisms:
                 want = oracle_morphism_apply_word(Fm, word, parts)
-                assert Fm.apply_word(word).terms == want, (word, Fm.tables)
+                assert Fm.apply_word(word).terms == want, (word, Fm.components.tables)
                 compared += bool(want)
     assert compared >= 200
 
@@ -502,7 +521,7 @@ def test_morphism_lift_matches_ordered_partition_oracle():
 def test_gbv_product_morphisms_match_ordered_partition_oracle():
     for S in (exterior_gbv(), polyvector_gbv(1, 2)):
         full, abelian = gbv_linfty_structures(S)
-        Fm = morphism_lift(full.shifted, abelian.shifted, product_components(S, 4))
+        Fm = CoalgMorphism(full.shifted, abelian.shifted, product_components(S, 4))
         for word in corpus_words(full.shifted, 4):
             assert Fm.apply_word(word).terms == oracle_morphism_apply_word(Fm, word)
 
@@ -521,9 +540,9 @@ def test_morphism_lift_evaluates_each_subword_once(monkeypatch):
     monkeypatch.setattr(coalg, "split_plan", counting_plan)
     rng = random.Random(5)
     for basis, target in ((MIXED, MIXED), (EVEN, EVEN)):
-        tables = random_morphism(rng, basis, target).tables
+        tables = random_morphism(rng, basis, target).components.tables
         tables[1] = {(i,): e(i) for i in range(len(basis))}
-        Fm = morphism_lift(basis, target, tables)
+        Fm = CoalgMorphism(basis, target, tables)
         for word in all_words(basis, 5):
             calls.clear()
             assert Fm.apply_word(word).terms == oracle_morphism_apply_word(Fm, word)
@@ -541,6 +560,6 @@ def test_morphism_lift_evaluates_each_subword_once(monkeypatch):
                 assert count <= len(same_key), (word, n, parities, count)
     # five copies of one even letter: one evaluation per length
     calls.clear()
-    Fm = morphism_lift(EVEN, EVEN, {1: {(0,): e(0)}, 2: {(0, 0): e(0)}})
+    Fm = CoalgMorphism(EVEN, EVEN, {1: {(0,): e(0)}, 2: {(0, 0): e(0)}})
     Fm.apply_word((0,) * 5)
     assert calls == {(n, (0,) * n): 1 for n in range(1, 6)}

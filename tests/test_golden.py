@@ -26,6 +26,13 @@ def test_golden_corpus_is_reproduced_byte_for_byte():
     assert changed == []
 
 
+def test_every_json_entry_is_a_report_with_a_known_status():
+    for name in cases():
+        with open(os.path.join(GOLDEN, f"{name}.json"), encoding="utf-8") as fh:
+            report = json.load(fh)
+        assert report["status"] in {"pass", "fail", "input-error", "error"}, name
+
+
 def test_corpus_runs_every_subcommand_and_every_outcome():
     with open(os.path.join(GOLDEN, "exits.json"), encoding="utf-8") as fh:
         exits = json.load(fh)

@@ -202,10 +202,10 @@ def test_morphism_linear_part_is_chain_map():
     for i in range(len(S.shifted)):
         lhs = Element()
         for k, c in q1.apply_word((i,)).terms.items():
-            for k2, c2 in Fm.coalg.component_word((k,)).terms.items():
+            for k2, c2 in Fm.coalg.components.apply_word((k,)).terms.items():
                 lhs.add_term(k2, c * c2)
         rhs = Element()
-        for k, c in Fm.coalg.component_word((i,)).terms.items():
+        for k, c in Fm.coalg.components.apply_word((i,)).terms.items():
             for k2, c2 in r1.apply_word((k,)).terms.items():
                 rhs.add_term(k2, c * c2)
         assert (lhs - rhs).is_zero()
