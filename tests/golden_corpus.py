@@ -49,9 +49,9 @@ RUNS = (
     (("linfty-morphism",), ("linfty_morphism", "failing_linfty_morphism")),
     (("mc-linfty",), ("mc_linfty_problem", "failing_mc_linfty_problem")),
     (("gbv-check",), ("gbv", "failing_gbv")),
-    (("schouten",), ("polyvector_pair",)),
-    (("delta",), ("polyvector",)),
-    (("tian-todorov",), ("polyvector_pair",)),
+    (("schouten",), ("polyvector_pair", "interleaved_polyvector_pair")),
+    (("delta",), ("polyvector", "two_frame_polyvector")),
+    (("tian-todorov",), ("polyvector_pair", "interleaved_polyvector_pair")),
     (("gbv-to-abelian",), ("gbv", "failing_gbv")),
     (("lefschetz", "decompose", "--dim", "2"), ("covector",)),
 )
@@ -61,6 +61,7 @@ BARE = (
     ("hodge-f", "--builtin", "rank-one", "--max-arity", "3"),
     ("hodge-f", "--builtin", "derived"),
     ("lefschetz", "identities", "--dim", "2"),
+    ("lefschetz", "identities", "--dim", "3"),
     ("suite", "--seed", "7"),
     ("suite", "--seed", "11"),
 )
