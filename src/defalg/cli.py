@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from . import models, schemas
@@ -298,7 +299,7 @@ def cmd_gbv_to_abelian(args) -> CheckReport:
     if not base.ok():
         base.command = "gbv-to-abelian"
         return base
-    _, _, rep = gbv_to_abelian(S, m_max=args.max_arity or 4, compose_max=3)
+    _, _, rep = gbv_to_abelian(S, m_max=args.max_arity or 4)
     return rep
 
 
@@ -416,8 +417,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if not args.subcommand:
-        parser.print_help()
-        return 2
+        return _emit(parser.format_help().rstrip("\n"), 2)
     handler = SUBCOMMANDS[args.subcommand][0]
     started = time.monotonic()
     try:
@@ -431,16 +431,23 @@ def main(argv=None) -> int:
             report = CheckReport(args.subcommand)
             report.add("input", "", str(exc))
             out = {**report.to_dict(), "status": status}
-            print(json.dumps(out, sort_keys=True, indent=2))
-        else:
-            print(f"[{status.upper()}] {args.subcommand}: {exc}")
-        return 2
+            return _emit(json.dumps(out, sort_keys=True, indent=2), 2)
+        return _emit(f"[{status.upper()}] {args.subcommand}: {exc}", 2)
     report.timing_ms = (time.monotonic() - started) * 1000.0
-    if args.format == "json":
-        print(report.to_json())
-    else:
-        print(report.text())
-    return 0 if report.ok() else 1
+    text = report.to_json() if args.format == "json" else report.text()
+    return _emit(text, 0 if report.ok() else 1)
+
+
+def _emit(text, code) -> int:
+    """Print the output and return the verdict's exit code, also when the
+    reader has closed standard output."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: send that to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -1,5 +1,5 @@
 """Sign-correct substrate: graded bases, sparse elements, Koszul signs,
-unshuffles, canonical symmetric words and symmetrization.
+unshuffles, the one signed sort of graded words and symmetrization.
 
 Sign conventions are fixed once, in docs/sign_ledger.md; every other
 module routes its signs through the functions here (ledger entries K1-K4).
@@ -501,53 +501,42 @@ def split_plan(n: int, k: int, parities: tuple):
 
 
 # ---------------------------------------------------------------------------
-# Canonical symmetric words
+# Canonical words: the one signed sort
 # ---------------------------------------------------------------------------
 
 
-def sym_canonical(indices, degree_of):
-    """Canonical form of a symmetric word of basis indices.
+def sym_canonical(indices, degree_of, twist=0):
+    """Canonical form of a graded word of basis indices: the one signed sort
+    (sign ledger K4).
 
-    Returns (sorted_tuple, koszul_sign) or None when the word is zero
-    (an odd-degree symbol repeated; char 0 kills 2(e.e)).
-    `degree_of` maps a basis index to its degree.
+    Returns (sorted_tuple, sign) or None when the word is zero.  Each
+    adjacent swap of letters a, b multiplies the sign by
+    (-1)^{deg a deg b + twist}, and a repeated letter whose swap with itself
+    is odd kills the word (char 0 kills 2(e.e)).  `degree_of` maps a basis
+    index to its degree.  twist 0 sorts symmetric words, twist 1 wedge
+    words (K2); the constant-odd `odd` sorts frames and raw exterior letters.
     """
     word = list(indices)
     degrees = [degree_of(i) for i in word]
     sign = 1
-    # insertion sort, accumulating (-1)^{d_a d_b} per adjacent swap
+    # insertion sort, accumulating the sign of each adjacent swap
     for i in range(1, len(word)):
         j = i
         while j > 0 and word[j - 1] > word[j]:
-            if degrees[j - 1] * degrees[j] % 2:
+            if (degrees[j - 1] * degrees[j] + twist) % 2:
                 sign = -sign
             word[j - 1], word[j] = word[j], word[j - 1]
             degrees[j - 1], degrees[j] = degrees[j], degrees[j - 1]
             j -= 1
     for a, b in zip(word, word[1:]):
-        if a == b and degree_of(a) % 2:
+        if a == b and (degree_of(a) + twist) % 2:
             return None
     return tuple(word), Fraction(sign)
 
 
-def ext_canonical(indices, degree_of):
-    """Canonical form of a wedge word: sorted with the exterior sign
-    (Koszul times parity); zero when an even-degree symbol repeats."""
-    word = list(indices)
-    degrees = [degree_of(i) for i in word]
-    sign = 1
-    for i in range(1, len(word)):
-        j = i
-        while j > 0 and word[j - 1] > word[j]:
-            if degrees[j - 1] * degrees[j] % 2 == 0:
-                sign = -sign
-            word[j - 1], word[j] = word[j], word[j - 1]
-            degrees[j - 1], degrees[j] = degrees[j], degrees[j - 1]
-            j -= 1
-    for a, b in zip(word, word[1:]):
-        if a == b and degree_of(a) % 2 == 0:
-            return None
-    return tuple(word), Fraction(sign)
+def odd(_letter):
+    """The degree of every letter of a frame or a raw exterior word."""
+    return 1
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,9 @@ from .core import (
     basis_rows,
     derivation_residual,
     lin_into,
+    odd,
     split_plan,
+    sym_canonical,
 )
 from .dgla import (
     DGLA,
@@ -242,29 +244,16 @@ class Polyvector(Element):
 
 def _wedge_terms(a, b):
     """The terms of a ^ b for polyvectors or forms: monomials multiply and
-    frames merge with the sign of their sorting (frames are odd)."""
+    frames merge by the signed sort with every letter odd (sign ledger G3)."""
     out = {}
     for (m1, f1), c1 in a.terms.items():
         for (m2, f2), c2 in b.terms.items():
-            if set(f1) & set(f2):
+            canon = sym_canonical(f1 + f2, odd)
+            if canon is None:
                 continue
-            merged, sign = _merge_frames(f1, f2)
             mono = tuple(x + y for x, y in zip(m1, m2))
-            add_term(out, (mono, merged), c1 * c2 * sign)
+            add_term(out, (mono, canon[0]), c1 * c2 * canon[1])
     return out
-
-
-def _merge_frames(f1, f2):
-    """Sorted union and the sign of the sorting permutation (frames are odd)."""
-    merged = list(f1) + list(f2)
-    sign = 1
-    for i in range(1, len(merged)):
-        j = i
-        while j > 0 and merged[j - 1] > merged[j]:
-            merged[j - 1], merged[j] = merged[j], merged[j - 1]
-            sign = -sign
-            j -= 1
-    return tuple(merged), sign
 
 
 def _partial(mono, j):
@@ -304,12 +293,12 @@ def schouten(a: Polyvector, b: Polyvector) -> Polyvector:
                 if hit is None:
                     continue
                 csign, reduced = hit
-                if set(reduced) & set(f2):
+                canon = sym_canonical(reduced + f2, odd)
+                if canon is None:
                     continue
-                merged, msign = _merge_frames(reduced, f2)
                 mono = tuple(x + y for x, y in zip(m1, dg[1]))
-                coeff = c1 * c2 * dg[0] * csign * msign * lead_sign
-                add_term(out.terms, (mono, merged), coeff)
+                coeff = c1 * c2 * dg[0] * csign * canon[1] * lead_sign
+                add_term(out.terms, (mono, canon[0]), coeff)
             # - g d/dz_I ^ (df -| d/dz_H)
             for j in range(n):
                 df = _partial(m1, j)
@@ -319,12 +308,12 @@ def schouten(a: Polyvector, b: Polyvector) -> Polyvector:
                 if hit is None:
                     continue
                 csign, reduced = hit
-                if set(f1) & set(reduced):
+                canon = sym_canonical(f1 + reduced, odd)
+                if canon is None:
                     continue
-                merged, msign = _merge_frames(f1, reduced)
                 mono = tuple(x + y for x, y in zip(df[1], m2))
-                coeff = -c1 * c2 * df[0] * csign * msign
-                add_term(out.terms, (mono, merged), coeff)
+                coeff = -c1 * c2 * df[0] * csign * canon[1]
+                add_term(out.terms, (mono, canon[0]), coeff)
     return out
 
 
@@ -405,12 +394,12 @@ def form_del(form: PolyForm) -> PolyForm:
     for (mono, K), c in form.terms.items():
         for j in range(form.nvars):
             d = _partial(mono, j)
-            if d is None or j in K:
+            if d is None:
                 continue
-            below = sum(1 for k in K if k < j)
-            sign = (-1) ** (below % 2)
-            merged = tuple(sorted(K + (j,)))
-            add_term(out.terms, (d[1], merged), c * d[0] * sign)
+            canon = sym_canonical((j,) + K, odd)
+            if canon is None:
+                continue
+            add_term(out.terms, (d[1], canon[0]), c * d[0] * canon[1])
     return out
 
 
@@ -637,27 +626,27 @@ def tensor_inverse_check(S: GBVStructure, n_max=3) -> CheckReport:
     return rep
 
 
-def gbv_to_abelian(S: GBVStructure, m_max=4, compose_max=3):
+def gbv_to_abelian(S: GBVStructure, m_max=4):
     """The iterated-product morphism from the full structure to the abelian
     one, its sign-flipped inverse, and the verification report (morphism
-    equation, composition to the identity, and the coproduct expansion of
-    delta on products for m = 2, 3).  On a truncated structure the morphism
-    equation and the expansion run on the words whose weights sum to at most
-    `S.cap`, where the truncated products are exact."""
+    equation, composition to the identity on words of length <= 3, and the
+    coproduct expansion of delta on products for m = 2, 3).  On a truncated
+    structure the morphism equation and the expansion run on the words whose
+    weights sum to at most `S.cap`, where the truncated products are exact."""
     rep = CheckReport("gbv-to-abelian")
     full, abelian = gbv_linfty_structures(S)
     f_tables = product_components(S, m_max)
-    g_tables = inverse_components(S, compose_max)
+    g_tables = inverse_components(S, 3)
     F = LInftyMorphism(full, abelian, f_tables)
     mrep = morphism_check(F, m_max, S.weights, S.cap)
     rep.merge(mrep, prefix="morphism: ")
 
-    # F* o F = F o F* = identity on words of length <= compose_max
+    # F* o F = F o F* = identity on words of length <= 3
     from .coalg import CoalgMorphism, compose_morphisms
 
     basis = S.algebra.basis
     Fstar = CoalgMorphism(basis, basis, g_tables)
-    words = all_words(basis, compose_max)
+    words = all_words(basis, 3)
     for outer, inner, tag in ((Fstar, F.coalg, "F* F"), (F.coalg, Fstar, "F F*")):
         comps = compose_morphisms(outer, inner, words)
         for word, val in comps.items():
@@ -671,7 +660,7 @@ def gbv_to_abelian(S: GBVStructure, m_max=4, compose_max=3):
                     f"{tag} is not the identity",
                 )
 
-    rep.merge(tensor_inverse_check(S, compose_max), prefix="tensor side: ")
+    rep.merge(tensor_inverse_check(S), prefix="tensor side: ")
 
     # expansion identity: delta(a_1...a_m) equals the two unshuffle sums
     for m in (2, 3):

@@ -16,7 +16,7 @@ from bisect import bisect
 from fractions import Fraction
 from math import factorial
 
-from .core import Element, add_term
+from .core import Element, add_into, add_term, odd, sym_canonical
 from .errors import DomainError, InputError
 from .report import CheckReport
 from .scalars import GAUSS_ONE, GaussianScalar
@@ -275,22 +275,8 @@ def op_power(op, k, v):
 # (letter j in 0..n-1 is z_{j+1}, letter n+j is zbar_{j+1}).  Basis symbols
 # expand as z_A ^ zbar_B ^ u_M with u_j = (i/2) z_j ^ zbar_j; the 2^{-s/2}
 # normalizations only ever appear in pairs multiplying to 2^{-s}, so the
-# oracle never leaves Q(i).
-
-
-def _raw_sort(letters):
-    letters = list(letters)
-    sign = 1
-    for i in range(1, len(letters)):
-        j = i
-        while j > 0 and letters[j - 1] > letters[j]:
-            letters[j - 1], letters[j] = letters[j], letters[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(letters, letters[1:]):
-        if a == b:
-            return None
-    return tuple(letters), sign
+# oracle never leaves Q(i).  Raw words sort by the one signed sort with
+# every letter odd (sign ledger X1).
 
 
 def raw_expand(n, key) -> dict:
@@ -301,10 +287,10 @@ def raw_expand(n, key) -> dict:
     letters = [a - 1 for a in A] + [n + b - 1 for b in B]
     for j in M:
         letters += [j - 1, n + j - 1]
-    sorted_letters = _raw_sort(letters)
-    if sorted_letters is None:
+    canon = sym_canonical(letters, odd)
+    if canon is None:
         return {}
-    word, sign = sorted_letters
+    word, sign = canon
     half_i = GaussianScalar.of(0, Fraction(1, 2))  # i/2 per u_j factor
     coeff = GaussianScalar.of(sign)
     for _ in M:
@@ -316,15 +302,9 @@ def raw_wedge(x: dict, y: dict) -> dict:
     out = {}
     for w1, c1 in x.items():
         for w2, c2 in y.items():
-            merged = _raw_sort(list(w1) + list(w2))
-            if merged is None:
-                continue
-            word, sign = merged
-            val = out.get(word, GaussianScalar.of(0)) + c1 * c2 * sign
-            if val:
-                out[word] = val
-            else:
-                out.pop(word, None)
+            canon = sym_canonical(w1 + w2, odd)
+            if canon is not None:
+                add_term(out, canon[0], c1 * c2 * canon[1])
     return out
 
 
@@ -354,13 +334,7 @@ def wedge_identity_report(n, star_fn=None) -> CheckReport:
         ):
             total = {}
             for okey, ocoeff in other.terms.items():
-                part = raw_wedge(raw_z, raw_expand(n, okey))
-                for w, c in part.items():
-                    val = total.get(w, GaussianScalar.of(0)) + c * ocoeff
-                    if val:
-                        total[w] = val
-                    else:
-                        total.pop(w, None)
+                add_into(total, raw_wedge(raw_z, raw_expand(n, okey)), ocoeff)
             total = {w: c * norm for w, c in total.items()}
             if total != vol:
                 rep.add(f"{tag} at {key}", str(total), "wedge identity fails")
@@ -372,7 +346,7 @@ def wedge_identity_report(n, star_fn=None) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def identities_report(n, include_wedge=True) -> CheckReport:
+def identities_report(n) -> CheckReport:
     """All commutation relations as exact operator identities on the full
     standard basis, plus the wedge characterization."""
     rep = CheckReport("lefschetz-identities")
@@ -443,8 +417,7 @@ def identities_report(n, include_wedge=True) -> CheckReport:
             rep.add(f"* at {key}", str(c), "* coefficient is not a 4th root of 1")
             break
 
-    if include_wedge:
-        rep.merge(wedge_identity_report(n))
+    rep.merge(wedge_identity_report(n))
     rep.info = {"dimension": n, "basis_size": len(keys)}
     return rep
 

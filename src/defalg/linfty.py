@@ -28,9 +28,9 @@ from .core import (
     GradedBasis,
     add_into,
     add_term,
-    ext_canonical,
     signed_permutations,
     split_plan,
+    sym_canonical,
 )
 from .dgla import DGLA, ArtinDg, check_dgla
 from .errors import DomainError, InputError, StructureError
@@ -234,7 +234,7 @@ class _ExtTensor(Element):
         Element.__init__(self, terms)
 
     def add(self, word, a_idx, coeff):
-        canon = ext_canonical(word, self.basis.degree)
+        canon = sym_canonical(word, self.basis.degree, 1)
         if canon is not None:
             add_term(self.terms, (canon[0], a_idx), coeff * canon[1])
 
@@ -396,7 +396,7 @@ def h_bracket_check(S: LInftyStructure) -> CheckReport:
         out = Element()
         for i, ci in x.terms.items():
             for j, cj in y.terms.items():
-                canon = ext_canonical((i, j), basis.degree)
+                canon = sym_canonical((i, j), basis.degree, 1)
                 if canon is None:
                     continue
                 val = l2.get(canon[0])

@@ -145,7 +145,7 @@ def run_suite(seed: int) -> CheckReport:
     # GBV: checks, Tian-Todorov, product morphism
     S = models.exterior_gbv()
     _step(results, "gbv-exterior", S.gbv_check().ok() and S.dgla_verify().ok())
-    _, _, rep = gbv_to_abelian(S, m_max=4, compose_max=3)
+    _, _, rep = gbv_to_abelian(S, m_max=4)
     _step(results, "gbv-to-abelian", rep.ok())
     ok = True
     for _ in range(20):

@@ -476,7 +476,7 @@ def test_criterion_10_gbv_to_abelian():
             models.abelian_exterior_gbv(),
             models.scaled_exterior_gbv(),
         ):
-            Fm, Fstar, rep = gbv_to_abelian(S, m_max=4, compose_max=3)
+            Fm, Fstar, rep = gbv_to_abelian(S, m_max=4)
             assert rep.ok(), rep.text()
     report_pass("10 (product morphism onto the abelian structure)")
 

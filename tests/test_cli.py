@@ -109,6 +109,32 @@ def test_unknown_subcommand_exits_two():
     assert proc.returncode == 2
 
 
+def test_closed_stdout_keeps_the_exit_code_and_prints_no_traceback(tmp_path):
+    """The reader closes its end of the pipe before the CLI writes."""
+    kind_error = tmp_path / "wrong_kind.json"
+    kind_error.write_text(json.dumps({**sample("abelian_dgla"), "kind": "gbv"}))
+    runs = (
+        (("check-dgla", "--input", "inputs/abelian_dgla.json"), 0),
+        (("check-dgla", "--input", "inputs/failing_dgla.json"), 1),
+        (("from-dgla", "--input", "inputs/failing_dgla.json", "--format", "json"), 2),
+        (("check-dgla", "--input", str(kind_error)), 2),
+    )
+    for argv, code in runs:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "defalg.cli", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                cwd=REPO,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (code, ""), argv
+
+
 def run_cli_input_error(*argv):
     """Run the CLI on an input it must refuse: exit 2, no traceback."""
     proc = subprocess.run(

@@ -9,6 +9,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+import sign_oracles
 
 from defalg import core
 from defalg.coalg import SymElement, TensorProductElement, iterated_coproduct
@@ -16,11 +17,11 @@ from defalg.core import (
     Element,
     GradedBasis,
     admitted,
-    ext_canonical,
     exterior_sign,
     gerstenhaber_bullet,
     is_unshuffle,
     koszul_sign,
+    odd,
     parity,
     split_plan,
     sym_canonical,
@@ -185,11 +186,38 @@ def test_sym_canonical_idempotent_and_reorder_consistent():
 
 
 def test_ext_canonical_even_repeat_is_zero():
+    """Wedge words sort with twist 1 (sign ledger K2)."""
     basis = GradedBasis.of(("x", 2), ("e", 1))
-    assert ext_canonical([0, 0], basis.degree) is None
-    assert ext_canonical([1, 1], basis.degree) == ((1, 1), 1)
-    word, sign = ext_canonical([1, 0], basis.degree)
+    assert sym_canonical([0, 0], basis.degree, 1) is None
+    assert sym_canonical([1, 1], basis.degree, 1) == ((1, 1), 1)
+    word, sign = sym_canonical([1, 0], basis.degree, 1)
     assert (word, sign) == ((0, 1), -1)  # swap odd past even: parity only
+
+
+def test_one_signed_sort_matches_the_sorts_it_replaced():
+    """Every word of length <= 5 over a mixed-degree basis, against the old
+    symmetric and wedge sorts and the raw-letter sort, and every pair of
+    frames over 5 variables, against the old frame merge."""
+    degrees = (0, 1, 2, 3, -1)
+    deg = degrees.__getitem__
+    words = 0
+    for length in range(6):
+        for word in itertools.product(range(len(degrees)), repeat=length):
+            words += 1
+            assert sym_canonical(word, deg) == sign_oracles.sym_canonical(word, deg)
+            assert sym_canonical(word, deg, 1) == sign_oracles.ext_canonical(word, deg)
+            assert sym_canonical(word, odd) == sign_oracles._raw_sort(word)
+    assert words == sum(5**k for k in range(6))
+    frames = [f for k in range(6) for f in itertools.combinations(range(5), k)]
+    pairs = 0
+    for f1, f2 in itertools.product(frames, repeat=2):
+        canon = sym_canonical(f1 + f2, odd)
+        if set(f1) & set(f2):
+            assert canon is None
+        else:
+            pairs += 1
+            assert canon == sign_oracles._merge_frames(f1, f2)
+    assert pairs == 3**5
 
 
 def test_exterior_sign_is_koszul_times_parity():
@@ -445,8 +473,7 @@ def test_kernel_matches_reference_step_in_value_and_order():
 
 # -- tooling guard: one accumulate kernel ------------------------------------------
 
-# The wedge oracle checks `*` with its own loop, independent of the kernel.
-ACCUMULATE_ALLOWED = {"lefschetz.raw_wedge", "lefschetz.wedge_identity_report"}
+ACCUMULATE_ALLOWED = set()
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
@@ -523,6 +550,70 @@ def test_only_core_writes_the_accumulate_step():
     assert accumulate_steps(inspect.getsource(reference_add), "test") == {
         "test.reference_add"
     }
+
+
+# -- tooling guard: one signed sort --------------------------------------------
+
+
+def _negates(node):
+    """Whether the statement negates a name in place: s = -s, s *= -1,
+    s = s * -1 or s = -1 * s."""
+    if isinstance(node, ast.AugAssign):
+        target, values = node.target, [node.value]
+        if not isinstance(node.op, ast.Mult):
+            return False
+    elif isinstance(node, ast.Assign) and len(node.targets) == 1:
+        target, value = node.targets[0], node.value
+        if isinstance(value, ast.UnaryOp) and isinstance(value.op, ast.USub):
+            values = [value.operand]
+        elif isinstance(value, ast.BinOp) and isinstance(value.op, ast.Mult):
+            values = [value.left, value.right]
+        else:
+            return False
+    else:
+        return False
+    if not isinstance(target, ast.Name):
+        return False
+    texts = sorted(ast.unparse(v) for v in values)
+    if isinstance(node, ast.AugAssign):
+        return texts == ["-1"]
+    return texts in ([target.id], ["-1", target.id])
+
+
+def sign_flips_in_loops(source, module):
+    """Functions (module.qualname) that negate a sign inside a loop."""
+    found = set()
+    for name, func in _functions(ast.parse(source), module):
+        for node in _own_nodes(func):
+            if isinstance(node, (ast.For, ast.While)) and any(
+                _negates(n) for n in ast.walk(node)
+            ):
+                found.add(name)
+    return found
+
+
+def test_only_sym_canonical_sorts_with_a_sign():
+    """No function outside core flips a sign in a loop; in core only the
+    inversion count of `koszul_sign` and the one signed sort do."""
+    src = pathlib.Path(core.__file__).parent
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        found |= sign_flips_in_loops(path.read_text(encoding="utf-8"), path.stem)
+    assert found == {"core.koszul_sign", "core.sym_canonical"}
+    # the guard sees the sorts that sym_canonical replaced ...
+    assert sign_flips_in_loops(inspect.getsource(sign_oracles), "old") == {
+        "old.sym_canonical",
+        "old.ext_canonical",
+        "old._merge_frames",
+        "old._raw_sort",
+    }
+    # ... and the other spellings of a flip, but not a sign set in a loop
+    for flip in ("s = -s", "s *= -1", "s = s * -1", "s = -1 * s"):
+        body = f"def f(w):\n    s = 1\n    for x in w:\n        {flip}\n"
+        assert sign_flips_in_loops(body, "m") == {"m.f"}, flip
+    for other in ("s = -1", "s = -t", "s *= 2", "s = s * t"):
+        body = f"def f(w):\n    s = -s\n    for x in w:\n        {other}\n"
+        assert sign_flips_in_loops(body, "m") == set(), other
 
 
 SIGN_PRIMITIVES = {"koszul_sign", "unshuffles"}

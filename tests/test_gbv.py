@@ -6,6 +6,8 @@ import itertools
 import random
 from fractions import Fraction
 
+from sign_oracles import _merge_frames
+
 from defalg.coalg import all_words
 from defalg.core import Element, GradedBasis, koszul_sign, unshuffles
 from defalg.dgla import DGLA, check_dgla
@@ -14,7 +16,6 @@ from defalg.gbv import (
     GradedCommAlgebra,
     PolyForm,
     Polyvector,
-    _merge_frames,
     _partial,
     contract,
     delta_direct,
@@ -672,13 +673,13 @@ def test_polyvector_gbv_small_checks():
 
 def test_gbv_to_abelian_exterior():
     S = exterior_gbv()
-    Fm, Fstar, rep = gbv_to_abelian(S, m_max=4, compose_max=3)
+    Fm, Fstar, rep = gbv_to_abelian(S, m_max=4)
     assert rep.ok(), rep.text()
 
 
 def test_gbv_to_abelian_abelian_case():
     S = abelian_gbv()
-    Fm, Fstar, rep = gbv_to_abelian(S, m_max=4, compose_max=3)
+    Fm, Fstar, rep = gbv_to_abelian(S, m_max=4)
     assert rep.ok(), rep.text()
 
 
@@ -757,7 +758,7 @@ def test_coproduct_expansion_matches_oracle():
         _delta_twin(polyvector_gbv(2, 1), "m00f12", "m00f1"),
     )
     for S in models + twins:
-        _, _, rep = gbv_to_abelian(S, m_max=3, compose_max=3)
+        _, _, rep = gbv_to_abelian(S, m_max=3)
         got = [
             (v.location, v.residual)
             for v in rep.violations

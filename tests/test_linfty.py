@@ -6,11 +6,12 @@ import random
 from fractions import Fraction
 from math import factorial
 
+from sign_oracles import ext_canonical
+
 from defalg.coalg import SymElement, all_words, word_degree
 from defalg.core import (
     Element,
     GradedBasis,
-    ext_canonical,
     koszul_sign,
     split_plan,
     unshuffles,
