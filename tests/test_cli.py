@@ -118,6 +118,7 @@ def test_closed_stdout_keeps_the_exit_code_and_prints_no_traceback(tmp_path):
         (("check-dgla", "--input", "inputs/failing_dgla.json"), 1),
         (("from-dgla", "--input", "inputs/failing_dgla.json", "--format", "json"), 2),
         (("check-dgla", "--input", str(kind_error)), 2),
+        ((), 2),
     )
     for argv, code in runs:
         read_end, write_end = os.pipe()
