@@ -505,6 +505,9 @@ def split_plan(n: int, k: int, parities: tuple):
 # ---------------------------------------------------------------------------
 
 
+_QM1 = -Q1  # the signs are two shared Fractions, built once
+
+
 def sym_canonical(indices, degree_of, twist=0):
     """Canonical form of a graded word of basis indices: the one signed sort
     (sign ledger K4).
@@ -517,21 +520,26 @@ def sym_canonical(indices, degree_of, twist=0):
     words (K2); the constant-odd `odd` sorts frames and raw exterior letters.
     """
     word = list(indices)
-    degrees = [degree_of(i) for i in word]
+    degrees = list(map(degree_of, word))
     sign = 1
-    # insertion sort, accumulating the sign of each adjacent swap
+    # insertion sort; a letter that comes to rest beside a copy of itself
+    # decides whether the word is zero
     for i in range(1, len(word)):
         j = i
-        while j > 0 and word[j - 1] > word[j]:
+        while j:
+            a, b = word[j - 1], word[j]
+            if a < b:
+                break
+            if a == b:
+                if (degrees[j] + twist) % 2:
+                    return None
+                break
             if (degrees[j - 1] * degrees[j] + twist) % 2:
                 sign = -sign
-            word[j - 1], word[j] = word[j], word[j - 1]
+            word[j - 1], word[j] = b, a
             degrees[j - 1], degrees[j] = degrees[j], degrees[j - 1]
             j -= 1
-    for a, b in zip(word, word[1:]):
-        if a == b and (degree_of(a) + twist) % 2:
-            return None
-    return tuple(word), Fraction(sign)
+    return tuple(word), Q1 if sign == 1 else _QM1
 
 
 def odd(_letter):

@@ -394,12 +394,10 @@ def form_del(form: PolyForm) -> PolyForm:
     for (mono, K), c in form.terms.items():
         for j in range(form.nvars):
             d = _partial(mono, j)
-            if d is None:
+            if d is None or j in K:
                 continue
-            canon = sym_canonical((j,) + K, odd)
-            if canon is None:
-                continue
-            add_term(out.terms, (d[1], canon[0]), c * d[0] * canon[1])
+            merged, sign = sym_canonical((j,) + K, odd)
+            add_term(out.terms, (d[1], merged), c * d[0] * sign)
     return out
 
 

@@ -558,26 +558,12 @@ def test_only_core_writes_the_accumulate_step():
 def _negates(node):
     """Whether the statement negates a name in place: s = -s, s *= -1,
     s = s * -1 or s = -1 * s."""
-    if isinstance(node, ast.AugAssign):
-        target, values = node.target, [node.value]
-        if not isinstance(node.op, ast.Mult):
-            return False
-    elif isinstance(node, ast.Assign) and len(node.targets) == 1:
-        target, value = node.targets[0], node.value
-        if isinstance(value, ast.UnaryOp) and isinstance(value.op, ast.USub):
-            values = [value.operand]
-        elif isinstance(value, ast.BinOp) and isinstance(value.op, ast.Mult):
-            values = [value.left, value.right]
-        else:
-            return False
-    else:
-        return False
-    if not isinstance(target, ast.Name):
-        return False
-    texts = sorted(ast.unparse(v) for v in values)
-    if isinstance(node, ast.AugAssign):
-        return texts == ["-1"]
-    return texts in ([target.id], ["-1", target.id])
+    if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+        return isinstance(node.op, ast.Mult) and ast.unparse(node.value) == "-1"
+    if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+        s = node.targets[0].id
+        return ast.unparse(node.value) in (f"-{s}", f"{s} * -1", f"-1 * {s}")
+    return False
 
 
 def sign_flips_in_loops(source, module):
