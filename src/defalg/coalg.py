@@ -3,8 +3,9 @@ coproducts, the embedding into symmetric tensors, and the lifting formulas
 turning corestriction components into coderivations and coalgebra morphisms.
 
 Elements of S(V) (reduced: word length >= 1) are sparse maps from canonical
-words (tuples of basis indices) to Fraction.  All computations are truncated
-at an explicit word length; conclusions about words of length <= N are exact.
+words (tuples of basis indices) to rationals (int or Fraction).  All
+computations are truncated at an explicit word length; conclusions about
+words of length <= N are exact.
 """
 
 from __future__ import annotations

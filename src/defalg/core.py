@@ -16,14 +16,14 @@ from operator import attrgetter
 
 from .errors import DomainError, InputError
 from .linalg import rref
-from .scalars import Q1
 
 # ---------------------------------------------------------------------------
 # The sparse accumulate kernel: every sparse value in the package is an
 # instance of the one sparse vector class `Element` below (or of a subclass:
 # symmetric words, tensor series, polyvectors, forms, covectors over Q(i),
 # B[t,dt] homotopies, (wedge V) (x) A tensors), whose `terms` is a dict from
-# hashable keys to nonzero coefficients (Fraction, int or GaussianScalar).
+# hashable keys to nonzero coefficients: an int when the coefficient is
+# integral (see `int_first`), else a Fraction or a GaussianScalar.
 # `add_term` and `add_into` are the only code that adds into such a dict.
 # Their contract: no stored zeros (a key whose sum is zero is deleted), and
 # no zero scalar built (a missing key stores the added coefficient object
@@ -63,6 +63,25 @@ def add_into(out: dict, terms: dict, c=1) -> dict:
             else:
                 del out[k]
     return out
+
+
+def int_first(table: dict) -> dict:
+    """A copy of a table of Elements without its zero entries, each
+    integral Fraction coefficient stored as an int.
+
+    Integer-first coefficients: an int equals, hashes and prints like the
+    Fraction of the same value, and int arithmetic is several times faster;
+    a Fraction is built only where a division happens."""
+    return {
+        k: v._like(
+            {
+                t: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+                for t, c in v.terms.items()
+            }
+        )
+        for k, v in table.items()
+        if v.terms
+    }
 
 
 def lin_into(out: dict, images, x: dict, c=1) -> dict:
@@ -169,7 +188,7 @@ class Element:
         return self._like(terms)
 
     @staticmethod
-    def basis_vector(i: int, coeff=Q1) -> "Element":
+    def basis_vector(i: int, coeff=1) -> "Element":
         return Element({i: coeff})
 
     def copy(self) -> "Element":
@@ -254,13 +273,14 @@ class BilinearTable:
     `sign` +1 for graded-commutative and -1 for graded-antisymmetric
     operations; missing both means zero.  `unit` optionally names a
     degree-0 two-sided identity, which overrides its table row and column.
-    Entries are resolved once, here; the Elements returned by `_op_basis`
-    are shared and must not be mutated."""
+    Entries are resolved once, here, with integral coefficients stored as
+    int (`int_first`); the Elements returned by `_op_basis` are shared and
+    must not be mutated."""
 
     def __init__(self, basis: GradedBasis, table, sign, unit=None):
         n = len(basis)
         self.basis = basis
-        self.table = {k: v.copy() for k, v in table.items() if not v.is_zero()}
+        self.table = int_first(table)
         for (i, j) in self.table:
             if not (0 <= i < n and 0 <= j < n):
                 raise InputError("table entry outside basis")
@@ -273,7 +293,7 @@ class BilinearTable:
                 entries[(j, i)] = v.scale(sign * self._sign_swap(i, j))
         if self.unit is not None:
             for i in range(n):
-                entries[(self.unit, i)] = entries[(i, self.unit)] = Element({i: Q1})
+                entries[(self.unit, i)] = entries[(i, self.unit)] = Element({i: 1})
 
     def _sign_swap(self, i, j):
         return -1 if (self.basis.degree(i) * self.basis.degree(j)) % 2 else 1
@@ -300,7 +320,7 @@ class BilinearTable:
         A^{s+1} = A * A^s; None when the series does not reach 0."""
         n = len(self.basis)
         B, _ = self.rows()
-        span = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+        span = [[int(i == j) for j in range(n)] for i in range(n)]
         s = 1
         while span:
             if s > n + 1:
@@ -310,7 +330,7 @@ class BilinearTable:
                 for vec in span:
                     prod = lin_into({}, B[i], {k: c for k, c in enumerate(vec) if c})
                     if prod:
-                        nxt.append([prod.get(k, Fraction(0)) for k in range(n)])
+                        nxt.append([prod.get(k, 0) for k in range(n)])
             reduced, pivots = rref(nxt) if nxt else ([], [])
             span = reduced[: len(pivots)]
             s += 1
@@ -440,7 +460,7 @@ def parity(images) -> int:
     return -1 if inv % 2 else 1
 
 
-def koszul_sign(degrees, images) -> Fraction:
+def koszul_sign(degrees, images) -> int:
     """eps(sigma; degrees): product over inverted pairs of (-1)^{d_a d_b}."""
     if len(degrees) != len(images):
         raise InputError("koszul_sign: degree list and permutation size differ")
@@ -452,10 +472,10 @@ def koszul_sign(degrees, images) -> Fraction:
         for j in range(i + 1, n):
             if images[i] > images[j] and degrees[images[i]] * degrees[images[j]] % 2:
                 sign = -sign
-    return Fraction(sign)
+    return sign
 
 
-def exterior_sign(degrees, images) -> Fraction:
+def exterior_sign(degrees, images) -> int:
     """Koszul sign times permutation parity (the sign for wedge words)."""
     return koszul_sign(degrees, images) * parity(images)
 
@@ -496,7 +516,7 @@ def split_plan(n: int, k: int, parities: tuple):
     int K1 sign) triples (sign ledger C2).  Plans are immutable and cached:
     4096 keys hold every key of words up to length 8."""
     return tuple(
-        (u[:k], u[k:], int(koszul_sign(parities, u))) for u in unshuffles(k, n - k)
+        (u[:k], u[k:], koszul_sign(parities, u)) for u in unshuffles(k, n - k)
     )
 
 
@@ -505,14 +525,11 @@ def split_plan(n: int, k: int, parities: tuple):
 # ---------------------------------------------------------------------------
 
 
-_QM1 = -Q1  # the signs are two shared Fractions, built once
-
-
 def sym_canonical(indices, degree_of, twist=0):
     """Canonical form of a graded word of basis indices: the one signed sort
     (sign ledger K4).
 
-    Returns (sorted_tuple, sign) or None when the word is zero.  Each
+    Returns (sorted_tuple, int sign +-1) or None when the word is zero.  Each
     adjacent swap of letters a, b multiplies the sign by
     (-1)^{deg a deg b + twist}, and a repeated letter whose swap with itself
     is odd kills the word (char 0 kills 2(e.e)).  `degree_of` maps a basis
@@ -539,7 +556,7 @@ def sym_canonical(indices, degree_of, twist=0):
             word[j - 1], word[j] = b, a
             degrees[j - 1], degrees[j] = degrees[j], degrees[j - 1]
             j -= 1
-    return tuple(word), Q1 if sign == 1 else _QM1
+    return tuple(word), sign
 
 
 def odd(_letter):

@@ -10,7 +10,7 @@ by its maximal ideal (nilpotency is structural, not an extra hypothesis).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from math import factorial
 
 from . import linalg
@@ -22,6 +22,7 @@ from .core import (
     admitted,
     assoc_residual,
     derivation_residual,
+    int_first,
     lin_into,
     off_degree,
     square_residual,
@@ -53,7 +54,7 @@ class _Tabled(BilinearTable):
 
     def __init__(self, basis: GradedBasis, table, diff):
         super().__init__(basis, table, self.SIGN)
-        self.diff = {k: v.copy() for k, v in diff.items() if not v.is_zero()}
+        self.diff = int_first(diff)
         for i in self.diff:
             if not 0 <= i < len(basis):
                 raise InputError("differential entry outside basis")
@@ -78,15 +79,12 @@ class DGLA(_Tabled):
 class ArtinDg(_Tabled):
     """Object of the category of nilpotent finite-dimensional graded-
     commutative dg-algebras: multiplication table, differential, and the
-    computed nilpotency index (smallest s with A^s = 0; None, reported by
-    check_na, when the algebra is not nilpotent)."""
+    nilpotency index (smallest s with A^s = 0; None, reported by check_na,
+    when the algebra is not nilpotent), computed on first read."""
 
     SIGN = 1
     product = BilinearTable.apply
-
-    def __init__(self, basis, table, diff):
-        super().__init__(basis, table, diff)
-        self.nilpotency_index = self._nilpotency_index()
+    nilpotency_index = cached_property(BilinearTable._nilpotency_index)
 
     def is_classical(self) -> bool:
         return all(d == 0 for d in self.basis.degrees) and not self.diff

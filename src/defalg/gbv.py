@@ -12,7 +12,6 @@ the shift to bracket conventions (degree -k+1) is applied explicitly
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import partial
 
 from .coalg import all_words, canonical_word
@@ -25,6 +24,7 @@ from .core import (
     admitted,
     basis_rows,
     derivation_residual,
+    int_first,
     lin_into,
     odd,
     split_plan,
@@ -70,7 +70,7 @@ class GBVStructure:
 
     def __init__(self, algebra: GradedCommAlgebra, delta, weights=None, cap=0):
         self.algebra = algebra
-        self.delta_table = {i: v.copy() for i, v in delta.items() if not v.is_zero()}
+        self.delta_table = int_first(delta)
         self.delta_images = {i: v.terms for i, v in self.delta_table.items()}
         self.weights = None if weights is None else tuple(weights)
         self.cap = cap
@@ -208,7 +208,7 @@ class Polyvector(Element):
             raise InputError("monomial degree exceeds the declared cap")
 
     @staticmethod
-    def frame_vector(nvars, frame, coeff=Fraction(1), mono=None):
+    def frame_vector(nvars, frame, coeff=1, mono=None):
         mono = tuple(mono) if mono is not None else (0,) * nvars
         return Polyvector(nvars, None, {(mono, tuple(frame)): coeff})
 
@@ -366,7 +366,7 @@ def contract(v: Polyvector, w: PolyForm) -> PolyForm:
         for (mono_w, K), cw in w.terms.items():
             if len(frame) > len(K):
                 continue
-            acc = {K: Fraction(1)}
+            acc = {K: 1}
             for j in reversed(frame):
                 nxt = {}
                 for kk, s in acc.items():
@@ -385,7 +385,7 @@ def contract(v: Polyvector, w: PolyForm) -> PolyForm:
 def volume_form(nvars) -> PolyForm:
     """Omega = dz_n ^ ... ^ dz_1 (reversal of the increasing frame)."""
     sign = (-1) ** ((nvars * (nvars - 1) // 2) % 2)
-    return PolyForm(nvars, {((0,) * nvars, tuple(range(nvars))): Fraction(sign)})
+    return PolyForm(nvars, {((0,) * nvars, tuple(range(nvars))): sign})
 
 
 def form_del(form: PolyForm) -> PolyForm:
@@ -401,23 +401,24 @@ def form_del(form: PolyForm) -> PolyForm:
     return out
 
 
+def frame_pairing(nvars, frame) -> int:
+    """c_I in (d/dz_I) -| Omega = c_I dz_{I complement}, for an increasing
+    frame I: `contract` removes the letters of I last first, each at its own
+    index i, and Omega carries (-1)^{n(n-1)/2}, so
+    c_I = (-1)^{sum I + n(n-1)/2} (sign ledger G4)."""
+    return -1 if (sum(frame) + nvars * (nvars - 1) // 2) % 2 else 1
+
+
 def delta_volume(a: Polyvector) -> Polyvector:
     """The operator defined by (delta a) -| Omega = del(a -| Omega),
     computed contract - del - uncontract (Omega the reversed frame)."""
     n = a.nvars
-    omega = volume_form(n)
-    psi = form_del(contract(a, omega))
-    # invert the frame pairing: (d/dz_I) -| Omega = c_I dz_{I complement}
+    psi = form_del(contract(a, volume_form(n)))
+    # invert the frame pairing; c_I = +-1 is its own inverse
     out = Polyvector(n, max(a.cap - 1, 0))
-    pairing = {}
     for (mono, K), c in psi.terms.items():
         comp = tuple(i for i in range(n) if i not in K)
-        if comp not in pairing:
-            probe = contract(Polyvector.frame_vector(n, comp), omega)
-            [(key, val)] = list(probe.terms.items())
-            assert key == ((0,) * n, K)
-            pairing[comp] = val
-        add_term(out.terms, (mono, comp), c / pairing[comp])
+        add_term(out.terms, (mono, comp), c * frame_pairing(n, comp))
     return out
 
 
@@ -447,11 +448,11 @@ def tian_todorov_check(a: Polyvector, b: Polyvector) -> CheckReport:
         rep.add("input", "", "left argument is zero or inhomogeneous")
         return rep
     s += 1  # shifted degree
-    lhs = schouten(a, b).scale(Fraction((-1) ** (s % 2)))
+    lhs = schouten(a, b).scale((-1) ** (s % 2))
     rhs = (
         delta_volume(a.wedge(b))
         - delta_volume(a).wedge(b)
-        - a.wedge(delta_volume(b)).scale(Fraction((-1) ** ((s - 1) % 2)))
+        - a.wedge(delta_volume(b)).scale((-1) ** ((s - 1) % 2))
     )
     diff = lhs - rhs
     if not diff.is_zero():
@@ -502,8 +503,8 @@ def polyvector_gbv(nvars, cap) -> GBVStructure:
         for j, (m2, f2) in enumerate(keys):
             if polydeg[i] + polydeg[j] > cap:
                 continue  # truncated to zero
-            prod = Polyvector(nvars, None, {(m1, f1): Fraction(1)}).wedge(
-                Polyvector(nvars, None, {(m2, f2): Fraction(1)})
+            prod = Polyvector(nvars, None, {(m1, f1): 1}).wedge(
+                Polyvector(nvars, None, {(m2, f2): 1})
             )
             val = to_element(prod)
             if not val.is_zero():
@@ -512,7 +513,7 @@ def polyvector_gbv(nvars, cap) -> GBVStructure:
 
     delta_table = {}
     for i, (m, f) in enumerate(keys):
-        img = delta_volume(Polyvector(nvars, None, {(m, f): Fraction(1)}))
+        img = delta_volume(Polyvector(nvars, None, {(m, f): 1}))
         val = to_element(img)
         if not val.is_zero():
             delta_table[i] = val
@@ -553,7 +554,7 @@ def product_components(S: GBVStructure, m_max, coefficient=None):
     basis = S.algebra.basis
     tables = {}
     for m in range(1, m_max + 1):
-        c = coefficient(m) if coefficient else Fraction(1)
+        c = coefficient(m) if coefficient else 1
         if not c:
             continue
         table = tables[m] = {}
@@ -574,7 +575,7 @@ def inverse_components(S: GBVStructure, m_max):
     from math import factorial
 
     return product_components(
-        S, m_max, lambda m: Fraction((-1) ** ((m - 1) % 2) * factorial(m - 1))
+        S, m_max, lambda m: (-1) ** ((m - 1) % 2) * factorial(m - 1)
     )
 
 
@@ -612,7 +613,7 @@ def tensor_inverse_check(S: GBVStructure, n_max=3) -> CheckReport:
                         prod = S.algebra.product(prod, Element.basis_vector(idx))
                     # blocks are consecutive: the product of the block values
                     value = prod if value is None else S.algebra.product(value, prod)
-                sign = Fraction((-1) ** ((len(comp) - 1) % 2))
+                sign = (-1) ** ((len(comp) - 1) % 2)
                 add_into(acc.terms, value.terms, sign)
             expect = Element.basis_vector(word[0]) if total == 1 else Element()
             if not (acc - expect).is_zero():

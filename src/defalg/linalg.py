@@ -1,7 +1,9 @@
 """Exact rational linear algebra: row echelon, kernel, image, solving.
 
-Matrices are lists of lists of Fractions (dense; every space in scope is
-tiny).  No pivoting heuristics are needed over Q.
+Matrices are lists of lists of rationals, each an int or a Fraction (dense;
+every space in scope is tiny).  Division happens only at the pivot of
+`rref`, through a Fraction, so an int matrix never yields a float.  No
+pivoting heuristics are needed over Q.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ def rref(matrix):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
+        pv = Fraction(rows[r][c])
         rows[r] = [x / pv for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c] != 0:

@@ -1,8 +1,10 @@
 """Exact scalars: arbitrary-precision rationals and Gaussian rationals.
 
-Plain rationals are `fractions.Fraction` (always lowest terms, positive
-denominator).  GaussianScalar adjoins a formal square root of -1; it is
-needed only by the Hermitian exterior-algebra module.
+Plain rationals are `int` where a table stores an integral coefficient
+(`core.int_first`) and `fractions.Fraction` (always lowest terms, positive
+denominator) otherwise; both print through `format_rational`.
+GaussianScalar adjoins a formal square root of -1; it is needed only by the
+Hermitian exterior-algebra module.
 """
 
 from __future__ import annotations
@@ -93,7 +95,7 @@ class GaussianScalar:
 
     def __truediv__(self, other):
         other = _coerce(other)
-        norm = other.re * other.re + other.im * other.im
+        norm = Fraction(other.re * other.re + other.im * other.im)
         if norm == 0:
             raise ZeroDivisionError("division by zero GaussianScalar")
         conj = GaussianScalar(other.re, -other.im)

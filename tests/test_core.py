@@ -11,7 +11,7 @@ from math import comb
 import pytest
 import sign_oracles
 
-from defalg import core
+from defalg import core, linalg
 from defalg.coalg import SymElement, TensorProductElement, iterated_coproduct
 from defalg.core import (
     Element,
@@ -226,6 +226,52 @@ def test_exterior_sign_is_koszul_times_parity():
         assert exterior_sign(degrees, images) == koszul_sign(degrees, images) * parity(
             images
         )
+
+
+def test_sign_sources_return_int():
+    """Signs are int +-1, so a sign times an int coefficient stays an int."""
+    basis = GradedBasis.of(("a", 1), ("b", 2), ("c", 1))
+    for word in itertools.product(range(3), repeat=3):
+        for degree, twist in ((basis.degree, 0), (basis.degree, 1), (odd, 0)):
+            canon = sym_canonical(word, degree, twist)
+            assert canon is None or type(canon[1]) is int
+    degrees = [1, 2, 1, 3]
+    for images in itertools.permutations(range(4)):
+        assert type(koszul_sign(degrees, images)) is int
+        assert type(exterior_sign(degrees, images)) is int
+    for n in range(5):
+        for k in range(n + 1):
+            for parities in itertools.product((0, 1), repeat=n):
+                for _, _, sign in split_plan(n, k, parities):
+                    assert type(sign) is int and sign in (1, -1)
+
+
+def test_int_first_stores_integral_fractions_as_int():
+    terms = {0: Fraction(2), 1: Fraction(1, 2), 2: 3, 3: GaussianScalar.of(1)}
+    poly = Polyvector(1, None, {((1,), ()): Fraction(-3)})
+    table = {"a": Element(terms), "b": Element(), "c": poly}
+    got = core.int_first(table)
+    assert got == {"a": Element(terms), "c": poly}
+    assert got["a"].terms is not terms and got["c"].cap == 1
+    types = [type(v) for v in got["a"].terms.values()]
+    assert types == [int, Fraction, int, GaussianScalar]
+    assert type(got["c"].terms[((1,), ())]) is int
+
+
+def test_rref_of_an_int_matrix_is_exact():
+    """An int pivot divides through a Fraction, never to a float."""
+    rows, pivots = linalg.rref([[2, 1]])
+    assert (rows, pivots) == ([[1, Fraction(1, 2)]], [0])
+    assert all(type(x) is Fraction for x in rows[0])
+    assert linalg.kernel_basis([[2, 1], [4, 2]]) == [[Fraction(-1, 2), 1]]
+
+
+def test_gaussian_division_of_int_parts_is_exact():
+    q = GaussianScalar(1, 0) / GaussianScalar(2, 0)
+    assert (q.re, q.im) == (Fraction(1, 2), 0)
+    assert type(q.re) is Fraction and type(q.im) is Fraction
+    assert str(q) == "1/2"
+    assert str(GaussianScalar(1, 1) / GaussianScalar(0, 2)) == "1/2-1/2*i"
 
 
 def test_symmetrize_arity_one_and_even_product():
@@ -635,6 +681,45 @@ def test_only_core_computes_koszul_signs_and_unshuffles():
     assert sign_primitive_uses("from . import core\ncore.unshuffles(1, 2)\n") == {
         "unshuffles"
     }
+
+
+# -- tooling guard: no float division --------------------------------------------
+
+# `/` on two ints is a float; these functions divide through a Fraction
+DIVISION_ALLOWED = {"linalg.rref", "scalars.GaussianScalar.__truediv__"}
+
+
+def divisions(source, module):
+    """The scopes (module.qualname) that hold a true division `/` or `/=`;
+    a lambda belongs to the function around it, top-level code to the
+    module."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(
+                child.op, ast.Div
+            ):
+                found.add(scope)
+            named = isinstance(child, FUNCTIONS + (ast.ClassDef,))
+            visit(child, f"{scope}.{child.name}" if named else scope)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+def test_only_fraction_routed_functions_divide():
+    src = pathlib.Path(core.__file__).parent
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        found |= divisions(path.read_text(encoding="utf-8"), path.stem)
+    assert found == DIVISION_ALLOWED, sorted(found ^ DIVISION_ALLOWED)
+    # the guard sees every spelling and place of a division, but not //
+    body = "x = 1 / 2\nclass C:\n    def f(self, a):\n        a /= 2\n"
+    body += "        def g(b):\n            return lambda: b / 2\n"
+    body += "        return a // 2\n"
+    assert divisions(body, "m") == {"m", "m.C.f", "m.C.f.g"}
+    assert divisions("def f(a):\n    return a // 2\n", "m") == set()
 
 
 # -- the one sparse vector class -------------------------------------------------

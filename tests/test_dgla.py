@@ -257,6 +257,17 @@ def test_check_na_matches_element_oracle():
     assert failing >= 10  # the perturbations do break identities
 
 
+def test_nilpotency_index_is_computed_on_first_read():
+    """An ArtinDg computes its index when it is read, once, and check_na
+    reports the oracle's value."""
+    for A in _check_na_corpus():
+        A = ArtinDg(A.basis, A.table, A.diff)
+        assert "nilpotency_index" not in vars(A)
+        index = oracle_nilpotency_index(A)
+        assert (check_na(A).info or {}).get("nilpotency_index") == index
+        assert vars(A)["nilpotency_index"] == index
+
+
 def test_every_check_na_identity_fires_on_the_oracle_corpus():
     """Each message check_na can emit occurs on the oracle test's corpus,
     so no single identity is compared only on passing instances."""

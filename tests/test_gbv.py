@@ -21,6 +21,7 @@ from defalg.gbv import (
     delta_direct,
     delta_volume,
     form_del,
+    frame_pairing,
     gbv_to_abelian,
     one_form_contract,
     polyvector_gbv,
@@ -596,6 +597,17 @@ def test_delta_equals_direct_formula():
         assert delta_volume(a) == delta_direct(a)
 
 
+def test_frame_pairing_matches_the_contraction_probe():
+    """c_I from the closed form against (d/dz_I) -| Omega, every frame of
+    n <= 4 variables."""
+    for n in range(5):
+        for r in range(n + 1):
+            for frame in itertools.combinations(range(n), r):
+                comp = tuple(i for i in range(n) if i not in frame)
+                probe = contract(Polyvector.frame_vector(n, frame), volume_form(n))
+                assert probe.terms == {((0,) * n, comp): frame_pairing(n, frame)}
+
+
 def test_delta_squared_zero():
     rng = random.Random(7)
     n = 3
@@ -666,6 +678,19 @@ def test_polyvector_gbv_small_checks():
     S = polyvector_gbv(2, 2)
     assert S.gbv_check().ok()
     assert S.dgla_verify().ok()
+
+
+def test_polyvector_gbv_tables_hold_int_coefficients():
+    """Every structure constant of the polyvector example is an integer and
+    is stored as an int: product rows, delta images and the derived
+    product's rows."""
+    S = polyvector_gbv(2, 2)
+    P, Pc, D, Q, Qc = S._tables()
+    rows = P + Pc + Q + Qc + [D]
+    coeffs = [c for row in rows for terms in row.values() for c in terms.values()]
+    assert len(coeffs) > 100 and {type(c) for c in coeffs} == {int}
+    stored = S.algebra.table.values()
+    assert {type(c) for v in stored for c in v.terms.values()} == {int}
 
 
 # -- products onto the abelian structure ------------------------------------------------
