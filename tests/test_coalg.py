@@ -11,6 +11,8 @@ import pytest
 from defalg import coalg
 from defalg.coalg import (
     CoalgMorphism,
+    Coderivation,
+    ComponentMap,
     SymElement,
     TensorProductElement,
     all_words,
@@ -258,6 +260,100 @@ def test_morphism_comorphism_law():
     f2 = {(0, 1): Element.basis_vector(2), (0, 2): Element.basis_vector(3)}
     Fm = CoalgMorphism(MIXED, target, {1: f1, 2: f2})
     assert Fm.comorphism_report(all_words(MIXED, 4)).ok()
+
+
+def violation_triples(rep):
+    return [(v.location, v.residual, v.message) for v in rep.violations]
+
+
+class _OneLetterDrift(Coderivation):
+    """A lift that also sends each one-letter word to itself: never a
+    coderivation, so coleibnitz_report fails."""
+
+    def apply_word(self, word):
+        out = super().apply_word(word)
+        if len(word) == 1:
+            out.add_word(word, F(1))
+        return out
+
+
+class _OneLetterSquare(CoalgMorphism):
+    """A lift that also sends each one-letter word w to w (.) w: never a
+    coalgebra morphism, so comorphism_report fails."""
+
+    def apply_word(self, word):
+        out = super().apply_word(word)
+        if len(word) == 1:
+            out.add_word(word * 2, F(1))
+        return out
+
+
+def test_coleibnitz_failing_output_is_pinned():
+    Q = _OneLetterDrift(ComponentMap(MIXED, 1, {1: {(0,): e(1)}}))
+    got = violation_triples(Q.coleibnitz_report(all_words(MIXED, 2)))
+    m = "coLeibnitz fails"
+    assert got == [
+        ("word (0, 1)", "{((1,), (0,)): Fraction(-2, 1)}", m),
+        ("word (0, 3)", "{((3,), (0,)): Fraction(-2, 1)}", m),
+        ("word (1, 1)", "{((1,), (1,)): Fraction(-4, 1)}", m),
+        ("word (1, 2)", "{((1,), (2,)): Fraction(-2, 1)}", m),
+        (
+            "word (1, 3)",
+            "{((1,), (3,)): Fraction(-2, 1), ((3,), (1,)): Fraction(-2, 1)}",
+            m,
+        ),
+        ("word (2, 3)", "{((3,), (2,)): Fraction(-2, 1)}", m),
+        ("word (3, 3)", "{((3,), (3,)): Fraction(-4, 1)}", m),
+    ]
+
+
+def test_comorphism_failing_output_is_pinned():
+    Fm = _OneLetterSquare(MIXED, MIXED, {1: {(i,): e(i) for i in range(4)}})
+    got = violation_triples(Fm.comorphism_report(all_words(MIXED, 2)))
+    m = "l F != (F x F) l"
+    assert got == [
+        ("word (1,)", "{((1,), (1,)): Fraction(2, 1)}", m),
+        ("word (3,)", "{((3,), (3,)): Fraction(2, 1)}", m),
+        (
+            "word (0, 1)",
+            "{((0,), (1, 1)): Fraction(-1, 1), ((1, 1), (0,)): Fraction(-1, 1)}",
+            m,
+        ),
+        (
+            "word (0, 3)",
+            "{((0,), (3, 3)): Fraction(-1, 1), ((3, 3), (0,)): Fraction(-1, 1)}",
+            m,
+        ),
+        (
+            "word (1, 1)",
+            "{((1,), (1, 1)): Fraction(-2, 1), ((1, 1), (1,)): Fraction(-2, 1), "
+            "((1, 1), (1, 1)): Fraction(-2, 1)}",
+            m,
+        ),
+        (
+            "word (1, 2)",
+            "{((1, 1), (2,)): Fraction(-1, 1), ((2,), (1, 1)): Fraction(-1, 1)}",
+            m,
+        ),
+        (
+            "word (1, 3)",
+            "{((1,), (3, 3)): Fraction(-1, 1), ((1, 1), (3,)): Fraction(-1, 1), "
+            "((1, 1), (3, 3)): Fraction(-1, 1), ((3,), (1, 1)): Fraction(-1, 1), "
+            "((3, 3), (1,)): Fraction(-1, 1), ((3, 3), (1, 1)): Fraction(-1, 1)}",
+            m,
+        ),
+        (
+            "word (2, 3)",
+            "{((2,), (3, 3)): Fraction(-1, 1), ((3, 3), (2,)): Fraction(-1, 1)}",
+            m,
+        ),
+        (
+            "word (3, 3)",
+            "{((3,), (3, 3)): Fraction(-2, 1), ((3, 3), (3,)): Fraction(-2, 1), "
+            "((3, 3), (3, 3)): Fraction(-2, 1)}",
+            m,
+        ),
+    ]
 
 
 def test_morphism_rejects_wrong_degree_component():

@@ -632,6 +632,30 @@ def test_exp_derivation_random_inverse():
         assert ed.verify().ok()
 
 
+class _DoubledExp(ExpDerivation):
+    """e^d with every coefficient doubled: never multiplicative."""
+
+    def apply(self, x):
+        return {k: 2 * c for k, c in super().apply(x).items()}
+
+
+def test_exp_derivation_mult_failing_output_is_pinned():
+    R = dual_numbers_R()
+    A = ArtinDg(GradedBasis.of(("t", 0),), {(0, 0): Element()}, {})
+    rep = _DoubledExp(R, A, {1: {(1, 0): F(1)}}).verify()
+    got = [
+        (v.location, v.residual, v.message)
+        for v in rep.violations
+        if v.location.startswith("mult")
+    ]
+    m = "e^d is not multiplicative"
+    assert got == [
+        ("mult(one,one)", "{(0, -1): Fraction(-2, 1)}", m),
+        ("mult(one,u)", "{(1, -1): Fraction(-2, 1), (1, 0): Fraction(-2, 1)}", m),
+        ("mult(u,one)", "{(1, -1): Fraction(-2, 1), (1, 0): Fraction(-2, 1)}", m),
+    ]
+
+
 def test_exp_derivation_rejects_non_derivation():
     basis = GradedBasis.of(("one", 0), ("u", 0))
     table = {(1, 1): Element.basis_vector(1)}  # u^2 = u: not nilpotent-friendly
@@ -716,3 +740,20 @@ def test_tensor_random_pairs_pass_axioms():
         M = TensorDgla(L, A)
         assert check_dgla(M.as_dgla()).ok()
         done += 1
+
+
+def test_homotopy_failing_output_is_pinned():
+    # H(x) = y (x) t with y^2 = z: d H(x) = y (x) dt != H(dx) = 0, and
+    # H(x)^2 = z (x) t^2 != H(x^2) = 0
+    A = ArtinDg(GradedBasis.of(("x", 0),), {}, {})
+    B = ArtinDg(GradedBasis.of(("y", 0), ("z", 0)), {(0, 0): e(1)}, {})
+    H = Homotopy(A, B, {0: DtPolynomial(B, {(0, 1, False): F(1)})})
+    got = [(v.location, v.residual, v.message) for v in H.verify().violations]
+    assert got == [
+        (
+            "chain(x)",
+            "{(0, 0, True): Fraction(-1, 1)}",
+            "H does not commute with the differentials",
+        ),
+        ("mult(x,x)", "{(1, 2, False): Fraction(-1, 1)}", "H is not multiplicative"),
+    ]

@@ -26,6 +26,7 @@ from defalg.gbv import (
     one_form_contract,
     polyvector_gbv,
     schouten,
+    tensor_inverse_check,
     tian_todorov_check,
     vector_contract_form,
     volume_form,
@@ -739,6 +740,47 @@ def test_gbv_to_abelian_checks_truncated_models_within_the_cap():
         assert _within_cap(T, word), v.location
 
 
+def non_associative_gbv():
+    """x^2 = y and xy = x in degree 0: commutative, not associative, so
+    the inverse compositions of the product morphism fail."""
+    basis = GradedBasis.of(("x", 0), ("y", 0))
+    return GBVStructure(GradedCommAlgebra(basis, {(0, 0): e(1), (0, 1): e(0)}), {})
+
+
+TENSOR_SIDE_FAILURES = [
+    ("tensor word (0, 0, 1)", "-1*y"),
+    ("tensor word (0, 1, 1)", "1*x"),
+    ("tensor word (1, 0, 0)", "1*y"),
+    ("tensor word (1, 1, 0)", "-1*x"),
+]
+
+
+def test_tensor_inverse_failing_output_is_pinned():
+    rep = tensor_inverse_check(non_associative_gbv(), 3)
+    m = "tensor-side inverse composition fails"
+    assert [(v.location, v.residual, v.message) for v in rep.violations] == [
+        (loc, res, m) for loc, res in TENSOR_SIDE_FAILURES
+    ]
+
+
+def test_gbv_to_abelian_inverse_failing_output_is_pinned():
+    _, _, rep = gbv_to_abelian(non_associative_gbv(), 3)
+    got = [
+        (v.location, v.residual, v.message)
+        for v in rep.violations
+        if v.location.startswith(("inverse", "tensor side"))
+    ]
+    assert got == [
+        ("inverse F* F on (0, 0, 1)", "-2*y", "F* F is not the identity"),
+        ("inverse F* F on (0, 1, 1)", "1*x", "F* F is not the identity"),
+        ("inverse F F* on (0, 0, 1)", "-2*y", "F F* is not the identity"),
+        ("inverse F F* on (0, 1, 1)", "1*x", "F F* is not the identity"),
+    ] + [
+        ("tensor side: " + loc, res, "tensor-side inverse composition fails")
+        for loc, res in TENSOR_SIDE_FAILURES
+    ]
+
+
 def oracle_expansion_violations(S):
     """The coproduct-expansion loop of gbv_to_abelian before split plans:
     every unshuffle through the validating koszul_sign, on the words within
@@ -769,7 +811,13 @@ def oracle_expansion_violations(S):
                 rhs = rhs + acc.scale(koszul_sign(degrees, sigma))
             diff = S.delta(prod) - rhs
             if not diff.is_zero():
-                out.append((f"expansion m={m} on {word}", S.algebra.show(diff)))
+                out.append(
+                    (
+                        f"expansion m={m} on {word}",
+                        S.algebra.show(diff),
+                        "coproduct expansion of delta fails",
+                    )
+                )
     return out
 
 
@@ -785,7 +833,7 @@ def test_coproduct_expansion_matches_oracle():
     for S in models + twins:
         _, _, rep = gbv_to_abelian(S, m_max=3)
         got = [
-            (v.location, v.residual)
+            (v.location, v.residual, v.message)
             for v in rep.violations
             if v.location.startswith("expansion")
         ]

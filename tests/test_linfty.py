@@ -478,6 +478,19 @@ def test_h_bracket_matches_dgla_bracket_on_h():
     assert rep.info["h_dims"] == {"0": 3, "1": 0}
 
 
+def test_h_bracket_jacobi_failing_output_is_pinned():
+    # [a, b] = b and [b, c] = a in degree 0 with zero differential: H = V,
+    # and the bracket is not a Lie bracket
+    basis = GradedBasis.of(("a", 0), ("b", 0), ("c", 0))
+    L = DGLA(basis, {(0, 1): e(1), (1, 2): e(0)}, {})
+    rep = h_bracket_check(from_dgla(L, checked=False))
+    loc, m = "jacobi(H^0, H^0, H^0)", "induced bracket fails Jacobi on cohomology"
+    res = "[Fraction({}, 1), Fraction(0, 1), Fraction(0, 1)]"
+    got = [(v.location, v.residual, v.message) for v in rep.violations]
+    assert got == [(loc, res.format(c), m) for c in (-1, 1, 1, -1, -1, 1)]
+    assert rep.info == {"h_dims": {"0": 3}}
+
+
 # -- Hodge models --------------------------------------------------------------------
 
 
@@ -552,8 +565,9 @@ def test_broken_q_hat_detected_at_arity_two():
     rep = hodge_model_check(M)
     assert not rep.ok()
     comps, frep = hodge_F(M, 2, check_model=False)
-    assert not frep.ok()
-    assert any("('a', 'b')" in v.location for v in frep.violations)
+    assert [(v.location, v.residual, v.message) for v in frep.violations] == [
+        ("word ('a', 'b')", "{0: {1: Fraction(2, 1)}}", "F o delta != 0")
+    ]
 
 
 # -- mc_linfty against the (wedge V) (x) A "add, or pop on zero" loops it had ---
