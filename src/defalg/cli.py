@@ -355,7 +355,9 @@ def cmd_suite(args) -> CheckReport:
 FLAGS = {
     "input": ("--input", {"help": "JSON input file"}),
     "truncate": ("--truncate", {"type": int, "default": 4}),
-    # None lets structure checkers default to (largest arity) + 2
+    # None lets each checker take its default word length: 2m - 1 for
+    # check-linfty and from-dgla (m the largest arity, sign ledger C2),
+    # m + 2 for linfty-morphism, 4 for the others
     "max_arity": ("--max-arity", {"type": int, "default": None}),
     "seed": ("--seed", {"type": int, "default": 7}),
     "mode": ("--mode", {"choices": ("free", "explicit", "nilpotent"),

@@ -19,6 +19,7 @@ from .core import (
     add_into,
     add_term,
     check_weights,
+    report_violations,
     signed_permutations,
     split_plan,
     sym_canonical,
@@ -266,8 +267,8 @@ class Coderivation:
 
     def coleibnitz_report(self, words) -> CheckReport:
         """Delta Q = (Q (x) Id + Id (x) Q) Delta on the given words."""
-        rep = CheckReport("coder-coleibnitz")
-        for word in words:
+
+        def coleibnitz(word):
             lhs = coproduct_element(self.apply_word(word))
             rhs = TensorProductElement(self.basis, 2)
             for (lw, rw), c in coproduct(self.basis, word).terms.items():
@@ -276,13 +277,10 @@ class Coderivation:
                 sign = -1 if (self.degree * word_degree(self.basis, lw)) % 2 else 1
                 for w2, c2 in self.apply_word(rw).terms.items():
                     rhs.add_term((lw, w2), c * c2 * sign)
-            if not (lhs - rhs).is_zero():
-                rep.add(
-                    f"word {word}",
-                    str((lhs - rhs).terms),
-                    "coLeibnitz fails",
-                )
-        return rep
+            return (lhs - rhs).terms
+
+        steps = [([(w,) for w in words], [("word {}", "coLeibnitz fails", coleibnitz)])]
+        return report_violations(CheckReport("coder-coleibnitz"), str, str, steps)
 
 
 def coder_lift(basis, degree, tables) -> Coderivation:
@@ -350,17 +348,18 @@ class CoalgMorphism:
 
     def comorphism_report(self, words) -> CheckReport:
         """l F = (F (x) F) l on the given source words."""
-        rep = CheckReport("comorphism")
-        for word in words:
+
+        def comorphism(word):
             lhs = coproduct_element(self.apply_word(word))
             rhs = TensorProductElement(self.target, 2)
             for (lw, rw), c in coproduct(self.source, word).terms.items():
                 for w1, c1 in self.apply_word(lw).terms.items():
                     for w2, c2 in self.apply_word(rw).terms.items():
                         rhs.add_term((w1, w2), c * c1 * c2)
-            if not (lhs - rhs).is_zero():
-                rep.add(f"word {word}", str((lhs - rhs).terms), "l F != (F x F) l")
-        return rep
+            return (lhs - rhs).terms
+
+        steps = [([(w,) for w in words], [("word {}", "l F != (F x F) l", comorphism)])]
+        return report_violations(CheckReport("comorphism"), str, str, steps)
 
 
 def compose_morphisms(G: CoalgMorphism, F: CoalgMorphism, words) -> dict:

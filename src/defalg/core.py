@@ -247,8 +247,13 @@ ZERO = Element()
 # images[i] (terms dicts, nonzero entries only, never mutated), declares its
 # axioms as steps for `violations` (families of index tuples, usually from
 # `admitted`, each with its identities: location template, message and a
-# residual from the builders below), and builds an Element only to show a
-# nonzero residual.
+# residual from the builders below), and `report_violations` adds one
+# violation per failing instance.  Its contract: `name` maps one index of a
+# tuple (a basis index, a whole word, ...) to the text put into the
+# template, and `show` maps a residual to the report's residual text, e.g.
+# `format_terms` over the basis names.  Only a residual that is a dict, empty
+# exactly when the identity holds, can go through the engine: an Element
+# defines no __bool__, so every Element is truthy.
 # ---------------------------------------------------------------------------
 
 
@@ -311,6 +316,16 @@ class BilinearTable:
                     add_into(out, v.terms, ci * cj)
         return Element(out)
 
+    def show(self, el: Element) -> str:
+        return format_terms(self.basis.names, el.terms)
+
+    def report(self, rep, steps):
+        """`report_violations` with indices named and residual terms shown
+        in this basis."""
+        names = self.basis.names
+        show = functools.partial(format_terms, names)
+        return report_violations(rep, names.__getitem__, show, steps)
+
     def rows(self):
         """(rows, cols) of the operation from `basis_rows`."""
         return basis_rows(lambda i, j: self._op_basis(i, j).terms, len(self.basis))
@@ -365,17 +380,33 @@ def admitted(n, arity, weights=None, cap=0):
     return extend((), cap, arity)
 
 
-def violations(names, steps):
-    """Yield (location, message, residual) lazily for each nonzero residual:
+def violations(name, steps):
+    """Yield (location, message, residual) lazily for each nonempty residual:
     `steps` is a list of (family of index tuples, identities), each tuple
     runs through its identities (template, message, residual) in order, and
-    the location is the template formatted with the tuple's basis names."""
+    the location is the template formatted with `name` of each index."""
     for family, identities in steps:
         for idx in family:
             for template, message, residual in identities:
                 res = residual(*idx)
                 if res:
-                    yield template.format(*[names[i] for i in idx]), message, res
+                    yield template.format(*map(name, idx)), message, res
+
+
+def report_violations(rep, name, show, steps):
+    """Add to the CheckReport `rep` every violation `violations(name, steps)`
+    yields, its residual shown as `show(residual)`; returns `rep`."""
+    for location, message, res in violations(name, steps):
+        rep.add(location, show(res), message)
+    return rep
+
+
+def format_terms(names, terms) -> str:
+    """A basis-indexed terms dict as "c*name + ...", sorted by index; "0"
+    when it is empty."""
+    if not terms:
+        return "0"
+    return " + ".join(f"{c}*{names[i]}" for i, c in sorted(terms.items()))
 
 
 def swap_residual(rows, degree, sign):

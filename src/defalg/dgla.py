@@ -22,12 +22,13 @@ from .core import (
     admitted,
     assoc_residual,
     derivation_residual,
+    format_terms,
     int_first,
     lin_into,
     off_degree,
+    report_violations,
     square_residual,
     swap_residual,
-    violations,
 )
 from .errors import DomainError, InputError, InternalError, StructureError
 from .freelie import bch_term_sum
@@ -36,15 +37,6 @@ from .report import CheckReport
 # ---------------------------------------------------------------------------
 # Table-driven graded structures
 # ---------------------------------------------------------------------------
-
-
-def _format_element(basis, el: Element) -> str:
-    if el.is_zero():
-        return "0"
-    parts = []
-    for i, c in el:
-        parts.append(f"{c}*{basis.names[i]}")
-    return " + ".join(parts)
 
 
 class _Tabled(BilinearTable):
@@ -62,9 +54,6 @@ class _Tabled(BilinearTable):
 
     def d(self, x: Element) -> Element:
         return Element(lin_into({}, self.d_images, x.terms))
-
-    def show(self, el: Element) -> str:
-        return _format_element(self.basis, el)
 
 
 class DGLA(_Tabled):
@@ -93,14 +82,6 @@ class ArtinDg(_Tabled):
 # ---------------------------------------------------------------------------
 # Axiom checkers
 # ---------------------------------------------------------------------------
-
-
-def report_violations(rep: CheckReport, T, steps) -> CheckReport:
-    """Add to `rep` every violation `core.violations` yields for `steps`,
-    named and shown in the basis of T."""
-    for location, message, res in violations(T.basis.names, steps):
-        rep.add(location, T.show(Element(res)), message)
-    return rep
 
 
 def product_identities(A: BilinearTable, rows, cols):
@@ -156,7 +137,7 @@ def check_dgla(L: DGLA, weights=None, cap=0) -> CheckReport:
         ),
         (admitted(n, 3, weights, cap), [("jacobi({},{},{})", "graded Jacobi fails", jac)]),
     ]
-    return report_violations(CheckReport("check-dgla"), L, steps)
+    return L.report(CheckReport("check-dgla"), steps)
 
 
 def check_na(A: ArtinDg) -> CheckReport:
@@ -178,7 +159,7 @@ def check_na(A: ArtinDg) -> CheckReport:
         (admitted(n, 1), [("{}^2", "odd element with nonzero square", odd_square)]),
         (admitted(n, 3), [assoc]),
     ]
-    rep = report_violations(CheckReport("check-na"), A, steps)
+    rep = A.report(CheckReport("check-na"), steps)
     if A.nilpotency_index is None:
         rep.add("nilpotency", "", "algebra is not nilpotent")
     else:
@@ -263,7 +244,7 @@ class TensorDgla:
         return DGLA(self.basis, table, diff)
 
     def show(self, el: Element) -> str:
-        return _format_element(self.basis, el)
+        return format_terms(self.basis.names, el.terms)
 
     # -- Maurer-Cartan and gauge ------------------------------------------
 
@@ -674,21 +655,18 @@ class ExpDerivation:
         return out
 
     def leibnitz_report(self) -> CheckReport:
+        names = self.R.basis.names
+
+        def leibnitz(i, j):
+            lhs = lin_into({}, self.values, self.R._op_basis(i, j).terms)
+            rhs = self._mul(self.values.get(i, {}), self.embed(j))
+            add_into(rhs, self._mul(self.embed(i), self.values.get(j, {})))
+            return add_into(lhs, rhs, -1)
+
+        pairs = admitted(len(names), 2)
+        steps = [(pairs, [("leibnitz({},{})", "derivation rule fails", leibnitz)])]
         rep = CheckReport("exp-der-leibnitz")
-        nR = len(self.R.basis)
-        for i in range(nR):
-            for j in range(nR):
-                lhs = lin_into({}, self.values, self.R._op_basis(i, j).terms)
-                rhs = self._mul(self.values.get(i, {}), self.embed(j))
-                add_into(rhs, self._mul(self.embed(i), self.values.get(j, {})))
-                diff = add_into(dict(lhs), rhs, -1)
-                if diff:
-                    rep.add(
-                        f"leibnitz({self.R.basis.names[i]},{self.R.basis.names[j]})",
-                        str(diff),
-                        "derivation rule fails",
-                    )
-        return rep
+        return report_violations(rep, names.__getitem__, str, steps)
 
     def apply(self, x):
         """e^d(x) = sum d^n(x)/n!; terminates by nilpotency of m_A."""
@@ -709,21 +687,17 @@ class ExpDerivation:
     def verify(self) -> CheckReport:
         """Multiplicativity on basis pairs, identity mod m_A, and
         e^d e^{-d} = id."""
+        names = self.R.basis.names
+        nR = len(names)
+
+        def mult(i, j):
+            lhs = self.apply(self._mul(self.embed(i), self.embed(j)))
+            rhs = self._mul(self.apply(self.embed(i)), self.apply(self.embed(j)))
+            return add_into(lhs, rhs, -1)
+
+        identity = ("mult({},{})", "e^d is not multiplicative", mult)
         rep = CheckReport("exp-der")
-        nR = len(self.R.basis)
-        for i in range(nR):
-            for j in range(nR):
-                lhs = self.apply(
-                    self._mul(self.embed(i), self.embed(j))
-                )
-                rhs = self._mul(self.apply(self.embed(i)), self.apply(self.embed(j)))
-                diff = add_into(dict(lhs), rhs, -1)
-                if diff:
-                    rep.add(
-                        f"mult({self.R.basis.names[i]},{self.R.basis.names[j]})",
-                        str(diff),
-                        "e^d is not multiplicative",
-                    )
+        report_violations(rep, names.__getitem__, str, [(admitted(nR, 2), [identity])])
         inverse = ExpDerivation(
             self.R,
             self.A,
@@ -822,31 +796,17 @@ class Homotopy:
 
     def verify(self) -> CheckReport:
         """Multiplicativity and commutation with the differentials."""
+        A, H, e = self.A, self.apply, Element.basis_vector
+        chain = lambda i: (H(A.d(e(i))) - H(e(i)).d()).terms
+        mult = lambda i, j: (H(A.product(e(i), e(j))) - H(e(i)).mul(H(e(j)))).terms
+        n = len(A.basis)
+        message = "H does not commute with the differentials"
+        steps = [
+            (admitted(n, 1), [("chain({})", message, chain)]),
+            (admitted(n, 2), [("mult({},{})", "H is not multiplicative", mult)]),
+        ]
         rep = CheckReport("homotopy-eval")
-        n = len(self.A.basis)
-        for i in range(n):
-            lhs = self.apply(self.A.d(Element.basis_vector(i)))
-            rhs = self.apply(Element.basis_vector(i)).d()
-            if not (lhs - rhs).is_zero():
-                rep.add(
-                    f"chain({self.A.basis.names[i]})",
-                    str((lhs - rhs).terms),
-                    "H does not commute with the differentials",
-                )
-        for i in range(n):
-            for j in range(n):
-                prod = self.A.product(Element.basis_vector(i), Element.basis_vector(j))
-                lhs = self.apply(prod)
-                rhs = self.apply(Element.basis_vector(i)).mul(
-                    self.apply(Element.basis_vector(j))
-                )
-                if not (lhs - rhs).is_zero():
-                    rep.add(
-                        f"mult({self.A.basis.names[i]},{self.A.basis.names[j]})",
-                        str((lhs - rhs).terms),
-                        "H is not multiplicative",
-                    )
-        return rep
+        return report_violations(rep, A.basis.names.__getitem__, str, steps)
 
     def eval_at(self, s) -> dict:
         """The algebra map e_s o H: A -> B as a basis-indexed table."""

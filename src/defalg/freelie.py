@@ -316,7 +316,7 @@ class NilpotentLie(BilinearTable):
             (admitted(n, 2), [("({}, {})", "antisymmetry fails", antisym)]),
             (admitted(n, 3), [("({}, {}, {})", "Jacobi fails", jacobi)]),
         ]
-        for location, message, _ in violations(basis.names, steps):
+        for location, message, _ in violations(basis.names.__getitem__, steps):
             raise StructureError(f"{message} on {location}")
         self.nilpotency_index = self._nilpotency_index()
         if self.nilpotency_index is None:

@@ -24,20 +24,15 @@ from .core import (
     admitted,
     basis_rows,
     derivation_residual,
+    format_terms,
     int_first,
     lin_into,
     odd,
+    report_violations,
     split_plan,
     sym_canonical,
 )
-from .dgla import (
-    DGLA,
-    _format_element,
-    check_dgla,
-    differential_identities,
-    product_identities,
-    report_violations,
-)
+from .dgla import DGLA, check_dgla, differential_identities, product_identities
 from .errors import DomainError, InputError
 from .linfty import LInftyMorphism, LInftyStructure, morphism_check
 from .report import CheckReport
@@ -55,9 +50,6 @@ class GradedCommAlgebra(BilinearTable):
         super().__init__(basis, table, 1, unit)
 
     product = BilinearTable.apply
-
-    def show(self, el: Element) -> str:
-        return _format_element(self.basis, el)
 
 
 class GBVStructure:
@@ -137,7 +129,7 @@ class GBVStructure:
                 [("oddpoisson({},{},{})", "odd Poisson identity fails", poisson)],
             ),
         ]
-        return report_violations(CheckReport("gbv-check"), alg, steps)
+        return alg.report(CheckReport("gbv-check"), steps)
 
     def to_dgla(self) -> DGLA:
         """The shifted bracket structure as an explicit DGLA (degrees +1)."""
@@ -168,7 +160,7 @@ class GBVStructure:
         message = "delta is not a derivation of the derived product"
         pairs = admitted(len(basis), 2, self.weights, self.cap)
         steps = [(pairs, [("delta-q({},{})", message, delta_q)])]
-        return report_violations(rep, self.algebra, steps)
+        return self.algebra.report(rep, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +540,14 @@ def gbv_linfty_structures(S: GBVStructure):
     return LInftyStructure(space, {1: t1, 2: t2}), LInftyStructure(space, {1: t1})
 
 
+def times_letters(alg: GradedCommAlgebra, acc: Element, letters) -> Element:
+    """acc e_{l_1} e_{l_2} ... for the letters l_1, l_2, ..., multiplied
+    from the left."""
+    for idx in letters:
+        acc = alg.product(acc, Element.basis_vector(idx))
+    return acc
+
+
 def product_components(S: GBVStructure, m_max, coefficient=None):
     """Components a_1 (.) ... (.) a_m -> c(m) * a_1 a_2 ... a_m on canonical
     words of the algebra basis; c defaults to 1."""
@@ -559,10 +559,8 @@ def product_components(S: GBVStructure, m_max, coefficient=None):
             continue
         table = tables[m] = {}
         for word in all_words(basis, m, min_len=m):
-            acc = Element.basis_vector(word[0])
-            for idx in word[1:]:
-                acc = S.algebra.product(acc, Element.basis_vector(idx))
-            table[word] = acc.scale(c)
+            first = Element.basis_vector(word[0])
+            table[word] = times_letters(S.algebra, first, word[1:]).scale(c)
     return tables
 
 
@@ -585,9 +583,8 @@ def tensor_inverse_check(S: GBVStructure, n_max=3) -> CheckReport:
     the product; on an ordered word the composite reduces to
     sum_s (-1)^{s-1} binom(n-1, s-1) (full product) = 0 for n >= 2.
     Verified by explicit enumeration of consecutive-block compositions."""
-    rep = CheckReport("tensor-inverse")
-    basis = S.algebra.basis
-    n = len(basis)
+    alg = S.algebra
+    n = len(alg.basis)
 
     def compositions(length):
         if length == 0:
@@ -597,32 +594,28 @@ def tensor_inverse_check(S: GBVStructure, n_max=3) -> CheckReport:
             for rest in compositions(length - first):
                 yield (first,) + rest
 
-    for total in range(1, n_max + 1):
-        for word in itertools.product(range(n), repeat=total):
-            acc = Element()
-            for comp in compositions(total):
-                blocks = []
-                pos = 0
-                for size in comp:
-                    blocks.append(word[pos : pos + size])
-                    pos += size
-                value = None
-                for block in blocks:
-                    prod = Element.basis_vector(block[0])
-                    for idx in block[1:]:
-                        prod = S.algebra.product(prod, Element.basis_vector(idx))
-                    # blocks are consecutive: the product of the block values
-                    value = prod if value is None else S.algebra.product(value, prod)
-                sign = (-1) ** ((len(comp) - 1) % 2)
-                add_into(acc.terms, value.terms, sign)
-            expect = Element.basis_vector(word[0]) if total == 1 else Element()
-            if not (acc - expect).is_zero():
-                rep.add(
-                    f"tensor word {word}",
-                    S.algebra.show(acc - expect),
-                    "tensor-side inverse composition fails",
-                )
-    return rep
+    def residual(word):
+        acc = {word[0]: -1} if len(word) == 1 else {}
+        for comp in compositions(len(word)):
+            value, pos = None, 0
+            for size in comp:
+                block = word[pos : pos + size]
+                pos += size
+                prod = times_letters(alg, Element.basis_vector(block[0]), block[1:])
+                # blocks are consecutive: the product of the block values
+                value = prod if value is None else alg.product(value, prod)
+            add_into(acc, value.terms, (-1) ** ((len(comp) - 1) % 2))
+        return acc
+
+    words = (
+        (word,)
+        for total in range(1, n_max + 1)
+        for word in itertools.product(range(n), repeat=total)
+    )
+    message = "tensor-side inverse composition fails"
+    steps = [(words, [("tensor word {}", message, residual)])]
+    show = partial(format_terms, alg.basis.names)
+    return report_violations(CheckReport("tensor-inverse"), str, show, steps)
 
 
 def gbv_to_abelian(S: GBVStructure, m_max=4):
@@ -643,50 +636,47 @@ def gbv_to_abelian(S: GBVStructure, m_max=4):
     # F* o F = F o F* = identity on words of length <= 3
     from .coalg import CoalgMorphism, compose_morphisms
 
-    basis = S.algebra.basis
+    alg = S.algebra
+    basis = alg.basis
+    e = Element.basis_vector
     Fstar = CoalgMorphism(basis, basis, g_tables)
-    words = all_words(basis, 3)
-    for outer, inner, tag in ((Fstar, F.coalg, "F* F"), (F.coalg, Fstar, "F F*")):
+
+    def inverse_step(outer, inner, tag):
+        """(outer o inner)^1(w) = w^1 on the words of length <= 3."""
         comps = compose_morphisms(outer, inner, words)
-        for word, val in comps.items():
-            expect = (
-                Element.basis_vector(word[0]) if len(word) == 1 else Element()
-            )
-            if not (val - expect).is_zero():
-                rep.add(
-                    f"inverse {tag} on {word}",
-                    S.algebra.show(val - expect),
-                    f"{tag} is not the identity",
-                )
+        residual = lambda w: add_into(comps[w].terms, {w[0]: -1} if len(w) == 1 else {})
+        identity = (f"inverse {tag} on {{}}", f"{tag} is not the identity", residual)
+        return [(w,) for w in words], [identity]
+
+    words = all_words(basis, 3)
+    show = partial(format_terms, basis.names)
+    steps = [inverse_step(Fstar, F.coalg, "F* F"), inverse_step(F.coalg, Fstar, "F F*")]
+    report_violations(rep, str, show, steps)
 
     rep.merge(tensor_inverse_check(S), prefix="tensor side: ")
 
     # expansion identity: delta(a_1...a_m) equals the two unshuffle sums
-    for m in (2, 3):
-        for word in all_words(basis, m, m, S.weights, S.cap):
-            parities = tuple(basis.degree(i) % 2 for i in word)
-            prod = Element.basis_vector(word[0])
-            for idx in word[1:]:
-                prod = S.algebra.product(prod, Element.basis_vector(idx))
-            lhs = S.delta(prod)
-            rhs = Element()
-            for front, rest, sign in split_plan(m, 1, parities):
-                acc = S.delta(Element.basis_vector(word[front[0]]))
-                for t in rest:
-                    acc = S.algebra.product(acc, Element.basis_vector(word[t]))
-                add_into(rhs.terms, acc.terms, sign)
-            for front, rest, sign in split_plan(m, 2, parities):
-                acc = S.derived_q(
-                    Element.basis_vector(word[front[0]]),
-                    Element.basis_vector(word[front[1]]),
-                )
-                for t in rest:
-                    acc = S.algebra.product(acc, Element.basis_vector(word[t]))
-                add_into(rhs.terms, acc.terms, sign)
-            if not (lhs - rhs).is_zero():
-                rep.add(
-                    f"expansion m={m} on {word}",
-                    S.algebra.show(lhs - rhs),
-                    "coproduct expansion of delta fails",
-                )
+    def expansion(word):
+        m = len(word)
+        parities = tuple(basis.degree(i) % 2 for i in word)
+        out = S.delta(times_letters(alg, e(word[0]), word[1:])).terms
+        for front, rest, sign in split_plan(m, 1, parities):
+            acc = S.delta(e(word[front[0]]))
+            rest = [word[t] for t in rest]
+            add_into(out, times_letters(alg, acc, rest).terms, -sign)
+        for front, rest, sign in split_plan(m, 2, parities):
+            acc = S.derived_q(e(word[front[0]]), e(word[front[1]]))
+            rest = [word[t] for t in rest]
+            add_into(out, times_letters(alg, acc, rest).terms, -sign)
+        return out
+
+    message = "coproduct expansion of delta fails"
+    steps = [
+        (
+            [(word,) for word in all_words(basis, m, m, S.weights, S.cap)],
+            [(f"expansion m={m} on {{}}", message, expansion)],
+        )
+        for m in (2, 3)
+    ]
+    report_violations(rep, str, show, steps)
     return F, Fstar, rep

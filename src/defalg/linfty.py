@@ -12,6 +12,8 @@ components q_k on the reduced symmetric coalgebra of the shifted space
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
+from itertools import product
 from math import factorial
 
 from .coalg import (
@@ -28,6 +30,8 @@ from .core import (
     GradedBasis,
     add_into,
     add_term,
+    format_terms,
+    report_violations,
     signed_permutations,
     split_plan,
     sym_canonical,
@@ -102,22 +106,29 @@ class LInftyStructure:
         return 1 not in self.components.tables
 
 
+def word_names(basis: GradedBasis):
+    """The report name of a word: the tuple of its letters' names."""
+    return lambda word: tuple(basis.names[i] for i in word)
+
+
 def check_linfty(S: LInftyStructure, n_max=None) -> CheckReport:
     """Generalized Jacobi: for every n <= n_max and every canonical word,
     sum over k+l = n+1 and (k, n-k)-unshuffles of
     eps(sigma) q_l(q_k(front) (.) rest) vanishes.  Only arities k with both
     q_k and q_l tabled contribute; a front taken at increasing positions of
-    a canonical word is itself canonical with sign +1 (sign ledger C2)."""
-    rep = CheckReport("check-linfty")
-    n_max = n_max or S.max_arity + 2
+    a canonical word is itself canonical with sign +1 (sign ledger C2).
+    The default depth 2m - 1, for m the largest arity, is the longest word
+    with a term in the sum (k, l <= m)."""
+    n_max = n_max or 2 * S.max_arity - 1
     comp = S.components
     tables = comp.tables
     basis = S.shifted
     parity = [d % 2 for d in basis.degrees]
-    for word in all_words(basis, n_max):
+
+    def jacobi(word):
         n = len(word)
         parities = tuple(parity[i] for i in word)
-        total = Element()
+        total = {}
         for k in range(1, n + 1):
             inner_table = tables.get(k)
             if not inner_table or n - k + 1 not in tables:
@@ -128,17 +139,19 @@ def check_linfty(S: LInftyStructure, n_max=None) -> CheckReport:
                     continue
                 tail = tuple(word[i] for i in rest)
                 for idx, c in inner.terms.items():
-                    outer = comp.apply_word((idx,) + tail)
-                    for j, v in outer.terms.items():
-                        total.add_term(j, c * v * sign)
-        if not total.is_zero():
-            names = tuple(basis.names[i] for i in word)
-            rep.add(
-                f"word {names}",
-                " + ".join(f"{c}*{basis.names[i]}" for i, c in total),
-                f"generalized Jacobi fails at arity {n}",
-            )
-    return rep
+                    add_into(total, comp.apply_word((idx,) + tail).terms, c * sign)
+        return total
+
+    steps = [
+        (
+            [(word,) for word in all_words(basis, n, n)],
+            [("word {}", f"generalized Jacobi fails at arity {n}", jacobi)],
+        )
+        for n in range(1, n_max + 1)
+    ]
+    show = partial(format_terms, basis.names)
+    rep = CheckReport("check-linfty")
+    return report_violations(rep, word_names(basis), show, steps)
 
 
 def from_dgla(L: DGLA, checked=True) -> LInftyStructure:
@@ -195,22 +208,21 @@ def morphism_check(F: LInftyMorphism, n_max=None, weights=None, cap=0) -> CheckR
     o F = F^1 o (source codifferential) on all words; with `weights` only on
     the words of a truncated structure whose weights sum to at most `cap`
     (see `coalg.all_words`), where it is exact."""
-    rep = CheckReport("linfty-morphism")
     n_max = n_max or max(F.source.max_arity, F.target.max_arity) + 2
     Q = F.source.coderivation()
     r_comp = F.target.components
-    for word in all_words(F.source.shifted, n_max, 1, weights, cap):
+
+    def morphism(word):
         lhs = F.coalg.components.apply(Q.apply_word(word))  # F^1 (Q w)
         rhs = r_comp.apply(F.coalg.apply_word(word))  # R^1 (F w)
-        diff = lhs - rhs
-        if not diff.is_zero():
-            names = tuple(F.source.shifted.names[i] for i in word)
-            rep.add(
-                f"word {names}",
-                " + ".join(f"{c}*{F.target.shifted.names[i]}" for i, c in diff),
-                "morphism equation fails",
-            )
-    return rep
+        return (lhs - rhs).terms
+
+    words = all_words(F.source.shifted, n_max, 1, weights, cap)
+    message = "morphism equation fails"
+    steps = [([(w,) for w in words], [("word {}", message, morphism)])]
+    name = word_names(F.source.shifted)
+    show = partial(format_terms, F.target.shifted.names)
+    return report_violations(CheckReport("linfty-morphism"), name, show, steps)
 
 
 def identity_morphism(S: LInftyStructure) -> LInftyMorphism:
@@ -443,39 +455,33 @@ def h_bracket_check(S: LInftyStructure) -> CheckReport:
     ]
 
     def project_class(el: Element, dgr):
-        if el.is_zero():
-            return None
-        if dgr not in hdata:
-            return "missing"
-        return hdata[dgr][1](el)
+        """The coordinates of the class of el in H^dgr, all of them by
+        position, when one is nonzero; else {}.  The brackets respect
+        degrees, so a nonzero el has a basis term, and an H, in degree dgr."""
+        coords = hdata[dgr][1](el) if el.terms else ()
+        return dict(enumerate(coords)) if any(coords) else {}
 
-    for d1, r1 in all_reps:
-        for d2, r2 in all_reps:
-            anti = bracket(r1, r2) + bracket(r2, r1).scale(
-                Fraction((-1) ** ((d1 * d2) % 2))
-            )
-            coords = project_class(anti, d1 + d2)
-            if coords not in (None,) and any(coords):
-                rep.add(
-                    f"antisym(H^{d1}, H^{d2})", str(coords), "bracket not antisymmetric"
-                )
-    for d1, r1 in all_reps:
-        for d2, r2 in all_reps:
-            for d3, r3 in all_reps:
-                jac = (
-                    bracket(r1, bracket(r2, r3))
-                    - bracket(bracket(r1, r2), r3)
-                    - bracket(r2, bracket(r1, r3)).scale(
-                        Fraction((-1) ** ((d1 * d2) % 2))
-                    )
-                )
-                coords = project_class(jac, d1 + d2 + d3)
-                if coords not in (None,) and any(coords):
-                    rep.add(
-                        f"jacobi(H^{d1}, H^{d2}, H^{d3})",
-                        str(coords),
-                        "induced bracket fails Jacobi on cohomology",
-                    )
+    def antisym(c1, c2):
+        (d1, r1), (d2, r2) = c1, c2
+        sign = Fraction((-1) ** ((d1 * d2) % 2))
+        return project_class(bracket(r1, r2) + bracket(r2, r1).scale(sign), d1 + d2)
+
+    def jacobi(c1, c2, c3):
+        (d1, r1), (d2, r2), (d3, r3) = c1, c2, c3
+        jac = (
+            bracket(r1, bracket(r2, r3))
+            - bracket(bracket(r1, r2), r3)
+            - bracket(r2, bracket(r1, r3)).scale(Fraction((-1) ** ((d1 * d2) % 2)))
+        )
+        return project_class(jac, d1 + d2 + d3)
+
+    anti = ("antisym(H^{}, H^{})", "bracket not antisymmetric", antisym)
+    message = "induced bracket fails Jacobi on cohomology"
+    jac = ("jacobi(H^{}, H^{}, H^{})", message, jacobi)
+    pairs, triples = product(all_reps, repeat=2), product(all_reps, repeat=3)
+    steps = [(pairs, [anti]), (triples, [jac])]
+    # a class is named by its degree and shown as its coordinate list
+    report_violations(rep, lambda c: c[0], lambda res: str(list(res.values())), steps)
     rep.info = {
         "h_dims": {str(d): hdata[d][2][2] for d in sorted(hdata)},
     }
@@ -768,16 +774,14 @@ def hodge_F(M: HodgeModel, m_max: int, check_model=True):
             if not op_is_zero(val):
                 components.setdefault(m, {})[word] = val
 
-    for word in all_words(basis, m_max):
-        image = delta.apply_word(word)
+    def transfer(word):
+        """F o delta on the word as {column: terms}; op_add drops zero
+        columns, so it is empty exactly when F o delta vanishes there."""
         acc = {}
-        for w, c in image.terms.items():
+        for w, c in delta.apply_word(word).terms.items():
             acc = op_add(acc, F_value(w), c)
-        if not op_is_zero(acc):
-            names = tuple(basis.names[i] for i in word)
-            rep.add(
-                f"word {names}",
-                str({i: v.terms for i, v in acc.items()}),
-                "F o delta != 0",
-            )
-    return components, rep
+        return {i: v.terms for i, v in acc.items()}
+
+    words = [(w,) for w in all_words(basis, m_max)]
+    steps = [(words, [("word {}", "F o delta != 0", transfer)])]
+    return components, report_violations(rep, word_names(basis), str, steps)

@@ -44,7 +44,7 @@ RUNS = (
     (("friedrichs",), ("tensor_poly", "failing_tensor_poly")),
     (("coder",), ("coderivation",)),
     (("comorph", "--max-arity", "3"), ("comorphism",)),
-    (("check-linfty",), ("linfty", "failing_linfty")),
+    (("check-linfty",), ("linfty", "failing_linfty", "failing_linfty_arity4")),
     (("from-dgla",), ("abelian_dgla", "odd_square_dgla", "failing_dgla")),
     (("linfty-morphism",), ("linfty_morphism", "failing_linfty_morphism")),
     (("mc-linfty",), ("mc_linfty_problem", "failing_mc_linfty_problem")),

@@ -6,6 +6,7 @@ import itertools
 import pathlib
 import random
 from fractions import Fraction
+from functools import partial
 from math import comb
 
 import pytest
@@ -34,6 +35,7 @@ from defalg.freelie import TensorSeries
 from defalg.gbv import PolyForm, Polyvector
 from defalg.lefschetz import CovectorElement, all_keys
 from defalg.linfty import _ExtTensor
+from defalg.report import CheckReport
 from defalg.scalars import GaussianScalar
 
 
@@ -403,11 +405,27 @@ def test_violations_run_steps_in_order_and_lazily():
         (family([(0,), (1,), (2,)]), [("one({})", "a", odd_sum), ("also({})", "b", odd_sum)]),
         (family([(0, 1), (1, 1)]), [("two({},{})", "c", odd_sum)]),
     ]
-    found = core.violations(("x", "y", "z"), steps)
+    found = core.violations(("x", "y", "z").__getitem__, steps)
     assert next(found) == ("one(y)", "a", {0: 1})
     assert visited == [(0,), (1,)]  # nothing past the first violation yet
     assert [loc for loc, _, _ in found] == ["also(y)", "two(x,y)"]
     assert visited == [(0,), (1,), (2,), (0, 1), (1, 1)]
+
+
+def test_report_violations_names_whole_words_and_shows_residuals():
+    names = ("x", "y")
+    word_name = lambda w: tuple(names[i] for i in w)
+    residual = lambda w: {w[-1]: len(w)} if len(w) % 2 else {}
+    steps = [([((0,),), ((0, 1),), ((1, 0, 1),)], [("word {}", "odd", residual)])]
+    rep = core.report_violations(
+        CheckReport("c"), word_name, partial(core.format_terms, names), steps
+    )
+    assert [(v.location, v.residual, v.message) for v in rep.violations] == [
+        ("word ('x',)", "1*x", "odd"),
+        ("word ('y', 'x', 'y')", "3*y", "odd"),
+    ]
+    assert core.format_terms(names, {1: Fraction(-1, 2), 0: 3}) == "3*x + -1/2*y"
+    assert core.format_terms(names, {}) == "0"
 
 
 def test_residual_builders_on_a_small_table():
@@ -537,13 +555,18 @@ def _functions(tree, prefix):
 
 def _own_nodes(func):
     """The nodes of a function body, not descending into nested functions."""
-    stack = list(func.body)
+    return _scope_nodes(func.body)
+
+
+def _scope_nodes(nodes):
+    """The given nodes and their descendants, skipping every function or
+    lambda among them: each is a scope of its own."""
+    stack = list(nodes)
     while stack:
         node = stack.pop()
-        yield node
-        for child in ast.iter_child_nodes(node):
-            if not isinstance(child, FUNCTIONS + (ast.Lambda,)):
-                stack.append(child)
+        if not isinstance(node, FUNCTIONS + (ast.Lambda,)):
+            yield node
+            stack.extend(ast.iter_child_nodes(node))
 
 
 def _accumulates(func):
@@ -596,6 +619,10 @@ def test_only_core_writes_the_accumulate_step():
     assert accumulate_steps(inspect.getsource(reference_add), "test") == {
         "test.reference_add"
     }
+    # a nested def is its own function, not a part of the one around it
+    nested = "def f(w):\n    def g(d, k, c):\n        old = d.get(k)\n"
+    nested += "        d[k] = c\n        del d[k]\n    return g\n"
+    assert accumulate_steps(nested, "m") == {"m.f.g"}
 
 
 # -- tooling guard: one signed sort --------------------------------------------
@@ -646,6 +673,94 @@ def test_only_sym_canonical_sorts_with_a_sign():
     for other in ("s = -1", "s = -t", "s *= 2", "s = s * t"):
         body = f"def f(w):\n    s = -s\n    for x in w:\n        {other}\n"
         assert sign_flips_in_loops(body, "m") == set(), other
+    nested = "def f(w):\n    def g(s):\n        for x in w:\n            s = -s\n"
+    assert sign_flips_in_loops(nested, "m") == {"m.f.g"}
+
+
+# -- tooling guard: one identity engine -------------------------------------------
+
+# The functions that may add to a CheckReport inside a loop of their own: the
+# engine's report adapter, and each check left off the engine, with the reason.
+REPORT_LOOPS_ALLOWED = {
+    "core.report_violations": "the report adapter of the identity engine",
+    "dgla.ExpDerivation.verify": "the inverse and reduction steps print a raw "
+    "dict that can be {} on failure",
+    "lefschetz.wedge_identity_report": "prints the wedge product, which can be "
+    "{} on failure",
+    "lefschetz.identities_report": "the * loop stops at the first failing key",
+    "lefschetz.identities_report.check": "stops at the first failing key",
+    "linfty.h_bracket_check": "the well-definedness loop reports two messages, "
+    "one for a bracket that leaves the graded range",
+    "linfty.hodge_model_check": "mostly single operator identities",
+    "lefschetz.primitive_star_report": "one r gives an empty residual for "
+    "L^r v != 0 and an Element repr for the star identity",
+    "lefschetz.primitive_coefficient_report": "a scalar residual per "
+    "coefficient of one covector, not a terms dict",
+    "suite.run_suite": "reports failed suite steps, not identity instances",
+}
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp)
+LOOPS += (ast.GeneratorExp,)
+
+
+def report_adds_in_loops(source, module):
+    """Functions (module.qualname) that call `<report>.add` inside a loop of
+    their own, a comprehension included; a report is `rep`, `report`, a name
+    the module assigns a CheckReport(...) to, or a parameter annotated
+    CheckReport."""
+    tree = ast.parse(source)
+    reports = {"rep", "report"}
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Assign) and ast.unparse(n.value).startswith("CheckReport("):
+            reports |= {t.id for t in n.targets if isinstance(t, ast.Name)}
+        elif isinstance(n, ast.arg) and n.annotation is not None:
+            if ast.unparse(n.annotation) == "CheckReport":
+                reports.add(n.arg)
+
+    def adds(node):
+        f = getattr(node, "func", None)
+        return (
+            isinstance(f, ast.Attribute)
+            and f.attr == "add"
+            and isinstance(f.value, ast.Name)
+            and f.value.id in reports
+        )
+
+    return {
+        name
+        for name, func in _functions(tree, module)
+        if any(
+            isinstance(node, LOOPS) and any(map(adds, _scope_nodes([node])))
+            for node in _own_nodes(func)
+        )
+    }
+
+
+def test_only_the_engine_adds_to_a_report_in_a_loop():
+    """Every per-instance check reports through `core.report_violations`,
+    except the allowlisted ones."""
+    src = pathlib.Path(core.__file__).parent
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        found |= report_adds_in_loops(path.read_text(encoding="utf-8"), path.stem)
+    assert found == set(REPORT_LOOPS_ALLOWED), sorted(found ^ set(REPORT_LOOPS_ALLOWED))
+    # the guard sees the hand-written loops the engine replaced ...
+    old = "def check(xs):\n    rep = CheckReport('c')\n    for x in xs:\n"
+    old += "        if x:\n            rep.add(f'{x}', str(x), 'fails')\n    return rep\n"
+    assert report_adds_in_loops(old, "m") == {"m.check"}
+    for body in (
+        "    while xs:\n        out.add(xs.pop())\n",
+        "    [out.add(x) for x in xs]\n",
+        "    return (out.add(x) for x in xs)\n",
+    ):
+        head = "def f(out: CheckReport, xs):\n"
+        assert report_adds_in_loops(head + body, "m") == {"m.f"}, body
+    # ... but not an add outside a loop, to another value, or in a nested def
+    for other in (
+        "def f(xs):\n    rep = CheckReport('c')\n    rep.add('x')\n",
+        "def f(xs):\n    out = set()\n    for x in xs:\n        out.add(x)\n",
+        "def f(rep, xs):\n    for x in xs:\n        g = lambda: rep.add(x)\n",
+    ):
+        assert report_adds_in_loops(other, "m") == set(), other
 
 
 SIGN_PRIMITIVES = {"koszul_sign", "unshuffles"}

@@ -126,6 +126,22 @@ def test_jacobi_violation_fails_exactly_at_arity_three():
     assert arities == {"3"}
 
 
+def test_check_linfty_default_depth_is_2m_minus_1():
+    # q_4(x x x x) = y and q_4(x x x y) = z on shifted degrees 0, 1, 2
+    # (inputs/failing_linfty_arity4.json): generalized Jacobi fails only at
+    # the word x^7, of length 2 * 4 - 1, which depth m + 2 = 6 misses
+    space = GradedBasis.of(("x", 1), ("y", 2), ("z", 3))
+    S = LInftyStructure(space, {4: {(0, 0, 0, 0): e(1), (0, 0, 0, 1): e(2)}})
+    assert check_linfty(S, 6).ok()
+    rep = check_linfty(S)
+    assert [(v.location, v.residual, v.message) for v in rep.violations] == [
+        (f"word {('x',) * 7}", "35*z", "generalized Jacobi fails at arity 7")
+    ]
+    # no word past 2m - 1 has a term in the sum
+    assert check_linfty(S, 9).to_json() == rep.to_json()
+    assert check_linfty(abelian_l()).ok()
+
+
 def test_checker_equivalence_with_coderivation_square():
     # check_linfty passes iff the lifted coderivation squares to zero
     rng = random.Random(5)
@@ -158,7 +174,7 @@ def oracle_check_linfty(S, n_max=None):
     every k in 1..n, every unshuffle through the validating koszul_sign,
     every front re-canonicalized."""
     rep = CheckReport("check-linfty")
-    n_max = n_max or S.max_arity + 2
+    n_max = n_max or 2 * S.max_arity - 1
     comp = S.components
     basis = S.shifted
     for word in all_words(basis, n_max):
