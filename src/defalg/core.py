@@ -319,13 +319,6 @@ class BilinearTable:
     def show(self, el: Element) -> str:
         return format_terms(self.basis.names, el.terms)
 
-    def report(self, rep, steps):
-        """`report_violations` with indices named and residual terms shown
-        in this basis."""
-        names = self.basis.names
-        show = functools.partial(format_terms, names)
-        return report_violations(rep, names.__getitem__, show, steps)
-
     def rows(self):
         """(rows, cols) of the operation from `basis_rows`."""
         return basis_rows(lambda i, j: self._op_basis(i, j).terms, len(self.basis))

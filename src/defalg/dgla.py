@@ -137,7 +137,9 @@ def check_dgla(L: DGLA, weights=None, cap=0) -> CheckReport:
         ),
         (admitted(n, 3, weights, cap), [("jacobi({},{},{})", "graded Jacobi fails", jac)]),
     ]
-    return L.report(CheckReport("check-dgla"), steps)
+    names, rep = L.basis.names, CheckReport("check-dgla")
+    show = partial(format_terms, names)
+    return report_violations(rep, names.__getitem__, show, steps)
 
 
 def check_na(A: ArtinDg) -> CheckReport:
@@ -159,7 +161,8 @@ def check_na(A: ArtinDg) -> CheckReport:
         (admitted(n, 1), [("{}^2", "odd element with nonzero square", odd_square)]),
         (admitted(n, 3), [assoc]),
     ]
-    rep = A.report(CheckReport("check-na"), steps)
+    names, rep = A.basis.names, CheckReport("check-na")
+    report_violations(rep, names.__getitem__, partial(format_terms, names), steps)
     if A.nilpotency_index is None:
         rep.add("nilpotency", "", "algebra is not nilpotent")
     else:

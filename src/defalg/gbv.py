@@ -129,7 +129,9 @@ class GBVStructure:
                 [("oddpoisson({},{},{})", "odd Poisson identity fails", poisson)],
             ),
         ]
-        return alg.report(CheckReport("gbv-check"), steps)
+        names, rep = alg.basis.names, CheckReport("gbv-check")
+        show = partial(format_terms, names)
+        return report_violations(rep, names.__getitem__, show, steps)
 
     def to_dgla(self) -> DGLA:
         """The shifted bracket structure as an explicit DGLA (degrees +1)."""
@@ -157,10 +159,11 @@ class GBVStructure:
         basis = self.algebra.basis
         # q has degree +1: delta q(a,b) = -q(delta a, b) - (-1)^a q(a, delta b)
         delta_q = partial(derivation_residual(Q, Qc, basis.degree, 1), D, 1)
+        show = partial(format_terms, basis.names)
         message = "delta is not a derivation of the derived product"
         pairs = admitted(len(basis), 2, self.weights, self.cap)
         steps = [(pairs, [("delta-q({},{})", message, delta_q)])]
-        return self.algebra.report(rep, steps)
+        return report_violations(rep, basis.names.__getitem__, show, steps)
 
 
 # ---------------------------------------------------------------------------
