@@ -647,7 +647,8 @@ def gbv_to_abelian(S: GBVStructure, m_max=4):
     def inverse_step(outer, inner, tag):
         """(outer o inner)^1(w) = w^1 on the words of length <= 3."""
         comps = compose_morphisms(outer, inner, words)
-        residual = lambda w: add_into(comps[w].terms, {w[0]: -1} if len(w) == 1 else {})
+        minus_w = lambda w: {w[0]: -1} if len(w) == 1 else {}
+        residual = lambda w: add_into(dict(comps[w].terms), minus_w(w))
         identity = (f"inverse {tag} on {{}}", f"{tag} is not the identity", residual)
         return [(w,) for w in words], [identity]
 

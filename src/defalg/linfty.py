@@ -139,7 +139,9 @@ def check_linfty(S: LInftyStructure, n_max=None) -> CheckReport:
                     continue
                 tail = tuple(word[i] for i in rest)
                 for idx, c in inner.terms.items():
-                    add_into(total, comp.apply_word((idx,) + tail).terms, c * sign)
+                    outer = comp.apply_word((idx,) + tail)
+                    for j, v in outer.terms.items():
+                        add_term(total, j, c * v * sign)
         return total
 
     steps = [
