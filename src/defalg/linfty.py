@@ -123,24 +123,25 @@ def check_linfty(S: LInftyStructure, n_max=None) -> CheckReport:
     comp = S.components
     tables = comp.tables
     basis = S.shifted
-    parity = [d % 2 for d in basis.degrees]
+    parity = [d % 2 for d in basis.degrees].__getitem__
+    apply_word = comp.apply_word
 
     def jacobi(word):
         n = len(word)
-        parities = tuple(parity[i] for i in word)
+        letter = word.__getitem__
+        parities = tuple(map(parity, word))
         total = {}
         for k in range(1, n + 1):
             inner_table = tables.get(k)
             if not inner_table or n - k + 1 not in tables:
                 continue
             for front, rest, sign in split_plan(n, k, parities):
-                inner = inner_table.get(tuple(word[i] for i in front))
+                inner = inner_table.get(tuple(map(letter, front)))
                 if inner is None:
                     continue
-                tail = tuple(word[i] for i in rest)
+                tail = tuple(map(letter, rest))
                 for idx, c in inner.terms.items():
-                    outer = comp.apply_word((idx,) + tail)
-                    for j, v in outer.terms.items():
+                    for j, v in apply_word((idx,) + tail).terms.items():
                         add_term(total, j, c * v * sign)
         return total
 
