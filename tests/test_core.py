@@ -698,8 +698,15 @@ REPORT_LOOPS_ALLOWED = {
     "coefficient of one covector, not a terms dict",
     "suite.run_suite": "reports failed suite steps, not identity instances",
 }
-LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp)
-LOOPS += (ast.GeneratorExp,)
+LOOPS = (
+    ast.For,
+    ast.AsyncFor,
+    ast.While,
+    ast.ListComp,
+    ast.SetComp,
+    ast.DictComp,
+    ast.GeneratorExp,
+)
 
 
 def report_adds_in_loops(source, module):
@@ -712,7 +719,7 @@ def report_adds_in_loops(source, module):
     for n in ast.walk(tree):
         if isinstance(n, ast.Assign) and ast.unparse(n.value).startswith("CheckReport("):
             reports |= {t.id for t in n.targets if isinstance(t, ast.Name)}
-        elif isinstance(n, ast.arg) and n.annotation is not None:
+        elif isinstance(n, ast.arg) and n.annotation:
             if ast.unparse(n.annotation) == "CheckReport":
                 reports.add(n.arg)
 
@@ -742,7 +749,8 @@ def test_only_the_engine_adds_to_a_report_in_a_loop():
     found = set()
     for path in sorted(src.glob("*.py")):
         found |= report_adds_in_loops(path.read_text(encoding="utf-8"), path.stem)
-    assert found == set(REPORT_LOOPS_ALLOWED), sorted(found ^ set(REPORT_LOOPS_ALLOWED))
+    allowed = set(REPORT_LOOPS_ALLOWED)
+    assert found == allowed, sorted(found ^ allowed)
     # the guard sees the hand-written loops the engine replaced ...
     old = "def check(xs):\n    rep = CheckReport('c')\n    for x in xs:\n"
     old += "        if x:\n            rep.add(f'{x}', str(x), 'fails')\n    return rep\n"
@@ -754,7 +762,7 @@ def test_only_the_engine_adds_to_a_report_in_a_loop():
     ):
         head = "def f(out: CheckReport, xs):\n"
         assert report_adds_in_loops(head + body, "m") == {"m.f"}, body
-    # ... but not an add outside a loop, to another value, or in a nested def
+    # ... but not an add outside a loop, to another value, or in a lambda
     for other in (
         "def f(xs):\n    rep = CheckReport('c')\n    rep.add('x')\n",
         "def f(xs):\n    out = set()\n    for x in xs:\n        out.add(x)\n",
