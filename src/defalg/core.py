@@ -47,11 +47,13 @@ def add_term(out: dict, key, c) -> None:
 
 
 def add_into(out: dict, terms: dict, c=1) -> dict:
-    """out += c * terms in place, by the `add_term` step (inlined)."""
-    if c != 1:
-        terms = {k: c * v for k, v in terms.items()}
+    """out += c * terms in place, by the `add_term` step (inlined); each
+    term is scaled as it is added, so `terms` is never copied."""
+    scaled = c != 1
     get = out.get
     for k, v in terms.items():
+        if scaled:
+            v = c * v
         old = get(k)
         if old is None:
             if v:
@@ -140,6 +142,17 @@ class GradedBasis:
 _new = object.__new__
 
 
+def _context_copier(names):
+    """copy(src, dst): store each context field in `names` of src into dst,
+    as straight-line slot stores in a generated function (the way
+    `dataclasses` generates __init__), about half the cost of a getattr /
+    setattr loop.  The names are `__slots__` entries, so identifiers."""
+    stores = "".join(f"\n    dst.{name} = src.{name}" for name in names)
+    scope = {}
+    exec(f"def copy(src, dst):{stores or ' pass'}", scope)
+    return scope["copy"]
+
+
 class Element:
     """The one sparse vector class: an exact linear combination stored in
     `terms`, a dict from hashable keys to nonzero coefficients.
@@ -156,12 +169,14 @@ class Element:
 
     __slots__ = ("terms",)
     _context = ()  # the slot names subclasses add, set by __init_subclass__
+    _copy = staticmethod(_context_copier(()))  # copies _context, ditto
     _compared = ()  # the context fields == and +/- compare
     _key = None  # attrgetter of _compared, None when it is empty
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._context = cls._context + tuple(cls.__dict__.get("__slots__", ()))
+        cls._copy = staticmethod(_context_copier(cls._context))
         cls._key = attrgetter(*cls._compared) if cls._compared else None
 
     def __init__(self, terms=None):
@@ -171,8 +186,7 @@ class Element:
         """A value of this class and context holding `terms` (no zeros)."""
         out = _new(type(self))
         out.terms = terms
-        for name in self._context:
-            setattr(out, name, getattr(self, name))
+        self._copy(self, out)
         return out
 
     def _check(self, other):

@@ -19,7 +19,7 @@ from math import factorial
 from .core import Element, add_into, add_term, odd, sym_canonical
 from .errors import DomainError, InputError
 from .report import CheckReport
-from .scalars import GAUSS_ONE, GaussianScalar
+from .scalars import GAUSS_I, GAUSS_ONE, GaussianScalar
 
 # keys are (A, B, M, N): four sorted tuples of 1-based indices
 
@@ -271,18 +271,20 @@ def op_power(op, k, v):
 # The wedge-expansion oracle
 # ---------------------------------------------------------------------------
 #
-# Raw exterior algebra over Q(i) on 2n odd letters z_1..z_n, zbar_1..zbar_n
+# Raw exterior algebra over Z[i] on 2n odd letters z_1..z_n, zbar_1..zbar_n
 # (letter j in 0..n-1 is z_{j+1}, letter n+j is zbar_{j+1}).  Basis symbols
-# expand as z_A ^ zbar_B ^ u_M with u_j = (i/2) z_j ^ zbar_j; the 2^{-s/2}
-# normalizations only ever appear in pairs multiplying to 2^{-s}, so the
-# oracle never leaves Q(i).  Raw words sort by the one signed sort with
-# every letter odd (sign ledger X1).
+# expand as z_A ^ zbar_B ^ u_M with u_j = (i/2) z_j ^ zbar_j.  The oracle
+# writes no power of two: an expansion has i for each u_j, and the 2^{-s/2}
+# normalizations, which pair to 2^{-s}, and the halves are restored by
+# comparing both sides of the wedge identity times 2^n.  So every
+# coefficient is a Gaussian integer.  Raw words sort by the one signed sort
+# with every letter odd (sign ledger X1).
 
 
 def raw_expand(n, key) -> dict:
     """Un-normalized expansion of a standard basis symbol: map from sorted
-    letter tuples to GaussianScalar; the true symbol is 2^{-(|A|+|B|)/2}
-    times this."""
+    letter tuples to GaussianScalar with int parts; the true symbol is
+    2^{-(|A|+|B|)/2 - |M|} times this (i per u_j)."""
     A, B, M, N = key
     letters = [a - 1 for a in A] + [n + b - 1 for b in B]
     for j in M:
@@ -291,11 +293,7 @@ def raw_expand(n, key) -> dict:
     if canon is None:
         return {}
     word, sign = canon
-    half_i = GaussianScalar.of(0, Fraction(1, 2))  # i/2 per u_j factor
-    coeff = GaussianScalar.of(sign)
-    for _ in M:
-        coeff = coeff * half_i
-    return {word: coeff}
+    return {word: _turn(GaussianScalar.of(sign), len(M) % 4)}
 
 
 def raw_wedge(x: dict, y: dict) -> dict:
@@ -309,24 +307,29 @@ def raw_wedge(x: dict, y: dict) -> dict:
 
 
 def raw_volume(n) -> dict:
-    """u_1 ^ ... ^ u_n expanded."""
+    """(i z_1 ^ zbar_1) ^ ... ^ (i z_n ^ zbar_n): 2^n u_1 ^ ... ^ u_n."""
     out = {(): GAUSS_ONE}
     for j in range(1, n + 1):
-        out = raw_wedge(out, {( j - 1, n + j - 1): GaussianScalar.of(0, Fraction(1, 2))})
+        out = raw_wedge(out, {(j - 1, n + j - 1): GAUSS_I})
     return out
 
 
 def wedge_identity_report(n, star_fn=None) -> CheckReport:
     """Defining wedge characterization, checked for every basis symbol:
     z ^ *(conj z) = z ^ conj(*z) = u_1 ^ ... ^ u_n.  A corrupted * (passed
-    as star_fn) is caught here."""
+    as star_fn) is caught here.
+
+    Both sides are compared times 2^n, in Z[i].  The term of an image key w
+    carries 2^{-(s + |M_z| + |M_w|)} with s = |A|+|B| of z, so it is scaled
+    by 2^{n - s - |M_z| - |M_w|}: an integer, because the raw wedge is zero
+    unless M_w avoids A, B and M_z.  For * itself M_w = N_z and the factor
+    is 1.  A failure prints the sum times 2^{-n}, the true wedge product."""
     rep = CheckReport("wedge-oracle")
     star = star_fn or op_star
     vol = raw_volume(n)
     for key in all_keys(n):
         z = CovectorElement.basis(n, key)
-        s = len(key[0]) + len(key[1])
-        norm = GaussianScalar.of(Fraction(1, 2 ** s))
+        spare = n - len(key[0]) - len(key[1]) - len(key[2])
         raw_z = raw_expand(n, key)
         for tag, other in (
             ("z ^ *(conj z)", star(z.conjugate())),
@@ -334,10 +337,13 @@ def wedge_identity_report(n, star_fn=None) -> CheckReport:
         ):
             total = {}
             for okey, ocoeff in other.terms.items():
-                add_into(total, raw_wedge(raw_z, raw_expand(n, okey)), ocoeff)
-            total = {w: c * norm for w, c in total.items()}
+                w = raw_wedge(raw_z, raw_expand(n, okey))
+                if w:
+                    add_into(total, w, ocoeff * (1 << (spare - len(okey[2]))))
             if total != vol:
-                rep.add(f"{tag} at {key}", str(total), "wedge identity fails")
+                unit = Fraction(1, 2**n)
+                shown = {w: c * unit for w, c in total.items()}
+                rep.add(f"{tag} at {key}", str(shown), "wedge identity fails")
     return rep
 
 

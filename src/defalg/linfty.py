@@ -426,36 +426,16 @@ def h_bracket_check(S: LInftyStructure) -> CheckReport:
     for dgr in degrees:
         hdata[dgr] = cohomology(cx, dgr)
 
+    # antisymmetry and Jacobi on representatives, projected to H, and
     # well-definedness: [rep, d y] is a boundary
-    for dgr, (reps, project, dims) in hdata.items():
-        for r in reps:
-            for y in range(len(basis)):
-                dy = cx.d(Element.basis_vector(y))
-                if dy.is_zero():
-                    continue
-                br = bracket(r, dy)
-                if br.is_zero():
-                    continue
-                tgt = dgr + basis.degree(y) + 1
-                if tgt not in hdata:
-                    rep.add(
-                        f"bracket({dgr}, d{basis.names[y]})",
-                        str(br.terms),
-                        "bracket with a boundary escapes the graded range",
-                    )
-                    continue
-                coords = hdata[tgt][1](br)
-                if any(coords):
-                    rep.add(
-                        f"bracket(H^{dgr}, d{basis.names[y]})",
-                        str(coords),
-                        "induced bracket is not well-defined",
-                    )
-
-    # antisymmetry and Jacobi on representatives, projected to H
     all_reps = [
         (dgr, r) for dgr, (reps, _, _) in sorted(hdata.items()) for r in reps
     ]
+    boundaries = []  # (name, degree, d y) for each y with d y != 0
+    for y in range(len(basis)):
+        dy = cx.d(Element.basis_vector(y))
+        if not dy.is_zero():
+            boundaries.append((basis.names[y], basis.degree(y), dy))
 
     def project_class(el: Element, dgr):
         """The coordinates of the class of el in H^dgr, all of them by
@@ -463,6 +443,10 @@ def h_bracket_check(S: LInftyStructure) -> CheckReport:
         degrees, so a nonzero el has a basis term, and an H, in degree dgr."""
         coords = hdata[dgr][1](el) if el.terms else ()
         return dict(enumerate(coords)) if any(coords) else {}
+
+    def well_defined(c, b):
+        (dgr, r), (_, ydeg, dy) = c, b
+        return project_class(bracket(r, dy), dgr + ydeg + 1)
 
     def antisym(c1, c2):
         (d1, r1), (d2, r2) = c1, c2
@@ -478,12 +462,18 @@ def h_bracket_check(S: LInftyStructure) -> CheckReport:
         )
         return project_class(jac, d1 + d2 + d3)
 
+    wd = ("bracket(H^{}, d{})", "induced bracket is not well-defined", well_defined)
     anti = ("antisym(H^{}, H^{})", "bracket not antisymmetric", antisym)
     message = "induced bracket fails Jacobi on cohomology"
     jac = ("jacobi(H^{}, H^{}, H^{})", message, jacobi)
     pairs, triples = product(all_reps, repeat=2), product(all_reps, repeat=3)
-    steps = [(pairs, [anti]), (triples, [jac])]
-    # a class is named by its degree and shown as its coordinate list
+    steps = [
+        (product(all_reps, boundaries), [wd]),
+        (pairs, [anti]),
+        (triples, [jac]),
+    ]
+    # a class is named by its degree, a boundary d y by the name of y, and a
+    # residual is shown as the class's coordinate list
     report_violations(rep, lambda c: c[0], lambda res: str(list(res.values())), steps)
     rep.info = {
         "h_dims": {str(d): hdata[d][2][2] for d in sorted(hdata)},

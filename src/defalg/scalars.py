@@ -4,12 +4,15 @@ Plain rationals are `int` where a table stores an integral coefficient
 (`core.int_first`) and `fractions.Fraction` (always lowest terms, positive
 denominator) otherwise; both print through `format_rational`.
 GaussianScalar adjoins a formal square root of -1; it is needed only by the
-Hermitian exterior-algebra module.
+Hermitian exterior-algebra module, whose operators have a power of i as
+every coefficient (sign ledger X1).  Its parts follow the same integer-first
+rule: `of`, `_coerce` and the constants store an integral part as an `int`,
+so the Lefschetz layer computes in the Gaussian integers Z[i] and builds a
+Fraction only where a value is not integral or a division happens.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
@@ -47,27 +50,51 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-@dataclass(frozen=True)
-class GaussianScalar:
-    """Exact element of Q(i): re + im*i with i^2 = -1."""
+def _part(value):
+    """`value` as a part: an int when it is integral, else a Fraction."""
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
-    re: Fraction
-    im: Fraction
+
+class GaussianScalar:
+    """Exact element of Q(i): re + im*i with i^2 = -1.
+
+    Immutable; each part is an int or a Fraction.  Equality and hashing go
+    by value, so an int part equals and hashes like the Fraction of the same
+    value, and the repr prints both parts as Fractions whatever they are
+    stored as."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im):
+        _set_re(self, re)
+        _set_im(self, im)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GaussianScalar is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"GaussianScalar is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return GaussianScalar, (self.re, self.im)
+
+    def __eq__(self, other):
+        if type(other) is not GaussianScalar:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __repr__(self):
+        return f"GaussianScalar(re={Fraction(self.re)!r}, im={Fraction(self.im)!r})"
 
     @staticmethod
     def of(re=0, im=0) -> "GaussianScalar":
-        return GaussianScalar(Fraction(re), Fraction(im))
-
-    @staticmethod
-    def i_power(k: int) -> "GaussianScalar":
-        k %= 4
-        if k == 0:
-            return GaussianScalar(Q1, Q0)
-        if k == 1:
-            return GaussianScalar(Q0, Q1)
-        if k == 2:
-            return GaussianScalar(-Q1, Q0)
-        return GaussianScalar(Q0, -Q1)
+        return GaussianScalar(_part(re), _part(im))
 
     def __add__(self, other):
         other = _coerce(other)
@@ -109,7 +136,7 @@ class GaussianScalar:
         return self.re == 0 and self.im == 0
 
     def __bool__(self):
-        return not self.is_zero()
+        return self.re != 0 or self.im != 0
 
     def __str__(self):
         if self.im == 0:
@@ -120,14 +147,19 @@ class GaussianScalar:
         return f"{format_rational(self.re)}{sign}{format_rational(abs(self.im))}*i"
 
 
+# the slot setters, which bypass the refusing __setattr__
+_set_re = GaussianScalar.__dict__["re"].__set__
+_set_im = GaussianScalar.__dict__["im"].__set__
+
+
 def _coerce(value) -> GaussianScalar:
     if isinstance(value, GaussianScalar):
         return value
     if isinstance(value, (int, Fraction)):
-        return GaussianScalar(Fraction(value), Q0)
+        return GaussianScalar(_part(value), 0)
     raise TypeError(f"cannot coerce {value!r} to GaussianScalar")
 
 
-GAUSS_ZERO = GaussianScalar(Q0, Q0)
-GAUSS_ONE = GaussianScalar(Q1, Q0)
-GAUSS_I = GaussianScalar(Q0, Q1)
+GAUSS_ZERO = GaussianScalar(0, 0)
+GAUSS_ONE = GaussianScalar(1, 0)
+GAUSS_I = GaussianScalar(0, 1)

@@ -439,7 +439,7 @@ def parse_covector(data) -> CovectorElement:
             key = make_key(n, *slots)
         except InputError as exc:
             raise InputError(f"terms[{i}]: {exc}")
-        out.add_term(key, GaussianScalar(re, im))
+        out.add_term(key, GaussianScalar.of(re, im))
     return out
 
 

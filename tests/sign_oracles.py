@@ -1,11 +1,23 @@
-"""The signed sorts as they were before `core.sym_canonical` became the one
-signed sort, kept verbatim as oracles: `sym_canonical` sorted symmetric
-words (twist 0), `ext_canonical` wedge words,
-`_merge_frames` polyvector and form frames (callers skipped overlapping
-frames first) and `_raw_sort` the raw letters of the Lefschetz wedge
-oracle."""
+"""Reference implementations kept verbatim as oracles, from before the
+code they check was rewritten.
+
+The signed sorts as they were before `core.sym_canonical` became the one
+signed sort: `sym_canonical` sorted symmetric words (twist 0),
+`ext_canonical` wedge words, `_merge_frames` polyvector and form frames
+(callers skipped overlapping frames first) and `_raw_sort` the raw letters
+of the Lefschetz wedge oracle.
+
+The Lefschetz wedge oracle as it was before it left Q(i) for Z[i]:
+`raw_expand` and `raw_volume` with i/2 per u_j and `wedge_identity_report`
+scaling each sum by 2^{-s}; and `i_power`, the powers of i with Fraction
+parts, which was `GaussianScalar.i_power`."""
 
 from fractions import Fraction
+
+from defalg.core import add_into, odd, sym_canonical as one_signed_sort
+from defalg.lefschetz import CovectorElement, all_keys, op_star, raw_wedge
+from defalg.report import CheckReport
+from defalg.scalars import GAUSS_ONE, Q0, Q1, GaussianScalar
 
 
 def sym_canonical(indices, degree_of):
@@ -79,3 +91,66 @@ def _raw_sort(letters):
         if a == b:
             return None
     return tuple(letters), sign
+
+
+def raw_expand(n, key) -> dict:
+    """Un-normalized expansion of a standard basis symbol: map from sorted
+    letter tuples to GaussianScalar; the true symbol is 2^{-(|A|+|B|)/2}
+    times this."""
+    A, B, M, N = key
+    letters = [a - 1 for a in A] + [n + b - 1 for b in B]
+    for j in M:
+        letters += [j - 1, n + j - 1]
+    canon = one_signed_sort(letters, odd)
+    if canon is None:
+        return {}
+    word, sign = canon
+    half_i = GaussianScalar.of(0, Fraction(1, 2))  # i/2 per u_j factor
+    coeff = GaussianScalar.of(sign)
+    for _ in M:
+        coeff = coeff * half_i
+    return {word: coeff}
+
+
+def raw_volume(n) -> dict:
+    """u_1 ^ ... ^ u_n expanded."""
+    out = {(): GAUSS_ONE}
+    for j in range(1, n + 1):
+        out = raw_wedge(out, {( j - 1, n + j - 1): GaussianScalar.of(0, Fraction(1, 2))})
+    return out
+
+
+def wedge_identity_report(n, star_fn=None) -> CheckReport:
+    """Defining wedge characterization, checked for every basis symbol:
+    z ^ *(conj z) = z ^ conj(*z) = u_1 ^ ... ^ u_n.  A corrupted * (passed
+    as star_fn) is caught here."""
+    rep = CheckReport("wedge-oracle")
+    star = star_fn or op_star
+    vol = raw_volume(n)
+    for key in all_keys(n):
+        z = CovectorElement.basis(n, key)
+        s = len(key[0]) + len(key[1])
+        norm = GaussianScalar.of(Fraction(1, 2 ** s))
+        raw_z = raw_expand(n, key)
+        for tag, other in (
+            ("z ^ *(conj z)", star(z.conjugate())),
+            ("z ^ conj(*z)", star(z).conjugate()),
+        ):
+            total = {}
+            for okey, ocoeff in other.terms.items():
+                add_into(total, raw_wedge(raw_z, raw_expand(n, okey)), ocoeff)
+            total = {w: c * norm for w, c in total.items()}
+            if total != vol:
+                rep.add(f"{tag} at {key}", str(total), "wedge identity fails")
+    return rep
+
+
+def i_power(k: int) -> GaussianScalar:
+    k %= 4
+    if k == 0:
+        return GaussianScalar(Q1, Q0)
+    if k == 1:
+        return GaussianScalar(Q0, Q1)
+    if k == 2:
+        return GaussianScalar(-Q1, Q0)
+    return GaussianScalar(Q0, -Q1)
