@@ -169,7 +169,7 @@ class Element:
 
     __slots__ = ("terms",)
     _context = ()  # the slot names subclasses add, set by __init_subclass__
-    _copy = staticmethod(_context_copier(()))  # copies _context, ditto
+    _copy = staticmethod(_context_copier(()))  # copies _context; set likewise
     _compared = ()  # the context fields == and +/- compare
     _key = None  # attrgetter of _compared, None when it is empty
 
