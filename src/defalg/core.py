@@ -145,8 +145,9 @@ _new = object.__new__
 def _context_copier(names):
     """copy(src, dst): store each context field in `names` of src into dst,
     as straight-line slot stores in a generated function (the way
-    `dataclasses` generates __init__), about half the cost of a getattr /
-    setattr loop.  The names are `__slots__` entries, so identifiers."""
+    `dataclasses` generates __init__), which is cheaper than a getattr /
+    setattr loop over the names.  The names are `__slots__` entries, so
+    identifiers."""
     stores = "".join(f"\n    dst.{name} = src.{name}" for name in names)
     scope = {}
     exec(f"def copy(src, dst):{stores or ' pass'}", scope)
