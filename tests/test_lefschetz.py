@@ -9,7 +9,7 @@ import pytest
 import sign_oracles
 from sign_oracles import i_power
 
-from defalg import linalg
+from defalg import lefschetz, linalg
 from defalg.lefschetz import (
     CovectorElement,
     all_keys,
@@ -607,3 +607,51 @@ def test_corrupted_star_report_bytes_pinned():
             lines.append(f"    residual: {CORRUPT_STAR_RESIDUAL}")
     rep = wedge_identity_report(2, star_fn=corrupt_star)
     assert rep.text() == "\n".join(lines)
+
+
+CORRUPT_L_JSON = """{
+  "command": "lefschetz-identities",
+  "info": {
+    "basis_size": 64,
+    "dimension": 3
+  },
+  "status": "fail",
+  "violations": [
+    {
+      "location": "[Lambda,L] at ((1,), (), (2,), (3,))",
+      "message": "[Lambda,L] fails",
+      "residual": "(2)*z[A=(1,),B=(),M=(3,),N=(2,)]"
+    },
+    {
+      "location": "[Lambda,L^1] at ((1,), (), (2,), (3,))",
+      "message": "[Lambda,L^1] fails",
+      "residual": "(2)*z[A=(1,),B=(),M=(3,),N=(2,)]"
+    },
+    {
+      "location": "[Lambda,L^2] at ((1,), (), (2,), (3,))",
+      "message": "[Lambda,L^2] fails",
+      "residual": "(2)*z[A=(1,),B=(),M=(2, 3),N=()]"
+    },
+    {
+      "location": "[Lambda,L^3] at ((), (), (), (1, 2, 3))",
+      "message": "[Lambda,L^3] fails",
+      "residual": "(-6)*z[A=(),B=(),M=(1, 2),N=(3,)] + (6)*z[A=(),B=(),M=(1, 3),N=(2,)]"
+    }
+  ]
+}"""
+
+
+def test_corrupted_L_report_bytes_pinned(monkeypatch):
+    """An L that turns its last N index by a half turn whenever |N| > 1
+    breaks [Lambda,L] and every [Lambda,L^r]; each reports its first failing
+    key, in order."""
+    row_L = lefschetz._row_L
+
+    def corrupt_row_L(key):
+        rows = row_L(key)
+        if len(key[3]) > 1:
+            rows[-1] = (rows[-1][0], 2)
+        return rows
+
+    monkeypatch.setattr(lefschetz, "_row_L", corrupt_row_L)
+    assert identities_report(3).to_json() == CORRUPT_L_JSON
