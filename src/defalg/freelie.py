@@ -7,7 +7,6 @@ Generators here are ungraded (degree 0); graded brackets live in `dgla`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -126,14 +125,19 @@ def tensor_log(y: TensorSeries, order=None) -> TensorSeries:
     return out
 
 
-def right_nested_bracket(gens, order, word) -> TensorSeries:
-    """[v1,[v2,[...,[v_{n-1},v_n]].]] expanded inside the tensor algebra."""
+def right_nested_terms(word) -> dict:
+    """[v1,[v2,[...,[v_{n-1},v_n]].]] expanded on words, with int
+    coefficients, by r(v w) = v r(w) - r(w) v (sign ledger F1)."""
     if not word:
         raise InputError("empty bracket word")
-    out = TensorSeries(gens, order, {(word[-1],): Fraction(1)})
+    out = {word[-1:]: 1}
     for idx in reversed(word[:-1]):
-        v = TensorSeries(gens, order, {(idx,): Fraction(1)})
-        out = v.bracket(out)
+        head = (idx,)
+        nested = {}
+        for w, c in out.items():
+            add_term(nested, head + w, c)
+            add_term(nested, w + head, -c)
+        out = nested
     return out
 
 
@@ -145,8 +149,9 @@ def dsw_project(x: TensorSeries) -> TensorSeries:
         raise DomainError("dsw_project needs a zero constant term")
     out = TensorSeries.zero(x.gens, x.order)
     for w, c in x.terms.items():
-        nested = right_nested_bracket(x.gens, x.order, w)
-        add_into(out.terms, nested.terms, c * Fraction(1, len(w)))
+        c = c * Fraction(1, len(w))
+        for nested, k in right_nested_terms(w).items():
+            add_term(out.terms, nested, k * c)
     return out
 
 
@@ -154,19 +159,6 @@ def is_lie(x: TensorSeries) -> bool:
     """Friedrichs' criterion: x is a Lie element iff the DSW map fixes it
     (sign ledger F4)."""
     return dsw_project(x) == x
-
-
-@dataclass(frozen=True)
-class LieWord:
-    """Right-nested bracket word with an exact coefficient."""
-
-    letters: tuple
-    coeff: Fraction = Fraction(1)
-
-    def expand(self, gens, order) -> TensorSeries:
-        gens = tuple(gens)
-        idx = tuple(gens.index(l) if isinstance(l, str) else l for l in self.letters)
-        return right_nested_bracket(gens, order, idx).scale(self.coeff)
 
 
 # ---------------------------------------------------------------------------

@@ -359,58 +359,64 @@ def identities_report(n) -> CheckReport:
     keys = all_keys(n)
 
     def check(name, lhs_fn, rhs_fn):
+        """Compare both sides on each basis key; each side is handed the key
+        and its basis covector v."""
         for key in keys:
             v = CovectorElement.basis(n, key)
-            lhs, rhs = lhs_fn(v), rhs_fn(v)
+            lhs, rhs = lhs_fn(key, v), rhs_fn(key, v)
             if lhs != rhs:
                 rep.add(f"{name} at {key}", repr(lhs - rhs), f"{name} fails")
                 return
 
-    check("[L,C]", lambda v: op_L(op_C(v)), lambda v: op_C(op_L(v)))
-    check("[Lambda,C]", lambda v: op_Lambda(op_C(v)), lambda v: op_C(op_Lambda(v)))
-    check("[*,C]", lambda v: op_star(op_C(v)), lambda v: op_C(op_star(v)))
+    check("[L,C]", lambda key, v: op_L(op_C(v)), lambda key, v: op_C(op_L(v)))
+    check(
+        "[Lambda,C]",
+        lambda key, v: op_Lambda(op_C(v)),
+        lambda key, v: op_C(op_Lambda(v)),
+    )
+    check("[*,C]", lambda key, v: op_star(op_C(v)), lambda key, v: op_C(op_star(v)))
 
-    def lambda_l_comm(v):
-        return op_Lambda(op_L(v)) - op_L(op_Lambda(v))
+    def scaled(v, f):
+        """f * v for an int f, part by part."""
+        if not f:
+            return v._like({})
+        return v._like(
+            {k: GaussianScalar(c.re * f, c.im * f) for k, c in v.terms.items()}
+        )
 
-    def weighted(v, factor):
-        """sum of factor(key) * c * key over the terms of v."""
-        terms = {}
-        for key, c in v.terms.items():
-            f = factor(key)
-            if f:
-                terms[key] = GaussianScalar(c.re * f, c.im * f)
-        return v._like(terms)
+    check(
+        "[Lambda,L]",
+        lambda key, v: op_Lambda(op_L(v)) - op_L(op_Lambda(v)),
+        lambda key, v: scaled(v, n - total_degree(key)),
+    )
 
-    def weight_scale(v):
-        return weighted(v, lambda key: n - total_degree(key))
-
-    check("[Lambda,L]", lambda_l_comm, weight_scale)
-
+    # L^{r-1} v and L^{r-1} Lambda v for every basis key, carried from r to
+    # r + 1 by one L each
+    power = {key: CovectorElement.basis(n, key) for key in keys}
+    lowered = {key: op_Lambda(v) for key, v in power.items()}
     for r in range(1, n + 1):
-        def comm_r(v, r=r):
-            return op_Lambda(op_power(op_L, r, v)) - op_power(
-                op_L, r, op_Lambda(v)
-            )
-
-        def rhs_r(v, r=r):
-            return op_power(
-                op_L, r - 1, weighted(v, lambda key: r * (weight(key) - r + 1))
-            )
-
-        check(f"[Lambda,L^{r}]", comm_r, rhs_r)
+        prev = power
+        power = {key: op_L(v) for key, v in prev.items()}
+        lowered = {key: op_L(v) for key, v in lowered.items()}
+        # the scalar is read from v's key: L^{r-1} has lowered the weight of
+        # every image key by 2(r - 1)
+        check(
+            f"[Lambda,L^{r}]",
+            lambda key, v: op_Lambda(power[key]) - lowered[key],
+            lambda key, v: scaled(prev[key], r * (weight(key) - r + 1)),
+        )
 
     check(
         "(C^-1 *)^2",
-        lambda v: op_c_inv_star(op_c_inv_star(v)),
-        lambda v: v,
+        lambda key, v: op_c_inv_star(op_c_inv_star(v)),
+        lambda key, v: v,
     )
 
-    def signed_projection(v):
+    def signed_projection(key, v):
         return _apply(_row_parity, v)
 
-    check("*^2", lambda v: op_star(op_star(v)), signed_projection)
-    check("C^2", lambda v: op_C(op_C(v)), signed_projection)
+    check("*^2", lambda key, v: op_star(op_star(v)), signed_projection)
+    check("C^2", lambda key, v: op_C(op_C(v)), signed_projection)
 
     # * permutes basis symbols up to fourth roots of unity
     for key in keys:

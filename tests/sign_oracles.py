@@ -10,11 +10,17 @@ of the Lefschetz wedge oracle.
 The Lefschetz wedge oracle as it was before it left Q(i) for Z[i]:
 `raw_expand` and `raw_volume` with i/2 per u_j and `wedge_identity_report`
 scaling each sum by 2^{-s}; and `i_power`, the powers of i with Fraction
-parts, which was `GaussianScalar.i_power`."""
+parts, which was `GaussianScalar.i_power`.
+
+`right_nested_bracket`, the right-nested bracket built ad by ad through
+`TensorSeries.bracket`, as it was before `freelie.right_nested_terms`
+expanded it on a plain dict with int coefficients."""
 
 from fractions import Fraction
 
 from defalg.core import add_into, odd, sym_canonical as one_signed_sort
+from defalg.errors import InputError
+from defalg.freelie import TensorSeries
 from defalg.lefschetz import CovectorElement, all_keys, op_star, raw_wedge
 from defalg.report import CheckReport
 from defalg.scalars import GAUSS_ONE, Q0, Q1, GaussianScalar
@@ -154,3 +160,14 @@ def i_power(k: int) -> GaussianScalar:
     if k == 2:
         return GaussianScalar(-Q1, Q0)
     return GaussianScalar(Q0, -Q1)
+
+
+def right_nested_bracket(gens, order, word) -> TensorSeries:
+    """[v1,[v2,[...,[v_{n-1},v_n]].]] expanded inside the tensor algebra."""
+    if not word:
+        raise InputError("empty bracket word")
+    out = TensorSeries(gens, order, {(word[-1],): Fraction(1)})
+    for idx in reversed(word[:-1]):
+        v = TensorSeries(gens, order, {(idx,): Fraction(1)})
+        out = v.bracket(out)
+    return out

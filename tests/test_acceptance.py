@@ -35,12 +35,12 @@ from defalg.dgla import (
     obstruction_class,
 )
 from defalg.freelie import (
-    LieWord,
     TensorSeries,
     bch_explicit,
     bch_free,
     dsw_project,
     is_lie,
+    right_nested_terms,
 )
 from defalg.gbv import (
     Polyvector,
@@ -154,7 +154,8 @@ def test_criterion_03_dsw_friedrichs():
             acc = TensorSeries.zero(gens, 4)
             for _ in range(rng.randint(1, 3)):
                 letters = tuple(rng.randrange(3) for _ in range(rng.randint(1, 4)))
-                acc = acc + LieWord(letters, F(rng.randint(-3, 3) or 1)).expand(gens, 4)
+                coeff = F(rng.randint(-3, 3) or 1)
+                acc = acc + TensorSeries(gens, 4, right_nested_terms(letters)).scale(coeff)
             assert is_lie(acc)
             lie_hits += 1
         for _ in range(50):

@@ -5,11 +5,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from sign_oracles import right_nested_bracket
 
 from defalg.core import Element, GradedBasis
 from defalg.errors import DomainError, InputError, StructureError
 from defalg.freelie import (
-    LieWord,
     NilpotentLie,
     TensorSeries,
     _bch_term_compositions,
@@ -18,7 +18,7 @@ from defalg.freelie import (
     bch_term_sum,
     dsw_project,
     is_lie,
-    right_nested_bracket,
+    right_nested_terms,
     tensor_exp,
     tensor_log,
 )
@@ -81,8 +81,30 @@ def test_dsw_fixes_lie_elements():
     x, y = gen("x"), gen("y")
     lie = x.bracket(y)
     assert dsw_project(lie) == lie
-    nested = right_nested_bracket(GENS2, 5, (0, 1, 1, 0))
+    nested = TensorSeries(GENS2, 5, right_nested_terms((0, 1, 1, 0)))
     assert dsw_project(nested) == nested
+
+
+def test_right_nested_terms_match_the_bracket_oracle():
+    """The int expansion equals the bracket built ad by ad through
+    TensorSeries.bracket, on every word of length 1-6 over three letters."""
+    for length in range(1, 7):
+        for word in itertools.product(range(3), repeat=length):
+            terms = right_nested_terms(word)
+            assert all(type(c) is int and c for c in terms.values()), word
+            assert terms == right_nested_bracket(GENS3, 6, word).terms, word
+    with pytest.raises(InputError):
+        right_nested_terms(())
+
+
+def test_dsw_coefficients_stay_fractions():
+    # the scale c/len(w) is 1 on x and on 2*x*y, where int terms could leak
+    x, y = gen("x"), gen("y")
+    for series in (x, (x * y).scale(2), x * y + y, (x * y * x).scale(Fraction(3, 7))):
+        out = dsw_project(series)
+        assert out.terms and all(type(c) is Fraction for c in out.terms.values())
+    assert dsw_project(x).terms == {(0,): 1}
+    assert dsw_project((x * y).scale(2)).terms == {(0, 1): 1, (1, 0): -1}
 
 
 def test_dsw_idempotent_on_random_inputs():
@@ -106,7 +128,7 @@ def test_is_lie_classification():
         for _ in range(rng.randint(1, 4)):
             letters = tuple(rng.randrange(3) for _ in range(rng.randint(1, 4)))
             coeff = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
-            acc = acc + LieWord(letters, coeff).expand(GENS3, 5)
+            acc = acc + TensorSeries(GENS3, 5, right_nested_terms(letters)).scale(coeff)
         assert is_lie(acc)
     for _ in range(50):
         w1 = tuple(rng.randrange(3) for _ in range(rng.randint(2, 4)))
