@@ -376,18 +376,10 @@ def identities_report(n) -> CheckReport:
     )
     check("[*,C]", lambda key, v: op_star(op_C(v)), lambda key, v: op_C(op_star(v)))
 
-    def scaled(v, f):
-        """f * v for an int f, part by part."""
-        if not f:
-            return v._like({})
-        return v._like(
-            {k: GaussianScalar(c.re * f, c.im * f) for k, c in v.terms.items()}
-        )
-
     check(
         "[Lambda,L]",
         lambda key, v: op_Lambda(op_L(v)) - op_L(op_Lambda(v)),
-        lambda key, v: scaled(v, n - total_degree(key)),
+        lambda key, v: v.scale(n - total_degree(key)),
     )
 
     # L^{r-1} v and L^{r-1} Lambda v for every basis key, carried from r to
@@ -403,7 +395,7 @@ def identities_report(n) -> CheckReport:
         check(
             f"[Lambda,L^{r}]",
             lambda key, v: op_Lambda(power[key]) - lowered[key],
-            lambda key, v: scaled(prev[key], r * (weight(key) - r + 1)),
+            lambda key, v: prev[key].scale(r * (weight(key) - r + 1)),
         )
 
     check(
