@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from sign_oracles import right_nested_bracket
 
-from defalg.core import Element, GradedBasis
+from defalg.core import Element, GradedBasis, add_term
 from defalg.errors import DomainError, InputError, StructureError
 from defalg.freelie import (
     NilpotentLie,
@@ -85,14 +85,28 @@ def test_dsw_fixes_lie_elements():
     assert dsw_project(nested) == nested
 
 
+def closed_form_terms(word):
+    """Sign ledger F1: the sum over S in {1..n-1} of (-1)^|S| times the
+    letters not in S in order, v_n, and the letters of S reversed."""
+    *front, last = word
+    out = {}
+    for behind in itertools.product((False, True), repeat=len(front)):
+        kept = tuple(v for v, b in zip(front, behind) if not b)
+        moved = tuple(v for v, b in zip(front, behind) if b)
+        add_term(out, kept + (last,) + moved[::-1], (-1) ** len(moved))
+    return out
+
+
 def test_right_nested_terms_match_the_bracket_oracle():
     """The int expansion equals the bracket built ad by ad through
-    TensorSeries.bracket, on every word of length 1-6 over three letters."""
+    TensorSeries.bracket and the closed form of sign ledger F1, on every
+    word of length 1-6 over three letters."""
     for length in range(1, 7):
         for word in itertools.product(range(3), repeat=length):
             terms = right_nested_terms(word)
             assert all(type(c) is int and c for c in terms.values()), word
             assert terms == right_nested_bracket(GENS3, 6, word).terms, word
+            assert terms == closed_form_terms(word), word
     with pytest.raises(InputError):
         right_nested_terms(())
 
