@@ -510,6 +510,7 @@ def test_h_bracket_jacobi_failing_output_is_pinned():
 # -- Hodge models --------------------------------------------------------------------
 
 
+from defalg import models
 from defalg.models import (
     derived_hodge_model as derived_model,
     rank_one_hodge_model as rank_one_model,
@@ -583,6 +584,130 @@ def test_broken_q_hat_detected_at_arity_two():
     comps, frep = hodge_F(M, 2, check_model=False)
     assert [(v.location, v.residual, v.message) for v in frep.violations] == [
         ("word ('a', 'b')", "{0: {1: Fraction(2, 1)}}", "F o delta != 0")
+    ]
+
+
+# The derived model's constructor arguments by position, and the reports on
+# it after each corruption: (changes, hodge_model_check's (location, message)
+# pairs, whose residuals are all empty, and hodge_F's violations at arity 3
+# without the model check, or the name of the error it raises).  A change
+# (operator, column, e) adds e to that column; ("hat", a) is hat(a).
+ARG = {"incl": 3, "proj": 4, "del": 5, "delbar": 6, "tau": 7, "d": 9}
+NOT_ZERO = "{} != 0".format
+HAT_D = "hat(d a) != [delbar, hat a]"
+HAT_Q = "hat(q(a (.) b)) != -[[del, hat a], hat b]"
+HAT_DEG = "hat operator degree differs from source degree"
+HODGE_PINS = {
+    "tau bidegree": (
+        [("tau", 7, e(6, -1))],
+        [("tau", "tau is not bidegree (1,-1)"), ("del tau", NOT_ZERO("del tau")),
+         ("[delbar, tau]", "[delbar, tau] != del")],
+        [],
+    ),
+    "delbar bidegree": (
+        [("delbar", 5, e(9))],
+        [("delbar", "delbar is not bidegree (0,1)"), ("delbar^2", NOT_ZERO("delbar^2")),
+         ("del delbar + delbar del", NOT_ZERO("del delbar + delbar del"))],
+        [],
+    ),
+    "del bidegree": (
+        [("del", 9, e(3, 2))],
+        [("del", "del is not bidegree (1,0)"), ("del^2", NOT_ZERO("del^2")),
+         ("del delbar + delbar del", NOT_ZERO("del delbar + delbar del")),
+         ("tau del", NOT_ZERO("tau del")), ("[delbar, tau]", "[delbar, tau] != del")],
+        [],
+    ),
+    "inclusion": (
+        [("incl", 0, e(2))],
+        [("del h", NOT_ZERO("del h")), ("delbar i", NOT_ZERO("delbar i"))],
+        [],
+    ),
+    "projection": (
+        [("proj", 9, e(0, -1))],
+        [("h del", NOT_ZERO("h del")), ("h delbar", NOT_ZERO("h delbar"))],
+        [],
+    ),
+    "h i": ([("incl", 0, e(1, 2))], [("h i", "h o i is not the identity on H")], []),
+    "h tau": (
+        [("proj", 8, e(0, 2))],
+        [("h del", NOT_ZERO("h del")), ("h tau", NOT_ZERO("h tau"))],
+        [],
+    ),
+    "tau h": (
+        [("tau", 1, e(5, -1))],
+        [("tau", "tau is not bidegree (1,-1)"), ("tau h", NOT_ZERO("tau h"))],
+        [],
+    ),
+    "hat degree": (
+        [(("hat", 6), 0, e(0, -1))],
+        [("hat(ee)", HAT_DEG)]
+        + [(f"hat(q({a},{b}))", HAT_Q) for a, b in
+           (("a", "b"), ("a", "ee"), ("b", "a"), ("c", "ee"), ("c2", "ee"))],
+        [("word ('a', 'b')", "{0: {0: Fraction(1, 1)}}", "F o delta != 0")],
+    ),
+    "hat d": (
+        [(("hat", 6), 0, e(6, -1))],
+        [("hat(ee)", HAT_DEG), ("hat(d ee)", HAT_D)]
+        + [(f"hat(q({a},{b}))", HAT_Q) for a, b in
+           (("a", "b"), ("b", "a"), ("b2", "ee"), ("ee", "b2"))],
+        [],
+    ),
+    "hat columns": (
+        [(("hat", 3), 0, e(3)), (("hat", 3), 1, e(3, 2))],
+        [("hat(d a)", HAT_D), ("hat(c)", HAT_DEG)]
+        + [(f"hat(q({a},{b}))", HAT_Q) for a, b in
+           (("b", "c"), ("c", "b"), ("c", "b2"), ("c", "ee"), ("b2", "c"))],
+        [
+            ("word ('a', 'b')", "{0: {1: Fraction(1, 1)}, 1: {1: Fraction(2, 1)}}",
+             "F o delta != 0"),
+            ("word ('a', 'g', 'b2')",
+             "{0: {1: Fraction(-1, 1)}, 1: {1: Fraction(-2, 1)}}", "F o delta != 0"),
+        ],
+    ),
+    "source d": (
+        [("d", 6, e(0))],
+        [("d(ee)", "source d is not degree +1"), ("d^2(ee)", "source d^2 != 0"),
+         ("hat(d ee)", HAT_D)],
+        "DomainError",
+    ),
+}
+
+
+def corrupted_derived_model(changes):
+    """The derived model with each change added, built from its arguments
+    (read with `models.HodgeModel` patched to return them)."""
+    real = models.HodgeModel
+    models.HodgeModel = lambda *args: list(args)
+    try:
+        args = derived_model()
+    finally:
+        models.HodgeModel = real
+    for op, column, add in changes:
+        table = args[11].setdefault(op[1], {}) if op[0] == "hat" else args[ARG[op]]
+        table[column] = table.get(column, Element()) + add
+    return HodgeModel(*args)
+
+
+def test_hodge_reports_pinned_on_corrupted_models():
+    rows = lambda rep: [(v.location, v.residual, v.message) for v in rep.violations]
+    for name, (changes, checks, transfer) in HODGE_PINS.items():
+        M = corrupted_derived_model(changes)
+        want = [(loc, "", message) for loc, message in checks]
+        assert rows(hodge_model_check(M)) == want, name
+        comps, rep = hodge_F(M, 3)
+        assert comps is None and rows(rep) == want, name
+        try:
+            got = rows(hodge_F(M, 3, check_model=False)[1])
+        except Exception as exc:
+            got = type(exc).__name__
+        assert got == transfer, name
+    # q is validated on construction; a wrong-degree value set afterwards
+    M = derived_model()
+    M.q_table[(0, 1)] = e(0)
+    assert rows(hodge_model_check(M)) == [
+        ("q(0, 1)", "", "q is not degree +1"),
+        ("hat(q(a,g))", "", HAT_Q),
+        ("hat(q(g,a))", "", HAT_Q),
     ]
 
 
