@@ -14,11 +14,18 @@ parts, which was `GaussianScalar.i_power`.
 
 `right_nested_bracket`, the right-nested bracket built ad by ad through
 `TensorSeries.bracket`, as it was before `freelie.right_nested_terms`
-expanded it on a plain dict with int coefficients."""
+expanded it on a plain dict with int coefficients.
+
+`oracle_mc_linfty`, the homotopy Maurer-Cartan residual by the l_n route
+that `linfty.mc_linfty` took before it computed in the corestricted
+coalgebra form on the shifted space, with the "add, or pop on zero" step
+of its older terms dicts."""
 
 from fractions import Fraction
+from math import factorial
 
-from defalg.core import add_into, odd, sym_canonical as one_signed_sort
+from defalg.coalg import word_degree
+from defalg.core import Element, add_into, odd, sym_canonical as one_signed_sort
 from defalg.errors import InputError
 from defalg.freelie import TensorSeries
 from defalg.lefschetz import CovectorElement, all_keys, op_star, raw_wedge
@@ -171,3 +178,64 @@ def right_nested_bracket(gens, order, word) -> TensorSeries:
         v = TensorSeries(gens, order, {(idx,): Fraction(1)})
         out = v.bracket(out)
     return out
+
+
+def oracle_mc_linfty(S, A, m_terms, cancelled=None):
+    """The homotopy Maurer-Cartan residual in the l_n form of sign ledger
+    D2, (Id (x) d_A) m - sum_n (1/n!) (-1)^{n(n+1)/2} (l_n (x) Id) m^{wedge n},
+    with wedge powers in (wedge V) (x) A, as a terms dict over the pair
+    indices v_index * len(A) + a_index; the terms dicts are accumulated by
+    the "add, or pop on zero" step, and `cancelled[0]` counts the keys it
+    popped."""
+    cancelled = [0] if cancelled is None else cancelled
+    basis = S.space
+    nA = len(A.basis)
+
+    def add(terms, key, c):
+        val = terms.get(key, 0) + c
+        if val:
+            terms[key] = val
+        else:
+            cancelled[0] += key in terms
+            terms.pop(key, None)
+
+    def ext_add(terms, word, a_idx, coeff):
+        canon = ext_canonical(word, basis.degree)
+        if canon is None or not coeff:
+            return
+        add(terms, (canon[0], a_idx), coeff * canon[1])
+
+    def wedge(x, y):
+        out = {}
+        for (w1, a1), c1 in x.items():
+            for (w2, a2), c2 in y.items():
+                prod = A._op_basis(a1, a2)
+                sign = -1 if (A.basis.degree(a1) * word_degree(basis, w2)) % 2 else 1
+                for ak, av in prod.terms.items():
+                    ext_add(out, w1 + w2, ak, c1 * c2 * av * sign)
+        return out
+
+    l_tables = S.unsuspended_tables()
+    residual = {}
+    for (i, j), c in m_terms.items():
+        sign = -1 if basis.degree(i) % 2 else 1
+        for k, v in A.diff.get(j, Element()).terms.items():
+            add(residual, i * nA + k, c * v * sign)
+    m_ext = {}
+    for (i, j), c in m_terms.items():
+        ext_add(m_ext, (i,), j, c)
+    power, n = m_ext, 1
+    while n <= max(l_tables, default=0):
+        if n > 1:
+            power = wedge(power, m_ext)
+            if not power:
+                break
+        table = l_tables.get(n)
+        if table:
+            scale = Fraction(-1 if (n * (n + 1) // 2) % 2 else 1, factorial(n))
+            for (word, a_idx), c in power.items():
+                value = table.get(word) if len(word) == n else None
+                for k, v in (value.terms.items() if value is not None else ()):
+                    add(residual, k * nA + a_idx, -c * v * scale)
+        n += 1
+    return residual

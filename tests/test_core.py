@@ -37,7 +37,6 @@ from defalg.errors import InputError
 from defalg.freelie import TensorSeries
 from defalg.gbv import PolyForm, Polyvector
 from defalg.lefschetz import CovectorElement, all_keys
-from defalg.linfty import _ExtTensor
 from defalg.report import CheckReport
 from defalg.scalars import GaussianScalar
 
@@ -740,7 +739,6 @@ REPORT_LOOPS_ALLOWED = {
     "{} on failure",
     "lefschetz.identities_report": "the * loop stops at the first failing key",
     "lefschetz.identities_report.check": "stops at the first failing key",
-    "linfty.hodge_model_check": "mostly single operator identities",
     "lefschetz.primitive_star_report": "one r gives an empty residual for "
     "L^r v != 0 and an Element repr for the star identity",
     "lefschetz.primitive_coefficient_report": "a scalar residual per "
@@ -953,13 +951,6 @@ SPARSE = {
         lambda rng: (rng.randint(0, 1), rng.randint(0, 2), rng.random() < 0.5),
         None,
         {"B": ART1},
-        (),
-    ),
-    _ExtTensor: (
-        lambda t: _ExtTensor(B2, ART, t),
-        lambda rng: (_word(rng, 2), rng.randint(0, 1)),
-        None,
-        {"basis": B3, "A": ART1},
         (),
     ),
 }
