@@ -60,13 +60,11 @@ def _decalage_sign(degrees_v) -> int:
     return -1 if exp % 2 else 1
 
 
-def decalage(basis_v: GradedBasis, tables, direction: str):
-    """Convert bracket tables between the unshifted skew convention
-    ('to_suspended': l_k given on wedge-canonical words of V) and the shifted
-    symmetric convention ('to_unsuspended': q_k given on canonical words of
-    V[1]).  Round trip is the identity."""
-    if direction not in ("to_suspended", "to_unsuspended"):
-        raise InputError(f"unknown decalage direction {direction!r}")
+def decalage(basis_v: GradedBasis, tables):
+    """Convert bracket tables between the unshifted skew convention (l_k
+    given on wedge-canonical words of V) and the shifted symmetric convention
+    (q_k given on canonical words of V[1]), in either direction: the D1 sign
+    is its own inverse, so the map is an involution."""
     out = {}
     for k, table in tables.items():
         new = {}
@@ -96,10 +94,10 @@ class LInftyStructure:
 
     @staticmethod
     def from_unsuspended(space: GradedBasis, l_tables) -> "LInftyStructure":
-        return LInftyStructure(space, decalage(space, l_tables, "to_suspended"))
+        return LInftyStructure(space, decalage(space, l_tables))
 
     def unsuspended_tables(self):
-        return decalage(self.space, self.components.tables, "to_unsuspended")
+        return decalage(self.space, self.components.tables)
 
     def coderivation(self) -> Coderivation:
         return Coderivation(self.components)

@@ -53,12 +53,12 @@ def e(i, c=1):
 def test_decalage_signs():
     V = GradedBasis.of(("u", 1), ("v", 2), ("w", 0))
     # arity 1: sign (-1)^{1+0} = -1 uniformly (the suspension of the word)
-    t = decalage(V, {1: {(0,): e(1)}}, "to_suspended")
+    t = decalage(V, {1: {(0,): e(1)}})
     assert t[1][(0,)] == e(1, -1)
     # arity 2 on (v1, v2): exponent 2 + deg v1: sign (-1)^{deg v1}
-    t = decalage(V, {2: {(0, 1): e(2, 1)}}, "to_suspended")
+    t = decalage(V, {2: {(0, 1): e(2, 1)}})
     assert t[1 + 1][(0, 1)] == e(2, -1)  # deg u = 1 -> sign -1
-    t = decalage(V, {2: {(1, 2): e(0)}}, "to_suspended")
+    t = decalage(V, {2: {(1, 2): e(0)}})
     assert t[2][(1, 2)] == e(0)  # deg v = 2 -> sign +1
 
 
@@ -70,8 +70,8 @@ def test_decalage_roundtrip():
         val = Element({i: F(rng.randint(-3, 3)) for i in range(3)})
         if not val.is_zero():
             tables[3][word] = val
-    there = decalage(V, tables, "to_suspended")
-    back = decalage(V, there, "to_unsuspended")
+    there = decalage(V, tables)
+    back = decalage(V, there)
     for w, v in tables[3].items():
         assert back[3][w] == v
 
