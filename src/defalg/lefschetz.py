@@ -376,14 +376,8 @@ def identities_report(n) -> CheckReport:
     )
     check("[*,C]", lambda key, v: op_star(op_C(v)), lambda key, v: op_C(op_star(v)))
 
-    check(
-        "[Lambda,L]",
-        lambda key, v: op_Lambda(op_L(v)) - op_L(op_Lambda(v)),
-        lambda key, v: v.scale(n - total_degree(key)),
-    )
-
     # L^{r-1} v and L^{r-1} Lambda v for every basis key, carried from r to
-    # r + 1 by one L each
+    # r + 1 by one L each; r = 1 is [Lambda,L] = weight (ledger X2)
     power = {key: CovectorElement.basis(n, key) for key in keys}
     lowered = {key: op_Lambda(v) for key, v in power.items()}
     for r in range(1, n + 1):

@@ -618,11 +618,6 @@ CORRUPT_L_JSON = """{
   "status": "fail",
   "violations": [
     {
-      "location": "[Lambda,L] at ((1,), (), (2,), (3,))",
-      "message": "[Lambda,L] fails",
-      "residual": "(2)*z[A=(1,),B=(),M=(3,),N=(2,)]"
-    },
-    {
       "location": "[Lambda,L^1] at ((1,), (), (2,), (3,))",
       "message": "[Lambda,L^1] fails",
       "residual": "(2)*z[A=(1,),B=(),M=(3,),N=(2,)]"
@@ -643,8 +638,8 @@ CORRUPT_L_JSON = """{
 
 def test_corrupted_L_report_bytes_pinned(monkeypatch):
     """An L that turns its last N index by a half turn whenever |N| > 1
-    breaks [Lambda,L] and every [Lambda,L^r]; each reports its first failing
-    key, in order."""
+    breaks every [Lambda,L^r], r = 1 being [Lambda,L]; each reports its
+    first failing key, in order."""
     row_L = lefschetz._row_L
 
     def corrupt_row_L(key):
