@@ -16,6 +16,7 @@ import sys
 import time
 from . import models, schemas
 from .coalg import all_words, split_count
+from .core import format_terms
 from .dgla import TensorDgla, check_dgla, check_na, cohomology, cones, obstruction_class
 from .errors import DefalgError, InputError
 from .freelie import bch_explicit, bch_free, dsw_project, is_lie
@@ -174,9 +175,10 @@ def cmd_friedrichs(args) -> CheckReport:
     rep = CheckReport("friedrichs")
     if not is_lie(series):
         diff = dsw_project(series) - series
+        names = {w: "*".join(series.gens[i] for i in w) for w in diff.terms}
         rep.add(
             "membership",
-            str(sorted(diff.terms.items())),
+            format_terms(names, diff.terms),
             "element is not fixed by the projection",
         )
     return rep
@@ -243,7 +245,8 @@ def cmd_mc_linfty(args) -> CheckReport:
     ]
     rep = CheckReport("mc-linfty", witness={"residual": terms})
     if not residual.is_zero():
-        rep.add("residual", str(sorted(residual.terms.items())), "homotopy MC fails")
+        names = [f"{v}(x){a}" for v in S.space.names for a in A.basis.names]
+        rep.add("residual", format_terms(names, residual.terms), "homotopy MC fails")
     return rep
 
 
