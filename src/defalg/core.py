@@ -21,9 +21,9 @@ from .linalg import rref
 # The sparse accumulate kernel: every sparse value in the package is an
 # instance of the one sparse vector class `Element` below (or of a subclass:
 # symmetric words, tensor series, polyvectors, forms, covectors over Q(i),
-# B[t,dt] homotopies), whose `terms` is a dict from
-# hashable keys to nonzero coefficients: an int when the coefficient is
-# integral (see `int_first`), else a Fraction or a GaussianScalar.
+# B[t,dt] homotopies), whose `terms` is a dict from hashable keys to nonzero
+# coefficients: an int when the coefficient is integral (see `int_first`),
+# else a Fraction or a GaussianScalar.
 # `add_term` and `add_into` are the only code that adds into such a dict.
 # Their contract: no stored zeros (a key whose sum is zero is deleted), and
 # no zero scalar built (a missing key stores the added coefficient object
