@@ -180,14 +180,13 @@ def right_nested_bracket(gens, order, word) -> TensorSeries:
     return out
 
 
-def oracle_mc_linfty(S, A, m_terms, cancelled=None):
+def oracle_mc_linfty(S, A, m_terms, cancelled):
     """The homotopy Maurer-Cartan residual in the l_n form of sign ledger
     D2, (Id (x) d_A) m - sum_n (1/n!) (-1)^{n(n+1)/2} (l_n (x) Id) m^{wedge n},
     with wedge powers in (wedge V) (x) A, as a terms dict over the pair
     indices v_index * len(A) + a_index; the terms dicts are accumulated by
     the "add, or pop on zero" step, and `cancelled[0]` counts the keys it
     popped."""
-    cancelled = [0] if cancelled is None else cancelled
     basis = S.space
     nA = len(A.basis)
 

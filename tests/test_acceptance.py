@@ -432,7 +432,7 @@ def test_criterion_08_mc_correspondence():
             classical = M.mc_residual(el)
             homotopy = mc_linfty(S, A, m)
             assert homotopy == classical
-            assert oracle_mc_linfty(S, A, m) == classical.terms
+            assert oracle_mc_linfty(S, A, m, [0]) == classical.terms
             if not classical.is_zero() and not (classical - M.d(el)).is_zero():
                 nonlinear_seen += 1
         assert nonlinear_seen > 0
