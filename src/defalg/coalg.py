@@ -10,7 +10,6 @@ words of length <= N are exact.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 from .core import (
@@ -51,12 +50,6 @@ class SymElement(Element):
     def __init__(self, basis: GradedBasis, terms=None):
         self.basis = basis
         Element.__init__(self, terms)
-
-    @staticmethod
-    def of_word(basis, word, coeff=Fraction(1)):
-        out = SymElement(basis)
-        out.add_word(word, coeff)
-        return out
 
     def add_word(self, word, coeff):
         canon = canonical_word(self.basis, word)
@@ -254,15 +247,6 @@ class Coderivation:
         out = SymElement(self.basis)
         for w, c in el.terms.items():
             add_into(out.terms, self.apply_word(w).terms, c)
-        return out
-
-    def corestriction(self, word) -> Element:
-        """(Q w)^1: the V-component of the lift."""
-        full = self.apply_word(word)
-        out = Element()
-        for w, c in full.terms.items():
-            if len(w) == 1:
-                out.add_term(w[0], c)
         return out
 
     def coleibnitz_report(self, words) -> CheckReport:

@@ -1,5 +1,5 @@
 """Sign-correct substrate: graded bases, sparse elements, Koszul signs,
-unshuffles, the one signed sort of graded words and symmetrization.
+unshuffles, the one signed sort of graded words and signed permutations.
 
 Sign conventions are fixed once, in docs/sign_ledger.md; every other
 module routes its signs through the functions here (ledger entries K1-K4).
@@ -489,16 +489,6 @@ def is_permutation(images) -> bool:
     return sorted(images) == list(range(len(images)))
 
 
-def parity(images) -> int:
-    inv = 0
-    n = len(images)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if images[i] > images[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
-
-
 def koszul_sign(degrees, images) -> int:
     """eps(sigma; degrees): product over inverted pairs of (-1)^{d_a d_b}."""
     if len(degrees) != len(images):
@@ -512,24 +502,6 @@ def koszul_sign(degrees, images) -> int:
             if images[i] > images[j] and degrees[images[i]] * degrees[images[j]] % 2:
                 sign = -sign
     return sign
-
-
-def exterior_sign(degrees, images) -> int:
-    """Koszul sign times permutation parity (the sign for wedge words)."""
-    return koszul_sign(degrees, images) * parity(images)
-
-
-def compose(sigma, tau):
-    """(sigma tau)(i) = sigma(tau(i))."""
-    return tuple(sigma[t] for t in tau)
-
-
-def is_unshuffle(images, p: int) -> bool:
-    head = images[:p]
-    tail = images[p:]
-    return all(head[i] < head[i + 1] for i in range(len(head) - 1)) and all(
-        tail[i] < tail[i + 1] for i in range(len(tail) - 1)
-    )
 
 
 def unshuffles(p: int, q: int):
@@ -604,7 +576,7 @@ def odd(_letter):
 
 
 # ---------------------------------------------------------------------------
-# Symmetrization and the composition product
+# Signed permutations
 # ---------------------------------------------------------------------------
 
 
@@ -612,37 +584,3 @@ def signed_permutations(degrees):
     """Yield (eps(sigma), images) over the full symmetric group."""
     for images in itertools.permutations(range(len(degrees))):
         yield koszul_sign(degrees, images), images
-
-
-def symmetrize(f, args, degrees) -> Element:
-    """f~(a_1 (.) ... (.) a_m) = sum over all permutations with Koszul signs.
-
-    `f` is a multilinear map taking a tuple of args and returning Element.
-    """
-    if len(args) != len(degrees):
-        raise InputError("symmetrize: args/degrees arity mismatch")
-    out = Element()
-    for sign, images in signed_permutations(degrees):
-        add_into(out.terms, f(tuple(args[i] for i in images)).terms, sign)
-    return out
-
-
-def gerstenhaber_bullet(f, m, g, l, g_degree, args, degrees) -> Element:
-    """Composition product (f o g) on m+l-1 tensor arguments:
-    sum_i (-1)^{g_degree*(d_1+..+d_i)} f(a_1,..,a_i, g(a_{i+1}..a_{i+l}), .., a_{m+l-1}).
-
-    `g` returns an Element over the same basis the remaining args live in;
-    `f` must accept Element arguments in the substituted slot (the caller
-    provides a multilinear f).
-    """
-    if len(args) != m + l - 1:
-        raise InputError("gerstenhaber_bullet: arity mismatch")
-    out = Element()
-    for i in range(m):
-        sign = 1
-        if g_degree % 2 and sum(degrees[:i]) % 2:
-            sign = -1
-        inner = g(tuple(args[i : i + l]))
-        part = f(tuple(args[:i]) + (inner,) + tuple(args[i + l :]))
-        add_into(out.terms, part.terms, sign)
-    return out

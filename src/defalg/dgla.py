@@ -231,21 +231,6 @@ class TensorDgla:
                         out.add_term(self.pair_index[(k, m)], c * vk * vm)
         return out
 
-    def as_dgla(self) -> DGLA:
-        table = {}
-        diff = {}
-        n = len(self.basis)
-        for p in range(n):
-            dv = self.d(Element.basis_vector(p))
-            if not dv.is_zero():
-                diff[p] = dv
-        for p in range(n):
-            for q in range(n):
-                br = self.bracket(Element.basis_vector(p), Element.basis_vector(q))
-                if not br.is_zero():
-                    table[(p, q)] = br
-        return DGLA(self.basis, table, diff)
-
     def show(self, el: Element) -> str:
         return format_terms(self.basis.names, el.terms)
 
@@ -292,17 +277,6 @@ class TensorDgla:
             lambda acc, v, c: acc + v.scale(c),
             Element(),
         )
-
-
-def tensor_dgla(L: DGLA, A: ArtinDg) -> TensorDgla:
-    """Build L (x) A after checking both factors."""
-    rl = check_dgla(L)
-    if not rl.ok():
-        raise StructureError("tensor_dgla: DGLA factor fails axioms: " + rl.text())
-    ra = check_na(A)
-    if not ra.ok():
-        raise StructureError("tensor_dgla: base algebra fails axioms: " + ra.text())
-    return TensorDgla(L, A)
 
 
 # ---------------------------------------------------------------------------
@@ -435,10 +409,6 @@ class SmallExtension:
         return Element(
             {self._q_pos[t]: c for t, c in el.terms.items() if t in self._q_pos}
         )
-
-    def section(self, el: Element) -> Element:
-        """The basis-wise linear section B -> A of the projection."""
-        return Element({self.quotient_indices[t]: c for t, c in el.terms.items()})
 
     def kernel_complex_acyclic(self) -> bool:
         return _subcomplex_acyclic(self.total, list(self.kernel))

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import itertools
 from functools import partial
+from math import factorial
 
-from .coalg import all_words, canonical_word
+from .coalg import CoalgMorphism, all_words, canonical_word, compose_morphisms
 from .core import (
     BilinearTable,
     Element,
@@ -202,11 +203,6 @@ class Polyvector(Element):
         if any(sum(m) > self.cap for (m, _) in self.terms):
             raise InputError("monomial degree exceeds the declared cap")
 
-    @staticmethod
-    def frame_vector(nvars, frame, coeff=1, mono=None):
-        mono = tuple(mono) if mono is not None else (0,) * nvars
-        return Polyvector(nvars, None, {(mono, tuple(frame)): coeff})
-
     def _sum(self, other, terms):
         out = Element._sum(self, other, terms)
         out.cap = max(self.cap, other.cap)
@@ -339,18 +335,6 @@ class PolyForm(Element):
         return self._like(_wedge_terms(self, other))
 
 
-def vector_contract_form(j, form: PolyForm) -> PolyForm:
-    """d/dz_j -| (f dz_K): remove dz_j with the alternating position sign."""
-    out = PolyForm(form.nvars)
-    for (mono, K), c in form.terms.items():
-        hit = one_form_contract(j, K)
-        if hit is None:
-            continue
-        sign, reduced = hit
-        add_term(out.terms, (mono, reduced), c * sign)
-    return out
-
-
 def contract(v: Polyvector, w: PolyForm) -> PolyForm:
     """(u_1 ^ ... ^ u_a) -| w = u_1 -| (u_2 ^ ... ^ u_a -| w), bilinear;
     polynomial coefficients multiply."""
@@ -414,23 +398,6 @@ def delta_volume(a: Polyvector) -> Polyvector:
     for (mono, K), c in psi.terms.items():
         comp = tuple(i for i in range(n) if i not in K)
         add_term(out.terms, (mono, comp), c * frame_pairing(n, comp))
-    return out
-
-
-def delta_direct(a: Polyvector) -> Polyvector:
-    """Independent route: delta(f d/dz_I) = df -| d/dz_I (frame-trivial
-    connection); used as the oracle against delta_volume."""
-    out = Polyvector(a.nvars, max(a.cap - 1, 0))
-    for (mono, frame), c in a.terms.items():
-        for j in range(a.nvars):
-            d = _partial(mono, j)
-            if d is None:
-                continue
-            hit = one_form_contract(j, frame)
-            if hit is None:
-                continue
-            sign, reduced = hit
-            add_term(out.terms, (d[1], reduced), c * d[0] * sign)
     return out
 
 
@@ -573,8 +540,6 @@ def inverse_components(S: GBVStructure, m_max):
     c(m) = (-1)^{m-1} (m-1)!  (for m <= 2 this is exactly the flipped
     sign; the factorial is what ordered-set-partition counting needs in
     place of the consecutive-block counting of the tensor coalgebra)."""
-    from math import factorial
-
     return product_components(
         S, m_max, lambda m: (-1) ** ((m - 1) % 2) * factorial(m - 1)
     )
@@ -637,8 +602,6 @@ def gbv_to_abelian(S: GBVStructure, m_max=4):
     rep.merge(mrep, prefix="morphism: ")
 
     # F* o F = F o F* = identity on words of length <= 3
-    from .coalg import CoalgMorphism, compose_morphisms
-
     alg = S.algebra
     basis = alg.basis
     e = Element.basis_vector

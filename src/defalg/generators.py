@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .coalg import all_words
 from .core import Element, GradedBasis
 from .dgla import DGLA, ArtinDg, TensorDgla, check_dgla
 from .errors import InternalError
-from .linfty import LInftyStructure, from_dgla
+from .linfty import LInftyStructure, check_linfty, from_dgla, suspend_basis
 
 
 def _coeff(rng):
@@ -198,9 +199,6 @@ def random_linfty(rng) -> LInftyStructure:
     # structure; it gives violation injection a live target)
     names = tuple(f"u{i}" for i in range(k)) + ("z", "s")
     space = GradedBasis(names, tuple([1] * k + [2, 3]))
-    from .coalg import all_words
-    from .linfty import suspend_basis
-
     shifted = suspend_basis(space)
     table3 = {}
     for word in all_words(shifted, 3, min_len=3):
@@ -222,10 +220,6 @@ def random_linfty(rng) -> LInftyStructure:
 
 def inject_linfty_violation(rng, S: LInftyStructure) -> LInftyStructure:
     """Perturb one component so the generalized Jacobi identity fails."""
-    from .coalg import all_words
-
-    from .linfty import check_linfty
-
     shifted = S.shifted
 
     attempts = []

@@ -213,18 +213,6 @@ def op_C_inv(v: CovectorElement) -> CovectorElement:
     return _apply(_row_C_inv, v)
 
 
-def op_P_bidegree(a, b, v: CovectorElement) -> CovectorElement:
-    return CovectorElement(
-        v.n, {k: c for k, c in v.terms.items() if bidegree(k) == (a, b)}
-    )
-
-
-def op_P_total(p, v: CovectorElement) -> CovectorElement:
-    return CovectorElement(
-        v.n, {k: c for k, c in v.terms.items() if total_degree(k) == p}
-    )
-
-
 def op_c_inv_star(v: CovectorElement) -> CovectorElement:
     """C^{-1}*: the fully explicit swap form
     (-1)^{(p+q)(p+q+1)/2 + |M|} z_{A,B,N,M}."""
@@ -234,31 +222,6 @@ def op_c_inv_star(v: CovectorElement) -> CovectorElement:
 def op_star(v: CovectorElement) -> CovectorElement:
     """* = C applied to the explicit swap image, as one composed row."""
     return _apply(_row_star, v)
-
-
-OPERATORS = {
-    "L": op_L,
-    "Lambda": op_Lambda,
-    "C": op_C,
-    "C_inv": op_C_inv,
-    "star": op_star,
-    "c_inv_star": op_c_inv_star,
-}
-
-
-def apply_op(name, v: CovectorElement, index=None, bidegree_pair=None, p=None):
-    """Uniform dispatcher: L, Lambda, L_i, Lambda_i, C, star, P_{a,b}, P_p."""
-    if name == "L_i":
-        return op_L_i(index, v)
-    if name == "Lambda_i":
-        return op_Lambda_i(index, v)
-    if name == "P_bidegree":
-        return op_P_bidegree(bidegree_pair[0], bidegree_pair[1], v)
-    if name == "P_total":
-        return op_P_total(p, v)
-    if name in OPERATORS:
-        return OPERATORS[name](v)
-    raise InputError(f"unknown operator {name!r}")
 
 
 def op_power(op, k, v):
@@ -504,33 +467,4 @@ def primitive_star_report(v: CovectorElement, r_values=None) -> CheckReport:
                 repr(lhs - rhs),
                 "Lambda^alpha L^alpha != alpha!^2 on a primitive",
             )
-    return rep
-
-
-def primitive_coefficient_report(v: CovectorElement) -> CheckReport:
-    """Block coefficient relation for a primitive element: within each
-    (A, B) block with m = |M|, a_M = (-1)^m sum_{Nsub in complement,
-    |Nsub| = m} a_{Nsub}."""
-    rep = CheckReport("primitive-coefficients")
-    if not is_primitive(v):
-        raise DomainError("coefficient relation needs a primitive covector")
-    blocks = {}
-    for (A, B, M, N), c in v.terms.items():
-        blocks.setdefault((A, B), {})[tuple(M)] = c
-    for (A, B), coeffs in blocks.items():
-        free = tuple(sorted(set(range(1, v.n + 1)) - set(A) - set(B)))
-        sizes = {len(m) for m in coeffs}
-        for M in coeffs:
-            m = len(M)
-            total = GaussianScalar.of(0)
-            complement = [x for x in free if x not in M]
-            for sub in itertools.combinations(complement, m):
-                total = total + coeffs.get(tuple(sub), GaussianScalar.of(0))
-            expect = total * GaussianScalar.of((-1) ** (m % 2))
-            if coeffs[M] != expect:
-                rep.add(
-                    f"block (A={A},B={B}) M={M}",
-                    str(coeffs[M] - expect),
-                    "coefficient relation fails",
-                )
     return rep

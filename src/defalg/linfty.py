@@ -15,6 +15,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import product
 from math import factorial
+from operator import itemgetter
 
 from .coalg import (
     CoalgMorphism,
@@ -36,9 +37,8 @@ from .core import (
     signed_permutations,
     split_plan,
     square_residual,
-    sym_canonical,
 )
-from .dgla import DGLA, ArtinDg, check_dgla
+from .dgla import DGLA, ArtinDg, check_dgla, cohomology
 from .errors import DomainError, InputError, StructureError
 from .report import CheckReport
 
@@ -101,9 +101,6 @@ class LInftyStructure:
 
     def coderivation(self) -> Coderivation:
         return Coderivation(self.components)
-
-    def is_minimal(self) -> bool:
-        return 1 not in self.components.tables
 
 
 def word_names(basis: GradedBasis):
@@ -192,19 +189,6 @@ class LInftyMorphism:
         self.target = target
         self.coalg = CoalgMorphism(source.shifted, target.shifted, tables)
 
-    @staticmethod
-    def strong(source, target, f1_table) -> "LInftyMorphism":
-        return LInftyMorphism(source, target, {1: f1_table})
-
-    def taylor(self, word):
-        """Components F^i_n of the lifted coalgebra morphism on one word:
-        {i: {target word of length i: coeff}}."""
-        img = self.coalg.apply_word(word)
-        out = {}
-        for w, c in img.terms.items():
-            out.setdefault(len(w), {})[w] = c
-        return out
-
 
 def morphism_check(F: LInftyMorphism, n_max=None, weights=None, cap=0) -> CheckReport:
     """F is a homotopy morphism iff (corestriction of target codifferential)
@@ -226,11 +210,6 @@ def morphism_check(F: LInftyMorphism, n_max=None, weights=None, cap=0) -> CheckR
     name = word_names(F.source.shifted)
     show = partial(format_terms, F.target.shifted.names)
     return report_violations(CheckReport("linfty-morphism"), name, show, steps)
-
-
-def identity_morphism(S: LInftyStructure) -> LInftyMorphism:
-    table = {(i,): Element.basis_vector(i) for i in range(len(S.shifted))}
-    return LInftyMorphism(S, S, {1: table})
 
 
 # ---------------------------------------------------------------------------
@@ -302,87 +281,49 @@ def mc_linfty(S: LInftyStructure, A: ArtinDg, m_terms) -> Element:
 
 def h_bracket_check(S: LInftyStructure) -> CheckReport:
     """Compute H(V, l_1), push l_2 to it, and verify it is a graded Lie
-    bracket there (well-defined, antisymmetric, Jacobi)."""
-    from .dgla import cohomology
-
-    rep = CheckReport("h-bracket")
+    bracket there: well-defined ([class, d y] is a boundary), and, tabled on
+    the basis of H as a DGLA with zero differential, antisymmetric and
+    Jacobi by `check_dgla`."""
     l_tables = S.unsuspended_tables()
     l1 = {w[0]: v for w, v in l_tables.get(1, {}).items()}
-    l2 = l_tables.get(2, {})
-    cx = DGLA(S.space, {}, l1)  # the complex (V, l_1)
+    L = DGLA(S.space, l_tables.get(2, {}), l1)  # the complex (V, l_1) with l_2
     basis = S.space
-
-    def bracket(x: Element, y: Element) -> Element:
-        out = Element()
-        for i, ci in x.terms.items():
-            for j, cj in y.terms.items():
-                canon = sym_canonical((i, j), basis.degree, 1)
-                if canon is None:
-                    continue
-                val = l2.get(canon[0])
-                if val is None:
-                    continue
-                for k, v in val.terms.items():
-                    out.add_term(k, ci * cj * v * canon[1])
-        return out
-
-    degrees = sorted(set(basis.degrees))
-    hdata = {}
-    for dgr in degrees:
-        hdata[dgr] = cohomology(cx, dgr)
-
-    # antisymmetry and Jacobi on representatives, projected to H, and
-    # well-definedness: [rep, d y] is a boundary
-    all_reps = [
-        (dgr, r) for dgr, (reps, _, _) in sorted(hdata.items()) for r in reps
+    # a class is (name, degree, representative), H^d_k the k-th of degree d;
+    # first[d] is the index of H^d_1
+    hdata, classes, first = {}, [], {}
+    for dgr in sorted(set(basis.degrees)):
+        reps, _, _ = hdata[dgr] = cohomology(L, dgr)
+        first[dgr] = len(classes)
+        classes += [(f"H^{dgr}_{k}", dgr, r) for k, r in enumerate(reps, 1)]
+    # a boundary is (name of y, degree of y, d y) for each y with d y != 0
+    boundaries = [
+        (basis.names[y], basis.degree(y), Element(dy))
+        for y, dy in sorted(L.d_images.items())
     ]
-    boundaries = []  # (name, degree, d y) for each y with d y != 0
-    for y in range(len(basis)):
-        dy = cx.d(Element.basis_vector(y))
-        if not dy.is_zero():
-            boundaries.append((basis.names[y], basis.degree(y), dy))
 
-    def project_class(el: Element, dgr):
-        """The coordinates of the class of el in H^dgr, all of them by
-        position, when one is nonzero; else {}.  The brackets respect
-        degrees, so a nonzero el has a basis term, and an H, in degree dgr."""
+    def h_terms(el, dgr):
+        """The class of the degree-dgr cycle el as terms over the basis of H.
+        The brackets respect degrees, so a nonzero el has a basis term, and
+        an H, in degree dgr."""
         coords = hdata[dgr][1](el) if el.terms else ()
-        return dict(enumerate(coords)) if any(coords) else {}
+        return {first[dgr] + k: c for k, c in enumerate(coords) if c}
+
+    table = {}
+    for (i, (_, d1, r1)), (j, (_, d2, r2)) in product(enumerate(classes), repeat=2):
+        terms = h_terms(L.bracket(r1, r2), d1 + d2)
+        if terms:
+            table[i, j] = Element(terms)
+    h_basis = GradedBasis(tuple(c[0] for c in classes), tuple(c[1] for c in classes))
 
     def well_defined(c, b):
-        (dgr, r), (_, ydeg, dy) = c, b
-        return project_class(bracket(r, dy), dgr + ydeg + 1)
+        (_, dgr, r), (_, ydeg, dy) = c, b
+        return h_terms(L.bracket(r, dy), dgr + ydeg + 1)
 
-    def antisym(c1, c2):
-        (d1, r1), (d2, r2) = c1, c2
-        sign = Fraction((-1) ** ((d1 * d2) % 2))
-        return project_class(bracket(r1, r2) + bracket(r2, r1).scale(sign), d1 + d2)
-
-    def jacobi(c1, c2, c3):
-        (d1, r1), (d2, r2), (d3, r3) = c1, c2, c3
-        jac = (
-            bracket(r1, bracket(r2, r3))
-            - bracket(bracket(r1, r2), r3)
-            - bracket(r2, bracket(r1, r3)).scale(Fraction((-1) ** ((d1 * d2) % 2)))
-        )
-        return project_class(jac, d1 + d2 + d3)
-
-    wd = ("bracket(H^{}, d{})", "induced bracket is not well-defined", well_defined)
-    anti = ("antisym(H^{}, H^{})", "bracket not antisymmetric", antisym)
-    message = "induced bracket fails Jacobi on cohomology"
-    jac = ("jacobi(H^{}, H^{}, H^{})", message, jacobi)
-    pairs, triples = product(all_reps, repeat=2), product(all_reps, repeat=3)
-    steps = [
-        (product(all_reps, boundaries), [wd]),
-        (pairs, [anti]),
-        (triples, [jac]),
-    ]
-    # a class is named by its degree, a boundary d y by the name of y, and a
-    # residual is shown as the class's coordinate list
-    report_violations(rep, lambda c: c[0], lambda res: str(list(res.values())), steps)
-    rep.info = {
-        "h_dims": {str(d): hdata[d][2][2] for d in sorted(hdata)},
-    }
+    wd = ("bracket({}, d{})", "induced bracket is not well-defined", well_defined)
+    rep, show = CheckReport("h-bracket"), partial(format_terms, h_basis.names)
+    report_violations(rep, itemgetter(0), show, [(product(classes, boundaries), [wd])])
+    rep.merge(check_dgla(DGLA(h_basis, table, {})))
+    rep.info = {"h_dims": {str(d): dims[2] for d, (_, _, dims) in hdata.items()}}
     return rep
 
 
@@ -480,11 +421,11 @@ class HodgeModel:
 
 def hodge_model_check(M: HodgeModel) -> CheckReport:
     """Exact operator identities: the bidegrees, h i = id on H, the zero
-    relations, [delbar, tau] = del, the source d of degree +1 with d^2 = 0
-    and q of degree +1, and the hat compatibilities hat(d a) = [delbar,
-    hat a], hat(q(a (.) b)) = -[[del, hat a], hat b].  A relation between
-    whole operators runs over the one-instance family [()]; every residual
-    shows as ""."""
+    relations, [delbar, tau] = del, the source d of degree +1 with d^2 = 0,
+    and the hat compatibilities hat(d a) = [delbar, hat a],
+    hat(q(a (.) b)) = -[[del, hat a], hat b]; the constructor already
+    refuses a q not of degree +1.  A relation between whole operators runs
+    over the one-instance family [()]; every residual shows as ""."""
     dl, db, tau = M.del_op, M.delbar_op, M.tau_op
     incl, proj, d = M.inclusion, M.projection, M.d_images
     src, deg = M.source, M.source.degree
@@ -533,8 +474,6 @@ def hodge_model_check(M: HodgeModel) -> CheckReport:
         ("d({})", "source d is not degree +1", off_degree(d.get, deg, 1)),
         ("d^2({})", "source d^2 != 0", square_residual(d)),
     ]
-    q_entry = lambda i, j: M.q_table[i, j].terms
-    q_degree = ("q({}, {})", "q is not degree +1", off_degree(q_entry, deg, 1))
 
     def hat_d(a):  # hat(d a) - [delbar, hat a]
         bracket = op_bracket(db, 1, hat(a), deg(a))
@@ -551,7 +490,9 @@ def hodge_model_check(M: HodgeModel) -> CheckReport:
         lambda a: off(hat(a), M.space.degree, deg(a)),
     )
     pairs = product(range(len(src)), repeat=2)
-    hats = [
+    steps = [
+        ([()], whole),
+        ([(i,) for i in d], source_d),
         (
             [(a,) for a in range(len(src))],
             [hat_degree, ("hat(d {})", "hat(d a) != [delbar, hat a]", hat_d)],
@@ -561,11 +502,8 @@ def hodge_model_check(M: HodgeModel) -> CheckReport:
             [("hat(q({},{}))", "hat(q(a (.) b)) != -[[del, hat a], hat b]", hat_q)],
         ),
     ]
-    # q's location names its word by indices, every other one by names
-    rep, name, show = CheckReport("hodge-model"), src.names.__getitem__, lambda _: ""
-    report_violations(rep, name, show, [([()], whole), ([(i,) for i in d], source_d)])
-    report_violations(rep, str, show, [(M.q_table, [q_degree])])
-    return report_violations(rep, name, show, hats)
+    rep, show = CheckReport("hodge-model"), lambda _: ""
+    return report_violations(rep, src.names.__getitem__, show, steps)
 
 
 def hodge_codifferential(M: HodgeModel) -> Coderivation:
@@ -610,8 +548,10 @@ def hodge_F(M: HodgeModel, m_max: int, check_model=True):
                 components.setdefault(m, {})[word] = val
 
     def transfer(word):
-        """F o delta on the word, empty exactly when it vanishes there."""
-        return op_sum((c, F_value(w)) for w, c in delta.apply_word(word).terms.items())
+        """F o delta on the word, empty exactly when it vanishes there; delta
+        keeps or lowers word length, so `components` holds each F value."""
+        image = delta.apply_word(word).terms.items()
+        return op_sum((c, components.get(len(w), {}).get(w, {})) for w, c in image)
 
     words = [(w,) for w in all_words(basis, m_max)]
     steps = [(words, [("word {}", "F o delta != 0", transfer)])]

@@ -24,10 +24,6 @@ class Violation:
             "message": self.message,
         }
 
-    @staticmethod
-    def from_dict(data):
-        return Violation(data["location"], data["residual"], data["message"])
-
 
 @dataclass
 class CheckReport:
@@ -67,14 +63,6 @@ class CheckReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
-    @staticmethod
-    def from_dict(data) -> "CheckReport":
-        rep = CheckReport(command=data["command"])
-        rep.violations = [Violation.from_dict(v) for v in data["violations"]]
-        rep.witness = data.get("witness")
-        rep.info = data.get("info")
-        return rep
 
     def text(self) -> str:
         lines = [f"[{self.status.upper()}] {self.command}"]

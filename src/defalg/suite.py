@@ -10,8 +10,9 @@ import random
 from fractions import Fraction
 
 from . import models
-from .core import Element
-from .dgla import TensorDgla
+from .coalg import TensorProductElement, all_words, coproduct, iterated_coproduct
+from .core import Element, GradedBasis
+from .dgla import DGLA, ArtinDg, SmallExtension, TensorDgla, obstruction_class
 from .freelie import TensorSeries, bch_explicit, bch_free, dsw_project, is_lie
 from .gbv import Polyvector, gbv_to_abelian, tian_todorov_check
 from .generators import (
@@ -78,9 +79,6 @@ def run_suite(seed: int) -> CheckReport:
     _step(results, "gauge-group-action", ok)
 
     # obstruction classes: the worked x/y instance and a vanishing one
-    from .core import GradedBasis
-    from .dgla import DGLA, ArtinDg, SmallExtension, obstruction_class
-
     basis = GradedBasis.of(("x", 1), ("y", 2))
     Lxy = DGLA(basis, {(0, 0): Element.basis_vector(1)}, {})
     tmax3 = ArtinDg(
@@ -98,8 +96,6 @@ def run_suite(seed: int) -> CheckReport:
     )
 
     # coalgebra laws on a mixed-degree basis
-    from .coalg import all_words, coproduct, iterated_coproduct, TensorProductElement
-
     mixed = GradedBasis.of(("a", 1), ("b", 2), ("c", 0))
     ok = True
     for word in all_words(mixed, 3):

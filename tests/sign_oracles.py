@@ -19,16 +19,34 @@ expanded it on a plain dict with int coefficients.
 `oracle_mc_linfty`, the homotopy Maurer-Cartan residual by the l_n route
 that `linfty.mc_linfty` took before it computed in the corestricted
 coalgebra form on the shifted space, with the "add, or pop on zero" step
-of its older terms dicts."""
+of its older terms dicts.
 
+Reference implementations that left `src/` because only tests called
+them: from `core` the permutation `parity`, `is_unshuffle`, `symmetrize`
+and the composition product `gerstenhaber_bullet`; `delta_direct`, the
+frame-trivial route to the polyvector delta, from `gbv`; `as_dgla`, the
+tensor DGLA L (x) A tabled pair by pair, which was `dgla.TensorDgla.as_dgla`;
+and the primitive block relation `primitive_coefficient_report` from
+`lefschetz`."""
+
+import itertools
 from fractions import Fraction
 from math import factorial
 
 from defalg.coalg import word_degree
-from defalg.core import Element, add_into, odd, sym_canonical as one_signed_sort
-from defalg.errors import InputError
+from defalg.core import (
+    Element,
+    add_into,
+    add_term,
+    odd,
+    signed_permutations,
+    sym_canonical as one_signed_sort,
+)
+from defalg.dgla import DGLA, TensorDgla
+from defalg.errors import DomainError, InputError
 from defalg.freelie import TensorSeries
-from defalg.lefschetz import CovectorElement, all_keys, op_star, raw_wedge
+from defalg.gbv import Polyvector, _partial, one_form_contract
+from defalg.lefschetz import CovectorElement, all_keys, is_primitive, op_star, raw_wedge
 from defalg.report import CheckReport
 from defalg.scalars import GAUSS_ONE, Q0, Q1, GaussianScalar
 
@@ -238,3 +256,117 @@ def oracle_mc_linfty(S, A, m_terms, cancelled):
                     add(residual, k * nA + a_idx, -c * v * scale)
         n += 1
     return residual
+
+
+def parity(images) -> int:
+    inv = 0
+    n = len(images)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if images[i] > images[j]:
+                inv += 1
+    return -1 if inv % 2 else 1
+
+
+def is_unshuffle(images, p: int) -> bool:
+    head = images[:p]
+    tail = images[p:]
+    return all(head[i] < head[i + 1] for i in range(len(head) - 1)) and all(
+        tail[i] < tail[i + 1] for i in range(len(tail) - 1)
+    )
+
+
+def symmetrize(f, args, degrees) -> Element:
+    """f~(a_1 (.) ... (.) a_m) = sum over all permutations with Koszul signs.
+
+    `f` is a multilinear map taking a tuple of args and returning Element.
+    """
+    if len(args) != len(degrees):
+        raise InputError("symmetrize: args/degrees arity mismatch")
+    out = Element()
+    for sign, images in signed_permutations(degrees):
+        add_into(out.terms, f(tuple(args[i] for i in images)).terms, sign)
+    return out
+
+
+def gerstenhaber_bullet(f, m, g, l, g_degree, args, degrees) -> Element:
+    """Composition product (f o g) on m+l-1 tensor arguments:
+    sum_i (-1)^{g_degree*(d_1+..+d_i)} f(a_1,..,a_i, g(a_{i+1}..a_{i+l}), .., a_{m+l-1}).
+
+    `g` returns an Element over the same basis the remaining args live in;
+    `f` must accept Element arguments in the substituted slot (the caller
+    provides a multilinear f).
+    """
+    if len(args) != m + l - 1:
+        raise InputError("gerstenhaber_bullet: arity mismatch")
+    out = Element()
+    for i in range(m):
+        sign = 1
+        if g_degree % 2 and sum(degrees[:i]) % 2:
+            sign = -1
+        inner = g(tuple(args[i : i + l]))
+        part = f(tuple(args[:i]) + (inner,) + tuple(args[i + l :]))
+        add_into(out.terms, part.terms, sign)
+    return out
+
+
+def delta_direct(a: Polyvector) -> Polyvector:
+    """Independent route: delta(f d/dz_I) = df -| d/dz_I (frame-trivial
+    connection); used as the oracle against delta_volume."""
+    out = Polyvector(a.nvars, max(a.cap - 1, 0))
+    for (mono, frame), c in a.terms.items():
+        for j in range(a.nvars):
+            d = _partial(mono, j)
+            if d is None:
+                continue
+            hit = one_form_contract(j, frame)
+            if hit is None:
+                continue
+            sign, reduced = hit
+            add_term(out.terms, (d[1], reduced), c * d[0] * sign)
+    return out
+
+
+def as_dgla(self: TensorDgla) -> DGLA:
+    table = {}
+    diff = {}
+    n = len(self.basis)
+    for p in range(n):
+        dv = self.d(Element.basis_vector(p))
+        if not dv.is_zero():
+            diff[p] = dv
+    for p in range(n):
+        for q in range(n):
+            br = self.bracket(Element.basis_vector(p), Element.basis_vector(q))
+            if not br.is_zero():
+                table[(p, q)] = br
+    return DGLA(self.basis, table, diff)
+
+
+def primitive_coefficient_report(v: CovectorElement) -> CheckReport:
+    """Block coefficient relation for a primitive element: within each
+    (A, B) block with m = |M|, a_M = (-1)^m sum_{Nsub in complement,
+    |Nsub| = m} a_{Nsub}."""
+    rep = CheckReport("primitive-coefficients")
+    if not is_primitive(v):
+        raise DomainError("coefficient relation needs a primitive covector")
+    blocks = {}
+    for (A, B, M, N), c in v.terms.items():
+        blocks.setdefault((A, B), {})[tuple(M)] = c
+    for (A, B), coeffs in blocks.items():
+        free = tuple(sorted(set(range(1, v.n + 1)) - set(A) - set(B)))
+        sizes = {len(m) for m in coeffs}
+        for M in coeffs:
+            m = len(M)
+            total = GaussianScalar.of(0)
+            complement = [x for x in free if x not in M]
+            for sub in itertools.combinations(complement, m):
+                total = total + coeffs.get(tuple(sub), GaussianScalar.of(0))
+            expect = total * GaussianScalar.of((-1) ** (m % 2))
+            if coeffs[M] != expect:
+                rep.add(
+                    f"block (A={A},B={B}) M={M}",
+                    str(coeffs[M] - expect),
+                    "coefficient relation fails",
+                )
+    return rep

@@ -14,7 +14,7 @@ from golden_corpus import cases as golden_cases
 
 from defalg import schemas
 from defalg.cli import FLAGS, SUBCOMMANDS, build_parser, main
-from defalg.report import CheckReport
+from defalg.report import CheckReport, Violation
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 INPUTS = os.path.join(REPO, "inputs")
@@ -712,7 +712,9 @@ def test_json_report_round_trips():
         "json",
     )
     payload = json.loads(out)
-    rep = CheckReport.from_dict(payload)
+    violations = [Violation(**v) for v in payload["violations"]]
+    witness, info = payload.get("witness"), payload.get("info")
+    rep = CheckReport(payload["command"], violations, witness, info)
     assert rep.to_dict() == payload
     words = {tuple(t["word"]): t["coeff"] for t in payload["witness"]["terms"]}
     assert words[("a", "b")] == "1/2"

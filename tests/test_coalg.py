@@ -132,7 +132,8 @@ def test_n_map_left_inverse():
         fact = 1
         for k in range(2, n + 1):
             fact *= k
-        expect = SymElement.of_word(MIXED, word, F(fact))
+        expect = SymElement(MIXED)
+        expect.add_word(word, F(fact))
         assert total == expect
 
 

@@ -8,12 +8,14 @@ import itertools
 import pathlib
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 from math import comb
 
 import pytest
 import sign_oracles
+from sign_oracles import gerstenhaber_bullet, is_unshuffle, parity, symmetrize
 
 from defalg import core, linalg, scalars
 from defalg.coalg import SymElement, TensorProductElement, iterated_coproduct
@@ -21,15 +23,10 @@ from defalg.core import (
     Element,
     GradedBasis,
     admitted,
-    exterior_sign,
-    gerstenhaber_bullet,
-    is_unshuffle,
     koszul_sign,
     odd,
-    parity,
     split_plan,
     sym_canonical,
-    symmetrize,
     unshuffles,
 )
 from defalg.dgla import ArtinDg, DtPolynomial
@@ -98,7 +95,7 @@ def test_koszul_cocycle_property():
         tau = list(range(n))
         rng.shuffle(sigma)
         rng.shuffle(tau)
-        st = core.compose(tuple(sigma), tuple(tau))
+        st = tuple(sigma[t] for t in tau)  # (sigma tau)(i) = sigma(tau(i))
         perm_degrees = [degrees[sigma[i]] for i in range(n)]
         lhs = koszul_sign(degrees, st)
         rhs = koszul_sign(degrees, tuple(sigma)) * koszul_sign(perm_degrees, tuple(tau))
@@ -144,7 +141,7 @@ def test_unique_unshuffle_block_factorization():
         seen = {}
         for tau in unshuffles(p, q):
             for rho in blocks:
-                sigma = core.compose(tau, rho)
+                sigma = tuple(tau[r] for r in rho)
                 assert sigma not in seen
                 seen[sigma] = (tau, rho)
         assert len(seen) == len(list(itertools.permutations(range(n))))
@@ -225,11 +222,13 @@ def test_one_signed_sort_matches_the_sorts_it_replaced():
 
 
 def test_exterior_sign_is_koszul_times_parity():
+    """The wedge sort's sign for a permuted word of distinct letters is the
+    Koszul sign times the permutation parity (sign ledger K2)."""
     degrees = [1, 2, 1, 0]
     for images in itertools.permutations(range(4)):
-        assert exterior_sign(degrees, images) == koszul_sign(degrees, images) * parity(
-            images
-        )
+        word, sign = sym_canonical(images, degrees.__getitem__, 1)
+        assert word == (0, 1, 2, 3)
+        assert sign == koszul_sign(degrees, images) * parity(images)
 
 
 def test_sign_sources_return_int():
@@ -242,7 +241,6 @@ def test_sign_sources_return_int():
     degrees = [1, 2, 1, 3]
     for images in itertools.permutations(range(4)):
         assert type(koszul_sign(degrees, images)) is int
-        assert type(exterior_sign(degrees, images)) is int
     for n in range(5):
         for k in range(n + 1):
             for parities in itertools.product((0, 1), repeat=n):
@@ -741,8 +739,6 @@ REPORT_LOOPS_ALLOWED = {
     "lefschetz.identities_report.check": "stops at the first failing key",
     "lefschetz.primitive_star_report": "one r gives an empty residual for "
     "L^r v != 0 and an Element repr for the star identity",
-    "lefschetz.primitive_coefficient_report": "a scalar residual per "
-    "coefficient of one covector, not a terms dict",
     "suite.run_suite": "reports failed suite steps, not identity instances",
 }
 LOOPS = (
@@ -816,6 +812,76 @@ def test_only_the_engine_adds_to_a_report_in_a_loop():
         "def f(rep, xs):\n    for x in xs:\n        g = lambda: rep.add(x)\n",
     ):
         assert report_adds_in_loops(other, "m") == set(), other
+
+
+# -- tooling guard: src/ keeps only routed code --------------------------------------
+
+# A route is a CLI subcommand, a suite step, a benchmark job or an acceptance
+# criterion.  The scan below checks that every function and method of
+# src/defalg/ is referenced by name from src/defalg/ outside its own body,
+# from the acceptance tests or from the benchmark's workloads; dunder methods
+# are exempt.  The functions kept without such a reference, with the reason:
+UNROUTED_ALLOWED = {
+    "lefschetz.op_L_i": "the one-index L_i, checked against its oracle in "
+    "test_lefschetz",
+    "lefschetz.op_Lambda_i": "the one-index Lambda_i, checked against its "
+    "oracle in test_lefschetz",
+    "lefschetz.op_C_inv": "C^{-1}, checked against its oracle in test_lefschetz",
+    "gbv.GBVStructure.to_dgla": "the DGLA of a GBV structure (sign ledger G2)",
+    "linfty.h_bracket_check": "the induced bracket on cohomology; its route, a "
+    "subcommand with golden entries, is a later feature",
+}
+TESTS = pathlib.Path(__file__).parent
+ROUTES = (TESTS / "test_acceptance.py", TESTS.parent / "perfbench" / "workloads.py")
+
+
+def loaded_names(node):
+    """Counter of the names the tree of `node` reads: names and attributes."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    )
+
+
+def unreferenced(sources, routes):
+    """module.qualname of each function or method, dunders aside, defined in
+    `sources` (module -> source) whose name neither `sources` outside the
+    function's own body nor the `routes` sources read."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = sum(map(loaded_names, [*trees.values(), *map(ast.parse, routes)]), Counter())
+    return {
+        name
+        for module, tree in trees.items()
+        for name, func in _functions(tree, module)
+        if not (func.name.startswith("__") and func.name.endswith("__"))
+        and reads[func.name] == loaded_names(func)[func.name]
+    }
+
+
+def test_src_keeps_only_routed_code():
+    """No function of src/ is reached by unit tests alone, except the
+    allowlisted ones."""
+    src = pathlib.Path(core.__file__).parent
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(src.glob("*.py"))}
+    routes = [path.read_text(encoding="utf-8") for path in ROUTES]
+    found = unreferenced(sources, routes)
+    allowed = set(UNROUTED_ALLOWED)
+    assert found == allowed, sorted(found ^ allowed)
+    # the guard sees a function nothing reads, and a call of it from itself,
+    # an annotation or a string is not a read ...
+    lone = "def f(n):\n    return f(n - 1)\n\ndef g(x: 'f') -> int:\n    return 'f'\n"
+    assert unreferenced({"m": lone}, []) == {"m.f", "m.g"}
+    # ... but a call from another module or a route is, and so is a method
+    # read as an attribute, a nested function read by the one around it or
+    # a function passed by name; dunder methods are exempt
+    two = {"a": "def f():\n    pass\n", "b": "from .a import f\nf()\n"}
+    assert unreferenced(two, []) == set()
+    assert unreferenced({"a": two["a"]}, ["from defalg.a import f\nf()\n"]) == set()
+    body = "class C:\n    def __len__(self):\n        return 0\n\n"
+    body += "    def size(self):\n        return 0\n\n"
+    body += "def g(c):\n    def h():\n        return c.size()\n    return map(h, [c])\n"
+    assert unreferenced({"m": body}, []) == {"m.g"}
 
 
 SIGN_PRIMITIVES = {"koszul_sign", "unshuffles"}

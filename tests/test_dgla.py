@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from sign_oracles import as_dgla
 
 from defalg.core import Element, GradedBasis
 from defalg.dgla import (
@@ -21,7 +22,6 @@ from defalg.dgla import (
     cohomology,
     cones,
     obstruction_class,
-    tensor_dgla,
 )
 from defalg.errors import DomainError, StructureError
 from defalg.gbv import GradedCommAlgebra
@@ -292,7 +292,7 @@ def test_every_check_na_identity_fires_on_the_oracle_corpus():
 def test_tensor_grading_matches_for_classical_base():
     L = odd_square_dgla()
     A = tmax3()
-    M = tensor_dgla(L, A)
+    M = TensorDgla(L, A)
     for p, (i, j) in enumerate(M.pairs):
         assert M.basis.degree(p) == L.basis.degree(i)
 
@@ -300,7 +300,7 @@ def test_tensor_grading_matches_for_classical_base():
 def test_tensor_odd_square_bracket():
     L = odd_square_dgla()
     A = tmax3()
-    M = tensor_dgla(L, A)
+    M = TensorDgla(L, A)
     xt = M.vector("x", "t")
     assert M.bracket(xt, xt) == M.vector("y", "t2")
 
@@ -308,26 +308,26 @@ def test_tensor_odd_square_bracket():
 def test_tensor_output_passes_check_dgla():
     L = odd_square_dgla()
     A = quasi_iso_counterexample()
-    M = tensor_dgla(L, A)
-    assert check_dgla(M.as_dgla()).ok()
+    M = TensorDgla(L, A)
+    assert check_dgla(as_dgla(M)).ok()
 
 
 # -- Maurer-Cartan and gauge ---------------------------------------------------
 
 
 def test_mc_zero():
-    M = tensor_dgla(abelian_dgla(), tmax3())
+    M = TensorDgla(abelian_dgla(), tmax3())
     assert M.mc_residual(Element()).is_zero()
 
 
 def test_mc_abelian_reduces_to_cycles():
-    M = tensor_dgla(abelian_dgla(), tmax3())
+    M = TensorDgla(abelian_dgla(), tmax3())
     xt = M.vector("x", "t")
     assert M.mc_residual(xt) == M.d(xt)
 
 
 def test_mc_degree_error():
-    M = tensor_dgla(abelian_dgla(), tmax3())
+    M = TensorDgla(abelian_dgla(), tmax3())
     with pytest.raises(DomainError):
         M.mc_residual(M.vector("y", "t"))
 
@@ -342,12 +342,12 @@ def test_mc_nonliftable_element():
     # a(x)u + b(x)v is MC over B but no lift over A is MC
     L = solvable_2dim()
     B = ArtinDg(GradedBasis.of(("u", 1), ("v", 1)), {}, {})
-    MB = tensor_dgla(L, B)
+    MB = TensorDgla(L, B)
     xi = MB.vector("a", "u") + MB.vector("b", "v")
     assert MB.is_mc(xi)
 
     A = quasi_iso_counterexample()
-    MA = tensor_dgla(L, A)
+    MA = TensorDgla(L, A)
     base_lift = MA.vector("a", "u") + MA.vector("b", "v")
     # residual of any lift xi + x(x)w is (x + [a,x] + [a,b]) (x) dw != 0,
     # and x + [a,x] + [a,b] = alpha a - b for x = alpha a + beta b
@@ -366,7 +366,7 @@ def test_mc_nonliftable_element():
 
 
 def test_gauge_identity_and_abelian_formula():
-    M = tensor_dgla(abelian_dgla(), tmax3())
+    M = TensorDgla(abelian_dgla(), tmax3())
     xt = M.vector("x", "t")
     assert M.gauge_apply(Element(), xt) == xt
     # no degree-0 part in this L; use the worked example for the general case
@@ -378,7 +378,7 @@ def test_gauge_worked_example():
     basis = GradedBasis.of(("a", 0), ("x", 1), ("y", 1))
     L = DGLA(basis, {(0, 1): e(2)}, {})
     assert check_dgla(L).ok()
-    M = tensor_dgla(L, tmax3())
+    M = TensorDgla(L, tmax3())
     at = M.vector("a", "t")
     xt = M.vector("x", "t")
     assert M.gauge_apply(at, xt) == xt + M.vector("y", "t2")
@@ -388,7 +388,7 @@ def test_gauge_abelian_exp_is_translation():
     # abelian L with a degree-0 element: exp(a)(x) = x - da
     basis = GradedBasis.of(("a", 0), ("x", 1))
     L = DGLA(basis, {}, {0: e(1)})
-    M = tensor_dgla(L, tmax3())
+    M = TensorDgla(L, tmax3())
     at = M.vector("a", "t")
     xt = M.vector("x", "t")
     assert M.gauge_apply(at, xt) == xt - M.d(at)
@@ -399,7 +399,7 @@ def test_gauge_preserves_mc_and_group_law():
     basis = GradedBasis.of(("a", 0), ("b", 0), ("c", 0), ("x", 1), ("y", 1))
     L = DGLA(basis, {(0, 1): e(2), (0, 3): e(4)}, {})
     assert check_dgla(L).ok()
-    M = tensor_dgla(L, tmax3())
+    M = TensorDgla(L, tmax3())
     rng = random.Random(2)
     saw_nonabelian = False
     for _ in range(20):
@@ -428,7 +428,7 @@ def test_gauge_irrelevant_stabilizer():
     basis = GradedBasis.of(("u", -1), ("a", 0), ("b", 0), ("x", 1), ("z", 1))
     L = DGLA(basis, {(1, 3): e(4), (0, 3): e(2)}, {0: e(1), 2: e(4)})
     assert check_dgla(L).ok()
-    M = tensor_dgla(L, tmax3())
+    M = TensorDgla(L, tmax3())
     w = M.vector("x", "t")
     assert M.is_mc(w)
     u = M.vector("u", "t")
@@ -738,7 +738,7 @@ def test_tensor_random_pairs_pass_axioms():
         if len(L.basis) * len(A.basis) > 15:
             continue
         M = TensorDgla(L, A)
-        assert check_dgla(M.as_dgla()).ok()
+        assert check_dgla(as_dgla(M)).ok()
         done += 1
 
 

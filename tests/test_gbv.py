@@ -6,7 +6,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from sign_oracles import _merge_frames
+from sign_oracles import _merge_frames, delta_direct
 
 from defalg.coalg import all_words
 from defalg.core import Element, GradedBasis, koszul_sign, unshuffles
@@ -18,7 +18,6 @@ from defalg.gbv import (
     Polyvector,
     _partial,
     contract,
-    delta_direct,
     delta_volume,
     form_del,
     frame_pairing,
@@ -28,7 +27,6 @@ from defalg.gbv import (
     schouten,
     tensor_inverse_check,
     tian_todorov_check,
-    vector_contract_form,
     volume_form,
 )
 
@@ -425,9 +423,10 @@ def test_contraction_derivation_property():
         k2 = tuple(sorted(rng.sample(range(n), rng.randint(1, 2))))
         w1 = PolyForm(n, {((0,) * n, k1): F(rng.randint(1, 3))})
         w2 = PolyForm(n, {((0,) * n, k2): F(rng.randint(1, 3))})
-        lhs = vector_contract_form(j, w1.wedge(w2))
-        rhs_a = vector_contract_form(j, w1).wedge(w2)
-        rhs_b = w1.wedge(vector_contract_form(j, w2))
+        v = pv(n, (0,) * n, (j,))
+        lhs = contract(v, w1.wedge(w2))
+        rhs_a = contract(v, w1).wedge(w2)
+        rhs_b = w1.wedge(contract(v, w2))
         sign = (-1) ** (len(k1) % 2)
         rhs = PolyForm(n)
         for key, c in rhs_a.terms.items():
@@ -605,7 +604,7 @@ def test_frame_pairing_matches_the_contraction_probe():
         for r in range(n + 1):
             for frame in itertools.combinations(range(n), r):
                 comp = tuple(i for i in range(n) if i not in frame)
-                probe = contract(Polyvector.frame_vector(n, frame), volume_form(n))
+                probe = contract(pv(n, (0,) * n, frame), volume_form(n))
                 assert probe.terms == {((0,) * n, comp): frame_pairing(n, frame)}
 
 
@@ -959,13 +958,14 @@ def test_polyvector_operations_match_add_or_pop_oracle():
         w = PolyForm(nvars, _random_terms(rng, nvars, rng.randint(1, 5)))
         u = PolyForm(nvars, _random_terms(rng, nvars, rng.randint(1, 3)))
         j = rng.randrange(nvars)
+        v = pv(nvars, (0,) * nvars, (j,))
         for got, want in (
             (a.wedge(b), oracle_wedge(a, b, cancelled)),
             (w.wedge(u), oracle_wedge(w, u, cancelled)),
             (schouten(a, b), oracle_schouten(a, b, cancelled)),
             (contract(a, w), oracle_contract(a, w, cancelled)),
             (form_del(w), oracle_form_del(w, cancelled)),
-            (vector_contract_form(j, w), oracle_vector_contract_form(j, w, cancelled)),
+            (contract(v, w), oracle_vector_contract_form(j, w, cancelled)),
         ):
             assert list(got.terms.items()) == list(want.items())
     assert cancelled[0] >= 20

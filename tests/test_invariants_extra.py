@@ -195,7 +195,7 @@ def test_morphism_linear_part_is_chain_map():
     N = DGLA(basis_n, {}, {0: e(1)})
     S, T = from_dgla(L), from_dgla(N)
     f1 = {(0,): e(0, 3), (1,): e(1, 3)}
-    Fm = LInftyMorphism.strong(S, T, f1)
+    Fm = LInftyMorphism(S, T, {1: f1})
     assert morphism_check(Fm, 3).ok()
     q1 = S.components
     r1 = T.components

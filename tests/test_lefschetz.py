@@ -7,7 +7,7 @@ from functools import partial
 
 import pytest
 import sign_oracles
-from sign_oracles import i_power
+from sign_oracles import i_power, primitive_coefficient_report
 
 from defalg import lefschetz, linalg
 from defalg.lefschetz import (
@@ -27,7 +27,6 @@ from defalg.lefschetz import (
     op_Lambda_i,
     op_power,
     op_star,
-    primitive_coefficient_report,
     primitive_star_report,
     raw_expand,
     raw_volume,
@@ -354,28 +353,6 @@ def test_star_normalization_sign_closed_form():
             sgn = (-1) ** (((s * (s + 1)) // 2 + len(B)) % 2)
             expect = i_power(s) * GaussianScalar.of(sgn)
             assert c == expect
-
-
-def test_apply_op_dispatcher():
-    from defalg.lefschetz import apply_op
-    from defalg.errors import InputError
-    import pytest as _pytest
-
-    n = 2
-    v = u_element(n, (1,))
-    assert apply_op("L", v) == op_L(v)
-    assert apply_op("Lambda", v) == op_Lambda(v)
-    assert apply_op("L_i", scalar(n), index=1) == u_element(n, (1,))
-    assert apply_op("Lambda_i", v, index=1) == scalar(n)
-    assert apply_op("C", v) == v
-    assert apply_op("star", v) == op_star(v)
-    assert apply_op("c_inv_star", v) == op_c_inv_star(v)
-    assert apply_op("P_bidegree", v, bidegree_pair=(1, 1)) == v
-    assert apply_op("P_bidegree", v, bidegree_pair=(2, 0)).is_zero()
-    assert apply_op("P_total", v, p=2) == v
-    assert apply_op("P_total", v, p=1).is_zero()
-    with _pytest.raises(InputError):
-        apply_op("nope", v)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
 from sign_oracles import oracle_mc_linfty
 
 from defalg.coalg import SymElement, all_words
@@ -15,7 +16,8 @@ from defalg.core import (
     split_plan,
     unshuffles,
 )
-from defalg.dgla import DGLA, ArtinDg, check_dgla, tensor_dgla
+from defalg.dgla import DGLA, ArtinDg, TensorDgla, check_dgla
+from defalg.errors import DomainError
 from defalg.generators import (
     inject_dgla_violation,
     inject_linfty_violation,
@@ -32,7 +34,6 @@ from defalg.linfty import (
     h_bracket_check,
     hodge_F,
     hodge_model_check,
-    identity_morphism,
     mc_linfty,
     morphism_check,
     op_compose,
@@ -107,7 +108,6 @@ def test_from_dgla_sign_of_q1():
 def test_from_dgla_abelian_is_minimal_zero():
     L = DGLA(GradedBasis.of(("x", 1), ("y", 2)), {}, {})
     S = from_dgla(L)
-    assert S.is_minimal()
     assert not S.components.tables
 
 
@@ -314,7 +314,8 @@ def test_inject_linfty_violation_twins_are_pinned():
 
 def test_identity_morphism_passes():
     S = from_dgla(odd_square_dgla())
-    assert morphism_check(identity_morphism(S), 4).ok()
+    identity = {(i,): e(i) for i in range(len(S.shifted))}
+    assert morphism_check(LInftyMorphism(S, S, {1: identity}), 4).ok()
 
 
 def test_strong_morphism_from_dgla_map():
@@ -325,7 +326,7 @@ def test_strong_morphism_from_dgla_map():
     N = DGLA(basis_n, {(0, 0): e(1)}, {})
     S, T = from_dgla(L), from_dgla(N)
     f1 = {(0,): e(0), (1,): e(1)}  # x -> u, y -> v: respects d and brackets
-    Fm = LInftyMorphism.strong(S, T, f1)
+    Fm = LInftyMorphism(S, T, {1: f1})
     assert morphism_check(Fm, 4).ok()
 
 
@@ -334,7 +335,7 @@ def test_non_morphism_detected():
     L = DGLA(basis_l, {(0, 0): e(1)}, {})
     S = from_dgla(L)
     f1 = {(0,): e(0, 2), (1,): e(1)}  # x -> 2x breaks the bracket relation
-    Fm = LInftyMorphism.strong(S, S, f1)
+    Fm = LInftyMorphism(S, S, {1: f1})
     rep = morphism_check(Fm, 3)
     assert not rep.ok()
 
@@ -345,12 +346,9 @@ def test_morphism_taylor_components():
     f1 = {(0,): e(0)}
     f2 = {(0, 1): e(1)}  # degree check: word (x[1], y[1]) deg 0+1 -> y[1] deg 1
     Fm = LInftyMorphism(S, T, {1: f1, 2: f2})
-    tay = Fm.taylor((0, 1))
-    assert tay.get(1, {}) == {(1,): 1}
     # f1 kills y, so the square component dies
-    assert 2 not in tay
-    tay1 = Fm.taylor((0,))
-    assert tay1 == {1: {(0,): 1}}
+    assert Fm.coalg.apply_word((0, 1)).terms == {(1,): 1}
+    assert Fm.coalg.apply_word((0,)).terms == {(0,): 1}
     assert Fm.coalg.comorphism_report(all_words(S.shifted, 4)).ok()
 
 
@@ -359,9 +357,7 @@ def test_taylor_single_component_is_symmetric_power():
     S = LInftyStructure(V, {})
     f1 = {(0,): e(0), (1,): e(1, 2)}
     Fm = LInftyMorphism(S, S, {1: f1})
-    tay = Fm.taylor((0, 0, 1))
-    assert list(tay) == [3]
-    assert tay[3] == {(0, 0, 1): 2}
+    assert Fm.coalg.apply_word((0, 0, 1)).terms == {(0, 0, 1): 2}
 
 
 # -- homotopy Maurer-Cartan --------------------------------------------------------
@@ -383,7 +379,7 @@ def test_mc_arity_one_reduces_to_classical_complex():
     A = tmax3()
     m = {(0, 0): F(3)}  # 3 x (x) t
     res = mc_linfty(S, A, m)
-    M = tensor_dgla(L, A)
+    M = TensorDgla(L, A)
     x = M.vector("x", "t", F(3))
     assert res == M.mc_residual(x)
 
@@ -397,7 +393,7 @@ def test_mc_matches_classical_for_dgla_structures():
     assert check_dgla(L).ok()
     S = from_dgla(L)
     A = tmax3()
-    M = tensor_dgla(L, A)
+    M = TensorDgla(L, A)
     saw_nonlinear = False
     for _ in range(50):
         m = {}
@@ -497,10 +493,13 @@ def test_h_bracket_jacobi_failing_output_is_pinned():
     basis = GradedBasis.of(("a", 0), ("b", 0), ("c", 0))
     L = DGLA(basis, {(0, 1): e(1), (1, 2): e(0)}, {})
     rep = h_bracket_check(from_dgla(L, checked=False))
-    loc, m = "jacobi(H^0, H^0, H^0)", "induced bracket fails Jacobi on cohomology"
-    res = "[Fraction({}, 1), Fraction(0, 1), Fraction(0, 1)]"
-    got = [(v.location, v.residual, v.message) for v in rep.violations]
-    assert got == [(loc, res.format(c), m) for c in (-1, 1, 1, -1, -1, 1)]
+    # H^0_1, H^0_2, H^0_3 are the classes of a, b, c
+    triples = [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
+    want = [
+        ("jacobi(H^0_{},H^0_{},H^0_{})".format(*t), f"{c}*H^0_1", "graded Jacobi fails")
+        for t, c in zip(triples, (-1, 1, 1, -1, -1, 1))
+    ]
+    assert [(v.location, v.residual, v.message) for v in rep.violations] == want
     assert rep.info == {"h_dims": {"0": 3}}
 
 
@@ -586,8 +585,9 @@ def test_broken_q_hat_detected_at_arity_two():
 # it after each corruption: (changes, hodge_model_check's (location, message)
 # pairs, whose residuals are all empty, and hodge_F's violations at arity 3
 # without the model check, or the name of the error it raises).  A change
-# (operator, column, e) adds e to that column; ("hat", a) is hat(a).
-ARG = {"incl": 3, "proj": 4, "del": 5, "delbar": 6, "tau": 7, "d": 9}
+# (operator, column, e) adds e to that column, a word for q; ("hat", a) is
+# hat(a).
+ARG = {"incl": 3, "proj": 4, "del": 5, "delbar": 6, "tau": 7, "d": 9, "q": 10}
 NOT_ZERO = "{} != 0".format
 HAT_D = "hat(d a) != [delbar, hat a]"
 HAT_Q = "hat(q(a (.) b)) != -[[del, hat a], hat b]"
@@ -696,24 +696,27 @@ def test_hodge_reports_pinned_on_corrupted_models():
         except Exception as exc:
             got = type(exc).__name__
         assert got == transfer, name
-    # q is validated on construction; a wrong-degree value set afterwards
+    # a q value changed after construction breaks the hat compatibility
     M = derived_model()
     M.q_table[(0, 1)] = e(0)
     assert rows(hodge_model_check(M)) == [
-        ("q(0, 1)", "", "q is not degree +1"),
         ("hat(q(a,g))", "", HAT_Q),
         ("hat(q(g,a))", "", HAT_Q),
     ]
 
 
 def test_wrong_degree_values_are_reported_once():
-    # d(ee) = a + g and q(a, g) = a + g: two terms off degree in each value,
-    # one violation per value
+    # d(ee) = a + g: two terms off degree in one value, one violation
     M = corrupted_derived_model([("d", 6, e(0) + e(1))])
-    M.q_table[(0, 1)] = e(0) + e(1)
     rep = hodge_model_check(M)
     locations = [v.location for v in rep.violations]
-    assert locations.count("d(ee)") == 1 and locations.count("q(0, 1)") == 1
+    assert locations.count("d(ee)") == 1
+
+
+def test_hodge_model_refuses_a_q_off_degree_one():
+    # q(a, g) = a has degree 0, not deg a + deg g + 1 = 1
+    with pytest.raises(DomainError):
+        corrupted_derived_model([("q", (0, 1), e(0))])
 
 
 # -- mc_linfty against the l_n route of sign ledger D2 ----------------------------
