@@ -360,7 +360,8 @@ FLAGS = {
     "truncate": ("--truncate", {"type": int, "default": 4}),
     # None lets each checker take its default word length: 2m - 1 for
     # check-linfty and from-dgla (m the largest arity, sign ledger C2),
-    # m + 2 for linfty-morphism, 4 for the others
+    # max(a + m - 1, m' a) for linfty-morphism (a the Taylor arity, m and
+    # m' those of source and target, sign ledger C3), 4 for the others
     "max_arity": ("--max-arity", {"type": int, "default": None}),
     "seed": ("--seed", {"type": int, "default": 7}),
     "mode": ("--mode", {"choices": ("free", "explicit", "nilpotent"),

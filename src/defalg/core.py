@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -331,9 +332,6 @@ class BilinearTable:
                     add_into(out, v.terms, ci * cj)
         return Element(out)
 
-    def show(self, el: Element) -> str:
-        return format_terms(self.basis.names, el.terms)
-
     def rows(self):
         """(rows, cols) of the operation from `basis_rows`."""
         return basis_rows(lambda i, j: self._op_basis(i, j).terms, len(self.basis))
@@ -374,26 +372,53 @@ def admitted(n, arity, weights=None, cap=0):
     remaining budget are listed once, so only admitted tuples are visited."""
     if weights is None:
         return itertools.product(range(n), repeat=arity)
+    return representatives(n, arity, (), weights, cap)
+
+
+def representatives(n, arity, slots, weights=None, cap=0):
+    """The tuples of `admitted(n, arity, weights, cap)`, in its order, whose
+    entries at the positions `slots` (increasing) do not decrease: one per
+    orbit of the permutations of those positions.  A weight sum does not
+    change under a permutation, so each orbit lies in the admitted family
+    (sign ledger K5)."""
+    if weights is None:
+        weights = (0,) * n
     check_weights(n, weights, cap)
     fit = [[i for i, w in enumerate(weights) if w <= r] for r in range(cap + 1)]
+    floor = dict(zip(slots[1:], slots))  # position -> the slot it may not undercut
 
-    def extend(prefix, budget, left):
-        if left == 1:
-            for i in fit[budget]:
+    def extend(prefix, budget):
+        pos = len(prefix)
+        row = fit[budget]
+        if pos in floor:
+            row = row[bisect_left(row, prefix[floor[pos]]) :]
+        if pos == arity - 1:
+            for i in row:
                 yield prefix + (i,)
             return
-        for i in fit[budget]:
-            yield from extend(prefix + (i,), budget - weights[i], left - 1)
+        for i in row:
+            yield from extend(prefix + (i,), budget - weights[i])
 
-    return extend((), cap, arity)
+    return extend((), cap)
 
 
 def violations(name, steps):
     """Yield (location, message, residual) lazily for each nonempty residual:
     `steps` is a list of (family of index tuples, identities), each tuple
     runs through its identities (template, message, residual) in order, and
-    the location is the template formatted with `name` of each index."""
-    for family, identities in steps:
+    the location is the template formatted with `name` of each index.
+
+    A step may carry a third member, a family of orbit representatives from
+    `representatives` (or None): when every identity holds on each of them
+    the step yields nothing, and otherwise it runs on its whole family as
+    usual.  A checker passes representatives only where its residuals vanish
+    on a whole orbit together (sign ledger K5), so the violations and their
+    order never depend on them."""
+    for family, identities, *reps in steps:
+        if reps and reps[0] is not None:
+            residuals = [residual for _, _, residual in identities]
+            if not any(res(*idx) for idx in reps[0] for res in residuals):
+                continue
         for idx in family:
             for template, message, residual in identities:
                 res = residual(*idx)
@@ -426,6 +451,19 @@ def swap_residual(rows, degree, sign):
         return add_into(dict(rows[i].get(j, {})), rows[j].get(i, {}), s)
 
     return res
+
+
+def swap_rule_holds(rows, degree, sign) -> bool:
+    """Whether the operation with these rows is degree-additive and obeys
+    its swap rule (`swap_residual`) on every pair of basis indices, (i, i)
+    and pairs past any weight cap included: the precondition of the orbit
+    reductions of its triple families (sign ledger K5)."""
+    res = swap_residual(rows, degree, sign)  # {} on a pair of missing entries
+    return all(
+        not res(i, j) and all(degree(t) == degree(i) + degree(j) for t in terms)
+        for i, row in enumerate(rows)
+        for j, terms in row.items()
+    )
 
 
 def derivation_residual(rows, cols, degree, pdeg=0):

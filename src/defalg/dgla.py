@@ -27,8 +27,10 @@ from .core import (
     lin_into,
     off_degree,
     report_violations,
+    representatives,
     square_residual,
     swap_residual,
+    swap_rule_holds,
 )
 from .errors import DomainError, InputError, InternalError, StructureError
 from .freelie import bch_term_sum
@@ -126,6 +128,11 @@ def check_dgla(L: DGLA, weights=None, cap=0) -> CheckReport:
     leibnitz = ("leibnitz({},{})", "graded Leibnitz fails", partial(ad, L.d_images, 1))
     jac = lambda i, j, k: ad(B[i], deg(i), j, k)
     even_square = lambda i: {} if deg(i) % 2 else B[i].get(i, {})
+    # with antisymmetry the Jacobiator is graded antisymmetric (ledger K5)
+    jacobi_orbits = None
+    if swap_rule_holds(B, deg, -1):
+        jacobi_orbits = representatives(n, 3, (0, 1, 2), weights, cap)
+    jacobi = ("jacobi({},{},{})", "graded Jacobi fails", jac)
     steps = [
         ([(i,) for i in L.diff], [d_degree]),
         (L.table, [additive]),
@@ -135,7 +142,7 @@ def check_dgla(L: DGLA, weights=None, cap=0) -> CheckReport:
             admitted(n, 1, weights, cap // 2),
             [("[{0},{0}]", "even element with nonzero self-bracket", even_square)],
         ),
-        (admitted(n, 3, weights, cap), [("jacobi({},{},{})", "graded Jacobi fails", jac)]),
+        (admitted(n, 3, weights, cap), [jacobi], jacobi_orbits),
     ]
     names, rep = L.basis.names, CheckReport("check-dgla")
     show = partial(format_terms, names)
@@ -153,13 +160,17 @@ def check_na(A: ArtinDg) -> CheckReport:
     # d(ab) - (da)b - (-1)^a a(db)
     leibnitz = partial(derivation_residual(P, Pc, deg), A.d_images, 1)
     odd_square = lambda i: P[i].get(i, {}) if deg(i) % 2 else {}
+    # with commutativity A(c,b,a) = -(-1)^{ab+bc+ca} A(a,b,c) (ledger K5)
+    assoc_orbits = None
+    if swap_rule_holds(P, deg, 1):
+        assoc_orbits = representatives(n, 3, (0, 2))
     steps = [
         ([(i,) for i in A.diff], [d_degree]),
         (A.table, [degree]),
         (admitted(n, 1), [d_square]),
         (admitted(n, 2), [comm, ("leibnitz({},{})", "Leibnitz fails", leibnitz)]),
         (admitted(n, 1), [("{}^2", "odd element with nonzero square", odd_square)]),
-        (admitted(n, 3), [assoc]),
+        (admitted(n, 3), [assoc], assoc_orbits),
     ]
     names, rep = A.basis.names, CheckReport("check-na")
     report_violations(rep, names.__getitem__, partial(format_terms, names), steps)

@@ -19,6 +19,7 @@ from .core import (
     add_term,
     admitted,
     derivation_residual,
+    representatives,
     swap_residual,
     violations,
 )
@@ -304,9 +305,14 @@ class NilpotentLie(BilinearTable):
         ad = derivation_residual(B, Bc, deg)
         antisym = swap_residual(B, deg, -1)
         jacobi = lambda i, j, k: ad(B[i], 0, j, k)
+        # the first violation raises, so the Jacobi step runs only once
+        # antisymmetry holds on every pair; with every degree 0 that is the
+        # precondition under which its residual is antisymmetric in all
+        # three slots (sign ledger K5)
+        orbits = representatives(n, 3, (0, 1, 2))
         steps = [
             (admitted(n, 2), [("({}, {})", "antisymmetry fails", antisym)]),
-            (admitted(n, 3), [("({}, {}, {})", "Jacobi fails", jacobi)]),
+            (admitted(n, 3), [("({}, {}, {})", "Jacobi fails", jacobi)], orbits),
         ]
         for location, message, _ in violations(basis.names.__getitem__, steps):
             raise StructureError(f"{message} on {location}")

@@ -30,7 +30,9 @@ from .core import (
     lin_into,
     odd,
     report_violations,
+    representatives,
     split_plan,
+    swap_rule_holds,
     sym_canonical,
 )
 from .dgla import DGLA, check_dgla, differential_identities, product_identities
@@ -86,14 +88,6 @@ class GBVStructure:
             - mul(a, self.delta(b)).scale((-1) ** (da % 2))
         )
 
-    def bracket(self, a: Element, b: Element) -> Element:
-        """[a,b] = a delta(b) + (-1)^{deg(a)+1} (delta(ab) - delta(a) b)
-        = (-1)^{deg(a)+1} q(a,b) on the shifted grading (sign ledger G2)."""
-        da = self._degree(a)
-        if da is None:
-            return Element()
-        return self.derived_q(a, b).scale(1 if da % 2 else -1)
-
     def _tables(self):
         """Basis-pair tables for one check: product rows and columns P, Pc,
         delta images D, and derived-product rows and columns Q, Qc with
@@ -118,25 +112,31 @@ class GBVStructure:
         ad = derivation_residual(P, Pc, deg)
         poisson = lambda i, j, k: ad(Q[i], deg(i) + 1, j, k)
         units = [] if alg.unit is None else [(alg.unit,)]
+        # with graded commutativity the associator is graded antisymmetric
+        # under a <-> c and, with delta of degree +1, the odd Poisson
+        # residual graded symmetric under b <-> c (sign ledger K5)
+        weights, cap = self.weights, self.cap
+        assoc_orbits = poisson_orbits = None
+        if swap_rule_holds(P, deg, 1):
+            assoc_orbits = representatives(n, 3, (0, 2), weights, cap)
+            if all(deg(t) == deg(i) + 1 for i, img in D.items() for t in img):
+                poisson_orbits = representatives(n, 3, (1, 2), weights, cap)
         steps = [
             (alg.table, [degree]),
             (admitted(n, 2), [comm]),
-            (admitted(n, 3, self.weights, self.cap), [assoc]),
+            (admitted(n, 3, weights, cap), [assoc], assoc_orbits),
             ([(i,) for i in D], [delta_degree]),
             (admitted(n, 1), [delta_square]),
             (units, [("delta(1)", "delta(1) != 0", D.get)]),
             (
-                admitted(n, 3, self.weights, self.cap),
+                admitted(n, 3, weights, cap),
                 [("oddpoisson({},{},{})", "odd Poisson identity fails", poisson)],
+                poisson_orbits,
             ),
         ]
         names, rep = alg.basis.names, CheckReport("gbv-check")
         show = partial(format_terms, names)
         return report_violations(rep, names.__getitem__, show, steps)
-
-    def to_dgla(self) -> DGLA:
-        """The shifted bracket structure as an explicit DGLA (degrees +1)."""
-        return self._shifted(self._tables()[3])
 
     def _shifted(self, Q) -> DGLA:
         # [e_i, e_j] = (-1)^{deg i + 1} q(e_i, e_j) (sign ledger G2)
@@ -460,17 +460,15 @@ def polyvector_gbv(nvars, cap) -> GBVStructure:
         return out
 
     polydeg = [sum(m) for m, _ in keys]
+    units = [Element({k: 1}) for k in keys]
     table = {}
-    for i, (m1, f1) in enumerate(keys):
-        for j, (m2, f2) in enumerate(keys):
+    for i, a in enumerate(units):
+        for j, b in enumerate(units):
             if polydeg[i] + polydeg[j] > cap:
                 continue  # truncated to zero
-            prod = Polyvector(nvars, None, {(m1, f1): 1}).wedge(
-                Polyvector(nvars, None, {(m2, f2): 1})
-            )
-            val = to_element(prod)
-            if not val.is_zero():
-                table[(i, j)] = val
+            # two single terms wedge to at most one term, within the cap
+            for k, c in _wedge_terms(a, b).items():
+                table[(i, j)] = Element({index[k]: c})
     algebra = GradedCommAlgebra(basis, table)
 
     delta_table = {}

@@ -194,8 +194,12 @@ def morphism_check(F: LInftyMorphism, n_max=None, weights=None, cap=0) -> CheckR
     """F is a homotopy morphism iff (corestriction of target codifferential)
     o F = F^1 o (source codifferential) on all words; with `weights` only on
     the words of a truncated structure whose weights sum to at most `cap`
-    (see `coalg.all_words`), where it is exact."""
-    n_max = n_max or max(F.source.max_arity, F.target.max_arity) + 2
+    (see `coalg.all_words`), where it is exact.  The default depth
+    max(a + m - 1, m' a), for Taylor arity a and arities m, m' of the
+    source and target, covers every word where a side can be nonzero (sign
+    ledger C3)."""
+    a = max(F.coalg.components.arities(), default=1)
+    n_max = n_max or max(a + F.source.max_arity - 1, F.target.max_arity * a)
     Q = F.source.coderivation()
     r_comp = F.target.components
 

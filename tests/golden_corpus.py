@@ -46,7 +46,14 @@ RUNS = (
     (("comorph", "--max-arity", "3"), ("comorphism",)),
     (("check-linfty",), ("linfty", "failing_linfty", "failing_linfty_arity4")),
     (("from-dgla",), ("abelian_dgla", "odd_square_dgla", "failing_dgla")),
-    (("linfty-morphism",), ("linfty_morphism", "failing_linfty_morphism")),
+    (
+        ("linfty-morphism",),
+        (
+            "linfty_morphism",
+            "failing_linfty_morphism",
+            "failing_linfty_morphism_arity3",
+        ),
+    ),
     (("mc-linfty",), ("mc_linfty_problem", "failing_mc_linfty_problem")),
     (("gbv-check",), ("gbv", "failing_gbv")),
     (("schouten",), ("polyvector_pair", "interleaved_polyvector_pair")),

@@ -26,8 +26,10 @@ them: from `core` the permutation `parity`, `is_unshuffle`, `symmetrize`
 and the composition product `gerstenhaber_bullet`; `delta_direct`, the
 frame-trivial route to the polyvector delta, from `gbv`; `as_dgla`, the
 tensor DGLA L (x) A tabled pair by pair, which was `dgla.TensorDgla.as_dgla`;
-and the primitive block relation `primitive_coefficient_report` from
-`lefschetz`."""
+the primitive block relation `primitive_coefficient_report` from
+`lefschetz`; `gbv_bracket`, the shifted bracket of a GBV structure on
+elements, which was `gbv.GBVStructure.bracket`; and `show`, a tabled
+operation's residual text, which was `core.BilinearTable.show`."""
 
 import itertools
 from fractions import Fraction
@@ -35,9 +37,11 @@ from math import factorial
 
 from defalg.coalg import word_degree
 from defalg.core import (
+    BilinearTable,
     Element,
     add_into,
     add_term,
+    format_terms,
     odd,
     signed_permutations,
     sym_canonical as one_signed_sort,
@@ -45,7 +49,7 @@ from defalg.core import (
 from defalg.dgla import DGLA, TensorDgla
 from defalg.errors import DomainError, InputError
 from defalg.freelie import TensorSeries
-from defalg.gbv import Polyvector, _partial, one_form_contract
+from defalg.gbv import GBVStructure, Polyvector, _partial, one_form_contract
 from defalg.lefschetz import CovectorElement, all_keys, is_primitive, op_star, raw_wedge
 from defalg.report import CheckReport
 from defalg.scalars import GAUSS_ONE, Q0, Q1, GaussianScalar
@@ -325,6 +329,19 @@ def delta_direct(a: Polyvector) -> Polyvector:
             sign, reduced = hit
             add_term(out.terms, (d[1], reduced), c * d[0] * sign)
     return out
+
+
+def gbv_bracket(self: GBVStructure, a: Element, b: Element) -> Element:
+    """[a,b] = a delta(b) + (-1)^{deg(a)+1} (delta(ab) - delta(a) b)
+    = (-1)^{deg(a)+1} q(a,b) on the shifted grading (sign ledger G2)."""
+    da = self._degree(a)
+    if da is None:
+        return Element()
+    return self.derived_q(a, b).scale(1 if da % 2 else -1)
+
+
+def show(self: BilinearTable, el: Element) -> str:
+    return format_terms(self.basis.names, el.terms)
 
 
 def as_dgla(self: TensorDgla) -> DGLA:

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from sign_oracles import as_dgla
+from sign_oracles import as_dgla, show
 
 from defalg.core import Element, GradedBasis
 from defalg.dgla import (
@@ -173,36 +173,36 @@ def oracle_check_na(A):
     for i, el in A.diff.items():
         degs = {deg(k) for k in el.terms}
         if degs and degs != {deg(i) + 1}:
-            rep.add(f"d({names[i]})", A.show(el), "differential is not degree +1")
+            rep.add(f"d({names[i]})", show(A, el), "differential is not degree +1")
     for (i, j), el in A.table.items():
         degs = {deg(k) for k in el.terms}
         if degs and degs != {deg(i) + deg(j)}:
             msg = "product is not degree-additive"
-            rep.add(f"{names[i]}*{names[j]}", A.show(el), msg)
+            rep.add(f"{names[i]}*{names[j]}", show(A, el), msg)
     for i in range(n):
         res = A.d(A.d(e(i)))
         if not res.is_zero():
-            rep.add(f"d^2({names[i]})", A.show(res), "d^2 != 0")
+            rep.add(f"d^2({names[i]})", show(A, res), "d^2 != 0")
     for i, j in itertools.product(range(n), repeat=2):
         a, b = e(i), e(j)
         comm = mul(a, b) - mul(b, a).scale(-1 if deg(i) * deg(j) % 2 else 1)
         if not comm.is_zero():
             msg = "graded commutativity fails"
-            rep.add(f"comm({names[i]},{names[j]})", A.show(comm), msg)
+            rep.add(f"comm({names[i]},{names[j]})", show(A, comm), msg)
         sign = (-1) ** (deg(i) % 2)
         leib = A.d(mul(a, b)) - mul(A.d(a), b) - mul(a, A.d(b)).scale(sign)
         if not leib.is_zero():
-            rep.add(f"leibnitz({names[i]},{names[j]})", A.show(leib), "Leibnitz fails")
+            rep.add(f"leibnitz({names[i]},{names[j]})", show(A, leib), "Leibnitz fails")
     for i in range(n):
         sq = mul(e(i), e(i))
         if deg(i) % 2 and not sq.is_zero():
-            rep.add(f"{names[i]}^2", A.show(sq), "odd element with nonzero square")
+            rep.add(f"{names[i]}^2", show(A, sq), "odd element with nonzero square")
     for i, j, k in itertools.product(range(n), repeat=3):
         a, b, c = e(i), e(j), e(k)
         ass = mul(mul(a, b), c) - mul(a, mul(b, c))
         if not ass.is_zero():
             loc = f"assoc({names[i]},{names[j]},{names[k]})"
-            rep.add(loc, A.show(ass), "associativity fails")
+            rep.add(loc, show(A, ass), "associativity fails")
     index = oracle_nilpotency_index(A)
     if index is None:
         rep.add("nilpotency", "", "algebra is not nilpotent")

@@ -4,13 +4,28 @@ Tian-Todorov, and the product morphism onto the abelian structure."""
 import ast
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
-from sign_oracles import _merge_frames, delta_direct
+import pytest
+from sign_oracles import _merge_frames, delta_direct, gbv_bracket, show
+from test_dgla import oracle_check_na
+from test_freelie import oracle_nilpotent_lie
 
+from defalg import core
 from defalg.coalg import all_words
-from defalg.core import Element, GradedBasis, koszul_sign, unshuffles
-from defalg.dgla import DGLA, check_dgla
+from defalg.core import (
+    Element,
+    GradedBasis,
+    derivation_residual,
+    koszul_sign,
+    representatives,
+    swap_rule_holds,
+    unshuffles,
+)
+from defalg.dgla import DGLA, ArtinDg, check_dgla, check_na
+from defalg.errors import StructureError
+from defalg.freelie import NilpotentLie
 from defalg.gbv import (
     GBVStructure,
     GradedCommAlgebra,
@@ -63,7 +78,7 @@ def test_abelian_gbv_has_zero_q():
     assert rep.ok()
     for i in range(len(basis)):
         for j in range(len(basis)):
-            assert S.bracket(e(i), e(j)).is_zero()
+            assert gbv_bracket(S, e(i), e(j)).is_zero()
 
 
 def test_exterior_gbv_checks():
@@ -100,14 +115,14 @@ def test_inhomogeneous_delta_image_is_reported_not_raised():
 
 
 def test_bracket_is_signed_derived_product_on_basis_pairs():
-    # [a,b] = (-1)^{deg a + 1} q(a,b) (sign ledger G2); to_dgla relies on it
+    # [a,b] = (-1)^{deg a + 1} q(a,b) (sign ledger G2); _shifted relies on it
     models = (exterior_gbv(), abelian_gbv(), scaled_exterior_gbv())
     for S in (polyvector_gbv(2, 2),) + models:
         basis = S.algebra.basis
         for i in range(len(basis)):
             sign = (-1) ** ((basis.degree(i) + 1) % 2)
             for j in range(len(basis)):
-                assert S.bracket(e(i), e(j)) == S.derived_q(e(i), e(j)).scale(sign)
+                assert gbv_bracket(S, e(i), e(j)) == S.derived_q(e(i), e(j)).scale(sign)
 
 
 # -- the Element-based checking loops, kept as the oracle of the tabled ones -----
@@ -131,34 +146,34 @@ def oracle_gbv_check(S):
         degs = {deg(k) for k in el.terms}
         if degs and degs != {deg(i) + deg(j)}:
             msg = "product is not degree-additive"
-            rep.add(f"{names[i]}*{names[j]}", alg.show(el), msg)
+            rep.add(f"{names[i]}*{names[j]}", show(alg, el), msg)
     for i in range(n):
         for j in range(n):
             comm = mul(e(i), e(j)) - mul(e(j), e(i)).scale(alg._sign_swap(i, j))
             if not comm.is_zero():
                 msg = "graded commutativity fails"
-                rep.add(f"comm({names[i]},{names[j]})", alg.show(comm), msg)
+                rep.add(f"comm({names[i]},{names[j]})", show(alg, comm), msg)
     for i, j, k in itertools.product(range(n), repeat=3):
         if admit(i, j, k):
             ass = mul(mul(e(i), e(j)), e(k)) - mul(e(i), mul(e(j), e(k)))
             if not ass.is_zero():
                 rep.add(
                     f"assoc({names[i]},{names[j]},{names[k]})",
-                    alg.show(ass),
+                    show(alg, ass),
                     "associativity fails",
                 )
     for i, el in S.delta_table.items():
         degs = {deg(k) for k in el.terms}
         if degs and degs != {deg(i) + 1}:
-            rep.add(f"delta({names[i]})", alg.show(el), "delta is not degree +1")
+            rep.add(f"delta({names[i]})", show(alg, el), "delta is not degree +1")
     for i in range(n):
         dd = S.delta(S.delta(e(i)))
         if not dd.is_zero():
-            rep.add(f"delta^2({names[i]})", alg.show(dd), "delta^2 != 0")
+            rep.add(f"delta^2({names[i]})", show(alg, dd), "delta^2 != 0")
     if alg.unit is not None:
         du = S.delta(e(alg.unit))
         if not du.is_zero():
-            rep.add("delta(1)", alg.show(du), "delta(1) != 0")
+            rep.add("delta(1)", show(alg, du), "delta(1) != 0")
     for i, j, k in itertools.product(range(n), repeat=3):
         if admit(i, j, k):
             a, b, c = e(i), e(j), e(k)
@@ -169,7 +184,7 @@ def oracle_gbv_check(S):
             if not (lhs - rhs).is_zero():
                 rep.add(
                     f"oddpoisson({names[i]},{names[j]},{names[k]})",
-                    alg.show(lhs - rhs),
+                    show(alg, lhs - rhs),
                     "odd Poisson identity fails",
                 )
     return rep
@@ -183,16 +198,16 @@ def oracle_check_dgla(L, admit=lambda *idx: True):
     for i, el in L.diff.items():
         degs = {deg(k) for k in el.terms}
         if degs and degs != {deg(i) + 1}:
-            rep.add(f"d({names[i]})", L.show(el), "differential is not degree +1")
+            rep.add(f"d({names[i]})", show(L, el), "differential is not degree +1")
     for (i, j), el in L.table.items():
         degs = {deg(k) for k in el.terms}
         if degs and degs != {deg(i) + deg(j)}:
             msg = "bracket is not degree-additive"
-            rep.add(f"[{names[i]},{names[j]}]", L.show(el), msg)
+            rep.add(f"[{names[i]},{names[j]}]", show(L, el), msg)
     for i in range(n):
         res = L.d(L.d(e(i)))
         if admit(i) and not res.is_zero():
-            rep.add(f"d^2({names[i]})", L.show(res), "d^2 != 0")
+            rep.add(f"d^2({names[i]})", show(L, res), "d^2 != 0")
     for i, j in itertools.product(range(n), repeat=2):
         if not admit(i, j):
             continue
@@ -200,17 +215,17 @@ def oracle_check_dgla(L, admit=lambda *idx: True):
         anti = br(a, b) + br(b, a).scale(L._sign_swap(i, j))
         if not anti.is_zero():
             msg = "graded antisymmetry fails"
-            rep.add(f"antisym({names[i]},{names[j]})", L.show(anti), msg)
+            rep.add(f"antisym({names[i]},{names[j]})", show(L, anti), msg)
         leib = L.d(br(a, b)) - br(L.d(a), b) - br(a, L.d(b)).scale((-1) ** (deg(i) % 2))
         if not leib.is_zero():
             msg = "graded Leibnitz fails"
-            rep.add(f"leibnitz({names[i]},{names[j]})", L.show(leib), msg)
+            rep.add(f"leibnitz({names[i]},{names[j]})", show(L, leib), msg)
     for i in range(n):
         if admit(i, i) and deg(i) % 2 == 0:
             sq = br(e(i), e(i))
             if not sq.is_zero():
                 msg = "even element with nonzero self-bracket"
-                rep.add(f"[{names[i]},{names[i]}]", L.show(sq), msg)
+                rep.add(f"[{names[i]},{names[i]}]", show(L, sq), msg)
     for i, j, k in itertools.product(range(n), repeat=3):
         if not admit(i, j, k):
             continue
@@ -223,7 +238,7 @@ def oracle_check_dgla(L, admit=lambda *idx: True):
         if not jac.is_zero():
             rep.add(
                 f"jacobi({names[i]},{names[j]},{names[k]})",
-                L.show(jac),
+                show(L, jac),
                 "graded Jacobi fails",
             )
     return rep
@@ -234,7 +249,7 @@ def oracle_to_dgla(S):
     n = len(basis)
     table = {}
     for i, j in itertools.product(range(n), repeat=2):
-        val = S.bracket(e(i), e(j))
+        val = gbv_bracket(S, e(i), e(j))
         if not val.is_zero():
             table[(i, j)] = val
     shifted = GradedBasis(basis.names, tuple(d + 1 for d in basis.degrees))
@@ -267,7 +282,7 @@ def oracle_dgla_verify(S):
         if not res.is_zero():
             rep.add(
                 f"delta-q({basis.names[i]},{basis.names[j]})",
-                S.algebra.show(res),
+                show(S.algebra, res),
                 "delta is not a derivation of the derived product",
             )
     return rep
@@ -325,23 +340,132 @@ def _random_dgla_corpus():
 
 
 def test_tabled_checks_match_element_oracle_on_perturbations():
-    failing = 0
+    """gbv_check, the shifted table, dgla_verify and check_na (of the
+    product with delta as its differential) equal their Element oracles.
+    Associativity fails both on commutative tables, where a failing orbit
+    representative sends check_na to the full family (sign ledger K5), and
+    on tables that are not, which never take the reduction.  check_na runs
+    on the algebras of at most 10 basis elements: the oracle's nilpotency
+    sweep takes about a second on each 24-element polyvector algebra."""
+    failing, assoc_paths = 0, set()
     for T in _gbv_corpus():
         gbv = T.gbv_check()
         assert gbv.to_dict() == oracle_gbv_check(T).to_dict()
-        assert T.to_dgla().table == oracle_to_dgla(T).table
+        assert T._shifted(T._tables()[3]).table == oracle_to_dgla(T).table
         assert T.dgla_verify().to_dict() == oracle_dgla_verify(T).to_dict()
         failing += not gbv.ok()
+        if len(T.algebra.basis) > 10:
+            continue
+        A = ArtinDg(T.algebra.basis, T.algebra.table, T.delta_table)
+        na = check_na(A)
+        assert na.to_json() == oracle_check_na(A).to_json()
+        if any(v.message == "associativity fails" for v in na.violations):
+            assoc_paths.add(swap_rule_holds(A.rows()[0], A.basis.degree, 1))
     assert failing >= 10  # the perturbations do break identities
+    assert assoc_paths == {True, False}
 
 
 def test_check_dgla_matches_element_oracle_on_random_dglas():
-    failing = 0
+    """check_dgla equals its Element oracle, and the NilpotentLie
+    constructor on the same table over an all-degree-0 basis raises at the
+    first failing instance of the full ordered families, as the oracle
+    finds it, Jacobi failures on antisymmetric tables included."""
+    failing, raised = 0, Counter()
     for L in _random_dgla_corpus():
         rep = check_dgla(L)
         assert rep.to_dict() == oracle_check_dgla(L).to_dict()
         failing += not rep.ok()
+        flat = GradedBasis(L.basis.names, (0,) * len(L.basis))
+        message, index = oracle_nilpotent_lie(flat, L.table)
+        if message is None:
+            assert NilpotentLie(flat, L.table).nilpotency_index == index
+        else:
+            with pytest.raises(StructureError) as exc:
+                NilpotentLie(flat, L.table)
+            assert str(exc.value) == message
+        raised[message and message.split(" ")[0]] += 1
     assert failing >= 5
+    assert raised["Jacobi"] >= 3 and raised["antisymmetry"] >= 3 and raised[None] >= 3
+
+
+def test_weighted_dgla_past_the_cap_takes_the_full_family():
+    """Weights 0, 0, 5 and cap 0 admit only triples of x and y, but
+    [z, x] = x is stored on both orders, so antisymmetry fails on (x, z)
+    past the cap.  Every ascending triple of x and y passes Jacobi while
+    jacobi(x,y,x) and jacobi(y,x,x) fail, so a reduction to ascending
+    representatives would miss them; the precondition sees the pair past the cap and the
+    report equals the full-family oracle byte for byte."""
+    basis = GradedBasis.of(("x", 0), ("y", 0), ("z", 0))
+    table = {(0, 1): e(2), (2, 0): e(0), (0, 2): e(0)}
+    L = DGLA(basis, table, {})
+    weights, cap = (0, 0, 5), 0
+    B, Bc = L.rows()
+    assert not swap_rule_holds(B, basis.degree, -1)
+    jacobi = derivation_residual(B, Bc, basis.degree)
+    ascending = list(representatives(3, 3, (0, 1, 2), weights, cap))
+    assert ascending == [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)]
+    assert not any(jacobi(B[i], 0, j, k) for i, j, k in ascending)
+    rep = check_dgla(L, weights, cap)
+    admit = lambda *idx: sum(weights[t] for t in idx) <= cap
+    assert rep.to_json() == oracle_check_dgla(L, admit).to_json()
+    assert rep.text() == oracle_check_dgla(L, admit).text()
+    assert [v.location for v in rep.violations] == ["jacobi(x,y,x)", "jacobi(y,x,x)"]
+
+
+def test_off_degree_delta_takes_the_full_odd_poisson_family():
+    """On the commutative algebra of polyvector_gbv(1, 1), delta(m1f) =
+    -m0f1 - m0f and delta(m1f1) = m0f1 are off degree +1.  Odd Poisson then
+    holds on every triple with j <= k and fails on others, so the
+    precondition must refuse the reduction; the report equals the oracle."""
+    alg = polyvector_gbv(1, 1).algebra
+    S = GBVStructure(alg, {2: e(1, -1) + e(0, -1), 3: e(1)})
+    P, Pc, _, Q, _ = S._tables()
+    deg = alg.basis.degree
+    assert swap_rule_holds(P, deg, 1)
+    ad = derivation_residual(P, Pc, deg)
+    triples = list(itertools.product(range(len(alg.basis)), repeat=3))
+    assert not any(ad(Q[i], deg(i) + 1, j, k) for i, j, k in triples if j <= k)
+    rep = S.gbv_check()
+    assert rep.to_json() == oracle_gbv_check(S).to_json()
+    assert any(v.message == "odd Poisson identity fails" for v in rep.violations)
+
+
+def test_passing_polyvector_checks_run_one_residual_per_orbit(monkeypatch):
+    """A passing polyvector_gbv(2, 2) calls each triple residual once per
+    orbit representative (sign ledger K5), never on the full family: the
+    associator on i <= k, odd Poisson on j <= k and Jacobi on i <= j <= k,
+    counted against a filter of the admitted triples; so does check_na's
+    associator on the product of polyvector_gbv(1, 3)."""
+    calls = Counter()
+    engine = core.violations
+
+    def counted(template, residual):
+        def res(*idx):
+            calls[template] += 1
+            return residual(*idx)
+
+        return res
+
+    def counting(name, steps):
+        steps = [
+            (family, [(t, m, counted(t, r)) for t, m, r in identities], *reps)
+            for family, identities, *reps in steps
+        ]
+        return engine(name, steps)
+
+    monkeypatch.setattr(core, "violations", counting)
+    S = polyvector_gbv(2, 2)
+    assert S.gbv_check().ok() and S.dgla_verify().ok()
+    triples = list(core.admitted(len(S.algebra.basis), 3, S.weights, S.cap))
+    assert calls["assoc({},{},{})"] == sum(i <= k for i, _, k in triples)
+    assert calls["oddpoisson({},{},{})"] == sum(j <= k for _, j, k in triples)
+    assert calls["jacobi({},{},{})"] == sum(i <= j <= k for i, j, k in triples)
+    assert 4 * calls["jacobi({},{},{})"] < len(triples)
+    calls.clear()
+    algebra = polyvector_gbv(1, 3).algebra
+    check_na(ArtinDg(algebra.basis, algebra.table, {}))
+    triples = list(core.admitted(len(algebra.basis), 3))
+    assert calls["assoc({},{},{})"] == sum(i <= k for i, _, k in triples)
 
 
 def test_truncated_checks_keep_their_instance_families():
@@ -664,7 +788,7 @@ def test_gbv_bracket_equals_schouten_on_polyvectors():
         (m1, f1), (m2, f2) = keys[i], keys[j]
         if sum(m1) + sum(m2) > 2:
             continue  # stay inside the exactness cap
-        br = S.bracket(e(i), e(j))
+        br = gbv_bracket(S, e(i), e(j))
         sch = schouten(
             pv(2, m1, f1), pv(2, m2, f2)
         )
@@ -678,6 +802,17 @@ def test_polyvector_gbv_small_checks():
     S = polyvector_gbv(2, 2)
     assert S.gbv_check().ok()
     assert S.dgla_verify().ok()
+    # the product table is the Polyvector wedge of each pair within the cap
+    for nvars, cap in ((2, 2), (3, 1)):
+        S = polyvector_gbv(nvars, cap)
+        table = {}
+        for i, a in enumerate(S.keys):
+            for j, b in enumerate(S.keys):
+                if sum(a[0]) + sum(b[0]) <= cap:
+                    wedge = S.to_element(pv(nvars, *a).wedge(pv(nvars, *b)))
+                    if wedge.terms:
+                        table[i, j] = wedge
+        assert S.algebra.table == table
 
 
 def test_polyvector_gbv_tables_hold_int_coefficients():
@@ -813,7 +948,7 @@ def oracle_expansion_violations(S):
                 out.append(
                     (
                         f"expansion m={m} on {word}",
-                        S.algebra.show(diff),
+                        show(S.algebra, diff),
                         "coproduct expansion of delta fails",
                     )
                 )

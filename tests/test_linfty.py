@@ -2,6 +2,7 @@
 morphisms, homotopy Maurer-Cartan, cohomology bracket, Hodge models."""
 
 import itertools
+import pathlib
 import random
 from fractions import Fraction
 
@@ -338,6 +339,27 @@ def test_non_morphism_detected():
     Fm = LInftyMorphism(S, S, {1: f1})
     rep = morphism_check(Fm, 3)
     assert not rep.ok()
+
+
+def test_morphism_check_default_depth_is_exact():
+    """The default depth max(a + m - 1, m' a) (sign ledger C3) reaches the
+    word x^6 of the arity-3 probe, a = 3, m = 1, m' = 2, which the old
+    default max(m, m') + 2 = 4 missed; a default report equals the report
+    at a deeper explicit depth on every linfty-morphism sample."""
+    from defalg import schemas
+
+    inputs = pathlib.Path(__file__).parent.parent / "inputs"
+    probe = schemas.parse_linfty_morphism(
+        schemas.load_json(inputs / "failing_linfty_morphism_arity3.json")
+    )
+    rep = morphism_check(probe)
+    assert [(v.location, v.residual) for v in rep.violations] == [
+        ("word ('x', 'x', 'x', 'x', 'x', 'x')", "-10*v")
+    ]
+    assert morphism_check(probe, 5).ok()
+    for path in sorted(inputs.glob("*linfty_morphism*.json")):
+        F = schemas.parse_linfty_morphism(schemas.load_json(path))
+        assert morphism_check(F).to_dict() == morphism_check(F, 8).to_dict(), path
 
 
 def test_morphism_taylor_components():
