@@ -147,6 +147,17 @@ def cmd_homotopy_eval(args) -> CheckReport:
     return rep
 
 
+def _four_power_capped(flag, value, what):
+    """Refuse `flag value` when 4^value exceeds the basis cap, comparing
+    2*value with log2(cap) so that a huge value never builds 4^value."""
+    cap = schemas.max_basis()
+    if cap < 1 or 2 * value > cap.bit_length() - 1:
+        raise InputError(
+            f"{flag} {value}: the 4^{value} {what} exceed the "
+            f"{schemas.MAX_BASIS_ENV} cap of {cap}"
+        )
+
+
 def cmd_bch(args) -> CheckReport:
     data = _load(args)
     if args.truncate < 0:
@@ -156,6 +167,9 @@ def cmd_bch(args) -> CheckReport:
         result = element_json(lie.basis.names, lie.bch(left, right))
         witness = {"result": result, "nilpotency_index": lie.nilpotency_index}
         return CheckReport("bch", witness=witness)
+    # the free and explicit routes both expand words of every length up to
+    # the truncation
+    _four_power_capped("--truncate", args.truncate, "word expansion terms")
     a, b = schemas.parse_free_bch(data, args.truncate)
     result = bch_free(a, b) if args.mode == "free" else bch_explicit(a, b)
     check = bch_explicit(a, b) if args.mode == "free" else bch_free(a, b)
@@ -310,14 +324,8 @@ def cmd_lefschetz(args) -> CheckReport:
     if args.dim < 0:
         raise InputError("--dim must be a nonnegative integer")
     if args.action == "identities":
-        # the sweep visits all 4^dim keys; compare 2*dim with log2(cap) so a
-        # huge --dim never builds 4^dim
-        cap = schemas.max_basis()
-        if cap < 1 or 2 * args.dim > cap.bit_length() - 1:
-            raise InputError(
-                f"--dim {args.dim}: the 4^{args.dim} basis keys exceed the "
-                f"{schemas.MAX_BASIS_ENV} cap of {cap}"
-            )
+        # the sweep visits all 4^dim keys
+        _four_power_capped("--dim", args.dim, "basis keys")
         return identities_report(args.dim)
     v = schemas.parse_covector(_load(args))
     if v.n != args.dim:

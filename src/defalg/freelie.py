@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd, lcm
 
 from .core import (
     BilinearTable,
@@ -28,6 +28,21 @@ from .errors import DomainError, InputError, InternalError, StructureError
 # ---------------------------------------------------------------------------
 # Truncated tensor series
 # ---------------------------------------------------------------------------
+
+
+def word_product(x: dict, y: dict, order, out: dict, c=1) -> dict:
+    """out += c * x y on word-keyed terms dicts, in place, dropping words
+    longer than `order`: the one word-product loop, over any coefficients."""
+    for w1, c1 in x.items():
+        room = order - len(w1)
+        if room < 0:
+            continue
+        if c != 1:
+            c1 = c * c1
+        for w2, c2 in y.items():
+            if len(w2) <= room:
+                add_term(out, w1 + w2, c1 * c2)
+    return out
 
 
 class TensorSeries(Element):
@@ -50,10 +65,6 @@ class TensorSeries(Element):
         return TensorSeries(gens, order)
 
     @staticmethod
-    def one(gens, order):
-        return TensorSeries(gens, order, {(): Fraction(1)})
-
-    @staticmethod
     def generator(gens, order, name):
         gens = tuple(gens)
         if name not in gens:
@@ -66,12 +77,7 @@ class TensorSeries(Element):
 
     def __mul__(self, other):
         self._check(other)
-        out = TensorSeries.zero(self.gens, self.order)
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                if len(w1) + len(w2) <= self.order:
-                    add_term(out.terms, w1 + w2, c1 * c2)
-        return out
+        return self._like(word_product(self.terms, other.terms, self.order, {}))
 
     def bracket(self, other):
         return self * other - other * self
@@ -82,6 +88,35 @@ class TensorSeries(Element):
     def component(self, length):
         return {w: c for w, c in self.terms.items() if len(w) == length}
 
+    def parts(self) -> dict:
+        """The series by word length, {n: (numerators, den)}: the length-n
+        part is numerators / den, over the lcm of its coefficients'
+        denominators (sign ledger F1)."""
+        by_length = {}
+        for w, c in self.terms.items():
+            by_length.setdefault(len(w), {})[w] = c
+        out = {}
+        for n, terms in by_length.items():
+            den = lcm(*(c.denominator for c in terms.values()))
+            out[n] = ({w: c.numerator * (den // c.denominator) for w, c in terms.items()}, den)
+        return out
+
+    @staticmethod
+    def from_parts(gens, order, parts) -> "TensorSeries":
+        """The series whose word-length parts, of lengths at most `order`,
+        are `parts` (as `parts` returns them); an integral coefficient is
+        stored as an int, any other as a Fraction."""
+        terms = {}
+        for nums, den in parts.values():
+            if den == 1:
+                terms.update(nums)
+                continue
+            for w, c in nums.items():
+                terms[w] = Fraction(c, den) if c % den else c // den
+        out = TensorSeries(gens, order)
+        out.terms = terms
+        return out
+
     def __repr__(self):
         names = lambda w: "*".join(self.gens[i] for i in w) or "1"
         parts = [f"{c}·{names(w)}" for w, c in sorted(self.terms.items())]
@@ -89,57 +124,121 @@ class TensorSeries(Element):
 
 
 # ---------------------------------------------------------------------------
-# Exponential, logarithm, DSW projection, Friedrichs test
+# Word-length parts: exponential, logarithm, DSW projection, Friedrichs test
 # ---------------------------------------------------------------------------
+# exp, log, the DSW map and both BCH routes compute on the word-length parts
+# of `TensorSeries.parts`: length n maps to (numerators, den), int
+# numerators over one positive int den.  Every function here returns parts
+# reduced by the gcd of den and the numerators, with no zero numerator and
+# no empty length; a Fraction is built only by `TensorSeries.from_parts`.
 
 
-def tensor_exp(x: TensorSeries, order=None) -> TensorSeries:
-    """e^x = sum x^n / n!, truncated; requires zero constant term."""
-    if x.constant_term() != 0:
+def _reduced(parts) -> dict:
+    """`parts` without empty lengths, each divided by the gcd of its
+    denominator and numerators."""
+    out = {}
+    for n, (nums, den) in parts.items():
+        if nums:
+            g = gcd(den, *nums.values())
+            out[n] = ({w: c // g for w, c in nums.items()}, den // g) if g > 1 else (nums, den)
+    return out
+
+
+def _times(x, y, order) -> dict:
+    """The parts of x y, truncated at `order`: the pairs of lengths that sum
+    to n go over the lcm of their denominators' products."""
+    dens = {}
+    for n1, (_, d1) in x.items():
+        for n2, (_, d2) in y.items():
+            if n1 + n2 <= order:
+                dens[n1 + n2] = lcm(dens.get(n1 + n2, 1), d1 * d2)
+    out = {n: ({}, den) for n, den in dens.items()}
+    for n1, (t1, d1) in x.items():
+        for n2, (t2, d2) in y.items():
+            if n1 + n2 <= order:
+                nums, den = out[n1 + n2]
+                word_product(t1, t2, order, nums, den // (d1 * d2))
+    return _reduced(out)
+
+
+def _add_scaled(acc, x, num, den) -> None:
+    """acc += (num / den) x in place on parts (not reduced); a length's
+    numerators are rescaled only when its denominator grows."""
+    for n, (terms, d) in x.items():
+        d *= den
+        old = acc.get(n)
+        if old is None:
+            acc[n] = (add_into({}, terms, num), d)
+            continue
+        nums, common = old
+        grown = lcm(common, d)
+        if grown != common:
+            nums = {w: c * (grown // common) for w, c in nums.items()}
+        acc[n] = (add_into(nums, terms, num * (grown // d)), grown)
+
+
+def _powers(x, order):
+    """(k, x^k) for k = 1, 2, ... while x^k has a word of length <= order."""
+    power = {n: p for n, p in x.items() if n <= order}
+    k = 1
+    while power:
+        yield k, power
+        power, k = _times(power, x, order), k + 1
+
+
+def tensor_exp(x: dict, order) -> dict:
+    """e^x = sum x^k / k! on word-length parts, truncated at `order`;
+    requires zero constant term."""
+    if 0 in x:
         raise DomainError("tensor_exp needs a zero constant term")
-    order = x.order if order is None else order
-    out = TensorSeries.one(x.gens, order)
-    power = TensorSeries.one(x.gens, order)
-    xo = TensorSeries(x.gens, order, x.terms)
-    for n in range(1, order + 1):
-        power = power * xo
-        if power.is_zero():
-            break
-        add_into(out.terms, power.terms, Fraction(1, factorial(n)))
-    return out
+    out = {0: ({(): 1}, 1)}
+    for k, power in _powers(x, order):
+        _add_scaled(out, power, 1, factorial(k))
+    return _reduced(out)
 
 
-def tensor_log(y: TensorSeries, order=None) -> TensorSeries:
-    """log(1+x) = sum (-1)^{n-1} x^n / n; requires constant term 1."""
-    if y.constant_term() != 1:
+def tensor_log(y: dict, order) -> dict:
+    """log(1+x) = sum (-1)^{k-1} x^k / k on word-length parts, truncated at
+    `order`; requires constant term 1."""
+    if y.get(0) != ({(): 1}, 1):
         raise DomainError("tensor_log needs constant term 1")
-    order = y.order if order is None else order
-    x = TensorSeries(y.gens, order, y.terms)
-    x.add_term((), Fraction(-1))
-    out = TensorSeries.zero(y.gens, order)
-    power = TensorSeries.one(y.gens, order)
-    for n in range(1, order + 1):
-        power = power * x
-        if power.is_zero():
-            break
-        add_into(out.terms, power.terms, Fraction((-1) ** (n - 1), n))
-    return out
+    out = {}
+    for k, power in _powers({n: p for n, p in y.items() if n}, order):
+        _add_scaled(out, power, (-1) ** (k - 1), k)
+    return _reduced(out)
 
 
 def right_nested_terms(word) -> dict:
     """[v1,[v2,[...,[v_{n-1},v_n]].]] expanded on words, with int
-    coefficients, by r(v w) = v r(w) - r(w) v (sign ledger F1)."""
-    if not word:
-        raise InputError("empty bracket word")
-    out = {word[-1:]: 1}
-    for idx in reversed(word[:-1]):
-        head = (idx,)
-        nested = {}
-        for w, c in out.items():
-            add_term(nested, head + w, c)
-            add_term(nested, w + head, -c)
-        out = nested
+    coefficients (sign ledger F1)."""
+    return right_nested({tuple(word): 1})
+
+
+def right_nested(terms: dict) -> dict:
+    """The linear extension of `right_nested_terms` to a terms dict, by
+    r(v w) = v r(w) - r(w) v with the words grouped by first letter, so
+    that the sum over a common first letter is expanded once."""
+    by_head = {}
+    for w, c in terms.items():
+        if not w:
+            raise InputError("empty bracket word")
+        by_head.setdefault(w[0], {})[w[1:]] = c
+    out = {}
+    for v, rest in by_head.items():
+        head = (v,)
+        add_term(out, head, rest.pop((), 0))
+        if rest:
+            for w, c in right_nested(rest).items():
+                add_term(out, head + w, c)
+                add_term(out, w + head, -c)
     return out
+
+
+def dsw_parts(x: dict) -> dict:
+    """The Dynkin-Specht-Wever map on word-length parts without a constant
+    term: length n goes to the int expansion of its right-nested brackets,
+    over n times its denominator (sign ledger F1)."""
+    return _reduced({n: (right_nested(terms), den * n) for n, (terms, den) in x.items()})
 
 
 def dsw_project(x: TensorSeries) -> TensorSeries:
@@ -148,12 +247,7 @@ def dsw_project(x: TensorSeries) -> TensorSeries:
     algebra (sign ledger F1)."""
     if x.constant_term() != 0:
         raise DomainError("dsw_project needs a zero constant term")
-    out = TensorSeries.zero(x.gens, x.order)
-    for w, c in x.terms.items():
-        c = c * Fraction(1, len(w))
-        for nested, k in right_nested_terms(w).items():
-            add_term(out.terms, nested, k * c)
-    return out
+    return TensorSeries.from_parts(x.gens, x.order, dsw_parts(x.parts()))
 
 
 def is_lie(x: TensorSeries) -> bool:
@@ -255,27 +349,54 @@ def bch_term_sum(a, b, bracket, max_len, add, zero):
 
 
 def bch_free(a: TensorSeries, b: TensorSeries, order=None) -> TensorSeries:
-    """Series oracle: sigma(log(e^a e^b)) inside the truncated tensor algebra."""
+    """Series oracle: sigma(log(e^a e^b)) inside the truncated tensor algebra,
+    on word-length parts from the inputs to the result."""
     a._check(b)
     order = a.order if order is None else order
-    product = tensor_exp(a, order) * tensor_exp(b, order)
-    return dsw_project(tensor_log(product, order))
+    product = _times(tensor_exp(a.parts(), order), tensor_exp(b.parts(), order), order)
+    return TensorSeries.from_parts(a.gens, order, dsw_parts(tensor_log(product, order)))
+
+
+@lru_cache(maxsize=None)
+def _bch_trie_denominator(max_len):
+    """The lcm of the coefficient denominators of `_bch_word_trie(max_len)`."""
+
+    def dens(nodes):
+        for _, (coeff, children) in nodes:
+            yield coeff.denominator
+            yield from dens(children)
+
+    return lcm(*dens(_bch_word_trie(max_len)))
 
 
 def bch_explicit(a: TensorSeries, b: TensorSeries, order=None) -> TensorSeries:
-    """Explicit termwise BCH sum, expanded in the tensor algebra."""
+    """Explicit termwise BCH sum, expanded in the tensor algebra on int
+    numerators: with a = A / D and b = B / D over their common denominator
+    D, a bracket word of k letters is its int value on A and B over D^k,
+    and every term goes over Q D^order, Q the lcm of the trie coefficients'
+    denominators (sign ledger F2)."""
     a._check(b)
     order = a.order if order is None else order
-    ao = TensorSeries(a.gens, order, a.terms)
-    bo = TensorSeries(b.gens, order, b.terms)
-    return bch_term_sum(
-        ao,
-        bo,
-        lambda x, y: x.bracket(y),
-        order,
-        lambda acc, v, c: acc + v.scale(c),
-        TensorSeries.zero(a.gens, order),
+    D = lcm(*(c.denominator for x in (a, b) for c in x.terms.values()))
+    A, B = (
+        {w: c.numerator * (D // c.denominator) for w, c in x.terms.items() if len(w) <= order}
+        for x in (a, b)
     )
+    Q = _bch_trie_denominator(order)
+
+    def bracket(x, y):
+        (k, X), (m, Y) = x, y
+        return k + m, word_product(Y, X, order, word_product(X, Y, order, {}), -1)
+
+    def add(total, value, coeff):
+        k, V = value
+        return add_into(total, V, coeff.numerator * (Q // coeff.denominator) * D ** (order - k))
+
+    den = Q * D**order
+    parts = {}
+    for w, c in bch_term_sum((1, A), (1, B), bracket, order, add, {}).items():
+        parts.setdefault(len(w), ({}, den))[0][w] = c
+    return TensorSeries.from_parts(a.gens, order, _reduced(parts))
 
 
 # ---------------------------------------------------------------------------

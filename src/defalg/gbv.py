@@ -70,6 +70,7 @@ class GBVStructure:
         self.weights = None if weights is None else tuple(weights)
         self.cap = cap
         self.triple_filter = None
+        self._built = None
 
     def delta(self, x: Element) -> Element:
         return Element(lin_into({}, self.delta_images, x.terms))
@@ -89,14 +90,16 @@ class GBVStructure:
         )
 
     def _tables(self):
-        """Basis-pair tables for one check: product rows and columns P, Pc,
-        delta images D, and derived-product rows and columns Q, Qc with
-        Q[i][j] = q(e_i, e_j)."""
-        alg = self.algebra
-        P, Pc = alg.rows()
-        D = self.delta_images
-        q = partial(derivation_residual(P, Pc, alg.basis.degree), D, 1)
-        return (P, Pc, D) + basis_rows(q, len(alg.basis))
+        """Basis-pair tables, built once on first use and only read after:
+        product rows and columns P, Pc, delta images D, and derived-product
+        rows and columns Q, Qc with Q[i][j] = q(e_i, e_j)."""
+        if self._built is None:
+            alg = self.algebra
+            P, Pc = alg.rows()
+            D = self.delta_images
+            q = partial(derivation_residual(P, Pc, alg.basis.degree), D, 1)
+            self._built = (P, Pc, D) + basis_rows(q, len(alg.basis))
+        return self._built
 
     def gbv_check(self) -> CheckReport:
         """Degree-additivity, graded commutativity and associativity of the

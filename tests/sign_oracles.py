@@ -16,6 +16,12 @@ parts, which was `GaussianScalar.i_power`.
 `TensorSeries.bracket`, as it was before `freelie.right_nested_terms`
 expanded it on a plain dict with int coefficients.
 
+The `Fraction` routes of `freelie` as they were before exp, log, the DSW
+map and both BCH routes computed on word-length parts with int numerators:
+`oracle_tensor_exp`, `oracle_tensor_log` and `oracle_dsw_project` on whole
+`TensorSeries`, `oracle_bch_free` chaining them, and `oracle_bch_explicit`,
+the trie sum accumulated by `acc + v.scale(c)`.
+
 `oracle_mc_linfty`, the homotopy Maurer-Cartan residual by the l_n route
 that `linfty.mc_linfty` took before it computed in the corestricted
 coalgebra form on the shifted space, with the "add, or pop on zero" step
@@ -48,7 +54,7 @@ from defalg.core import (
 )
 from defalg.dgla import DGLA, TensorDgla
 from defalg.errors import DomainError, InputError
-from defalg.freelie import TensorSeries
+from defalg.freelie import TensorSeries, bch_term_sum, right_nested_terms
 from defalg.gbv import GBVStructure, Polyvector, _partial, one_form_contract
 from defalg.lefschetz import CovectorElement, all_keys, is_primitive, op_star, raw_wedge
 from defalg.report import CheckReport
@@ -200,6 +206,75 @@ def right_nested_bracket(gens, order, word) -> TensorSeries:
         v = TensorSeries(gens, order, {(idx,): Fraction(1)})
         out = v.bracket(out)
     return out
+
+
+def oracle_tensor_exp(x: TensorSeries, order=None) -> TensorSeries:
+    """e^x = sum x^n / n!, truncated; requires zero constant term."""
+    if x.constant_term() != 0:
+        raise DomainError("tensor_exp needs a zero constant term")
+    order = x.order if order is None else order
+    out = TensorSeries(x.gens, order, {(): Fraction(1)})
+    power = TensorSeries(x.gens, order, {(): Fraction(1)})
+    xo = TensorSeries(x.gens, order, x.terms)
+    for n in range(1, order + 1):
+        power = power * xo
+        if power.is_zero():
+            break
+        add_into(out.terms, power.terms, Fraction(1, factorial(n)))
+    return out
+
+
+def oracle_tensor_log(y: TensorSeries, order=None) -> TensorSeries:
+    """log(1+x) = sum (-1)^{n-1} x^n / n; requires constant term 1."""
+    if y.constant_term() != 1:
+        raise DomainError("tensor_log needs constant term 1")
+    order = y.order if order is None else order
+    x = TensorSeries(y.gens, order, y.terms)
+    x.add_term((), Fraction(-1))
+    out = TensorSeries(y.gens, order)
+    power = TensorSeries(y.gens, order, {(): Fraction(1)})
+    for n in range(1, order + 1):
+        power = power * x
+        if power.is_zero():
+            break
+        add_into(out.terms, power.terms, Fraction((-1) ** (n - 1), n))
+    return out
+
+
+def oracle_dsw_project(x: TensorSeries) -> TensorSeries:
+    """Each word w of length n goes to its right-nested bracketing times
+    the Fraction c / n."""
+    if x.constant_term() != 0:
+        raise DomainError("dsw_project needs a zero constant term")
+    out = TensorSeries(x.gens, x.order)
+    for w, c in x.terms.items():
+        c = c * Fraction(1, len(w))
+        for nested, k in right_nested_terms(w).items():
+            add_term(out.terms, nested, k * c)
+    return out
+
+
+def oracle_bch_free(a: TensorSeries, b: TensorSeries, order=None) -> TensorSeries:
+    """sigma(log(e^a e^b)) on whole series with Fraction coefficients."""
+    a._check(b)
+    order = a.order if order is None else order
+    product = oracle_tensor_exp(a, order) * oracle_tensor_exp(b, order)
+    return oracle_dsw_project(oracle_tensor_log(product, order))
+
+
+def oracle_bch_explicit(a: TensorSeries, b: TensorSeries, order=None) -> TensorSeries:
+    """The explicit trie sum on whole series, copying the accumulator at
+    every term."""
+    a._check(b)
+    order = a.order if order is None else order
+    return bch_term_sum(
+        TensorSeries(a.gens, order, a.terms),
+        TensorSeries(b.gens, order, b.terms),
+        lambda x, y: x.bracket(y),
+        order,
+        lambda acc, v, c: acc + v.scale(c),
+        TensorSeries(a.gens, order),
+    )
 
 
 def oracle_mc_linfty(S, A, m_terms, cancelled):

@@ -258,6 +258,26 @@ def test_negative_bch_truncate_exits_two():
     assert payload["status"] == "pass" and payload["witness"]["terms"] == []
 
 
+def test_bch_truncate_cap_exits_two(capsys, monkeypatch):
+    # --truncate is refused from 4^truncate against the basis cap before any
+    # series exists; the default cap admits the corpus's --truncate 5
+    free_bch = os.path.join(INPUTS, "free_bch.json")
+    started = time.monotonic()
+    out = run_cli_input_error("bch", "--input", free_bch, "--truncate", str(10**6))
+    assert time.monotonic() - started < 5.0
+    assert "--truncate 1000000: the 4^1000000 word expansion terms exceed" in out
+    assert main(["bch", "--input", free_bch, "--mode", "free", "--truncate", "5"]) == 0
+    monkeypatch.setenv("DEFALG_MAX_BASIS", "16")
+    for mode in ("free", "explicit"):
+        assert main(["bch", "--input", free_bch, "--mode", mode, "--truncate", "2"]) == 0
+        started = time.monotonic()
+        assert main(["bch", "--input", free_bch, "--mode", mode, "--truncate", "3"]) == 2
+        assert time.monotonic() - started < 1.0
+    captured = capsys.readouterr()
+    assert captured.out.count("--truncate 3: the 4^3 word expansion terms exceed") == 2
+    assert "cap of 16" in captured.out and "Traceback" not in captured.err
+
+
 def test_linfty_tensor_poly_and_max_arity_inputs_exit_two(tmp_path, capsys):
     x = [{"name": "x", "degree": 1}]
     value = [{"basis": "x", "coeff": "1"}]

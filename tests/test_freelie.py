@@ -3,9 +3,17 @@
 import itertools
 import random
 from fractions import Fraction
+from math import factorial, gcd, lcm
 
 import pytest
-from sign_oracles import right_nested_bracket
+from sign_oracles import (
+    oracle_bch_explicit,
+    oracle_bch_free,
+    oracle_dsw_project,
+    oracle_tensor_exp,
+    oracle_tensor_log,
+    right_nested_bracket,
+)
 
 from defalg.core import Element, GradedBasis, add_term
 from defalg.errors import DomainError, InputError, StructureError
@@ -16,6 +24,7 @@ from defalg.freelie import (
     bch_explicit,
     bch_free,
     bch_term_sum,
+    dsw_parts,
     dsw_project,
     is_lie,
     right_nested_terms,
@@ -32,43 +41,57 @@ def gen(name, gens=GENS2, order=5):
     return TensorSeries.generator(gens, order, name)
 
 
+def one(order):
+    return TensorSeries(GENS2, order, {(): 1})
+
+
+def series_exp(x):
+    """`tensor_exp` on a TensorSeries, through its word-length parts."""
+    return TensorSeries.from_parts(x.gens, x.order, tensor_exp(x.parts(), x.order))
+
+
+def series_log(y):
+    """`tensor_log` on a TensorSeries, through its word-length parts."""
+    return TensorSeries.from_parts(y.gens, y.order, tensor_log(y.parts(), y.order))
+
+
 def test_exp_of_zero_is_one():
-    assert tensor_exp(TensorSeries.zero(GENS2, 4)) == TensorSeries.one(GENS2, 4)
+    assert series_exp(TensorSeries.zero(GENS2, 4)) == one(4)
 
 
 def test_exp_truncation_at_two():
     x = gen("x", order=2)
-    e = tensor_exp(x)
+    e = series_exp(x)
     assert e.terms == {(): 1, (0,): 1, (0, 0): Fraction(1, 2)}
 
 
 def test_exp_times_exp_of_minus_is_one():
     # oracle: the truncated Cauchy product of the two series
     x = gen("x", order=5) + gen("y", order=5).scale(Fraction(2, 3))
-    assert tensor_exp(x) * tensor_exp(-x) == TensorSeries.one(GENS2, 5)
+    assert series_exp(x) * series_exp(-x) == one(5)
 
 
 def test_log_of_one_is_zero():
-    assert tensor_log(TensorSeries.one(GENS2, 4)).is_zero()
+    assert series_log(one(4)).is_zero()
 
 
 def test_log_exp_roundtrip():
     x = gen("x", order=4).scale(Fraction(3)) + gen("y", order=4).scale(Fraction(-1, 2))
-    assert tensor_log(tensor_exp(x)) == x
+    assert series_log(series_exp(x)) == x
 
 
 def test_log_of_product_degree_two_part():
     x, y = gen("x"), gen("y")
-    z = tensor_log(tensor_exp(x) * tensor_exp(y))
+    z = series_log(series_exp(x) * series_exp(y))
     deg2 = z.component(2)
     assert deg2 == {(0, 1): Fraction(1, 2), (1, 0): Fraction(-1, 2)}
 
 
 def test_exp_domain_errors():
     with pytest.raises(DomainError):
-        tensor_exp(TensorSeries.one(GENS2, 3))
+        series_exp(one(3))
     with pytest.raises(DomainError):
-        tensor_log(TensorSeries.zero(GENS2, 3))
+        series_log(TensorSeries.zero(GENS2, 3))
 
 
 def test_dsw_on_length_two_word():
@@ -111,12 +134,16 @@ def test_right_nested_terms_match_the_bracket_oracle():
         right_nested_terms(())
 
 
-def test_dsw_coefficients_stay_fractions():
-    # the scale c/len(w) is 1 on x and on 2*x*y, where int terms could leak
+def test_dsw_coefficients_are_int_first():
+    # an integral coefficient is stored as an int, any other as a Fraction
+    # (core's int-first contract); 1/n is 1 on x and cancels on 2*x*y
     x, y = gen("x"), gen("y")
     for series in (x, (x * y).scale(2), x * y + y, (x * y * x).scale(Fraction(3, 7))):
         out = dsw_project(series)
-        assert out.terms and all(type(c) is Fraction for c in out.terms.values())
+        assert out.terms and all(
+            type(c) is (int if c.denominator == 1 else Fraction) for c in out.terms.values()
+        )
+    assert {type(c) for c in dsw_project(x * y + y).terms.values()} == {int, Fraction}
     assert dsw_project(x).terms == {(0,): 1}
     assert dsw_project((x * y).scale(2)).terms == {(0, 1): 1, (1, 0): -1}
 
@@ -445,6 +472,87 @@ def test_nilpotent_constructor_matches_element_oracle():
 def test_nilpotent_lie_rejects_graded_basis():
     with pytest.raises(InputError):
         NilpotentLie(GradedBasis.of(("a", 0), ("b", 1)), {})
+
+
+# -- word-length parts against the Fraction routes ------------------------------
+
+
+def random_lie(rng, gens, order):
+    """A seeded Lie element of mixed word length: a letter plus one to three
+    right-nested brackets of words of length 1..order, with rational
+    coefficients."""
+    out = TensorSeries(gens, order)
+    for length in (1, *(rng.randint(1, max(order, 1)) for _ in range(rng.randint(1, 3)))):
+        word = tuple(rng.randrange(len(gens)) for _ in range(length))
+        coeff = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4))
+        out = out + TensorSeries(gens, order, right_nested_terms(word)).scale(coeff)
+    return out
+
+
+def assert_reduced(parts):
+    """The invariants of word-length parts: int numerators of words of their
+    length over a positive denominator, reduced, no zeros, no empty length."""
+    for n, (nums, den) in parts.items():
+        assert nums and type(den) is int and den > 0
+        assert all(type(c) is int and c and len(w) == n for w, c in nums.items())
+        assert gcd(den, *nums.values()) == 1
+
+
+def assert_int_first(series):
+    assert all(
+        type(c) is (int if c.denominator == 1 else Fraction) for c in series.terms.values()
+    )
+
+
+def test_word_length_parts_match_the_fraction_oracles():
+    rng = random.Random(67)
+    integral = 0
+    for order in range(7):
+        for gens in (GENS3[:1], GENS2, GENS3):
+            for _ in range(2):
+                a, b = random_lie(rng, gens, order), random_lie(rng, gens, order)
+                pa, pb = a.parts(), b.parts()
+                assert_reduced(pa)
+                assert TensorSeries.from_parts(gens, order, pa).terms == a.terms
+                ea, eb = tensor_exp(pa, order), tensor_exp(pb, order)
+                assert_reduced(ea)
+                series = TensorSeries.from_parts(gens, order, ea)
+                assert series.terms == oracle_tensor_exp(a).terms
+                assert_int_first(series)
+                product = oracle_tensor_exp(a) * oracle_tensor_exp(b)
+                log = tensor_log(product.parts(), order)
+                assert_reduced(log)
+                series = TensorSeries.from_parts(gens, order, log)
+                assert series.terms == oracle_tensor_log(product).terms
+                assert_int_first(series)
+                for x in (series, a * b + a):
+                    if x.constant_term() == 0:
+                        assert_reduced(dsw_parts(x.parts()))
+                        assert dsw_project(x).terms == oracle_dsw_project(x).terms
+                        assert_int_first(dsw_project(x))
+                free, explicit = bch_free(a, b), bch_explicit(a, b)
+                assert free.terms == oracle_bch_free(a, b).terms
+                assert explicit.terms == oracle_bch_explicit(a, b).terms
+                assert_int_first(free)
+                assert_int_first(explicit)
+                # sign ledger F1: D^n n! lcm(1..n) clears the length-n part
+                # of log(e^a e^b), D the common denominator of a and b
+                D = lcm(*(den for _, den in (*pa.values(), *pb.values())))
+                for n, (_, den) in free.parts().items():
+                    assert D**n * factorial(n) * lcm(*range(1, n + 1)) % den == 0
+                integral += all(type(c) is int for c in free.terms.values())
+    assert integral
+    # the zero series, an inverse pair and an all-integral result
+    zero = TensorSeries(GENS2, 4)
+    assert tensor_exp({}, 4) == {0: ({(): 1}, 1)}
+    assert tensor_log(tensor_exp({}, 4), 4) == dsw_parts({}) == {}
+    for bch in (bch_free, bch_explicit):
+        assert bch(zero, zero).terms == {}
+        a = random_lie(rng, GENS2, 4)
+        assert bch(a, -a).terms == {}
+        x = TensorSeries.generator(GENS2, 4, "x")
+        three = bch(x, x.scale(Fraction(2)))
+        assert three.terms == {(0,): 3} and type(three.terms[(0,)]) is int
 
 
 # -- TensorSeries against the "add, or pop on zero" loops it had -----------------

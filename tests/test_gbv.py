@@ -12,7 +12,7 @@ from sign_oracles import _merge_frames, delta_direct, gbv_bracket, show
 from test_dgla import oracle_check_na
 from test_freelie import oracle_nilpotent_lie
 
-from defalg import core
+from defalg import core, gbv
 from defalg.coalg import all_words
 from defalg.core import (
     Element,
@@ -36,6 +36,7 @@ from defalg.gbv import (
     delta_volume,
     form_del,
     frame_pairing,
+    gbv_linfty_structures,
     gbv_to_abelian,
     one_form_contract,
     polyvector_gbv,
@@ -813,6 +814,19 @@ def test_polyvector_gbv_small_checks():
                     if wedge.terms:
                         table[i, j] = wedge
         assert S.algebra.table == table
+
+
+def test_gbv_tables_are_built_once_per_structure(monkeypatch):
+    # gbv_check, dgla_verify and the homotopy structures share one build of
+    # the product rows and the derived-product table
+    builds = []
+    real = gbv.basis_rows
+    monkeypatch.setattr(gbv, "basis_rows", lambda *args: builds.append(args) or real(*args))
+    S = polyvector_gbv(2, 2)
+    assert S.gbv_check().ok() and S.dgla_verify().ok()
+    assert len(builds) == 1
+    gbv_linfty_structures(S)
+    assert len(builds) == 1
 
 
 def test_polyvector_gbv_tables_hold_int_coefficients():
