@@ -255,8 +255,6 @@ class Element:
         return f"{type(self).__name__}({self.terms!r})"
 
 
-ZERO = Element()
-
 # ---------------------------------------------------------------------------
 # Basis-pair tables and the identity engine: a checker compiles each bilinear
 # operation once into rows[i][j] / cols[j][i] and each linear map into
@@ -294,9 +292,11 @@ class BilinearTable:
     `sign` +1 for graded-commutative and -1 for graded-antisymmetric
     operations; missing both means zero.  `unit` optionally names a
     degree-0 two-sided identity, which overrides its table row and column.
-    Entries are resolved once, here, with integral coefficients stored as
-    int (`int_first`); the Elements returned by `_op_basis` are shared and
-    must not be mutated."""
+    The table is resolved once, here, with integral coefficients stored as
+    int (`int_first`): `rows[i][j]` and `cols[j][i]` hold the terms dict of
+    e_i * e_j (nonzero entries only, shared, never mutated), and `swap_rule`
+    says whether the operation is degree-additive and obeys its swap rule
+    on every pair (sign ledger K5)."""
 
     def __init__(self, basis: GradedBasis, table, sign, unit=None):
         n = len(basis)
@@ -305,42 +305,50 @@ class BilinearTable:
         for (i, j) in self.table:
             if not (0 <= i < n and 0 <= j < n):
                 raise InputError("table entry outside basis")
-        self.unit = basis.index(unit) if unit is not None else None
-        if self.unit is not None and basis.degree(self.unit) != 0:
+        self.unit = u = basis.index(unit) if unit is not None else None
+        if u is not None and basis.degree(u) != 0:
             raise InputError("unit must have degree 0")
-        self._entries = entries = dict(self.table)
+        deg = basis.degree
+        entries = {}
+        # a completed swap obeys the rule, so only pairs stored in both
+        # orders are compared; a unit's row obeys it exactly when sign is +1
+        swap_rule = u is None or sign == 1
         for (i, j), v in self.table.items():
-            if (j, i) not in self.table:
-                entries[(j, i)] = v.scale(sign * self._sign_swap(i, j))
-        if self.unit is not None:
+            entries[i, j] = v.terms
+            swapped = v.scale(sign * self._sign_swap(i, j))
+            stored = self.table.get((j, i))  # v itself when i == j
+            if stored is None:
+                entries[j, i] = swapped.terms
+            if swap_rule and u != i and u != j:
+                want = deg(i) + deg(j)
+                swap_rule = (stored is None or stored.terms == swapped.terms) and all(
+                    deg(t) == want for t in v.terms
+                )
+        if u is not None:
             for i in range(n):
-                entries[(self.unit, i)] = entries[(i, self.unit)] = Element({i: 1})
+                entries[u, i] = entries[i, u] = {i: 1}
+        self.swap_rule = swap_rule
+        self.rows, self.cols = basis_rows(lambda i, j: entries.get((i, j)), n)
 
     def _sign_swap(self, i, j):
         return -1 if (self.basis.degree(i) * self.basis.degree(j)) % 2 else 1
 
-    def _op_basis(self, i, j) -> Element:
-        return self._entries.get((i, j), ZERO)
-
     def apply(self, x: Element, y: Element) -> Element:
         out = {}
-        entry = self._entries.get
+        rows = self.rows
         for i, ci in x.terms.items():
+            row = rows[i]
             for j, cj in y.terms.items():
-                v = entry((i, j))
-                if v is not None:
-                    add_into(out, v.terms, ci * cj)
+                terms = row.get(j)
+                if terms is not None:
+                    add_into(out, terms, ci * cj)
         return Element(out)
-
-    def rows(self):
-        """(rows, cols) of the operation from `basis_rows`."""
-        return basis_rows(lambda i, j: self._op_basis(i, j).terms, len(self.basis))
 
     def _nilpotency_index(self):
         """Smallest s with A^s = 0 for the series A^1 = A,
         A^{s+1} = A * A^s; None when the series does not reach 0."""
         n = len(self.basis)
-        B, _ = self.rows()
+        B = self.rows
         span = [[int(i == j) for j in range(n)] for i in range(n)]
         s = 1
         while span:
@@ -451,19 +459,6 @@ def swap_residual(rows, degree, sign):
         return add_into(dict(rows[i].get(j, {})), rows[j].get(i, {}), s)
 
     return res
-
-
-def swap_rule_holds(rows, degree, sign) -> bool:
-    """Whether the operation with these rows is degree-additive and obeys
-    its swap rule (`swap_residual`) on every pair of basis indices, (i, i)
-    and pairs past any weight cap included: the precondition of the orbit
-    reductions of its triple families (sign ledger K5)."""
-    res = swap_residual(rows, degree, sign)  # {} on a pair of missing entries
-    return all(
-        not res(i, j) and all(degree(t) == degree(i) + degree(j) for t in terms)
-        for i, row in enumerate(rows)
-        for j, terms in row.items()
-    )
 
 
 def derivation_residual(rows, cols, degree, pdeg=0):

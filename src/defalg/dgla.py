@@ -19,6 +19,7 @@ from .core import (
     Element,
     GradedBasis,
     add_into,
+    add_term,
     admitted,
     assoc_residual,
     derivation_residual,
@@ -30,10 +31,9 @@ from .core import (
     representatives,
     square_residual,
     swap_residual,
-    swap_rule_holds,
 )
 from .errors import DomainError, InputError, InternalError, StructureError
-from .freelie import bch_term_sum
+from .freelie import add_scaled, bch_term_sum
 from .report import CheckReport
 
 # ---------------------------------------------------------------------------
@@ -118,7 +118,7 @@ def check_dgla(L: DGLA, weights=None, cap=0) -> CheckReport:
     table entries always run."""
     n = len(L.basis)
     deg = L.basis.degree
-    B, Bc = L.rows()
+    B, Bc = L.rows, L.cols
     d_degree, d_square = differential_identities(L.d_images, deg, "d", "differential")
     entry = lambda i, j: L.table[i, j].terms
     additive = ("[{},{}]", "bracket is not degree-additive", off_degree(entry, deg))
@@ -130,7 +130,7 @@ def check_dgla(L: DGLA, weights=None, cap=0) -> CheckReport:
     even_square = lambda i: {} if deg(i) % 2 else B[i].get(i, {})
     # with antisymmetry the Jacobiator is graded antisymmetric (ledger K5)
     jacobi_orbits = None
-    if swap_rule_holds(B, deg, -1):
+    if L.swap_rule:
         jacobi_orbits = representatives(n, 3, (0, 1, 2), weights, cap)
     jacobi = ("jacobi({},{},{})", "graded Jacobi fails", jac)
     steps = [
@@ -154,7 +154,7 @@ def check_na(A: ArtinDg) -> CheckReport:
     nilpotency; the report carries the computed nilpotency index."""
     n = len(A.basis)
     deg = A.basis.degree
-    P, Pc = A.rows()
+    P, Pc = A.rows, A.cols
     degree, comm, assoc = product_identities(A, P, Pc)
     d_degree, d_square = differential_identities(A.d_images, deg, "d", "differential")
     # d(ab) - (da)b - (-1)^a a(db)
@@ -162,7 +162,7 @@ def check_na(A: ArtinDg) -> CheckReport:
     odd_square = lambda i: P[i].get(i, {}) if deg(i) % 2 else {}
     # with commutativity A(c,b,a) = -(-1)^{ab+bc+ca} A(a,b,c) (ledger K5)
     assoc_orbits = None
-    if swap_rule_holds(P, deg, 1):
+    if A.swap_rule:
         assoc_orbits = representatives(n, 3, (0, 2))
     steps = [
         ([(i,) for i in A.diff], [d_degree]),
@@ -212,34 +212,35 @@ class TensorDgla:
 
     def d(self, x: Element) -> Element:
         out = Element()
+        index, Ld, Ad = self.pair_index, self.L.d_images, self.A.d_images
         for p, c in x.terms.items():
             i, j = self.pairs[p]
-            for k, v in self.L.diff.get(i, Element()).terms.items():
-                out.add_term(self.pair_index[(k, j)], c * v)
+            for k, v in Ld.get(i, {}).items():
+                add_term(out.terms, index[(k, j)], c * v)
             sign = (-1) ** (self.L.basis.degree(i) % 2)
-            for k, v in self.A.diff.get(j, Element()).terms.items():
-                out.add_term(self.pair_index[(i, k)], c * v * sign)
+            for k, v in Ad.get(j, {}).items():
+                add_term(out.terms, index[(i, k)], c * v * sign)
         return out
 
     def bracket(self, x: Element, y: Element) -> Element:
+        """Reads [x_i, x_j] and a_a a_b from the factors' rows, building no
+        Element per pair of basis terms."""
         out = Element()
+        index, pairs = self.pair_index, self.pairs
+        a_degree, l_degree = self.A.basis.degree, self.L.basis.degree
         for p, cp in x.terms.items():
-            i, a = self.pairs[p]
+            i, a = pairs[p]
+            l_row, a_row = self.L.rows[i], self.A.rows[a]
             for q, cq in y.terms.items():
-                j, b = self.pairs[q]
-                sign = (
-                    -1
-                    if (self.A.basis.degree(a) * self.L.basis.degree(j)) % 2
-                    else 1
-                )
-                lb = self.L._op_basis(i, j)
-                ab = self.A._op_basis(a, b)
-                if lb.is_zero() or ab.is_zero():
+                j, b = pairs[q]
+                lb = l_row.get(j)
+                ab = a_row.get(b)
+                if lb is None or ab is None:
                     continue
-                c = cp * cq * sign
-                for k, vk in lb.terms.items():
-                    for m, vm in ab.terms.items():
-                        out.add_term(self.pair_index[(k, m)], c * vk * vm)
+                c = cp * cq * (-1 if a_degree(a) * l_degree(j) % 2 else 1)
+                for k, vk in lb.items():
+                    for m, vm in ab.items():
+                        add_term(out.terms, index[(k, m)], c * vk * vm)
         return out
 
     def show(self, el: Element) -> str:
@@ -285,7 +286,7 @@ class TensorDgla:
             b,
             self.bracket,
             max_len,
-            lambda acc, v, c: acc + v.scale(c),
+            add_scaled,
             Element(),
         )
 
@@ -386,15 +387,13 @@ class SmallExtension:
         # A*I = 0
         for i in range(len(total.basis)):
             for k in self.kernel:
-                prod = total.product(Element.basis_vector(i), Element.basis_vector(k))
-                if not prod.is_zero():
+                if k in total.rows[i]:
                     raise StructureError(
                         f"A*I != 0: {total.basis.names[i]} * {total.basis.names[k]}"
                     )
         # d(I) inside I
         for k in self.kernel:
-            img = total.d(Element.basis_vector(k))
-            if any(t not in kernel_set for t in img.terms):
+            if any(t not in kernel_set for t in total.d_images.get(k, {})):
                 raise StructureError("kernel is not a differential ideal")
         self.quotient_indices = tuple(
             i for i in range(len(total.basis)) if i not in kernel_set
@@ -508,7 +507,7 @@ def cones(ext: SmallExtension):
     diff = {i: v.copy() for i, v in A.diff.items()}
     for k in ext.kernel:
         dk = Element.basis_vector(k)  # iota(m)
-        for t, c in A.diff.get(k, Element()).terms.items():
+        for t, c in A.d_images.get(k, {}).items():
             dk.add_term(shift_pos[t], -c)  # -(d_I m) shifted
         diff[shift_pos[k]] = dk
     C = ArtinDg(GradedBasis(tuple(names), tuple(degs)), table, diff)
@@ -538,14 +537,14 @@ def cones(ext: SmallExtension):
         dtable = {(i, j): v.copy() for (i, j), v in A.table.items()}
         ddiff = {}
         for i in range(n):
-            di = A.diff.get(i, Element()).copy()
+            di = Element(A.d_images.get(i, {}))
             if i in opp_pos:
                 di.add_term(opp_pos[i], Fraction(1))  # alpha(x) in B[-1]
             if not di.is_zero():
                 ddiff[i] = di
         for q in q_idx:
             img = Element()
-            for t, c in A.diff.get(q, Element()).terms.items():
+            for t, c in A.d_images.get(q, {}).items():
                 if t in opp_pos:
                     img.add_term(opp_pos[t], -c)  # -(d_B b) shifted
             if not img.is_zero():
@@ -563,7 +562,7 @@ def _subcomplex_acyclic(structure, indices) -> bool:
     idx_set = set(indices)
     by_degree = {}
     for s in indices:
-        if not idx_set.issuperset(structure.d(Element.basis_vector(s)).terms):
+        if not idx_set.issuperset(structure.d_images.get(s, {})):
             return False
         by_degree.setdefault(structure.basis.degree(s), []).append(s)
     for dgr, here in by_degree.items():
@@ -610,7 +609,7 @@ class ExpDerivation:
         out = {}
         for (r1, a1), c1 in x.items():
             for (r2, a2), c2 in y.items():
-                rr = self.R._op_basis(r1, r2).terms
+                rr = self.R.rows[r1].get(r2, {})
                 if a1 == self.UNIT and a2 == self.UNIT:
                     aa = {self.UNIT: Fraction(1)}
                 elif a1 == self.UNIT:
@@ -618,7 +617,7 @@ class ExpDerivation:
                 elif a2 == self.UNIT:
                     aa = {a1: Fraction(1)}
                 else:
-                    aa = self.A._op_basis(a1, a2).terms
+                    aa = self.A.rows[a1].get(a2, {})
                 prod = {
                     (rk, ak): rv * av for rk, rv in rr.items() for ak, av in aa.items()
                 }
@@ -634,7 +633,7 @@ class ExpDerivation:
                 if a == self.UNIT:
                     keys = {ak: Fraction(1)}
                 else:
-                    keys = self.A._op_basis(ak, a).terms
+                    keys = self.A.rows[ak].get(a, {})
                 add_into(out, {(rk, am): cm for am, cm in keys.items()}, c * v)
         return out
 
@@ -642,7 +641,7 @@ class ExpDerivation:
         names = self.R.basis.names
 
         def leibnitz(i, j):
-            lhs = lin_into({}, self.values, self.R._op_basis(i, j).terms)
+            lhs = lin_into({}, self.values, self.R.rows[i].get(j, {}))
             rhs = self._mul(self.values.get(i, {}), self.embed(j))
             add_into(rhs, self._mul(self.embed(i), self.values.get(j, {})))
             return add_into(lhs, rhs, -1)
@@ -730,10 +729,7 @@ class DtPolynomial(Element):
                 sign = 1
                 if dt1 and self.B.basis.degree(b2) % 2:
                     sign = -1
-                prod = self.B.product(
-                    Element.basis_vector(b1), Element.basis_vector(b2)
-                )
-                for bk, bv in prod.terms.items():
+                for bk, bv in self.B.rows[b1].get(b2, {}).items():
                     out.add_term((bk, k1 + k2, dt1 or dt2), c1 * c2 * bv * sign)
         return out
 
@@ -741,7 +737,7 @@ class DtPolynomial(Element):
         """Total differential: d_B (x) 1 + sign (x) d_{K[t,dt]}."""
         out = DtPolynomial(self.B)
         for (b, k, dt), c in self.terms.items():
-            for bk, bv in self.B.diff.get(b, Element()).terms.items():
+            for bk, bv in self.B.d_images.get(b, {}).items():
                 out.add_term((bk, k, dt), c * bv)
             if not dt and k > 0:
                 sign = -1 if self.B.basis.degree(b) % 2 else 1
@@ -780,9 +776,9 @@ class Homotopy:
 
     def verify(self) -> CheckReport:
         """Multiplicativity and commutation with the differentials."""
-        A, H, e = self.A, self.apply, Element.basis_vector
-        chain = lambda i: (H(A.d(e(i))) - H(e(i)).d()).terms
-        mult = lambda i, j: (H(A.product(e(i), e(j))) - H(e(i)).mul(H(e(j)))).terms
+        A, H = self.A, lambda terms: self.apply(Element(terms))
+        chain = lambda i: (H(A.d_images.get(i, {})) - H({i: 1}).d()).terms
+        mult = lambda i, j: (H(A.rows[i].get(j, {})) - H({i: 1}).mul(H({j: 1}))).terms
         n = len(A.basis)
         message = "H does not commute with the differentials"
         steps = [

@@ -348,11 +348,18 @@ def bch_term_sum(a, b, bracket, max_len, add, zero):
     return total
 
 
-def bch_free(a: TensorSeries, b: TensorSeries, order=None) -> TensorSeries:
+def add_scaled(total: Element, value: Element, coeff) -> Element:
+    """The adder of `bch_term_sum` on Elements: total += coeff * value in
+    place (`add_into`), so no accumulator is copied."""
+    add_into(total.terms, value.terms, coeff)
+    return total
+
+
+def bch_free(a: TensorSeries, b: TensorSeries) -> TensorSeries:
     """Series oracle: sigma(log(e^a e^b)) inside the truncated tensor algebra,
     on word-length parts from the inputs to the result."""
     a._check(b)
-    order = a.order if order is None else order
+    order = a.order
     product = _times(tensor_exp(a.parts(), order), tensor_exp(b.parts(), order), order)
     return TensorSeries.from_parts(a.gens, order, dsw_parts(tensor_log(product, order)))
 
@@ -369,14 +376,14 @@ def _bch_trie_denominator(max_len):
     return lcm(*dens(_bch_word_trie(max_len)))
 
 
-def bch_explicit(a: TensorSeries, b: TensorSeries, order=None) -> TensorSeries:
+def bch_explicit(a: TensorSeries, b: TensorSeries) -> TensorSeries:
     """Explicit termwise BCH sum, expanded in the tensor algebra on int
     numerators: with a = A / D and b = B / D over their common denominator
     D, a bracket word of k letters is its int value on A and B over D^k,
     and every term goes over Q D^order, Q the lcm of the trie coefficients'
     denominators (sign ledger F2)."""
     a._check(b)
-    order = a.order if order is None else order
+    order = a.order
     D = lcm(*(c.denominator for x in (a, b) for c in x.terms.values()))
     A, B = (
         {w: c.numerator * (D // c.denominator) for w, c in x.terms.items() if len(w) <= order}
@@ -420,7 +427,7 @@ class NilpotentLie(BilinearTable):
         super().__init__(basis, table, -1)
         n = len(basis)
         deg = basis.degree
-        B, Bc = self.rows()
+        B, Bc = self.rows, self.cols
         # [a,[b,c]] - [[a,b],c] - [b,[a,c]]; once antisymmetry holds this is
         # minus the cyclic sum [[a,b],c] + [[b,c],a] + [[c,a],b]
         ad = derivation_residual(B, Bc, deg)
@@ -449,7 +456,7 @@ class NilpotentLie(BilinearTable):
             y,
             self.bracket,
             self.nilpotency_index - 1 if self.nilpotency_index > 1 else 1,
-            lambda acc, v, c: acc + v.scale(c),
+            add_scaled,
             Element(),
         )
         # safety: every longer bracket must vanish

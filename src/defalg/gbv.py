@@ -32,7 +32,6 @@ from .core import (
     report_violations,
     representatives,
     split_plan,
-    swap_rule_holds,
     sym_canonical,
 )
 from .dgla import DGLA, check_dgla, differential_identities, product_identities
@@ -90,23 +89,20 @@ class GBVStructure:
         )
 
     def _tables(self):
-        """Basis-pair tables, built once on first use and only read after:
-        product rows and columns P, Pc, delta images D, and derived-product
-        rows and columns Q, Qc with Q[i][j] = q(e_i, e_j)."""
+        """The derived-product rows and columns Q, Qc with
+        Q[i][j] = q(e_i, e_j), built once on first use and only read after."""
         if self._built is None:
             alg = self.algebra
-            P, Pc = alg.rows()
-            D = self.delta_images
-            q = partial(derivation_residual(P, Pc, alg.basis.degree), D, 1)
-            self._built = (P, Pc, D) + basis_rows(q, len(alg.basis))
+            ad = derivation_residual(alg.rows, alg.cols, alg.basis.degree)
+            self._built = basis_rows(partial(ad, self.delta_images, 1), len(alg.basis))
         return self._built
 
     def gbv_check(self) -> CheckReport:
         """Degree-additivity, graded commutativity and associativity of the
         product, delta degree +1, delta^2 = 0, delta(1) = 0 when unital, and
         the odd Poisson identity for the derived product on basis triples."""
-        P, Pc, D, Q, _ = self._tables()
         alg = self.algebra
+        P, Pc, D, Q = alg.rows, alg.cols, self.delta_images, self._tables()[0]
         n = len(alg.basis)
         deg = alg.basis.degree
         degree, comm, assoc = product_identities(alg, P, Pc)
@@ -120,7 +116,7 @@ class GBVStructure:
         # residual graded symmetric under b <-> c (sign ledger K5)
         weights, cap = self.weights, self.cap
         assoc_orbits = poisson_orbits = None
-        if swap_rule_holds(P, deg, 1):
+        if alg.swap_rule:
             assoc_orbits = representatives(n, 3, (0, 2), weights, cap)
             if all(deg(t) == deg(i) + 1 for i, img in D.items() for t in img):
                 poisson_orbits = representatives(n, 3, (1, 2), weights, cap)
@@ -157,7 +153,8 @@ class GBVStructure:
         DGLA, plus the derived-product compatibility
         delta q(a,b) + q(delta a, b) + (-1)^{deg a} q(a, delta b) = 0,
         with q applied bilinearly."""
-        _, _, D, Q, Qc = self._tables()
+        D = self.delta_images
+        Q, Qc = self._tables()
         rep = check_dgla(self._shifted(Q), self.weights, self.cap)
         rep.command = "gbv-dgla"
         basis = self.algebra.basis
@@ -501,7 +498,7 @@ def gbv_linfty_structures(S: GBVStructure):
     shifted = basis  # suspension of `space` has the original degrees
     t1 = {(i,): v for i, v in S.delta_table.items()}
     t2 = {}
-    Q = S._tables()[3]
+    Q = S._tables()[0]
     n = len(basis)
     for i in range(n):
         for j in range(i, n):
@@ -515,7 +512,7 @@ def times_letters(alg: GradedCommAlgebra, acc: Element, letters) -> Element:
     """acc e_{l_1} e_{l_2} ... for the letters l_1, l_2, ..., multiplied
     from the left."""
     for idx in letters:
-        acc = alg.product(acc, Element.basis_vector(idx))
+        acc = Element(lin_into({}, alg.cols[idx], acc.terms))
     return acc
 
 
@@ -546,12 +543,13 @@ def inverse_components(S: GBVStructure, m_max):
     )
 
 
-def tensor_inverse_check(S: GBVStructure, n_max=3) -> CheckReport:
+def tensor_inverse_check(S: GBVStructure) -> CheckReport:
     """The tensor-coalgebra statement verbatim: the comorphism induced by
     the product has corestricted inverse with components (-1)^{m-1} times
     the product; on an ordered word the composite reduces to
     sum_s (-1)^{s-1} binom(n-1, s-1) (full product) = 0 for n >= 2.
-    Verified by explicit enumeration of consecutive-block compositions."""
+    Verified by explicit enumeration of consecutive-block compositions on
+    the words of length at most 3."""
     alg = S.algebra
     n = len(alg.basis)
 
@@ -578,7 +576,7 @@ def tensor_inverse_check(S: GBVStructure, n_max=3) -> CheckReport:
 
     words = (
         (word,)
-        for total in range(1, n_max + 1)
+        for total in range(1, 4)
         for word in itertools.product(range(n), repeat=total)
     )
     message = "tensor-side inverse composition fails"

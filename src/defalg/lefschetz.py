@@ -166,10 +166,6 @@ def _row_C(key):
     return ((key, (len(key[0]) - len(key[1])) % 4),)
 
 
-def _row_C_inv(key):
-    return ((key, (len(key[1]) - len(key[0])) % 4),)
-
-
 def _row_c_inv_star(key):
     """(-1)^{(p+q)(p+q+1)/2 + |M|} z_{A,B,N,M}, the sign as 0 or 2 turns."""
     A, B, M, N = key
@@ -189,14 +185,6 @@ def _row_parity(key):
     return ((key, 2 * ((len(key[0]) + len(key[1])) % 2)),)
 
 
-def op_L_i(i, v: CovectorElement) -> CovectorElement:
-    return _apply(lambda key: [(_raise(key, i), 0)] if i in key[3] else (), v)
-
-
-def op_Lambda_i(i, v: CovectorElement) -> CovectorElement:
-    return _apply(lambda key: [(_lower(key, i), 0)] if i in key[2] else (), v)
-
-
 def op_L(v: CovectorElement) -> CovectorElement:
     return _apply(_row_L, v)
 
@@ -207,10 +195,6 @@ def op_Lambda(v: CovectorElement) -> CovectorElement:
 
 def op_C(v: CovectorElement) -> CovectorElement:
     return _apply(_row_C, v)
-
-
-def op_C_inv(v: CovectorElement) -> CovectorElement:
-    return _apply(_row_C_inv, v)
 
 
 def op_c_inv_star(v: CovectorElement) -> CovectorElement:
@@ -433,7 +417,7 @@ def reconstruct(n, parts) -> CovectorElement:
     return out
 
 
-def primitive_star_report(v: CovectorElement, r_values=None) -> CheckReport:
+def primitive_star_report(v: CovectorElement) -> CheckReport:
     """C^{-1} * L^r v = (-1)^{p(p+1)/2} r!/(n-p-r)! L^{n-p-r} v for a
     primitive p-covector and r <= n-p, zero beyond; plus the
     Lambda^alpha L^alpha = alpha!^2 sub-check."""
@@ -445,8 +429,7 @@ def primitive_star_report(v: CovectorElement, r_values=None) -> CheckReport:
     if not is_primitive(v):
         raise DomainError("primitive_star_report needs a primitive covector")
     alpha = n - p
-    rs = r_values if r_values is not None else range(0, n + 1)
-    for r in rs:
+    for r in range(0, n + 1):
         lhs = op_c_inv_star(op_power(op_L, r, v))
         if r <= n - p:
             sign = (-1) ** (((p * (p + 1)) // 2) % 2)

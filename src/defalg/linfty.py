@@ -86,11 +86,11 @@ class LInftyStructure:
     shifted basis.  `space` is the unshifted basis; `shifted` its suspension.
     """
 
-    def __init__(self, space: GradedBasis, suspended_tables, max_arity=None):
+    def __init__(self, space: GradedBasis, suspended_tables):
         self.space = space
         self.shifted = suspend_basis(space)
         self.components = ComponentMap(self.shifted, 1, suspended_tables)
-        self.max_arity = max_arity or max(self.components.arities(), default=1)
+        self.max_arity = max(self.components.arities(), default=1)
 
     @staticmethod
     def from_unsuspended(space: GradedBasis, l_tables) -> "LInftyStructure":
@@ -171,7 +171,7 @@ def from_dgla(L: DGLA, checked=True) -> LInftyStructure:
             if canon is None:
                 continue
             sign = Fraction((-1) ** (L.basis.degree(i) % 2))
-            t2[canon[0]] = L._op_basis(i, j).scale(sign)
+            t2[canon[0]] = Element(L.rows[i].get(j, {})).scale(sign)
     return LInftyStructure(L.basis, {1: t1, 2: t2})
 
 
@@ -254,7 +254,7 @@ def mc_linfty(S: LInftyStructure, A: ArtinDg, m_terms) -> Element:
             nxt = {}
             for (w1, a1), c1 in power.items():
                 for (i, j), c2 in m.items():
-                    prod = A._op_basis(a1, j).terms
+                    prod = A.rows[a1].get(j)
                     canon = canonical_word(shifted, w1 + (i,)) if prod else None
                     if canon is None:
                         continue
@@ -285,9 +285,11 @@ def mc_linfty(S: LInftyStructure, A: ArtinDg, m_terms) -> Element:
 
 def h_bracket_check(S: LInftyStructure) -> CheckReport:
     """Compute H(V, l_1), push l_2 to it, and verify it is a graded Lie
-    bracket there: well-defined ([class, d y] is a boundary), and, tabled on
-    the basis of H as a DGLA with zero differential, antisymmetric and
-    Jacobi by `check_dgla`."""
+    bracket there: closed ([class, class] and [class, d y] are cycles, which
+    holds when l_1 is a derivation of l_2), well-defined ([class, d y] is a
+    boundary), and, tabled on the basis of H from the brackets that are
+    cycles as a DGLA with zero differential, antisymmetric and Jacobi by
+    `check_dgla`."""
     l_tables = S.unsuspended_tables()
     l1 = {w[0]: v for w, v in l_tables.get(1, {}).items()}
     L = DGLA(S.space, l_tables.get(2, {}), l1)  # the complex (V, l_1) with l_2
@@ -305,12 +307,19 @@ def h_bracket_check(S: LInftyStructure) -> CheckReport:
         for y, dy in sorted(L.d_images.items())
     ]
 
+    def closure(x, y):
+        """d [x, y] for a class x and a class or boundary y (both carry the
+        element last)."""
+        return lin_into({}, L.d_images, L.bracket(x[2], y[2]).terms)
+
     def h_terms(el, dgr):
-        """The class of the degree-dgr cycle el as terms over the basis of H.
-        The brackets respect degrees, so a nonzero el has a basis term, and
-        an H, in degree dgr."""
-        coords = hdata[dgr][1](el) if el.terms else ()
-        return {first[dgr] + k: c for k, c in enumerate(coords) if c}
+        """The class of the degree-dgr element el as terms over the basis of
+        H; {} when el is not a cycle, which the closure step reports.  The
+        brackets respect degrees, so a nonzero el has a basis term, and an
+        H, in degree dgr."""
+        if not el.terms or lin_into({}, L.d_images, el.terms):
+            return {}
+        return {first[dgr] + k: c for k, c in enumerate(hdata[dgr][1](el)) if c}
 
     table = {}
     for (i, (_, d1, r1)), (j, (_, d2, r2)) in product(enumerate(classes), repeat=2):
@@ -323,8 +332,15 @@ def h_bracket_check(S: LInftyStructure) -> CheckReport:
         (_, dgr, r), (_, ydeg, dy) = c, b
         return h_terms(L.bracket(r, dy), dgr + ydeg + 1)
 
+    closed = "bracket is not a cycle"
+    steps = [
+        (product(classes, repeat=2), [("closure({}, {})", closed, closure)]),
+        (product(classes, boundaries), [("closure({}, d{})", closed, closure)]),
+    ]
+    rep = CheckReport("h-bracket")
+    report_violations(rep, itemgetter(0), partial(format_terms, basis.names), steps)
     wd = ("bracket({}, d{})", "induced bracket is not well-defined", well_defined)
-    rep, show = CheckReport("h-bracket"), partial(format_terms, h_basis.names)
+    show = partial(format_terms, h_basis.names)
     report_violations(rep, itemgetter(0), show, [(product(classes, boundaries), [wd])])
     rep.merge(check_dgla(DGLA(h_basis, table, {})))
     rep.info = {"h_dims": {str(d): dims[2] for d, (_, _, dims) in hdata.items()}}

@@ -35,24 +35,45 @@ tensor DGLA L (x) A tabled pair by pair, which was `dgla.TensorDgla.as_dgla`;
 the primitive block relation `primitive_coefficient_report` from
 `lefschetz`; `gbv_bracket`, the shifted bracket of a GBV structure on
 elements, which was `gbv.GBVStructure.bracket`; and `show`, a tabled
-operation's residual text, which was `core.BilinearTable.show`."""
+operation's residual text, which was `core.BilinearTable.show`.
+
+The resolution of a tabled operation as it was before `BilinearTable`
+resolved its table into `rows` / `cols` at construction: `oracle_rows`
+builds its `_entries` (stored entries, swap-rule completions, a unit's row
+and column) and reads them through `_op_basis` and `basis_rows`; and
+`swap_rule_holds`, the precondition of the orbit reductions recomputed
+from the rows, which was `core.swap_rule_holds` before `BilinearTable`
+derived its `swap_rule` flag from the stored entries.
+
+`oracle_h_bracket_check`, the induced bracket on cohomology as
+`linfty.h_bracket_check` computed it before its closure step: it raises
+DomainError when a bracket of two classes, or of a class and a boundary,
+is not a cycle."""
 
 import itertools
 from fractions import Fraction
+from functools import partial
+from itertools import product
 from math import factorial
+from operator import itemgetter
 
 from defalg.coalg import word_degree
 from defalg.core import (
     BilinearTable,
     Element,
+    GradedBasis,
     add_into,
     add_term,
+    basis_rows,
     format_terms,
+    int_first,
     odd,
+    report_violations,
     signed_permutations,
+    swap_residual,
     sym_canonical as one_signed_sort,
 )
-from defalg.dgla import DGLA, TensorDgla
+from defalg.dgla import DGLA, TensorDgla, check_dgla, cohomology
 from defalg.errors import DomainError, InputError
 from defalg.freelie import TensorSeries, bch_term_sum, right_nested_terms
 from defalg.gbv import GBVStructure, Polyvector, _partial, one_form_contract
@@ -305,7 +326,7 @@ def oracle_mc_linfty(S, A, m_terms, cancelled):
         out = {}
         for (w1, a1), c1 in x.items():
             for (w2, a2), c2 in y.items():
-                prod = A._op_basis(a1, a2)
+                prod = A.product(Element.basis_vector(a1), Element.basis_vector(a2))
                 sign = -1 if (A.basis.degree(a1) * word_degree(basis, w2)) % 2 else 1
                 for ak, av in prod.terms.items():
                     ext_add(out, w1 + w2, ak, c1 * c2 * av * sign)
@@ -415,6 +436,46 @@ def gbv_bracket(self: GBVStructure, a: Element, b: Element) -> Element:
     return self.derived_q(a, b).scale(1 if da % 2 else -1)
 
 
+ZERO = Element()
+
+
+def oracle_rows(basis, table, sign, unit=None):
+    """(rows, cols) of the operation `BilinearTable(basis, table, sign,
+    unit)`, resolved through its old `_entries` and `_op_basis`."""
+    n = len(basis)
+    table = int_first(table)
+    unit = basis.index(unit) if unit is not None else None
+
+    def _sign_swap(i, j):
+        return -1 if (basis.degree(i) * basis.degree(j)) % 2 else 1
+
+    entries = dict(table)
+    for (i, j), v in table.items():
+        if (j, i) not in table:
+            entries[(j, i)] = v.scale(sign * _sign_swap(i, j))
+    if unit is not None:
+        for i in range(n):
+            entries[(unit, i)] = entries[(i, unit)] = Element({i: 1})
+
+    def _op_basis(i, j) -> Element:
+        return entries.get((i, j), ZERO)
+
+    return basis_rows(lambda i, j: _op_basis(i, j).terms, n)
+
+
+def swap_rule_holds(rows, degree, sign) -> bool:
+    """Whether the operation with these rows is degree-additive and obeys
+    its swap rule (`swap_residual`) on every pair of basis indices, (i, i)
+    and pairs past any weight cap included: the precondition of the orbit
+    reductions of its triple families (sign ledger K5)."""
+    res = swap_residual(rows, degree, sign)  # {} on a pair of missing entries
+    return all(
+        not res(i, j) and all(degree(t) == degree(i) + degree(j) for t in terms)
+        for i, row in enumerate(rows)
+        for j, terms in row.items()
+    )
+
+
 def show(self: BilinearTable, el: Element) -> str:
     return format_terms(self.basis.names, el.terms)
 
@@ -461,4 +522,52 @@ def primitive_coefficient_report(v: CovectorElement) -> CheckReport:
                     str(coeffs[M] - expect),
                     "coefficient relation fails",
                 )
+    return rep
+
+
+def oracle_h_bracket_check(S) -> CheckReport:
+    """Compute H(V, l_1), push l_2 to it, and verify it is a graded Lie
+    bracket there: well-defined ([class, d y] is a boundary), and, tabled on
+    the basis of H as a DGLA with zero differential, antisymmetric and
+    Jacobi by `check_dgla`."""
+    l_tables = S.unsuspended_tables()
+    l1 = {w[0]: v for w, v in l_tables.get(1, {}).items()}
+    L = DGLA(S.space, l_tables.get(2, {}), l1)  # the complex (V, l_1) with l_2
+    basis = S.space
+    # a class is (name, degree, representative), H^d_k the k-th of degree d;
+    # first[d] is the index of H^d_1
+    hdata, classes, first = {}, [], {}
+    for dgr in sorted(set(basis.degrees)):
+        reps, _, _ = hdata[dgr] = cohomology(L, dgr)
+        first[dgr] = len(classes)
+        classes += [(f"H^{dgr}_{k}", dgr, r) for k, r in enumerate(reps, 1)]
+    # a boundary is (name of y, degree of y, d y) for each y with d y != 0
+    boundaries = [
+        (basis.names[y], basis.degree(y), Element(dy))
+        for y, dy in sorted(L.d_images.items())
+    ]
+
+    def h_terms(el, dgr):
+        """The class of the degree-dgr cycle el as terms over the basis of H.
+        The brackets respect degrees, so a nonzero el has a basis term, and
+        an H, in degree dgr."""
+        coords = hdata[dgr][1](el) if el.terms else ()
+        return {first[dgr] + k: c for k, c in enumerate(coords) if c}
+
+    table = {}
+    for (i, (_, d1, r1)), (j, (_, d2, r2)) in product(enumerate(classes), repeat=2):
+        terms = h_terms(L.bracket(r1, r2), d1 + d2)
+        if terms:
+            table[i, j] = Element(terms)
+    h_basis = GradedBasis(tuple(c[0] for c in classes), tuple(c[1] for c in classes))
+
+    def well_defined(c, b):
+        (_, dgr, r), (_, ydeg, dy) = c, b
+        return h_terms(L.bracket(r, dy), dgr + ydeg + 1)
+
+    wd = ("bracket({}, d{})", "induced bracket is not well-defined", well_defined)
+    rep, show = CheckReport("h-bracket"), partial(format_terms, h_basis.names)
+    report_violations(rep, itemgetter(0), show, [(product(classes, boundaries), [wd])])
+    rep.merge(check_dgla(DGLA(h_basis, table, {})))
+    rep.info = {"h_dims": {str(d): dims[2] for d, (_, _, dims) in hdata.items()}}
     return rep

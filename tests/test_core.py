@@ -15,7 +15,14 @@ from math import comb
 
 import pytest
 import sign_oracles
-from sign_oracles import gerstenhaber_bullet, is_unshuffle, parity, symmetrize
+from sign_oracles import (
+    gerstenhaber_bullet,
+    is_unshuffle,
+    oracle_rows,
+    parity,
+    swap_rule_holds,
+    symmetrize,
+)
 
 from defalg import core, linalg, scalars
 from defalg.coalg import SymElement, TensorProductElement, iterated_coproduct
@@ -30,10 +37,11 @@ from defalg.core import (
     sym_canonical,
     unshuffles,
 )
-from defalg.dgla import ArtinDg, DtPolynomial
+from defalg.dgla import DGLA, ArtinDg, DtPolynomial
 from defalg.errors import InputError
-from defalg.freelie import TensorSeries
-from defalg.gbv import PolyForm, Polyvector
+from defalg.freelie import NilpotentLie, TensorSeries
+from defalg.gbv import GradedCommAlgebra, PolyForm, Polyvector
+from defalg.generators import random_classical_artin, random_dgla
 from defalg.lefschetz import CovectorElement, all_keys
 from defalg.report import CheckReport
 from defalg.scalars import GaussianScalar
@@ -484,17 +492,116 @@ def test_violations_run_the_whole_family_once_a_representative_fails():
 
 
 def test_swap_rule_holds_on_every_pair_and_degree():
-    """The precondition of the orbit reductions: false when a pair breaks
-    the swap rule, (i, i) included, or an entry is off degree."""
+    """The oracle of the precondition of the orbit reductions: false when a
+    pair breaks the swap rule, (i, i) included, or an entry is off degree."""
     deg = (0, 1, 1).__getitem__
-    assert core.swap_rule_holds([{1: {1: 1}}, {0: {1: 1}}, {}], deg, 1)
-    assert not core.swap_rule_holds([{1: {1: 1}}, {0: {1: 2}}, {}], deg, 1)
-    assert not core.swap_rule_holds([{1: {1: 1}}, {}, {}], deg, 1)
-    assert not core.swap_rule_holds([{0: {0: 1}}, {}, {}], deg, -1)  # (i, i)
+    assert swap_rule_holds([{1: {1: 1}}, {0: {1: 1}}, {}], deg, 1)
+    assert not swap_rule_holds([{1: {1: 1}}, {0: {1: 2}}, {}], deg, 1)
+    assert not swap_rule_holds([{1: {1: 1}}, {}, {}], deg, 1)
+    assert not swap_rule_holds([{0: {0: 1}}, {}, {}], deg, -1)  # (i, i)
     odd_square = [{}, {1: {0: 1}}, {}]
-    assert not core.swap_rule_holds(odd_square, deg, -1)  # off degree
-    assert not core.swap_rule_holds(odd_square, deg, 1)  # and off the swap rule
-    assert core.swap_rule_holds([{}, {}, {}], deg, -1)
+    assert not swap_rule_holds(odd_square, deg, -1)  # off degree
+    assert not swap_rule_holds(odd_square, deg, 1)  # and off the swap rule
+    assert swap_rule_holds([{}, {}, {}], deg, -1)
+
+
+def perturbed_table(rng, degree, n, sign):
+    """A seeded table over n basis indices: entries on random pairs (a
+    quarter of them (i, i)), about one in six a degree off, and some stored
+    in both orders, with the swap-rule sign or against it."""
+    table = {}
+    for _ in range(rng.randint(1, 2 * n)):
+        i = rng.randrange(n)
+        j = i if rng.random() < 0.25 else rng.randrange(n)
+        want = degree(i) + degree(j) + (rng.random() < 0.15)
+        targets = [t for t in range(n) if degree(t) == want] or [rng.randrange(n)]
+        c = rng.choice((1, -2, Fraction(1, 2)))
+        v = Element.basis_vector(rng.choice(targets), c)
+        table[i, j] = v
+        if i != j and rng.random() < 0.4:
+            s = sign * (-1 if degree(i) * degree(j) % 2 else 1)
+            table[j, i] = v.scale(s if rng.random() < 0.7 else -s)
+    return table
+
+
+def in_order(rows):
+    """Rows of terms dicts as lists, so == also compares insertion order."""
+    return [[(j, list(t.items())) for j, t in row.items()] for row in rows]
+
+
+def assert_resolved_as_before(T, table, sign, unit=None):
+    rows, cols = oracle_rows(T.basis, table, sign, unit)
+    assert in_order(T.rows + T.cols) == in_order(rows + cols)
+
+
+def test_rows_match_the_old_resolution_on_seeded_tables():
+    """rows and cols, dict for dict and in insertion order, equal the old
+    resolution through `_entries` and `_op_basis` (tests/sign_oracles.py)
+    on DGLAs, Artin algebras, unital algebras whose stored unit row and
+    column the unit overrides, and nilpotent Lie algebras."""
+    rng = random.Random(24)
+    for _ in range(40):
+        L = random_dgla(rng)
+        assert_resolved_as_before(L, L.table, -1)
+        A = random_classical_artin(rng)
+        assert_resolved_as_before(A, A.table, 1)
+    # the free nilpotent Lie algebra of class 3 on x, y, with [y, x] stored
+    flat = GradedBasis.of(("x", 0), ("y", 0), ("z", 0), ("u", 0), ("w", 0))
+    overridden = 0
+    for _ in range(20):
+        a, b, c = (rng.choice((1, -3, Fraction(2, 5))) for _ in range(3))
+        table = {
+            (0, 1): Element.basis_vector(2, a),
+            (1, 0): Element.basis_vector(2, -a),
+            (0, 2): Element.basis_vector(3, b),
+            (1, 2): Element.basis_vector(4, c),
+        }
+        assert_resolved_as_before(NilpotentLie(flat, table), table, -1)
+        basis = GradedBasis.of(("1", 0), ("x", 0), ("y", 1), ("z", 1))
+        table = perturbed_table(rng, basis.degree, 4, 1)
+        table[0, 1] = Element.basis_vector(2)  # 1 * x = y, overridden
+        R = GradedCommAlgebra(basis, table, "1")
+        assert_resolved_as_before(R, table, 1, "1")
+        overridden += R.rows[0][1] == {1: 1}
+    assert overridden == 20
+
+
+def test_swap_rule_flag_matches_the_oracle_on_perturbed_tables():
+    """`BilinearTable.swap_rule`, derived from the stored entries, equals
+    the oracle that recomputes every swap residual from the rows: with and
+    without a unit (whose row and column override stored entries), on
+    (i, i), on pairs stored in both orders, on off-degree entries, and on a
+    weighted DGLA whose rule fails only on a pair past its cap."""
+    rng = random.Random(25)
+    seen = Counter()
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        degrees = tuple(rng.randint(0, 2) for _ in range(n))
+        basis = GradedBasis(tuple(f"e{i}" for i in range(n)), degrees)
+        sign = rng.choice((1, -1))
+        unit = "e0" if degrees[0] == 0 and rng.random() < 0.3 else None
+        table = perturbed_table(rng, basis.degree, n, sign)
+        T = core.BilinearTable(basis, table, sign, unit)
+        assert_resolved_as_before(T, table, sign, unit)
+        flag = swap_rule_holds(T.rows, basis.degree, sign)
+        assert T.swap_rule is flag, (table, sign, unit)
+        kinds = {"unit"} if unit else {"no unit"}
+        kinds |= {"(i, i)" for i, j in T.table if i == j}
+        kinds |= {"both orders" for i, j in T.table if i != j and (j, i) in T.table}
+        deg = basis.degree
+        off = lambda i, j: any(deg(t) != deg(i) + deg(j) for t in T.table[i, j].terms)
+        kinds |= {"off degree" for i, j in T.table if off(i, j)}
+        seen.update((kind, flag) for kind in kinds)
+    for kind in ("unit", "no unit", "(i, i)", "both orders"):
+        assert seen[kind, True] >= 5 and seen[kind, False] >= 5, seen
+    assert seen["off degree", False] >= 5, seen
+    # with weights 0, 0, 5 and cap 0, [z, x] = x stored on both orders
+    # breaks antisymmetry only past the cap
+    basis, e = GradedBasis.of(("x", 0), ("y", 0), ("z", 0)), Element.basis_vector
+    L = DGLA(basis, {(0, 1): e(2), (2, 0): e(0), (0, 2): e(0)}, {})
+    assert not L.swap_rule and not swap_rule_holds(L.rows, basis.degree, -1)
+    within = DGLA(basis, {(0, 1): e(2)}, {})
+    assert within.swap_rule and swap_rule_holds(within.rows, basis.degree, -1)
 
 
 def test_violations_run_steps_in_order_and_lazily():
@@ -881,11 +988,6 @@ def test_only_the_engine_adds_to_a_report_in_a_loop():
 # from the acceptance tests or from the benchmark's workloads; dunder methods
 # are exempt.  The functions kept without such a reference, with the reason:
 UNROUTED_ALLOWED = {
-    "lefschetz.op_L_i": "the one-index L_i, checked against its oracle in "
-    "test_lefschetz",
-    "lefschetz.op_Lambda_i": "the one-index Lambda_i, checked against its "
-    "oracle in test_lefschetz",
-    "lefschetz.op_C_inv": "C^{-1}, checked against its oracle in test_lefschetz",
     "linfty.h_bracket_check": "the induced bracket on cohomology; its route, a "
     "subcommand with golden entries, is a later feature",
 }

@@ -20,7 +20,6 @@ from defalg.core import (
     derivation_residual,
     koszul_sign,
     representatives,
-    swap_rule_holds,
     unshuffles,
 )
 from defalg.dgla import DGLA, ArtinDg, check_dgla, check_na
@@ -352,7 +351,7 @@ def test_tabled_checks_match_element_oracle_on_perturbations():
     for T in _gbv_corpus():
         gbv = T.gbv_check()
         assert gbv.to_dict() == oracle_gbv_check(T).to_dict()
-        assert T._shifted(T._tables()[3]).table == oracle_to_dgla(T).table
+        assert T._shifted(T._tables()[0]).table == oracle_to_dgla(T).table
         assert T.dgla_verify().to_dict() == oracle_dgla_verify(T).to_dict()
         failing += not gbv.ok()
         if len(T.algebra.basis) > 10:
@@ -361,7 +360,7 @@ def test_tabled_checks_match_element_oracle_on_perturbations():
         na = check_na(A)
         assert na.to_json() == oracle_check_na(A).to_json()
         if any(v.message == "associativity fails" for v in na.violations):
-            assoc_paths.add(swap_rule_holds(A.rows()[0], A.basis.degree, 1))
+            assoc_paths.add(A.swap_rule)
     assert failing >= 10  # the perturbations do break identities
     assert assoc_paths == {True, False}
 
@@ -400,8 +399,8 @@ def test_weighted_dgla_past_the_cap_takes_the_full_family():
     table = {(0, 1): e(2), (2, 0): e(0), (0, 2): e(0)}
     L = DGLA(basis, table, {})
     weights, cap = (0, 0, 5), 0
-    B, Bc = L.rows()
-    assert not swap_rule_holds(B, basis.degree, -1)
+    B, Bc = L.rows, L.cols
+    assert not L.swap_rule
     jacobi = derivation_residual(B, Bc, basis.degree)
     ascending = list(representatives(3, 3, (0, 1, 2), weights, cap))
     assert ascending == [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)]
@@ -420,10 +419,10 @@ def test_off_degree_delta_takes_the_full_odd_poisson_family():
     precondition must refuse the reduction; the report equals the oracle."""
     alg = polyvector_gbv(1, 1).algebra
     S = GBVStructure(alg, {2: e(1, -1) + e(0, -1), 3: e(1)})
-    P, Pc, _, Q, _ = S._tables()
+    Q = S._tables()[0]
     deg = alg.basis.degree
-    assert swap_rule_holds(P, deg, 1)
-    ad = derivation_residual(P, Pc, deg)
+    assert alg.swap_rule
+    ad = derivation_residual(alg.rows, alg.cols, deg)
     triples = list(itertools.product(range(len(alg.basis)), repeat=3))
     assert not any(ad(Q[i], deg(i) + 1, j, k) for i, j, k in triples if j <= k)
     rep = S.gbv_check()
@@ -834,8 +833,8 @@ def test_polyvector_gbv_tables_hold_int_coefficients():
     is stored as an int: product rows, delta images and the derived
     product's rows."""
     S = polyvector_gbv(2, 2)
-    P, Pc, D, Q, Qc = S._tables()
-    rows = P + Pc + Q + Qc + [D]
+    Q, Qc = S._tables()
+    rows = S.algebra.rows + S.algebra.cols + Q + Qc + [S.delta_images]
     coeffs = [c for row in rows for terms in row.values() for c in terms.values()]
     assert len(coeffs) > 100 and {type(c) for c in coeffs} == {int}
     stored = S.algebra.table.values()
@@ -904,7 +903,7 @@ TENSOR_SIDE_FAILURES = [
 
 
 def test_tensor_inverse_failing_output_is_pinned():
-    rep = tensor_inverse_check(non_associative_gbv(), 3)
+    rep = tensor_inverse_check(non_associative_gbv())
     m = "tensor-side inverse composition fails"
     assert [(v.location, v.residual, v.message) for v in rep.violations] == [
         (loc, res, m) for loc, res in TENSOR_SIDE_FAILURES

@@ -4,10 +4,11 @@ morphisms, homotopy Maurer-Cartan, cohomology bracket, Hodge models."""
 import itertools
 import pathlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from sign_oracles import oracle_mc_linfty
+from sign_oracles import oracle_h_bracket_check, oracle_mc_linfty
 
 from defalg.coalg import SymElement, all_words
 from defalg.core import (
@@ -523,6 +524,37 @@ def test_h_bracket_jacobi_failing_output_is_pinned():
     ]
     assert [(v.location, v.residual, v.message) for v in rep.violations] == want
     assert rep.info == {"h_dims": {"0": 3}}
+
+
+def test_h_bracket_closure_reports_every_bracket_that_is_not_a_cycle():
+    """Over seeded structures and their injected twins (from
+    `inject_linfty_violation`, and `from_dgla` of `inject_dgla_violation`)
+    h_bracket_check never raises.  Where a bracket of classes, or of a class
+    and a boundary, is not a cycle, the check before its closure step
+    raised DomainError and the report now has a closure violation; on every
+    other structure the report equals that check's byte for byte."""
+    raised, kept, failing = Counter(), 0, 0
+    for seed in range(120):
+        rng = random.Random(seed)
+        S = random_linfty(rng)
+        structures = [S, inject_linfty_violation(rng, S)]
+        bad = inject_dgla_violation(rng, random_dgla(rng))
+        structures.append(bad and from_dgla(bad, checked=False))
+        for T in filter(None, structures):
+            rep = h_bracket_check(T)
+            closure = "bracket is not a cycle"
+            unclosed = [v.location for v in rep.violations if v.message == closure]
+            try:
+                before = oracle_h_bracket_check(T)
+            except DomainError:
+                # a bracket with a boundary, or only brackets of classes
+                raised[any(", d" in loc for loc in unclosed)] += 1
+                assert unclosed
+                continue
+            assert not unclosed and rep.to_json() == before.to_json()
+            kept += 1
+            failing += not rep.ok()
+    assert raised[True] >= 1 and raised[False] >= 10 and kept >= 300 and failing >= 50
 
 
 # -- Hodge models --------------------------------------------------------------------
