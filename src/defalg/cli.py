@@ -208,26 +208,40 @@ def cmd_comorph(args) -> CheckReport:
     return F.comorphism_report(_checked_words(F.source, args.max_arity or 4))
 
 
-def _checked_words(basis, max_arity):
-    """`all_words(basis, max_arity)`, refused before any word is built when
-    their splits (2^length per word) exceed the cap."""
+def _bound_splits(basis, depth, what):
+    """Refuse the words up to length `depth` before any is built when their
+    splits (2^length per word) exceed the cap; `what` names the depth."""
     cap = schemas.max_basis()
-    if split_count(basis, max_arity, cap) > cap:
+    if split_count(basis, depth, cap) > cap:
         raise InputError(
-            f"--max-arity {max_arity}: the splits of the words up to length "
-            f"{max_arity} exceed the {schemas.MAX_BASIS_ENV} cap of {cap}"
+            f"{what}: the splits of the words up to length "
+            f"{depth} exceed the {schemas.MAX_BASIS_ENV} cap of {cap}"
         )
+
+
+def _checked_words(basis, max_arity):
+    """`all_words(basis, max_arity)`, bounded by `_bound_splits`."""
+    _bound_splits(basis, max_arity, f"--max-arity {max_arity}")
     return all_words(basis, max_arity)
 
 
+def _checked_linfty(S, max_arity):
+    """`check_linfty` at depth --max-arity, or else at the exact depth
+    2m - 1, bounded by `_bound_splits` before it starts."""
+    depth = max_arity or S.depth
+    what = f"--max-arity {depth}" if max_arity else f"the default depth {depth}"
+    _bound_splits(S.shifted, depth, what)
+    return check_linfty(S, depth)
+
+
 def cmd_check_linfty(args) -> CheckReport:
-    return check_linfty(schemas.parse_linfty(_load(args)), args.max_arity)
+    return _checked_linfty(schemas.parse_linfty(_load(args)), args.max_arity)
 
 
 def cmd_from_dgla(args) -> CheckReport:
     L = schemas.parse_dgla(_load(args))
     S = from_dgla(L)
-    rep = check_linfty(S, args.max_arity)
+    rep = _checked_linfty(S, args.max_arity)
     rep.command = "from-dgla"
     rep.witness = {
         "suspended_components": {

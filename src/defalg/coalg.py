@@ -18,10 +18,12 @@ from .core import (
     add_into,
     add_term,
     check_weights,
+    multiset_plan,
     report_violations,
     signed_permutations,
     split_plan,
     sym_canonical,
+    word_runs,
 )
 from .errors import DomainError, InputError
 from .report import CheckReport
@@ -220,27 +222,39 @@ class Coderivation:
     """Coderivation of S(V) presented by its corestriction components.
 
     The lift is Q(w) = sum_k sum_{(k, n-k) unshuffles} eps * q_k(front) (.)
-    rest (sign ledger C2); it preserves word length filtration and is the
-    unique coderivation with the given components.
+    rest (sign ledger C2), summed over the distinct sub-multisets of the
+    canonical word; it preserves word length filtration and is the unique
+    coderivation with the given components.
     """
 
     def __init__(self, components: ComponentMap):
         self.components = components
         self.basis = components.basis
         self.degree = components.degree
+        self.parity = [d % 2 for d in self.basis.degrees].__getitem__
 
     def apply_word(self, word) -> SymElement:
-        n = len(word)
-        parities = tuple(self.basis.degree(i) % 2 for i in word)
+        """Q on a not-necessarily-canonical word: the sub-multiset sum of its
+        canonical word times the K4 sign, 0 on a zero word; each front is
+        canonical with sign +1, so q_k(front) is read from the table (sign
+        ledger C2(b))."""
         out = SymElement(self.basis)
-        for k in self.components.arities():
+        canon = canonical_word(self.basis, word)
+        if canon is None:
+            return out
+        cw, sign = canon
+        n, letter = len(cw), cw.__getitem__
+        runs = word_runs(cw, self.parity)
+        for k, table in sorted(self.components.tables.items()):
             if k > n:
-                continue
-            for front, rest, sign in split_plan(n, k, parities):
-                value = self.components.apply_word(tuple(word[i] for i in front))
-                tail = tuple(word[i] for i in rest)
+                break
+            for front, rest, s in multiset_plan(runs, k):
+                value = table.get(tuple(map(letter, front)))
+                if value is None:
+                    continue
+                tail = tuple(map(letter, rest))
                 for idx, c in value.terms.items():
-                    out.add_word((idx,) + tail, c * sign)
+                    out.add_word((idx,) + tail, c * s * sign)
         return out
 
     def apply(self, el: SymElement) -> SymElement:
@@ -378,28 +392,28 @@ def split_count(basis: GradedBasis, max_len: int, limit: int) -> int:
 
 
 def all_words(basis: GradedBasis, max_len: int, min_len: int = 1, weights=None, cap=0):
-    """All canonical words of length min_len..max_len (odd symbols without
-    repetition), in deterministic order; with `weights` (one nonnegative int
-    per basis index) only those whose weights sum to at most `cap`, as in
-    `core.admitted`."""
-    idx = list(range(len(basis)))
+    """All canonical words of length min_len..max_len (min_len >= 1; odd
+    symbols without repetition), by length and then lexicographically; with
+    `weights` (one nonnegative int per basis index) only those whose weights
+    sum to at most `cap`, as in `core.admitted`.  Each length extends the
+    words of the one before by a letter >= their last, > it when that letter
+    is odd."""
+    n = len(basis)
     if weights is None:
-        weights, cap = (0,) * len(idx), 0
-    check_weights(len(idx), weights, cap)
+        weights, cap = (0,) * n, 0
+    check_weights(n, weights, cap)
+    odd = [d % 2 for d in basis.degrees]
     out = []
-
-    def rec(start, word, length, budget):
-        if length == 0:
-            out.append(tuple(word))
-            return
-        for i in idx[start:]:
-            if word and word[-1] == i and basis.degree(i) % 2:
-                continue
-            if basis.degree(i) % 2 and i in word:
-                continue
-            if weights[i] <= budget:
-                rec(i, word + [i], length - 1, budget - weights[i])
-
-    for n in range(min_len, max_len + 1):
-        rec(0, [], n, cap)
+    level = [((), cap)]  # the words of one length with their unspent budget
+    for length in range(1, max_len + 1):
+        level = [
+            (word + (i,), budget - weights[i])
+            for word, budget in level
+            for i in range(word[-1] + odd[word[-1]] if word else 0, n)
+            if weights[i] <= budget
+        ]
+        if not level:
+            break
+        if length >= min_len:
+            out += [word for word, _ in level]
     return out

@@ -12,7 +12,7 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 from operator import attrgetter
 
 from .errors import DomainError, InputError
@@ -562,6 +562,41 @@ def split_plan(n: int, k: int, parities: tuple):
     return tuple(
         (u[:k], u[k:], koszul_sign(parities, u)) for u in unshuffles(k, n - k)
     )
+
+
+def word_runs(word, parity):
+    """The runs key of a canonical word: (multiplicity, parity) of each of
+    its blocks of equal letters, in order; `parity` maps a letter to its
+    degree mod 2."""
+    counts = dict.fromkeys(word, 0)
+    for x in word:
+        counts[x] += 1
+    return tuple(zip(counts.values(), map(parity, counts)))
+
+
+@functools.lru_cache(maxsize=4096)
+def multiset_plan(runs: tuple, k: int):
+    """The distinct size-k sub-multisets of a canonical word with these
+    runs, as the `split_plan` triples whose front takes a prefix of every
+    run, each sign times the class weight prod C(m_i, k_i) (sign ledger C2).
+    Only even letters repeat in a canonical word, so an unshuffle that
+    differs from such a triple by swapping equal letters has its front, rest
+    and sign; the `split_plan` sign is kept.  Plans are immutable and
+    cached."""
+    parities = tuple(p for m, p in runs for _ in range(m))
+    place = [(r, j) for r, (m, _) in enumerate(runs) for j in range(m)]
+    plan = []
+    for front, rest, sign in split_plan(len(parities), k, parities):
+        taken = [0] * len(runs)
+        for pos in front:
+            r, j = place[pos]
+            if j != taken[r]:
+                break
+            taken[r] += 1
+        else:
+            weight = prod(comb(m, t) for (m, _), t in zip(runs, taken))
+            plan.append((front, rest, sign * weight))
+    return tuple(plan)
 
 
 # ---------------------------------------------------------------------------

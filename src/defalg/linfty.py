@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from itertools import product
+from itertools import groupby, product
 from math import factorial
 from operator import itemgetter
 
@@ -32,11 +32,12 @@ from .core import (
     add_term,
     format_terms,
     lin_into,
+    multiset_plan,
     off_degree,
     report_violations,
     signed_permutations,
-    split_plan,
     square_residual,
+    word_runs,
 )
 from .dgla import DGLA, ArtinDg, check_dgla, cohomology
 from .errors import DomainError, InputError, StructureError
@@ -91,6 +92,7 @@ class LInftyStructure:
         self.shifted = suspend_basis(space)
         self.components = ComponentMap(self.shifted, 1, suspended_tables)
         self.max_arity = max(self.components.arities(), default=1)
+        self.depth = 2 * self.max_arity - 1  # of `check_linfty` (sign ledger C2)
 
     @staticmethod
     def from_unsuspended(space: GradedBasis, l_tables) -> "LInftyStructure":
@@ -112,42 +114,49 @@ def check_linfty(S: LInftyStructure, n_max=None) -> CheckReport:
     """Generalized Jacobi: for every n <= n_max and every canonical word,
     sum over k+l = n+1 and (k, n-k)-unshuffles of
     eps(sigma) q_l(q_k(front) (.) rest) vanishes.  Only arities k with both
-    q_k and q_l tabled contribute; a front taken at increasing positions of
-    a canonical word is itself canonical with sign +1 (sign ledger C2).
-    The default depth 2m - 1, for m the largest arity, is the longest word
-    with a term in the sum (k, l <= m)."""
-    n_max = n_max or 2 * S.max_arity - 1
+    q_k and q_l tabled contribute, so no word past `S.depth` = 2m - 1, for
+    m the largest arity, has a term: that is the default depth, and the
+    words past it are not built.  The sum runs over the word's distinct
+    sub-multisets (`multiset_plan`), each front canonical with sign +1, and
+    q_l on each (i,) (.) rest is computed once per check (sign ledger C2)."""
     comp = S.components
     tables = comp.tables
     basis = S.shifted
     parity = [d % 2 for d in basis.degrees].__getitem__
     apply_word = comp.apply_word
+    depth = min(n_max or S.depth, S.depth)
+    live = {  # (k, q_k) with q_{n-k+1} tabled, by word length n
+        n: [(k, tables[k]) for k in sorted(tables) if n - k + 1 in tables]
+        for n in range(1, depth + 1)
+    }
+    outer = {}  # q_l((i,) (.) rest) by its word, for this check only
 
     def jacobi(word):
-        n = len(word)
         letter = word.__getitem__
-        parities = tuple(map(parity, word))
+        runs = word_runs(word, parity)
         total = {}
-        for k in range(1, n + 1):
-            inner_table = tables.get(k)
-            if not inner_table or n - k + 1 not in tables:
-                continue
-            for front, rest, sign in split_plan(n, k, parities):
+        for k, inner_table in live[len(word)]:
+            for front, rest, sign in multiset_plan(runs, k):
                 inner = inner_table.get(tuple(map(letter, front)))
                 if inner is None:
                     continue
                 tail = tuple(map(letter, rest))
                 for idx, c in inner.terms.items():
-                    for j, v in apply_word((idx,) + tail).terms.items():
-                        add_term(total, j, c * v * sign)
+                    key = (idx,) + tail
+                    value = outer.get(key)
+                    if value is None:
+                        value = outer[key] = apply_word(key).terms
+                    if value:
+                        add_into(total, value, c * sign)
         return total
 
     steps = [
         (
-            [(word,) for word in all_words(basis, n, n)],
+            [(word,) for word in words],
             [("word {}", f"generalized Jacobi fails at arity {n}", jacobi)],
         )
-        for n in range(1, n_max + 1)
+        for n, words in groupby(all_words(basis, depth), len)
+        if live[n]
     ]
     show = partial(format_terms, basis.names)
     rep = CheckReport("check-linfty")

@@ -112,11 +112,11 @@ def run_suite(seed: int) -> CheckReport:
     injected = 0
     for _ in range(8):
         S = random_linfty(rng)
-        ok = ok and check_linfty(S, 4).ok()
+        ok = ok and check_linfty(S).ok()
         bad = inject_linfty_violation(rng, S)
         if bad is not None:
             injected += 1
-            ok = ok and not check_linfty(bad, 5).ok()
+            ok = ok and not check_linfty(bad).ok()
     _step(results, "linfty-checker", ok and injected >= 4, f"injected={injected}")
 
     # homotopy MC matches the classical residual on structures from DGLAs

@@ -48,7 +48,15 @@ derived its `swap_rule` flag from the stored entries.
 `oracle_h_bracket_check`, the induced bracket on cohomology as
 `linfty.h_bracket_check` computed it before its closure step: it raises
 DomainError when a bracket of two classes, or of a class and a boundary,
-is not a cycle."""
+is not a cycle.
+
+The homotopy Lie sums as they were before they ran over distinct
+sub-multisets (`core.multiset_plan`): `unshuffle_check_linfty`, which was
+`linfty.check_linfty` with its `jacobi` closure summing every unshuffle of
+`core.split_plan`; `unshuffle_apply_word`, which was
+`coalg.Coderivation.apply_word` on the word as given; and
+`recursive_all_words`, which was `coalg.all_words`, one recursion per
+length."""
 
 import itertools
 from fractions import Fraction
@@ -57,7 +65,7 @@ from itertools import product
 from math import factorial
 from operator import itemgetter
 
-from defalg.coalg import word_degree
+from defalg.coalg import SymElement, word_degree
 from defalg.core import (
     BilinearTable,
     Element,
@@ -69,7 +77,9 @@ from defalg.core import (
     int_first,
     odd,
     report_violations,
+    check_weights,
     signed_permutations,
+    split_plan,
     swap_residual,
     sym_canonical as one_signed_sort,
 )
@@ -78,6 +88,7 @@ from defalg.errors import DomainError, InputError
 from defalg.freelie import TensorSeries, bch_term_sum, right_nested_terms
 from defalg.gbv import GBVStructure, Polyvector, _partial, one_form_contract
 from defalg.lefschetz import CovectorElement, all_keys, is_primitive, op_star, raw_wedge
+from defalg.linfty import word_names
 from defalg.report import CheckReport
 from defalg.scalars import GAUSS_ONE, Q0, Q1, GaussianScalar
 
@@ -571,3 +582,92 @@ def oracle_h_bracket_check(S) -> CheckReport:
     rep.merge(check_dgla(DGLA(h_basis, table, {})))
     rep.info = {"h_dims": {str(d): dims[2] for d, (_, _, dims) in hdata.items()}}
     return rep
+
+
+def unshuffle_check_linfty(S, n_max=None) -> CheckReport:
+    """Generalized Jacobi: for every n <= n_max and every canonical word,
+    sum over k+l = n+1 and (k, n-k)-unshuffles of
+    eps(sigma) q_l(q_k(front) (.) rest) vanishes.  Only arities k with both
+    q_k and q_l tabled contribute; a front taken at increasing positions of
+    a canonical word is itself canonical with sign +1 (sign ledger C2).
+    The default depth 2m - 1, for m the largest arity, is the longest word
+    with a term in the sum (k, l <= m)."""
+    n_max = n_max or 2 * S.max_arity - 1
+    comp = S.components
+    tables = comp.tables
+    basis = S.shifted
+    parity = [d % 2 for d in basis.degrees].__getitem__
+    apply_word = comp.apply_word
+
+    def jacobi(word):
+        n = len(word)
+        letter = word.__getitem__
+        parities = tuple(map(parity, word))
+        total = {}
+        for k in range(1, n + 1):
+            inner_table = tables.get(k)
+            if not inner_table or n - k + 1 not in tables:
+                continue
+            for front, rest, sign in split_plan(n, k, parities):
+                inner = inner_table.get(tuple(map(letter, front)))
+                if inner is None:
+                    continue
+                tail = tuple(map(letter, rest))
+                for idx, c in inner.terms.items():
+                    for j, v in apply_word((idx,) + tail).terms.items():
+                        add_term(total, j, c * v * sign)
+        return total
+
+    steps = [
+        (
+            [(word,) for word in recursive_all_words(basis, n, n)],
+            [("word {}", f"generalized Jacobi fails at arity {n}", jacobi)],
+        )
+        for n in range(1, n_max + 1)
+    ]
+    show = partial(format_terms, basis.names)
+    rep = CheckReport("check-linfty")
+    return report_violations(rep, word_names(basis), show, steps)
+
+
+def unshuffle_apply_word(self, word) -> SymElement:
+    n = len(word)
+    parities = tuple(self.basis.degree(i) % 2 for i in word)
+    out = SymElement(self.basis)
+    for k in self.components.arities():
+        if k > n:
+            continue
+        for front, rest, sign in split_plan(n, k, parities):
+            value = self.components.apply_word(tuple(word[i] for i in front))
+            tail = tuple(word[i] for i in rest)
+            for idx, c in value.terms.items():
+                out.add_word((idx,) + tail, c * sign)
+    return out
+
+
+def recursive_all_words(basis, max_len: int, min_len: int = 1, weights=None, cap=0):
+    """All canonical words of length min_len..max_len (odd symbols without
+    repetition), in deterministic order; with `weights` (one nonnegative int
+    per basis index) only those whose weights sum to at most `cap`, as in
+    `core.admitted`."""
+    idx = list(range(len(basis)))
+    if weights is None:
+        weights, cap = (0,) * len(idx), 0
+    check_weights(len(idx), weights, cap)
+    out = []
+
+    def rec(start, word, length, budget):
+        if length == 0:
+            out.append(tuple(word))
+            return
+        for i in idx[start:]:
+            if word and word[-1] == i and basis.degree(i) % 2:
+                continue
+            if basis.degree(i) % 2 and i in word:
+                continue
+            if weights[i] <= budget:
+                rec(i, word + [i], length - 1, budget - weights[i])
+
+    for n in range(min_len, max_len + 1):
+        rec(0, [], n, cap)
+    return out

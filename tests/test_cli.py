@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import time
+from functools import partial
 
 import pytest
 from golden_corpus import cases as golden_cases
@@ -710,6 +711,43 @@ def test_max_arity_refused_before_any_word(tmp_path, capsys, monkeypatch):
     # end to end: --max-arity 18 took 21.8 s before the bound
     out = run_cli_input_error("coder", "--max-arity", "18", "--input", str(path))
     assert "--max-arity 18" in out
+
+
+def test_linfty_depth_refused_before_any_word(capsys, monkeypatch):
+    """check-linfty and from-dgla bound the words up to their depth (the
+    flag, or else 2m - 1) before any is built, as coder and comorph do."""
+
+    path = partial(os.path.join, INPUTS)
+
+    def no_words(*args, **kwargs):
+        raise AssertionError("a word list was built")
+
+    monkeypatch.setattr("defalg.linfty.all_words", no_words)
+    for cmd, name in (
+        ("check-linfty", "linfty.json"),
+        ("from-dgla", "odd_square_dgla.json"),
+    ):
+        assert main([cmd, "--max-arity", str(10**6), "--input", path(name)]) == 2
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 1
+        assert f"--max-arity {10**6}: the splits of the words" in out
+        assert "exceed the DEFALG_MAX_BASIS cap of 4096" in out
+    # the default depth 2m - 1 = 3 of linfty.json holds 28 splits
+    monkeypatch.setenv("DEFALG_MAX_BASIS", "27")
+    assert main(["check-linfty", "--input", path("linfty.json")]) == 2
+    out = capsys.readouterr().out
+    assert "the default depth 3: the splits of the words up to length 3" in out
+    monkeypatch.undo()
+    monkeypatch.setenv("DEFALG_MAX_BASIS", "28")
+    assert main(["check-linfty", "--input", path("linfty.json")]) == 0
+    monkeypatch.undo()
+    # 3,330 splits at its default depth 7 stay under the default cap
+    assert main(["check-linfty", "--input", path("failing_linfty_arity4.json")]) == 1
+    capsys.readouterr()
+    out = run_cli_input_error(
+        "from-dgla", "--max-arity", str(10**6), "--input", path("odd_square_dgla.json")
+    )
+    assert f"--max-arity {10**6}" in out
 
 
 def test_negative_polyvector_vars_exits_two(tmp_path):

@@ -7,6 +7,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from sign_oracles import recursive_all_words
 
 from defalg import coalg
 from defalg.coalg import (
@@ -422,6 +423,23 @@ def test_all_words_within_a_weight_cap():
     for weights, cap in (((0, 1, 2), 3), ((0, 1, 2, -1), 3), ((0, 1, 2, 1), -1)):
         with pytest.raises(InputError, match="weights"):
             all_words(MIXED, 3, 1, weights, cap)
+
+
+def test_all_words_match_the_recursion_on_random_bases():
+    """The level-by-level word list against the recursion it replaced
+    (sign_oracles), on random graded bases, with and without weights."""
+    rng = random.Random(25)
+    for _ in range(300):
+        n = rng.randint(0, 5)
+        degrees = tuple(rng.randint(-2, 3) for _ in range(n))
+        basis = GradedBasis(tuple(f"v{i}" for i in range(n)), degrees)
+        hi = rng.randint(0, 6)
+        lo = rng.randint(1, hi + 1)
+        assert all_words(basis, hi, lo) == recursive_all_words(basis, hi, lo)
+        weights = tuple(rng.randint(0, 3) for _ in range(n))
+        cap = rng.randint(0, 8)
+        got = all_words(basis, hi, lo, weights, cap)
+        assert got == recursive_all_words(basis, hi, lo, weights, cap)
 
 
 def test_split_count_matches_the_listed_words():

@@ -6,16 +6,24 @@ import pathlib
 import random
 from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
-from sign_oracles import oracle_h_bracket_check, oracle_mc_linfty
+from sign_oracles import (
+    oracle_h_bracket_check,
+    oracle_mc_linfty,
+    unshuffle_apply_word,
+    unshuffle_check_linfty,
+)
 
 from defalg.coalg import SymElement, all_words
 from defalg.core import (
     Element,
     GradedBasis,
     koszul_sign,
+    multiset_plan,
     split_plan,
+    sym_canonical,
     unshuffles,
 )
 from defalg.dgla import DGLA, ArtinDg, TensorDgla, check_dgla
@@ -40,6 +48,7 @@ from defalg.linfty import (
     morphism_check,
     op_compose,
     suspend_basis,
+    word_names,
 )
 from defalg.report import CheckReport
 
@@ -249,22 +258,55 @@ def oracle_corpus():
 
 
 def test_check_linfty_matches_oracle_byte_for_byte():
-    failing = 0
+    """Against the term-by-term oracle and the split_plan route
+    (sign_oracles), at the default depth and at depths 3-5; the failing
+    words include words that repeat an even letter."""
+    failing = repeated = 0
     for S in oracle_corpus():
-        for n_max in (3, 4, 5):
-            got, want = check_linfty(S, n_max), oracle_check_linfty(S, n_max)
-            assert got.to_json() == want.to_json()
-            assert got.text() == want.text()
+        for n_max in (None, 3, 4, 5):
+            got = check_linfty(S, n_max)
+            for oracle in (oracle_check_linfty, unshuffle_check_linfty):
+                want = oracle(S, n_max)
+                assert got.to_json() == want.to_json()
+                assert got.text() == want.text()
             failing += not got.ok()
+        at = {v.location for v in got.violations}
+        names = word_names(S.shifted)
+        repeated += sum(
+            f"word {names(w)}" in at
+            for w in all_words(S.shifted, 5)
+            if len(set(w)) < len(w)
+        )
     assert failing >= 20  # the twins make the comparison see residuals
+    assert repeated >= 20
 
 
 def test_coderivation_apply_word_matches_oracle():
+    """Against the term-by-term oracle and the split_plan route on the word
+    as given (sign_oracles): canonical words term for term in order, and by
+    value random words, mostly not canonical or zero."""
+    rng = random.Random(25)
+    seen = Counter()
     for S in oracle_corpus():
-        Q = S.coderivation()
-        for word in all_words(S.shifted, 5):
-            got, want = Q.apply_word(word), oracle_coder_apply_word(Q, word)
-            assert list(got.terms.items()) == list(want.terms.items())
+        Q, basis = S.coderivation(), S.shifted
+        for word in all_words(basis, 5):
+            got = list(Q.apply_word(word).terms.items())
+            assert got == list(oracle_coder_apply_word(Q, word).terms.items())
+            assert got == list(unshuffle_apply_word(Q, word).terms.items())
+        for _ in range(60):
+            word = tuple(rng.randrange(len(basis)) for _ in range(rng.randint(1, 5)))
+            got = Q.apply_word(word)
+            assert got == oracle_coder_apply_word(Q, word)
+            assert got == unshuffle_apply_word(Q, word)
+            canon = sym_canonical(word, basis.degree)
+            if canon is None:
+                kind = "zero"
+            else:
+                kind = "canonical" if canon[0] == word else "other"
+            seen[kind, bool(got.terms)] += 1
+            if kind == "zero":
+                assert not got.terms
+    assert seen["other", True] >= 100 and seen["zero", False] >= 100
 
 
 def test_split_plan_signs_are_koszul_signs():
@@ -280,6 +322,49 @@ def test_split_plan_signs_are_koszul_signs():
                 for front, rest, sign in plan:
                     assert type(sign) is int
                     assert sign == koszul_sign(degrees, front + rest)
+
+
+def runs_keys(max_len):
+    """The runs key of every canonical word of 1..max_len letters: runs of
+    one odd letter or of any number of copies of an even one."""
+    by_len = {0: [()]}
+    for n in range(1, max_len + 1):
+        by_len[n] = [
+            key + ((m, p),)
+            for m in range(1, n + 1)
+            for p in ((0, 1) if m == 1 else (0,))
+            for key in by_len[n - m]
+        ]
+    return [key for n in range(1, max_len + 1) for key in by_len[n]]
+
+
+def test_multiset_plan_classes_partition_the_split_plan():
+    """Each unshuffle of `split_plan` lies in exactly one class of
+    `multiset_plan` (its front's letters) and carries the class sign; the
+    class weights count the classes and sum to C(n, k); a class is planned
+    at its first unshuffle, which fixes its front and rest positions."""
+    keys = runs_keys(8)
+    assert len(keys) == 2583
+    for runs in keys:
+        # one letter per run, so a class is named by its front's letters
+        word = tuple(r for r, (m, _) in enumerate(runs) for _ in range(m))
+        letter = word.__getitem__
+        parities = tuple(p for m, p in runs for _ in range(m))
+        n = len(parities)
+        for k in range(n + 1):
+            plan = multiset_plan(runs, k)
+            classes = {tuple(map(letter, f)): s for f, _, s in plan}
+            assert len(classes) == len(plan)
+            assert all(type(s) is int for s in classes.values())
+            assert sum(map(abs, classes.values())) == comb(n, k)
+            size, first = Counter(), {}
+            for front, rest, sign in split_plan(n, k, parities):
+                key = tuple(map(letter, front))
+                assert classes[key] == sign * abs(classes[key])
+                size[key] += 1
+                first.setdefault(key, (front, rest))
+            assert size == {key: abs(s) for key, s in classes.items()}
+            assert list(first.values()) == [(f, r) for f, r, _ in plan]
 
 
 def pinned_twin(seed):
