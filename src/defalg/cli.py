@@ -14,8 +14,9 @@ import json
 import os
 import sys
 import time
+from math import factorial
 from . import models, schemas
-from .coalg import all_words, split_count
+from .coalg import all_words, split_count, word_counts
 from .core import format_terms
 from .dgla import TensorDgla, check_dgla, check_na, cohomology, cones, obstruction_class
 from .errors import DefalgError, InputError
@@ -219,19 +220,40 @@ def _bound_splits(basis, depth, what):
         )
 
 
+def _bound_permutations(basis, m_max):
+    """Refuse --max-arity `m_max` of hodge-f before any word is built when
+    the signed permutations its F_m sum, m! on each word of length m, exceed
+    the cap."""
+    cap = schemas.max_basis()
+    total = 0
+    for m, words in word_counts(basis, m_max):
+        total += words * factorial(m)
+        if total > cap:
+            raise InputError(
+                f"--max-arity {m_max}: the signed permutations of the words up "
+                f"to length {m_max} exceed the {schemas.MAX_BASIS_ENV} cap of {cap}"
+            )
+
+
 def _checked_words(basis, max_arity):
     """`all_words(basis, max_arity)`, bounded by `_bound_splits`."""
     _bound_splits(basis, max_arity, f"--max-arity {max_arity}")
     return all_words(basis, max_arity)
 
 
+def _bounded_depth(basis, max_arity, default):
+    """--max-arity, or else the exact `default` depth, bounded by
+    `_bound_splits` before any word is built."""
+    depth = max_arity or default
+    what = f"--max-arity {depth}" if max_arity else f"the default depth {depth}"
+    _bound_splits(basis, depth, what)
+    return depth
+
+
 def _checked_linfty(S, max_arity):
     """`check_linfty` at depth --max-arity, or else at the exact depth
-    2m - 1, bounded by `_bound_splits` before it starts."""
-    depth = max_arity or S.depth
-    what = f"--max-arity {depth}" if max_arity else f"the default depth {depth}"
-    _bound_splits(S.shifted, depth, what)
-    return check_linfty(S, depth)
+    2m - 1, bounded before it starts."""
+    return check_linfty(S, _bounded_depth(S.shifted, max_arity, S.depth))
 
 
 def cmd_check_linfty(args) -> CheckReport:
@@ -259,7 +281,8 @@ def cmd_from_dgla(args) -> CheckReport:
 
 
 def cmd_linfty_morphism(args) -> CheckReport:
-    return morphism_check(schemas.parse_linfty_morphism(_load(args)), args.max_arity)
+    F = schemas.parse_linfty_morphism(_load(args))
+    return morphism_check(F, _bounded_depth(F.source.shifted, args.max_arity, F.depth))
 
 
 def cmd_mc_linfty(args) -> CheckReport:
@@ -282,11 +305,13 @@ def cmd_hodge_f(args) -> CheckReport:
     if not args.builtin:
         raise InputError("hodge-f requires --builtin {trivial,rank-one,derived}")
     M = models.HODGE_BUILTINS[args.builtin]()
+    m_max = args.max_arity or 4
+    _bound_permutations(M.source, m_max)
     rep = hodge_model_check(M)
     if not rep.ok():
         rep.command = "hodge-f"
         return rep
-    comps, frep = hodge_F(M, args.max_arity or 4, check_model=False)
+    comps, frep = hodge_F(M, m_max, check_model=False)
     frep.info = {"nonzero_component_arities": sorted(comps)}
     return frep
 
@@ -326,11 +351,14 @@ def cmd_tian_todorov(args) -> CheckReport:
 
 def cmd_gbv_to_abelian(args) -> CheckReport:
     S = schemas.parse_gbv(_load(args))
+    m_max = args.max_arity or 4
+    # the morphism's words are those of the algebra basis
+    _bound_splits(S.algebra.basis, m_max, f"--max-arity {m_max}")
     base = S.gbv_check()
     if not base.ok():
         base.command = "gbv-to-abelian"
         return base
-    _, _, rep = gbv_to_abelian(S, m_max=args.max_arity or 4)
+    _, _, rep = gbv_to_abelian(S, m_max=m_max)
     return rep
 
 

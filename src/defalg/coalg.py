@@ -371,21 +371,29 @@ def compose_morphisms(G: CoalgMorphism, F: CoalgMorphism, words) -> dict:
     return out
 
 
-def split_count(basis: GradedBasis, max_len: int, limit: int) -> int:
-    """sum 2^len(w) over the words `all_words(basis, max_len)` lists, found
-    without listing them (even letters repeat, odd letters appear at most
-    once); the count stops at the first length where it exceeds `limit`."""
+def word_counts(basis: GradedBasis, max_len: int):
+    """(k, the number of words of length k that `all_words(basis, max_len)`
+    lists) for k = 1, 2, ..., found without listing them (even letters
+    repeat, odd letters appear at most once); stops before the first length
+    with no word, after which every length has none."""
     odd = sum(d % 2 for d in basis.degrees)
     even = len(basis) - odd
-    total = 0
     for k in range(1, max_len + 1):
         if not even and k > odd:
-            break
+            return
         # j distinct odd letters and a multiset of k - j even letters
-        total += 2**k * sum(
+        yield k, sum(
             comb(odd, j) * (comb(even + k - j - 1, k - j) if even else int(j == k))
             for j in range(min(k, odd) + 1)
         )
+
+
+def split_count(basis: GradedBasis, max_len: int, limit: int) -> int:
+    """sum 2^len(w) over the words `all_words(basis, max_len)` lists; the
+    count stops at the first length where it exceeds `limit`."""
+    total = 0
+    for k, words in word_counts(basis, max_len):
+        total += 2**k * words
         if total > limit:
             break
     return total

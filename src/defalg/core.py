@@ -16,7 +16,6 @@ from math import comb, prod
 from operator import attrgetter
 
 from .errors import DomainError, InputError
-from .linalg import rref
 
 # ---------------------------------------------------------------------------
 # The sparse accumulate kernel: every sparse value in the package is an
@@ -343,27 +342,6 @@ class BilinearTable:
                 if terms is not None:
                     add_into(out, terms, ci * cj)
         return Element(out)
-
-    def _nilpotency_index(self):
-        """Smallest s with A^s = 0 for the series A^1 = A,
-        A^{s+1} = A * A^s; None when the series does not reach 0."""
-        n = len(self.basis)
-        B = self.rows
-        span = [[int(i == j) for j in range(n)] for i in range(n)]
-        s = 1
-        while span:
-            if s > n + 1:
-                return None
-            nxt = []
-            for i in range(n):
-                for vec in span:
-                    prod = lin_into({}, B[i], {k: c for k, c in enumerate(vec) if c})
-                    if prod:
-                        nxt.append([prod.get(k, 0) for k in range(n)])
-            reduced, pivots = rref(nxt) if nxt else ([], [])
-            span = reduced[: len(pivots)]
-            s += 1
-        return s
 
 
 def check_weights(n, weights, cap):

@@ -75,7 +75,10 @@ class ArtinDg(_Tabled):
 
     SIGN = 1
     product = BilinearTable.apply
-    nilpotency_index = cached_property(BilinearTable._nilpotency_index)
+
+    @cached_property
+    def nilpotency_index(self):
+        return linalg.nilpotency_index(self.rows)
 
     def is_classical(self) -> bool:
         return all(d == 0 for d in self.basis.degrees) and not self.diff
@@ -296,11 +299,15 @@ class TensorDgla:
 # ---------------------------------------------------------------------------
 
 
-def d_matrix(structure, src, dst):
-    """The matrix of d from the span of the basis indices `src` to that of
-    `dst`: row r, column k holds the dst[r] coordinate of d(e_{src[k]})."""
-    images = [structure.d(Element.basis_vector(s)).terms for s in src]
-    return [[img.get(t, Fraction(0)) for img in images] for t in dst]
+def d_in_degree(structure, src, degree):
+    """The terms dicts d(e_s), s in `src`, restricted to the basis indices
+    of degree `degree`."""
+    deg = structure.basis.degree
+    return [
+        {t: c for t, c in structure.d(Element.basis_vector(s)).terms.items()
+         if deg(t) == degree}
+        for s in src
+    ]
 
 
 def cohomology(structure, i: int):
@@ -309,62 +316,37 @@ def cohomology(structure, i: int):
     Returns (representatives, project, dims) where `representatives` is a
     list of Elements spanning H^i, `project` maps a degree-i cycle to its
     coordinate list in that basis (raising DomainError on non-cycles), and
-    dims = (dim Z^i, dim B^i, dim H^i).
+    dims = (dim Z^i, dim B^i, dim H^i).  Z^i is the kernel basis of d in
+    degree i (linalg.kernel_basis), and a cycle is a representative when it
+    is independent of the boundaries and the representatives before it.
     """
-    basis = structure.basis
-    idx_i = basis.indices_of_degree(i)
-    idx_prev = basis.indices_of_degree(i - 1)
-    idx_next = basis.indices_of_degree(i + 1)
+    idx_i = structure.basis.indices_of_degree(i)
+    idx_prev = structure.basis.indices_of_degree(i - 1)
+    # the equations of Z^i: row t of d from degree i to degree i + 1
+    equations = {}
+    for s, img in zip(idx_i, d_in_degree(structure, idx_i, i + 1)):
+        for t, c in img.items():
+            equations.setdefault(t, {})[s] = c
+    z_vectors = linalg.kernel_basis(equations.values(), idx_i)
+    b_vectors = [img for img in d_in_degree(structure, idx_prev, i) if img]
 
-    m_out = d_matrix(structure, idx_i, idx_next)  # d: degree i -> i+1
-    m_in = d_matrix(structure, idx_prev, idx_i)  # d: degree i-1 -> i
-
-    if idx_i:
-        z_vectors = (
-            linalg.kernel_basis(m_out)
-            if idx_next
-            else [
-                [Fraction(1 if r == k else 0) for r in range(len(idx_i))]
-                for k in range(len(idx_i))
-            ]
-        )
-    else:
-        z_vectors = []
-    b_vectors = []
-    if idx_prev and idx_i:
-        for k in range(len(idx_prev)):
-            col = [m_in[r][k] for r in range(len(idx_i))]
-            if any(col):
-                b_vectors.append(col)
-
-    reps = []
-    kept = list(b_vectors)
-    for z in z_vectors:
-        if not linalg.in_span(kept, z):
-            kept.append(z)
-            reps.append(z)
-
-    rep_elements = [
-        Element({idx_i[r]: v[r] for r in range(len(idx_i)) if v[r]}) for v in reps
-    ]
+    kept = linalg.Echelon(b_vectors)
+    b_rank = len(kept.rows)
+    reps = [z for z in z_vectors if kept.insert(z)]
+    rep_elements = [Element(dict(z)) for z in reps]
 
     def project(el: Element):
-        vec = [el.terms.get(t, Fraction(0)) for t in idx_i]
         for t in el.terms:
             if t not in idx_i:
                 raise DomainError("element not concentrated in the requested degree")
         img = structure.d(el)
         if not img.is_zero():
             raise DomainError("cannot project a non-cycle to cohomology")
-        coords = linalg.express_in_span(reps + b_vectors, vec)
+        coords = linalg.express_in_span(reps + b_vectors, el.terms)
         if coords is None:
             raise InternalError("cycle not in Z (projection inconsistency)")
         return coords[: len(reps)]
 
-    if b_vectors:
-        b_rank = linalg.rank([[v[r] for v in b_vectors] for r in range(len(idx_i))])
-    else:
-        b_rank = 0
     dims = (len(z_vectors), b_rank, len(reps))
     return rep_elements, project, dims
 
@@ -474,11 +456,11 @@ def obstruction_class(L: DGLA, ext: SmallExtension, x_over_b: Element):
         # solve d z_j = h_j in L^1 for each kernel coordinate
         correction = Element()
         idx1 = L.basis.indices_of_degree(1)
-        idx2 = L.basis.indices_of_degree(2)
-        matrix = d_matrix(L, idx1, idx2)
+        images = d_in_degree(L, idx1, 2)
+        deg = L.basis.degree
         for j, comp in by_kernel.items():
-            rhs = [comp.terms.get(t, Fraction(0)) for t in idx2]
-            sol = linalg.solve(matrix, rhs)
+            rhs = {t: c for t, c in comp.terms.items() if deg(t) == 2}
+            sol = linalg.express_in_span(images, rhs)
             if sol is None:
                 raise InternalError("vanishing class but unsolvable d z = h")
             for s_pos, c in enumerate(sol):
@@ -565,11 +547,12 @@ def _subcomplex_acyclic(structure, indices) -> bool:
         if not idx_set.issuperset(structure.d_images.get(s, {})):
             return False
         by_degree.setdefault(structure.basis.degree(s), []).append(s)
+    # d maps the span into itself, so the degree-(dgr + 1) part of d(e_s)
+    # lies in the span's degree dgr + 1
     for dgr, here in by_degree.items():
-        above = by_degree.get(dgr + 1)
-        below = by_degree.get(dgr - 1)
-        out_rank = linalg.rank(d_matrix(structure, here, above)) if above else 0
-        b_dim = linalg.rank(d_matrix(structure, below, here)) if below else 0
+        below = by_degree.get(dgr - 1, ())
+        out_rank = linalg.rank(d_in_degree(structure, here, dgr + 1))
+        b_dim = linalg.rank(d_in_degree(structure, below, dgr))
         if len(here) - out_rank != b_dim:
             return False
     return True

@@ -24,6 +24,7 @@ from .core import (
     violations,
 )
 from .errors import DomainError, InputError, InternalError, StructureError
+from .linalg import nilpotency_index
 
 # ---------------------------------------------------------------------------
 # Truncated tensor series
@@ -444,7 +445,7 @@ class NilpotentLie(BilinearTable):
         ]
         for location, message, _ in violations(basis.names.__getitem__, steps):
             raise StructureError(f"{message} on {location}")
-        self.nilpotency_index = self._nilpotency_index()
+        self.nilpotency_index = nilpotency_index(self.rows)
         if self.nilpotency_index is None:
             raise StructureError("algebra is not nilpotent")
 

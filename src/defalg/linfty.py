@@ -191,12 +191,16 @@ def from_dgla(L: DGLA, checked=True) -> LInftyStructure:
 
 class LInftyMorphism:
     """Morphism presented by degree-0 Taylor components f_k from canonical
-    words of the shifted source to the shifted target."""
+    words of the shifted source to the shifted target.  `depth` is the
+    default depth of `morphism_check`, max(a + m - 1, m' a) for Taylor arity
+    a and arities m, m' of the source and target (sign ledger C3)."""
 
     def __init__(self, source: LInftyStructure, target: LInftyStructure, tables):
         self.source = source
         self.target = target
         self.coalg = CoalgMorphism(source.shifted, target.shifted, tables)
+        a = max(self.coalg.components.arities(), default=1)
+        self.depth = max(a + source.max_arity - 1, target.max_arity * a)
 
 
 def morphism_check(F: LInftyMorphism, n_max=None, weights=None, cap=0) -> CheckReport:
@@ -204,11 +208,9 @@ def morphism_check(F: LInftyMorphism, n_max=None, weights=None, cap=0) -> CheckR
     o F = F^1 o (source codifferential) on all words; with `weights` only on
     the words of a truncated structure whose weights sum to at most `cap`
     (see `coalg.all_words`), where it is exact.  The default depth
-    max(a + m - 1, m' a), for Taylor arity a and arities m, m' of the
-    source and target, covers every word where a side can be nonzero (sign
-    ledger C3)."""
-    a = max(F.coalg.components.arities(), default=1)
-    n_max = n_max or max(a + F.source.max_arity - 1, F.target.max_arity * a)
+    `F.depth` covers every word where a side can be nonzero (sign ledger
+    C3)."""
+    n_max = n_max or F.depth
     Q = F.source.coderivation()
     r_comp = F.target.components
 

@@ -52,6 +52,7 @@ RUNS = (
             "linfty_morphism",
             "failing_linfty_morphism",
             "failing_linfty_morphism_arity3",
+            "failing_linfty_morphism_depth",
         ),
     ),
     (("mc-linfty",), ("mc_linfty_problem", "failing_mc_linfty_problem")),

@@ -56,7 +56,14 @@ sub-multisets (`core.multiset_plan`): `unshuffle_check_linfty`, which was
 `core.split_plan`; `unshuffle_apply_word`, which was
 `coalg.Coderivation.apply_word` on the word as given; and
 `recursive_all_words`, which was `coalg.all_words`, one recursion per
-length."""
+length.
+
+The dense `Fraction` linear algebra that was `defalg.linalg` before it
+became one sparse integer echelon: `rref`, a Fraction division across each
+pivot row of a list-of-lists matrix, and on it `rank`, `kernel_basis`,
+`solve` (free variables zero), `in_span` and `express_in_span`; and
+`dense_nilpotency_index`, which was `core.BilinearTable._nilpotency_index`,
+one `rref` per power of the algebra."""
 
 import itertools
 from fractions import Fraction
@@ -75,6 +82,7 @@ from defalg.core import (
     basis_rows,
     format_terms,
     int_first,
+    lin_into,
     odd,
     report_violations,
     check_weights,
@@ -671,3 +679,111 @@ def recursive_all_words(basis, max_len: int, min_len: int = 1, weights=None, cap
     for n in range(min_len, max_len + 1):
         rec(0, [], n, cap)
     return out
+
+
+def rref(matrix):
+    """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
+    rows = [list(r) for r in matrix]
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = None
+        for i in range(r, len(rows)):
+            if rows[i][c] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pv = Fraction(rows[r][c])
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def rank(matrix) -> int:
+    return len(rref(matrix)[1])
+
+
+def kernel_basis(matrix):
+    """Basis of the right kernel {x : M x = 0}; each vector a list."""
+    if not matrix:
+        return []
+    ncols = len(matrix[0])
+    rows, pivots = rref(matrix)
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    basis = []
+    for fc in free:
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -rows[r][fc]
+        basis.append(vec)
+    return basis
+
+
+def solve(matrix, rhs):
+    """One solution x of M x = b, or None when inconsistent."""
+    if not matrix:
+        return None if any(rhs) else []
+    ncols = len(matrix[0])
+    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    rows, pivots = rref(aug)
+    for r in rows:
+        if all(x == 0 for x in r[:ncols]) and r[ncols] != 0:
+            return None
+    x = [Fraction(0)] * ncols
+    for r, pc in enumerate(pivots):
+        if pc == ncols:
+            return None
+        x[pc] = rows[r][ncols]
+    return x
+
+
+def in_span(vectors, target) -> bool:
+    """Is `target` a linear combination of `vectors`?"""
+    if not vectors:
+        return all(x == 0 for x in target)
+    matrix = [[vec[i] for vec in vectors] for i in range(len(target))]
+    return solve(matrix, list(target)) is not None
+
+
+def express_in_span(vectors, target):
+    """Coefficients c with sum c_j vectors_j = target, or None."""
+    if not vectors:
+        return [] if all(x == 0 for x in target) else None
+    matrix = [[vec[i] for vec in vectors] for i in range(len(target))]
+    return solve(matrix, list(target))
+
+
+def dense_nilpotency_index(self):
+    """Smallest s with A^s = 0 for the series A^1 = A,
+    A^{s+1} = A * A^s; None when the series does not reach 0."""
+    n = len(self.basis)
+    B = self.rows
+    span = [[int(i == j) for j in range(n)] for i in range(n)]
+    s = 1
+    while span:
+        if s > n + 1:
+            return None
+        nxt = []
+        for i in range(n):
+            for vec in span:
+                prod = lin_into({}, B[i], {k: c for k, c in enumerate(vec) if c})
+                if prod:
+                    nxt.append([prod.get(k, 0) for k in range(n)])
+        reduced, pivots = rref(nxt) if nxt else ([], [])
+        span = reduced[: len(pivots)]
+        s += 1
+    return s

@@ -321,7 +321,8 @@ def test_criterion_06_coalgebra_laws():
             [cols[j].get(r, F(0)) for j in range(len(long_words))]
             for r in range(len(col_keys))
         ]
-        assert linalg.kernel_basis(matrix) == []
+        rows = [dict(enumerate(r)) for r in matrix]
+        assert linalg.kernel_basis(rows, range(len(long_words))) == []
         # N intertwines the coproducts
         for word in words:
             lhs = tensor_coproduct_reduced(n_map(basis, word))

@@ -750,6 +750,50 @@ def test_linfty_depth_refused_before_any_word(capsys, monkeypatch):
     assert f"--max-arity {10**6}" in out
 
 
+def test_remaining_max_arity_refused_before_any_word(capsys, monkeypatch):
+    """linfty-morphism and gbv-to-abelian bound the splits of their words,
+    hodge-f the m! signed permutations F_m sums on each word of length m,
+    before any word is built."""
+    path = partial(os.path.join, INPUTS)
+
+    def no_words(*args, **kwargs):
+        raise AssertionError("a word list was built")
+
+    monkeypatch.setattr("defalg.linfty.all_words", no_words)
+    monkeypatch.setattr("defalg.gbv.all_words", no_words)
+    for argv, counted in (
+        (("linfty-morphism", "--input", path("linfty_morphism.json")), "splits"),
+        (("gbv-to-abelian", "--input", path("gbv.json")), "splits"),
+        (("hodge-f", "--builtin", "derived"), "signed permutations"),
+    ):
+        assert main([*argv, "--max-arity", str(10**6)]) == 2
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 1
+        assert f"--max-arity {10**6}: the {counted} of the words up to" in out
+        assert "exceed the DEFALG_MAX_BASIS cap of 4096" in out
+    # the default depth max(a + m - 1, m' a) = 3 holds 4 + 8 + 16 splits
+    depth = ("linfty-morphism", "--input", path("failing_linfty_morphism_depth.json"))
+    monkeypatch.setenv("DEFALG_MAX_BASIS", "27")
+    assert main(list(depth)) == 2
+    assert "the default depth 3: the splits" in capsys.readouterr().out
+    # derived: 7 + 24 * 2! + 56 * 3! + 104 * 4! = 2887 permutations at 4
+    monkeypatch.setenv("DEFALG_MAX_BASIS", "2886")
+    assert main(["hodge-f", "--builtin", "derived"]) == 2
+    assert "--max-arity 4: the signed permutations" in capsys.readouterr().out
+    monkeypatch.undo()
+    monkeypatch.setenv("DEFALG_MAX_BASIS", "28")
+    assert main(list(depth)) == 1
+    monkeypatch.setenv("DEFALG_MAX_BASIS", "2887")
+    assert main(["hodge-f", "--builtin", "derived"]) == 0
+    capsys.readouterr()
+    monkeypatch.undo()
+    # end to end: --max-arity 40 ran past 6 s before the bound
+    out = run_cli_input_error(
+        "gbv-to-abelian", "--max-arity", "40", "--input", path("gbv.json")
+    )
+    assert "--max-arity 40: the splits" in out
+
+
 def test_negative_polyvector_vars_exits_two(tmp_path):
     path = tmp_path / "pv.json"
     path.write_text(json.dumps({"kind": "polyvector", "vars": -1, "cap": 3, "terms": []}))
@@ -1315,6 +1359,8 @@ def test_each_subcommand_row_lists_the_flags_its_handler_reads():
 
 FUZZ_VALUES = (None, [], {}, "x", 1.5, -1, True)
 DEEPER_DRAWS = 40  # per sample
+HUGE = 10**6  # set as every degree, truncation and cap
+HUGE_FIELDS = ("degree", "truncation", "cap")
 
 
 def _entry_fields(doc, path=()):
@@ -1363,6 +1409,8 @@ def test_mutated_samples_exit_zero_one_or_two(monkeypatch, capsys):
         mutations = [(p, v) for p in fields for v in FUZZ_VALUES]
         for field in rng.sample(deeper, min(DEEPER_DRAWS, len(deeper))):
             mutations.append((field, rng.choice(FUZZ_VALUES)))
+        huge = [p for p in _nested_fields(doc) if p[-1] in HUGE_FIELDS]
+        mutations += [(p, HUGE) for p in huge]
         for field, value in mutations:
             mutated = _set(doc, field, value)
             monkeypatch.setattr(schemas, "load_json", lambda _, doc=mutated: doc)

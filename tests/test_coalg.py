@@ -99,7 +99,8 @@ def test_kernel_of_coproduct_is_v():
         cols.append(col)
     nrows = len(col_keys)
     matrix = [[cols[j].get(r, F(0)) for j in range(len(words))] for r in range(nrows)]
-    assert linalg.kernel_basis(matrix) == []
+    rows = [dict(enumerate(r)) for r in matrix]
+    assert linalg.kernel_basis(rows, range(len(words))) == []
 
 
 def test_n_map_basics():

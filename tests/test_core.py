@@ -270,11 +270,17 @@ def test_int_first_stores_integral_fractions_as_int():
 
 
 def test_rref_of_an_int_matrix_is_exact():
-    """An int pivot divides through a Fraction, never to a float."""
-    rows, pivots = linalg.rref([[2, 1]])
-    assert (rows, pivots) == ([[1, Fraction(1, 2)]], [0])
-    assert all(type(x) is Fraction for x in rows[0])
-    assert linalg.kernel_basis([[2, 1], [4, 2]]) == [[Fraction(-1, 2), 1]]
+    """Int rows reduce by int combinations, and a coordinate is a Fraction
+    of two ints, never a float."""
+    reduced = linalg.Echelon([{0: 2, 1: 1}]).reduced()
+    assert reduced == {0: {0: 2, 1: 1}}
+    assert all(type(x) is int for x in reduced[0].values())
+    assert linalg.express_in_span([{0: 2, 1: 1}], {0: 1, 1: Fraction(1, 2)}) == [
+        Fraction(1, 2)
+    ]
+    kernel = linalg.kernel_basis([{0: 2, 1: 1}, {0: 4, 1: 2}], range(2))
+    assert kernel == [{0: Fraction(-1, 2), 1: 1}]
+    assert all(type(x) is Fraction for x in kernel[0].values())
 
 
 def test_gaussian_division_of_int_parts_is_exact():
@@ -1167,7 +1173,7 @@ def test_only_core_computes_koszul_signs_and_unshuffles():
 # -- tooling guard: no float division --------------------------------------------
 
 # `/` on two ints is a float; these functions divide through a Fraction
-DIVISION_ALLOWED = {"linalg.rref", "scalars.GaussianScalar.__truediv__"}
+DIVISION_ALLOWED = {"scalars.GaussianScalar.__truediv__"}
 
 
 def divisions(source, module):

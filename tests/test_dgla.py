@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from sign_oracles import as_dgla, show
+from sign_oracles import as_dgla, rref, show
 
 from defalg.core import Element, GradedBasis
 from defalg.dgla import (
@@ -145,8 +145,6 @@ def oracle_product(A):
 
 def oracle_nilpotency_index(A):
     """Lower central series on Element products; None if not nilpotent."""
-    from defalg import linalg
-
     mul = oracle_product(A)
     n = len(A.basis)
     span = [[F(1 if i == j else 0) for j in range(n)] for i in range(n)]
@@ -160,7 +158,7 @@ def oracle_nilpotency_index(A):
                 prod = mul(e(i), Element({k: c for k, c in enumerate(vec) if c}))
                 if not prod.is_zero():
                     nxt.append([prod.terms.get(k, F(0)) for k in range(n)])
-        rows, pivots = linalg.rref(nxt) if nxt else ([], [])
+        rows, pivots = rref(nxt) if nxt else ([], [])
         span = [rows[r] for r in range(len(pivots))]
         s += 1
     return s
@@ -255,6 +253,25 @@ def test_check_na_matches_element_oracle():
         assert rep.text() == expected.text()
         failing += not rep.ok()
     assert failing >= 10  # the perturbations do break identities
+
+
+def test_check_na_off_the_swap_rule_checks_every_associator():
+    """(e0, e2) and (e2, e0) are stored with values that break the swap
+    rule, so check_na takes no orbit representatives: it reports the
+    associators at (e1, e2, e0) and (e2, e0, e1), which are not
+    representatives."""
+    basis = GradedBasis.of(*((f"e{i}", 0) for i in range(5)))
+    table = {(1, 1): e(4), (0, 2): e(4, 2), (2, 0): e(3, -1), (3, 1): e(4)}
+    A = ArtinDg(basis, table, {})
+    assert not A.swap_rule and A.nilpotency_index == 4
+    rep = check_na(A)
+    assert [(v.location, v.residual) for v in rep.violations] == [
+        ("comm(e0,e2)", "1*e3 + 2*e4"),
+        ("comm(e2,e0)", "-1*e3 + -2*e4"),
+        ("assoc(e1,e2,e0)", "1*e4"),
+        ("assoc(e2,e0,e1)", "-1*e4"),
+    ]
+    assert rep.info == {"nilpotency_index": 4}
 
 
 def test_nilpotency_index_is_computed_on_first_read():

@@ -13,6 +13,7 @@ from sign_oracles import (
     oracle_tensor_exp,
     oracle_tensor_log,
     right_nested_bracket,
+    rref,
 )
 
 from defalg.core import Element, GradedBasis, add_term
@@ -391,8 +392,6 @@ def test_nilpotent_matches_free_truncation():
 def oracle_nilpotent_lie(basis, table):
     """(first StructureError message or None, nilpotency index) of the
     constructor's checks, run as Element loops on the stored table."""
-    from defalg import linalg
-
     table = {k: v for k, v in table.items() if not v.is_zero()}
     names, n = basis.names, len(basis)
 
@@ -438,7 +437,7 @@ def oracle_nilpotent_lie(basis, table):
                 br = bracket(e(i), Element({k: c for k, c in enumerate(vec) if c}))
                 if not br.is_zero():
                     nxt.append([br.terms.get(k, Fraction(0)) for k in range(n)])
-        rows, pivots = linalg.rref(nxt) if nxt else ([], [])
+        rows, pivots = rref(nxt) if nxt else ([], [])
         span = [rows[r] for r in range(len(pivots))]
         s += 1
     return None, s

@@ -45,10 +45,8 @@ def test_abelian_gauge_classes_have_h1_times_m_dimension():
     matrix = [
         [z_cols[c].terms.get(k, F(0)) for c in range(len(degree1))] for k in all_next
     ]
-    z_basis = linalg.kernel_basis(matrix) if all_next else [
-        [F(1 if i == j else 0) for j in range(len(degree1))]
-        for i in range(len(degree1))
-    ]
+    rows = [dict(enumerate(r)) for r in matrix]
+    z_basis = linalg.kernel_basis(rows, range(len(degree1)))
     # d(L^0 (x) m_A) inside degree-1 coordinates
     degree0 = [p for p in range(len(M.basis)) if M.basis.degree(p) == 0]
     b_vectors = []
@@ -57,11 +55,7 @@ def test_abelian_gauge_classes_have_h1_times_m_dimension():
         vec = [img.terms.get(q, F(0)) for q in degree1]
         if any(vec):
             b_vectors.append(vec)
-    b_rank = (
-        linalg.rank([[v[r] for v in b_vectors] for r in range(len(degree1))])
-        if b_vectors
-        else 0
-    )
+    b_rank = linalg.rank(dict(enumerate(v)) for v in b_vectors)
     quotient_dim = len(z_basis) - b_rank
     assert quotient_dim == h1 * m_dim
 

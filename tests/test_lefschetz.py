@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 import sign_oracles
-from sign_oracles import i_power, primitive_coefficient_report
+from sign_oracles import i_power, primitive_coefficient_report, solve
 
-from defalg import lefschetz, linalg
+from defalg import lefschetz
 from defalg.lefschetz import (
     CovectorElement,
     all_keys,
@@ -164,7 +164,7 @@ def brute_force_decompose(v):
             )
         matrix.append(row)
         rhs.append(F(0))
-    sol = linalg.solve(matrix, rhs)
+    sol = solve(matrix, rhs)
     assert sol is not None
     parts = {}
     for c, (r, key) in zip(sol, col_meta):
