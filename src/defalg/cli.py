@@ -311,7 +311,7 @@ def cmd_hodge_f(args) -> CheckReport:
     if not rep.ok():
         rep.command = "hodge-f"
         return rep
-    comps, frep = hodge_F(M, m_max, check_model=False)
+    comps, frep = hodge_F(M, m_max)
     frep.info = {"nonzero_component_arities": sorted(comps)}
     return frep
 

@@ -33,7 +33,7 @@ from .core import (
     swap_residual,
 )
 from .errors import DomainError, InputError, InternalError, StructureError
-from .freelie import add_scaled, bch_term_sum
+from .freelie import bch_term_sum
 from .report import CheckReport
 
 # ---------------------------------------------------------------------------
@@ -283,15 +283,7 @@ class TensorDgla:
     def bch_degree0(self, a: Element, b: Element) -> Element:
         """Baker-Campbell-Hausdorff product on the nilpotent Lie algebra
         (L (x) A)^0; terminates by nilpotency of A."""
-        max_len = max((self.A.nilpotency_index or 2) - 1, 1)
-        return bch_term_sum(
-            a,
-            b,
-            self.bracket,
-            max_len,
-            add_scaled,
-            Element(),
-        )
+        return bch_term_sum(a, b, self.bracket, max((self.A.nilpotency_index or 2) - 1, 1))
 
 
 # ---------------------------------------------------------------------------

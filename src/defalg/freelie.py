@@ -81,7 +81,10 @@ class TensorSeries(Element):
         return self._like(word_product(self.terms, other.terms, self.order, {}))
 
     def bracket(self, other):
-        return self * other - other * self
+        """xy - yx, by two in-place word products."""
+        self._check(other)
+        x, y, order = self.terms, other.terms, self.order
+        return self._like(word_product(y, x, order, word_product(x, y, order, {}), -1))
 
     def constant_term(self):
         return self.terms.get((), Fraction(0))
@@ -162,7 +165,7 @@ def _times(x, y, order) -> dict:
     return _reduced(out)
 
 
-def _add_scaled(acc, x, num, den) -> None:
+def _add_to_parts(acc, x, num, den) -> None:
     """acc += (num / den) x in place on parts (not reduced); a length's
     numerators are rescaled only when its denominator grows."""
     for n, (terms, d) in x.items():
@@ -194,7 +197,7 @@ def tensor_exp(x: dict, order) -> dict:
         raise DomainError("tensor_exp needs a zero constant term")
     out = {0: ({(): 1}, 1)}
     for k, power in _powers(x, order):
-        _add_scaled(out, power, 1, factorial(k))
+        _add_to_parts(out, power, 1, factorial(k))
     return _reduced(out)
 
 
@@ -205,7 +208,7 @@ def tensor_log(y: dict, order) -> dict:
         raise DomainError("tensor_log needs constant term 1")
     out = {}
     for k, power in _powers({n: p for n, p in y.items() if n}, order):
-        _add_scaled(out, power, (-1) ** (k - 1), k)
+        _add_to_parts(out, power, (-1) ** (k - 1), k)
     return _reduced(out)
 
 
@@ -329,42 +332,6 @@ def _bch_word_trie(max_len):
     return freeze(root)[1]
 
 
-def bch_term_sum(a, b, bracket, max_len, add, zero):
-    """Generic explicit BCH driver over any bracket (sign ledger F2).  Each
-    distinct bracket word is evaluated once, by a depth-first walk of the
-    word trie that keeps only the current innermost-first chain of values."""
-    letters = {"a": a, "b": b}
-    total = zero
-
-    def walk(value, node):
-        nonlocal total
-        coeff, children = node
-        if coeff:
-            total = add(total, value, coeff)
-        for letter, child in children:
-            walk(bracket(letters[letter], value), child)
-
-    for last, node in _bch_word_trie(max_len):
-        walk(letters[last], node)
-    return total
-
-
-def add_scaled(total: Element, value: Element, coeff) -> Element:
-    """The adder of `bch_term_sum` on Elements: total += coeff * value in
-    place (`add_into`), so no accumulator is copied."""
-    add_into(total.terms, value.terms, coeff)
-    return total
-
-
-def bch_free(a: TensorSeries, b: TensorSeries) -> TensorSeries:
-    """Series oracle: sigma(log(e^a e^b)) inside the truncated tensor algebra,
-    on word-length parts from the inputs to the result."""
-    a._check(b)
-    order = a.order
-    product = _times(tensor_exp(a.parts(), order), tensor_exp(b.parts(), order), order)
-    return TensorSeries.from_parts(a.gens, order, dsw_parts(tensor_log(product, order)))
-
-
 @lru_cache(maxsize=None)
 def _bch_trie_denominator(max_len):
     """The lcm of the coefficient denominators of `_bch_word_trie(max_len)`."""
@@ -377,34 +344,51 @@ def _bch_trie_denominator(max_len):
     return lcm(*dens(_bch_word_trie(max_len)))
 
 
-def bch_explicit(a: TensorSeries, b: TensorSeries) -> TensorSeries:
-    """Explicit termwise BCH sum, expanded in the tensor algebra on int
-    numerators: with a = A / D and b = B / D over their common denominator
-    D, a bracket word of k letters is its int value on A and B over D^k,
-    and every term goes over Q D^order, Q the lcm of the trie coefficients'
-    denominators (sign ledger F2)."""
+def bch_term_sum(a, b, bracket, max_len):
+    """The explicit BCH sum of two Elements over any bracket of Elements, on
+    int numerators (sign ledger F2).  With a = A / D and b = B / D over the
+    lcm D of their denominators, a bracket word of k letters is its int
+    value on A and B over D^k, and every term goes into one int dict over
+    Q D^max_len, Q the lcm of the trie coefficients' denominators.  Each
+    distinct bracket word is evaluated once, by a depth-first walk of the
+    word trie that keeps only the current innermost-first chain of values.
+    The result is in a's context, an integral coefficient stored as an int."""
+    D = lcm(*(c.denominator for x in (a, b) for c in x.terms.values()))
+    letters = {
+        name: a._like({t: c.numerator * (D // c.denominator) for t, c in x.terms.items()})
+        for name, x in (("a", a), ("b", b))
+    }
+    Q = _bch_trie_denominator(max_len)
+    total = {}
+
+    def walk(value, node, k):
+        coeff, children = node
+        if coeff:
+            scale = coeff.numerator * (Q // coeff.denominator) * D ** (max_len - k)
+            add_into(total, value.terms, scale)
+        for letter, child in children:
+            walk(bracket(letters[letter], value), child, k + 1)
+
+    for last, node in _bch_word_trie(max_len):
+        walk(letters[last], node, 1)
+    den = Q * D**max_len
+    return a._like({t: Fraction(c, den) if c % den else c // den for t, c in total.items()})
+
+
+def bch_free(a: TensorSeries, b: TensorSeries) -> TensorSeries:
+    """Series oracle: sigma(log(e^a e^b)) inside the truncated tensor algebra,
+    on word-length parts from the inputs to the result."""
     a._check(b)
     order = a.order
-    D = lcm(*(c.denominator for x in (a, b) for c in x.terms.values()))
-    A, B = (
-        {w: c.numerator * (D // c.denominator) for w, c in x.terms.items() if len(w) <= order}
-        for x in (a, b)
-    )
-    Q = _bch_trie_denominator(order)
+    product = _times(tensor_exp(a.parts(), order), tensor_exp(b.parts(), order), order)
+    return TensorSeries.from_parts(a.gens, order, dsw_parts(tensor_log(product, order)))
 
-    def bracket(x, y):
-        (k, X), (m, Y) = x, y
-        return k + m, word_product(Y, X, order, word_product(X, Y, order, {}), -1)
 
-    def add(total, value, coeff):
-        k, V = value
-        return add_into(total, V, coeff.numerator * (Q // coeff.denominator) * D ** (order - k))
-
-    den = Q * D**order
-    parts = {}
-    for w, c in bch_term_sum((1, A), (1, B), bracket, order, add, {}).items():
-        parts.setdefault(len(w), ({}, den))[0][w] = c
-    return TensorSeries.from_parts(a.gens, order, _reduced(parts))
+def bch_explicit(a: TensorSeries, b: TensorSeries) -> TensorSeries:
+    """Explicit termwise BCH sum, expanded in the tensor algebra by
+    `bch_term_sum` on int numerators (sign ledger F2)."""
+    a._check(b)
+    return bch_term_sum(a, b, TensorSeries.bracket, a.order)
 
 
 # ---------------------------------------------------------------------------
@@ -452,14 +436,7 @@ class NilpotentLie(BilinearTable):
     def bch(self, x: Element, y: Element) -> Element:
         """The group law x * y; terminates because bracket words of length
         >= nilpotency_index vanish."""
-        result = bch_term_sum(
-            x,
-            y,
-            self.bracket,
-            self.nilpotency_index - 1 if self.nilpotency_index > 1 else 1,
-            add_scaled,
-            Element(),
-        )
+        result = bch_term_sum(x, y, self.bracket, max(self.nilpotency_index - 1, 1))
         # safety: every longer bracket must vanish
         probe = x
         for _ in range(self.nilpotency_index):

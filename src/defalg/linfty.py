@@ -208,9 +208,10 @@ def morphism_check(F: LInftyMorphism, n_max=None, weights=None, cap=0) -> CheckR
     o F = F^1 o (source codifferential) on all words; with `weights` only on
     the words of a truncated structure whose weights sum to at most `cap`
     (see `coalg.all_words`), where it is exact.  The default depth
-    `F.depth` covers every word where a side can be nonzero (sign ledger
-    C3)."""
-    n_max = n_max or F.depth
+    `F.depth` covers every word where a side can be nonzero, so a deeper
+    `n_max` is clamped to it and the words past it are not built (sign
+    ledger C3)."""
+    n_max = min(n_max or F.depth, F.depth)
     Q = F.source.coderivation()
     r_comp = F.target.components
 
@@ -544,16 +545,13 @@ def hodge_codifferential(M: HodgeModel) -> Coderivation:
     return coder_lift(M.source, 1, {1: t1, 2: M.q_table})
 
 
-def hodge_F(M: HodgeModel, m_max: int, check_model=True):
+def hodge_F(M: HodgeModel, m_max: int):
     """Transfer components F_m (symmetrizations of h hat(a_1) tau hat(a_2)
     ... tau hat(a_m) i, as images H -> H) and the verification that F
     composed with the assembled codifferential vanishes on every word of
-    length <= m_max."""
+    length <= m_max.  The model is not checked here: its relations are a
+    precondition, verified by `hodge_model_check` first."""
     rep = CheckReport("hodge-f")
-    if check_model:
-        base = hodge_model_check(M)
-        if not base.ok():
-            return None, base
     delta = hodge_codifferential(M)
     basis = M.source
 

@@ -176,7 +176,7 @@ def run_suite(seed: int) -> CheckReport:
     for name in ("trivial", "rank-one", "derived"):
         M = models.HODGE_BUILTINS[name]()
         mrep = hodge_model_check(M)
-        _, frep = hodge_F(M, 3, check_model=False)
+        _, frep = hodge_F(M, 3)
         _step(results, f"hodge-{name}", mrep.ok() and frep.ok())
 
     report = CheckReport("suite")

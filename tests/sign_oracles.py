@@ -22,6 +22,12 @@ map and both BCH routes computed on word-length parts with int numerators:
 `TensorSeries`, `oracle_bch_free` chaining them, and `oracle_bch_explicit`,
 the trie sum accumulated by `acc + v.scale(c)`.
 
+`fraction_bch_term_sum`, the BCH trie driver as it was before it scaled
+its inputs to int numerators: it walks the trie on the values as given and
+adds each term through its `add` / `zero` parameters; `add_scaled` is the
+in-place adder on Elements that `NilpotentLie.bch` and
+`TensorDgla.bch_degree0` passed it.
+
 `oracle_mc_linfty`, the homotopy Maurer-Cartan residual by the l_n route
 that `linfty.mc_linfty` took before it computed in the corestricted
 coalgebra form on the shifted space, with the "add, or pop on zero" step
@@ -93,7 +99,7 @@ from defalg.core import (
 )
 from defalg.dgla import DGLA, TensorDgla, check_dgla, cohomology
 from defalg.errors import DomainError, InputError
-from defalg.freelie import TensorSeries, bch_term_sum, right_nested_terms
+from defalg.freelie import TensorSeries, _bch_word_trie, right_nested_terms
 from defalg.gbv import GBVStructure, Polyvector, _partial, one_form_contract
 from defalg.lefschetz import CovectorElement, all_keys, is_primitive, op_star, raw_wedge
 from defalg.linfty import word_names
@@ -302,12 +308,39 @@ def oracle_bch_free(a: TensorSeries, b: TensorSeries, order=None) -> TensorSerie
     return oracle_dsw_project(oracle_tensor_log(product, order))
 
 
+def fraction_bch_term_sum(a, b, bracket, max_len, add, zero):
+    """Generic explicit BCH driver over any bracket (sign ledger F2).  Each
+    distinct bracket word is evaluated once, by a depth-first walk of the
+    word trie that keeps only the current innermost-first chain of values."""
+    letters = {"a": a, "b": b}
+    total = zero
+
+    def walk(value, node):
+        nonlocal total
+        coeff, children = node
+        if coeff:
+            total = add(total, value, coeff)
+        for letter, child in children:
+            walk(bracket(letters[letter], value), child)
+
+    for last, node in _bch_word_trie(max_len):
+        walk(letters[last], node)
+    return total
+
+
+def add_scaled(total: Element, value: Element, coeff) -> Element:
+    """The adder of `fraction_bch_term_sum` on Elements: total += coeff *
+    value in place (`add_into`), so no accumulator is copied."""
+    add_into(total.terms, value.terms, coeff)
+    return total
+
+
 def oracle_bch_explicit(a: TensorSeries, b: TensorSeries, order=None) -> TensorSeries:
     """The explicit trie sum on whole series, copying the accumulator at
     every term."""
     a._check(b)
     order = a.order if order is None else order
-    return bch_term_sum(
+    return fraction_bch_term_sum(
         TensorSeries(a.gens, order, a.terms),
         TensorSeries(b.gens, order, b.terms),
         lambda x, y: x.bracket(y),

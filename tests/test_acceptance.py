@@ -546,7 +546,7 @@ def test_criterion_12_hodge_transfer():
         M = models.derived_hodge_model()
         M.q_table[(0, 2)] = Element.basis_vector(6)  # wrong sign on q(a, b)
         assert not hodge_model_check(M).ok()
-        comps, rep = hodge_F(M, 2, check_model=False)
+        comps, rep = hodge_F(M, 2)
         assert not rep.ok()
         assert any("('a', 'b')" in v.location for v in rep.violations)
     report_pass("12 (Hodge-model transfer identity)")

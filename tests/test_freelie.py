@@ -7,6 +7,8 @@ from math import factorial, gcd, lcm
 
 import pytest
 from sign_oracles import (
+    add_scaled,
+    fraction_bch_term_sum,
     oracle_bch_explicit,
     oracle_bch_free,
     oracle_dsw_project,
@@ -16,6 +18,7 @@ from sign_oracles import (
     rref,
 )
 
+from defalg import dgla, freelie
 from defalg.core import Element, GradedBasis, add_term
 from defalg.errors import DomainError, InputError, StructureError
 from defalg.freelie import (
@@ -245,10 +248,6 @@ def oracle_bch_term_sum(a, b, bracket, max_len, add, zero):
     return total
 
 
-def add_scaled(acc, v, c):
-    return acc + v.scale(c)
-
-
 def random_series(rng, order):
     """A seeded two-word TensorSeries on GENS2: a letter plus a word of
     length max(2, order - 2), or plus the other letter at order 1.  Long
@@ -285,7 +284,10 @@ def test_nilpotent_bch_matches_per_term_oracle():
                 for _ in range(2)
             )
             expected = oracle_bch_term_sum(x, y, lie.bracket, max_len, add_scaled, Element())
-            assert lie.bch(x, y) == expected
+            result = lie.bch(x, y)
+            assert result == expected
+            trie = fraction_bch_term_sum(x, y, lie.bracket, max_len, add_scaled, Element())
+            assert list(result.terms.items()) == list(trie.terms.items())
 
 
 def test_bch_degree0_matches_per_term_oracle():
@@ -295,9 +297,22 @@ def test_bch_degree0_matches_per_term_oracle():
         M, a, b, _w = random_mc_pair(rng, random_dgla(rng), random_classical_artin(rng))
         max_len = max((M.A.nilpotency_index or 2) - 1, 1)
         expected = oracle_bch_term_sum(a, b, M.bracket, max_len, add_scaled, Element())
-        assert M.bch_degree0(a, b) == expected
+        result = M.bch_degree0(a, b)
+        assert result == expected
+        trie = fraction_bch_term_sum(a, b, M.bracket, max_len, add_scaled, Element())
+        assert list(result.terms.items()) == list(trie.terms.items())
         nontrivial += expected != a + b
     assert nontrivial
+
+
+def counting(bracket, calls):
+    """`bracket`, appending one entry to `calls` per call."""
+
+    def counted(u, v):
+        calls.append(None)
+        return bracket(u, v)
+
+    return counted
 
 
 def test_bch_term_sum_evaluates_each_word_once():
@@ -306,14 +321,65 @@ def test_bch_term_sum_evaluates_each_word_once():
     for order in range(1, 8):
         x, y = gen("x", order=order), gen("y", order=order)
         calls = []
-
-        def bracket(u, v):
-            calls.append(None)
-            return u.bracket(v)
-
-        total = bch_term_sum(x, y, bracket, order, add_scaled, TensorSeries.zero(GENS2, order))
+        total = bch_term_sum(x, y, counting(TensorSeries.bracket, calls), order)
         assert total == bch_free(x, y)
         assert len(calls) <= 2 ** (order + 1) - 4
+    # and over a table bracket, on Fraction inputs
+    lie = strictly_upper_4()
+    max_len = lie.nilpotency_index - 1
+    x = Element({0: Fraction(1, 2), 3: Fraction(-2, 3), 5: 1})
+    y = Element({1: Fraction(3, 4), 2: -1, 4: Fraction(1, 3)})
+    calls = []
+    total = bch_term_sum(x, y, counting(lie.bracket, calls), max_len)
+    assert total == fraction_bch_term_sum(x, y, lie.bracket, max_len, add_scaled, Element())
+    assert 0 < len(calls) <= 2 ** (max_len + 1) - 4
+
+
+def int_checked(bracket, calls):
+    """`counting(bracket, calls)`, asserting first that every coefficient it
+    receives is an int."""
+    counted = counting(bracket, calls)
+
+    def checked(u, v):
+        for c in (*u.terms.values(), *v.terms.values()):
+            assert type(c) is int, c
+        return counted(u, v)
+
+    return checked
+
+
+def test_bch_walk_brackets_only_int_numerators(monkeypatch):
+    # every bracket the driver makes for its three callers, on Fraction
+    # inputs, sees int coefficients only: no Fraction arithmetic inside the
+    # walk (NilpotentLie.bch's nilpotency probe runs outside it)
+    calls = []
+    driver = freelie.bch_term_sum
+    checked = lambda a, b, bracket, n: driver(a, b, int_checked(bracket, calls), n)
+    third = Fraction(1, 3)
+    a = TensorSeries(GENS2, 5, {(0,): Fraction(1, 2), (1, 0): third, (0, 1): -third})
+    b = TensorSeries(GENS2, 5, {(1,): Fraction(-3, 4)})
+    lie = strictly_upper_4()
+    x = Element({0: Fraction(1, 2), 3: third, 5: 1})
+    y = Element({1: Fraction(3, 4), 2: -1, 4: third})
+    rng = random.Random(67)
+    pairs = []
+    for _ in range(10):
+        M, u, v, _w = random_mc_pair(rng, random_dgla(rng), random_classical_artin(rng))
+        pairs.append((M, u.scale(third), v.scale(Fraction(1, 2))))
+    expected = (bch_explicit(a, b), lie.bch(x, y), [M.bch_degree0(u, v) for M, u, v in pairs])
+    assert expected[0] == bch_free(a, b)
+    assert any(z != u + v for z, (_, u, v) in zip(expected[2], pairs))
+
+    monkeypatch.setattr(freelie, "bch_term_sum", checked)
+    monkeypatch.setattr(dgla, "bch_term_sum", checked)
+    assert bch_explicit(a, b) == expected[0]
+    assert calls
+    del calls[:]
+    assert lie.bch(x, y) == expected[1]
+    assert calls
+    del calls[:]
+    assert [M.bch_degree0(u, v) for M, u, v in pairs] == expected[2]
+    assert calls
 
 
 # -- nilpotent mode ---------------------------------------------------------
@@ -336,6 +402,13 @@ def strictly_upper_3():
         (1, 0): Element.basis_vector(2, Fraction(-1)),
     }
     return NilpotentLie(basis, table)
+
+
+def strictly_upper_4():
+    # e12, e23, e34, e13, e24, e14 in 4x4 strictly upper triangular matrices
+    basis = GradedBasis.of(*((name, 0) for name in ("e12", "e23", "e34", "e13", "e24", "e14")))
+    e = Element.basis_vector
+    return NilpotentLie(basis, {(0, 1): e(3), (1, 2): e(4), (0, 4): e(5), (3, 2): e(5)})
 
 
 def test_nilpotent_structure_checks():

@@ -448,6 +448,28 @@ def test_morphism_check_default_depth_is_exact():
         assert morphism_check(F).to_dict() == morphism_check(F, 8).to_dict(), path
 
 
+def test_morphism_check_clamps_a_deeper_request(monkeypatch):
+    """Both sides vanish past `F.depth` (sign ledger C3), so a deeper
+    request is clamped there: on every linfty-morphism sample the report at
+    `F.depth + 3` has the default report's bytes, and the source
+    codifferential sees no word longer than `F.depth`."""
+    from defalg import coalg, schemas
+
+    inputs = pathlib.Path(__file__).parent.parent / "inputs"
+    real = coalg.Coderivation.apply_word
+    lengths = []
+    monkeypatch.setattr(
+        coalg.Coderivation, "apply_word", lambda Q, w: lengths.append(len(w)) or real(Q, w)
+    )
+    for path in sorted(inputs.glob("*linfty_morphism*.json")):
+        F = schemas.parse_linfty_morphism(schemas.load_json(path))
+        default = morphism_check(F)
+        del lengths[:]
+        deeper = morphism_check(F, F.depth + 3)
+        assert (deeper.to_json(), deeper.text()) == (default.to_json(), default.text()), path
+        assert lengths and max(lengths) <= F.depth, path
+
+
 def test_morphism_taylor_components():
     S = abelian_l()
     T = abelian_l()
@@ -714,7 +736,7 @@ def test_broken_q_hat_detected_at_arity_two():
     M.q_table[(0, 2)] = e(6)  # flip the sign of Q(a, b)
     rep = hodge_model_check(M)
     assert not rep.ok()
-    comps, frep = hodge_F(M, 2, check_model=False)
+    comps, frep = hodge_F(M, 2)
     assert [(v.location, v.residual, v.message) for v in frep.violations] == [
         ("word ('a', 'b')", "{0: {1: Fraction(2, 1)}}", "F o delta != 0")
     ]
@@ -722,8 +744,8 @@ def test_broken_q_hat_detected_at_arity_two():
 
 # The derived model's constructor arguments by position, and the reports on
 # it after each corruption: (changes, hodge_model_check's (location, message)
-# pairs, whose residuals are all empty, and hodge_F's violations at arity 3
-# without the model check, or the name of the error it raises).  A change
+# pairs, whose residuals are all empty, and hodge_F's violations at arity 3,
+# which checks no model, or the name of the error it raises).  A change
 # (operator, column, e) adds e to that column, a word for q; ("hat", a) is
 # hat(a).
 ARG = {"incl": 3, "proj": 4, "del": 5, "delbar": 6, "tau": 7, "d": 9, "q": 10}
@@ -828,10 +850,8 @@ def test_hodge_reports_pinned_on_corrupted_models():
         M = corrupted_derived_model(changes)
         want = [(loc, "", message) for loc, message in checks]
         assert rows(hodge_model_check(M)) == want, name
-        comps, rep = hodge_F(M, 3)
-        assert comps is None and rows(rep) == want, name
         try:
-            got = rows(hodge_F(M, 3, check_model=False)[1])
+            got = rows(hodge_F(M, 3)[1])
         except Exception as exc:
             got = type(exc).__name__
         assert got == transfer, name
