@@ -347,11 +347,13 @@ def _bch_trie_denominator(max_len):
 def bch_term_sum(a, b, bracket, max_len):
     """The explicit BCH sum of two Elements over any bracket of Elements, on
     int numerators (sign ledger F2).  With a = A / D and b = B / D over the
-    lcm D of their denominators, a bracket word of k letters is its int
-    value on A and B over D^k, and every term goes into one int dict over
-    Q D^max_len, Q the lcm of the trie coefficients' denominators.  Each
-    distinct bracket word is evaluated once, by a depth-first walk of the
-    word trie that keeps only the current innermost-first chain of values.
+    lcm D of their denominators, a bracket word of k letters is its value on
+    A and B over D^k (int values when the bracket's structure constants are
+    integral; otherwise the walk stays exact on Fractions), and every term
+    goes into one dict over Q D^max_len, Q the lcm of the trie coefficients'
+    denominators.  Each distinct bracket word is evaluated once, by a
+    depth-first walk of the word trie that keeps only the current
+    innermost-first chain of values.
     The result is in a's context, an integral coefficient stored as an int."""
     D = lcm(*(c.denominator for x in (a, b) for c in x.terms.values()))
     letters = {

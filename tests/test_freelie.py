@@ -276,11 +276,14 @@ def test_bch_explicit_matches_per_term_oracle():
 
 def test_nilpotent_bch_matches_per_term_oracle():
     rng = random.Random(59)
-    for lie in (heisenberg(), strictly_upper_3()):
+    for lie in (heisenberg(), strictly_upper_3(), strictly_upper_4()):
         max_len = lie.nilpotency_index - 1
         for _ in range(20):
             x, y = (
-                Element({i: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for i in range(3)})
+                Element({
+                    i: Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                    for i in range(len(lie.basis))
+                })
                 for _ in range(2)
             )
             expected = oracle_bch_term_sum(x, y, lie.bracket, max_len, add_scaled, Element())
@@ -330,8 +333,7 @@ def test_bch_term_sum_evaluates_each_word_once():
     x = Element({0: Fraction(1, 2), 3: Fraction(-2, 3), 5: 1})
     y = Element({1: Fraction(3, 4), 2: -1, 4: Fraction(1, 3)})
     calls = []
-    total = bch_term_sum(x, y, counting(lie.bracket, calls), max_len)
-    assert total == fraction_bch_term_sum(x, y, lie.bracket, max_len, add_scaled, Element())
+    bch_term_sum(x, y, counting(lie.bracket, calls), max_len)
     assert 0 < len(calls) <= 2 ** (max_len + 1) - 4
 
 
@@ -350,8 +352,9 @@ def int_checked(bracket, calls):
 
 def test_bch_walk_brackets_only_int_numerators(monkeypatch):
     # every bracket the driver makes for its three callers, on Fraction
-    # inputs, sees int coefficients only: no Fraction arithmetic inside the
-    # walk (NilpotentLie.bch's nilpotency probe runs outside it)
+    # inputs and integral structure constants, sees int coefficients only:
+    # no Fraction arithmetic inside the walk (NilpotentLie.bch's nilpotency
+    # probe runs outside it)
     calls = []
     driver = freelie.bch_term_sum
     checked = lambda a, b, bracket, n: driver(a, b, int_checked(bracket, calls), n)
