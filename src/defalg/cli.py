@@ -366,7 +366,8 @@ def cmd_lefschetz(args) -> CheckReport:
     if args.dim < 0:
         raise InputError("--dim must be a nonnegative integer")
     if args.action == "identities":
-        # the sweep visits all 4^dim keys
+        # the wedge oracle visits all 4^dim keys; the operator identities
+        # visit C(dim + 3, 3) of them unless one fails
         _four_power_capped("--dim", args.dim, "basis keys")
         return identities_report(args.dim)
     v = schemas.parse_covector(_load(args))

@@ -83,6 +83,11 @@ class TensorSeries(Element):
     def bracket(self, other):
         """xy - yx, by two in-place word products."""
         self._check(other)
+        return self._bracket(other)
+
+    def _bracket(self, other):
+        """`bracket` without the context check, for arguments built in one
+        context."""
         x, y, order = self.terms, other.terms, self.order
         return self._like(word_product(y, x, order, word_product(x, y, order, {}), -1))
 
@@ -388,9 +393,10 @@ def bch_free(a: TensorSeries, b: TensorSeries) -> TensorSeries:
 
 def bch_explicit(a: TensorSeries, b: TensorSeries) -> TensorSeries:
     """Explicit termwise BCH sum, expanded in the tensor algebra by
-    `bch_term_sum` on int numerators (sign ledger F2)."""
+    `bch_term_sum` on int numerators (sign ledger F2).  The contexts are
+    checked once: every bracket of the walk is of series in a's context."""
     a._check(b)
-    return bch_term_sum(a, b, TensorSeries.bracket, a.order)
+    return bch_term_sum(a, b, TensorSeries._bracket, a.order)
 
 
 # ---------------------------------------------------------------------------

@@ -385,6 +385,26 @@ def test_bch_walk_brackets_only_int_numerators(monkeypatch):
     assert calls
 
 
+def test_bch_explicit_checks_the_contexts_once(monkeypatch):
+    """bch_explicit checks its operands' contexts once, and its walk
+    brackets without checking again; TensorSeries.bracket still checks."""
+    a = TensorSeries(GENS2, 6, {(0,): Fraction(1, 2), (1,): 1})
+    b = TensorSeries(GENS2, 6, {(1,): Fraction(-3, 4), (0, 1): 2, (1, 0): -2})
+    for other in (TensorSeries(GENS2, 5, b.terms), TensorSeries(GENS3, 6, b.terms)):
+        with pytest.raises(InputError):
+            a.bracket(other)
+        with pytest.raises(InputError):
+            bch_explicit(a, other)
+    expected = bch_explicit(a, b)
+    checks = []
+    check = TensorSeries._check
+    monkeypatch.setattr(
+        TensorSeries, "_check", lambda x, y: checks.append(1) or check(x, y)
+    )
+    assert bch_explicit(a, b) == expected == bch_free(a, b)
+    assert len(checks) == 2  # bch_explicit's own, and bch_free's
+
+
 # -- nilpotent mode ---------------------------------------------------------
 
 

@@ -3,6 +3,7 @@ the wedge characterization of *, primitivity and the Lefschetz decomposition."""
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 import sign_oracles
@@ -23,6 +24,7 @@ from defalg.lefschetz import (
     op_Lambda,
     op_power,
     op_star,
+    orbit_keys,
     primitive_star_report,
     raw_expand,
     raw_volume,
@@ -607,3 +609,106 @@ def test_corrupted_L_report_bytes_pinned(monkeypatch):
 
     monkeypatch.setattr(lefschetz, "_row_L", corrupt_row_L)
     assert identities_report(3).to_json() == CORRUPT_L_JSON
+
+
+# -- one key per relabeling orbit (sign ledger X3) -----------------------------
+
+ROWS = ("_row_L", "_row_Lambda", "_row_C", "_row_c_inv_star", "_row_star", "_row_parity")
+
+
+def swap_labels(key, i):
+    """The key with the labels i and i + 1 exchanged."""
+    swap = {i: i + 1, i + 1: i}
+    return tuple(tuple(sorted(swap.get(x, x) for x in s)) for s in key)
+
+
+def relabeling_mismatches(row, n):
+    """The (key, i) at which relabeling by the transposition (i, i + 1) and
+    applying the row do not commute: the row's entries at the swapped key
+    differ, as a multiset, from its swapped entries at the key."""
+    return [
+        (key, i)
+        for key in all_keys(n)
+        for i in range(1, n)
+        if sorted(row(swap_labels(key, i)))
+        != sorted((swap_labels(k2, i), t) for k2, t in row(key))
+    ]
+
+
+ROW_L, ROW_C = lefschetz._row_L, lefschetz._row_C
+
+
+def half_turn_last_L(key):
+    """The corrupted L of `test_corrupted_L_report_bytes_pinned`."""
+    rows = ROW_L(key)
+    if len(key[3]) > 1:
+        rows[-1] = (rows[-1][0], 2)
+    return rows
+
+
+def quarter_turn_C(key):
+    """C with an extra quarter turn when |B| > 1, which commutes with
+    relabeling, or when some index of B precedes one of A, which does not."""
+    A, B = key[0], key[1]
+    ((k2, t),) = ROW_C(key)
+    if len(B) > 1 or (A and B and max(A) > min(B)):
+        t = (t + 1) % 4
+    return ((k2, t),)
+
+
+def test_rows_commute_with_relabeling():
+    """The precondition of the orbit reduction of `identities_report`: every
+    operator row commutes with each adjacent transposition of 1..n, which
+    generate all relabelings, on every key for n <= 5."""
+    for name in ROWS:
+        for n in range(6):
+            assert relabeling_mismatches(getattr(lefschetz, name), n) == [], name
+    # the check rejects rows that read labels, not only slot sizes
+    assert relabeling_mismatches(half_turn_last_L, 3)
+    swapped = [((1,), (2,), (), ()), ((2,), (1,), (), ())]
+    assert relabeling_mismatches(quarter_turn_C, 2) == [(key, 1) for key in swapped]
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_orbit_keys_are_one_key_per_slot_sizes(n):
+    reps = orbit_keys(n)
+    assert len(reps) == comb(n + 3, 3)
+    # consecutive runs from 1, in the order of all_keys
+    assert all(sum(key, ()) == tuple(range(1, n + 1)) for key in reps)
+    chosen = set(reps)
+    assert [key for key in all_keys(n) if key in chosen] == reps
+    sizes = {tuple(map(len, key)) for key in reps}
+    assert len(sizes) == len(reps)
+    assert all(sum(s) == n for s in sizes)
+
+
+CORRUPT_C_JSON = """{
+  "command": "lefschetz-identities",
+  "info": {
+    "basis_size": 64,
+    "dimension": 3
+  },
+  "status": "fail",
+  "violations": [
+    {
+      "location": "C^2 at ((1, 3), (2,), (), ())",
+      "message": "C^2 fails",
+      "residual": "(2)*z[A=(1, 3),B=(2,),M=(),N=()]"
+    }
+  ]
+}"""
+
+
+def test_corrupted_C_report_names_the_first_failing_key(monkeypatch):
+    """A failing representative sends the whole family to all 4^n keys, so
+    the report names the first failing key in `all_keys` order, here one
+    off the representatives, as checking every key at once did (pinned
+    from that code)."""
+    monkeypatch.setattr(lefschetz, "_row_C", quarter_turn_C)
+    first = ((1, 3), (2,), (), ())
+    assert first not in orbit_keys(3)
+    assert ((), (1, 2), (), (3,)) in orbit_keys(3)  # |B| = 2: C^2 fails here
+    assert identities_report(3).to_json() == CORRUPT_C_JSON
+    # without the rerun the report would name a representative
+    monkeypatch.setattr(lefschetz, "all_keys", orbit_keys)
+    assert str(first) not in identities_report(3).to_json()
