@@ -14,9 +14,10 @@ import json
 import os
 import sys
 import time
+from itertools import accumulate
 from math import factorial
 from . import models, schemas
-from .coalg import all_words, split_count, word_counts
+from .coalg import all_words, word_counts
 from .core import format_terms
 from .dgla import TensorDgla, check_dgla, check_na, cohomology, cones, obstruction_class
 from .errors import DefalgError, InputError
@@ -148,15 +149,13 @@ def cmd_homotopy_eval(args) -> CheckReport:
     return rep
 
 
-def _four_power_capped(flag, value, what):
-    """Refuse `flag value` when 4^value exceeds the basis cap, comparing
-    2*value with log2(cap) so that a huge value never builds 4^value."""
+def _refuse_past_cap(what, totals):
+    """Refuse the work before it starts when one of its running `totals`
+    passes the `DEFALG_MAX_BASIS` cap.  The totals are read lazily and only
+    until one passes, so a huge flag value never builds a huge total."""
     cap = schemas.max_basis()
-    if cap < 1 or 2 * value > cap.bit_length() - 1:
-        raise InputError(
-            f"{flag} {value}: the 4^{value} {what} exceed the "
-            f"{schemas.MAX_BASIS_ENV} cap of {cap}"
-        )
+    if any(total > cap for total in totals):
+        raise InputError(f"{what} exceed the {schemas.MAX_BASIS_ENV} cap of {cap}")
 
 
 def cmd_bch(args) -> CheckReport:
@@ -170,7 +169,10 @@ def cmd_bch(args) -> CheckReport:
         return CheckReport("bch", witness=witness)
     # the free and explicit routes both expand words of every length up to
     # the truncation
-    _four_power_capped("--truncate", args.truncate, "word expansion terms")
+    T = args.truncate
+    _refuse_past_cap(
+        f"--truncate {T}: the 4^{T} word expansion terms", (4**k for k in range(T + 1))
+    )
     a, b = schemas.parse_free_bch(data, args.truncate)
     result = bch_free(a, b) if args.mode == "free" else bch_explicit(a, b)
     check = bch_explicit(a, b) if args.mode == "free" else bch_free(a, b)
@@ -212,27 +214,10 @@ def cmd_comorph(args) -> CheckReport:
 def _bound_splits(basis, depth, what):
     """Refuse the words up to length `depth` before any is built when their
     splits (2^length per word) exceed the cap; `what` names the depth."""
-    cap = schemas.max_basis()
-    if split_count(basis, depth, cap) > cap:
-        raise InputError(
-            f"{what}: the splits of the words up to length "
-            f"{depth} exceed the {schemas.MAX_BASIS_ENV} cap of {cap}"
-        )
-
-
-def _bound_permutations(basis, m_max):
-    """Refuse --max-arity `m_max` of hodge-f before any word is built when
-    the signed permutations its F_m sum, m! on each word of length m, exceed
-    the cap."""
-    cap = schemas.max_basis()
-    total = 0
-    for m, words in word_counts(basis, m_max):
-        total += words * factorial(m)
-        if total > cap:
-            raise InputError(
-                f"--max-arity {m_max}: the signed permutations of the words up "
-                f"to length {m_max} exceed the {schemas.MAX_BASIS_ENV} cap of {cap}"
-            )
+    _refuse_past_cap(
+        f"{what}: the splits of the words up to length {depth}",
+        accumulate(2**k * words for k, words in word_counts(basis, depth)),
+    )
 
 
 def _checked_words(basis, max_arity):
@@ -306,7 +291,11 @@ def cmd_hodge_f(args) -> CheckReport:
         raise InputError("hodge-f requires --builtin {trivial,rank-one,derived}")
     M = models.HODGE_BUILTINS[args.builtin]()
     m_max = args.max_arity or 4
-    _bound_permutations(M.source, m_max)
+    # F_m sums m! signed permutations on each word of length m
+    _refuse_past_cap(
+        f"--max-arity {m_max}: the signed permutations of the words up to length {m_max}",
+        accumulate(words * factorial(m) for m, words in word_counts(M.source, m_max)),
+    )
     rep = hodge_model_check(M)
     if not rep.ok():
         rep.command = "hodge-f"
@@ -368,19 +357,18 @@ def cmd_lefschetz(args) -> CheckReport:
     if args.action == "identities":
         # the wedge oracle visits all 4^dim keys; the operator identities
         # visit C(dim + 3, 3) of them unless one fails
-        _four_power_capped("--dim", args.dim, "basis keys")
-        return identities_report(args.dim)
+        n = args.dim
+        _refuse_past_cap(f"--dim {n}: the 4^{n} basis keys", (4**k for k in range(n + 1)))
+        return identities_report(n)
     v = schemas.parse_covector(_load(args))
     if v.n != args.dim:
         raise InputError("covector dimension differs from --dim")
-    # L^k of one term has up to C(dim, k) terms, 2^dim over all k: refuse
-    # when terms * 2^dim exceeds the cap, comparing dim with the bit
-    # length of cap // terms so a huge --dim never builds 2^dim
-    cap = schemas.max_basis()
-    if v.terms and args.dim >= (max(cap, 0) // len(v.terms)).bit_length():
-        raise InputError(
-            f"--dim {args.dim}: {len(v.terms)} term(s) times 2^{args.dim} "
-            f"exceed the {schemas.MAX_BASIS_ENV} cap of {cap}"
+    # L^k of one term has up to C(dim, k) terms, 2^dim over all k
+    if v.terms:
+        terms = len(v.terms)
+        _refuse_past_cap(
+            f"--dim {args.dim}: {terms} term(s) times 2^{args.dim}",
+            (terms << k for k in range(args.dim + 1)),
         )
     return CheckReport("lefschetz-decompose", witness={
         "components": [

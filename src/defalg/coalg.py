@@ -257,12 +257,6 @@ class Coderivation:
                     out.add_word((idx,) + tail, c * s * sign)
         return out
 
-    def apply(self, el: SymElement) -> SymElement:
-        out = SymElement(self.basis)
-        for w, c in el.terms.items():
-            add_into(out.terms, self.apply_word(w).terms, c)
-        return out
-
     def coleibnitz_report(self, words) -> CheckReport:
         """Delta Q = (Q (x) Id + Id (x) Q) Delta on the given words."""
 
@@ -338,12 +332,6 @@ class CoalgMorphism:
         cw, sign = canon
         return SymElement(self.target, {w: c * sign for w, c in lift(cw).items()})
 
-    def apply(self, el: SymElement) -> SymElement:
-        out = SymElement(self.target)
-        for w, c in el.terms.items():
-            add_into(out.terms, self.apply_word(w).terms, c)
-        return out
-
     def comorphism_report(self, words) -> CheckReport:
         """l F = (F (x) F) l on the given source words."""
 
@@ -386,17 +374,6 @@ def word_counts(basis: GradedBasis, max_len: int):
             comb(odd, j) * (comb(even + k - j - 1, k - j) if even else int(j == k))
             for j in range(min(k, odd) + 1)
         )
-
-
-def split_count(basis: GradedBasis, max_len: int, limit: int) -> int:
-    """sum 2^len(w) over the words `all_words(basis, max_len)` lists; the
-    count stops at the first length where it exceeds `limit`."""
-    total = 0
-    for k, words in word_counts(basis, max_len):
-        total += 2**k * words
-        if total > limit:
-            break
-    return total
 
 
 def all_words(basis: GradedBasis, max_len: int, min_len: int = 1, weights=None, cap=0):

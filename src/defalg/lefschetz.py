@@ -290,13 +290,16 @@ def wedge_identity_report(n, star_fn=None) -> CheckReport:
         z = CovectorElement.basis(n, key)
         spare = n - len(key[0]) - len(key[1]) - len(key[2])
         raw_z = raw_expand(n, key)
+        wedges = {}  # z ^ an image key, shared by both sides
         for tag, other in (
             ("z ^ *(conj z)", star(z.conjugate())),
             ("z ^ conj(*z)", star(z).conjugate()),
         ):
             total = {}
             for okey, ocoeff in other.terms.items():
-                w = raw_wedge(raw_z, raw_expand(n, okey))
+                if okey not in wedges:
+                    wedges[okey] = raw_wedge(raw_z, raw_expand(n, okey))
+                w = wedges[okey]
                 if w:
                     add_into(total, w, ocoeff * (1 << (spare - len(okey[2]))))
             if total != vol:

@@ -98,27 +98,11 @@ HODGE_BUILTINS = {
 }
 
 
-def exterior_gbv() -> GBVStructure:
+def exterior_gbv(scale=2) -> GBVStructure:
     """Four-dimensional exterior algebra on two odd generators (degrees -1
     and +1) with a second-order delta: delta(th1) = 1, delta(th1 th2) =
-    2 th2, so the derived product q(th1, th2) = th2 is nonzero."""
-    basis = GradedBasis.of(("one", 0), ("th1", -1), ("th2", 1), ("th12", 0))
-    table = {(1, 2): _e(3)}
-    algebra = GradedCommAlgebra(basis, table, unit="one")
-    return GBVStructure(algebra, {1: _e(0), 3: _e(2, 2)})
-
-
-def abelian_exterior_gbv() -> GBVStructure:
-    """Same algebra with delta an honest odd derivation (derived product 0)."""
-    basis = GradedBasis.of(("one", 0), ("th1", -1), ("th2", 1), ("th12", 0))
-    table = {(1, 2): _e(3)}
-    algebra = GradedCommAlgebra(basis, table, unit="one")
-    return GBVStructure(algebra, {1: _e(0), 3: _e(2)})
-
-
-def scaled_exterior_gbv(scale=3) -> GBVStructure:
-    """The four-dimensional pattern with a different second-order weight:
-    delta(th1 th2) = scale * th2, q(th1, th2) = (scale - 1) th2."""
+    scale * th2, so the derived product is q(th1, th2) = (scale - 1) th2;
+    at scale 1 delta is an honest odd derivation (q = 0)."""
     basis = GradedBasis.of(("one", 0), ("th1", -1), ("th2", 1), ("th12", 0))
     table = {(1, 2): _e(3)}
     algebra = GradedCommAlgebra(basis, table, unit="one")

@@ -442,11 +442,7 @@ def test_criterion_08_mc_correspondence():
 
 def test_criterion_09_gbv_suite():
     with timed(60):
-        for S in (
-            models.exterior_gbv(),
-            models.abelian_exterior_gbv(),
-            models.scaled_exterior_gbv(),
-        ):
+        for S in (models.exterior_gbv(scale) for scale in (2, 1, 3)):
             assert S.gbv_check().ok()
             assert S.dgla_verify().ok()
         Spoly = polyvector_gbv(3, 3)
@@ -474,11 +470,7 @@ def test_criterion_09_gbv_suite():
 
 def test_criterion_10_gbv_to_abelian():
     with timed(30):
-        for S in (
-            models.exterior_gbv(),
-            models.abelian_exterior_gbv(),
-            models.scaled_exterior_gbv(),
-        ):
+        for S in (models.exterior_gbv(scale) for scale in (2, 1, 3)):
             Fm, Fstar, rep = gbv_to_abelian(S, m_max=4)
             assert rep.ok(), rep.text()
     report_pass("10 (product morphism onto the abelian structure)")

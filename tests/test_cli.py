@@ -9,12 +9,16 @@ import subprocess
 import sys
 import time
 from functools import partial
+from math import factorial
 
 import pytest
 from golden_corpus import cases as golden_cases
 
 from defalg import schemas
 from defalg.cli import FLAGS, SUBCOMMANDS, build_parser, main
+from defalg.coalg import all_words
+from defalg.lefschetz import all_keys
+from defalg.models import HODGE_BUILTINS
 from defalg.report import CheckReport, Violation
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -794,6 +798,63 @@ def test_remaining_max_arity_refused_before_any_word(capsys, monkeypatch):
     assert "--max-arity 40: the splits" in out
 
 
+def test_work_bound_boundaries(tmp_path, capsys, monkeypatch):
+    """At the caps -1, 0, count - 1 and count, each bounded subcommand is
+    refused exactly when the count of its work, listed directly here, passes
+    the cap; an empty covector is never refused."""
+    path = partial(os.path.join, INPUTS)
+    covectors = {}
+    for name, Ms in (("empty", []), ("two", [[1], [2]])):
+        covectors[name] = tmp_path / f"{name}.json"
+        terms = [
+            {"A": [], "B": [], "M": M, "N": [i for i in (1, 2, 3) if i not in M],
+             "coeff": {"re": "1"}}
+            for M in Ms
+        ]
+        covectors[name].write_text(json.dumps({"kind": "covector", "dim": 3, "terms": terms}))
+    coder = schemas.parse_coderivation(sample("coderivation")).basis
+    cases = [
+        *(
+            (["bch", "--input", path("free_bch.json"), "--truncate", str(t)], 4**t)
+            for t in (0, 1, 2)
+        ),
+        *(
+            (["lefschetz", "identities", "--dim", str(n)], len(all_keys(n)))
+            for n in (0, 1, 2)
+        ),
+        (["lefschetz", "decompose", "--dim", "2", "--input", path("covector.json")], 1 * 2**2),
+        (["lefschetz", "decompose", "--dim", "3", "--input", str(covectors["two"])], 2 * 2**3),
+        (["lefschetz", "decompose", "--dim", "3", "--input", str(covectors["empty"])], None),
+        *(
+            (
+                ["coder", "--input", path("coderivation.json"), "--max-arity", str(m)],
+                sum(2 ** len(w) for w in all_words(coder, m)),
+            )
+            for m in (1, 2, 3, 4)
+        ),
+        *(
+            (
+                ["hodge-f", "--builtin", name, "--max-arity", str(m)],
+                sum(factorial(len(w)) for w in all_words(HODGE_BUILTINS[name]().source, m)),
+            )
+            for name in sorted(HODGE_BUILTINS)
+            for m in (1, 4)
+        ),
+    ]
+    for argv, count in cases:
+        for cap in (-1, 0, (count or 0) - 1, count or 0):
+            monkeypatch.setenv("DEFALG_MAX_BASIS", str(cap))
+            code = main(argv)
+            out = capsys.readouterr().out
+            refused = count is not None and count > cap
+            assert (code == 2) == refused, (argv, cap, out)
+            if refused:
+                assert len(out.splitlines()) == 1
+                # at -1 and 0 the parser may refuse the input's basis first
+                work = f"exceed the DEFALG_MAX_BASIS cap of {cap}"
+                assert (work if cap == count - 1 else "DEFALG_MAX_BASIS cap") in out, out
+
+
 def test_negative_polyvector_vars_exits_two(tmp_path):
     path = tmp_path / "pv.json"
     path.write_text(json.dumps({"kind": "polyvector", "vars": -1, "cap": 3, "terms": []}))
@@ -1420,3 +1481,28 @@ def test_mutated_samples_exit_zero_one_or_two(monkeypatch, capsys):
             failures += code not in (0, 1, 2)
     assert failures == 0
     assert runs > 2000
+
+
+INT_FLAGS = ("--truncate", "--dim", "--max-arity")
+
+
+def test_int_flags_exit_zero_one_or_two(monkeypatch, capsys):
+    """Each documented int flag at -1, 0, 1, 2, 3 and 10**6 on every golden
+    case of a subcommand that reads it: every run exits 0, 1 or 2 and none
+    raises; an input error prints one line (an [ERROR] may carry the report
+    that refused the input, as from-dgla's on a failing DGLA does)."""
+    monkeypatch.chdir(REPO)
+    runs = 0
+    for argv in golden_cases().values():
+        options = [FLAGS[flag][0] for flag in SUBCOMMANDS[argv[0]][1]]
+        for option in (o for o in options if o in INT_FLAGS):
+            for value in (-1, 0, 1, 2, 3, 10**6):
+                code = main([*argv, option, str(value)])
+                out = capsys.readouterr().out
+                assert code in (0, 1, 2), (argv, option, value)
+                if code == 2:
+                    assert out.startswith(("[INPUT-ERROR] ", "[ERROR] ")), out
+                    one_line = len(out.splitlines()) == 1
+                    assert one_line or out.startswith("[ERROR] "), (argv, option, value, out)
+                runs += 1
+    assert runs == 6 * 23  # the golden cases of bch, lefschetz and the --max-arity readers

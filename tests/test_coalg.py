@@ -3,6 +3,7 @@ embedding, coderivation and morphism lifting."""
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -22,8 +23,8 @@ from defalg.coalg import (
     coproduct,
     iterated_coproduct,
     n_map,
-    split_count,
     tensor_coproduct_reduced,
+    word_counts,
     word_degree,
 )
 from defalg.core import Element, GradedBasis, koszul_sign, split_plan, sym_canonical
@@ -443,21 +444,22 @@ def test_all_words_match_the_recursion_on_random_bases():
         assert got == recursive_all_words(basis, hi, lo, weights, cap)
 
 
-def test_split_count_matches_the_listed_words():
+def test_word_counts_match_the_listed_words():
     rng = random.Random(21)
     for _ in range(150):
         n = rng.randint(1, 5)
         degrees = tuple(rng.randint(-2, 3) for _ in range(n))
         basis = GradedBasis(tuple(f"v{i}" for i in range(n)), degrees)
         m = rng.randint(1, 6)
-        want = sum(2 ** len(w) for w in all_words(basis, m))
-        assert split_count(basis, m, want) == want
-        # past the limit the count stops at the first length over it
-        limit = rng.randint(0, want)
-        assert (split_count(basis, m, limit) > limit) == (want > limit)
-    # one even letter: 2 + 4 + ... + 2^m; odd letters only run out
-    assert split_count(GradedBasis.of(("x", 0)), 11, 10**6) == 2**12 - 2
-    assert split_count(GradedBasis.of(("e", 1), ("f", 1)), 10**9, 10) == 4 + 4
+        by_length = Counter(map(len, all_words(basis, m)))
+        assert dict(word_counts(basis, m)) == by_length
+    # odd letters only: no word is longer than the basis, so the counts stop
+    odd = GradedBasis.of(("e", 1), ("f", 1))
+    assert list(word_counts(odd, 10**9)) == [(1, 2), (2, 1)]
+    # one even letter: one word of every length, read lazily
+    even = word_counts(GradedBasis.of(("x", 0)), 10**9)
+    assert list(itertools.islice(even, 5)) == [(k, 1) for k in range(1, 6)]
+    assert list(word_counts(MIXED, 0)) == []
 
 
 # -- SymElement against the "add, or pop on zero" loops it had -------------------

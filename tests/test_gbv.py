@@ -59,16 +59,12 @@ def pv(nvars, mono, frame, c=1):
 # -- exterior-algebra GBV example ------------------------------------------------
 
 
-from defalg.models import (
-    abelian_exterior_gbv as abelian_gbv,
-    exterior_gbv,
-    scaled_exterior_gbv,
-)
+from defalg.models import exterior_gbv
 from defalg.report import CheckReport
 
 
 def test_abelian_gbv_has_zero_q():
-    S = abelian_gbv()
+    S = exterior_gbv(1)
     assert S.gbv_check().ok()
     basis = S.algebra.basis
     for i in range(len(basis)):
@@ -116,7 +112,7 @@ def test_inhomogeneous_delta_image_is_reported_not_raised():
 
 def test_bracket_is_signed_derived_product_on_basis_pairs():
     # [a,b] = (-1)^{deg a + 1} q(a,b) (sign ledger G2); _shifted relies on it
-    models = (exterior_gbv(), abelian_gbv(), scaled_exterior_gbv())
+    models = tuple(map(exterior_gbv, (2, 1, 3)))
     for S in (polyvector_gbv(2, 2),) + models:
         basis = S.algebra.basis
         for i in range(len(basis)):
@@ -315,8 +311,8 @@ def _gbv_corpus():
         (polyvector_gbv(2, 2), 3),
         (polyvector_gbv(1, 4), 8),
         (exterior_gbv(), 10),
-        (abelian_gbv(), 10),
-        (scaled_exterior_gbv(), 10),
+        (exterior_gbv(1), 10),
+        (exterior_gbv(3), 10),
     ):
         yield from [S] + [_perturbed(S, rng) for _ in range(count)]
 
@@ -851,7 +847,7 @@ def test_gbv_to_abelian_exterior():
 
 
 def test_gbv_to_abelian_abelian_case():
-    S = abelian_gbv()
+    S = exterior_gbv(1)
     Fm, Fstar, rep = gbv_to_abelian(S, m_max=4)
     assert rep.ok(), rep.text()
 
