@@ -149,15 +149,6 @@ def cmd_homotopy_eval(args) -> CheckReport:
     return rep
 
 
-def _refuse_past_cap(what, totals):
-    """Refuse the work before it starts when one of its running `totals`
-    passes the `DEFALG_MAX_BASIS` cap.  The totals are read lazily and only
-    until one passes, so a huge flag value never builds a huge total."""
-    cap = schemas.max_basis()
-    if any(total > cap for total in totals):
-        raise InputError(f"{what} exceed the {schemas.MAX_BASIS_ENV} cap of {cap}")
-
-
 def cmd_bch(args) -> CheckReport:
     data = _load(args)
     if args.truncate < 0:
@@ -170,7 +161,7 @@ def cmd_bch(args) -> CheckReport:
     # the free and explicit routes both expand words of every length up to
     # the truncation
     T = args.truncate
-    _refuse_past_cap(
+    schemas.refuse_past_cap(
         f"--truncate {T}: the 4^{T} word expansion terms", (4**k for k in range(T + 1))
     )
     a, b = schemas.parse_free_bch(data, args.truncate)
@@ -214,7 +205,7 @@ def cmd_comorph(args) -> CheckReport:
 def _bound_splits(basis, depth, what):
     """Refuse the words up to length `depth` before any is built when their
     splits (2^length per word) exceed the cap; `what` names the depth."""
-    _refuse_past_cap(
+    schemas.refuse_past_cap(
         f"{what}: the splits of the words up to length {depth}",
         accumulate(2**k * words for k, words in word_counts(basis, depth)),
     )
@@ -292,7 +283,7 @@ def cmd_hodge_f(args) -> CheckReport:
     M = models.HODGE_BUILTINS[args.builtin]()
     m_max = args.max_arity or 4
     # F_m sums m! signed permutations on each word of length m
-    _refuse_past_cap(
+    schemas.refuse_past_cap(
         f"--max-arity {m_max}: the signed permutations of the words up to length {m_max}",
         accumulate(words * factorial(m) for m, words in word_counts(M.source, m_max)),
     )
@@ -358,7 +349,9 @@ def cmd_lefschetz(args) -> CheckReport:
         # the wedge oracle visits all 4^dim keys; the operator identities
         # visit C(dim + 3, 3) of them unless one fails
         n = args.dim
-        _refuse_past_cap(f"--dim {n}: the 4^{n} basis keys", (4**k for k in range(n + 1)))
+        schemas.refuse_past_cap(
+            f"--dim {n}: the 4^{n} basis keys", (4**k for k in range(n + 1))
+        )
         return identities_report(n)
     v = schemas.parse_covector(_load(args))
     if v.n != args.dim:
@@ -366,7 +359,7 @@ def cmd_lefschetz(args) -> CheckReport:
     # L^k of one term has up to C(dim, k) terms, 2^dim over all k
     if v.terms:
         terms = len(v.terms)
-        _refuse_past_cap(
+        schemas.refuse_past_cap(
             f"--dim {args.dim}: {terms} term(s) times 2^{args.dim}",
             (terms << k for k in range(args.dim + 1)),
         )

@@ -58,9 +58,6 @@ class SymElement(Element):
         if canon is not None:
             add_term(self.terms, canon[0], coeff * canon[1])
 
-    def component(self, length):
-        return {w: c for w, c in self.terms.items() if len(w) == length}
-
     def __repr__(self):
         def show(w):
             return "(.)".join(self.basis.names[i] for i in w)

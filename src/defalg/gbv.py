@@ -1,8 +1,9 @@
 """Gerstenhaber and odd-Laplacian algebra: graded-commutative algebras with
 a square-zero degree +1 operator, the derived symmetric product and bracket,
-polynomial polyvector fields with contraction, the Schouten bracket, the
-volume-form delta and its compatibility identity, and the isomorphism onto
-the abelian homotopy structure induced by iterated products.
+polynomial polyvector fields, the Schouten bracket and the volume-form
+delta (both read one contraction kernel, df -| d/dz_I) with their
+compatibility identity, and the isomorphism onto the abelian homotopy
+structure induced by iterated products.
 
 Polyvector grading: a polyvector with k frame factors sits in degree -k;
 the shift to bracket conventions (degree -k+1) is applied explicitly
@@ -247,22 +248,16 @@ def _wedge_terms(a, b):
     return out
 
 
-def _partial(mono, j):
-    """d/dz_j of a monomial: (coefficient, new monomial) or None."""
-    if mono[j] == 0:
-        return None
-    new = list(mono)
-    new[j] -= 1
-    return mono[j], tuple(new)
-
-
-def one_form_contract(j, frame):
-    """dz_j contracted into d/dz_frame: (sign, reduced frame) or None."""
-    if j not in frame:
-        return None
-    k = frame.index(j)
-    sign = (-1) ** k
-    return sign, frame[:k] + frame[k + 1 :]
+def _contractions(mono, frame):
+    """The terms of df -| d/dz_frame for the monomial f = z^mono: for each j
+    of the frame with z_j in f, in increasing order, (exponent of z_j, mono
+    with z_j lowered, (-1)^k for j at index k of the frame, the frame
+    without j) (sign ledger G3)."""
+    for k, j in enumerate(frame):
+        e = mono[j]
+        if e:
+            lowered = mono[:j] + (e - 1,) + mono[j + 1 :]
+            yield e, lowered, -1 if k % 2 else 1, frame[:k] + frame[k + 1 :]
 
 
 def schouten(a: Polyvector, b: Polyvector) -> Polyvector:
@@ -270,134 +265,37 @@ def schouten(a: Polyvector, b: Polyvector) -> Polyvector:
     - g d/dz_I ^ (df -| d/dz_H), extended bilinearly (sign ledger G3)."""
     if a.nvars != b.nvars:
         raise InputError("polyvectors on different variable counts")
-    n = a.nvars
-    out = Polyvector(n, max(a.cap + b.cap - 1, 0))
+    out = Polyvector(a.nvars, max(a.cap + b.cap - 1, 0))
     for (m1, f1), c1 in a.terms.items():
+        lead_sign = (-1) ** ((len(f1) - 1) % 2)
         for (m2, f2), c2 in b.terms.items():
             # (-1)^{|I|-1} f (dg -| d/dz_I) ^ d/dz_H
-            lead_sign = (-1) ** ((len(f1) - 1) % 2)
-            for j in range(n):
-                dg = _partial(m2, j)
-                if dg is None:
-                    continue
-                hit = one_form_contract(j, f1)
-                if hit is None:
-                    continue
-                csign, reduced = hit
+            for e, lowered, csign, reduced in _contractions(m2, f1):
                 canon = sym_canonical(reduced + f2, odd)
                 if canon is None:
                     continue
-                mono = tuple(x + y for x, y in zip(m1, dg[1]))
-                coeff = c1 * c2 * dg[0] * csign * canon[1] * lead_sign
+                mono = tuple(x + y for x, y in zip(m1, lowered))
+                coeff = c1 * c2 * e * csign * canon[1] * lead_sign
                 add_term(out.terms, (mono, canon[0]), coeff)
             # - g d/dz_I ^ (df -| d/dz_H)
-            for j in range(n):
-                df = _partial(m1, j)
-                if df is None:
-                    continue
-                hit = one_form_contract(j, f2)
-                if hit is None:
-                    continue
-                csign, reduced = hit
+            for e, lowered, csign, reduced in _contractions(m1, f2):
                 canon = sym_canonical(f1 + reduced, odd)
                 if canon is None:
                     continue
-                mono = tuple(x + y for x, y in zip(df[1], m2))
-                coeff = -c1 * c2 * df[0] * csign * canon[1]
+                mono = tuple(x + y for x, y in zip(lowered, m2))
+                coeff = -c1 * c2 * e * csign * canon[1]
                 add_term(out.terms, (mono, canon[0]), coeff)
     return out
 
 
-# ---------------------------------------------------------------------------
-# Forms, contraction, and the volume delta
-# ---------------------------------------------------------------------------
-
-
-class PolyForm(Element):
-    """Sum of f(z) dz_K with strictly increasing K (polynomial coefficients);
-    `nvars` is carried but not compared."""
-
-    __slots__ = ("nvars",)
-
-    def __init__(self, nvars, terms=None):
-        self.nvars = nvars
-        self.terms = {}
-        if terms:
-            for (mono, K), c in terms.items():
-                if not c:
-                    continue
-                K = tuple(K)
-                if list(K) != sorted(set(K)):
-                    raise InputError(f"bad form frame {K}")
-                add_term(self.terms, (tuple(mono), K), c)
-
-    def wedge(self, other) -> "PolyForm":
-        return self._like(_wedge_terms(self, other))
-
-
-def contract(v: Polyvector, w: PolyForm) -> PolyForm:
-    """(u_1 ^ ... ^ u_a) -| w = u_1 -| (u_2 ^ ... ^ u_a -| w), bilinear;
-    polynomial coefficients multiply."""
-    if v.nvars != w.nvars:
-        raise InputError("variable count mismatch")
-    out = PolyForm(v.nvars)
-    for (mono_v, frame), cv in v.terms.items():
-        for (mono_w, K), cw in w.terms.items():
-            if len(frame) > len(K):
-                continue
-            acc = {K: 1}
-            for j in reversed(frame):
-                nxt = {}
-                for kk, s in acc.items():
-                    hit = one_form_contract(j, kk)
-                    if hit is not None:
-                        add_term(nxt, hit[1], s * hit[0])
-                acc = nxt
-                if not acc:
-                    break
-            mono = tuple(a + b for a, b in zip(mono_v, mono_w))
-            for kk, s in acc.items():
-                add_term(out.terms, (mono, kk), cv * cw * s)
-    return out
-
-
-def volume_form(nvars) -> PolyForm:
-    """Omega = dz_n ^ ... ^ dz_1 (reversal of the increasing frame)."""
-    sign = (-1) ** ((nvars * (nvars - 1) // 2) % 2)
-    return PolyForm(nvars, {((0,) * nvars, tuple(range(nvars))): sign})
-
-
-def form_del(form: PolyForm) -> PolyForm:
-    """del(f dz_K) = sum_j (df/dz_j) dz_j ^ dz_K."""
-    out = PolyForm(form.nvars)
-    for (mono, K), c in form.terms.items():
-        for j in range(form.nvars):
-            d = _partial(mono, j)
-            if d is None or j in K:
-                continue
-            merged, sign = sym_canonical((j,) + K, odd)
-            add_term(out.terms, (d[1], merged), c * d[0] * sign)
-    return out
-
-
-def frame_pairing(nvars, frame) -> int:
-    """c_I in (d/dz_I) -| Omega = c_I dz_{I complement}, for an increasing
-    frame I: `contract` removes the letters of I last first, each at its own
-    index i, and Omega carries (-1)^{n(n-1)/2}, so
-    c_I = (-1)^{sum I + n(n-1)/2} (sign ledger G4)."""
-    return -1 if (sum(frame) + nvars * (nvars - 1) // 2) % 2 else 1
-
-
 def delta_volume(a: Polyvector) -> Polyvector:
-    """The operator defined by (delta a) -| Omega = del(a -| Omega),
-    computed contract - del - uncontract (Omega the reversed frame)."""
-    n = a.nvars
-    psi = form_del(contract(a, volume_form(n)))
-    # invert the frame pairing; c_I = +-1 is its own inverse
-    out = Polyvector(n, max(a.cap - 1, 0))
-    for (mono, K), c in psi.terms.items():
-        comp = tuple(i for i in range(n) if i not in K)
-        add_term(out.terms, (mono, comp), c * frame_pairing(n, comp))
+    """The operator defined by (delta a) -| Omega = del(a -| Omega) for
+    Omega = dz_n ^ ... ^ dz_1, computed as delta(f d/dz_I) = df -| d/dz_I
+    (sign ledger G4; the Omega route is the test oracle)."""
+    out = Polyvector(a.nvars, max(a.cap - 1, 0))
+    for (mono, frame), c in a.terms.items():
+        for e, lowered, sign, reduced in _contractions(mono, frame):
+            add_term(out.terms, (lowered, reduced), c * e * sign)
     return out
 
 

@@ -40,6 +40,15 @@ def max_basis():
         raise InputError(f"{MAX_BASIS_ENV} must be an integer, got {raw!r}")
 
 
+def refuse_past_cap(what, totals):
+    """Refuse the work before it starts when one of its running `totals`
+    passes the `DEFALG_MAX_BASIS` cap.  The totals are read lazily and only
+    until one passes, so a huge flag value never builds a huge total."""
+    cap = max_basis()
+    if any(total > cap for total in totals):
+        raise InputError(f"{what} exceed the {MAX_BASIS_ENV} cap of {cap}")
+
+
 def load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -91,8 +100,7 @@ def _int_field(data, name, path, nonnegative=False):
 def parse_basis(data, path="basis") -> GradedBasis:
     if not isinstance(data, list) or not data:
         raise InputError(f"{path}: must be a nonempty list")
-    if len(data) > max_basis():
-        raise InputError(f"{path}: basis size exceeds {MAX_BASIS_ENV} cap")
+    refuse_past_cap(f"{path}: the {len(data)} basis elements", (len(data),))
     names = []
     degrees = []
     for i, entry in enumerate(data):

@@ -35,8 +35,7 @@ of its older terms dicts.
 
 Reference implementations that left `src/` because only tests called
 them: from `core` the permutation `parity`, `is_unshuffle`, `symmetrize`
-and the composition product `gerstenhaber_bullet`; `delta_direct`, the
-frame-trivial route to the polyvector delta, from `gbv`; `as_dgla`, the
+and the composition product `gerstenhaber_bullet`; `as_dgla`, the
 tensor DGLA L (x) A tabled pair by pair, which was `dgla.TensorDgla.as_dgla`;
 the primitive block relation `primitive_coefficient_report` from
 `lefschetz`; `gbv_bracket`, the shifted bracket of a GBV structure on
@@ -69,7 +68,16 @@ became one sparse integer echelon: `rref`, a Fraction division across each
 pivot row of a list-of-lists matrix, and on it `rank`, `kernel_basis`,
 `solve` (free variables zero), `in_span` and `express_in_span`; and
 `dense_nilpotency_index`, which was `core.BilinearTable._nilpotency_index`,
-one `rref` per power of the algebra."""
+one `rref` per power of the algebra.
+
+The volume-form route to the polyvector delta as `gbv.delta_volume` took
+it before it read the contraction kernel `gbv._contractions`: the forms
+`PolyForm` (with `wedge`), the contraction `contract` built on the
+one-form step `one_form_contract` and the monomial derivative `_partial`,
+the volume form `volume_form`, the form differential `form_del`, the
+frame pairing `frame_pairing` and, chaining them, `oracle_delta_volume`,
+which was `delta_volume`; with them the tests check the defining property
+(delta a) -| Omega = del(a -| Omega) (sign ledger G4)."""
 
 import itertools
 from fractions import Fraction
@@ -100,7 +108,7 @@ from defalg.core import (
 from defalg.dgla import DGLA, TensorDgla, check_dgla, cohomology
 from defalg.errors import DomainError, InputError
 from defalg.freelie import TensorSeries, _bch_word_trie, right_nested_terms
-from defalg.gbv import GBVStructure, Polyvector, _partial, one_form_contract
+from defalg.gbv import GBVStructure, Polyvector, _wedge_terms
 from defalg.lefschetz import CovectorElement, all_keys, is_primitive, op_star, raw_wedge
 from defalg.linfty import word_names
 from defalg.report import CheckReport
@@ -462,20 +470,109 @@ def gerstenhaber_bullet(f, m, g, l, g_degree, args, degrees) -> Element:
     return out
 
 
-def delta_direct(a: Polyvector) -> Polyvector:
-    """Independent route: delta(f d/dz_I) = df -| d/dz_I (frame-trivial
-    connection); used as the oracle against delta_volume."""
-    out = Polyvector(a.nvars, max(a.cap - 1, 0))
-    for (mono, frame), c in a.terms.items():
-        for j in range(a.nvars):
+def _partial(mono, j):
+    """d/dz_j of a monomial: (coefficient, new monomial) or None."""
+    if mono[j] == 0:
+        return None
+    new = list(mono)
+    new[j] -= 1
+    return mono[j], tuple(new)
+
+
+def one_form_contract(j, frame):
+    """dz_j contracted into d/dz_frame: (sign, reduced frame) or None."""
+    if j not in frame:
+        return None
+    k = frame.index(j)
+    sign = (-1) ** k
+    return sign, frame[:k] + frame[k + 1 :]
+
+
+class PolyForm(Element):
+    """Sum of f(z) dz_K with strictly increasing K (polynomial coefficients);
+    `nvars` is carried but not compared."""
+
+    __slots__ = ("nvars",)
+
+    def __init__(self, nvars, terms=None):
+        self.nvars = nvars
+        self.terms = {}
+        if terms:
+            for (mono, K), c in terms.items():
+                if not c:
+                    continue
+                K = tuple(K)
+                if list(K) != sorted(set(K)):
+                    raise InputError(f"bad form frame {K}")
+                add_term(self.terms, (tuple(mono), K), c)
+
+    def wedge(self, other) -> "PolyForm":
+        return self._like(_wedge_terms(self, other))
+
+
+def contract(v: Polyvector, w: PolyForm) -> PolyForm:
+    """(u_1 ^ ... ^ u_a) -| w = u_1 -| (u_2 ^ ... ^ u_a -| w), bilinear;
+    polynomial coefficients multiply."""
+    if v.nvars != w.nvars:
+        raise InputError("variable count mismatch")
+    out = PolyForm(v.nvars)
+    for (mono_v, frame), cv in v.terms.items():
+        for (mono_w, K), cw in w.terms.items():
+            if len(frame) > len(K):
+                continue
+            acc = {K: 1}
+            for j in reversed(frame):
+                nxt = {}
+                for kk, s in acc.items():
+                    hit = one_form_contract(j, kk)
+                    if hit is not None:
+                        add_term(nxt, hit[1], s * hit[0])
+                acc = nxt
+                if not acc:
+                    break
+            mono = tuple(a + b for a, b in zip(mono_v, mono_w))
+            for kk, s in acc.items():
+                add_term(out.terms, (mono, kk), cv * cw * s)
+    return out
+
+
+def volume_form(nvars) -> PolyForm:
+    """Omega = dz_n ^ ... ^ dz_1 (reversal of the increasing frame)."""
+    sign = (-1) ** ((nvars * (nvars - 1) // 2) % 2)
+    return PolyForm(nvars, {((0,) * nvars, tuple(range(nvars))): sign})
+
+
+def form_del(form: PolyForm) -> PolyForm:
+    """del(f dz_K) = sum_j (df/dz_j) dz_j ^ dz_K."""
+    out = PolyForm(form.nvars)
+    for (mono, K), c in form.terms.items():
+        for j in range(form.nvars):
             d = _partial(mono, j)
-            if d is None:
+            if d is None or j in K:
                 continue
-            hit = one_form_contract(j, frame)
-            if hit is None:
-                continue
-            sign, reduced = hit
-            add_term(out.terms, (d[1], reduced), c * d[0] * sign)
+            merged, sign = one_signed_sort((j,) + K, odd)
+            add_term(out.terms, (d[1], merged), c * d[0] * sign)
+    return out
+
+
+def frame_pairing(nvars, frame) -> int:
+    """c_I in (d/dz_I) -| Omega = c_I dz_{I complement}, for an increasing
+    frame I: `contract` removes the letters of I last first, each at its own
+    index i, and Omega carries (-1)^{n(n-1)/2}, so
+    c_I = (-1)^{sum I + n(n-1)/2} (sign ledger G4)."""
+    return -1 if (sum(frame) + nvars * (nvars - 1) // 2) % 2 else 1
+
+
+def oracle_delta_volume(a: Polyvector) -> Polyvector:
+    """The operator defined by (delta a) -| Omega = del(a -| Omega),
+    computed contract - del - uncontract (Omega the reversed frame)."""
+    n = a.nvars
+    psi = form_del(contract(a, volume_form(n)))
+    # invert the frame pairing; c_I = +-1 is its own inverse
+    out = Polyvector(n, max(a.cap - 1, 0))
+    for (mono, K), c in psi.terms.items():
+        comp = tuple(i for i in range(n) if i not in K)
+        add_term(out.terms, (mono, comp), c * frame_pairing(n, comp))
     return out
 
 

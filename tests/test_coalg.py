@@ -254,8 +254,9 @@ def test_morphism_lift_two_components():
     f2 = {(0, 1): Element.basis_vector(2)}
     Fm = CoalgMorphism(MIXED, target, {1: f1, 2: f2})
     out = Fm.apply_word((0, 1))
-    assert out.component(1) == {(2,): 1}
-    assert out.component(2) == {(0, 1): 1}
+    by_length = lambda k: {w: c for w, c in out.terms.items() if len(w) == k}
+    assert by_length(1) == {(2,): 1}
+    assert by_length(2) == {(0, 1): 1}
 
 
 def test_morphism_comorphism_law():

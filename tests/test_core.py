@@ -16,6 +16,7 @@ from math import comb
 import pytest
 import sign_oracles
 from sign_oracles import (
+    PolyForm,
     gerstenhaber_bullet,
     is_unshuffle,
     oracle_rows,
@@ -40,7 +41,7 @@ from defalg.core import (
 from defalg.dgla import DGLA, ArtinDg, DtPolynomial
 from defalg.errors import InputError
 from defalg.freelie import NilpotentLie, TensorSeries
-from defalg.gbv import GradedCommAlgebra, PolyForm, Polyvector
+from defalg.gbv import GradedCommAlgebra, Polyvector
 from defalg.generators import random_classical_artin, random_dgla
 from defalg.lefschetz import CovectorElement, all_keys
 from defalg.report import CheckReport

@@ -8,7 +8,19 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from sign_oracles import _merge_frames, delta_direct, gbv_bracket, show
+from sign_oracles import (
+    PolyForm,
+    _merge_frames,
+    _partial,
+    contract,
+    form_del,
+    frame_pairing,
+    gbv_bracket,
+    one_form_contract,
+    oracle_delta_volume,
+    show,
+    volume_form,
+)
 from test_dgla import oracle_check_na
 from test_freelie import oracle_nilpotent_lie
 
@@ -28,21 +40,15 @@ from defalg.freelie import NilpotentLie
 from defalg.gbv import (
     GBVStructure,
     GradedCommAlgebra,
-    PolyForm,
     Polyvector,
-    _partial,
-    contract,
     delta_volume,
-    form_del,
-    frame_pairing,
     gbv_linfty_structures,
     gbv_to_abelian,
-    one_form_contract,
+    polyvector_basis,
     polyvector_gbv,
     schouten,
     tensor_inverse_check,
     tian_todorov_check,
-    volume_form,
 )
 
 F = Fraction
@@ -705,6 +711,22 @@ def test_delta_euler_field():
 
 
 def test_delta_equals_direct_formula():
+    """The kernel's delta against the volume-form route, value, coefficient
+    type, dict order and cap: every basis polyvector for n <= 4 and cap <= 3
+    with an int and a Fraction coefficient, then seeded sums of terms."""
+
+    def items(x):
+        return [(k, type(c), c) for k, c in x.terms.items()], x.cap
+
+    checked = 0
+    for n in range(5):
+        for cap in range(4):
+            for key in polyvector_basis(n, cap):
+                for c in (-2, F(3, 2)):
+                    a = Polyvector(n, cap, {key: c})
+                    assert items(delta_volume(a)) == items(oracle_delta_volume(a))
+                    checked += 1
+    assert checked == 2560
     rng = random.Random(3)
     n = 3
     for _ in range(60):
@@ -714,7 +736,7 @@ def test_delta_equals_direct_formula():
             frame = tuple(sorted(rng.sample(range(n), rng.randint(0, n))))
             terms[(mono, frame)] = F(rng.randint(-3, 3) or 1)
         a = Polyvector(n, None, terms)
-        assert delta_volume(a) == delta_direct(a)
+        assert items(delta_volume(a)) == items(oracle_delta_volume(a))
 
 
 def test_frame_pairing_matches_the_contraction_probe():
