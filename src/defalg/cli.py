@@ -23,7 +23,7 @@ from .dgla import TensorDgla, check_dgla, check_na, cohomology, cones, obstructi
 from .errors import DefalgError, InputError
 from .freelie import bch_explicit, bch_free, dsw_project, is_lie
 from .gbv import delta_volume, gbv_to_abelian, schouten, tian_todorov_check
-from .lefschetz import identities_report, lefschetz_decompose, is_primitive
+from .lefschetz import coefficients, identities_report, is_primitive, lefschetz_decompose
 from .linfty import (
     check_linfty,
     from_dgla,
@@ -371,9 +371,9 @@ def cmd_lefschetz(args) -> CheckReport:
                 "terms": [
                     {
                         **dict(zip("ABMN", map(list, k))),
-                        "coeff": {"re": format_rational(c.re), "im": format_rational(c.im)},
+                        "coeff": {"re": format_rational(re), "im": format_rational(im)},
                     }
-                    for k, c in sorted(vr.terms.items())
+                    for k, (re, im) in sorted(coefficients(vr.terms).items())
                 ],
             }
             for r, vr in lefschetz_decompose(v)

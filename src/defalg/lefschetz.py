@@ -16,12 +16,14 @@ from bisect import bisect
 from fractions import Fraction
 from math import factorial
 
-from .core import Element, add_into, add_term, odd, sym_canonical
+from .core import Element, add_term, odd, sym_canonical
 from .errors import DomainError, InputError
 from .report import CheckReport
-from .scalars import GAUSS_I, GAUSS_ONE, GaussianScalar
+from .scalars import GaussianScalar, format_gaussian
 
-# keys are (A, B, M, N): four sorted tuples of 1-based indices
+# keys are (A, B, M, N): four sorted tuples of 1-based indices; a covector
+# term is keyed by (key, part), part 0 holding the real and part 1 the
+# imaginary part of the coefficient of the symbol key (sign ledger X1)
 
 
 def make_key(n, A, B, M, N):
@@ -70,19 +72,27 @@ def weight(key):
     return len(N) - len(M)
 
 
-def _turn(c, t):
-    """c * i^t for t in 0..3: a quarter turn swaps re and im and negates one."""
-    if t == 0:
-        return c
-    if t == 1:
-        return GaussianScalar(-c.im, c.re)
-    if t == 2:
-        return GaussianScalar(-c.re, -c.im)
-    return GaussianScalar(c.im, -c.re)
+# _TURN[part][t] = (part', sign) with i^part * i^t = sign * i^part': t
+# quarter turns of a part, and for t in (0, 1) the product of two parts
+_TURN = (
+    ((0, 1), (1, 1), (0, -1), (1, -1)),
+    ((1, 1), (0, -1), (1, -1), (0, 1)),
+)
+
+
+def coefficients(terms) -> dict:
+    """key -> [re, im] of a terms dict keyed by (key, part), in the order
+    each key first occurs."""
+    out = {}
+    for (key, part), c in terms.items():
+        out.setdefault(key, [0, 0])[part] = c
+    return out
 
 
 class CovectorElement(Element):
-    """Sparse exact combination of standard basis symbols over Q(i)."""
+    """Sparse exact combination of standard basis symbols over Q(i), stored
+    over Q: the term (key, 0) is the real part of the coefficient of the
+    symbol key and (key, 1) its imaginary part, each an int or a Fraction."""
 
     __slots__ = ("n",)
     _compared = ("n",)
@@ -92,30 +102,31 @@ class CovectorElement(Element):
         Element.__init__(self, terms)
 
     @staticmethod
-    def basis(n, key, coeff=GAUSS_ONE):
-        return CovectorElement(n, {key: coeff})
+    def basis(n, key, coeff=1):
+        return CovectorElement(n, {(key, 0): coeff})
 
     def add_term(self, key, coeff):
-        if not isinstance(coeff, GaussianScalar):
-            coeff = GaussianScalar.of(coeff)
-        add_term(self.terms, key, coeff)
-
-    def scale(self, c):
-        if not isinstance(c, GaussianScalar):
-            c = GaussianScalar.of(c)
-        return Element.scale(self, c)
+        """Add coeff, a rational or a GaussianScalar, to the coefficient of
+        the symbol key."""
+        if type(coeff) is GaussianScalar:
+            add_term(self.terms, (key, 0), coeff.re)
+            add_term(self.terms, (key, 1), coeff.im)
+        else:
+            add_term(self.terms, (key, 0), coeff)
 
     def homogeneous_degree(self):
-        degs = {total_degree(k) for k in self.terms}
+        degs = {total_degree(k) for k, _ in self.terms}
         if len(degs) > 1:
             raise DomainError("inhomogeneous covector")
         return degs.pop() if degs else None
 
     def conjugate(self) -> "CovectorElement":
+        """z_{A,B,M,N} -> (-1)^{|A||B|} z_{B,A,M,N}, conjugating each
+        coefficient: part 1 is negated."""
         return self._like(
             {
-                (B, A, M, N): _turn(v.conjugate(), 2 * (len(A) * len(B) % 2))
-                for (A, B, M, N), v in self.terms.items()
+                ((B, A, M, N), part): -c if (part + len(A) * len(B)) % 2 else c
+                for ((A, B, M, N), part), c in self.terms.items()
             }
         )
 
@@ -125,7 +136,10 @@ class CovectorElement(Element):
             return f"z[A={A},B={B},M={M},N={N}]"
 
         return (
-            " + ".join(f"({v})*{show(k)}" for k, v in sorted(self.terms.items()))
+            " + ".join(
+                f"({format_gaussian(re, im)})*{show(k)}"
+                for k, (re, im) in sorted(coefficients(self.terms).items())
+            )
             or "0"
         )
 
@@ -137,14 +151,20 @@ class CovectorElement(Element):
 # Every operator sends one basis key to at most n keys, each with a
 # coefficient i^t (sign ledger X1).  So an operator is a row function
 # key -> ((key', t), ...), and `_apply` sums the image of a covector into one
-# dict, turning each coefficient by t quarter turns instead of multiplying.
+# dict, turning each part by t quarter turns (`_TURN`) instead of multiplying.
 
 
 def _apply(row, v: CovectorElement) -> CovectorElement:
     out = {}
-    for key, c in v.terms.items():
-        for k2, t in row(key):
-            add_term(out, k2, _turn(c, t))
+    images = {}  # the row of each key, shared by its two parts
+    for (key, part), c in v.terms.items():
+        image = images.get(key)
+        if image is None:
+            image = images[key] = row(key)
+        turns = _TURN[part]
+        for k2, t in image:
+            part2, sign = turns[t]
+            add_term(out, (k2, part2), c if sign > 0 else -c)
     return v._like(out)
 
 
@@ -236,13 +256,14 @@ def op_power(op, k, v):
 # writes no power of two: an expansion has i for each u_j, and the 2^{-s/2}
 # normalizations, which pair to 2^{-s}, and the halves are restored by
 # comparing both sides of the wedge identity times 2^n.  So every
-# coefficient is a Gaussian integer.  Raw words sort by the one signed sort
+# coefficient is a Gaussian integer, kept as int parts under (word, part)
+# keys as a covector keeps its terms.  Raw words sort by the one signed sort
 # with every letter odd (sign ledger X1).
 
 
 def raw_expand(n, key) -> dict:
-    """Un-normalized expansion of a standard basis symbol: map from sorted
-    letter tuples to GaussianScalar with int parts; the true symbol is
+    """Un-normalized expansion of a standard basis symbol: map from (sorted
+    letter tuple, part) to an int; the true symbol is
     2^{-(|A|+|B|)/2 - |M|} times this (i per u_j)."""
     A, B, M, N = key
     letters = [a - 1 for a in A] + [n + b - 1 for b in B]
@@ -252,24 +273,27 @@ def raw_expand(n, key) -> dict:
     if canon is None:
         return {}
     word, sign = canon
-    return {word: _turn(GaussianScalar.of(sign), len(M) % 4)}
+    part, turn = _TURN[0][len(M) % 4]
+    return {(word, part): turn * sign}
 
 
 def raw_wedge(x: dict, y: dict) -> dict:
+    """x ^ y; the parts multiply as i^p1 * i^p2 (`_TURN`)."""
     out = {}
-    for w1, c1 in x.items():
-        for w2, c2 in y.items():
+    for (w1, p1), c1 in x.items():
+        for (w2, p2), c2 in y.items():
             canon = sym_canonical(w1 + w2, odd)
             if canon is not None:
-                add_term(out, canon[0], c1 * c2 * canon[1])
+                part, sign = _TURN[p1][p2]
+                add_term(out, (canon[0], part), sign * canon[1] * c1 * c2)
     return out
 
 
 def raw_volume(n) -> dict:
     """(i z_1 ^ zbar_1) ^ ... ^ (i z_n ^ zbar_n): 2^n u_1 ^ ... ^ u_n."""
-    out = {(): GAUSS_ONE}
+    out = {((), 0): 1}
     for j in range(1, n + 1):
-        out = raw_wedge(out, {(j - 1, n + j - 1): GAUSS_I})
+        out = raw_wedge(out, {((j - 1, n + j - 1), 1): 1})
     return out
 
 
@@ -296,16 +320,22 @@ def wedge_identity_report(n, star_fn=None) -> CheckReport:
             ("z ^ conj(*z)", star(z).conjugate()),
         ):
             total = {}
-            for okey, ocoeff in other.terms.items():
+            for (okey, opart), ocoeff in other.terms.items():
                 if okey not in wedges:
                     wedges[okey] = raw_wedge(raw_z, raw_expand(n, okey))
                 w = wedges[okey]
                 if w:
-                    add_into(total, w, ocoeff * (1 << (spare - len(okey[2]))))
+                    c = ocoeff * (1 << (spare - len(okey[2])))
+                    for (word, part), wc in w.items():
+                        part2, sign = _TURN[part][opart]
+                        add_term(total, (word, part2), sign * c * wc)
             if total != vol:
                 unit = Fraction(1, 2**n)
-                shown = {w: c * unit for w, c in total.items()}
-                rep.add(f"{tag} at {key}", str(shown), "wedge identity fails")
+                shown = ", ".join(
+                    f"{w}: {format_gaussian(re * unit, im * unit)}"
+                    for w, (re, im) in coefficients(total).items()
+                )
+                rep.add(f"{tag} at {key}", f"{{{shown}}}", "wedge identity fails")
     return rep
 
 
@@ -375,9 +405,10 @@ def identities_report(n) -> CheckReport:
             if len(img.terms) != 1:
                 rep.add(f"* at {key}", repr(img), "* is not a signed permutation")
                 break
-            [(k2, c)] = list(img.terms.items())
-            if c * c * c * c != GAUSS_ONE:
-                rep.add(f"* at {key}", str(c), "* coefficient is not a 4th root of 1")
+            [((_, part), c)] = img.terms.items()
+            if c not in (1, -1):
+                shown = format_gaussian(0, c) if part else format_gaussian(c, 0)
+                rep.add(f"* at {key}", shown, "* coefficient is not a 4th root of 1")
                 break
         if rep.ok():
             break

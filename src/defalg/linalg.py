@@ -125,7 +125,7 @@ def nilpotency_index(rows):
     span = [{i: 1} for i in range(n)]
     s = 1
     while span:
-        if s > n + 1:
+        if s > n:  # a nilpotent algebra of dimension n has A^{n+1} = 0
             return None
         power = Echelon()
         for row in filter(None, rows):

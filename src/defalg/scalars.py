@@ -1,14 +1,13 @@
-"""Exact scalars: arbitrary-precision rationals and Gaussian rationals.
+"""Exact scalars: arbitrary-precision rationals, and the Gaussian rationals
+a covector term is given in.
 
-Plain rationals are `int` where a table stores an integral coefficient
-(`core.int_first`) and `fractions.Fraction` (always lowest terms, positive
-denominator) otherwise; both print through `format_rational`.
-GaussianScalar adjoins a formal square root of -1; it is needed only by the
-Hermitian exterior-algebra module, whose operators have a power of i as
-every coefficient (sign ledger X1).  Its parts follow the same integer-first
-rule: `of`, `_coerce` and the constants store an integral part as an `int`,
-so the Lefschetz layer computes in the Gaussian integers Z[i] and builds a
-Fraction only where a value is not integral or a division happens.
+Every coefficient is an `int` where it is integral in a table
+(`core.int_first`) and a `fractions.Fraction` (always lowest terms, positive
+denominator) otherwise; both print through `format_rational`.  Only the
+Hermitian exterior-algebra module has coefficients in Q(i), and it stores
+each as two such rational parts (sign ledger X1): `GaussianScalar` is only
+the (re, im) value a covector term is given as, and `format_gaussian` prints
+a pair of parts.
 """
 
 from __future__ import annotations
@@ -59,107 +58,26 @@ def _part(value):
 
 
 class GaussianScalar:
-    """Exact element of Q(i): re + im*i with i^2 = -1.
-
-    Immutable; each part is an int or a Fraction.  Equality and hashing go
-    by value, so an int part equals and hashes like the Fraction of the same
-    value, and the repr prints both parts as Fractions whatever they are
-    stored as."""
+    """re + im*i, the value a covector term is given as; `of` stores each
+    part as an int when it is integral, else as a Fraction.
+    `lefschetz.CovectorElement.add_term` splits it into its parts."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re, im):
-        _set_re(self, re)
-        _set_im(self, im)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"GaussianScalar is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"GaussianScalar is immutable: cannot delete {name!r}")
-
-    def __reduce__(self):
-        return GaussianScalar, (self.re, self.im)
-
-    def __eq__(self, other):
-        if type(other) is not GaussianScalar:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __repr__(self):
-        return f"GaussianScalar(re={Fraction(self.re)!r}, im={Fraction(self.im)!r})"
+        self.re = re
+        self.im = im
 
     @staticmethod
     def of(re=0, im=0) -> "GaussianScalar":
         return GaussianScalar(_part(re), _part(im))
 
-    def __add__(self, other):
-        other = _coerce(other)
-        return GaussianScalar(self.re + other.re, self.im + other.im)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GaussianScalar(-self.re, -self.im)
-
-    def __sub__(self, other):
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        return GaussianScalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _coerce(other)
-        norm = Fraction(other.re * other.re + other.im * other.im)
-        if norm == 0:
-            raise ZeroDivisionError("division by zero GaussianScalar")
-        conj = GaussianScalar(other.re, -other.im)
-        prod = self * conj
-        return GaussianScalar(prod.re / norm, prod.im / norm)
-
-    def conjugate(self) -> "GaussianScalar":
-        return GaussianScalar(self.re, -self.im)
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def __bool__(self):
-        return self.re != 0 or self.im != 0
-
-    def __str__(self):
-        if self.im == 0:
-            return format_rational(self.re)
-        if self.re == 0:
-            return f"{format_rational(self.im)}*i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{format_rational(self.re)}{sign}{format_rational(abs(self.im))}*i"
-
-
-# the slot setters, which bypass the refusing __setattr__
-_set_re = GaussianScalar.__dict__["re"].__set__
-_set_im = GaussianScalar.__dict__["im"].__set__
-
-
-def _coerce(value) -> GaussianScalar:
-    if isinstance(value, GaussianScalar):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return GaussianScalar(_part(value), 0)
-    raise TypeError(f"cannot coerce {value!r} to GaussianScalar")
-
-
-GAUSS_ZERO = GaussianScalar(0, 0)
-GAUSS_ONE = GaussianScalar(1, 0)
-GAUSS_I = GaussianScalar(0, 1)
+def format_gaussian(re, im) -> str:
+    """re + im*i printed as "a", "b*i", "a+b*i" or "a-b*i"."""
+    if im == 0:
+        return format_rational(re)
+    if re == 0:
+        return f"{format_rational(im)}*i"
+    sign = "+" if im > 0 else "-"
+    return f"{format_rational(re)}{sign}{format_rational(abs(im))}*i"

@@ -33,7 +33,6 @@ from .lefschetz import (
 )
 from .linfty import check_linfty, from_dgla, hodge_F, hodge_model_check, mc_linfty
 from .report import CheckReport
-from .scalars import GaussianScalar
 
 
 def _step(results, name, passed, detail=""):
@@ -164,7 +163,7 @@ def run_suite(seed: int) -> CheckReport:
         pool = [k for k in all_keys(n) if total_degree(k) == p]
         v = CovectorElement(n)
         for k in rng.sample(pool, min(len(pool), 3)):
-            v.add_term(k, GaussianScalar.of(rng.randint(-3, 3)))
+            v.add_term(k, rng.randint(-3, 3))
         if v.is_zero():
             continue
         parts = lefschetz_decompose(v)

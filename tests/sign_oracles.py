@@ -10,7 +10,11 @@ of the Lefschetz wedge oracle.
 The Lefschetz wedge oracle as it was before it left Q(i) for Z[i]:
 `raw_expand` and `raw_volume` with i/2 per u_j and `wedge_identity_report`
 scaling each sum by 2^{-s}; and `i_power`, the powers of i with Fraction
-parts, which was `GaussianScalar.i_power`.
+parts, which was `GaussianScalar.i_power`.  They compute in `Gaussian`, the
+Q(i) arithmetic that was `scalars.GaussianScalar` before a covector kept
+its coefficients as rational parts under (key, part) keys, on dicts from a
+key or a raw word to a `Gaussian`, with a raw wedge `raw_wedge` of their
+own; `gaussian_terms` and `as_parts` translate from and to the parts.
 
 `right_nested_bracket`, the right-nested bracket built ad by ad through
 `TensorSeries.bracket`, as it was before `freelie.right_nested_terms`
@@ -109,10 +113,10 @@ from defalg.dgla import DGLA, TensorDgla, check_dgla, cohomology
 from defalg.errors import DomainError, InputError
 from defalg.freelie import TensorSeries, _bch_word_trie, right_nested_terms
 from defalg.gbv import GBVStructure, Polyvector, _wedge_terms
-from defalg.lefschetz import CovectorElement, all_keys, is_primitive, op_star, raw_wedge
+from defalg.lefschetz import CovectorElement, all_keys, is_primitive, op_star
 from defalg.linfty import word_names
 from defalg.report import CheckReport
-from defalg.scalars import GAUSS_ONE, Q0, Q1, GaussianScalar
+from defalg.scalars import Q0, Q1, format_rational
 
 
 def sym_canonical(indices, degree_of):
@@ -188,9 +192,90 @@ def _raw_sort(letters):
     return tuple(letters), sign
 
 
+class Gaussian:
+    """Exact element of Q(i): re + im*i with i^2 = -1, each part an int or
+    a Fraction; equal by value, also to a plain rational."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im):
+        self.re = re
+        self.im = im
+
+    def __eq__(self, other):
+        other = _coerce(other)
+        return self.re == other.re and self.im == other.im
+
+    def __add__(self, other):
+        other = _coerce(other)
+        return Gaussian(self.re + other.re, self.im + other.im)
+
+    def __neg__(self):
+        return Gaussian(-self.re, -self.im)
+
+    def __sub__(self, other):
+        return self + (-_coerce(other))
+
+    def __mul__(self, other):
+        other = _coerce(other)
+        return Gaussian(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    def __bool__(self):
+        return self.re != 0 or self.im != 0
+
+    def __str__(self):
+        if self.im == 0:
+            return format_rational(self.re)
+        if self.re == 0:
+            return f"{format_rational(self.im)}*i"
+        sign = "+" if self.im > 0 else "-"
+        return f"{format_rational(self.re)}{sign}{format_rational(abs(self.im))}*i"
+
+
+def _coerce(value) -> Gaussian:
+    if isinstance(value, Gaussian):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return Gaussian(value, 0)
+    raise TypeError(f"cannot coerce {value!r} to Gaussian")
+
+
+def gaussian_terms(v: CovectorElement) -> dict:
+    """key -> Gaussian coefficient of a covector, read from its parts."""
+    out = {}
+    for (key, part), c in v.terms.items():
+        g = out.get(key, Gaussian(0, 0))
+        out[key] = Gaussian(g.re, c) if part else Gaussian(c, g.im)
+    return out
+
+
+def as_parts(terms: dict) -> dict:
+    """A dict of Gaussian values keyed by k as rational parts keyed by
+    (k, part), zero parts dropped."""
+    return {
+        (k, part): c
+        for k, g in terms.items()
+        for part, c in enumerate((g.re, g.im))
+        if c
+    }
+
+
+def raw_wedge(x: dict, y: dict) -> dict:
+    out = {}
+    for w1, c1 in x.items():
+        for w2, c2 in y.items():
+            canon = _raw_sort(w1 + w2)
+            if canon is not None:
+                add_term(out, canon[0], c1 * c2 * canon[1])
+    return out
+
+
 def raw_expand(n, key) -> dict:
     """Un-normalized expansion of a standard basis symbol: map from sorted
-    letter tuples to GaussianScalar; the true symbol is 2^{-(|A|+|B|)/2}
+    letter tuples to Gaussian; the true symbol is 2^{-(|A|+|B|)/2}
     times this."""
     A, B, M, N = key
     letters = [a - 1 for a in A] + [n + b - 1 for b in B]
@@ -200,8 +285,8 @@ def raw_expand(n, key) -> dict:
     if canon is None:
         return {}
     word, sign = canon
-    half_i = GaussianScalar.of(0, Fraction(1, 2))  # i/2 per u_j factor
-    coeff = GaussianScalar.of(sign)
+    half_i = Gaussian(0, Fraction(1, 2))  # i/2 per u_j factor
+    coeff = Gaussian(sign, 0)
     for _ in M:
         coeff = coeff * half_i
     return {word: coeff}
@@ -209,9 +294,9 @@ def raw_expand(n, key) -> dict:
 
 def raw_volume(n) -> dict:
     """u_1 ^ ... ^ u_n expanded."""
-    out = {(): GAUSS_ONE}
+    out = {(): Gaussian(1, 0)}
     for j in range(1, n + 1):
-        out = raw_wedge(out, {( j - 1, n + j - 1): GaussianScalar.of(0, Fraction(1, 2))})
+        out = raw_wedge(out, {(j - 1, n + j - 1): Gaussian(0, Fraction(1, 2))})
     return out
 
 
@@ -225,30 +310,31 @@ def wedge_identity_report(n, star_fn=None) -> CheckReport:
     for key in all_keys(n):
         z = CovectorElement.basis(n, key)
         s = len(key[0]) + len(key[1])
-        norm = GaussianScalar.of(Fraction(1, 2 ** s))
+        norm = Gaussian(Fraction(1, 2 ** s), 0)
         raw_z = raw_expand(n, key)
         for tag, other in (
             ("z ^ *(conj z)", star(z.conjugate())),
             ("z ^ conj(*z)", star(z).conjugate()),
         ):
             total = {}
-            for okey, ocoeff in other.terms.items():
+            for okey, ocoeff in gaussian_terms(other).items():
                 add_into(total, raw_wedge(raw_z, raw_expand(n, okey)), ocoeff)
             total = {w: c * norm for w, c in total.items()}
             if total != vol:
-                rep.add(f"{tag} at {key}", str(total), "wedge identity fails")
+                shown = ", ".join(f"{w}: {c}" for w, c in total.items())
+                rep.add(f"{tag} at {key}", f"{{{shown}}}", "wedge identity fails")
     return rep
 
 
-def i_power(k: int) -> GaussianScalar:
+def i_power(k: int) -> Gaussian:
     k %= 4
     if k == 0:
-        return GaussianScalar(Q1, Q0)
+        return Gaussian(Q1, Q0)
     if k == 1:
-        return GaussianScalar(Q0, Q1)
+        return Gaussian(Q0, Q1)
     if k == 2:
-        return GaussianScalar(-Q1, Q0)
-    return GaussianScalar(Q0, -Q1)
+        return Gaussian(-Q1, Q0)
+    return Gaussian(Q0, -Q1)
 
 
 def right_nested_bracket(gens, order, word) -> TensorSeries:
@@ -653,18 +739,18 @@ def primitive_coefficient_report(v: CovectorElement) -> CheckReport:
     if not is_primitive(v):
         raise DomainError("coefficient relation needs a primitive covector")
     blocks = {}
-    for (A, B, M, N), c in v.terms.items():
+    for (A, B, M, N), c in gaussian_terms(v).items():
         blocks.setdefault((A, B), {})[tuple(M)] = c
     for (A, B), coeffs in blocks.items():
         free = tuple(sorted(set(range(1, v.n + 1)) - set(A) - set(B)))
         sizes = {len(m) for m in coeffs}
         for M in coeffs:
             m = len(M)
-            total = GaussianScalar.of(0)
+            total = Gaussian(0, 0)
             complement = [x for x in free if x not in M]
             for sub in itertools.combinations(complement, m):
-                total = total + coeffs.get(tuple(sub), GaussianScalar.of(0))
-            expect = total * GaussianScalar.of((-1) ** (m % 2))
+                total = total + coeffs.get(tuple(sub), Gaussian(0, 0))
+            expect = total * (-1) ** (m % 2)
             if coeffs[M] != expect:
                 rep.add(
                     f"block (A={A},B={B}) M={M}",

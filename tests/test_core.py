@@ -1,12 +1,9 @@
 """Sign calculus: Koszul signs, unshuffles, canonical words, symmetrization."""
 
 import ast
-import copy
-import dataclasses
 import inspect
 import itertools
 import pathlib
-import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -45,7 +42,6 @@ from defalg.gbv import GradedCommAlgebra, Polyvector
 from defalg.generators import random_classical_artin, random_dgla
 from defalg.lefschetz import CovectorElement, all_keys
 from defalg.report import CheckReport
-from defalg.scalars import GaussianScalar
 
 
 def oracle_koszul(degrees, images):
@@ -259,14 +255,14 @@ def test_sign_sources_return_int():
 
 
 def test_int_first_stores_integral_fractions_as_int():
-    terms = {0: Fraction(2), 1: Fraction(1, 2), 2: 3, 3: GaussianScalar.of(1)}
+    terms = {0: Fraction(2), 1: Fraction(1, 2), 2: 3}
     poly = Polyvector(1, None, {((1,), ()): Fraction(-3)})
     table = {"a": Element(terms), "b": Element(), "c": poly}
     got = core.int_first(table)
     assert got == {"a": Element(terms), "c": poly}
     assert got["a"].terms is not terms and got["c"].cap == 1
     types = [type(v) for v in got["a"].terms.values()]
-    assert types == [int, Fraction, int, GaussianScalar]
+    assert types == [int, Fraction, int]
     assert type(got["c"].terms[((1,), ())]) is int
 
 
@@ -284,60 +280,22 @@ def test_rref_of_an_int_matrix_is_exact():
     assert all(type(x) is Fraction for x in kernel[0].values())
 
 
-def test_gaussian_division_of_int_parts_is_exact():
-    q = GaussianScalar(1, 0) / GaussianScalar(2, 0)
-    assert (q.re, q.im) == (Fraction(1, 2), 0)
-    assert type(q.re) is Fraction and type(q.im) is Fraction
-    assert str(q) == "1/2"
-    assert str(GaussianScalar(1, 1) / GaussianScalar(0, 2)) == "1/2-1/2*i"
-
-
-def test_gaussian_parts_are_int_when_integral():
-    for g in (
-        GaussianScalar.of(2, Fraction(4, 2)),
-        GaussianScalar.of(Fraction(-3)),
-        scalars._coerce(Fraction(6, 3)),
-        scalars._coerce(-5),
-        scalars.GAUSS_ZERO,
-        scalars.GAUSS_ONE,
-        scalars.GAUSS_I,
-        GaussianScalar.of(1, 2) * GaussianScalar.of(3, -1) + 4,
-    ):
-        assert type(g.re) is int and type(g.im) is int, g
-    half = GaussianScalar.of(Fraction(1, 2), 3)
-    assert (type(half.re), type(half.im)) == (Fraction, int)
-    assert type(scalars._coerce(Fraction(1, 3)).re) is Fraction
-
-
-@dataclasses.dataclass(frozen=True)
-class FrozenGaussian:
-    """The frozen dataclass GaussianScalar was: its eq, hash and repr are
-    the contract the slots class keeps."""
-
-    re: Fraction
-    im: Fraction
-
-
-def test_gaussian_scalar_keeps_the_frozen_dataclass_contract():
-    parts = [(0, 0), (1, 0), (0, -1), (Fraction(2, 3), -5), (Fraction(-1, 4), 0)]
-    for re, im in parts:
-        old = FrozenGaussian(Fraction(re), Fraction(im))
-        for g in (GaussianScalar(re, im), GaussianScalar.of(re, im)):
-            assert repr(g) == repr(old).replace("FrozenGaussian", "GaussianScalar")
-            assert hash(g) == hash(old)
-            assert g == GaussianScalar(Fraction(re), Fraction(im))
-            assert g != GaussianScalar(re, Fraction(im) + 1)
-            # another class, a plain number included, is never equal
-            assert g.__eq__(old) is NotImplemented and g != old
-            assert g.__eq__(re) is NotImplemented and (g == re) is (old == re)
-            assert copy.copy(g) == g and pickle.loads(pickle.dumps(g)) == g
-            for name in ("re", "im", "other"):
-                with pytest.raises(AttributeError):
-                    setattr(g, name, 1)
-                with pytest.raises(AttributeError):
-                    delattr(g, name)
-            assert (g.re, g.im) == (re, im)
-    assert not hasattr(GaussianScalar(1, 0), "__dict__")
+@pytest.mark.parametrize(
+    "re, im, text",
+    [
+        (3, 0, "3"),
+        (Fraction(-2, 3), 0, "-2/3"),
+        (0, 1, "1*i"),
+        (0, Fraction(-5, 2), "-5/2*i"),
+        (2, 1, "2+1*i"),
+        (-1, -3, "-1-3*i"),
+        (Fraction(1, 2), Fraction(-1, 2), "1/2-1/2*i"),
+        (0, 0, "0"),
+    ],
+)
+def test_format_gaussian_prints_every_branch(re, im, text):
+    assert scalars.format_gaussian(re, im) == text
+    assert scalars.format_gaussian(Fraction(re), Fraction(im)) == text
 
 
 def test_symmetrize_arity_one_and_even_product():
@@ -682,11 +640,8 @@ def reference_add(d, key, c):
 SCALARS = {
     "Fraction": lambda rng: Fraction(rng.randint(-2, 2), rng.randint(1, 2)),
     "int": lambda rng: rng.randint(-2, 2),
-    "GaussianScalar": lambda rng: GaussianScalar.of(
-        rng.randint(-1, 1), rng.randint(-1, 1)
-    ),
 }
-ZEROS = {"Fraction": Fraction(0), "int": 0, "GaussianScalar": GaussianScalar.of(0)}
+ZEROS = {"Fraction": Fraction(0), "int": 0}
 
 
 def nonzero(draw, rng):
@@ -1173,8 +1128,8 @@ def test_only_core_computes_koszul_signs_and_unshuffles():
 
 # -- tooling guard: no float division --------------------------------------------
 
-# `/` on two ints is a float; these functions divide through a Fraction
-DIVISION_ALLOWED = {"scalars.GaussianScalar.__truediv__"}
+# `/` on two ints is a float: src/ divides only through a Fraction or by //
+DIVISION_ALLOWED = set()
 
 
 def divisions(source, module):
@@ -1259,8 +1214,8 @@ SPARSE = {
     PolyForm: (lambda t: PolyForm(2, t), _poly_key, None, {"nvars": 3}, ()),
     CovectorElement: (
         lambda t: CovectorElement(2, t),
-        lambda rng: rng.choice(all_keys(2)[:6]),
-        lambda rng: GaussianScalar.of(rng.randint(-1, 1), rng.randint(-1, 1)),
+        lambda rng: (rng.choice(all_keys(2)[:6]), rng.randint(0, 1)),
+        None,
         {"n": 3},
         ("n",),
     ),
@@ -1310,10 +1265,7 @@ def old_sum(x, y, c):
 
 
 def old_scale(x, c):
-    """x.scale(c) as every class computed it: `CovectorElement` coerced an
-    int or Fraction to GaussianScalar first."""
-    if type(x) is CovectorElement and isinstance(c, (int, Fraction)):
-        c = GaussianScalar.of(c)
+    """x.scale(c) as every class computed it."""
     return {k: v * c for k, v in x.terms.items() if v * c}
 
 
@@ -1405,7 +1357,7 @@ def test_only_element_defines_the_shared_arithmetic():
     src = pathlib.Path(core.__file__).parent
     found = set()
     for path in sorted(src.glob("*.py")):
-        if path.name not in ("core.py", "scalars.py"):
+        if path.name != "core.py":
             found |= shared_arithmetic(path.read_text(encoding="utf-8"), path.stem)
     assert found == set(), sorted(found)
     # the guard sees Element's methods and a copied method or alias

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
+
 from sign_oracles import dense_nilpotency_index
 from sign_oracles import express_in_span as dense_express_in_span
 from sign_oracles import in_span as dense_in_span
@@ -125,3 +127,13 @@ def test_nilpotency_index_matches_the_dense_oracle():
             indices.append(index)
     assert indices.count(None) >= 150
     assert {2, 3, 4} <= set(indices)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_nilpotency_index_at_its_bound(n):
+    """x Q[x] / (x^{n+1}), with basis x, ..., x^n, has dimension n and
+    index n + 1, the largest a nilpotent algebra of dimension n can have;
+    an idempotent e e = e is not nilpotent."""
+    rows = [{j: {i + j + 1: 1} for j in range(n - i - 1)} for i in range(n)]
+    assert linalg.nilpotency_index(rows) == n + 1
+    assert linalg.nilpotency_index([{0: {0: 1}}]) is None
