@@ -4,6 +4,10 @@ Exit codes: 0 pass, 1 check failed, 2 input error (status "input-error")
 or a refused computation (status "error").  `--format json` emits the
 CheckReport schema in every case; reports are byte-identical across runs
 for fixed inputs and seeds (timing is text-only).
+
+Every command is a fresh process, so start-up is paid on each one: the
+module imports no domain module at the top (each handler imports its own)
+and builds the parser of the one subcommand being run.
 """
 
 from __future__ import annotations
@@ -16,25 +20,11 @@ import sys
 import time
 from itertools import accumulate
 from math import factorial
-from . import models, schemas
-from .coalg import all_words, word_counts
+from . import schemas
 from .core import format_terms
-from .dgla import TensorDgla, check_dgla, check_na, cohomology, cones, obstruction_class
 from .errors import DefalgError, InputError
-from .freelie import bch_explicit, bch_free, dsw_project, is_lie
-from .gbv import delta_volume, gbv_to_abelian, schouten, tian_todorov_check
-from .lefschetz import coefficients, identities_report, is_primitive, lefschetz_decompose
-from .linfty import (
-    check_linfty,
-    from_dgla,
-    hodge_F,
-    hodge_model_check,
-    mc_linfty,
-    morphism_check,
-)
 from .report import CheckReport
 from .scalars import format_rational
-from .suite import run_suite
 
 
 def element_json(names, el) -> list:
@@ -64,10 +54,14 @@ def _load(args):
 
 
 def cmd_check_dgla(args) -> CheckReport:
+    from .dgla import check_dgla
+
     return check_dgla(schemas.parse_dgla(_load(args)))
 
 
 def cmd_check_na(args) -> CheckReport:
+    from .dgla import check_na
+
     return check_na(schemas.parse_artin(_load(args)))
 
 
@@ -90,6 +84,8 @@ def cmd_gauge(args) -> CheckReport:
 
 
 def cmd_obstruction(args) -> CheckReport:
+    from .dgla import TensorDgla, obstruction_class
+
     L, ext, x = schemas.parse_obstruction_problem(_load(args))
     result = obstruction_class(L, ext, x)
     classes = {k: [format_rational(c) for c in v] for k, v in result["classes"].items()}
@@ -108,6 +104,8 @@ def cmd_obstruction(args) -> CheckReport:
 
 
 def cmd_cohomology(args) -> CheckReport:
+    from .dgla import cohomology
+
     structure, degree = schemas.parse_cohomology_problem(_load(args))
     reps, project, dims = cohomology(structure, degree)
     return CheckReport("cohomology", witness={
@@ -121,6 +119,8 @@ def _basis_json(basis) -> list:
 
 
 def cmd_cones(args) -> CheckReport:
+    from .dgla import cones
+
     ext = schemas.parse_small_extension(_load(args))
     C, D, rep = cones(ext)
     rep.witness = {
@@ -150,6 +150,8 @@ def cmd_homotopy_eval(args) -> CheckReport:
 
 
 def cmd_bch(args) -> CheckReport:
+    from .freelie import bch_explicit, bch_free
+
     data = _load(args)
     if args.truncate < 0:
         raise InputError("--truncate must be a nonnegative integer")
@@ -174,11 +176,15 @@ def cmd_bch(args) -> CheckReport:
 
 
 def cmd_dsw(args) -> CheckReport:
+    from .freelie import dsw_project
+
     out = dsw_project(schemas.parse_tensor_poly(_load(args)))
     return CheckReport("dsw", witness={"projection": word_terms_json(out)})
 
 
 def cmd_friedrichs(args) -> CheckReport:
+    from .freelie import dsw_project, is_lie
+
     series = schemas.parse_tensor_poly(_load(args))
     rep = CheckReport("friedrichs")
     if not is_lie(series):
@@ -205,6 +211,8 @@ def cmd_comorph(args) -> CheckReport:
 def _bound_splits(basis, depth, what):
     """Refuse the words up to length `depth` before any is built when their
     splits (2^length per word) exceed the cap; `what` names the depth."""
+    from .coalg import word_counts
+
     schemas.refuse_past_cap(
         f"{what}: the splits of the words up to length {depth}",
         accumulate(2**k * words for k, words in word_counts(basis, depth)),
@@ -213,6 +221,8 @@ def _bound_splits(basis, depth, what):
 
 def _checked_words(basis, max_arity):
     """`all_words(basis, max_arity)`, bounded by `_bound_splits`."""
+    from .coalg import all_words
+
     _bound_splits(basis, max_arity, f"--max-arity {max_arity}")
     return all_words(basis, max_arity)
 
@@ -229,6 +239,8 @@ def _bounded_depth(basis, max_arity, default):
 def _checked_linfty(S, max_arity):
     """`check_linfty` at depth --max-arity, or else at the exact depth
     2m - 1, bounded before it starts."""
+    from .linfty import check_linfty
+
     return check_linfty(S, _bounded_depth(S.shifted, max_arity, S.depth))
 
 
@@ -237,6 +249,8 @@ def cmd_check_linfty(args) -> CheckReport:
 
 
 def cmd_from_dgla(args) -> CheckReport:
+    from .linfty import from_dgla
+
     L = schemas.parse_dgla(_load(args))
     S = from_dgla(L)
     rep = _checked_linfty(S, args.max_arity)
@@ -257,11 +271,15 @@ def cmd_from_dgla(args) -> CheckReport:
 
 
 def cmd_linfty_morphism(args) -> CheckReport:
+    from .linfty import morphism_check
+
     F = schemas.parse_linfty_morphism(_load(args))
     return morphism_check(F, _bounded_depth(F.source.shifted, args.max_arity, F.depth))
 
 
 def cmd_mc_linfty(args) -> CheckReport:
+    from .linfty import mc_linfty
+
     S, A, m = schemas.parse_mc_linfty_problem(_load(args))
     residual = mc_linfty(S, A, m)
     nA = len(A.basis)
@@ -278,9 +296,13 @@ def cmd_mc_linfty(args) -> CheckReport:
 
 
 def cmd_hodge_f(args) -> CheckReport:
+    from .coalg import word_counts
+    from .linfty import hodge_F, hodge_model_check
+    from .models import HODGE_BUILTINS
+
     if not args.builtin:
         raise InputError("hodge-f requires --builtin {trivial,rank-one,derived}")
-    M = models.HODGE_BUILTINS[args.builtin]()
+    M = HODGE_BUILTINS[args.builtin]()
     m_max = args.max_arity or 4
     # F_m sums m! signed permutations on each word of length m
     schemas.refuse_past_cap(
@@ -305,6 +327,8 @@ def cmd_gbv_check(args) -> CheckReport:
 
 
 def cmd_schouten(args) -> CheckReport:
+    from .gbv import schouten
+
     out = schouten(*schemas.parse_polyvector_pair(_load(args)))
     return CheckReport("schouten", witness={"bracket": _polyvector_json(out)})
 
@@ -321,15 +345,21 @@ def _polyvector_json(pv):
 
 
 def cmd_delta(args) -> CheckReport:
+    from .gbv import delta_volume
+
     out = delta_volume(schemas.parse_polyvector(_load(args)))
     return CheckReport("delta", witness={"delta": _polyvector_json(out)})
 
 
 def cmd_tian_todorov(args) -> CheckReport:
+    from .gbv import tian_todorov_check
+
     return tian_todorov_check(*schemas.parse_polyvector_pair(_load(args)))
 
 
 def cmd_gbv_to_abelian(args) -> CheckReport:
+    from .gbv import gbv_to_abelian
+
     S = schemas.parse_gbv(_load(args))
     m_max = args.max_arity or 4
     # the morphism's words are those of the algebra basis
@@ -343,6 +373,13 @@ def cmd_gbv_to_abelian(args) -> CheckReport:
 
 
 def cmd_lefschetz(args) -> CheckReport:
+    from .lefschetz import (
+        coefficients,
+        identities_report,
+        is_primitive,
+        lefschetz_decompose,
+    )
+
     if args.dim < 0:
         raise InputError("--dim must be a nonnegative integer")
     if args.action == "identities":
@@ -382,6 +419,8 @@ def cmd_lefschetz(args) -> CheckReport:
 
 
 def cmd_suite(args) -> CheckReport:
+    from .suite import run_suite
+
     return run_suite(args.seed)
 
 
@@ -398,7 +437,7 @@ FLAGS = {
     "seed": ("--seed", {"type": int, "default": 7}),
     "mode": ("--mode", {"choices": ("free", "explicit", "nilpotent"),
                         "default": "explicit"}),
-    "builtin": ("--builtin", {"choices": tuple(sorted(models.HODGE_BUILTINS))}),
+    "builtin": ("--builtin", {"choices": ("derived", "rank-one", "trivial")}),
     "action": ("action", {"choices": ("identities", "decompose")}),
     "dim": ("--dim", {"type": int, "default": 2}),
 }
@@ -435,24 +474,36 @@ SUBCOMMANDS = {
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process."""
+def build_parser(name=None) -> argparse.ArgumentParser:
+    """The argument parser, built once per process and name: for a
+    subcommand `name`, with that subcommand's parser alone, else (for help,
+    no name or an unknown one) with all of them."""
     parser = argparse.ArgumentParser(
         prog="defalg",
         description="exact-arithmetic workbench for the algebra of deformation theory",
     )
-    sub = parser.add_subparsers(dest="subcommand")
-    for name, (_, flags) in SUBCOMMANDS.items():
-        p = sub.add_parser(name)
+    if name in SUBCOMMANDS:
+        # the full parser's usage line, which its errors print
+        sub = parser.add_subparsers(
+            dest="subcommand", metavar="{" + ",".join(SUBCOMMANDS) + "}"
+        )
+        names = (name,)
+    else:
+        sub = parser.add_subparsers(dest="subcommand")
+        names = SUBCOMMANDS
+    for cmd in names:
+        p = sub.add_parser(cmd)
         p.add_argument("--format", choices=("text", "json"), default="text")
-        for flag in flags:
+        for flag in SUBCOMMANDS[cmd][1]:
             option, kwargs = FLAGS[flag]
             p.add_argument(option, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None)
     args = parser.parse_args(argv)
     if not args.subcommand:
         return _emit(parser.format_help().rstrip("\n"), 2)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
 from operator import attrgetter
@@ -101,23 +100,46 @@ def lin_into(out: dict, images, x: dict, c=1) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class GradedBasis:
     """Ordered list of named homogeneous basis symbols.
 
     Declaration order is canonical: it fixes word ordering and makes every
-    output deterministic.
+    output deterministic.  A value: immutable, equal and hashing alike when
+    the names and degrees are.
     """
 
-    names: tuple
-    degrees: tuple
+    __slots__ = ("names", "degrees", "_index")
 
-    def __post_init__(self):
-        if len(self.names) != len(self.degrees):
+    def __init__(self, names: tuple, degrees: tuple):
+        if len(names) != len(degrees):
             raise InputError("basis names/degrees length mismatch")
-        if len(set(self.names)) != len(self.names):
+        if len(set(names)) != len(names):
             raise InputError("basis names must be unique")
-        object.__setattr__(self, "_index", {n: i for i, n in enumerate(self.names)})
+        setter = object.__setattr__
+        setter(self, "names", names)
+        setter(self, "degrees", degrees)
+        setter(self, "_index", {n: i for i, n in enumerate(names)})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.names, self.degrees) == (other.names, other.degrees)
+
+    def __hash__(self):
+        return hash((self.names, self.degrees))
+
+    def __repr__(self):
+        return f"GradedBasis(names={self.names!r}, degrees={self.degrees!r})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__: the slots are frozen
+        return GradedBasis, (self.names, self.degrees)
 
     @staticmethod
     def of(*pairs) -> "GradedBasis":

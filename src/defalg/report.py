@@ -8,14 +8,28 @@ across runs for fixed inputs and seeds.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 
-@dataclass
 class Violation:
-    location: str
-    residual: str
-    message: str
+    __slots__ = ("location", "residual", "message")
+
+    def __init__(self, location: str, residual: str, message: str):
+        self.location = location
+        self.residual = residual
+        self.message = message
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.location, self.residual, self.message) == (
+            other.location, other.residual, other.message
+        )
+
+    def __repr__(self):
+        return (
+            f"Violation(location={self.location!r}, residual={self.residual!r}, "
+            f"message={self.message!r})"
+        )
 
     def to_dict(self):
         return {
@@ -25,13 +39,35 @@ class Violation:
         }
 
 
-@dataclass
 class CheckReport:
-    command: str
-    violations: list = field(default_factory=list)
-    witness: dict | None = None
-    info: dict | None = None
-    timing_ms: float | None = None
+    __slots__ = ("command", "violations", "witness", "info", "timing_ms")
+
+    def __init__(
+        self,
+        command: str,
+        violations: list | None = None,
+        witness: dict | None = None,
+        info: dict | None = None,
+        timing_ms: float | None = None,
+    ):
+        self.command = command
+        self.violations = [] if violations is None else violations
+        self.witness = witness
+        self.info = info
+        self.timing_ms = timing_ms
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.command, self.violations, self.witness, self.info, self.timing_ms) == (
+            other.command, other.violations, other.witness, other.info, other.timing_ms
+        )
+
+    def __repr__(self):
+        return (
+            f"CheckReport(command={self.command!r}, violations={self.violations!r}, "
+            f"witness={self.witness!r}, info={self.info!r}, timing_ms={self.timing_ms!r})"
+        )
 
     @property
     def status(self) -> str:

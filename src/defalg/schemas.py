@@ -1,6 +1,8 @@
 """JSON input schemas: one top-level object per structure type with a
 "kind" discriminator (optional when the subcommand fixes the type).
 Validation precedes any mathematics; errors carry the offending path.
+Each parser imports its domain module itself, so that a CLI launch loads
+only the modules its subcommand runs.
 """
 
 from __future__ import annotations
@@ -8,22 +10,8 @@ from __future__ import annotations
 import json
 import os
 
-from .coalg import CoalgMorphism, Coderivation, coder_lift
 from .core import Element, GradedBasis, add_term
-from .dgla import (
-    ArtinDg,
-    DGLA,
-    DtPolynomial,
-    ExpDerivation,
-    Homotopy,
-    SmallExtension,
-    TensorDgla,
-)
 from .errors import InputError
-from .freelie import NilpotentLie, TensorSeries
-from .gbv import GBVStructure, GradedCommAlgebra, Polyvector
-from .lefschetz import CovectorElement, make_key
-from .linfty import LInftyMorphism, LInftyStructure
 from .scalars import GaussianScalar, parse_rational
 
 MAX_BASIS_ENV = "DEFALG_MAX_BASIS"
@@ -158,6 +146,8 @@ def _parse_diff_table(data, name, basis, prefix=""):
 
 
 def parse_dgla(data, path="") -> DGLA:
+    from .dgla import DGLA
+
     expect_kind(data, "dgla")
     basis = parse_basis(_field(data, "basis", path or "dgla"), f"{path}basis")
     bracket = _parse_pair_table(data, "bracket", basis, path)
@@ -166,6 +156,8 @@ def parse_dgla(data, path="") -> DGLA:
 
 
 def parse_artin(data, path="") -> ArtinDg:
+    from .dgla import ArtinDg
+
     expect_kind(data, "artin_dg")
     basis = parse_basis(_field(data, "basis", path or "artin_dg"), f"{path}basis")
     table = _parse_pair_table(data, "product", basis, path)
@@ -174,6 +166,8 @@ def parse_artin(data, path="") -> ArtinDg:
 
 
 def parse_nilpotent_lie(data) -> NilpotentLie:
+    from .freelie import NilpotentLie
+
     expect_kind(data, "nilpotent_lie")
     basis = parse_basis(_field(data, "basis", "nilpotent_lie"))
     table = _parse_pair_table(data, "bracket", basis)
@@ -202,6 +196,8 @@ def _generators(data, path) -> tuple:
 def parse_free_bch(data, order) -> tuple:
     """The two generators of a free_bch document as series truncated at
     `order`."""
+    from .freelie import TensorSeries
+
     expect_kind(data, "free_bch")
     gens = _generators(data, "free_bch")
     if len(gens) != 2:
@@ -210,6 +206,8 @@ def parse_free_bch(data, order) -> tuple:
 
 
 def parse_tensor_poly(data) -> TensorSeries:
+    from .freelie import TensorSeries
+
     expect_kind(data, "tensor_poly")
     gens = _generators(data, "tensor_poly")
     order = data.get("truncation", 4)
@@ -256,6 +254,8 @@ def parse_pair_element(data, name, M):
 
 def _tensor_dgla(data, kind) -> TensorDgla:
     """L (x) m_A from the "dgla" and "base" fields of a `kind` document."""
+    from .dgla import TensorDgla
+
     expect_kind(data, kind)
     L = parse_dgla(_field(data, "dgla", "problem"), "dgla.")
     return TensorDgla(L, parse_artin(_field(data, "base", "problem"), "base."))
@@ -276,6 +276,8 @@ def parse_gauge_problem(data) -> tuple:
 
 def parse_obstruction_problem(data) -> tuple:
     """(L, ext, x): x in L (x) m_B lifts along the small extension ext of B."""
+    from .dgla import TensorDgla
+
     expect_kind(data, "obstruction_problem")
     L = parse_dgla(_field(data, "dgla", "problem"), "dgla.")
     ext = _small_extension(data, "problem")
@@ -322,6 +324,8 @@ def _word_table(entries, path, basis, target_basis, arity=None) -> dict:
 
 
 def parse_coderivation(data) -> Coderivation:
+    from .coalg import coder_lift
+
     expect_kind(data, "coderivation")
     basis = parse_basis(_field(data, "basis", "coderivation"))
     degree = _int_field(data, "degree", "coderivation")
@@ -329,6 +333,8 @@ def parse_coderivation(data) -> Coderivation:
 
 
 def parse_comorphism(data) -> CoalgMorphism:
+    from .coalg import CoalgMorphism
+
     expect_kind(data, "comorphism")
     source = parse_basis(_field(data, "source_basis", "comorphism"))
     target = parse_basis(_field(data, "target_basis", "comorphism"))
@@ -336,6 +342,8 @@ def parse_comorphism(data) -> CoalgMorphism:
 
 
 def parse_linfty(data, path="") -> LInftyStructure:
+    from .linfty import LInftyStructure
+
     expect_kind(data, "linfty")
     basis = parse_basis(_field(data, "basis", "linfty"), f"{path}basis")
     convention = data.get("convention", "unsuspended")
@@ -362,6 +370,8 @@ def parse_linfty(data, path="") -> LInftyStructure:
 
 
 def parse_linfty_morphism(data) -> LInftyMorphism:
+    from .linfty import LInftyMorphism
+
     expect_kind(data, "linfty_morphism")
     source = parse_linfty(_field(data, "source", "morphism"))
     target = parse_linfty(_field(data, "target", "morphism"))
@@ -378,6 +388,8 @@ def parse_mc_linfty_problem(data) -> tuple:
 
 
 def parse_gbv(data) -> GBVStructure:
+    from .gbv import GBVStructure, GradedCommAlgebra
+
     expect_kind(data, "gbv")
     alg = _field(data, "algebra", "gbv")
     basis = parse_basis(_field(alg, "basis", "gbv.algebra"), "gbv.algebra.basis")
@@ -403,6 +415,8 @@ def parse_polyvector_pair(data) -> tuple:
 
 def _polyvector(data, entries, path="") -> Polyvector:
     """The polyvector with the given term entries on data's vars and cap."""
+    from .gbv import Polyvector
+
     nvars = _int_field(data, "vars", f"{path}polyvector", nonnegative=True)
     cap = None
     if data.get("cap") is not None:
@@ -430,6 +444,8 @@ def _polyvector(data, entries, path="") -> Polyvector:
 
 
 def parse_covector(data) -> CovectorElement:
+    from .lefschetz import CovectorElement, make_key
+
     expect_kind(data, "covector")
     n = _int_field(data, "dim", "covector", nonnegative=True)
     out = CovectorElement(n)
@@ -458,11 +474,15 @@ def parse_small_extension(data) -> SmallExtension:
 
 def _small_extension(data, path) -> SmallExtension:
     """The extension of data["total"] by the basis names in data["kernel"]."""
+    from .dgla import SmallExtension
+
     total = parse_artin(_field(data, "total", path), "total.")
     return SmallExtension(total, _list_field(data, "kernel", path))
 
 
 def parse_unital_algebra(data, path="algebra") -> GradedCommAlgebra:
+    from .gbv import GradedCommAlgebra
+
     basis = parse_basis(_field(data, "basis", path), f"{path}.basis")
     table = _parse_pair_table(data, "product", basis, f"{path}.")
     unit = _field(data, "unit", path)
@@ -474,6 +494,8 @@ def parse_unital_algebra(data, path="algebra") -> GradedCommAlgebra:
 def parse_exp_derivation(data) -> ExpDerivation:
     """e^d for the derivation d given as [{"from": r, "value": [{"r", "a",
     "coeff"}]}] from the algebra to itself (x) m_A of the base."""
+    from .dgla import ExpDerivation
+
     expect_kind(data, "exp_derivation")
     R = parse_unital_algebra(_field(data, "algebra", "exp_derivation"))
     A = parse_artin(_field(data, "base", "exp_derivation"), "base.")
@@ -486,6 +508,8 @@ def parse_exp_derivation(data) -> ExpDerivation:
 
 
 def parse_homotopy(data) -> tuple:
+    from .dgla import DtPolynomial, Homotopy
+
     expect_kind(data, "homotopy")
     source = parse_artin(_field(data, "source", "homotopy"), "source.")
     target = parse_artin(_field(data, "target", "homotopy"), "target.")

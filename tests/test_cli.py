@@ -14,7 +14,7 @@ from math import factorial
 import pytest
 from golden_corpus import cases as golden_cases
 
-from defalg import schemas
+from defalg import cli, schemas
 from defalg.cli import FLAGS, SUBCOMMANDS, build_parser, main
 from defalg.coalg import all_words
 from defalg.lefschetz import all_keys
@@ -139,6 +139,86 @@ def test_closed_stdout_keeps_the_exit_code_and_prints_no_traceback(tmp_path):
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (code, ""), argv
+
+
+# Each launch is a fresh process, so what it imports is start-up cost: the
+# probe runs one command through `main` and prints the modules it added.
+LAUNCH_PROBE = (
+    "import sys\n"
+    "before = set(sys.modules)\n"
+    "from defalg.cli import main\n"
+    "if sys.argv[1:]:\n"
+    "    main(sys.argv[1:])\n"
+    "print(' '.join(sorted(set(sys.modules) - before)), file=sys.stderr)\n"
+)
+UNUSED_BY_DGLA_LAUNCHES = {
+    "defalg.gbv", "defalg.linfty", "defalg.coalg", "defalg.lefschetz",
+    "defalg.models", "defalg.suite", "defalg.generators",
+}
+LAUNCH_UNUSED = (
+    ((), set()),
+    (("check-dgla", "--input", "inputs/abelian_dgla.json"), UNUSED_BY_DGLA_LAUNCHES),
+    (("bch", "--mode", "nilpotent", "--input", "inputs/heisenberg.json"),
+     UNUSED_BY_DGLA_LAUNCHES),
+    (("lefschetz", "decompose", "--dim", "2", "--input", "inputs/covector.json"),
+     {"defalg.dgla", "defalg.gbv", "defalg.linfty"}),
+    (("delta", "--input", "inputs/polyvector.json"), set()),
+)
+
+
+@pytest.mark.parametrize(
+    "argv,unused", LAUNCH_UNUSED, ids=[a[0] if a else "import" for a, _ in LAUNCH_UNUSED]
+)
+def test_each_launch_imports_only_what_its_subcommand_runs(argv, unused):
+    proc = subprocess.run(
+        [sys.executable, "-c", LAUNCH_PROBE, *argv],
+        capture_output=True, text=True, cwd=REPO,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stderr.split())
+    assert "defalg.cli" in loaded
+    assert not loaded & ({"dataclasses", "inspect"} | unused), sorted(loaded)
+
+
+PARSER_ERRORS = (
+    (),
+    ("--help",),
+    ("nosuch",),
+    ("check-dgla", "--bogus"),
+    ("check-dgla", "--format", "xml"),
+    ("hodge-f", "--builtin", "nope"),
+    ("lefschetz",),
+)
+
+
+@pytest.mark.parametrize("argv", PARSER_ERRORS, ids=lambda v: " ".join(v) or "none")
+def test_parser_messages_match_the_full_parser(argv, capsys, monkeypatch):
+    """A launch builds one subcommand's parser; what it prints and its exit
+    code are those of the parser with every subcommand."""
+
+    def launch():
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return out.out, out.err, code
+
+    launched = launch()
+    full = build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda name=None: full)
+    assert launched == launch()
+    if argv == ("nosuch",):
+        # the full parser names its subcommand argument by the dest
+        assert "argument subcommand: invalid choice: 'nosuch'" in launched[1]
+
+
+def test_a_launch_parser_holds_its_subcommand_alone(capsys):
+    with pytest.raises(SystemExit):
+        build_parser("check-dgla").parse_args(["check-na"])
+    assert "invalid choice: 'check-na'" in capsys.readouterr().err
+    # the literal choices, which spare a launch importing models
+    assert FLAGS["builtin"][1]["choices"] == tuple(sorted(HODGE_BUILTINS))
 
 
 def run_cli_input_error(*argv):
@@ -693,7 +773,7 @@ def test_max_arity_refused_before_any_word(tmp_path, capsys, monkeypatch):
     def no_words(*args, **kwargs):
         raise AssertionError("a word list was built")
 
-    monkeypatch.setattr("defalg.cli.all_words", no_words)
+    monkeypatch.setattr("defalg.coalg.all_words", no_words)
     started = time.monotonic()
     for cmd, inp in (("coder", path), ("comorph", comorph)):
         assert main([cmd, "--max-arity", str(10**9), "--input", str(inp)]) == 2

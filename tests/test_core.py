@@ -1,9 +1,11 @@
 """Sign calculus: Koszul signs, unshuffles, canonical words, symmetrization."""
 
 import ast
+import copy
 import inspect
 import itertools
 import pathlib
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -41,7 +43,7 @@ from defalg.freelie import NilpotentLie, TensorSeries
 from defalg.gbv import GradedCommAlgebra, Polyvector
 from defalg.generators import random_classical_artin, random_dgla
 from defalg.lefschetz import CovectorElement, all_keys
-from defalg.report import CheckReport
+from defalg.report import CheckReport, Violation
 
 
 def oracle_koszul(degrees, images):
@@ -1359,14 +1361,53 @@ def test_only_element_defines_the_shared_arithmetic():
     for path in sorted(src.glob("*.py")):
         if path.name != "core.py":
             found |= shared_arithmetic(path.read_text(encoding="utf-8"), path.stem)
-    assert found == set(), sorted(found)
+    # besides Element, only the record classes compare (and GradedBasis
+    # hashes) by their fields; any other copy fails the exact sets
+    assert found == {"report.Violation.__eq__", "report.CheckReport.__eq__"}, sorted(found)
     # the guard sees Element's methods and a copied method or alias
     assert shared_arithmetic(pathlib.Path(core.__file__).read_text(), "core") == {
         f"core.Element.{name}" for name in SHARED_ARITHMETIC
-    }
+    } | {"core.GradedBasis.__eq__", "core.GradedBasis.__hash__"}
     copied = "class V:\n    def is_zero(self):\n        return not self.terms\n"
     assert shared_arithmetic(copied, "m") == {"m.V.is_zero"}
     assert shared_arithmetic("class V:\n    __hash__ = None\n", "m") == {"m.V.__hash__"}
+
+
+def test_record_classes_keep_their_value_semantics():
+    """GradedBasis, Violation and CheckReport compare by their fields, as
+    the dataclasses they replace did; the reprs are those dataclasses'."""
+    basis = GradedBasis(("x", "y"), (0, 1))
+    same = GradedBasis.of(("x", 0), ("y", 1))
+    assert basis is not same and basis == same and hash(basis) == hash(same)
+    assert basis != GradedBasis(("x", "y"), (0, 2)) and basis != ("x", "y")
+    for field in ("names", "degrees"):
+        with pytest.raises(AttributeError):
+            setattr(basis, field, ())
+        with pytest.raises(AttributeError):
+            delattr(basis, field)
+    assert basis.index("y") == 1
+    assert copy.deepcopy(basis) == basis == pickle.loads(pickle.dumps(basis))
+    assert repr(basis) == "GradedBasis(names=('x', 'y'), degrees=(0, 1))"
+
+    first, second = CheckReport("x"), CheckReport("x")
+    assert first == second and first.violations is not second.violations
+    first.add("jacobi", Fraction(1, 2), "fails")
+    assert second.violations == [] and first != second
+    second.add("jacobi", "1/2", "fails")
+    assert first == second and first != CheckReport("y", list(first.violations))
+    assert Violation("a", "b", "c") == Violation("a", "b", "c") != Violation("a", "b", "d")
+    for value in (first, first.violations[0]):
+        with pytest.raises(TypeError):
+            hash(value)
+    assert repr(CheckReport("x")) == (
+        "CheckReport(command='x', violations=[], witness=None, info=None, timing_ms=None)"
+    )
+    first.witness, first.info, first.timing_ms = {"a": [1]}, {"n": 2}, 1.5
+    assert repr(first) == (
+        "CheckReport(command='x', violations=[Violation(location='jacobi', "
+        "residual='1/2', message='fails')], witness={'a': [1]}, info={'n': 2}, "
+        "timing_ms=1.5)"
+    )
 
 
 # -- tooling guard: the CLI reads no input document itself -------------------
