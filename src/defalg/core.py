@@ -10,19 +10,20 @@ from __future__ import annotations
 import functools
 import itertools
 from bisect import bisect_left
-from fractions import Fraction
 from math import comb, prod
 from operator import attrgetter
 
 from .errors import DomainError, InputError
+from .scalars import int_first_value
 
 # ---------------------------------------------------------------------------
 # The sparse accumulate kernel: every sparse value in the package is an
 # instance of the one sparse vector class `Element` below (or of a subclass:
 # symmetric words, tensor series, polyvectors, forms, covectors over Q(i),
 # B[t,dt] homotopies), whose `terms` is a dict from hashable keys to nonzero
-# coefficients: an int when the coefficient is integral (see `int_first`),
-# else a Fraction.
+# coefficients: an int when the coefficient is integral, else a Fraction.
+# Tables (`int_first`) and polyvectors (`gbv.Polyvector`) store what they
+# are given by the one rule `scalars.int_first_value`.
 # `add_term` and `add_into` are the only code that adds into such a dict.
 # Their contract: no stored zeros (a key whose sum is zero is deleted), and
 # no zero scalar built (a missing key stores the added coefficient object
@@ -70,19 +71,18 @@ def int_first(table: dict) -> dict:
     """A copy of a table of Elements without its zero entries, each
     integral Fraction coefficient stored as an int.
 
-    Integer-first coefficients: an int equals, hashes and prints like the
-    Fraction of the same value, and int arithmetic is several times faster;
-    a Fraction is built only where a division happens."""
-    return {
-        k: v._like(
-            {
-                t: c.numerator if type(c) is Fraction and c.denominator == 1 else c
-                for t, c in v.terms.items()
-            }
-        )
-        for k, v in table.items()
-        if v.terms
-    }
+    Integer-first coefficients (`scalars.int_first_value`): a Fraction is
+    built only where a division happens.  The copy keeps each int as it is
+    and passes only the other coefficients through the rule."""
+    out = {}
+    for k, v in table.items():
+        if v.terms:
+            terms = dict(v.terms)
+            for t, c in v.terms.items():
+                if type(c) is not int:
+                    terms[t] = int_first_value(c)
+            out[k] = v._like(terms)
+    return out
 
 
 def lin_into(out: dict, images, x: dict, c=1) -> dict:

@@ -39,6 +39,7 @@ from .dgla import DGLA, check_dgla, differential_identities, product_identities
 from .errors import DomainError, InputError
 from .linfty import LInftyMorphism, LInftyStructure, morphism_check
 from .report import CheckReport
+from .scalars import int_first_value
 
 # ---------------------------------------------------------------------------
 # Graded commutative algebras and GBV structures
@@ -175,9 +176,11 @@ class GBVStructure:
 
 class Polyvector(Element):
     """Sum of terms f(z) d/dz_I: keys are (monomial exponent tuple, strictly
-    increasing frame tuple), values exact rationals.  Degree of a term is
+    increasing frame tuple), values exact rationals, each stored as an int
+    where it is integral (`scalars.int_first_value`), so the kernels below
+    run on int products wherever their inputs allow.  Degree of a term is
     -len(frame); `cap` is a bound every monomial satisfies, carried but not
-    compared; a sum or difference takes the larger cap."""
+    compared; a sum or difference takes the larger cap, a wedge the sum."""
 
     __slots__ = ("nvars", "cap")
     _compared = ("nvars",)
@@ -199,7 +202,7 @@ class Polyvector(Element):
                 ):
                     raise InputError(f"bad frame {frame}")
                 maxdeg = max(maxdeg, sum(mono))
-                add_term(self.terms, (mono, frame), c)
+                add_term(self.terms, (mono, frame), int_first_value(c))
         self.cap = cap if cap is not None else maxdeg
         if any(sum(m) > self.cap for (m, _) in self.terms):
             raise InputError("monomial degree exceeds the declared cap")
@@ -216,7 +219,10 @@ class Polyvector(Element):
         return degs.pop() if degs else None
 
     def wedge(self, other) -> "Polyvector":
-        return Polyvector(self.nvars, self.cap + other.cap, _wedge_terms(self, other))
+        self._check(other)
+        out = self._like(_wedge_terms(self, other))
+        out.cap = self.cap + other.cap
+        return out
 
     def __repr__(self):
         def showterm(mono, frame, c):
@@ -243,8 +249,10 @@ def _wedge_terms(a, b):
             canon = sym_canonical(f1 + f2, odd)
             if canon is None:
                 continue
+            frame, sign = canon
             mono = tuple(x + y for x, y in zip(m1, m2))
-            add_term(out, (mono, canon[0]), c1 * c2 * canon[1])
+            c = c1 * c2
+            add_term(out, (mono, frame), c if sign > 0 else -c)
     return out
 
 
@@ -266,25 +274,29 @@ def schouten(a: Polyvector, b: Polyvector) -> Polyvector:
     if a.nvars != b.nvars:
         raise InputError("polyvectors on different variable counts")
     out = Polyvector(a.nvars, max(a.cap + b.cap - 1, 0))
+    terms = out.terms
+    # a term is c1 c2 times one int: the exponent times the contraction,
+    # sort and lead signs, multiplied together first
     for (m1, f1), c1 in a.terms.items():
-        lead_sign = (-1) ** ((len(f1) - 1) % 2)
+        lead_sign = -1 if len(f1) % 2 == 0 else 1
         for (m2, f2), c2 in b.terms.items():
+            c = c1 * c2
             # (-1)^{|I|-1} f (dg -| d/dz_I) ^ d/dz_H
             for e, lowered, csign, reduced in _contractions(m2, f1):
                 canon = sym_canonical(reduced + f2, odd)
                 if canon is None:
                     continue
                 mono = tuple(x + y for x, y in zip(m1, lowered))
-                coeff = c1 * c2 * e * csign * canon[1] * lead_sign
-                add_term(out.terms, (mono, canon[0]), coeff)
+                k = e * csign * canon[1] * lead_sign
+                add_term(terms, (mono, canon[0]), c * k)
             # - g d/dz_I ^ (df -| d/dz_H)
             for e, lowered, csign, reduced in _contractions(m1, f2):
                 canon = sym_canonical(f1 + reduced, odd)
                 if canon is None:
                     continue
                 mono = tuple(x + y for x, y in zip(lowered, m2))
-                coeff = -c1 * c2 * e * csign * canon[1]
-                add_term(out.terms, (mono, canon[0]), coeff)
+                k = -e * csign * canon[1]
+                add_term(terms, (mono, canon[0]), c * k)
     return out
 
 
@@ -295,7 +307,7 @@ def delta_volume(a: Polyvector) -> Polyvector:
     out = Polyvector(a.nvars, max(a.cap - 1, 0))
     for (mono, frame), c in a.terms.items():
         for e, lowered, sign, reduced in _contractions(mono, frame):
-            add_term(out.terms, (lowered, reduced), c * e * sign)
+            add_term(out.terms, (lowered, reduced), c * (e * sign))
     return out
 
 
@@ -308,15 +320,14 @@ def tian_todorov_check(a: Polyvector, b: Polyvector) -> CheckReport:
         rep.add("input", "", "left argument is zero or inhomogeneous")
         return rep
     s += 1  # shifted degree
-    lhs = schouten(a, b).scale((-1) ** (s % 2))
-    rhs = (
-        delta_volume(a.wedge(b))
-        - delta_volume(a).wedge(b)
-        - a.wedge(delta_volume(b)).scale((-1) ** ((s - 1) % 2))
-    )
-    diff = lhs - rhs
-    if not diff.is_zero():
-        rep.add("identity", repr(diff), "Tian-Todorov identity fails")
+    sign = (-1) ** (s % 2)
+    # one residual: (-1)^s [a,b] - delta(a^b) + delta(a)^b + (-1)^{s-1} a^delta(b)
+    diff = add_into({}, schouten(a, b).terms, sign)
+    add_into(diff, delta_volume(a.wedge(b)).terms, -1)
+    add_into(diff, _wedge_terms(delta_volume(a), b))
+    add_into(diff, _wedge_terms(a, delta_volume(b)), -sign)
+    if diff:
+        rep.add("identity", repr(a._like(diff)), "Tian-Todorov identity fails")
     return rep
 
 
@@ -369,12 +380,16 @@ def polyvector_gbv(nvars, cap) -> GBVStructure:
                 table[(i, j)] = Element({index[k]: c})
     algebra = GradedCommAlgebra(basis, table)
 
+    # delta(z^m d/dz_f) = dz^m -| d/dz_f lowers the degree, so stays within
+    # the cap; its terms have distinct frames
     delta_table = {}
     for i, (m, f) in enumerate(keys):
-        img = delta_volume(Polyvector(nvars, None, {(m, f): 1}))
-        val = to_element(img)
-        if not val.is_zero():
-            delta_table[i] = val
+        img = {
+            index[lowered, reduced]: e * sign
+            for e, lowered, sign, reduced in _contractions(m, f)
+        }
+        if img:
+            delta_table[i] = Element(img)
 
     S = GBVStructure(algebra, delta_table, polydeg, cap)
     S.keys = keys

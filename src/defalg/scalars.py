@@ -1,13 +1,15 @@
 """Exact scalars: arbitrary-precision rationals, and the Gaussian rationals
 a covector term is given in.
 
-Every coefficient is an `int` where it is integral in a table
-(`core.int_first`) and a `fractions.Fraction` (always lowest terms, positive
-denominator) otherwise; both print through `format_rational`.  Only the
-Hermitian exterior-algebra module has coefficients in Q(i), and it stores
-each as two such rational parts (sign ledger X1): `GaussianScalar` is only
-the (re, im) value a covector term is given as, and `format_gaussian` prints
-a pair of parts.
+Every coefficient is an `int` where it is integral, in tables
+(`core.int_first`) and in polyvectors (`gbv.Polyvector`), and a
+`fractions.Fraction` (always lowest terms, positive denominator) otherwise;
+both print through `format_rational`.  `int_first_value` is that one rule,
+applied wherever a coefficient enters a table, a polyvector or a Gaussian
+part.  Only the Hermitian exterior-algebra module has coefficients in Q(i),
+and it stores each as two such rational parts (sign ledger X1):
+`GaussianScalar` is only the (re, im) value a covector term is given as, and
+`format_gaussian` prints a pair of parts.
 """
 
 from __future__ import annotations
@@ -49,17 +51,16 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _part(value):
-    """`value` as a part: an int when it is integral, else a Fraction."""
-    if type(value) is int:
-        return value
-    value = Fraction(value)
-    return value.numerator if value.denominator == 1 else value
+def int_first_value(c):
+    """An integral Fraction as its int; an int or any other Fraction as
+    itself.  An int equals, hashes and prints like the Fraction of the same
+    value, and int arithmetic is several times faster."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
 
 
 class GaussianScalar:
-    """re + im*i, the value a covector term is given as; `of` stores each
-    part as an int when it is integral, else as a Fraction.
+    """re + im*i, the value a covector term is given as; `of` takes each
+    part as an int or a Fraction and stores it int-first.
     `lefschetz.CovectorElement.add_term` splits it into its parts."""
 
     __slots__ = ("re", "im")
@@ -70,7 +71,7 @@ class GaussianScalar:
 
     @staticmethod
     def of(re=0, im=0) -> "GaussianScalar":
-        return GaussianScalar(_part(re), _part(im))
+        return GaussianScalar(int_first_value(re), int_first_value(im))
 
 
 def format_gaussian(re, im) -> str:

@@ -59,7 +59,10 @@ RUNS = (
     (("gbv-check",), ("gbv", "failing_gbv")),
     (("schouten",), ("polyvector_pair", "interleaved_polyvector_pair")),
     (("delta",), ("polyvector", "two_frame_polyvector")),
-    (("tian-todorov",), ("polyvector_pair", "interleaved_polyvector_pair")),
+    (
+        ("tian-todorov",),
+        ("polyvector_pair", "interleaved_polyvector_pair", "failing_polyvector_pair"),
+    ),
     (("gbv-to-abelian",), ("gbv", "failing_gbv")),
     (("lefschetz", "decompose", "--dim", "2"), ("covector",)),
 )

@@ -266,6 +266,11 @@ def test_int_first_stores_integral_fractions_as_int():
     types = [type(v) for v in got["a"].terms.values()]
     assert types == [int, Fraction, int]
     assert type(got["c"].terms[((1,), ())]) is int
+    # a polyvector stores its integral coefficients as ints from the start
+    given = {((0,), ()): Fraction(4, 2), ((1,), ()): Fraction(1, 2)}
+    halves = Polyvector(1, None, given)
+    assert list(halves.terms.values()) == [2, Fraction(1, 2)]
+    assert [type(c) for c in halves.terms.values()] == [int, Fraction]
 
 
 def test_rref_of_an_int_matrix_is_exact():

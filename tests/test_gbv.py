@@ -35,7 +35,7 @@ from defalg.core import (
     unshuffles,
 )
 from defalg.dgla import DGLA, ArtinDg, check_dgla, check_na
-from defalg.errors import StructureError
+from defalg.errors import InputError, StructureError
 from defalg.freelie import NilpotentLie
 from defalg.gbv import (
     GBVStructure,
@@ -794,6 +794,45 @@ def test_tian_todorov_random_pairs():
         a = pv(n, ma, fa, rng.randint(-2, 2) or 1)
         b = pv(n, mb, fb, rng.randint(-2, 2) or 1)
         assert tian_todorov_check(a, b).ok()
+    # the benchmark's shape: two terms a side in three variables, a left
+    # frame size of 0 to 3 and the right one size more mod 4, p/q with q <= 3
+    n = 3
+    coeff = lambda: F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 1, 2, 3)))
+    for k in range(200):
+        a, b = (
+            Polyvector(n, None, {
+                (tuple(rng.randint(0, 2) for _ in range(n)),
+                 tuple(sorted(rng.sample(range(n), size)))): coeff()
+                for _ in range(2)
+            })
+            for size in (k % 4, (k + 1) % 4)
+        )
+        assert tian_todorov_check(a, b).ok()
+
+
+def test_tian_todorov_failing_output_is_pinned(monkeypatch):
+    """With the bracket doubled the identity fails by (-1)^s [a,b]: the
+    report's location, residual text and message, at shifted degrees s = 0
+    and s = -1."""
+    real = gbv.schouten
+    monkeypatch.setattr(gbv, "schouten", lambda a, b: real(a, b).scale(2))
+    pairs = (
+        (
+            {((0, 1), (0,)): F(1), ((2, 0), (1,)): F(-1, 2)},
+            {((1, 1), (0, 1)): F(3), ((0, 2), (1,)): F(2, 3)},
+            "-2/3*z2^2*d1 + 3*z2^2*d1^d2 + -2/3*z1^2*z2*d2 + -3/2*z1^3*d1^d2",
+        ),
+        (
+            {((0, 1, 1), (0, 2)): F(1), ((1, 0, 1), (1, 2)): F(-1, 3)},
+            {((1, 1, 0), (1, 2)): 2, ((0, 0, 1), (1,)): 1, ((1, 0, 0), (0, 1)): F(1, 2)},
+            "1*z3^2*d1^d3 + -1*z2*z3*d1^d2 + 1/2*z2*z3*d1^d2^d3 + 2*z1*z2^2*d1^d2^d3",
+        ),
+    )
+    for left, right, residual in pairs:
+        n = len(next(iter(left))[0])
+        rep = tian_todorov_check(Polyvector(n, None, left), Polyvector(n, None, right))
+        found = [(v.location, v.residual, v.message) for v in rep.violations]
+        assert found == [("identity", residual, "Tian-Todorov identity fails")]
 
 
 def test_gbv_bracket_equals_schouten_on_polyvectors():
@@ -831,6 +870,14 @@ def test_polyvector_gbv_small_checks():
                     if wedge.terms:
                         table[i, j] = wedge
         assert S.algebra.table == table
+        # and delta is delta_volume on each key, which stays within the cap
+        deltas = {}
+        for i, key in enumerate(S.keys):
+            image = delta_volume(pv(nvars, *key))
+            if image.terms:
+                deltas[i] = S.to_element(image)
+                assert len(deltas[i].terms) == len(image.terms)
+        assert S.delta_table == deltas
 
 
 def test_gbv_tables_are_built_once_per_structure(monkeypatch):
@@ -1125,6 +1172,18 @@ def test_polyvector_operations_match_add_or_pop_oracle():
         u = PolyForm(nvars, _random_terms(rng, nvars, rng.randint(1, 3)))
         j = rng.randrange(nvars)
         v = pv(nvars, (0,) * nvars, (j,))
+        # integral coefficients are stored as ints and stay ints: the
+        # inputs' numerators, given as Fractions
+        ia, ib = (
+            Polyvector(nvars, None, {k: F(c.numerator) for k, c in x.terms.items()})
+            for x in (a, b)
+        )
+        for x in (ia, ib, ia.wedge(ib), schouten(ia, ib), delta_volume(ia)):
+            assert all(type(c) is int for c in x.terms.values())
+        # a wedge is built in place, with the summed cap
+        wedge = a.wedge(b)
+        assert wedge.cap == a.cap + b.cap
+        assert wedge == Polyvector(nvars, wedge.cap, wedge.terms)
         for got, want in (
             (a.wedge(b), oracle_wedge(a, b, cancelled)),
             (w.wedge(u), oracle_wedge(w, u, cancelled)),
@@ -1135,3 +1194,6 @@ def test_polyvector_operations_match_add_or_pop_oracle():
         ):
             assert list(got.terms.items()) == list(want.items())
     assert cancelled[0] >= 20
+    # operands on different variable counts are refused, not zipped short
+    with pytest.raises(InputError, match="differ in nvars"):
+        pv(2, (1, 0), (0,)).wedge(pv(3, (0, 0, 1), (1,)))
