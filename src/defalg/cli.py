@@ -22,7 +22,7 @@ from itertools import accumulate
 from math import factorial
 from . import schemas
 from .core import format_terms
-from .errors import DefalgError, InputError
+from .errors import DefalgError, InputError, StructureError
 from .report import CheckReport
 from .scalars import format_rational
 
@@ -249,9 +249,13 @@ def cmd_check_linfty(args) -> CheckReport:
 
 
 def cmd_from_dgla(args) -> CheckReport:
+    from .dgla import check_dgla
     from .linfty import from_dgla
 
     L = schemas.parse_dgla(_load(args))
+    rep = check_dgla(L)
+    if not rep.ok():
+        raise StructureError("from_dgla needs a valid DGLA:\n" + rep.text())
     S = from_dgla(L)
     rep = _checked_linfty(S, args.max_arity)
     rep.command = "from-dgla"

@@ -286,9 +286,9 @@ class Element:
 # violation per failing instance.  Its contract: `name` maps one index of a
 # tuple (a basis index, a whole word, ...) to the text put into the
 # template, and `show` maps a residual to the report's residual text, e.g.
-# `format_terms` over the basis names.  Only a residual that is a dict, empty
-# exactly when the identity holds, can go through the engine: an Element
-# defines no __bool__, so every Element is truthy.
+# `format_terms` over the basis names.  A residual is falsy exactly when its
+# identity holds: a terms dict, a bool, or a one-element tuple of a text that
+# can be "" or {}; an Element defines no __bool__, so it is never one.
 # ---------------------------------------------------------------------------
 
 

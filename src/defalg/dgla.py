@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, partial
 from math import factorial
+from operator import itemgetter
 
 from . import linalg
 from .core import (
@@ -644,40 +645,32 @@ class ExpDerivation:
 
     def verify(self) -> CheckReport:
         """Multiplicativity on basis pairs, identity mod m_A, and
-        e^d e^{-d} = id."""
+        e^d e^{-d} = id.  Each residual is the text of a raw dict in a
+        tuple: the last two can print {} on failure."""
         names = self.R.basis.names
-        nR = len(names)
+        images = [self.apply(self.embed(i)) for i in range(len(names))]
+        negated = {r: {k: -c for k, c in v.items()} for r, v in self.values.items()}
+        back = [ExpDerivation(self.R, self.A, negated).apply(x) for x in images]
+        reduced = [{k: c for k, c in x.items() if k[1] == self.UNIT} for x in images]
 
         def mult(i, j):
             lhs = self.apply(self._mul(self.embed(i), self.embed(j)))
-            rhs = self._mul(self.apply(self.embed(i)), self.apply(self.embed(j)))
-            return add_into(lhs, rhs, -1)
+            res = add_into(lhs, self._mul(images[i], images[j]), -1)
+            return res and (str(res),)
 
-        identity = ("mult({},{})", "e^d is not multiplicative", mult)
+        def fixes(values):  # res(i) of values[i] = e_i
+            return lambda i: None if values[i] == self.embed(i) else (str(values[i]),)
+
+        fixed = [
+            ("inverse({})", "e^d e^{-d} != id", fixes(back)),
+            ("reduction({})", "e^d is not the identity mod m_A", fixes(reduced)),
+        ]
+        steps = [
+            (admitted(len(names), 2), [("mult({},{})", "e^d is not multiplicative", mult)]),
+            ([(i,) for i in range(len(names))], fixed),
+        ]
         rep = CheckReport("exp-der")
-        report_violations(rep, names.__getitem__, str, [(admitted(nR, 2), [identity])])
-        inverse = ExpDerivation(
-            self.R,
-            self.A,
-            {r: {k: -c for k, c in v.items()} for r, v in self.values.items()},
-        )
-        for i in range(nR):
-            once = self.apply(self.embed(i))
-            back = inverse.apply(once)
-            if back != self.embed(i):
-                rep.add(
-                    f"inverse({self.R.basis.names[i]})",
-                    str(back),
-                    "e^d e^{-d} != id",
-                )
-            reduced = {k: c for k, c in once.items() if k[1] == self.UNIT}
-            if reduced != self.embed(i):
-                rep.add(
-                    f"reduction({self.R.basis.names[i]})",
-                    str(reduced),
-                    "e^d is not the identity mod m_A",
-                )
-        return rep
+        return report_violations(rep, names.__getitem__, itemgetter(0), steps)
 
 
 # ---------------------------------------------------------------------------

@@ -273,8 +273,7 @@ def schouten(a: Polyvector, b: Polyvector) -> Polyvector:
     - g d/dz_I ^ (df -| d/dz_H), extended bilinearly (sign ledger G3)."""
     if a.nvars != b.nvars:
         raise InputError("polyvectors on different variable counts")
-    out = Polyvector(a.nvars, max(a.cap + b.cap - 1, 0))
-    terms = out.terms
+    terms = {}
     # a term is c1 c2 times one int: the exponent times the contraction,
     # sort and lead signs, multiplied together first
     for (m1, f1), c1 in a.terms.items():
@@ -297,6 +296,8 @@ def schouten(a: Polyvector, b: Polyvector) -> Polyvector:
                 mono = tuple(x + y for x, y in zip(lowered, m2))
                 k = -e * csign * canon[1]
                 add_term(terms, (mono, canon[0]), c * k)
+    out = a._like(terms)
+    out.cap = max(a.cap + b.cap - 1, 0)
     return out
 
 
@@ -304,10 +305,12 @@ def delta_volume(a: Polyvector) -> Polyvector:
     """The operator defined by (delta a) -| Omega = del(a -| Omega) for
     Omega = dz_n ^ ... ^ dz_1, computed as delta(f d/dz_I) = df -| d/dz_I
     (sign ledger G4; the Omega route is the test oracle)."""
-    out = Polyvector(a.nvars, max(a.cap - 1, 0))
+    terms = {}
     for (mono, frame), c in a.terms.items():
         for e, lowered, sign, reduced in _contractions(mono, frame):
-            add_term(out.terms, (lowered, reduced), c * (e * sign))
+            add_term(terms, (lowered, reduced), c * (e * sign))
+    out = a._like(terms)
+    out.cap = max(a.cap - 1, 0)
     return out
 
 

@@ -14,9 +14,11 @@ from __future__ import annotations
 import itertools
 from bisect import bisect
 from fractions import Fraction
+from functools import lru_cache, partial
 from math import factorial
+from operator import itemgetter
 
-from .core import Element, add_term, odd, sym_canonical
+from .core import Element, add_term, odd, report_violations, sym_canonical
 from .errors import DomainError, InputError
 from .report import CheckReport
 from .scalars import GaussianScalar, format_gaussian
@@ -246,6 +248,11 @@ def op_power(op, k, v):
     return v
 
 
+def _l_powers(v, k):
+    """[v, L v, ..., L^k v]."""
+    return list(itertools.accumulate(range(k), lambda w, _: op_L(w), initial=v))
+
+
 # ---------------------------------------------------------------------------
 # The wedge-expansion oracle
 # ---------------------------------------------------------------------------
@@ -297,46 +304,53 @@ def raw_volume(n) -> dict:
     return out
 
 
-def wedge_identity_report(n, star_fn=None) -> CheckReport:
+def _residual(lhs, rhs):
+    """None when lhs = rhs, else the text of lhs - rhs in a tuple, as every
+    residual of this module: a text "" or "{}" still marks a failure."""
+    return None if lhs == rhs else (repr(lhs - rhs),)
+
+
+def wedge_identity_report(n) -> CheckReport:
     """Defining wedge characterization, checked for every basis symbol:
-    z ^ *(conj z) = z ^ conj(*z) = u_1 ^ ... ^ u_n.  A corrupted * (passed
-    as star_fn) is caught here.
+    z ^ *(conj z) = z ^ conj(*z) = u_1 ^ ... ^ u_n.
 
     Both sides are compared times 2^n, in Z[i].  The term of an image key w
     carries 2^{-(s + |M_z| + |M_w|)} with s = |A|+|B| of z, so it is scaled
     by 2^{n - s - |M_z| - |M_w|}: an integer, because the raw wedge is zero
     unless M_w avoids A, B and M_z.  For * itself M_w = N_z and the factor
     is 1.  A failure prints the sum times 2^{-n}, the true wedge product."""
-    rep = CheckReport("wedge-oracle")
-    star = star_fn or op_star
     vol = raw_volume(n)
-    for key in all_keys(n):
-        z = CovectorElement.basis(n, key)
+    unit = Fraction(1, 2**n)
+
+    @lru_cache(maxsize=1)  # both sides of * share their one image key
+    def wedge(key, okey):
+        return raw_wedge(raw_expand(n, key), raw_expand(n, okey))
+
+    def side(image, key):
         spare = n - len(key[0]) - len(key[1]) - len(key[2])
-        raw_z = raw_expand(n, key)
-        wedges = {}  # z ^ an image key, shared by both sides
-        for tag, other in (
-            ("z ^ *(conj z)", star(z.conjugate())),
-            ("z ^ conj(*z)", star(z).conjugate()),
-        ):
-            total = {}
-            for (okey, opart), ocoeff in other.terms.items():
-                if okey not in wedges:
-                    wedges[okey] = raw_wedge(raw_z, raw_expand(n, okey))
-                w = wedges[okey]
-                if w:
-                    c = ocoeff * (1 << (spare - len(okey[2])))
-                    for (word, part), wc in w.items():
-                        part2, sign = _TURN[part][opart]
-                        add_term(total, (word, part2), sign * c * wc)
-            if total != vol:
-                unit = Fraction(1, 2**n)
-                shown = ", ".join(
-                    f"{w}: {format_gaussian(re * unit, im * unit)}"
-                    for w, (re, im) in coefficients(total).items()
-                )
-                rep.add(f"{tag} at {key}", f"{{{shown}}}", "wedge identity fails")
-    return rep
+        total = {}
+        for (okey, opart), ocoeff in image(CovectorElement.basis(n, key)).terms.items():
+            w = wedge(key, okey)
+            if w:
+                c = ocoeff * (1 << (spare - len(okey[2])))
+                for (word, part), wc in w.items():
+                    part2, sign = _TURN[part][opart]
+                    add_term(total, (word, part2), sign * c * wc)
+        if total != vol:
+            shown = ", ".join(
+                f"{w}: {format_gaussian(re * unit, im * unit)}"
+                for w, (re, im) in coefficients(total).items()
+            )
+            return (f"{{{shown}}}",)
+
+    star_conj = partial(side, lambda z: op_star(z.conjugate()))
+    conj_star = partial(side, lambda z: op_star(z).conjugate())
+    identities = [
+        ("z ^ *(conj z) at {}", "wedge identity fails", star_conj),
+        ("z ^ conj(*z) at {}", "wedge identity fails", conj_star),
+    ]
+    steps = [([(key,) for key in all_keys(n)], identities)]
+    return report_violations(CheckReport("wedge-oracle"), str, itemgetter(0), steps)
 
 
 # ---------------------------------------------------------------------------
@@ -345,76 +359,63 @@ def wedge_identity_report(n, star_fn=None) -> CheckReport:
 
 
 def identities_report(n) -> CheckReport:
-    """All commutation relations as exact operator identities, plus the
-    wedge characterization on the full standard basis.  Every operator row
-    commutes with relabeling 1..n, so the identities are checked on the
-    keys of `orbit_keys` first, and again on all 4^n keys only if one of
-    them fails: a failing report names the first failing key of the full
-    basis (sign ledger X3)."""
+    """All commutation relations as exact operator identities, one engine
+    step over the 4^n keys, plus the wedge characterization on all of them
+    (`wedge_identity_report`).  Every operator row commutes with relabeling
+    1..n, so the relations take the keys of `orbit_keys` as representatives:
+    all 4^n keys are checked only if one of them fails, and a failing report
+    names every failing key (sign ledger X3)."""
 
-    def check(name, lhs_fn, rhs_fn):
-        """Compare both sides on each key; each side is handed the key and
-        its basis covector v."""
-        for key in keys:
-            v = CovectorElement.basis(n, key)
-            lhs, rhs = lhs_fn(key, v), rhs_fn(key, v)
-            if lhs != rhs:
-                rep.add(f"{name} at {key}", repr(lhs - rhs), f"{name} fails")
-                return
+    @lru_cache(maxsize=1)
+    def chain(key):
+        """L^r v and L^r Lambda v for r = 0..n, v the basis covector of key."""
+        v = CovectorElement.basis(n, key)
+        return _l_powers(v, n), _l_powers(op_Lambda(v), n)
 
-    def signed_projection(key, v):
-        return _apply(_row_parity, v)
+    def holds(lhs, rhs, key):  # lhs(v) = rhs(v) at the basis covector v of key
+        v = chain(key)[0][0]
+        return _residual(lhs(v), rhs(v))
 
-    for keys in (orbit_keys(n), all_keys(n)):
-        rep = CheckReport("lefschetz-identities")
-        check("[L,C]", lambda key, v: op_L(op_C(v)), lambda key, v: op_C(op_L(v)))
-        check(
-            "[Lambda,C]",
-            lambda key, v: op_Lambda(op_C(v)),
-            lambda key, v: op_C(op_Lambda(v)),
-        )
-        check("[*,C]", lambda key, v: op_star(op_C(v)), lambda key, v: op_C(op_star(v)))
+    def lambda_l(r, key):
+        """[Lambda, L^r] = r (weight - r + 1) L^{r-1} (ledger X2), the weight
+        read from v's key: L^{r-1} lowers that of every image key by 2(r-1)."""
+        powers, lowered = chain(key)
+        lhs = op_Lambda(powers[r]) - lowered[r]
+        return _residual(lhs, powers[r - 1].scale(r * (weight(key) - r + 1)))
 
-        # L^{r-1} v and L^{r-1} Lambda v for every key, carried from r to
-        # r + 1 by one L each; r = 1 is [Lambda,L] = weight (ledger X2)
-        power = {key: CovectorElement.basis(n, key) for key in keys}
-        lowered = {key: op_Lambda(v) for key, v in power.items()}
-        for r in range(1, n + 1):
-            prev = power
-            power = {key: op_L(v) for key, v in prev.items()}
-            lowered = {key: op_L(v) for key, v in lowered.items()}
-            # the scalar is read from v's key: L^{r-1} has lowered the
-            # weight of every image key by 2(r - 1)
-            check(
-                f"[Lambda,L^{r}]",
-                lambda key, v: op_Lambda(power[key]) - lowered[key],
-                lambda key, v: prev[key].scale(r * (weight(key) - r + 1)),
-            )
+    # * permutes basis symbols up to fourth roots of unity
+    def not_permutation(key):
+        img = op_star(chain(key)[0][0])
+        return None if len(img.terms) == 1 else (repr(img),)
 
-        check(
-            "(C^-1 *)^2",
-            lambda key, v: op_c_inv_star(op_c_inv_star(v)),
-            lambda key, v: v,
-        )
-        check("*^2", lambda key, v: op_star(op_star(v)), signed_projection)
-        check("C^2", lambda key, v: op_C(op_C(v)), signed_projection)
-
-        # * permutes basis symbols up to fourth roots of unity
-        for key in keys:
-            img = op_star(CovectorElement.basis(n, key))
-            if len(img.terms) != 1:
-                rep.add(f"* at {key}", repr(img), "* is not a signed permutation")
-                break
+    def not_unit(key):
+        img = op_star(chain(key)[0][0])
+        if len(img.terms) == 1:
             [((_, part), c)] = img.terms.items()
             if c not in (1, -1):
-                shown = format_gaussian(0, c) if part else format_gaussian(c, 0)
-                rep.add(f"* at {key}", shown, "* coefficient is not a 4th root of 1")
-                break
-        if rep.ok():
-            break
+                return (format_gaussian(0, c) if part else format_gaussian(c, 0),)
 
+    commutator = lambda a, b: partial(holds, lambda v: a(b(v)), lambda v: b(a(v)))
+    square = lambda op, rhs: partial(holds, lambda v: op(op(v)), rhs)
+    signed_projection = partial(_apply, _row_parity)
+    relations = [
+        ("[L,C]", commutator(op_L, op_C)),
+        ("[Lambda,C]", commutator(op_Lambda, op_C)),
+        ("[*,C]", commutator(op_star, op_C)),
+        *((f"[Lambda,L^{r}]", partial(lambda_l, r)) for r in range(1, n + 1)),
+        ("(C^-1 *)^2", square(op_c_inv_star, lambda v: v)),
+        ("*^2", square(op_star, signed_projection)),
+        ("C^2", square(op_C, signed_projection)),
+    ]
+    identities = [(f"{name} at {{}}", f"{name} fails", res) for name, res in relations]
+    identities += [
+        ("* at {}", "* is not a signed permutation", not_permutation),
+        ("* at {}", "* coefficient is not a 4th root of 1", not_unit),
+    ]
+    keys, reps = [(key,) for key in all_keys(n)], [(key,) for key in orbit_keys(n)]
+    rep = CheckReport("lefschetz-identities", info={"dimension": n, "basis_size": 4**n})
+    report_violations(rep, str, itemgetter(0), [(keys, identities, reps)])
     rep.merge(wedge_identity_report(n))
-    rep.info = {"dimension": n, "basis_size": 4**n}
     return rep
 
 
@@ -470,8 +471,8 @@ def reconstruct(n, parts) -> CovectorElement:
 
 def primitive_star_report(v: CovectorElement) -> CheckReport:
     """C^{-1} * L^r v = (-1)^{p(p+1)/2} r!/(n-p-r)! L^{n-p-r} v for a
-    primitive p-covector and r <= n-p, zero beyond; plus the
-    Lambda^alpha L^alpha = alpha!^2 sub-check."""
+    primitive p-covector and r <= n-p, zero beyond, where L^r v itself must
+    vanish; plus the Lambda^alpha L^alpha = alpha!^2 sub-check."""
     rep = CheckReport("primitive-star")
     n = v.n
     p = v.homogeneous_degree()
@@ -480,25 +481,26 @@ def primitive_star_report(v: CovectorElement) -> CheckReport:
     if not is_primitive(v):
         raise DomainError("primitive_star_report needs a primitive covector")
     alpha = n - p
-    for r in range(0, n + 1):
-        lhs = op_c_inv_star(op_power(op_L, r, v))
-        if r <= n - p:
-            sign = (-1) ** (((p * (p + 1)) // 2) % 2)
-            coeff = Fraction(sign * factorial(r), factorial(n - p - r))
-            rhs = op_power(op_L, n - p - r, v).scale(coeff)
-        else:
-            rhs = CovectorElement(n)
-            if not op_power(op_L, r, v).is_zero():
-                rep.add(f"L^{r}", "", "L^r v != 0 beyond n-p on a primitive")
-        if not (lhs - rhs).is_zero():
-            rep.add(f"r={r}", repr(lhs - rhs), "primitive star identity fails")
-    if alpha >= 0:
-        lhs = op_power(op_Lambda, alpha, op_power(op_L, alpha, v))
-        rhs = v.scale(Fraction(factorial(alpha) ** 2))
-        if not (lhs - rhs).is_zero():
-            rep.add(
-                "Lambda^a L^a",
-                repr(lhs - rhs),
-                "Lambda^alpha L^alpha != alpha!^2 on a primitive",
-            )
-    return rep
+    sign = (-1) ** (((p * (p + 1)) // 2) % 2)
+    powers = _l_powers(v, n)
+
+    def beyond(r):
+        return ("",) if r > n - p and not powers[r].is_zero() else None
+
+    def star(r):
+        if r > n - p:
+            return _residual(op_c_inv_star(powers[r]), CovectorElement(n))
+        coeff = Fraction(sign * factorial(r), factorial(n - p - r))
+        return _residual(op_c_inv_star(powers[r]), powers[n - p - r].scale(coeff))
+
+    def lambda_l():
+        lhs = op_power(op_Lambda, alpha, powers[alpha])
+        return _residual(lhs, v.scale(Fraction(factorial(alpha) ** 2)))
+
+    per_r = [
+        ("L^{}", "L^r v != 0 beyond n-p on a primitive", beyond),
+        ("r={}", "primitive star identity fails", star),
+    ]
+    top = ("Lambda^a L^a", "Lambda^alpha L^alpha != alpha!^2 on a primitive", lambda_l)
+    steps = [([(r,) for r in range(n + 1)], per_r), ([()] if alpha >= 0 else [], [top])]
+    return report_violations(rep, str, itemgetter(0), steps)

@@ -40,7 +40,7 @@ from .core import (
     word_runs,
 )
 from .dgla import DGLA, ArtinDg, check_dgla, cohomology
-from .errors import DomainError, InputError, StructureError
+from .errors import DomainError, InputError
 from .report import CheckReport
 
 # ---------------------------------------------------------------------------
@@ -163,13 +163,10 @@ def check_linfty(S: LInftyStructure, n_max=None) -> CheckReport:
     return report_violations(rep, word_names(basis), show, steps)
 
 
-def from_dgla(L: DGLA, checked=True) -> LInftyStructure:
+def from_dgla(L: DGLA) -> LInftyStructure:
     """q_1(v) = -dv, q_2(v (.) w) = (-1)^{deg v} [v, w] on the shifted space,
-    no higher components (sign ledger S1)."""
-    if checked:
-        rep = check_dgla(L)
-        if not rep.ok():
-            raise StructureError("from_dgla needs a valid DGLA:\n" + rep.text())
+    no higher components (sign ledger S1).  The input is not checked: a
+    valid DGLA is a precondition, verified by `check_dgla` first."""
     shifted = suspend_basis(L.basis)
     t1 = {(i,): img.scale(Fraction(-1)) for i, img in L.diff.items()}
     t2 = {}

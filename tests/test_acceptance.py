@@ -407,7 +407,7 @@ def test_criterion_07_linfty_equivalence():
             if bad is not None:
                 flips += 1
                 assert not check_dgla(bad).ok()
-                assert not check_linfty(from_dgla(bad, checked=False), 4).ok()
+                assert not check_linfty(from_dgla(bad), 4).ok()
         assert flips >= 5
     report_pass("7 (homotopy-structure checker equivalence)")
 

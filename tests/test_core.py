@@ -862,18 +862,11 @@ def test_only_sym_canonical_sorts_with_a_sign():
 
 # -- tooling guard: one identity engine -------------------------------------------
 
-# The functions that may add to a CheckReport inside a loop of their own: the
-# engine's report adapter, and each check left off the engine, with the reason.
+# The functions that may add to a CheckReport inside a loop of their own, or
+# call the engine there, with the reason: every per-instance check of src/
+# declares its steps and reports through `core.report_violations` once.
 REPORT_LOOPS_ALLOWED = {
     "core.report_violations": "the report adapter of the identity engine",
-    "dgla.ExpDerivation.verify": "the inverse and reduction steps print a raw "
-    "dict that can be {} on failure",
-    "lefschetz.wedge_identity_report": "prints the wedge product, which can be "
-    "{} on failure",
-    "lefschetz.identities_report": "the * loop stops at the first failing key",
-    "lefschetz.identities_report.check": "stops at the first failing key",
-    "lefschetz.primitive_star_report": "one r gives an empty residual for "
-    "L^r v != 0 and an Element repr for the star identity",
     "suite.run_suite": "reports failed suite steps, not identity instances",
 }
 LOOPS = (
@@ -885,13 +878,24 @@ LOOPS = (
     ast.DictComp,
     ast.GeneratorExp,
 )
+ENGINE = ("violations", "report_violations")
+
+
+def _per_iteration(loop):
+    """The nodes a loop evaluates on each iteration: all of its own but the
+    iterable of a for loop or of a comprehension's first generator, which
+    is evaluated once."""
+    gens = getattr(loop, "generators", None)
+    once = gens[0].iter if gens else getattr(loop, "iter", None)
+    skip = {id(n) for n in _scope_nodes([once])} if once else set()
+    return [n for n in _scope_nodes([loop]) if id(n) not in skip]
 
 
 def report_adds_in_loops(source, module):
-    """Functions (module.qualname) that call `<report>.add` inside a loop of
-    their own, a comprehension included; a report is `rep`, `report`, a name
-    the module assigns a CheckReport(...) to, or a parameter annotated
-    CheckReport."""
+    """Functions (module.qualname) that call `<report>.add`, `violations` or
+    `report_violations` on each iteration of a loop of their own, a
+    comprehension included; a report is `rep`, `report`, a name the module
+    assigns a CheckReport(...) to, or a parameter annotated CheckReport."""
     tree = ast.parse(source)
     reports = {"rep", "report"}
     for n in ast.walk(tree):
@@ -903,9 +907,11 @@ def report_adds_in_loops(source, module):
 
     def adds(node):
         f = getattr(node, "func", None)
-        return (
-            isinstance(f, ast.Attribute)
-            and f.attr == "add"
+        if isinstance(f, ast.Name):
+            return f.id in ENGINE
+        return isinstance(f, ast.Attribute) and (
+            f.attr in ENGINE
+            or f.attr == "add"
             and isinstance(f.value, ast.Name)
             and f.value.id in reports
         )
@@ -914,7 +920,7 @@ def report_adds_in_loops(source, module):
         name
         for name, func in _functions(tree, module)
         if any(
-            isinstance(node, LOOPS) and any(map(adds, _scope_nodes([node])))
+            isinstance(node, LOOPS) and any(map(adds, _per_iteration(node)))
             for node in _own_nodes(func)
         )
     }
@@ -922,13 +928,13 @@ def report_adds_in_loops(source, module):
 
 def test_only_the_engine_adds_to_a_report_in_a_loop():
     """Every per-instance check reports through `core.report_violations`,
-    except the allowlisted ones."""
+    and no check runs the engine once per iteration of a loop of its own."""
     src = pathlib.Path(core.__file__).parent
     found = set()
     for path in sorted(src.glob("*.py")):
         found |= report_adds_in_loops(path.read_text(encoding="utf-8"), path.stem)
-    allowed = set(REPORT_LOOPS_ALLOWED)
-    assert found == allowed, sorted(found ^ allowed)
+    assert set(REPORT_LOOPS_ALLOWED) == {"core.report_violations", "suite.run_suite"}
+    assert found == set(REPORT_LOOPS_ALLOWED), sorted(found ^ set(REPORT_LOOPS_ALLOWED))
     # the guard sees the hand-written loops the engine replaced ...
     old = "def check(xs):\n    rep = CheckReport('c')\n    for x in xs:\n"
     old += "        if x:\n            rep.add(f'{x}', str(x), 'fails')\n    return rep\n"
@@ -940,11 +946,25 @@ def test_only_the_engine_adds_to_a_report_in_a_loop():
     ):
         head = "def f(out: CheckReport, xs):\n"
         assert report_adds_in_loops(head + body, "m") == {"m.f"}, body
-    # ... but not an add outside a loop, to another value, or in a lambda
+    # ... and the engine run once per iteration, in a body or a comprehension
+    for body in (
+        "    for keys in xs:\n        report_violations(out, str, str, keys)\n",
+        "    for keys in xs:\n        if any(core.violations(str, keys)):\n"
+        "            break\n",
+        "    while xs:\n        out = violations(str, xs.pop())\n",
+        "    return [list(violations(str, s)) for s in xs]\n",
+        "    return [x for s in xs for x in violations(str, s)]\n",
+    ):
+        assert report_adds_in_loops("def f(out, xs):\n" + body, "m") == {"m.f"}, body
+    # ... but not an add outside a loop, to another value, or in a lambda,
+    # nor the engine as the iterable a loop runs over
     for other in (
         "def f(xs):\n    rep = CheckReport('c')\n    rep.add('x')\n",
         "def f(xs):\n    out = set()\n    for x in xs:\n        out.add(x)\n",
         "def f(rep, xs):\n    for x in xs:\n        g = lambda: rep.add(x)\n",
+        "def f(xs):\n    for loc, m, _ in violations(str, xs):\n        raise E(m)\n",
+        "def f(xs):\n    return [loc for loc, _, _ in core.violations(str, xs)]\n",
+        "def f(xs):\n    report_violations(CheckReport('c'), str, str, xs)\n",
     ):
         assert report_adds_in_loops(other, "m") == set(), other
 

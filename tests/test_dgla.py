@@ -673,6 +673,34 @@ def test_exp_derivation_mult_failing_output_is_pinned():
     ]
 
 
+def test_exp_derivation_inverse_and_reduction_failing_output_is_pinned(monkeypatch):
+    """An e^d that drops every term on the unit of the base is neither the
+    identity mod m_A nor undone by e^{-d}; a value that empties prints {}.
+    The violations come pair by pair, then basis element by element."""
+    apply = ExpDerivation.apply
+
+    def no_unit_terms(self, x):
+        return {k: c for k, c in apply(self, x).items() if k[1] != ExpDerivation.UNIT}
+
+    monkeypatch.setattr(ExpDerivation, "apply", no_unit_terms)
+    R = dual_numbers_R()
+    A = ArtinDg(GradedBasis.of(("t", 0),), {(0, 0): Element()}, {})
+    rep = ExpDerivation(R, A, {1: {(1, 0): F(1)}}).verify()
+    m, inv, red = (
+        "e^d is not multiplicative",
+        "e^d e^{-d} != id",
+        "e^d is not the identity mod m_A",
+    )
+    assert [(v.location, v.residual, v.message) for v in rep.violations] == [
+        ("mult(one,u)", "{(1, 0): Fraction(1, 1)}", m),
+        ("mult(u,one)", "{(1, 0): Fraction(1, 1)}", m),
+        ("inverse(one)", "{}", inv),
+        ("reduction(one)", "{}", red),
+        ("inverse(u)", "{(1, 0): Fraction(1, 1)}", inv),
+        ("reduction(u)", "{}", red),
+    ]
+
+
 def test_exp_derivation_rejects_non_derivation():
     basis = GradedBasis.of(("one", 0), ("u", 0))
     table = {(1, 1): Element.basis_vector(1)}  # u^2 = u: not nilpotent-friendly

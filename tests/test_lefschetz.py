@@ -101,8 +101,9 @@ def corrupt_star(v):
     return flipped
 
 
-def test_corrupted_star_caught_by_wedge_identity():
-    rep = wedge_identity_report(2, star_fn=corrupt_star)
+def test_corrupted_star_caught_by_wedge_identity(monkeypatch):
+    monkeypatch.setattr(lefschetz, "op_star", corrupt_star)
+    rep = wedge_identity_report(2)
     assert not rep.ok()
 
 
@@ -291,6 +292,29 @@ def test_primitive_star_random_primitives():
                 assert crep.ok(), crep.text()
 
 
+def test_primitive_star_failing_report_in_order(monkeypatch):
+    """With Lambda broken to zero every covector passes as primitive.  On
+    u_1 (n = 2, p = 2) the star identity fails at r = 0 and r = 1, and
+    L v != 0 past n - p, reported r by r; on the scalar Lambda^2 L^2 is
+    zero, not 2!^2 times it."""
+    monkeypatch.setattr(lefschetz, "_row_Lambda", lambda key: [])
+    star = "primitive star identity fails"
+    rep = primitive_star_report(u_element(2, (1,)))
+    assert [(v.location, v.message, v.residual) for v in rep.violations] == [
+        ("r=0", star, "(1)*z[A=(),B=(),M=(1,),N=(2,)] + (1)*z[A=(),B=(),M=(2,),N=(1,)]"),
+        ("L^1", "L^r v != 0 beyond n-p on a primitive", ""),
+        ("r=1", star, "(1)*z[A=(),B=(),M=(),N=(1, 2)]"),
+    ]
+    rep = primitive_star_report(scalar(2))
+    assert [(v.location, v.message, v.residual) for v in rep.violations] == [
+        (
+            "Lambda^a L^a",
+            "Lambda^alpha L^alpha != alpha!^2 on a primitive",
+            "(-4)*z[A=(),B=(),M=(),N=(1, 2)]",
+        ),
+    ]
+
+
 def test_raw_volume_and_expand_consistency():
     # the scalar symbol times the top u-block reproduces the volume
     n = 2
@@ -341,13 +365,15 @@ WEDGE_STARS = {
 
 
 @pytest.mark.parametrize("name", list(WEDGE_STARS))
-def test_wedge_oracle_matches_the_normalized_oracle(name):
+def test_wedge_oracle_matches_the_normalized_oracle(name, monkeypatch):
     """Compared in Z[i] times 2^n, the wedge identity gives the verdict and
     the report bytes of the Q(i) oracle with its 2^-s per symbol (sign
     ledger X1)."""
     star_fn = WEDGE_STARS[name]
+    if star_fn is not None:
+        monkeypatch.setattr(lefschetz, "op_star", star_fn)
     for n in range(4):
-        rep = wedge_identity_report(n, star_fn=star_fn)
+        rep = wedge_identity_report(n)
         old = sign_oracles.wedge_identity_report(n, star_fn=star_fn)
         assert rep.text() == old.text(), (name, n)
     # only * passes, and each other star fails on some symbol at n = 3
@@ -581,13 +607,14 @@ def test_identities_report_bytes_pinned(n):
     assert rep.text() == IDENTITIES_TEXT % (4**n, n)
 
 
-def test_corrupted_star_report_bytes_pinned():
+def test_corrupted_star_report_bytes_pinned(monkeypatch):
     lines = ["[FAIL] wedge-oracle"]
     for key in CORRUPT_STAR_KEYS:
         for tag in ("z ^ *(conj z)", "z ^ conj(*z)"):
             lines.append(f"  at {tag} at {key}: wedge identity fails")
             lines.append(f"    residual: {CORRUPT_STAR_RESIDUAL}")
-    rep = wedge_identity_report(2, star_fn=corrupt_star)
+    monkeypatch.setattr(lefschetz, "op_star", corrupt_star)
+    rep = wedge_identity_report(2)
     assert rep.text() == "\n".join(lines)
 
 
@@ -610,6 +637,246 @@ CORRUPT_L_JSON = """{
       "residual": "(2)*z[A=(1,),B=(),M=(2, 3),N=()]"
     },
     {
+      "location": "[Lambda,L^1] at ((1,), (), (3,), (2,))",
+      "message": "[Lambda,L^1] fails",
+      "residual": "(2)*z[A=(1,),B=(),M=(3,),N=(2,)]"
+    },
+    {
+      "location": "[Lambda,L^2] at ((1,), (), (3,), (2,))",
+      "message": "[Lambda,L^2] fails",
+      "residual": "(2)*z[A=(1,),B=(),M=(2, 3),N=()]"
+    },
+    {
+      "location": "[Lambda,L^1] at ((1,), (), (), (2, 3))",
+      "message": "[Lambda,L^1] fails",
+      "residual": "(-2)*z[A=(1,),B=(),M=(),N=(2, 3)]"
+    },
+    {
+      "location": "[Lambda,L^2] at ((1,), (), (), (2, 3))",
+      "message": "[Lambda,L^2] fails",
+      "residual": "(-2)*z[A=(1,),B=(),M=(2,),N=(3,)] + (2)*z[A=(1,),B=(),M=(3,),N=(2,)]"
+    },
+    {
+      "location": "[Lambda,L^1] at ((), (1,), (2,), (3,))",
+      "message": "[Lambda,L^1] fails",
+      "residual": "(2)*z[A=(),B=(1,),M=(3,),N=(2,)]"
+    },
+    {
+      "location": "[Lambda,L^2] at ((), (1,), (2,), (3,))",
+      "message": "[Lambda,L^2] fails",
+      "residual": "(2)*z[A=(),B=(1,),M=(2, 3),N=()]"
+    },
+    {
+      "location": "[Lambda,L^1] at ((), (1,), (3,), (2,))",
+      "message": "[Lambda,L^1] fails",
+      "residual": "(2)*z[A=(),B=(1,),M=(3,),N=(2,)]"
+    },
+    {
+      "location": "[Lambda,L^2] at ((), (1,), (3,), (2,))",
+      "message": "[Lambda,L^2] fails",
+      "residual": "(2)*z[A=(),B=(1,),M=(2, 3),N=()]"
+    },
+    {
+      "location": "[Lambda,L^1] at ((), (1,), (), (2, 3))",
+      "message": "[Lambda,L^1] fails",
+      "residual": "(-2)*z[A=(),B=(1,),M=(),N=(2, 3)]"
+    },
+    {
+      "location": "[Lambda,L^2] at ((), (1,), (), (2, 3))",
+      "message": "[Lambda,L^2] fails",
+      "residual": "(-2)*z[A=(),B=(1,),M=(2,),N=(3,)] + (2)*z[A=(),B=(1,),M=(3,),N=(2,)]"
+    },
+    {
+      "location": "[Lambda,L^1] at ((2,), (), (1,), (3,))",
+      "message": "[Lambda,L^1] fails",
+      "residual": "(2)*z[A=(2,),B=(),M=(3,),N=(1,)]"
+    },
+    {
+      "location": "[Lambda,L^2] at ((2,), (), (1,), (3,))",
+      "message": "[Lambda,L^2] fails",
+      "residual": "(2)*z[A=(2,),B=(),M=(1, 3),N=()]"
+    },
+    {
+      "location": "[Lambda,L^1] at ((), (2,), (1,), (3,))",
+      "message": "[Lambda,L^1] fails",
+      "residual": "(2)*z[A=(),B=(2,),M=(3,),N=(1,)]"
+    },
+    {
+      "location": "[Lambda,L^2] at ((), (2,), (1,), (3,))",
+      "message": "[Lambda,L^2] fails",
+      "residual": "(2)*z[A=(),B=(2,),M=(1, 3),N=()]"
+    },
+    {
+      "location": "[Lambda,L^1] at ((), (), (1, 2), (3,))",
+      "message": "[Lambda,L^1] fails",
+      "residual": "(2)*z[A=(),B=(),M=(1, 3),N=(2,)] + (2)*z[A=(),B=(),M=(2, 3),N=(1,)]"
+    },
+    {
+      "location": "[Lambda,L^2] at ((), (), (1, 2), (3,))",
+      "message": "[Lambda,L^2] fails",
+      "residual": "(4)*z[A=(),B=(),M=(1, 2, 3),N=()]"
+    },
+    {
+      "location": "[Lambda,L^1] at ((3,), (), (1,), (2,))",
+      "message": "[Lambda,L^1] fails",
+      "residual": "(2)*z[A=(3,),B=(),M=(2,),N=(1,)]"
+    },
+    {
+      "location": "[Lambda,L^2] at ((3,), (), (1,), (2,))",
+      "message": "[Lambda,L^2] fails",
+      "residual": "(2)*z[A=(3,),B=(),M=(1, 2),N=()]"
+    },
+    {
+      "location": "[Lambda,L^1] at ((), (3,), (1,), (2,))",
+      "message": "[Lambda,L^1] fails",
+      "residual": "(2)*z[A=(),B=(3,),M=(2,),N=(1,)]"
+    },
+    {
+      "location": "[Lambda,L^2] at ((), (3,), (1,), (2,))",
+      "message": "[Lambda,L^2] fails",
+      "residual": "(2)*z[A=(),B=(3,),M=(1, 2),N=()]"
+    },
+    {
+      "location": "[Lambda,L^1] at ((), (), (1, 3), (2,))",
+      "message": "[Lambda,L^1] fails",
+      "residual": "(2)*z[A=(),B=(),M=(1, 3),N=(2,)] + (2)*z[A=(),B=(),M=(2, 3),N=(1,)]"
+    },
+    {
+      "location": "[Lambda,L^2] at ((), (), (1, 3), (2,))",
+      "message": "[Lambda,L^2] fails",
+      "residual": "(4)*z[A=(),B=(),M=(1, 2, 3),N=()]"
+    },
+    {
+      "location": "[Lambda,L^1] at ((), (), (1,), (2, 3))",
+      "message": "[Lambda,L^1] fails",
+      "residual": "(-2)*z[A=(),B=(),M=(1,),N=(2, 3)]"
+    },
+    {
+      "location": "[Lambda,L^2] at ((), (), (1,), (2, 3))",
+      "message": "[Lambda,L^2] fails",
+      "residual": "(-2)*z[A=(),B=(),M=(1, 2),N=(3,)] + (2)*z[A=(),B=(),M=(1, 3),N=(2,)]"
+    },
+    {
+      "location": "[Lambda,L^1] at ((2,), (), (3,), (1,))",
+      "message": "[Lambda,L^1] fails",
+      "residual": "(2)*z[A=(2,),B=(),M=(3,),N=(1,)]"
+    },
+    {
+      "location": "[Lambda,L^2] at ((2,), (), (3,), (1,))",
+      "message": "[Lambda,L^2] fails",
+      "residual": "(2)*z[A=(2,),B=(),M=(1, 3),N=()]"
+    },
+    {
+      "location": "[Lambda,L^1] at ((2,), (), (), (1, 3))",
+      "message": "[Lambda,L^1] fails",
+      "residual": "(-2)*z[A=(2,),B=(),M=(),N=(1, 3)]"
+    },
+    {
+      "location": "[Lambda,L^2] at ((2,), (), (), (1, 3))",
+      "message": "[Lambda,L^2] fails",
+      "residual": "(-2)*z[A=(2,),B=(),M=(1,),N=(3,)] + (2)*z[A=(2,),B=(),M=(3,),N=(1,)]"
+    },
+    {
+      "location": "[Lambda,L^1] at ((), (2,), (3,), (1,))",
+      "message": "[Lambda,L^1] fails",
+      "residual": "(2)*z[A=(),B=(2,),M=(3,),N=(1,)]"
+    },
+    {
+      "location": "[Lambda,L^2] at ((), (2,), (3,), (1,))",
+      "message": "[Lambda,L^2] fails",
+      "residual": "(2)*z[A=(),B=(2,),M=(1, 3),N=()]"
+    },
+    {
+      "location": "[Lambda,L^1] at ((), (2,), (), (1, 3))",
+      "message": "[Lambda,L^1] fails",
+      "residual": "(-2)*z[A=(),B=(2,),M=(),N=(1, 3)]"
+    },
+    {
+      "location": "[Lambda,L^2] at ((), (2,), (), (1, 3))",
+      "message": "[Lambda,L^2] fails",
+      "residual": "(-2)*z[A=(),B=(2,),M=(1,),N=(3,)] + (2)*z[A=(),B=(2,),M=(3,),N=(1,)]"
+    },
+    {
+      "location": "[Lambda,L^1] at ((3,), (), (2,), (1,))",
+      "message": "[Lambda,L^1] fails",
+      "residual": "(2)*z[A=(3,),B=(),M=(2,),N=(1,)]"
+    },
+    {
+      "location": "[Lambda,L^2] at ((3,), (), (2,), (1,))",
+      "message": "[Lambda,L^2] fails",
+      "residual": "(2)*z[A=(3,),B=(),M=(1, 2),N=()]"
+    },
+    {
+      "location": "[Lambda,L^1] at ((), (3,), (2,), (1,))",
+      "message": "[Lambda,L^1] fails",
+      "residual": "(2)*z[A=(),B=(3,),M=(2,),N=(1,)]"
+    },
+    {
+      "location": "[Lambda,L^2] at ((), (3,), (2,), (1,))",
+      "message": "[Lambda,L^2] fails",
+      "residual": "(2)*z[A=(),B=(3,),M=(1, 2),N=()]"
+    },
+    {
+      "location": "[Lambda,L^1] at ((), (), (2, 3), (1,))",
+      "message": "[Lambda,L^1] fails",
+      "residual": "(4)*z[A=(),B=(),M=(2, 3),N=(1,)]"
+    },
+    {
+      "location": "[Lambda,L^2] at ((), (), (2, 3), (1,))",
+      "message": "[Lambda,L^2] fails",
+      "residual": "(4)*z[A=(),B=(),M=(1, 2, 3),N=()]"
+    },
+    {
+      "location": "[Lambda,L^1] at ((), (), (2,), (1, 3))",
+      "message": "[Lambda,L^1] fails",
+      "residual": "(-2)*z[A=(),B=(),M=(2,),N=(1, 3)]"
+    },
+    {
+      "location": "[Lambda,L^2] at ((), (), (2,), (1, 3))",
+      "message": "[Lambda,L^2] fails",
+      "residual": "(-2)*z[A=(),B=(),M=(1, 2),N=(3,)] + (2)*z[A=(),B=(),M=(1, 3),N=(2,)]"
+    },
+    {
+      "location": "[Lambda,L^1] at ((3,), (), (), (1, 2))",
+      "message": "[Lambda,L^1] fails",
+      "residual": "(-2)*z[A=(3,),B=(),M=(),N=(1, 2)]"
+    },
+    {
+      "location": "[Lambda,L^2] at ((3,), (), (), (1, 2))",
+      "message": "[Lambda,L^2] fails",
+      "residual": "(-2)*z[A=(3,),B=(),M=(1,),N=(2,)] + (2)*z[A=(3,),B=(),M=(2,),N=(1,)]"
+    },
+    {
+      "location": "[Lambda,L^1] at ((), (3,), (), (1, 2))",
+      "message": "[Lambda,L^1] fails",
+      "residual": "(-2)*z[A=(),B=(3,),M=(),N=(1, 2)]"
+    },
+    {
+      "location": "[Lambda,L^2] at ((), (3,), (), (1, 2))",
+      "message": "[Lambda,L^2] fails",
+      "residual": "(-2)*z[A=(),B=(3,),M=(1,),N=(2,)] + (2)*z[A=(),B=(3,),M=(2,),N=(1,)]"
+    },
+    {
+      "location": "[Lambda,L^1] at ((), (), (3,), (1, 2))",
+      "message": "[Lambda,L^1] fails",
+      "residual": "(-2)*z[A=(),B=(),M=(2,),N=(1, 3)]"
+    },
+    {
+      "location": "[Lambda,L^2] at ((), (), (3,), (1, 2))",
+      "message": "[Lambda,L^2] fails",
+      "residual": "(-2)*z[A=(),B=(),M=(1, 2),N=(3,)] + (2)*z[A=(),B=(),M=(1, 3),N=(2,)]"
+    },
+    {
+      "location": "[Lambda,L^1] at ((), (), (), (1, 2, 3))",
+      "message": "[Lambda,L^1] fails",
+      "residual": "(-2)*z[A=(),B=(),M=(),N=(1, 2, 3)]"
+    },
+    {
+      "location": "[Lambda,L^2] at ((), (), (), (1, 2, 3))",
+      "message": "[Lambda,L^2] fails",
+      "residual": "(-4)*z[A=(),B=(),M=(1,),N=(2, 3)] + (-2)*z[A=(),B=(),M=(2,),N=(1, 3)] + (2)*z[A=(),B=(),M=(3,),N=(1, 2)]"
+    },
+    {
       "location": "[Lambda,L^3] at ((), (), (), (1, 2, 3))",
       "message": "[Lambda,L^3] fails",
       "residual": "(-6)*z[A=(),B=(),M=(1, 2),N=(3,)] + (6)*z[A=(),B=(),M=(1, 3),N=(2,)]"
@@ -618,10 +885,20 @@ CORRUPT_L_JSON = """{
 }"""
 
 
+def first_locations(rep):
+    """The location of the first violation of each message, in report order."""
+    first = {}
+    for v in rep.violations:
+        first.setdefault(v.message, v.location)
+    return list(first.values())
+
+
 def test_corrupted_L_report_bytes_pinned(monkeypatch):
     """An L that turns its last N index by a half turn whenever |N| > 1
-    breaks every [Lambda,L^r], r = 1 being [Lambda,L]; each reports its
-    first failing key, in order (sign ledger X2)."""
+    breaks every [Lambda,L^r], r = 1 being [Lambda,L]: the report names
+    every failing key in `all_keys` order, and the first violation of each
+    identity is the one a check stopping at its first failing key names
+    (sign ledger X2, X3)."""
     row_L = lefschetz._row_L
 
     def corrupt_row_L(key):
@@ -631,7 +908,14 @@ def test_corrupted_L_report_bytes_pinned(monkeypatch):
         return rows
 
     monkeypatch.setattr(lefschetz, "_row_L", corrupt_row_L)
-    assert identities_report(3).to_json() == CORRUPT_L_JSON
+    rep = identities_report(3)
+    assert rep.to_json() == CORRUPT_L_JSON
+    assert len(rep.violations) == 51
+    assert first_locations(rep) == [
+        "[Lambda,L^1] at ((1,), (), (2,), (3,))",
+        "[Lambda,L^2] at ((1,), (), (2,), (3,))",
+        "[Lambda,L^3] at ((), (), (), (1, 2, 3))",
+    ]
 
 
 # -- one key per relabeling orbit (sign ledger X3) -----------------------------
@@ -718,21 +1002,109 @@ CORRUPT_C_JSON = """{
       "location": "C^2 at ((1, 3), (2,), (), ())",
       "message": "C^2 fails",
       "residual": "(2)*z[A=(1, 3),B=(2,),M=(),N=()]"
+    },
+    {
+      "location": "C^2 at ((1,), (2, 3), (), ())",
+      "message": "C^2 fails",
+      "residual": "(2)*z[A=(1,),B=(2, 3),M=(),N=()]"
+    },
+    {
+      "location": "C^2 at ((2, 3), (1,), (), ())",
+      "message": "C^2 fails",
+      "residual": "(2)*z[A=(2, 3),B=(1,),M=(),N=()]"
+    },
+    {
+      "location": "C^2 at ((2,), (1, 3), (), ())",
+      "message": "C^2 fails",
+      "residual": "(2)*z[A=(2,),B=(1, 3),M=(),N=()]"
+    },
+    {
+      "location": "C^2 at ((2,), (1,), (3,), ())",
+      "message": "C^2 fails",
+      "residual": "(-2)*z[A=(2,),B=(1,),M=(3,),N=()]"
+    },
+    {
+      "location": "C^2 at ((2,), (1,), (), (3,))",
+      "message": "C^2 fails",
+      "residual": "(-2)*z[A=(2,),B=(1,),M=(),N=(3,)]"
+    },
+    {
+      "location": "C^2 at ((3,), (1, 2), (), ())",
+      "message": "C^2 fails",
+      "residual": "(2)*z[A=(3,),B=(1, 2),M=(),N=()]"
+    },
+    {
+      "location": "C^2 at ((), (1, 2, 3), (), ())",
+      "message": "C^2 fails",
+      "residual": "(2)*z[A=(),B=(1, 2, 3),M=(),N=()]"
+    },
+    {
+      "location": "C^2 at ((), (1, 2), (3,), ())",
+      "message": "C^2 fails",
+      "residual": "(-2)*z[A=(),B=(1, 2),M=(3,),N=()]"
+    },
+    {
+      "location": "C^2 at ((), (1, 2), (), (3,))",
+      "message": "C^2 fails",
+      "residual": "(-2)*z[A=(),B=(1, 2),M=(),N=(3,)]"
+    },
+    {
+      "location": "C^2 at ((3,), (1,), (2,), ())",
+      "message": "C^2 fails",
+      "residual": "(-2)*z[A=(3,),B=(1,),M=(2,),N=()]"
+    },
+    {
+      "location": "C^2 at ((), (1, 3), (2,), ())",
+      "message": "C^2 fails",
+      "residual": "(-2)*z[A=(),B=(1, 3),M=(2,),N=()]"
+    },
+    {
+      "location": "C^2 at ((3,), (1,), (), (2,))",
+      "message": "C^2 fails",
+      "residual": "(-2)*z[A=(3,),B=(1,),M=(),N=(2,)]"
+    },
+    {
+      "location": "C^2 at ((), (1, 3), (), (2,))",
+      "message": "C^2 fails",
+      "residual": "(-2)*z[A=(),B=(1, 3),M=(),N=(2,)]"
+    },
+    {
+      "location": "C^2 at ((3,), (2,), (1,), ())",
+      "message": "C^2 fails",
+      "residual": "(-2)*z[A=(3,),B=(2,),M=(1,),N=()]"
+    },
+    {
+      "location": "C^2 at ((), (2, 3), (1,), ())",
+      "message": "C^2 fails",
+      "residual": "(-2)*z[A=(),B=(2, 3),M=(1,),N=()]"
+    },
+    {
+      "location": "C^2 at ((3,), (2,), (), (1,))",
+      "message": "C^2 fails",
+      "residual": "(-2)*z[A=(3,),B=(2,),M=(),N=(1,)]"
+    },
+    {
+      "location": "C^2 at ((), (2, 3), (), (1,))",
+      "message": "C^2 fails",
+      "residual": "(-2)*z[A=(),B=(2, 3),M=(),N=(1,)]"
     }
   ]
 }"""
 
 
 def test_corrupted_C_report_names_the_first_failing_key(monkeypatch):
-    """A failing representative sends the whole family to all 4^n keys, so
-    the report names the first failing key in `all_keys` order, here one
-    off the representatives, as checking every key at once did (pinned
-    from that code; sign ledger X3)."""
+    """A failing representative sends the whole step to all 4^n keys, so
+    the report names every failing key in `all_keys` order, the first of
+    them off the representatives, as checking every key at once does
+    (sign ledger X3)."""
     monkeypatch.setattr(lefschetz, "_row_C", quarter_turn_C)
     first = ((1, 3), (2,), (), ())
     assert first not in orbit_keys(3)
     assert ((), (1, 2), (), (3,)) in orbit_keys(3)  # |B| = 2: C^2 fails here
-    assert identities_report(3).to_json() == CORRUPT_C_JSON
+    rep = identities_report(3)
+    assert rep.to_json() == CORRUPT_C_JSON
+    assert first_locations(rep) == [f"C^2 at {first}"]
+    assert len(rep.violations) == 18
     # without the rerun the report would name a representative
     monkeypatch.setattr(lefschetz, "all_keys", orbit_keys)
     assert str(first) not in identities_report(3).to_json()

@@ -128,7 +128,7 @@ def test_jacobi_violation_fails_exactly_at_arity_three():
     # [a,b] = c, [a,c] = a: Jacobi fails
     L = DGLA(basis, {(0, 1): e(2), (0, 2): e(0)}, {})
     assert not check_dgla(L).ok()
-    S = from_dgla(L, checked=False)
+    S = from_dgla(L)
     rep = check_linfty(S, 4)
     assert not rep.ok()
     arities = {v.message[-1] for v in rep.violations}
@@ -156,9 +156,7 @@ def test_checker_equivalence_with_coderivation_square():
     rng = random.Random(5)
     basis = GradedBasis.of(("a", 0), ("b", 0), ("c", 0))
     good = from_dgla(DGLA(basis, {(0, 1): e(2)}, {}))  # Heisenberg
-    bad = from_dgla(
-        DGLA(basis, {(0, 1): e(2), (0, 2): e(0)}, {}), checked=False
-    )
+    bad = from_dgla(DGLA(basis, {(0, 1): e(2), (0, 2): e(0)}, {}))
     for S, expect in ((good, True), (bad, False)):
         Q = S.coderivation()
         square_zero = True
@@ -243,13 +241,13 @@ def oracle_corpus():
         bad = inject_dgla_violation(rng, L)
         out.append(from_dgla(L))
         if bad is not None:
-            out.append(from_dgla(bad, checked=False))
+            out.append(from_dgla(bad))
     basis = GradedBasis.of(("a", 0), ("b", 0), ("c", 0))
     out += [
         abelian_l(),
         from_dgla(odd_square_dgla()),
         from_dgla(DGLA(basis, {(0, 1): e(2)}, {})),
-        from_dgla(DGLA(basis, {(0, 1): e(2), (0, 2): e(0)}, {}), checked=False),
+        from_dgla(DGLA(basis, {(0, 1): e(2), (0, 2): e(0)}, {})),
         LInftyStructure(
             GradedBasis.of(("p", 1), ("q", 2), ("z", 0)), {3: {(0, 0, 2): e(0)}}
         ),
@@ -622,7 +620,7 @@ def test_h_bracket_jacobi_failing_output_is_pinned():
     # and the bracket is not a Lie bracket
     basis = GradedBasis.of(("a", 0), ("b", 0), ("c", 0))
     L = DGLA(basis, {(0, 1): e(1), (1, 2): e(0)}, {})
-    rep = h_bracket_check(from_dgla(L, checked=False))
+    rep = h_bracket_check(from_dgla(L))
     # H^0_1, H^0_2, H^0_3 are the classes of a, b, c
     triples = [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
     want = [
@@ -646,7 +644,7 @@ def test_h_bracket_closure_reports_every_bracket_that_is_not_a_cycle():
         S = random_linfty(rng)
         structures = [S, inject_linfty_violation(rng, S)]
         bad = inject_dgla_violation(rng, random_dgla(rng))
-        structures.append(bad and from_dgla(bad, checked=False))
+        structures.append(bad and from_dgla(bad))
         for T in filter(None, structures):
             rep = h_bracket_check(T)
             closure = "bracket is not a cycle"
