@@ -199,40 +199,36 @@ def cmd_friedrichs(args) -> CheckReport:
 
 
 def cmd_coder(args) -> CheckReport:
+    from .coalg import all_words
+
     Q = schemas.parse_coderivation(_load(args))
-    return Q.coleibnitz_report(_checked_words(Q.basis, args.max_arity or 4))
+    depth = _bounded_depth(Q.basis, args.max_arity)
+    return Q.coleibnitz_report(all_words(Q.basis, depth))
 
 
 def cmd_comorph(args) -> CheckReport:
-    F = schemas.parse_comorphism(_load(args))
-    return F.comorphism_report(_checked_words(F.source, args.max_arity or 4))
-
-
-def _bound_splits(basis, depth, what):
-    """Refuse the words up to length `depth` before any is built when their
-    splits (2^length per word) exceed the cap; `what` names the depth."""
-    from .coalg import word_counts
-
-    schemas.refuse_past_cap(
-        f"{what}: the splits of the words up to length {depth}",
-        accumulate(2**k * words for k, words in word_counts(basis, depth)),
-    )
-
-
-def _checked_words(basis, max_arity):
-    """`all_words(basis, max_arity)`, bounded by `_bound_splits`."""
     from .coalg import all_words
 
-    _bound_splits(basis, max_arity, f"--max-arity {max_arity}")
-    return all_words(basis, max_arity)
+    F = schemas.parse_comorphism(_load(args))
+    depth = _bounded_depth(F.source, args.max_arity)
+    return F.comorphism_report(all_words(F.source, depth))
 
 
-def _bounded_depth(basis, max_arity, default):
-    """--max-arity, or else the exact `default` depth, bounded by
-    `_bound_splits` before any word is built."""
+def _bounded_depth(
+    basis, max_arity, default=4, counted="splits", per_word=lambda k: 2**k
+):
+    """--max-arity, or else the `default` depth, refused before any word is
+    built when the `counted` of the words up to that length, `per_word(k)`
+    on each word of length k, exceed the cap; the refusal names the flag
+    only when it was given."""
+    from .coalg import word_counts
+
     depth = max_arity or default
     what = f"--max-arity {depth}" if max_arity else f"the default depth {depth}"
-    _bound_splits(basis, depth, what)
+    schemas.refuse_past_cap(
+        f"{what}: the {counted} of the words up to length {depth}",
+        accumulate(per_word(k) * words for k, words in word_counts(basis, depth)),
+    )
     return depth
 
 
@@ -300,19 +296,14 @@ def cmd_mc_linfty(args) -> CheckReport:
 
 
 def cmd_hodge_f(args) -> CheckReport:
-    from .coalg import word_counts
     from .linfty import hodge_F, hodge_model_check
     from .models import HODGE_BUILTINS
 
     if not args.builtin:
         raise InputError("hodge-f requires --builtin {trivial,rank-one,derived}")
     M = HODGE_BUILTINS[args.builtin]()
-    m_max = args.max_arity or 4
     # F_m sums m! signed permutations on each word of length m
-    schemas.refuse_past_cap(
-        f"--max-arity {m_max}: the signed permutations of the words up to length {m_max}",
-        accumulate(words * factorial(m) for m, words in word_counts(M.source, m_max)),
-    )
+    m_max = _bounded_depth(M.source, args.max_arity, 4, "signed permutations", factorial)
     rep = hodge_model_check(M)
     if not rep.ok():
         rep.command = "hodge-f"
@@ -365,9 +356,8 @@ def cmd_gbv_to_abelian(args) -> CheckReport:
     from .gbv import gbv_to_abelian
 
     S = schemas.parse_gbv(_load(args))
-    m_max = args.max_arity or 4
     # the morphism's words are those of the algebra basis
-    _bound_splits(S.algebra.basis, m_max, f"--max-arity {m_max}")
+    m_max = _bounded_depth(S.algebra.basis, args.max_arity)
     base = S.gbv_check()
     if not base.ok():
         base.command = "gbv-to-abelian"

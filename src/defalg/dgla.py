@@ -210,9 +210,9 @@ class TensorDgla:
                 degrees.append(L.basis.degree(i) + A.basis.degree(j))
         self.basis = GradedBasis(tuple(names), tuple(degrees))
 
-    def vector(self, l_name, a_name, coeff=Fraction(1)) -> Element:
+    def vector(self, l_name, a_name) -> Element:
         key = (self.L.basis.index(l_name), self.A.basis.index(a_name))
-        return Element.basis_vector(self.pair_index[key], coeff)
+        return Element.basis_vector(self.pair_index[key], Fraction(1))
 
     def d(self, x: Element) -> Element:
         out = Element()
@@ -283,8 +283,11 @@ class TensorDgla:
 
     def bch_degree0(self, a: Element, b: Element) -> Element:
         """Baker-Campbell-Hausdorff product on the nilpotent Lie algebra
-        (L (x) A)^0; terminates by nilpotency of A."""
-        return bch_term_sum(a, b, self.bracket, max((self.A.nilpotency_index or 2) - 1, 1))
+        (L (x) A)^0; terminates by nilpotency of A, and is refused over a
+        base that is not nilpotent."""
+        if self.A.nilpotency_index is None:
+            raise StructureError("base algebra is not nilpotent")
+        return bch_term_sum(a, b, self.bracket, max(self.A.nilpotency_index - 1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -578,8 +581,8 @@ class ExpDerivation:
 
     # elements -------------------------------------------------------------
 
-    def embed(self, r_index, a_index=UNIT):
-        return {(r_index, a_index): Fraction(1)}
+    def embed(self, r_index):
+        return {(r_index, self.UNIT): Fraction(1)}
 
     def _mul(self, x, y):
         out = {}

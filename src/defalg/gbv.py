@@ -24,6 +24,7 @@ from .core import (
     add_into,
     add_term,
     admitted,
+    assoc_residual,
     basis_rows,
     derivation_residual,
     format_terms,
@@ -439,8 +440,6 @@ def product_components(S: GBVStructure, m_max, coefficient=None):
     tables = {}
     for m in range(1, m_max + 1):
         c = coefficient(m) if coefficient else 1
-        if not c:
-            continue
         table = tables[m] = {}
         for word in all_words(basis, m, min_len=m):
             first = Element.basis_vector(word[0])
@@ -448,79 +447,29 @@ def product_components(S: GBVStructure, m_max, coefficient=None):
     return tables
 
 
-def inverse_components(S: GBVStructure, m_max):
-    """Inverse morphism components on the symmetric coalgebra: the
-    sign-flipped products carry the series-inversion factor,
-    c(m) = (-1)^{m-1} (m-1)!  (for m <= 2 this is exactly the flipped
-    sign; the factorial is what ordered-set-partition counting needs in
-    place of the consecutive-block counting of the tensor coalgebra)."""
-    return product_components(
-        S, m_max, lambda m: (-1) ** ((m - 1) % 2) * factorial(m - 1)
-    )
-
-
-def tensor_inverse_check(S: GBVStructure) -> CheckReport:
-    """The tensor-coalgebra statement verbatim: the comorphism induced by
-    the product has corestricted inverse with components (-1)^{m-1} times
-    the product; on an ordered word the composite reduces to
-    sum_s (-1)^{s-1} binom(n-1, s-1) (full product) = 0 for n >= 2.
-    Verified by explicit enumeration of consecutive-block compositions on
-    the words of length at most 3."""
-    alg = S.algebra
-    n = len(alg.basis)
-
-    def compositions(length):
-        if length == 0:
-            yield ()
-            return
-        for first in range(1, length + 1):
-            for rest in compositions(length - first):
-                yield (first,) + rest
-
-    def residual(word):
-        acc = {word[0]: -1} if len(word) == 1 else {}
-        for comp in compositions(len(word)):
-            value, pos = None, 0
-            for size in comp:
-                block = word[pos : pos + size]
-                pos += size
-                prod = times_letters(alg, Element.basis_vector(block[0]), block[1:])
-                # blocks are consecutive: the product of the block values
-                value = prod if value is None else alg.product(value, prod)
-            add_into(acc, value.terms, (-1) ** ((len(comp) - 1) % 2))
-        return acc
-
-    words = (
-        (word,)
-        for total in range(1, 4)
-        for word in itertools.product(range(n), repeat=total)
-    )
-    message = "tensor-side inverse composition fails"
-    steps = [(words, [("tensor word {}", message, residual)])]
-    show = partial(format_terms, alg.basis.names)
-    return report_violations(CheckReport("tensor-inverse"), str, show, steps)
-
-
 def gbv_to_abelian(S: GBVStructure, m_max=4):
     """The iterated-product morphism from the full structure to the abelian
-    one, its sign-flipped inverse, and the verification report (morphism
-    equation, composition to the identity on words of length <= 3, and the
-    coproduct expansion of delta on products for m = 2, 3).  On a truncated
-    structure the morphism equation and the expansion run on the words whose
-    weights sum to at most `S.cap`, where the truncated products are exact."""
+    one, its inverse on the symmetric coalgebra, and the verification
+    report: the morphism equation; F* F and F F* equal to the identity on
+    the words of length <= 3; the tensor side, where the inverse components
+    are (-1)^{m-1} times the product and the composite vanishes on words of
+    length 1 and 2 and is the associator on words of length 3 (sign ledger
+    C4); and the coproduct expansion of delta on products for m = 2, 3.  On
+    a truncated structure the morphism equation and the expansion run on
+    the words whose weights sum to at most `S.cap`, where the truncated
+    products are exact."""
     rep = CheckReport("gbv-to-abelian")
     full, abelian = gbv_linfty_structures(S)
-    f_tables = product_components(S, m_max)
-    g_tables = inverse_components(S, 3)
-    F = LInftyMorphism(full, abelian, f_tables)
-    mrep = morphism_check(F, m_max, S.weights, S.cap)
-    rep.merge(mrep, prefix="morphism: ")
+    F = LInftyMorphism(full, abelian, product_components(S, m_max))
+    rep.merge(morphism_check(F, m_max, S.weights, S.cap), prefix="morphism: ")
 
-    # F* o F = F o F* = identity on words of length <= 3
+    # F* o F = F o F* = identity on words of length <= 3, where F* has the
+    # components (-1)^{m-1} (m-1)! times the product (sign ledger C4)
     alg = S.algebra
     basis = alg.basis
     e = Element.basis_vector
-    Fstar = CoalgMorphism(basis, basis, g_tables)
+    flipped = lambda m: (-1) ** ((m - 1) % 2) * factorial(m - 1)
+    Fstar = CoalgMorphism(basis, basis, product_components(S, 3, flipped))
 
     def inverse_step(outer, inner, tag):
         """(outer o inner)^1(w) = w^1 on the words of length <= 3."""
@@ -529,13 +478,6 @@ def gbv_to_abelian(S: GBVStructure, m_max=4):
         residual = lambda w: add_into(dict(comps[w].terms), minus_w(w))
         identity = (f"inverse {tag} on {{}}", f"{tag} is not the identity", residual)
         return [(w,) for w in words], [identity]
-
-    words = all_words(basis, 3)
-    show = partial(format_terms, basis.names)
-    steps = [inverse_step(Fstar, F.coalg, "F* F"), inverse_step(F.coalg, Fstar, "F F*")]
-    report_violations(rep, str, show, steps)
-
-    rep.merge(tensor_inverse_check(S), prefix="tensor side: ")
 
     # expansion identity: delta(a_1...a_m) equals the two unshuffle sums
     def expansion(word):
@@ -552,13 +494,23 @@ def gbv_to_abelian(S: GBVStructure, m_max=4):
             add_into(out, times_letters(alg, acc, rest).terms, -sign)
         return out
 
+    words = all_words(basis, 3)
+    tensor_side = (
+        "tensor side: tensor word ({}, {}, {})",
+        "tensor-side inverse composition fails",
+        assoc_residual(alg.rows, alg.cols),
+    )
     message = "coproduct expansion of delta fails"
     steps = [
+        inverse_step(Fstar, F.coalg, "F* F"),
+        inverse_step(F.coalg, Fstar, "F F*"),
+        (admitted(len(basis), 3), [tensor_side]),
+    ] + [
         (
             [(word,) for word in all_words(basis, m, m, S.weights, S.cap)],
             [(f"expansion m={m} on {{}}", message, expansion)],
         )
         for m in (2, 3)
     ]
-    report_violations(rep, str, show, steps)
+    report_violations(rep, str, partial(format_terms, basis.names), steps)
     return F, Fstar, rep

@@ -45,8 +45,8 @@ def random_complex(rng, max_dim=4, degree_span=(-1, 2)):
     return basis, diff
 
 
-def random_abelian_dgla(rng, max_dim=5) -> DGLA:
-    basis, diff = random_complex(rng, max_dim)
+def random_abelian_dgla(rng) -> DGLA:
+    basis, diff = random_complex(rng, 5)
     return DGLA(basis, {}, diff)
 
 
@@ -133,10 +133,10 @@ def random_dgla(rng) -> DGLA:
     raise InternalError("random DGLA pool failed to produce a valid instance")
 
 
-def random_classical_artin(rng, max_nilpotency=4) -> ArtinDg:
+def random_classical_artin(rng) -> ArtinDg:
     """Maximal ideal of a monomial quotient K[t]/(t^s) or K[t,u]/(cap)."""
     if rng.random() < 0.5:
-        s = rng.randint(2, max_nilpotency)
+        s = rng.randint(2, 4)
         names = tuple(f"t{k}" if k > 1 else "t" for k in range(1, s))
         basis = GradedBasis(names, (0,) * (s - 1))
         table = {}
@@ -145,7 +145,7 @@ def random_classical_artin(rng, max_nilpotency=4) -> ArtinDg:
                 if i + j < s:
                     table[(i - 1, j - 1)] = Element.basis_vector(i + j - 1)
         return ArtinDg(basis, table, {})
-    cap = rng.randint(2, max_nilpotency - 1)
+    cap = rng.randint(2, 3)
     monos = [
         (a, b)
         for a in range(cap + 1)

@@ -104,8 +104,8 @@ class CovectorElement(Element):
         Element.__init__(self, terms)
 
     @staticmethod
-    def basis(n, key, coeff=1):
-        return CovectorElement(n, {(key, 0): coeff})
+    def basis(n, key):
+        return CovectorElement(n, {(key, 0): 1})
 
     def add_term(self, key, coeff):
         """Add coeff, a rational or a GaussianScalar, to the coefficient of

@@ -149,7 +149,7 @@ def parse_dgla(data, path="") -> DGLA:
     from .dgla import DGLA
 
     expect_kind(data, "dgla")
-    basis = parse_basis(_field(data, "basis", path or "dgla"), f"{path}basis")
+    basis = parse_basis(_field(data, "basis", path.rstrip(".") or "dgla"), f"{path}basis")
     bracket = _parse_pair_table(data, "bracket", basis, path)
     diff = _parse_diff_table(data, "differential", basis, path)
     return DGLA(basis, bracket, diff)
@@ -159,7 +159,7 @@ def parse_artin(data, path="") -> ArtinDg:
     from .dgla import ArtinDg
 
     expect_kind(data, "artin_dg")
-    basis = parse_basis(_field(data, "basis", path or "artin_dg"), f"{path}basis")
+    basis = parse_basis(_field(data, "basis", path.rstrip(".") or "artin_dg"), f"{path}basis")
     table = _parse_pair_table(data, "product", basis, path)
     diff = _parse_diff_table(data, "differential", basis, path)
     return ArtinDg(basis, table, diff)
@@ -480,14 +480,14 @@ def _small_extension(data, path) -> SmallExtension:
     return SmallExtension(total, _list_field(data, "kernel", path))
 
 
-def parse_unital_algebra(data, path="algebra") -> GradedCommAlgebra:
+def parse_unital_algebra(data) -> GradedCommAlgebra:
     from .gbv import GradedCommAlgebra
 
-    basis = parse_basis(_field(data, "basis", path), f"{path}.basis")
-    table = _parse_pair_table(data, "product", basis, f"{path}.")
-    unit = _field(data, "unit", path)
+    basis = parse_basis(_field(data, "basis", "algebra"), "algebra.basis")
+    table = _parse_pair_table(data, "product", basis, "algebra.")
+    unit = _field(data, "unit", "algebra")
     if unit is None:
-        raise InputError(f"{path}.unit: must name a basis element")
+        raise InputError("algebra.unit: must name a basis element")
     return GradedCommAlgebra(basis, table, unit)
 
 

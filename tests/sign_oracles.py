@@ -43,8 +43,12 @@ and the composition product `gerstenhaber_bullet`; `as_dgla`, the
 tensor DGLA L (x) A tabled pair by pair, which was `dgla.TensorDgla.as_dgla`;
 the primitive block relation `primitive_coefficient_report` from
 `lefschetz`; `gbv_bracket`, the shifted bracket of a GBV structure on
-elements, which was `gbv.GBVStructure.bracket`; and `show`, a tabled
-operation's residual text, which was `core.BilinearTable.show`.
+elements, which was `gbv.GBVStructure.bracket`; `show`, a tabled
+operation's residual text, which was `core.BilinearTable.show`; and
+`oracle_tensor_inverse_check`, the tensor side of the product morphism's
+inverse summed over the consecutive-block compositions of each word of
+length at most 3, which was `gbv.tensor_inverse_check` before
+`gbv.gbv_to_abelian` read it as the associator (sign ledger C4).
 
 The resolution of a tabled operation as it was before `BilinearTable`
 resolved its table into `rows` / `cols` at construction: `oracle_rows`
@@ -112,7 +116,7 @@ from defalg.core import (
 from defalg.dgla import DGLA, TensorDgla, check_dgla, cohomology
 from defalg.errors import DomainError, InputError
 from defalg.freelie import TensorSeries, _bch_word_trie, right_nested_terms
-from defalg.gbv import GBVStructure, Polyvector, _wedge_terms
+from defalg.gbv import GBVStructure, Polyvector, _wedge_terms, times_letters
 from defalg.lefschetz import CovectorElement, all_keys, is_primitive, op_star
 from defalg.linfty import word_names
 from defalg.report import CheckReport
@@ -669,6 +673,48 @@ def gbv_bracket(self: GBVStructure, a: Element, b: Element) -> Element:
     if da is None:
         return Element()
     return self.derived_q(a, b).scale(1 if da % 2 else -1)
+
+
+def oracle_tensor_inverse_check(S: GBVStructure) -> CheckReport:
+    """The tensor-coalgebra statement verbatim: the comorphism induced by
+    the product has corestricted inverse with components (-1)^{m-1} times
+    the product; on an ordered word the composite reduces to
+    sum_s (-1)^{s-1} binom(n-1, s-1) (full product) = 0 for n >= 2.
+    Verified by explicit enumeration of consecutive-block compositions on
+    the words of length at most 3."""
+    alg = S.algebra
+    n = len(alg.basis)
+
+    def compositions(length):
+        if length == 0:
+            yield ()
+            return
+        for first in range(1, length + 1):
+            for rest in compositions(length - first):
+                yield (first,) + rest
+
+    def residual(word):
+        acc = {word[0]: -1} if len(word) == 1 else {}
+        for comp in compositions(len(word)):
+            value, pos = None, 0
+            for size in comp:
+                block = word[pos : pos + size]
+                pos += size
+                prod = times_letters(alg, Element.basis_vector(block[0]), block[1:])
+                # blocks are consecutive: the product of the block values
+                value = prod if value is None else alg.product(value, prod)
+            add_into(acc, value.terms, (-1) ** ((len(comp) - 1) % 2))
+        return acc
+
+    words = (
+        (word,)
+        for total in range(1, 4)
+        for word in itertools.product(range(n), repeat=total)
+    )
+    message = "tensor-side inverse composition fails"
+    steps = [(words, [("tensor word {}", message, residual)])]
+    show = partial(format_terms, alg.basis.names)
+    return report_violations(CheckReport("tensor-inverse"), str, show, steps)
 
 
 ZERO = Element()

@@ -700,6 +700,23 @@ def test_typed_reader_gaps_exit_two(tmp_path, capsys):
     # two spellings of one bracket arity
     linfty = {"kind": "linfty", "basis": xy, "brackets": {"2": [], "02": []}}
     cases.append((["check-linfty"], linfty, "brackets.02: arity 2 is given twice"))
+    # a missing basis names its nested path with one dot (it printed
+    # "dgla..basis"); a top-level one names the document's kind
+    tx = {"basis": t}
+    for argv, payload, where in (
+        (["check-dgla"], {"kind": "dgla"}, "dgla"),
+        (["check-na"], {"kind": "artin_dg"}, "artin_dg"),
+        (["mc"], {**mc, "dgla": {}}, "dgla"),
+        (["mc"], {**mc, "base": {}}, "base"),
+        (["cohomology"], {"kind": "cohomology_problem", "structure": {}, "degree": 0},
+         "structure"),
+        (["cohomology"], {"kind": "cohomology_problem", "structure": {"kind": "artin_dg"},
+                          "degree": 0}, "structure"),
+        (["obstruction"], {**sample("obstruction_problem"), "total": {}}, "total"),
+        (["homotopy-eval"], {"kind": "homotopy", "source": {}, "target": tx}, "source"),
+        (["homotopy-eval"], {"kind": "homotopy", "source": tx, "target": {}}, "target"),
+    ):
+        cases.append((argv, payload, f": {where}.basis: missing field"))
     for k, (argv, payload, message) in enumerate(cases):
         path = tmp_path / f"case{k}.json"
         path.write_text(json.dumps(payload))
@@ -863,13 +880,27 @@ def test_remaining_max_arity_refused_before_any_word(capsys, monkeypatch):
     # derived: 7 + 24 * 2! + 56 * 3! + 104 * 4! = 2887 permutations at 4
     monkeypatch.setenv("DEFALG_MAX_BASIS", "2886")
     assert main(["hodge-f", "--builtin", "derived"]) == 2
-    assert "--max-arity 4: the signed permutations" in capsys.readouterr().out
+    assert "the default depth 4: the signed permutations" in capsys.readouterr().out
     monkeypatch.undo()
     monkeypatch.setenv("DEFALG_MAX_BASIS", "28")
     assert main(list(depth)) == 1
     monkeypatch.setenv("DEFALG_MAX_BASIS", "2887")
     assert main(["hodge-f", "--builtin", "derived"]) == 0
     capsys.readouterr()
+    monkeypatch.undo()
+    # without the flag the refusal names the default depth, not a flag
+    for cmd, name, basis in (
+        ("coder", "coderivation", schemas.parse_coderivation(sample("coderivation")).basis),
+        ("comorph", "comorphism", schemas.parse_comorphism(sample("comorphism")).source),
+        ("gbv-to-abelian", "gbv", schemas.parse_gbv(sample("gbv")).algebra.basis),
+    ):
+        splits = sum(2 ** len(w) for w in all_words(basis, 4))
+        for cap, code in ((splits - 1, 2), (splits, 0)):
+            monkeypatch.setenv("DEFALG_MAX_BASIS", str(cap))
+            assert main([cmd, "--input", path(f"{name}.json")]) == code
+            out = capsys.readouterr().out
+            refusal = "the default depth 4: the splits of the words up to length 4"
+            assert (refusal in out) == (code == 2) and "--max-arity" not in out
     monkeypatch.undo()
     # end to end: --max-arity 40 ran past 6 s before the bound
     out = run_cli_input_error(

@@ -420,13 +420,11 @@ def test_gauge_preserves_mc_and_group_law():
     rng = random.Random(2)
     saw_nonabelian = False
     for _ in range(20):
-        a = M.vector("a", "t", F(rng.randint(-2, 2))) + M.vector(
-            "c", "t2", F(rng.randint(-2, 2))
-        )
-        b = M.vector("b", "t", F(rng.randint(-2, 2))) + M.vector(
-            "a", "t", F(rng.randint(-2, 2))
-        )
-        w = M.vector("x", "t", F(rng.randint(-2, 2)))
+        a = M.vector("a", "t").scale(rng.randint(-2, 2))
+        a += M.vector("c", "t2").scale(rng.randint(-2, 2))
+        b = M.vector("b", "t").scale(rng.randint(-2, 2))
+        b += M.vector("a", "t").scale(rng.randint(-2, 2))
+        w = M.vector("x", "t").scale(rng.randint(-2, 2))
         assert M.is_mc(w)
         gw = M.gauge_apply(b, w)
         assert M.is_mc(gw)
@@ -452,6 +450,22 @@ def test_gauge_irrelevant_stabilizer():
     stab = M.bracket(w, u) + M.d(u)
     assert not M.d(stab).is_zero()  # the two series contributions are live
     assert M.gauge_apply(stab, w) == w
+
+
+def test_bch_degree0_refuses_a_base_that_is_not_nilpotent():
+    # [a,b] = c over A = span{t}, t t = t: [a(x)t, b(x)t] = c(x)t, so no
+    # word length bounds the BCH series (it was cut after length 1)
+    basis = GradedBasis.of(("a", 0), ("b", 0), ("c", 0))
+    idempotent = ArtinDg(GradedBasis.of(("t", 0)), {(0, 0): e(0)}, {})
+    M = TensorDgla(DGLA(basis, {(0, 1): e(2)}, {}), idempotent)
+    at, bt = M.vector("a", "t"), M.vector("b", "t")
+    assert M.bracket(at, bt) == M.vector("c", "t")
+    with pytest.raises(StructureError, match="base algebra is not nilpotent"):
+        M.bch_degree0(at, bt)
+    # over t^3 = 0 the series stops after (1/2)[a(x)t, b(x)t] = (1/2) c(x)t2
+    N = TensorDgla(M.L, tmax3())
+    at, bt = N.vector("a", "t"), N.vector("b", "t")
+    assert N.bch_degree0(at, bt) == at + bt + N.vector("c", "t2").scale(F(1, 2))
 
 
 # -- cohomology ---------------------------------------------------------------
@@ -527,7 +541,7 @@ def test_obstruction_vanishes_with_killed_h2():
     MA = TensorDgla(L, ext.total)
     assert MA.is_mc(lift)
     # the lift x t - (1/2) z t^2 works
-    expected = MA.vector("x", "t") - MA.vector("z", "t2", F(1, 2))
+    expected = MA.vector("x", "t") - MA.vector("z", "t2").scale(F(1, 2))
     assert MA.mc_residual(expected).is_zero()
 
 
@@ -540,7 +554,7 @@ def test_obstruction_lift_independent():
     xt = MB.vector("x", "t")
     base = obstruction_class(L, ext, xt)
     # perturb the lift by an arbitrary kernel element z (x) t2 by hand
-    lift = MA.vector("x", "t") + MA.vector("x", "t2", F(7))
+    lift = MA.vector("x", "t") + MA.vector("x", "t2").scale(F(7))
     h = MA.mc_residual(lift)
     t2 = tmax3().basis.index("t2")
     comp = Element()

@@ -18,6 +18,7 @@ from sign_oracles import (
     gbv_bracket,
     one_form_contract,
     oracle_delta_volume,
+    oracle_tensor_inverse_check,
     show,
     volume_form,
 )
@@ -47,7 +48,6 @@ from defalg.gbv import (
     polyvector_basis,
     polyvector_gbv,
     schouten,
-    tensor_inverse_check,
     tian_todorov_check,
 )
 
@@ -967,15 +967,9 @@ TENSOR_SIDE_FAILURES = [
 ]
 
 
-def test_tensor_inverse_failing_output_is_pinned():
-    rep = tensor_inverse_check(non_associative_gbv())
-    m = "tensor-side inverse composition fails"
-    assert [(v.location, v.residual, v.message) for v in rep.violations] == [
-        (loc, res, m) for loc, res in TENSOR_SIDE_FAILURES
-    ]
-
-
 def test_gbv_to_abelian_inverse_failing_output_is_pinned():
+    """Both sides of the inverse (sign ledger C4) fail on a commutative,
+    non-associative product, the tensor side at the associator."""
     _, _, rep = gbv_to_abelian(non_associative_gbv(), 3)
     got = [
         (v.location, v.residual, v.message)
@@ -991,6 +985,53 @@ def test_gbv_to_abelian_inverse_failing_output_is_pinned():
         ("tensor side: " + loc, res, "tensor-side inverse composition fails")
         for loc, res in TENSOR_SIDE_FAILURES
     ]
+
+
+def _random_comm_algebra(rng):
+    """A degree-additive graded-commutative table on 1-4 basis elements of
+    mixed degrees with coefficients in {-2..2} and halves, associative or
+    not as the draw falls; a degree-0 element is the unit on about a third
+    of the draws that have one."""
+    n = rng.randint(1, 4)
+    degrees = [rng.choice((0, 0, 1, 2, -1)) for _ in range(n)]
+    basis = GradedBasis(tuple(f"v{i}" for i in range(n)), tuple(degrees))
+    table = {}
+    for i in range(n):
+        for j in range(i, n):
+            targets = [t for t in range(n) if degrees[t] == degrees[i] + degrees[j]]
+            if not targets or rng.random() < 0.5:
+                continue
+            v = Element()
+            for t in rng.sample(targets, rng.randint(1, len(targets))):
+                v.add_term(t, F(rng.randint(-2, 2), rng.choice((1, 1, 2))))
+            if v.terms:
+                table[(i, j)] = v
+    zeros = [basis.names[i] for i in range(n) if degrees[i] == 0]
+    unit = rng.choice(zeros) if zeros and rng.random() < 0.3 else None
+    return GradedCommAlgebra(basis, table, unit)
+
+
+def test_tensor_side_matches_the_block_composition_oracle():
+    """The tensor side of gbv_to_abelian, the associator on the words of
+    length 3 (sign ledger C4), reports what summing the consecutive-block
+    compositions of every word of length <= 3 reports."""
+    rng = random.Random(4)
+    failing = 0
+    for _ in range(200):
+        S = GBVStructure(_random_comm_algebra(rng), {})
+        _, _, rep = gbv_to_abelian(S, 3)
+        got = [
+            (v.location, v.residual, v.message)
+            for v in rep.violations
+            if v.location.startswith("tensor side")
+        ]
+        want = [
+            ("tensor side: " + v.location, v.residual, v.message)
+            for v in oracle_tensor_inverse_check(S).violations
+        ]
+        assert got == want
+        failing += bool(got)
+    assert failing > 0
 
 
 def oracle_expansion_violations(S):

@@ -508,7 +508,7 @@ def test_mc_arity_one_reduces_to_classical_complex():
     m = {(0, 0): F(3)}  # 3 x (x) t
     res = mc_linfty(S, A, m)
     M = TensorDgla(L, A)
-    x = M.vector("x", "t", F(3))
+    x = M.vector("x", "t").scale(F(3))
     assert res == M.mc_residual(x)
 
 
