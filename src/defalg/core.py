@@ -22,8 +22,8 @@ from .scalars import int_first_value
 # symmetric words, tensor series, polyvectors, forms, covectors over Q(i),
 # B[t,dt] homotopies), whose `terms` is a dict from hashable keys to nonzero
 # coefficients: an int when the coefficient is integral, else a Fraction.
-# Tables (`int_first`) and polyvectors (`gbv.Polyvector`) store what they
-# are given by the one rule `scalars.int_first_value`.
+# Tables (`int_first`, `BilinearTable`) and polyvectors (`gbv.Polyvector`)
+# store what they are given by the one rule `scalars.int_first_value`.
 # `add_term` and `add_into` are the only code that adds into such a dict.
 # Their contract: no stored zeros (a key whose sum is zero is deleted), and
 # no zero scalar built (a missing key stores the added coefficient object
@@ -289,6 +289,9 @@ class Element:
 # `format_terms` over the basis names.  A residual is falsy exactly when its
 # identity holds: a terms dict, a bool, or a one-element tuple of a text that
 # can be "" or {}; an Element defines no __bool__, so it is never one.
+# `BilinearTable` has the one resolver of a bilinear operation's rows: it
+# reads a table of terms dicts, and the Element-valued `table` is a view of
+# it built on first read.
 # ---------------------------------------------------------------------------
 
 
@@ -313,46 +316,68 @@ class BilinearTable:
     `sign` +1 for graded-commutative and -1 for graded-antisymmetric
     operations; missing both means zero.  `unit` optionally names a
     degree-0 two-sided identity, which overrides its table row and column.
-    The table is resolved once, here, with integral coefficients stored as
-    int (`int_first`): `rows[i][j]` and `cols[j][i]` hold the terms dict of
-    e_i * e_j (nonzero entries only, shared, never mutated), and `swap_rule`
-    says whether the operation is degree-additive and obeys its swap rule
-    on every pair (sign ledger K5)."""
+
+    One resolver, `_resolve`, reads the table as terms dicts: `__init__`
+    hands it the terms of a table of Elements, and a subclass's `from_terms`
+    a table of terms dicts built without an Element per entry.  It stores
+    each nonzero entry in `stored[(i, j)]`, in the table's order, int-first
+    (`scalars.int_first_value`): the dict given when every coefficient is an
+    int, else a converted copy; it never mutates one.  `rows[i][j]` and
+    `cols[j][i]` hold the terms dict of e_i * e_j (nonzero entries only,
+    shared, never mutated), and `swap_rule` says whether the operation is
+    degree-additive and obeys its swap rule on every pair (sign ledger K5).
+    `table`, the stored entries as Elements, is built on first read."""
 
     def __init__(self, basis: GradedBasis, table, sign, unit=None):
+        self._resolve(basis, {k: v.terms for k, v in table.items()}, sign, unit)
+
+    def _resolve(self, basis: GradedBasis, table, sign, unit=None):
         n = len(basis)
         self.basis = basis
-        self.table = int_first(table)
-        for (i, j) in self.table:
+        self.stored = stored = {}
+        for (i, j), v in table.items():
+            if not v:
+                continue
             if not (0 <= i < n and 0 <= j < n):
                 raise InputError("table entry outside basis")
+            for c in v.values():
+                if type(c) is not int:
+                    v = {t: int_first_value(c) for t, c in v.items()}
+                    break
+            stored[i, j] = v
         self.unit = u = basis.index(unit) if unit is not None else None
         if u is not None and basis.degree(u) != 0:
             raise InputError("unit must have degree 0")
-        deg = basis.degree
+        deg = basis.degrees
         entries = {}
         # a completed swap obeys the rule, so only pairs stored in both
         # orders are compared; a unit's row obeys it exactly when sign is +1
         swap_rule = u is None or sign == 1
-        for (i, j), v in self.table.items():
-            entries[i, j] = v.terms
-            swapped = v.scale(sign * self._sign_swap(i, j))
-            stored = self.table.get((j, i))  # v itself when i == j
-            if stored is None:
-                entries[j, i] = swapped.terms
+        for (i, j), v in stored.items():
+            entries[i, j] = v
+            factor = -sign if deg[i] * deg[j] % 2 else sign
+            swapped = v if factor == 1 else {t: -c for t, c in v.items()}
+            other = stored.get((j, i))  # v itself when i == j
+            if other is None:
+                entries[j, i] = swapped
             if swap_rule and u != i and u != j:
-                want = deg(i) + deg(j)
-                swap_rule = (stored is None or stored.terms == swapped.terms) and all(
-                    deg(t) == want for t in v.terms
+                want = deg[i] + deg[j]
+                swap_rule = (other is None or other == swapped) and all(
+                    deg[t] == want for t in v
                 )
         if u is not None:
             for i in range(n):
                 entries[u, i] = entries[i, u] = {i: 1}
         self.swap_rule = swap_rule
-        self.rows, self.cols = basis_rows(lambda i, j: entries.get((i, j)), n)
+        # sorted (i, j) fill rows[i] by increasing j and cols[j] by increasing i
+        self.rows = rows = [{} for _ in range(n)]
+        self.cols = cols = [{} for _ in range(n)]
+        for (i, j), v in sorted(entries.items()):
+            rows[i][j] = cols[j][i] = v
 
-    def _sign_swap(self, i, j):
-        return -1 if (self.basis.degree(i) * self.basis.degree(j)) % 2 else 1
+    @functools.cached_property
+    def table(self):
+        return {k: Element(v) for k, v in self.stored.items()}
 
     def apply(self, x: Element, y: Element) -> Element:
         out = {}

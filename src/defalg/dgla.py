@@ -49,9 +49,21 @@ class _Tabled(BilinearTable):
 
     def __init__(self, basis: GradedBasis, table, diff):
         super().__init__(basis, table, self.SIGN)
+        self._differential(diff)
+
+    @classmethod
+    def from_terms(cls, basis: GradedBasis, table, diff):
+        """The structure `cls(basis, ..., diff)` whose table entries have
+        these terms dicts, built without an Element per entry."""
+        self = cls.__new__(cls)
+        self._resolve(basis, table, cls.SIGN)
+        self._differential(diff)
+        return self
+
+    def _differential(self, diff):
         self.diff = int_first(diff)
         for i in self.diff:
-            if not 0 <= i < len(basis):
+            if not 0 <= i < len(self.basis):
                 raise InputError("differential entry outside basis")
         self.d_images = {i: v.terms for i, v in self.diff.items()}
 
@@ -95,7 +107,7 @@ def product_identities(A: BilinearTable, rows, cols):
     associativity of a graded-commutative product with these rows and
     columns, for check_na and gbv_check."""
     deg = A.basis.degree
-    entry = lambda i, j: A.table[i, j].terms
+    entry = lambda i, j: A.stored[i, j]
     return (
         ("{}*{}", "product is not degree-additive", off_degree(entry, deg)),
         ("comm({},{})", "graded commutativity fails", swap_residual(rows, deg, 1)),
@@ -124,7 +136,7 @@ def check_dgla(L: DGLA, weights=None, cap=0) -> CheckReport:
     deg = L.basis.degree
     B, Bc = L.rows, L.cols
     d_degree, d_square = differential_identities(L.d_images, deg, "d", "differential")
-    entry = lambda i, j: L.table[i, j].terms
+    entry = lambda i, j: L.stored[i, j]
     additive = ("[{},{}]", "bracket is not degree-additive", off_degree(entry, deg))
     antisym = ("antisym({},{})", "graded antisymmetry fails", swap_residual(B, deg, -1))
     # d[a,b] - [da,b] - (-1)^a [a,db]; [a,[b,c]] - [[a,b],c] - (-1)^{ab} [b,[a,c]]
@@ -139,7 +151,7 @@ def check_dgla(L: DGLA, weights=None, cap=0) -> CheckReport:
     jacobi = ("jacobi({},{},{})", "graded Jacobi fails", jac)
     steps = [
         ([(i,) for i in L.diff], [d_degree]),
-        (L.table, [additive]),
+        (L.stored, [additive]),
         (admitted(n, 1, weights, cap), [d_square]),
         (admitted(n, 2, weights, cap), [antisym, leibnitz]),
         (  # the pairs (i, i)
@@ -170,7 +182,7 @@ def check_na(A: ArtinDg) -> CheckReport:
         assoc_orbits = representatives(n, 3, (0, 2))
     steps = [
         ([(i,) for i in A.diff], [d_degree]),
-        (A.table, [degree]),
+        (A.stored, [degree]),
         (admitted(n, 1), [d_square]),
         (admitted(n, 2), [comm, ("leibnitz({},{})", "Leibnitz fails", leibnitz)]),
         (admitted(n, 1), [("{}^2", "odd element with nonzero square", odd_square)]),
@@ -264,7 +276,8 @@ class TensorDgla:
     def gauge_apply(self, a: Element, w: Element) -> Element:
         """exp(a) acting on w:  w + sum_{n>=0} ad(a)^n/(n+1)! ([a,w] - da).
 
-        Terminates by nilpotency of A (guarded)."""
+        Terminates by nilpotency of A (guarded); a series past its bound
+        over a base that is not nilpotent is refused."""
         if not a.is_zero() and a.degree(self.basis) != 0:
             raise DomainError("gauge parameter must have total degree 0")
         if not w.is_zero() and w.degree(self.basis) != 1:
@@ -275,6 +288,8 @@ class TensorDgla:
         n = 0
         while not term.is_zero():
             if n > bound:
+                if self.A.nilpotency_index is None:
+                    raise StructureError("base algebra is not nilpotent")
                 raise InternalError("gauge series failed to terminate")
             add_into(out.terms, term.terms, Fraction(1, factorial(n + 1)))
             term = self.bracket(a, term)
@@ -631,7 +646,8 @@ class ExpDerivation:
         return report_violations(rep, names.__getitem__, str, steps)
 
     def apply(self, x):
-        """e^d(x) = sum d^n(x)/n!; terminates by nilpotency of m_A."""
+        """e^d(x) = sum d^n(x)/n!; terminates by nilpotency of m_A, and a
+        series past its bound over a base that is not nilpotent is refused."""
         out = dict(x)
         term = dict(x)
         bound = (self.A.nilpotency_index or len(self.A.basis) + 2) + 2
@@ -641,6 +657,8 @@ class ExpDerivation:
             if not term:
                 break
             if n > bound:
+                if self.A.nilpotency_index is None:
+                    raise StructureError("base algebra is not nilpotent")
                 raise InternalError("derivation exponential failed to terminate")
             add_into(out, term, Fraction(1, factorial(n)))
             n += 1

@@ -54,6 +54,14 @@ class GradedCommAlgebra(BilinearTable):
     def __init__(self, basis: GradedBasis, table, unit=None):
         super().__init__(basis, table, 1, unit)
 
+    @classmethod
+    def from_terms(cls, basis: GradedBasis, table):
+        """The algebra with no unit whose table entries have these terms
+        dicts, built without an Element per entry."""
+        self = cls.__new__(cls)
+        self._resolve(basis, table, 1)
+        return self
+
     product = BilinearTable.apply
 
 
@@ -124,7 +132,7 @@ class GBVStructure:
             if all(deg(t) == deg(i) + 1 for i, img in D.items() for t in img):
                 poisson_orbits = representatives(n, 3, (1, 2), weights, cap)
         steps = [
-            (alg.table, [degree]),
+            (alg.stored, [degree]),
             (admitted(n, 2), [comm]),
             (admitted(n, 3, weights, cap), [assoc], assoc_orbits),
             ([(i,) for i in D], [delta_degree]),
@@ -146,10 +154,10 @@ class GBVStructure:
         shifted = GradedBasis(basis.names, tuple(d + 1 for d in basis.degrees))
         table = {}
         for i, row in enumerate(Q):
-            sign = 1 if basis.degree(i) % 2 else -1
+            odd_i = basis.degree(i) % 2
             for j, q in row.items():
-                table[(i, j)] = Element(q).scale(sign)
-        return DGLA(shifted, table, dict(self.delta_table))
+                table[i, j] = q if odd_i else {t: -c for t, c in q.items()}
+        return DGLA.from_terms(shifted, table, self.delta_table)
 
     def dgla_verify(self) -> CheckReport:
         """Instance verification that the shifted bracket with delta is a
@@ -365,13 +373,6 @@ def polyvector_gbv(nvars, cap) -> GBVStructure:
     degrees = tuple(-len(f) for _, f in keys)
     basis = GradedBasis(names, degrees)
 
-    def to_element(pv: Polyvector) -> Element:
-        out = Element()
-        for (m, f), c in pv.terms.items():
-            if sum(m) <= cap:
-                out.add_term(index[(m, f)], c)
-        return out
-
     polydeg = [sum(m) for m, _ in keys]
     units = [Element({k: 1}) for k in keys]
     table = {}
@@ -381,8 +382,8 @@ def polyvector_gbv(nvars, cap) -> GBVStructure:
                 continue  # truncated to zero
             # two single terms wedge to at most one term, within the cap
             for k, c in _wedge_terms(a, b).items():
-                table[(i, j)] = Element({index[k]: c})
-    algebra = GradedCommAlgebra(basis, table)
+                table[i, j] = {index[k]: c}
+    algebra = GradedCommAlgebra.from_terms(basis, table)
 
     # delta(z^m d/dz_f) = dz^m -| d/dz_f lowers the degree, so stays within
     # the cap; its terms have distinct frames
@@ -397,7 +398,6 @@ def polyvector_gbv(nvars, cap) -> GBVStructure:
 
     S = GBVStructure(algebra, delta_table, polydeg, cap)
     S.keys = keys
-    S.to_element = to_element
     return S
 
 

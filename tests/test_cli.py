@@ -1140,6 +1140,39 @@ def test_mc_and_gauge_commands(tmp_path):
     assert got == {("x(x)t", "1"), ("y(x)t2", "1")}
 
 
+def test_gauge_and_exp_der_over_a_base_that_is_not_nilpotent_exit_two(tmp_path):
+    """Over span{t} with t t = t neither series ends: each command exits 2
+    naming the base as not nilpotent, in both formats, with no traceback."""
+    idempotent = {
+        "basis": [{"name": "t", "degree": 0}],
+        "product": [{"left": "t", "right": "t", "value": [{"basis": "t", "coeff": "1"}]}],
+    }
+    gauge = {
+        "kind": "gauge_problem",
+        "dgla": {
+            "basis": [{"name": "a", "degree": 0}, {"name": "x", "degree": 1}],
+            "bracket": [
+                {"left": "a", "right": "x", "value": [{"basis": "x", "coeff": "1"}]}
+            ],
+        },
+        "base": idempotent,
+        "element": [{"l": "x", "a": "t", "coeff": "1"}],
+        "gauge_by": [{"l": "a", "a": "t", "coeff": "1"}],
+    }
+    exp_der = sample("exp_derivation")
+    exp_der["base"] = {"kind": "artin_dg", **idempotent}
+    for sub, problem in (("gauge", gauge), ("exp-der", exp_der)):
+        f = tmp_path / f"{sub}.json"
+        f.write_text(json.dumps(problem))
+        out = run_cli_input_error(sub, "--input", str(f))
+        assert out == f"[ERROR] {sub}: base algebra is not nilpotent\n"
+        payload = json.loads(run_cli_input_error(sub, "--input", str(f), "--format", "json"))
+        assert payload["status"] == "error"
+        assert [v["message"] for v in payload["violations"]] == [
+            "base algebra is not nilpotent"
+        ]
+
+
 def test_basis_cap_env(tmp_path):
     big = tmp_path / "big.json"
     big.write_text(

@@ -576,6 +576,43 @@ def test_swap_rule_flag_matches_the_oracle_on_perturbed_tables():
     assert within.swap_rule and swap_rule_holds(within.rows, basis.degree, -1)
 
 
+def test_resolver_stores_the_terms_dicts_it_is_given():
+    """The resolver stores each nonzero int-first terms dict of a table
+    itself, in the table's order, and neither mutates nor copies it: from
+    `from_terms` and from the Elements `__init__` is given alike.  An entry
+    with a Fraction coefficient is stored as a converted copy and the given
+    dict is left as it was.  `table` is the Element view: `int_first` of
+    the Element table."""
+    basis = GradedBasis.of(("a", 0), ("x", 1), ("y", 1), ("w", 2))
+    table = {
+        (0, 1): {1: 1},
+        (1, 2): {3: -2},
+        (3, 3): {},
+        (0, 0): {0: Fraction(1, 2)},
+        (0, 3): {3: Fraction(4, 2)},
+        (2, 1): {3: 2},
+    }
+    shared = ((0, 1), (1, 2), (2, 1))
+    before = copy.deepcopy(table)
+    A = GradedCommAlgebra.from_terms(basis, table)
+    assert in_order([table]) == in_order([before])
+    assert list(A.stored) == [(0, 1), (1, 2), (0, 0), (0, 3), (2, 1)]
+    assert all(A.stored[k] is table[k] for k in shared)
+    for k in ((0, 0), (0, 3)):
+        assert A.stored[k] is not table[k] and A.stored[k] == table[k]
+    assert type(A.stored[0, 3][3]) is int and type(table[0, 3][3]) is Fraction
+    # the rows share the stored dicts, a swap with sign +1 included
+    assert A.rows[0][1] is A.cols[1][0] is A.rows[1][0] is table[0, 1]
+    assert A.swap_rule
+    elements = {k: Element(v) for k, v in before.items()}
+    assert A.table == core.int_first(elements)
+    B = GradedCommAlgebra(basis, elements)
+    assert all(B.stored[k] is elements[k].terms for k in shared)
+    assert in_order(B.rows + B.cols) == in_order(A.rows + A.cols)
+    assert B.swap_rule and B.table == A.table
+    assert in_order([{k: v.terms for k, v in elements.items()}]) == in_order([before])
+
+
 def test_violations_run_steps_in_order_and_lazily():
     visited = []
 

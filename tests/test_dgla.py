@@ -468,6 +468,30 @@ def test_bch_degree0_refuses_a_base_that_is_not_nilpotent():
     assert N.bch_degree0(at, bt) == at + bt + N.vector("c", "t2").scale(F(1, 2))
 
 
+def test_gauge_and_exp_derivation_refuse_a_base_that_is_not_nilpotent():
+    # over A = span{t}, t t = t, the gauge series of [a,x] = x repeats
+    # x(x)t and e^d of d(u) = u t repeats u t: neither ends, so both are
+    # refused, as bch_degree0 refuses, rather than raising InternalError
+    idempotent = ArtinDg(GradedBasis.of(("t", 0)), {(0, 0): e(0)}, {})
+    L = DGLA(GradedBasis.of(("a", 0), ("x", 1)), {(0, 1): e(1)}, {})
+    M = TensorDgla(L, idempotent)
+    at, xt = M.vector("a", "t"), M.vector("x", "t")
+    assert M.bracket(at, xt) == xt
+    with pytest.raises(StructureError, match="base algebra is not nilpotent"):
+        M.gauge_apply(at, xt)
+    u, t = 1, 0
+    ed = ExpDerivation(dual_numbers_R(), idempotent, {u: {(u, t): F(1)}})
+    with pytest.raises(StructureError, match="base algebra is not nilpotent"):
+        ed.apply(ed.embed(u))
+    # over a nilpotent base both series end as before
+    N = TensorDgla(L, tmax3())
+    at, xt = N.vector("a", "t"), N.vector("x", "t")
+    assert N.gauge_apply(at, xt) == xt + N.vector("x", "t2")
+    square_zero = ArtinDg(GradedBasis.of(("t", 0)), {}, {})
+    ed = ExpDerivation(dual_numbers_R(), square_zero, {u: {(u, t): F(1)}})
+    assert ed.apply(ed.embed(u)) == {(u, ExpDerivation.UNIT): F(1), (u, t): F(1)}
+
+
 # -- cohomology ---------------------------------------------------------------
 
 

@@ -22,6 +22,7 @@ from sign_oracles import (
     show,
     volume_form,
 )
+from test_core import in_order
 from test_dgla import oracle_check_na
 from test_freelie import oracle_nilpotent_lie
 
@@ -60,6 +61,19 @@ def e(i, c=1):
 
 def pv(nvars, mono, frame, c=1):
     return Polyvector(nvars, None, {(tuple(mono), tuple(frame)): F(c)})
+
+
+def swap_sign(basis, i, j):
+    """(-1)^{deg i deg j}: the sign of swapping e_i and e_j."""
+    return -1 if (basis.degree(i) * basis.degree(j)) % 2 else 1
+
+
+def key_element(S, value: Polyvector) -> Element:
+    """The Element over the basis of `polyvector_gbv` S of a polyvector's
+    terms within S's cap."""
+    index = {key: i for i, key in enumerate(S.keys)}
+    terms = value.terms.items()
+    return Element({index[m, f]: c for (m, f), c in terms if sum(m) <= S.cap})
 
 
 # -- exterior-algebra GBV example ------------------------------------------------
@@ -151,7 +165,7 @@ def oracle_gbv_check(S):
             rep.add(f"{names[i]}*{names[j]}", show(alg, el), msg)
     for i in range(n):
         for j in range(n):
-            comm = mul(e(i), e(j)) - mul(e(j), e(i)).scale(alg._sign_swap(i, j))
+            comm = mul(e(i), e(j)) - mul(e(j), e(i)).scale(swap_sign(basis, i, j))
             if not comm.is_zero():
                 msg = "graded commutativity fails"
                 rep.add(f"comm({names[i]},{names[j]})", show(alg, comm), msg)
@@ -214,7 +228,7 @@ def oracle_check_dgla(L, admit=lambda *idx: True):
         if not admit(i, j):
             continue
         a, b = e(i), e(j)
-        anti = br(a, b) + br(b, a).scale(L._sign_swap(i, j))
+        anti = br(a, b) + br(b, a).scale(swap_sign(basis, i, j))
         if not anti.is_zero():
             msg = "graded antisymmetry fails"
             rep.add(f"antisym({names[i]},{names[j]})", show(L, anti), msg)
@@ -244,6 +258,19 @@ def oracle_check_dgla(L, admit=lambda *idx: True):
                 "graded Jacobi fails",
             )
     return rep
+
+
+def element_shifted(S, Q):
+    """The shifted DGLA of `GBVStructure._shifted` on the derived-product
+    rows Q, built from a table of Elements."""
+    basis = S.algebra.basis
+    shifted = GradedBasis(basis.names, tuple(d + 1 for d in basis.degrees))
+    table = {}
+    for i, row in enumerate(Q):
+        sign = 1 if basis.degree(i) % 2 else -1
+        for j, q in row.items():
+            table[i, j] = Element(q).scale(sign)
+    return DGLA(shifted, table, dict(S.delta_table))
 
 
 def oracle_to_dgla(S):
@@ -349,11 +376,17 @@ def test_tabled_checks_match_element_oracle_on_perturbations():
     on tables that are not, which never take the reduction.  check_na runs
     on the algebras of at most 10 basis elements: the oracle's nilpotency
     sweep takes about a second on each 24-element polyvector algebra."""
-    failing, assoc_paths = 0, set()
+    failing, assoc_paths, swap_rules = 0, set(), set()
     for T in _gbv_corpus():
         gbv = T.gbv_check()
         assert gbv.to_dict() == oracle_gbv_check(T).to_dict()
-        assert T._shifted(T._tables()[0]).table == oracle_to_dgla(T).table
+        # the terms route resolves the shifted DGLA as the Element route does
+        Q = T._tables()[0]
+        shifted, built = T._shifted(Q), element_shifted(T, Q)
+        assert in_order(shifted.rows + shifted.cols) == in_order(built.rows + built.cols)
+        assert shifted.swap_rule is built.swap_rule
+        swap_rules.add(shifted.swap_rule)
+        assert shifted.table == oracle_to_dgla(T).table
         assert T.dgla_verify().to_dict() == oracle_dgla_verify(T).to_dict()
         failing += not gbv.ok()
         if len(T.algebra.basis) > 10:
@@ -365,6 +398,7 @@ def test_tabled_checks_match_element_oracle_on_perturbations():
             assoc_paths.add(A.swap_rule)
     assert failing >= 10  # the perturbations do break identities
     assert assoc_paths == {True, False}
+    assert swap_rules == {True, False}
 
 
 def test_check_dgla_matches_element_oracle_on_random_dglas():
@@ -414,6 +448,41 @@ def test_weighted_dgla_past_the_cap_takes_the_full_family():
     assert [v.location for v in rep.violations] == ["jacobi(x,y,x)", "jacobi(y,x,x)"]
 
 
+def test_terms_tables_breaking_the_swap_rule_take_the_full_family(monkeypatch):
+    """The K5 precondition on the terms route: a terms table whose stored
+    (j, i) disagrees with the swap of (i, j), and `_shifted` on a corrupted
+    derived product, each give swap_rule False; check_dgla then runs Jacobi
+    on the full ordered family and reports what the Element route does."""
+    calls = count_residual_calls(monkeypatch)
+    # [z, x] = x stored on both orders, as in the weighted test above
+    basis = GradedBasis.of(("x", 0), ("y", 0), ("z", 0))
+    terms = {(0, 1): {2: 1}, (2, 0): {0: 1}, (0, 2): {0: 1}}
+    L = DGLA.from_terms(basis, terms, {})
+    built = DGLA(basis, {k: Element(v) for k, v in terms.items()}, {})
+    weights, cap = (0, 0, 5), 0
+    assert not L.swap_rule and not built.swap_rule
+    rep = check_dgla(L, weights, cap)
+    assert calls["jacobi({},{},{})"] == len(list(core.admitted(3, 3, weights, cap)))
+    assert rep.to_json() == check_dgla(built, weights, cap).to_json()
+    assert [v.location for v in rep.violations] == ["jacobi(x,y,x)", "jacobi(y,x,x)"]
+    # q(e_i, e_j) doubled on the first pair i < j it is nonzero on
+    S = polyvector_gbv(2, 2)
+    Q = S._tables()[0]
+    i, j = next((i, j) for i, row in enumerate(Q) for j in row if i < j)
+    corrupted = [dict(row) for row in Q]
+    corrupted[i][j] = {t: 2 * c for t, c in Q[i][j].items()}
+    L, built = S._shifted(corrupted), element_shifted(S, corrupted)
+    assert not L.swap_rule and not built.swap_rule
+    assert in_order(L.rows + L.cols) == in_order(built.rows + built.cols)
+    calls.clear()
+    rep = check_dgla(L, S.weights, S.cap)
+    triples = core.admitted(len(S.algebra.basis), 3, S.weights, S.cap)
+    assert calls["jacobi({},{},{})"] == len(list(triples))
+    assert "graded Jacobi fails" in {v.message for v in rep.violations}
+    assert rep.to_json() == check_dgla(built, S.weights, S.cap).to_json()
+    assert rep.to_json() == oracle_check_dgla(built, _admit(S)).to_json()
+
+
 def test_off_degree_delta_takes_the_full_odd_poisson_family():
     """On the commutative algebra of polyvector_gbv(1, 1), delta(m1f) =
     -m0f1 - m0f and delta(m1f1) = m0f1 are off degree +1.  Odd Poisson then
@@ -432,12 +501,9 @@ def test_off_degree_delta_takes_the_full_odd_poisson_family():
     assert any(v.message == "odd Poisson identity fails" for v in rep.violations)
 
 
-def test_passing_polyvector_checks_run_one_residual_per_orbit(monkeypatch):
-    """A passing polyvector_gbv(2, 2) calls each triple residual once per
-    orbit representative (sign ledger K5), never on the full family: the
-    associator on i <= k, odd Poisson on j <= k and Jacobi on i <= j <= k,
-    counted against a filter of the admitted triples; so does check_na's
-    associator on the product of polyvector_gbv(1, 3)."""
+def count_residual_calls(monkeypatch):
+    """A Counter, by location template, of the residual calls the identity
+    engine makes from now on."""
     calls = Counter()
     engine = core.violations
 
@@ -456,6 +522,16 @@ def test_passing_polyvector_checks_run_one_residual_per_orbit(monkeypatch):
         return engine(name, steps)
 
     monkeypatch.setattr(core, "violations", counting)
+    return calls
+
+
+def test_passing_polyvector_checks_run_one_residual_per_orbit(monkeypatch):
+    """A passing polyvector_gbv(2, 2) calls each triple residual once per
+    orbit representative (sign ledger K5), never on the full family: the
+    associator on i <= k, odd Poisson on j <= k and Jacobi on i <= j <= k,
+    counted against a filter of the admitted triples; so does check_na's
+    associator on the product of polyvector_gbv(1, 3)."""
+    calls = count_residual_calls(monkeypatch)
     S = polyvector_gbv(2, 2)
     assert S.gbv_check().ok() and S.dgla_verify().ok()
     triples = list(core.admitted(len(S.algebra.basis), 3, S.weights, S.cap))
@@ -849,7 +925,7 @@ def test_gbv_bracket_equals_schouten_on_polyvectors():
         sch = schouten(
             pv(2, m1, f1), pv(2, m2, f2)
         )
-        assert br == S.to_element(sch)
+        assert br == key_element(S, sch)
 
 
 # -- the polyvector GBV structure ------------------------------------------------------
@@ -859,23 +935,27 @@ def test_polyvector_gbv_small_checks():
     S = polyvector_gbv(2, 2)
     assert S.gbv_check().ok()
     assert S.dgla_verify().ok()
-    # the product table is the Polyvector wedge of each pair within the cap
-    for nvars, cap in ((2, 2), (3, 1)):
+    # at every benchmark size the stored terms table is the Polyvector wedge
+    # of each pair within the cap, in the order of the pairs, and the
+    # Element view of it equals the Element table of the same wedges
+    for nvars, cap in ((1, 4), (2, 1), (2, 2), (3, 1), (2, 3)):
         S = polyvector_gbv(nvars, cap)
         table = {}
         for i, a in enumerate(S.keys):
             for j, b in enumerate(S.keys):
                 if sum(a[0]) + sum(b[0]) <= cap:
-                    wedge = S.to_element(pv(nvars, *a).wedge(pv(nvars, *b)))
+                    wedge = key_element(S, pv(nvars, *a).wedge(pv(nvars, *b)))
                     if wedge.terms:
                         table[i, j] = wedge
+        stored = S.algebra.stored
+        assert list(stored.items()) == [(k, v.terms) for k, v in table.items()]
         assert S.algebra.table == table
         # and delta is delta_volume on each key, which stays within the cap
         deltas = {}
         for i, key in enumerate(S.keys):
             image = delta_volume(pv(nvars, *key))
             if image.terms:
-                deltas[i] = S.to_element(image)
+                deltas[i] = key_element(S, image)
                 assert len(deltas[i].terms) == len(image.terms)
         assert S.delta_table == deltas
 
