@@ -65,6 +65,7 @@ RUNS = (
     ),
     (("gbv-to-abelian",), ("gbv", "failing_gbv")),
     (("lefschetz", "decompose", "--dim", "2"), ("covector",)),
+    (("lefschetz", "decompose", "--dim", "4"), ("covector_dim4",)),
 )
 # subcommands that read no input file
 BARE = (

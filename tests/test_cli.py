@@ -1652,4 +1652,4 @@ def test_int_flags_exit_zero_one_or_two(monkeypatch, capsys):
                     one_line = len(out.splitlines()) == 1
                     assert one_line or out.startswith("[ERROR] "), (argv, option, value, out)
                 runs += 1
-    assert runs == 6 * 23  # the golden cases of bch, lefschetz and the --max-arity readers
+    assert runs == 6 * 24  # the golden cases of bch, lefschetz and the --max-arity readers
