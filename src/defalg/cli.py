@@ -387,7 +387,8 @@ def cmd_lefschetz(args) -> CheckReport:
     v = schemas.parse_covector(_load(args))
     if v.n != args.dim:
         raise InputError("covector dimension differs from --dim")
-    # L^k of one term has up to C(dim, k) terms, 2^dim over all k
+    # Lambda^a L^b of one term has at most 2^|M + N| <= 2^dim images
+    # (sign ledger X4)
     if v.terms:
         terms = len(v.terms)
         schemas.refuse_past_cap(

@@ -85,6 +85,15 @@ def int_first(table: dict) -> dict:
     return out
 
 
+def int_first_terms(terms: dict) -> dict:
+    """`terms` itself when every coefficient is an int, else a copy with
+    each passed through `scalars.int_first_value`; never mutates it."""
+    for c in terms.values():
+        if type(c) is not int:
+            return {t: int_first_value(c) for t, c in terms.items()}
+    return terms
+
+
 def lin_into(out: dict, images, x: dict, c=1) -> dict:
     """out += c * sum_t x[t] * images[t], in place; `images` maps an index
     to a terms dict (missing means zero)."""
@@ -340,11 +349,7 @@ class BilinearTable:
                 continue
             if not (0 <= i < n and 0 <= j < n):
                 raise InputError("table entry outside basis")
-            for c in v.values():
-                if type(c) is not int:
-                    v = {t: int_first_value(c) for t, c in v.items()}
-                    break
-            stored[i, j] = v
+            stored[i, j] = int_first_terms(v)
         self.unit = u = basis.index(unit) if unit is not None else None
         if u is not None and basis.degree(u) != 0:
             raise InputError("unit must have degree 0")

@@ -25,7 +25,7 @@ from .core import (
     assoc_residual,
     derivation_residual,
     format_terms,
-    int_first,
+    int_first_terms,
     lin_into,
     off_degree,
     report_violations,
@@ -49,23 +49,32 @@ class _Tabled(BilinearTable):
 
     def __init__(self, basis: GradedBasis, table, diff):
         super().__init__(basis, table, self.SIGN)
-        self._differential(diff)
+        self._differential({i: v.terms for i, v in diff.items()})
 
     @classmethod
-    def from_terms(cls, basis: GradedBasis, table, diff):
-        """The structure `cls(basis, ..., diff)` whose table entries have
-        these terms dicts, built without an Element per entry."""
+    def from_terms(cls, basis: GradedBasis, table, images):
+        """The structure `cls(basis, ..., diff)` whose table entries and
+        differential images have these terms dicts, built without an
+        Element per entry."""
         self = cls.__new__(cls)
         self._resolve(basis, table, cls.SIGN)
-        self._differential(diff)
+        self._differential(images)
         return self
 
-    def _differential(self, diff):
-        self.diff = int_first(diff)
-        for i in self.diff:
-            if not 0 <= i < len(self.basis):
-                raise InputError("differential entry outside basis")
-        self.d_images = {i: v.terms for i, v in self.diff.items()}
+    def _differential(self, images):
+        """`d_images[i]`, the terms dict of d(e_i): nonzero images only,
+        int-first (`core.int_first_terms`), shared and never mutated."""
+        self.d_images = {}
+        for i, v in images.items():
+            if v:
+                if not 0 <= i < len(self.basis):
+                    raise InputError("differential entry outside basis")
+                self.d_images[i] = int_first_terms(v)
+
+    @cached_property
+    def diff(self):
+        """The nonzero images d(e_i) as Elements, built on first read."""
+        return {i: Element(v) for i, v in self.d_images.items()}
 
     def d(self, x: Element) -> Element:
         return Element(lin_into({}, self.d_images, x.terms))
@@ -94,7 +103,7 @@ class ArtinDg(_Tabled):
         return linalg.nilpotency_index(self.rows)
 
     def is_classical(self) -> bool:
-        return all(d == 0 for d in self.basis.degrees) and not self.diff
+        return all(d == 0 for d in self.basis.degrees) and not self.d_images
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +159,7 @@ def check_dgla(L: DGLA, weights=None, cap=0) -> CheckReport:
         jacobi_orbits = representatives(n, 3, (0, 1, 2), weights, cap)
     jacobi = ("jacobi({},{},{})", "graded Jacobi fails", jac)
     steps = [
-        ([(i,) for i in L.diff], [d_degree]),
+        ([(i,) for i in L.d_images], [d_degree]),
         (L.stored, [additive]),
         (admitted(n, 1, weights, cap), [d_square]),
         (admitted(n, 2, weights, cap), [antisym, leibnitz]),
@@ -181,7 +190,7 @@ def check_na(A: ArtinDg) -> CheckReport:
     if A.swap_rule:
         assoc_orbits = representatives(n, 3, (0, 2))
     steps = [
-        ([(i,) for i in A.diff], [d_degree]),
+        ([(i,) for i in A.d_images], [d_degree]),
         (A.stored, [degree]),
         (admitted(n, 1), [d_square]),
         (admitted(n, 2), [comm, ("leibnitz({},{})", "Leibnitz fails", leibnitz)]),

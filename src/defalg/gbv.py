@@ -157,7 +157,7 @@ class GBVStructure:
             odd_i = basis.degree(i) % 2
             for j, q in row.items():
                 table[i, j] = q if odd_i else {t: -c for t, c in q.items()}
-        return DGLA.from_terms(shifted, table, self.delta_table)
+        return DGLA.from_terms(shifted, table, self.delta_images)
 
     def dgla_verify(self) -> CheckReport:
         """Instance verification that the shifted bracket with delta is a

@@ -15,13 +15,13 @@ import itertools
 from bisect import bisect
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import factorial
+from math import comb, factorial
 from operator import itemgetter
 
 from .core import Element, add_term, odd, report_violations, sym_canonical
 from .errors import DomainError, InputError
 from .report import CheckReport
-from .scalars import GaussianScalar, format_gaussian
+from .scalars import GaussianScalar, format_gaussian, int_first_value
 
 # keys are (A, B, M, N): four sorted tuples of 1-based indices; a covector
 # term is keyed by (key, part), part 0 holding the real and part 1 the
@@ -248,6 +248,40 @@ def op_power(op, k, v):
     return v
 
 
+@lru_cache(maxsize=4096)
+def _power_row(M, N, a, b):
+    """Lambda^a L^b / (a! b!) on a key with these M and N, its A and B
+    passing through: one (M', N', count) per X in M and Y in N with
+    |Y| - |X| = b - a, M' = (M - X) + Y, N' = (N - Y) + X and count
+    C(|N| - |Y|, b - |Y|) (sign ledger X4).  Keyed on (M, N, a, b) only, so
+    every key of one (M, N) shares an entry."""
+    out = []
+    for y in range(max(b - a, 0), min(b, len(N)) + 1):
+        x = y - b + a
+        count = comb(len(N) - y, b - y)
+        if x > len(M) or not count:
+            break
+        for X in itertools.combinations(M, x):
+            for Y in itertools.combinations(N, y):
+                out.append((
+                    tuple(sorted(set(M).difference(X).union(Y))),
+                    tuple(sorted(set(N).difference(Y).union(X))),
+                    count,
+                ))
+    return tuple(out)
+
+
+def _power_into(out: dict, terms: dict, a, b, c=1) -> dict:
+    """out += c * Lambda^a L^b / (a! b!) of a covector's terms, in place.
+    L and Lambda have no turn, so each part stays its part."""
+    for ((A, B, M, N), part), x in terms.items():
+        if c != 1:
+            x = c * x
+        for M2, N2, count in _power_row(M, N, a, b):
+            add_term(out, ((A, B, M2, N2), part), x * count)
+    return out
+
+
 def _l_powers(v, k):
     """[v, L v, ..., L^k v]."""
     return list(itertools.accumulate(range(k), lambda w, _: op_L(w), initial=v))
@@ -431,41 +465,47 @@ def is_primitive(v: CovectorElement) -> bool:
 
 def lefschetz_decompose(v: CovectorElement):
     """Write homogeneous v as sum_{r >= max(-alpha, 0)} L^r v_r with each
-    v_r primitive of weight alpha + 2r, via
-    v_q = Lambda^{alpha+2q} L^{alpha+q} v / (alpha+2q)!^2 from the top."""
+    v_r primitive of weight alpha + 2r, from the top:
+    v_q = Lambda^{alpha+2q} L^{alpha+q} rest / (alpha+2q)!^2, which is the
+    closed-form row of `_power_into` divided by the integer
+    (alpha+2q)!/(alpha+q)!, then rest -= L^q v_q, the row at (0, q) times
+    q! (sign ledger X4).  Each component is checked primitive by the step
+    operator Lambda."""
     n = v.n
     p = v.homogeneous_degree()
     if p is None:
         return []
     alpha = n - p
     out = []
-    rest = v
-    q_top = max((p // 2), 0)
-    for q in range(q_top, max(-alpha, 0) - 1, -1):
-        if rest.is_zero():
+    rest = dict(v.terms)
+    # q >= -alpha, so both exponents are nonnegative and a >= b
+    for q in range(max(p // 2, 0), max(-alpha, 0) - 1, -1):
+        if not rest:
             break
-        exp_l = alpha + q
-        exp_ll = alpha + 2 * q
-        if exp_l < 0 or exp_ll < 0:
+        a, b = alpha + 2 * q, alpha + q
+        terms = _power_into({}, rest, a, b)
+        if not terms:
             continue
-        vq = op_power(op_Lambda, exp_ll, op_power(op_L, exp_l, rest)).scale(
-            Fraction(1, factorial(exp_ll) ** 2)
-        )
-        if vq.is_zero():
-            continue
+        den = factorial(a) // factorial(b)
+        if den != 1:
+            terms = {k: int_first_value(Fraction(c, den)) for k, c in terms.items()}
+        vq = v._like(terms)
         if not op_Lambda(vq).is_zero():
             raise DomainError("decomposition produced a non-primitive component")
         out.append((q, vq))
-        rest = rest - op_power(op_L, q, vq)
-    if not rest.is_zero():
+        _power_into(rest, terms, 0, q, -factorial(q))
+    if rest:
         raise DomainError("Lefschetz decomposition failed to terminate")
     return sorted(out)
 
 
 def reconstruct(n, parts) -> CovectorElement:
+    """sum_r L^r v_r, each L^r the row of `_power_into` at (0, r) times r!;
+    InputError on a part of another dimension."""
     out = CovectorElement(n)
     for r, vr in parts:
-        out = out + op_power(op_L, r, vr)
+        out._check(vr)
+        _power_into(out.terms, vr.terms, 0, r, factorial(r))
     return out
 
 

@@ -85,7 +85,14 @@ one-form step `one_form_contract` and the monomial derivative `_partial`,
 the volume form `volume_form`, the form differential `form_del`, the
 frame pairing `frame_pairing` and, chaining them, `oracle_delta_volume`,
 which was `delta_volume`; with them the tests check the defining property
-(delta a) -| Omega = del(a -| Omega) (sign ledger G4)."""
+(delta a) -| Omega = del(a -| Omega) (sign ledger G4).
+
+The step-power Lefschetz decomposition as `lefschetz.lefschetz_decompose`
+and `lefschetz.reconstruct` computed it before they read the closed-form
+rows of Lambda^a L^b: `lefschetz_decompose`, each component
+Lambda^{alpha+2q} L^{alpha+q} rest / (alpha+2q)!^2 as alpha+q steps of L
+and alpha+2q of Lambda scaled by a `Fraction`, and `reconstruct`, the sum
+of L^r v_r by r steps each (sign ledger X4)."""
 
 import itertools
 from fractions import Fraction
@@ -117,7 +124,15 @@ from defalg.dgla import DGLA, TensorDgla, check_dgla, cohomology
 from defalg.errors import DomainError, InputError
 from defalg.freelie import TensorSeries, _bch_word_trie, right_nested_terms
 from defalg.gbv import GBVStructure, Polyvector, _wedge_terms, times_letters
-from defalg.lefschetz import CovectorElement, all_keys, is_primitive, op_star
+from defalg.lefschetz import (
+    CovectorElement,
+    all_keys,
+    is_primitive,
+    op_L,
+    op_Lambda,
+    op_power,
+    op_star,
+)
 from defalg.linfty import word_names
 from defalg.report import CheckReport
 from defalg.scalars import Q0, Q1, format_rational
@@ -1049,3 +1064,43 @@ def dense_nilpotency_index(self):
         span = reduced[: len(pivots)]
         s += 1
     return s
+
+
+def lefschetz_decompose(v: CovectorElement):
+    """Write homogeneous v as sum_{r >= max(-alpha, 0)} L^r v_r with each
+    v_r primitive of weight alpha + 2r, via
+    v_q = Lambda^{alpha+2q} L^{alpha+q} v / (alpha+2q)!^2 from the top."""
+    n = v.n
+    p = v.homogeneous_degree()
+    if p is None:
+        return []
+    alpha = n - p
+    out = []
+    rest = v
+    q_top = max((p // 2), 0)
+    for q in range(q_top, max(-alpha, 0) - 1, -1):
+        if rest.is_zero():
+            break
+        exp_l = alpha + q
+        exp_ll = alpha + 2 * q
+        if exp_l < 0 or exp_ll < 0:
+            continue
+        vq = op_power(op_Lambda, exp_ll, op_power(op_L, exp_l, rest)).scale(
+            Fraction(1, factorial(exp_ll) ** 2)
+        )
+        if vq.is_zero():
+            continue
+        if not op_Lambda(vq).is_zero():
+            raise DomainError("decomposition produced a non-primitive component")
+        out.append((q, vq))
+        rest = rest - op_power(op_L, q, vq)
+    if not rest.is_zero():
+        raise DomainError("Lefschetz decomposition failed to terminate")
+    return sorted(out)
+
+
+def reconstruct(n, parts) -> CovectorElement:
+    out = CovectorElement(n)
+    for r, vr in parts:
+        out = out + op_power(op_L, r, vr)
+    return out

@@ -85,7 +85,9 @@ F = Fraction
 
 
 def timed(budget_s):
-    """Context helper: assert the body stayed inside the stated budget."""
+    """Context helper: print the body's elapsed time against the stated
+    budget (one `TIMED` line, seen under `pytest -s`) and assert it stayed
+    inside it."""
 
     class _Timer:
         def __enter__(self):
@@ -94,6 +96,7 @@ def timed(budget_s):
 
         def __exit__(self, *exc):
             self.elapsed = time.monotonic() - self.start
+            print(f"TIMED {self.elapsed:.2f}s / {budget_s}s")
             if exc[0] is None:
                 assert self.elapsed < budget_s, (
                     f"runtime {self.elapsed:.1f}s exceeds budget {budget_s}s"

@@ -23,7 +23,7 @@ from defalg.dgla import (
     cones,
     obstruction_class,
 )
-from defalg.errors import DomainError, StructureError
+from defalg.errors import DomainError, InputError, StructureError
 from defalg.gbv import GradedCommAlgebra
 from defalg.report import CheckReport
 
@@ -840,3 +840,21 @@ def test_homotopy_failing_output_is_pinned():
         ),
         ("mult(x,x)", "{(1, 2, False): Fraction(-1, 1)}", "H is not multiplicative"),
     ]
+
+
+def test_differential_images_are_int_first_and_diff_is_a_view():
+    """`d_images` keeps the nonzero images only, int-first, and the Element
+    view `diff` is built on first read; a nonzero image outside the basis
+    is refused and a zero one dropped."""
+    basis = GradedBasis.of(("x", 0), ("y", 1), ("z", 1))
+    diff = {0: Element({1: Fraction(4, 2)}), 1: Element(), 2: Element({1: Fraction(1, 2)})}
+    for L in (DGLA(basis, {}, diff), DGLA.from_terms(basis, {}, {i: v.terms for i, v in diff.items()})):
+        assert L.d_images == {0: {1: 2}, 2: {1: Fraction(1, 2)}}
+        assert type(L.d_images[0][1]) is int
+        assert "diff" not in vars(L)
+        assert L.diff == {0: Element({1: 2}), 2: Element({1: Fraction(1, 2)})}
+        assert L.diff is L.diff
+    assert type(diff[0].terms[1]) is Fraction  # the given Elements are left as they were
+    with pytest.raises(InputError, match="differential entry outside basis"):
+        DGLA(basis, {}, {3: Element({0: 1})})
+    assert DGLA(basis, {}, {3: Element()}).d_images == {}

@@ -350,6 +350,20 @@ def _gbv_corpus():
         yield from [S] + [_perturbed(S, rng) for _ in range(count)]
 
 
+def test_shifted_dgla_shares_the_delta_images():
+    """The shifted DGLA of `dgla_verify` takes the int-first delta images as
+    its differential images, the same dicts, and `check_dgla` reads them
+    without building the Element view `diff`, which equals the delta table
+    when it is read."""
+    for S in (polyvector_gbv(1, 4), exterior_gbv()):
+        L = S._shifted(S._tables()[0])
+        assert list(L.d_images) == list(S.delta_images)
+        assert all(L.d_images[i] is v for i, v in S.delta_images.items())
+        assert check_dgla(L, S.weights, S.cap).ok()
+        assert "diff" not in vars(L)
+        assert L.diff == S.delta_table
+
+
 def _random_dgla_corpus():
     """60 seeded `random_dgla` structures, every second one with an edited
     bracket entry."""

@@ -3,7 +3,7 @@ the wedge characterization of *, primitivity and the Lefschetz decomposition."""
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 import sign_oracles
@@ -17,8 +17,10 @@ from sign_oracles import (
 )
 
 from defalg import lefschetz
+from defalg.errors import DomainError, InputError
 from defalg.lefschetz import (
     CovectorElement,
+    _power_row,
     all_keys,
     bidegree,
     identities_report,
@@ -235,6 +237,77 @@ def test_decomposition_unique_under_perturbation():
     parts = lefschetz_decompose(v)
     again = lefschetz_decompose(reconstruct(n, parts))
     assert parts == again
+
+
+def test_power_row_matches_the_step_powers():
+    """`_power_row(M, N, a, b)` is Lambda^a L^b / (a! b!) on every key for
+    n <= 5 and all a, b <= n, computed by a + b steps of the operators, A
+    and B passing through (sign ledger X4)."""
+    for n in range(6):
+        for key in all_keys(n):
+            A, B, M, N = key
+            lifted = CovectorElement.basis(n, key)
+            for b in range(n + 1):
+                step = lifted
+                for a in range(n + 1):
+                    row = {((A, B, M2, N2), 0): c for M2, N2, c in _power_row(M, N, a, b)}
+                    assert len(row) == len(_power_row(M, N, a, b))  # one entry per image
+                    want = step.scale(F(1, factorial(a) * factorial(b)))
+                    assert CovectorElement(n, row) == want, (key, a, b)
+                    step = op_Lambda(step)
+                lifted = op_L(lifted)
+
+
+def test_decompose_matches_the_step_oracle():
+    """The closed-form decomposition equals the step-power one of
+    `tests/sign_oracles.py` term for term, and so does the reconstruction,
+    on seeded covectors with Fraction and imaginary parts, n <= 5 (sign
+    ledger X4)."""
+    rng = random.Random(37)
+    components = 0
+    for n in range(6):
+        keys = all_keys(n)
+        for _ in range(40):
+            p = rng.randint(0, 2 * n)
+            pool = [k for k in keys if total_degree(k) == p]
+            v = random_covector(rng, n, pool, rng.randint(1, 6))
+            parts = lefschetz_decompose(v)
+            want = sign_oracles.lefschetz_decompose(v)
+            terms = lambda ps: [(r, sorted(vr.terms.items())) for r, vr in ps]
+            assert terms(parts) == terms(want), v
+            assert reconstruct(n, parts) == sign_oracles.reconstruct(n, want) == v
+            components += sum(r > 0 for r, _ in parts)
+    assert components >= 50
+
+
+def test_reconstruct_refuses_a_part_of_another_dimension():
+    part = scalar(2)
+    with pytest.raises(InputError, match="differ in n"):
+        reconstruct(3, [(0, part)])
+    with pytest.raises(InputError, match="differ in n"):
+        reconstruct(2, [(1, part), (0, scalar(3))])
+
+
+def test_decompose_refuses_an_inhomogeneous_covector():
+    with pytest.raises(DomainError, match="inhomogeneous"):
+        lefschetz_decompose(scalar(2) + u_element(2, (1,)))
+
+
+def test_empty_covector_decomposes_to_nothing():
+    assert lefschetz_decompose(CovectorElement(3)) == []
+    assert reconstruct(3, []) == CovectorElement(3)
+
+
+def test_power_row_cache_stays_within_its_maxsize():
+    maxsize = _power_row.cache_info().maxsize
+    assert maxsize == 4096
+    _power_row.cache_clear()
+    try:
+        for a in range(maxsize + 100):
+            assert _power_row((), (1,), a + 1, 0) == ()  # Lambda kills M = ()
+        assert _power_row.cache_info().currsize == maxsize
+    finally:
+        _power_row.cache_clear()
 
 
 def test_primitivity_iff_L_power_kills():
