@@ -848,7 +848,8 @@ def test_differential_images_are_int_first_and_diff_is_a_view():
     is refused and a zero one dropped."""
     basis = GradedBasis.of(("x", 0), ("y", 1), ("z", 1))
     diff = {0: Element({1: Fraction(4, 2)}), 1: Element(), 2: Element({1: Fraction(1, 2)})}
-    for L in (DGLA(basis, {}, diff), DGLA.from_terms(basis, {}, {i: v.terms for i, v in diff.items()})):
+    images = {i: v.terms for i, v in diff.items()}
+    for L in (DGLA(basis, {}, diff), DGLA.from_terms(basis, {}, images)):
         assert L.d_images == {0: {1: 2}, 2: {1: Fraction(1, 2)}}
         assert type(L.d_images[0][1]) is int
         assert "diff" not in vars(L)
